@@ -33,6 +33,9 @@ run cargo test -q --workspace --release --locked --offline
 run cargo fmt --check
 run cargo run --release -p simlint --locked --offline -- --stats --stats-json bench_results/simlint_stats.json
 run cargo clippy --workspace --all-targets --locked --offline -- -D warnings
+# Intra-doc links are checked too, so a link to a deleted item fails
+# here instead of rotting.
+run env RUSTDOCFLAGS=-Dwarnings cargo doc --workspace --no-deps --locked --offline
 run cargo bench -p ibfabric --bench transport --locked --offline -- --test
 run cargo bench -p ibflow-bench --bench paper --locked --offline -- --test
 # The engine bench's --test mode enforces the committed throughput
@@ -64,5 +67,10 @@ timed env IBFLOW_JOBS=4 cargo run --release --locked --offline -p ibflow-bench -
 timed env IBFLOW_CLASS=test IBFLOW_JOBS=4 cargo run --release --locked --offline -p ibflow-bench --bin table1_ecm >/dev/null
 timed env IBFLOW_JOBS=4 cargo run --release --locked --offline -p ibflow-bench --bin chaos >/dev/null
 timed env IBFLOW_JOBS=4 cargo run --release --locked --offline -p ibflow-bench --bin ckpt >/dev/null
+
+# The benchmark harness pins part of the public surface (benchmark/README.md,
+# "The public surface this harness pins"); its quick self-check catches
+# drift before a paired parent-vs-change run does.
+run bash benchmark/run.sh --check
 
 echo "All checks passed."

@@ -189,10 +189,11 @@ pub fn rdma_channel() -> String {
         (out.results[0], c.eager_sent.get(), c.ring_sent.get())
     }
     let sr_cfg = MpiConfig::scheme(FlowControlScheme::UserStatic, 100);
+    // The default 32-slot ring rather than one sized to prepost: this
+    // row compares the transports, not the window depths.
     let ring_cfg = MpiConfig {
-        rdma_eager_channel: true,
-        credit_msg_mode: CreditMsgMode::Rdma,
-        ..MpiConfig::scheme(FlowControlScheme::UserStatic, 100)
+        rdma_ring_slots: 32,
+        ..MpiConfig::scheme(FlowControlScheme::RdmaChannel, 100)
     };
     let out = ibpool::run_batch(vec![
         ibpool::job("ablation/rdma_channel/send_recv", move || latency(sr_cfg)),

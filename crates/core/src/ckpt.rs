@@ -65,7 +65,7 @@
 use crate::collectives;
 use crate::comm::Comm;
 use crate::config::MpiConfig;
-use crate::conn::{Conn, RetiredRing};
+use crate::conn::{Conn, CreditWindow, RetiredRing};
 use crate::rank::{MpiRank, RankSetup, Unexpected};
 use crate::regcache::RegCache;
 use crate::stats::RankStats;
@@ -530,8 +530,11 @@ impl MpiRank {
 /// Serializes one connection's dynamic state (field order is the format;
 /// [`decode_conn`] mirrors it).
 fn encode_conn(c: &Conn, w: &mut Writer) {
+    // IBCK v1 interleaves the two credit windows with the fields around
+    // them, each in its own order; the order below is the format.
+    let (cw, rw) = (&c.credits, &c.ring);
     w.bool(c.established);
-    w.u32(c.credits);
+    w.u32(cw.held);
     w.u32(c.send_seq);
     let free = c.slab.free_slots();
     w.usize(free.len());
@@ -540,21 +543,21 @@ fn encode_conn(c: &Conn, w: &mut Writer) {
     }
     w.u32(c.prepost_target);
     w.u32(c.posted);
-    w.u32(c.consumed_since_update);
-    w.u64(c.granted_total);
-    w.u64(c.spent_total);
-    w.u64(c.consumed_total);
-    w.u64(c.returned_total);
-    w.u64(c.mailbox_seen);
-    w.u64(c.mailbox_sent_total);
-    w.u32(c.ring_credits);
-    w.u32(c.ring_consumed_since_update);
-    w.u64(c.ring_mailbox_sent_total);
-    w.u64(c.ring_granted_total);
-    w.u64(c.ring_spent_total);
-    w.u64(c.ring_consumed_total);
-    w.u64(c.ring_returned_total);
-    w.u64(c.ring_mailbox_seen);
+    w.u32(cw.pending);
+    w.u64(cw.granted_total);
+    w.u64(cw.spent_total);
+    w.u64(cw.consumed_total);
+    w.u64(cw.returned_total);
+    w.u64(cw.mailbox_seen);
+    w.u64(cw.mailbox_sent_total);
+    w.u32(rw.held);
+    w.u32(rw.pending);
+    w.u64(rw.mailbox_sent_total);
+    w.u64(rw.granted_total);
+    w.u64(rw.spent_total);
+    w.u64(rw.consumed_total);
+    w.u64(rw.returned_total);
+    w.u64(rw.mailbox_seen);
     w.u32(c.next_deliver_seq);
     w.usize(c.reorder.len());
     for (&seq, (h, payload)) in &c.reorder {
@@ -604,26 +607,12 @@ fn encode_conn(c: &Conn, w: &mut Writer) {
 /// Decoded image of one connection (mirror of [`encode_conn`]).
 pub(crate) struct ConnImage {
     established: bool,
-    credits: u32,
+    credits: CreditWindow,
+    ring: CreditWindow,
     send_seq: u32,
     slab_free: Vec<u32>,
     prepost_target: u32,
     posted: u32,
-    consumed_since_update: u32,
-    granted_total: u64,
-    spent_total: u64,
-    consumed_total: u64,
-    returned_total: u64,
-    mailbox_seen: u64,
-    mailbox_sent_total: u64,
-    ring_credits: u32,
-    ring_consumed_since_update: u32,
-    ring_mailbox_sent_total: u64,
-    ring_granted_total: u64,
-    ring_spent_total: u64,
-    ring_consumed_total: u64,
-    ring_returned_total: u64,
-    ring_mailbox_seen: u64,
     next_deliver_seq: u32,
     reorder: Vec<(u32, MsgHeader, Vec<u8>)>,
     my_ring: MrId,
@@ -660,8 +649,9 @@ fn decode_conn(
     max_prepost: u32,
     n_mrs: usize,
 ) -> Result<ConnImage, CodecError> {
+    let (mut credits, mut ring) = (CreditWindow::default(), CreditWindow::default());
     let established = r.bool("conn.established")?;
-    let credits = r.u32("conn.credits")?;
+    credits.held = r.u32("conn.credits.held")?;
     let send_seq = r.u32("conn.send_seq")?;
     let n_free = r.usize("conn.slab_free.count")?;
     let mut slab_free = Vec::with_capacity(n_free);
@@ -678,21 +668,30 @@ fn decode_conn(
     }
     let prepost_target = r.u32("conn.prepost_target")?;
     let posted = r.u32("conn.posted")?;
-    let consumed_since_update = r.u32("conn.consumed_since_update")?;
-    let granted_total = r.u64("conn.granted_total")?;
-    let spent_total = r.u64("conn.spent_total")?;
-    let consumed_total = r.u64("conn.consumed_total")?;
-    let returned_total = r.u64("conn.returned_total")?;
-    let mailbox_seen = r.u64("conn.mailbox_seen")?;
-    let mailbox_sent_total = r.u64("conn.mailbox_sent_total")?;
-    let ring_credits = r.u32("conn.ring_credits")?;
-    let ring_consumed_since_update = r.u32("conn.ring_consumed_since_update")?;
-    let ring_mailbox_sent_total = r.u64("conn.ring_mailbox_sent_total")?;
-    let ring_granted_total = r.u64("conn.ring_granted_total")?;
-    let ring_spent_total = r.u64("conn.ring_spent_total")?;
-    let ring_consumed_total = r.u64("conn.ring_consumed_total")?;
-    let ring_returned_total = r.u64("conn.ring_returned_total")?;
-    let ring_mailbox_seen = r.u64("conn.ring_mailbox_seen")?;
+    credits.pending = r.u32("conn.credits.pending")?;
+    credits.granted_total = r.u64("conn.credits.granted_total")?;
+    credits.spent_total = r.u64("conn.credits.spent_total")?;
+    credits.consumed_total = r.u64("conn.credits.consumed_total")?;
+    credits.returned_total = r.u64("conn.credits.returned_total")?;
+    credits.mailbox_seen = r.u64("conn.credits.mailbox_seen")?;
+    credits.mailbox_sent_total = r.u64("conn.credits.mailbox_sent_total")?;
+    ring.held = r.u32("conn.ring.held")?;
+    ring.pending = r.u32("conn.ring.pending")?;
+    ring.mailbox_sent_total = r.u64("conn.ring.mailbox_sent_total")?;
+    ring.granted_total = r.u64("conn.ring.granted_total")?;
+    ring.spent_total = r.u64("conn.ring.spent_total")?;
+    ring.consumed_total = r.u64("conn.ring.consumed_total")?;
+    ring.returned_total = r.u64("conn.ring.returned_total")?;
+    ring.mailbox_seen = r.u64("conn.ring.mailbox_seen")?;
+    // A leaking window would trip the finalize assertion; hostile bytes
+    // must surface as a typed error instead.
+    if !(credits.conserved() && ring.conserved()) {
+        return Err(CodecError::BadTag {
+            context: "conn credit windows (not conserved)",
+            want: 0,
+            got: 1,
+        });
+    }
     let next_deliver_seq = r.u32("conn.next_deliver_seq")?;
     let n_reorder = r.usize("conn.reorder.count")?;
     let mut reorder = Vec::with_capacity(n_reorder);
@@ -736,25 +735,11 @@ fn decode_conn(
     Ok(ConnImage {
         established,
         credits,
+        ring,
         send_seq,
         slab_free,
         prepost_target,
         posted,
-        consumed_since_update,
-        granted_total,
-        spent_total,
-        consumed_total,
-        returned_total,
-        mailbox_seen,
-        mailbox_sent_total,
-        ring_credits,
-        ring_consumed_since_update,
-        ring_mailbox_sent_total,
-        ring_granted_total,
-        ring_spent_total,
-        ring_consumed_total,
-        ring_returned_total,
-        ring_mailbox_seen,
         next_deliver_seq,
         reorder,
         my_ring,
@@ -778,27 +763,11 @@ fn decode_conn(
 fn apply_conn_image(c: &mut Conn, img: ConnImage) {
     c.established = img.established;
     c.credits = img.credits;
+    c.ring = img.ring;
     c.send_seq = img.send_seq;
     c.slab.restore_free(img.slab_free);
     c.prepost_target = img.prepost_target;
     c.posted = img.posted;
-    c.consumed_since_update = img.consumed_since_update;
-    c.granted_total = img.granted_total;
-    c.spent_total = img.spent_total;
-    c.consumed_total = img.consumed_total;
-    c.returned_total = img.returned_total;
-    c.mailbox_seen = img.mailbox_seen;
-    c.mailbox_sent_total = img.mailbox_sent_total;
-    c.ring_credits = img.ring_credits;
-    // simlint: allow(credit-path-pairing): restore path — this write reinstates the snapshot's ledger position; the paired grant already went out in the run being resumed
-    c.ring_consumed_since_update = img.ring_consumed_since_update;
-    // simlint: allow(credit-path-pairing): restore path — same as above
-    c.ring_mailbox_sent_total = img.ring_mailbox_sent_total;
-    c.ring_granted_total = img.ring_granted_total;
-    c.ring_spent_total = img.ring_spent_total;
-    c.ring_consumed_total = img.ring_consumed_total;
-    c.ring_returned_total = img.ring_returned_total;
-    c.ring_mailbox_seen = img.ring_mailbox_seen;
     c.next_deliver_seq = img.next_deliver_seq;
     c.reorder = img
         .reorder
@@ -1349,6 +1318,27 @@ mod tests {
         let mut bytes = sample().to_bytes();
         bytes.push(0);
         assert!(Snapshot::from_bytes(&bytes).is_err());
+    }
+
+    #[test]
+    fn conn_image_roundtrips_and_rejects_a_leaking_window() {
+        let cfg = MpiConfig::scheme(crate::FlowControlScheme::RdmaChannel, 8);
+        let image = |c: &Conn| {
+            let mut w = Writer::new();
+            encode_conn(c, &mut w);
+            let bytes = w.finish();
+            decode_conn(&mut Reader::new(&bytes), cfg.max_prepost, 16)
+        };
+        let mut c = world::make_conn(2, &cfg, 0, 1);
+        c.credits.grant(8);
+        c.credits.spend();
+        c.ring.owe(3);
+        let img = image(&c).unwrap();
+        assert_eq!((img.credits, img.ring), (c.credits, c.ring));
+        // One slot the ledger never saw: a typed error at decode, not a
+        // conservation panic at finalize.
+        c.ring.held += 1;
+        assert!(matches!(image(&c), Err(CodecError::BadTag { .. })));
     }
 
     #[test]

@@ -33,8 +33,27 @@ pub enum FlowControlScheme {
 impl FlowControlScheme {
     /// True for the schemes with MPI-level credit accounting (everything
     /// except the hardware scheme).
-    pub fn is_user_level(self) -> bool {
+    pub const fn is_user_level(self) -> bool {
         !matches!(self, FlowControlScheme::Hardware)
+    }
+
+    /// True when eager frames travel through the RDMA-written ring (whose
+    /// slots are a second credit window) instead of receive buffers.
+    pub const fn uses_ring(self) -> bool {
+        matches!(
+            self,
+            FlowControlScheme::RdmaChannel | FlowControlScheme::RdmaChannelDyn
+        )
+    }
+
+    /// True when backlog feedback grows the pre-posted buffer pool.
+    pub const fn grows_pool(self) -> bool {
+        matches!(self, FlowControlScheme::UserDynamic)
+    }
+
+    /// True when ring-full feedback grows the eager ring.
+    pub const fn grows_ring(self) -> bool {
+        matches!(self, FlowControlScheme::RdmaChannelDyn)
     }
 
     /// Short label for reports.
@@ -104,25 +123,11 @@ pub struct MpiConfig {
     /// Establish connections lazily on first communication instead of
     /// all-to-all at init (the paper's related-work \[23\] extension).
     pub on_demand_connections: bool,
-    /// Use the RDMA-based eager channel (the paper's companion design,
-    /// reference \[13\]): every eager/control frame is RDMA-written into a
-    /// persistent per-connection ring the receiver polls, bypassing
-    /// receive WQEs and the completion queue entirely — the design that
-    /// lowers small-message latency from ~7.5 µs to ~6.8 µs. Requires
-    /// `UserStatic` + `CreditMsgMode::Rdma` (ring slots are the credits;
-    /// returns travel through the credit mailbox, which is what keeps the
-    /// ring deadlock-free). The dynamic scheme over RDMA channels is the
-    /// future work the paper's §7 flags as "more complicated".
-    pub rdma_eager_channel: bool,
-    /// Ring slots per connection for the RDMA eager channel.
+    /// Ring slots per connection at startup (the ring schemes' credit
+    /// window; unused by the send/receive schemes).
     pub rdma_ring_slots: u32,
-    /// Grow a connection's eager ring when the sender keeps converting
-    /// eager sends to rendezvous because the ring is full (the dynamic
-    /// scheme's backlog feedback applied to the channel). The receiver
-    /// registers a larger ring and publishes its rkey + size through the
-    /// credit mailbox as a versioned ring update.
-    pub rdma_ring_growth: bool,
-    /// Hard cap on ring slots per connection once growth is enabled.
+    /// Hard cap on ring slots per connection under
+    /// [`FlowControlScheme::RdmaChannelDyn`].
     pub rdma_ring_max_slots: u32,
     /// Geometric growth factor per ring update (new = old × factor,
     /// capped at `rdma_ring_max_slots`).
@@ -162,9 +167,7 @@ impl Default for MpiConfig {
             growth: GrowthPolicy::Linear(2),
             max_prepost: 512,
             on_demand_connections: false,
-            rdma_eager_channel: false,
             rdma_ring_slots: 32,
-            rdma_ring_growth: false,
             rdma_ring_max_slots: 256,
             rdma_ring_growth_factor: 2,
             rdma_ring_growth_threshold: 5,
@@ -178,33 +181,25 @@ impl Default for MpiConfig {
 
 impl MpiConfig {
     /// Convenience constructor: the given scheme with the given prepost,
-    /// everything else default. [`FlowControlScheme::RdmaChannel`] implies
-    /// the eager ring and the RDMA credit mailbox, so those prerequisites
-    /// are switched on here rather than left for `validate` to reject; the
-    /// ring is sized to `prepost` (floored at the 2-slot minimum) because
-    /// ring slots ARE the channel's credit window — a four-way sweep at a
+    /// everything else default. The ring schemes return credits through
+    /// the RDMA mailbox (which is what keeps the ring deadlock-free), and
+    /// their ring is sized to `prepost` (floored at the 2-slot minimum)
+    /// because ring slots ARE the channel's credit window — a sweep at a
     /// given depth then compares equal small-message budgets per scheme.
     pub fn scheme(scheme: FlowControlScheme, prepost: u32) -> Self {
-        let channel = matches!(
-            scheme,
-            FlowControlScheme::RdmaChannel | FlowControlScheme::RdmaChannelDyn
-        );
         let defaults = MpiConfig::default();
+        let (credit_msg_mode, rdma_ring_slots) = if scheme.uses_ring() {
+            (CreditMsgMode::Rdma, prepost.max(2))
+        } else {
+            (CreditMsgMode::Optimistic, defaults.rdma_ring_slots)
+        };
         MpiConfig {
             scheme,
             prepost,
-            rdma_eager_channel: channel,
-            credit_msg_mode: if channel {
-                CreditMsgMode::Rdma
-            } else {
-                CreditMsgMode::Optimistic
-            },
-            rdma_ring_slots: if channel {
-                prepost.max(2)
-            } else {
-                defaults.rdma_ring_slots
-            },
-            rdma_ring_growth: scheme == FlowControlScheme::RdmaChannelDyn,
+            credit_msg_mode,
+            rdma_ring_slots,
+            // The growth cap may never sit below the ring it caps.
+            rdma_ring_max_slots: defaults.rdma_ring_max_slots.max(rdma_ring_slots),
             ..defaults
         }
     }
@@ -238,26 +233,9 @@ impl MpiConfig {
         if let GrowthPolicy::Linear(0) = self.growth {
             return Err("linear growth increment must be non-zero".into());
         }
-        if matches!(
-            self.scheme,
-            FlowControlScheme::RdmaChannel | FlowControlScheme::RdmaChannelDyn
-        ) && !self.rdma_eager_channel
-        {
-            return Err("the rdma-channel schemes require rdma_eager_channel".into());
-        }
-        if self.rdma_eager_channel {
-            // The legacy spelling (`UserStatic` + the channel flag) stays
-            // valid so ablations can compare the flag in isolation.
-            if !matches!(
-                self.scheme,
-                FlowControlScheme::UserStatic
-                    | FlowControlScheme::RdmaChannel
-                    | FlowControlScheme::RdmaChannelDyn
-            ) {
-                return Err("the RDMA eager channel requires static credits \
-                     (UserStatic, RdmaChannel, or RdmaChannelDyn scheme)"
-                    .into());
-            }
+        if self.scheme.uses_ring() {
+            // Ring-slot returns only travel through the credit mailbox; a
+            // different mode is an error, never silently overridden.
             if self.credit_msg_mode != CreditMsgMode::Rdma {
                 return Err("the RDMA eager channel requires CreditMsgMode::Rdma".into());
             }
@@ -268,13 +246,7 @@ impl MpiConfig {
                 return Err("the RDMA eager channel requires eager connection setup".into());
             }
         }
-        if self.scheme == FlowControlScheme::RdmaChannelDyn && !self.rdma_ring_growth {
-            return Err("the rdma-channel-dyn scheme requires rdma_ring_growth".into());
-        }
-        if self.rdma_ring_growth {
-            if !self.rdma_eager_channel {
-                return Err("rdma_ring_growth requires rdma_eager_channel".into());
-            }
+        if self.scheme.grows_ring() {
             if self.rdma_ring_max_slots < self.rdma_ring_slots {
                 return Err(format!(
                     "rdma_ring_max_slots {} is below the initial ring size {}",
@@ -335,19 +307,50 @@ mod tests {
         assert!(c.validate().is_err());
     }
 
+    /// Every scheme at every depth builds a valid config, and each scheme
+    /// answers the four mechanism questions as DESIGN.md §3 tabulates.
+    #[test]
+    fn every_scheme_constructs_valid_at_every_depth() {
+        use FlowControlScheme::*;
+        // (scheme, credit accounting, ring, pool growth, ring growth)
+        let rows = [
+            (Hardware, false, false, false, false),
+            (UserStatic, true, false, false, false),
+            (UserDynamic, true, false, true, false),
+            (RdmaChannel, true, true, false, false),
+            (RdmaChannelDyn, true, true, false, true),
+        ];
+        for (s, accounting, ring, pool_growth, ring_growth) in rows {
+            assert_eq!(
+                (
+                    s.is_user_level(),
+                    s.uses_ring(),
+                    s.grows_pool(),
+                    s.grows_ring()
+                ),
+                (accounting, ring, pool_growth, ring_growth),
+                "{s:?}"
+            );
+            for prepost in [1, 2, 10, 100, 256, 257, 512] {
+                let c = MpiConfig::scheme(s, prepost);
+                assert_eq!(c.validate(), Ok(()), "{s:?} at prepost {prepost}");
+                assert_eq!((c.scheme, c.prepost), (s, prepost));
+                if ring {
+                    // Ring slots are the credit window: sized to the
+                    // depth, floored at the 2-slot minimum, under the cap.
+                    assert_eq!(c.rdma_ring_slots, prepost.max(2));
+                    assert!(c.rdma_ring_max_slots >= c.rdma_ring_slots);
+                    assert_eq!(c.credit_msg_mode, CreditMsgMode::Rdma);
+                } else {
+                    assert_eq!(c.credit_msg_mode, CreditMsgMode::Optimistic);
+                }
+            }
+        }
+    }
+
     #[test]
     fn rdma_channel_prerequisites() {
-        let good = MpiConfig {
-            rdma_eager_channel: true,
-            credit_msg_mode: CreditMsgMode::Rdma,
-            ..MpiConfig::scheme(FlowControlScheme::UserStatic, 10)
-        };
-        assert!(good.validate().is_ok());
-        let bad_scheme = MpiConfig {
-            scheme: FlowControlScheme::UserDynamic,
-            ..good.clone()
-        };
-        assert!(bad_scheme.validate().is_err());
+        let good = MpiConfig::scheme(FlowControlScheme::RdmaChannel, 10);
         let bad_mode = MpiConfig {
             credit_msg_mode: CreditMsgMode::Optimistic,
             ..good.clone()
@@ -355,54 +358,14 @@ mod tests {
         assert!(bad_mode.validate().is_err());
         let bad_slots = MpiConfig {
             rdma_ring_slots: 1,
-            ..good
+            ..good.clone()
         };
         assert!(bad_slots.validate().is_err());
-    }
-
-    #[test]
-    fn rdma_channel_scheme_is_first_class() {
-        // The constructor wires the prerequisites on.
-        let c = MpiConfig::scheme(FlowControlScheme::RdmaChannel, 10);
-        assert!(c.rdma_eager_channel);
-        assert_eq!(c.credit_msg_mode, CreditMsgMode::Rdma);
-        assert!(c.scheme.is_user_level());
-        assert!(c.validate().is_ok());
-
-        // Naming the scheme without the channel flag is inconsistent.
-        let bad = MpiConfig {
-            rdma_eager_channel: false,
-            ..MpiConfig::scheme(FlowControlScheme::RdmaChannel, 10)
+        let on_demand = MpiConfig {
+            on_demand_connections: true,
+            ..good
         };
-        assert!(bad.validate().is_err());
-        let bad_mode = MpiConfig {
-            credit_msg_mode: CreditMsgMode::Optimistic,
-            ..MpiConfig::scheme(FlowControlScheme::RdmaChannel, 10)
-        };
-        assert!(bad_mode.validate().is_err());
-    }
-
-    #[test]
-    fn rdma_channel_dyn_scheme_wires_growth_on() {
-        let c = MpiConfig::scheme(FlowControlScheme::RdmaChannelDyn, 10);
-        assert!(c.rdma_eager_channel);
-        assert!(c.rdma_ring_growth);
-        assert_eq!(c.credit_msg_mode, CreditMsgMode::Rdma);
-        assert_eq!(c.rdma_ring_slots, 10);
-        assert!(c.scheme.is_user_level());
-        assert!(c.validate().is_ok());
-
-        // The ring floor still applies at prepost 1.
-        let pp1 = MpiConfig::scheme(FlowControlScheme::RdmaChannelDyn, 1);
-        assert_eq!(pp1.rdma_ring_slots, 2);
-        assert!(pp1.validate().is_ok());
-
-        // Naming the scheme without the growth flag is inconsistent.
-        let bad = MpiConfig {
-            rdma_ring_growth: false,
-            ..MpiConfig::scheme(FlowControlScheme::RdmaChannelDyn, 10)
-        };
-        assert!(bad.validate().is_err());
+        assert!(on_demand.validate().is_err());
     }
 
     #[test]
@@ -420,15 +383,9 @@ mod tests {
         assert!(factor_too_small.validate().is_err());
         let zero_threshold = MpiConfig {
             rdma_ring_growth_threshold: 0,
-            ..good.clone()
+            ..good
         };
         assert!(zero_threshold.validate().is_err());
-        // Growth without the channel is meaningless.
-        let no_channel = MpiConfig {
-            rdma_ring_growth: true,
-            ..MpiConfig::scheme(FlowControlScheme::UserStatic, 10)
-        };
-        assert!(no_channel.validate().is_err());
     }
 
     #[test]

@@ -8,6 +8,107 @@ use crate::types::Rank;
 use ibfabric::{MrId, QpId};
 use std::collections::VecDeque;
 
+/// One credit window of a connection, seen from one endpoint: the units
+/// (receive buffers, or eager-ring slots) this endpoint may still consume
+/// at the peer, and the units it owes back for what the peer consumed
+/// here. Two local invariants hold between any two calls, regardless of
+/// what is in flight on the wire (see [`CreditWindow::conserved`]).
+///
+/// Fields are crate-visible for the snapshot codec and diagnostics;
+/// everything else moves them only through the methods below.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct CreditWindow {
+    /// Units at the peer this endpoint may still consume.
+    pub held: u32,
+    /// Units owed to the peer that no return path has carried yet.
+    pub pending: u32,
+    /// Cumulative units ever granted to this endpoint: the initial window
+    /// plus every piggybacked / explicit / mailbox return.
+    pub granted_total: u64,
+    /// Cumulative units this endpoint has spent sending.
+    pub spent_total: u64,
+    /// Cumulative peer-owed units accrued by this endpoint: units the
+    /// peer consumed here plus window growth.
+    pub consumed_total: u64,
+    /// Cumulative units this endpoint has returned to the peer.
+    pub returned_total: u64,
+    /// Last cumulative value read from this endpoint's mailbox word.
+    pub mailbox_seen: u64,
+    /// Cumulative units returned via the peer's mailbox word.
+    pub mailbox_sent_total: u64,
+}
+
+impl CreditWindow {
+    /// Applies `n` granted units (initial window or a return). Returns
+    /// for optimistically-borrowed buffers are spendable like any other:
+    /// settling them against the loan would permanently starve a
+    /// one-directional flow (each handshake's return would vanish into
+    /// the debt), so the float is allowed to exceed the pool by the one
+    /// in-flight loan and the hardware flow control absorbs the transient.
+    pub fn grant(&mut self, n: u32) {
+        self.held += n;
+        self.granted_total += u64::from(n);
+    }
+
+    /// Spends one unit.
+    pub fn spend(&mut self) {
+        debug_assert!(self.held > 0, "spending from an empty credit window");
+        self.held -= 1;
+        self.spent_total += 1;
+    }
+
+    /// Records `n` peer-owed units: buffers or slots the peer consumed
+    /// here and that are free again, or fresh grants from window growth.
+    /// They stay pending until a return path takes them.
+    pub fn owe(&mut self, n: u32) {
+        self.pending += n;
+        self.consumed_total += u64::from(n);
+    }
+
+    /// Takes the pending return for piggybacking onto an outgoing header,
+    /// clamped to the wire field width; the remainder stays pending.
+    pub fn take_piggyback(&mut self) -> u16 {
+        let n = u16::try_from(self.pending).unwrap_or(u16::MAX);
+        self.pending -= u32::from(n);
+        self.returned_total += u64::from(n);
+        n
+    }
+
+    /// Takes the whole pending return for a mailbox write and yields the
+    /// cumulative count to publish there.
+    pub fn take_mailbox_return(&mut self) -> u64 {
+        self.mailbox_sent_total += u64::from(self.pending);
+        self.returned_total += u64::from(self.pending);
+        self.pending = 0;
+        self.mailbox_sent_total
+    }
+
+    /// Applies the cumulative count read from this endpoint's mailbox
+    /// word, granting only what is new: a duplicated or overtaken write
+    /// is a no-op. Returns true when units were granted.
+    pub fn apply_mailbox(&mut self, cumulative: u64) -> bool {
+        if cumulative <= self.mailbox_seen {
+            return false;
+        }
+        // Clamped to the window's width; any remainder stays unseen.
+        let delta = u32::try_from(cumulative - self.mailbox_seen).unwrap_or(u32::MAX);
+        self.mailbox_seen += u64::from(delta);
+        self.grant(delta);
+        true
+    }
+
+    /// Both conservation invariants: every unit granted is either spent
+    /// or still held, and every unit owed is either returned or still
+    /// pending. (A global `held <= pool` bound deliberately does NOT
+    /// hold: each optimistic rendezvous loan permanently floats one
+    /// credit, see [`CreditWindow::grant`].)
+    pub fn conserved(&self) -> bool {
+        // Checked: snapshot decoding asks this of untrusted totals.
+        self.spent_total.checked_add(u64::from(self.held)) == Some(self.granted_total)
+            && self.returned_total.checked_add(u64::from(self.pending)) == Some(self.consumed_total)
+    }
+}
+
 /// A ring generation the receiver has replaced but not yet retired: in-
 /// flight WRITEs against the old rkey still land here and are drained in
 /// arrival order until the sender acknowledges the switch.
@@ -36,9 +137,16 @@ pub(crate) struct Conn {
     /// further work may be posted (see `progress.rs::teardown_conn`).
     pub failed: bool,
 
+    /// Receive-buffer credit window (user-level schemes): `held` gates
+    /// sends toward the peer, `pending` counts buffers consumed and
+    /// reposted here plus dynamic pool growth.
+    pub credits: CreditWindow,
+    /// Eager-ring slot window (ring schemes; all zero otherwise): `held`
+    /// gates ring frames toward the peer, `pending` counts frames drained
+    /// from this endpoint's ring plus ring growth.
+    pub ring: CreditWindow,
+
     // ---- sending toward the peer (user-level schemes) ----
-    /// Buffers at the peer this endpoint may still consume.
-    pub credits: u32,
     /// Send requests waiting for credits, FIFO.
     pub backlog: VecDeque<ReqId>,
     /// The one credit-less *optimistic* rendezvous start allowed in flight
@@ -57,55 +165,16 @@ pub(crate) struct Conn {
     pub prepost_target: u32,
     /// Buffers actually posted right now.
     pub posted: u32,
-    /// Credits freed since the last update reached the peer (piggyback or
-    /// explicit message resets this).
-    pub consumed_since_update: u32,
-
-    // ---- conservation ledger (checked by `debug_check_conservation`) ----
-    /// Cumulative credits ever granted to this endpoint: the initial pool
-    /// plus every piggybacked / explicit / mailbox return.
-    pub granted_total: u64,
-    /// Cumulative credits this endpoint has spent sending.
-    pub spent_total: u64,
-    /// Cumulative peer-owed credits accrued by this endpoint: buffers
-    /// consumed by credit-carrying messages plus dynamic pool growth.
-    pub consumed_total: u64,
-    /// Cumulative credits this endpoint has returned to the peer.
-    pub returned_total: u64,
 
     // ---- RDMA credit mailboxes (CreditMsgMode::Rdma) ----
     /// Region the *peer* writes cumulative credit counts into; this
     /// endpoint polls it during progress.
     pub my_mailbox: MrId,
-    /// Last cumulative value read from `my_mailbox`.
-    pub mailbox_seen: u64,
     /// Region at the peer this endpoint RDMA-writes its cumulative
-    /// returned-credit counter into.
+    /// returned-credit counters into.
     pub peer_mailbox: MrId,
-    /// Cumulative credits returned via the mailbox.
-    pub mailbox_sent_total: u64,
 
     // ---- RDMA eager channel (companion design [13]) ----
-    /// Ring slots available for eager frames toward the peer.
-    pub ring_credits: u32,
-    /// Ring slots this endpoint consumed and not yet returned.
-    pub ring_consumed_since_update: u32,
-    /// Cumulative ring-slot returns written to the peer's mailbox.
-    pub ring_mailbox_sent_total: u64,
-
-    // ---- ring conservation ledger (mirrors the buffer-credit ledger;
-    //      trivially zero for every scheme without the channel) ----
-    /// Cumulative ring slots ever granted to this endpoint (initial ring
-    /// plus every mailbox / piggyback return).
-    pub ring_granted_total: u64,
-    /// Cumulative ring slots this endpoint has spent sending.
-    pub ring_spent_total: u64,
-    /// Cumulative peer-owed ring slots accrued by this endpoint.
-    pub ring_consumed_total: u64,
-    /// Cumulative ring slots this endpoint has returned to the peer.
-    pub ring_returned_total: u64,
-    /// Last cumulative ring-credit value read from `my_mailbox`.
-    pub ring_mailbox_seen: u64,
     /// Next sequence number to *deliver* (cross-channel ordering gate).
     pub next_deliver_seq: u32,
     /// Frames that arrived ahead of `next_deliver_seq`.
@@ -119,7 +188,7 @@ pub(crate) struct Conn {
     /// Next slot to write at the peer.
     pub ring_write_slot: u32,
 
-    // ---- dynamic ring growth (rdma_ring_growth) ----
+    // ---- dynamic ring growth (RdmaChannelDyn) ----
     /// Generation of `my_ring`. Generation 0 is the bootstrap ring laid
     /// out by `world.rs`; each growth registers a fresh region and bumps
     /// this.
@@ -172,30 +241,16 @@ impl Conn {
             qp,
             established: false,
             failed: false,
-            credits: 0,
+            credits: CreditWindow::default(),
+            ring: CreditWindow::default(),
             backlog: VecDeque::new(),
             optimistic_req: None,
             send_seq: 0,
             slab,
             prepost_target: prepost,
             posted: 0,
-            consumed_since_update: 0,
-            granted_total: 0,
-            spent_total: 0,
-            consumed_total: 0,
-            returned_total: 0,
             my_mailbox,
-            mailbox_seen: 0,
             peer_mailbox,
-            mailbox_sent_total: 0,
-            ring_credits: 0,
-            ring_consumed_since_update: 0,
-            ring_mailbox_sent_total: 0,
-            ring_granted_total: 0,
-            ring_spent_total: 0,
-            ring_consumed_total: 0,
-            ring_returned_total: 0,
-            ring_mailbox_seen: 0,
             next_deliver_seq: 0,
             reorder: std::collections::BTreeMap::new(),
             my_ring,
@@ -229,7 +284,7 @@ impl Conn {
 
     /// Swaps a freshly registered, larger region in as the live receive
     /// ring: bumps the generation, resets the read cursor, and grants the
-    /// extra slots to the peer through the ring-consumed ledger (they ride
+    /// extra slots to the peer through the ring window (they ride
     /// the same mailbox write that publishes the new ring, so the grant
     /// and the rkey arrive atomically). Returns the displaced generation,
     /// which the caller MUST pass to [`Conn::stage_retired_ring`] and then
@@ -249,7 +304,7 @@ impl Conn {
         self.my_ring_gen += 1;
         self.my_ring_slots = slots;
         self.ring_read_slot = 0;
-        self.note_ring_consumed(delta);
+        self.ring.owe(delta);
         self.stats.ring_growth_events.incr();
         self.stats
             .ring_generation
@@ -264,122 +319,21 @@ impl Conn {
         self.retired_rings.push(old);
     }
 
-    /// Applies `n` returned credits. Returns for optimistically-borrowed
-    /// buffers are spendable like any other: settling them against the
-    /// loan would permanently starve a one-directional flow (each
-    /// handshake's return would vanish into the debt), so the float is
-    /// allowed to exceed the pool by the one in-flight loan and the
-    /// hardware flow control absorbs the transient.
-    pub fn apply_credits(&mut self, n: u32) {
-        self.credits += n;
-        self.granted_total += u64::from(n);
-    }
-
-    /// Spends one send credit, keeping the ledger in lockstep.
-    pub fn spend_credit(&mut self) {
-        debug_assert!(self.credits > 0, "spending a credit on an empty pool");
-        self.credits -= 1;
-        self.spent_total += 1;
-    }
-
-    /// Records `n` peer-owed credits: buffers this endpoint consumed and
-    /// reposted, or fresh grants from dynamic pool growth. They sit in
-    /// `consumed_since_update` until a return path drains them.
-    pub fn note_consumed(&mut self, n: u32) {
-        self.consumed_since_update += n;
-        self.consumed_total += u64::from(n);
-    }
-
-    /// Takes the pending credit return for piggybacking onto an outgoing
-    /// header (clamped to the wire field width).
-    pub fn take_piggyback_credits(&mut self) -> u16 {
-        let n = u16::try_from(self.consumed_since_update).unwrap_or(u16::MAX);
-        self.consumed_since_update -= u32::from(n);
-        self.returned_total += u64::from(n);
-        self.stats.credits_piggybacked.add(u64::from(n));
-        n
-    }
-
-    /// Takes the pending ring-slot return for piggybacking.
-    pub fn take_piggyback_ring_credits(&mut self) -> u16 {
-        let n = u16::try_from(self.ring_consumed_since_update).unwrap_or(u16::MAX);
-        self.ring_consumed_since_update -= u32::from(n);
-        self.ring_returned_total += u64::from(n);
-        n
-    }
-
-    /// Applies `n` returned ring slots.
-    pub fn apply_ring_credits(&mut self, n: u32) {
-        self.ring_credits += n;
-        self.ring_granted_total += u64::from(n);
-    }
-
-    /// Spends one ring slot, keeping the ring ledger in lockstep.
-    pub fn spend_ring_credit(&mut self) {
-        debug_assert!(
-            self.ring_credits > 0,
-            "spending a ring slot on an empty ring"
-        );
-        self.ring_credits -= 1;
-        self.ring_spent_total += 1;
-    }
-
-    /// Records `n` peer-owed ring slots (frames drained from this
-    /// endpoint's ring). They sit in `ring_consumed_since_update` until a
-    /// mailbox update or piggyback drains them.
-    pub fn note_ring_consumed(&mut self, n: u32) {
-        self.ring_consumed_since_update += n;
-        self.ring_consumed_total += u64::from(n);
-    }
-
-    /// Debug-build credit-conservation check. Two local invariants hold at
-    /// every progress-engine quiescent point, regardless of what is in
-    /// flight on the wire:
-    ///
-    /// * sender side — every credit granted is either spent or still held:
-    ///   `granted_total == spent_total + credits`;
-    /// * receiver side — every credit owed is either returned or still
-    ///   pending: `consumed_total == returned_total + consumed_since_update`.
-    ///
-    /// (A global `credits <= pool` bound deliberately does NOT hold: each
-    /// optimistic rendezvous loan permanently floats one credit, see
-    /// [`Conn::apply_credits`].)
-    pub fn debug_check_conservation(&self) {
-        debug_assert_eq!(
-            self.granted_total,
-            self.spent_total + u64::from(self.credits),
-            "credit leak toward peer {}: granted {} != spent {} + held {}",
+    /// Panics unless both windows are conserved. The progress engine
+    /// calls this after every sweep in debug builds; `finish_stats` calls
+    /// it once per connection in every build.
+    pub fn assert_conserved(&self) {
+        assert!(
+            self.credits.conserved(),
+            "credit leak toward peer {}: {:?}",
             self.peer,
-            self.granted_total,
-            self.spent_total,
-            self.credits,
+            self.credits
         );
-        debug_assert_eq!(
-            self.consumed_total,
-            self.returned_total + u64::from(self.consumed_since_update),
-            "credit-return leak toward peer {}: consumed {} != returned {} + pending {}",
+        assert!(
+            self.ring.conserved(),
+            "ring-slot leak toward peer {}: {:?}",
             self.peer,
-            self.consumed_total,
-            self.returned_total,
-            self.consumed_since_update,
-        );
-        debug_assert_eq!(
-            self.ring_granted_total,
-            self.ring_spent_total + u64::from(self.ring_credits),
-            "ring-slot leak toward peer {}: granted {} != spent {} + held {}",
-            self.peer,
-            self.ring_granted_total,
-            self.ring_spent_total,
-            self.ring_credits,
-        );
-        debug_assert_eq!(
-            self.ring_consumed_total,
-            self.ring_returned_total + u64::from(self.ring_consumed_since_update),
-            "ring-return leak toward peer {}: consumed {} != returned {} + pending {}",
-            self.peer,
-            self.ring_consumed_total,
-            self.ring_returned_total,
-            self.ring_consumed_since_update,
+            self.ring
         );
     }
 
@@ -395,6 +349,7 @@ impl Conn {
 mod tests {
     use super::*;
     use ibfabric::QpId;
+    use testutil::prop::{check, shrink, Case, Gen};
 
     fn conn() -> Conn {
         Conn::new(
@@ -409,65 +364,93 @@ mod tests {
         )
     }
 
-    #[test]
-    fn piggyback_drains_consumed() {
-        let mut c = conn();
-        c.note_consumed(7);
-        assert_eq!(c.take_piggyback_credits(), 7);
-        assert_eq!(c.consumed_since_update, 0);
-        assert_eq!(c.take_piggyback_credits(), 0);
-        assert_eq!(c.stats.credits_piggybacked.get(), 7);
-        c.debug_check_conservation();
+    #[derive(Clone, Copy, Debug)]
+    enum Op {
+        Grant(u32),
+        Spend,
+        Owe(u32),
+        TakePiggyback,
+        TakeMailboxReturn,
+        /// Mailbox word read `advance` past the last value seen.
+        ApplyMailbox(u64),
+    }
+
+    #[derive(Clone, Debug)]
+    struct WindowOps(Vec<Op>);
+
+    impl Case for WindowOps {
+        fn generate(g: &mut Gen) -> Self {
+            WindowOps(g.vec(1..200, |g| match g.index(6) {
+                0 => Op::Grant(g.u32_in(0..64)),
+                1 => Op::Spend,
+                // Large enough that a few in a row overflow the u16
+                // piggyback field.
+                2 => Op::Owe(g.u32_in(0..100_000)),
+                3 => Op::TakePiggyback,
+                4 => Op::TakeMailboxReturn,
+                _ => Op::ApplyMailbox(g.u64_in(0..64)),
+            }))
+        }
+
+        fn shrink(&self) -> Vec<Self> {
+            shrink::vec_candidates(&self.0, 1, |_| Vec::new())
+                .into_iter()
+                .map(WindowOps)
+                .collect()
+        }
     }
 
     #[test]
-    fn ledger_tracks_grants_and_spends() {
-        let mut c = conn();
-        c.apply_credits(4);
-        c.spend_credit();
-        c.spend_credit();
-        assert_eq!(c.credits, 2);
-        assert_eq!(c.granted_total, 4);
-        assert_eq!(c.spent_total, 2);
-        c.note_consumed(3);
-        let _ = c.take_piggyback_credits();
-        assert_eq!(c.consumed_total, 3);
-        assert_eq!(c.returned_total, 3);
-        c.debug_check_conservation();
-    }
-
-    #[test]
-    #[should_panic(expected = "credit leak")]
-    #[cfg(debug_assertions)]
-    fn ledger_catches_untracked_credits() {
-        let mut c = conn();
-        c.credits = 5; // bypasses the ledger on purpose
-        c.debug_check_conservation();
-    }
-
-    #[test]
-    fn ring_ledger_tracks_grants_spends_and_returns() {
-        let mut c = conn();
-        c.apply_ring_credits(8);
-        c.spend_ring_credit();
-        c.spend_ring_credit();
-        assert_eq!(c.ring_credits, 6);
-        assert_eq!(c.ring_granted_total, 8);
-        assert_eq!(c.ring_spent_total, 2);
-        c.note_ring_consumed(3);
-        assert_eq!(c.take_piggyback_ring_credits(), 3);
-        assert_eq!(c.ring_consumed_total, 3);
-        assert_eq!(c.ring_returned_total, 3);
-        c.debug_check_conservation();
-    }
-
-    #[test]
-    #[should_panic(expected = "ring-slot leak")]
-    #[cfg(debug_assertions)]
-    fn ring_ledger_catches_untracked_slots() {
-        let mut c = conn();
-        c.ring_credits = 5; // bypasses the ledger on purpose
-        c.debug_check_conservation();
+    fn credit_window_ops_keep_both_invariants() {
+        check::<WindowOps>("credit_window_ops_keep_both_invariants", 300, |case| {
+            let mut w = CreditWindow::default();
+            for &op in &case.0 {
+                let before = w;
+                match op {
+                    Op::Grant(n) => {
+                        w.grant(n);
+                        assert_eq!(w.held, before.held + n);
+                    }
+                    Op::Spend if before.held == 0 => {}
+                    Op::Spend => {
+                        w.spend();
+                        assert_eq!(w.held, before.held - 1);
+                    }
+                    Op::Owe(n) => {
+                        w.owe(n);
+                        assert_eq!(w.pending, before.pending + n);
+                    }
+                    Op::TakePiggyback => {
+                        // Clamped to the wire field; the rest stays owed.
+                        let n = u32::from(w.take_piggyback());
+                        assert_eq!(n, before.pending.min(u32::from(u16::MAX)));
+                        assert_eq!(w.pending, before.pending - n);
+                    }
+                    Op::TakeMailboxReturn => {
+                        let published = w.take_mailbox_return();
+                        assert_eq!(
+                            published,
+                            before.mailbox_sent_total + u64::from(before.pending)
+                        );
+                        assert_eq!(w.pending, 0);
+                    }
+                    Op::ApplyMailbox(advance) => {
+                        let cumulative = before.mailbox_seen + advance;
+                        assert_eq!(w.apply_mailbox(cumulative), advance > 0);
+                        assert_eq!(u64::from(w.held), u64::from(before.held) + advance);
+                        // A duplicated or overtaken write grants nothing.
+                        let applied = w;
+                        assert!(!w.apply_mailbox(cumulative));
+                        assert!(!w.apply_mailbox(cumulative.saturating_sub(1)));
+                        assert_eq!(w, applied);
+                    }
+                }
+                assert!(w.conserved(), "{op:?} broke conservation: {w:?}");
+            }
+            // A unit that bypasses the methods is what the check catches.
+            w.held += 1;
+            assert!(!w.conserved());
+        });
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! Two extensions from the paper's related-work section are included:
 //! on-demand connection setup ([`MpiConfig::on_demand_connections`], ref
 //! \[23\]) and the RDMA-based eager channel
-//! ([`MpiConfig::rdma_eager_channel`], ref \[13\]), which RDMA-writes small
+//! ([`FlowControlScheme::RdmaChannel`], ref \[13\]), which RDMA-writes small
 //! frames into persistent per-connection rings the receiver polls —
 //! dropping small-message latency from ~7.5 µs to ~6.6 µs here (the
 //! companion paper reports 6.8).

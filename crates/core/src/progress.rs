@@ -2,12 +2,15 @@
 //! draining, explicit credit returns, and dynamic pool growth.
 
 use crate::buffers::{decode_wrid, WrKind};
-use crate::config::{CreditMsgMode, FlowControlScheme, GrowthPolicy};
+use crate::config::{CreditMsgMode, GrowthPolicy};
 use crate::rank::{MpiRank, Unexpected};
 use crate::requests::{RecvState, ReqId, Request, SendState};
 use crate::types::Rank;
 use crate::wire::{MsgHeader, MsgKind, HEADER_LEN};
 use ibfabric::{CqeOpcode, CqeStatus, SendOp, SendWr};
+
+/// Frames drained from one connection's rings in one progress pass.
+const RING_DRAIN_BURST: u32 = 8;
 
 impl MpiRank {
     /// One progress sweep: drain the CQ, apply flow control bookkeeping,
@@ -33,7 +36,7 @@ impl MpiRank {
         // since the last pass: the fabric's per-node delivery counter
         // makes the empty pass O(1) instead of O(world). A bounded ring
         // drain leaves a residual that forces the next scan regardless.
-        let channel = self.cfg.rdma_eager_channel;
+        let channel = self.cfg.scheme.uses_ring();
         let rdma_credits =
             self.cfg.scheme.is_user_level() && self.cfg.credit_msg_mode == CreditMsgMode::Rdma;
         if channel || rdma_credits {
@@ -59,12 +62,12 @@ impl MpiRank {
         if self.cfg.scheme.is_user_level() {
             self.emit_credit_updates();
         }
-        // Debug builds: every sweep ends with the per-connection credit
-        // ledgers conserved (granted = spent + held; consumed = returned +
-        // pending). Release builds compile this away.
+        // Debug builds: every sweep ends with both credit windows of every
+        // connection conserved. Release builds compile this away and
+        // check once per connection in `finish_stats`.
         if cfg!(debug_assertions) {
             for c in self.conns.iter().flatten() {
-                c.debug_check_conservation();
+                c.assert_conserved();
             }
         }
         any
@@ -228,7 +231,7 @@ impl MpiRank {
             let c = self.conn_mut(peer);
             c.established = true;
             c.posted = prepost;
-            c.apply_credits(prepost);
+            c.credits.grant(prepost);
             c.stats.max_posted.observe(prepost as u64);
             for _ in 0..prepost {
                 let _ = c.slab.take_free();
@@ -246,7 +249,7 @@ impl MpiRank {
         // transiently and the hardware flow control absorbs it).
         let consumes_credit = matches!(header.kind, MsgKind::Eager | MsgKind::RndzStart);
         if user_level && consumes_credit {
-            self.conn_mut(peer).note_consumed(1);
+            self.conn_mut(peer).credits.owe(1);
         }
 
         // Repost the slot immediately (paper §3.2).
@@ -261,7 +264,7 @@ impl MpiRank {
     /// so a frame can reach software ahead of its predecessor; MPI
     /// matching order requires holding it back.
     fn gate_and_dispatch(&mut self, peer: Rank, header: MsgHeader, payload: Vec<u8>) {
-        if !self.cfg.rdma_eager_channel {
+        if !self.cfg.scheme.uses_ring() {
             self.dispatch_frame(peer, header, payload);
             return;
         }
@@ -296,22 +299,23 @@ impl MpiRank {
 
     /// Protocol-level handling of one in-order frame.
     fn dispatch_frame(&mut self, peer: Rank, header: MsgHeader, payload: Vec<u8>) {
-        let user_level = self.cfg.scheme.is_user_level();
+        let scheme = self.cfg.scheme;
 
         // 1. Piggybacked credits (buffer credits and ring-slot returns).
-        if user_level && header.credits > 0 {
-            self.conn_mut(peer).apply_credits(u32::from(header.credits));
+        if scheme.is_user_level() && header.credits > 0 {
+            self.conn_mut(peer).credits.grant(u32::from(header.credits));
         }
-        if self.cfg.rdma_eager_channel && header.ring_credits > 0 {
+        if scheme.uses_ring() && header.ring_credits > 0 {
             self.conn_mut(peer)
-                .apply_ring_credits(u32::from(header.ring_credits));
+                .ring
+                .grant(u32::from(header.ring_credits));
         }
 
         // 2. Dynamic growth feedback.
-        if self.cfg.scheme == FlowControlScheme::UserDynamic && header.backlog_flag {
+        if scheme.grows_pool() && header.backlog_flag {
             self.grow_pool(peer);
         }
-        if self.cfg.rdma_ring_growth && header.ring_backlog {
+        if scheme.grows_ring() && header.ring_backlog {
             self.grow_ring(peer);
         }
 
@@ -497,7 +501,7 @@ impl MpiRank {
                 self.post_one_recv_buffer(peer);
             }
             // Newly posted buffers are fresh credits for the peer.
-            self.conn_mut(peer).note_consumed(new - old);
+            self.conn_mut(peer).credits.owe(new - old);
         }
     }
 
@@ -574,15 +578,15 @@ impl MpiRank {
             // size, not the configured bootstrap size: after growth a
             // bootstrap-sized cadence would send a mailbox WRITE every
             // couple of drained frames forever.
-            let ring_owed = self.cfg.rdma_eager_channel
-                && c.ring_consumed_since_update >= threshold.min(c.my_ring_slots);
+            let ring_owed =
+                self.cfg.scheme.uses_ring() && c.ring.pending >= threshold.min(c.my_ring_slots);
             // An adopted-but-unacknowledged ring generation forces an
             // update out: the peer cannot retire the old ring until the
             // ack word lands in its mailbox.
-            let ack_owed = self.cfg.rdma_ring_growth && c.ring_gen_ack_pending;
+            let ack_owed = self.cfg.scheme.grows_ring() && c.ring_gen_ack_pending;
             if c.failed
                 || !c.established
-                || (c.consumed_since_update < threshold && !ring_owed && !ack_owed)
+                || (c.credits.pending < threshold && !ring_owed && !ack_owed)
             {
                 continue;
             }
@@ -602,8 +606,8 @@ impl MpiRank {
                     // The deliberately broken design: an explicit credit
                     // message may itself only go out when we hold a credit.
                     let c = self.conn_mut(peer);
-                    if c.credits > 0 {
-                        c.spend_credit();
+                    if c.credits.held > 0 {
+                        c.credits.spend();
                         let h = self.make_header(peer, MsgKind::Credit);
                         self.post_frame(peer, &h, &[], WrKind::Ecm);
                         self.conn_mut(peer).stats.ecm_sent.incr();
@@ -620,9 +624,6 @@ impl MpiRank {
     /// hot ring cannot starve CQ progress or the other rings; leftovers
     /// set `ring_residual`, which forces the next pass to scan again.
     fn poll_rings(&mut self) -> bool {
-        use crate::buffers::{RING_MARKER, RING_MARKER_OFFSET};
-        /// Frames drained from one ring in one progress pass.
-        const RING_DRAIN_BURST: u32 = 8;
         let mut any = false;
         let buf_size = self.cfg.buf_size;
         self.ring_residual = false;
@@ -635,7 +636,7 @@ impl MpiRank {
             // predate the switch (the sequence gate reorders across the
             // two regions either way, but draining the tail early is what
             // lets the old registration retire).
-            if self.cfg.rdma_ring_growth && !self.conn(peer).retired_rings.is_empty() {
+            if self.cfg.scheme.grows_ring() && !self.conn(peer).retired_rings.is_empty() {
                 any |= self.drain_retired_rings(peer, &mut drained);
             }
             loop {
@@ -647,51 +648,16 @@ impl MpiRank {
                     let c = self.conn(peer);
                     (c.my_ring, c.ring_read_slot)
                 };
-                let offset = slot as usize * buf_size;
-                // One world access per frame: check the marker, stage the
-                // payload into the reusable scratch buffer, clear the
-                // marker (the slot is free once the return reaches the
-                // sender), and price the copy.
-                let mut scratch = std::mem::take(&mut self.ring_scratch);
-                let polled = self.proc.with(|ctx| {
-                    let header;
-                    {
-                        let bytes = &ctx.world.mr_bytes(mr)[offset..offset + buf_size];
-                        if bytes[RING_MARKER_OFFSET] != RING_MARKER {
-                            return None;
-                        }
-                        // simlint: allow(no-panic-in-lib): ring frames are written whole by post_ring_frame before the validity marker is set, so a decode failure is a simulator bug
-                        header = MsgHeader::decode(bytes).expect("malformed ring frame");
-                        scratch.clear();
-                        scratch.extend_from_slice(
-                            &bytes[HEADER_LEN..HEADER_LEN + header.payload_len as usize],
-                        );
-                    }
-                    ctx.world.mr_bytes_mut(mr)[offset + RING_MARKER_OFFSET] = 0;
-                    let cost = ctx.world.params().copy_time(HEADER_LEN + scratch.len());
-                    Some((header, cost))
-                });
-                let Some((header, copy_cost)) = polled else {
-                    self.ring_scratch = scratch;
+                let Some((header, payload)) = self.take_ring_frame(mr, slot as usize * buf_size)
+                else {
                     break;
                 };
-                // Owned payload only for frames that carry one; the
-                // scratch allocation is reused across frames.
-                let payload = if scratch.is_empty() {
-                    Vec::new()
-                } else {
-                    scratch.as_slice().to_vec()
-                };
-                self.ring_scratch = scratch;
-                // A short polled-discovery cost (no CQE, no repost) — the
-                // source of the RDMA channel's latency advantage.
-                self.charge(copy_cost + ibsim::SimDuration::nanos(100));
                 {
                     let c = self.conn_mut(peer);
                     // Per-connection slot count: growth re-sizes the ring
                     // at run time.
                     c.ring_read_slot = (slot + 1) % c.my_ring_slots;
-                    c.note_ring_consumed(1);
+                    c.ring.owe(1);
                 }
                 self.stats.msgs_received.incr();
                 self.gate_and_dispatch(peer, header, payload);
@@ -702,6 +668,48 @@ impl MpiRank {
         any
     }
 
+    /// Takes the frame out of the ring slot at `offset` of `mr`, if its
+    /// validity marker is set: one world access checks the marker, stages
+    /// the payload into the reusable scratch buffer, clears the marker
+    /// (the slot is free once the return reaches the sender), and prices
+    /// the copy.
+    fn take_ring_frame(
+        &mut self,
+        mr: ibfabric::MrId,
+        offset: usize,
+    ) -> Option<(MsgHeader, Vec<u8>)> {
+        use crate::buffers::{RING_MARKER, RING_MARKER_OFFSET};
+        let buf_size = self.cfg.buf_size;
+        let mut scratch = std::mem::take(&mut self.ring_scratch);
+        let polled = self.proc.with(|ctx| {
+            let header;
+            {
+                let bytes = &ctx.world.mr_bytes(mr)[offset..offset + buf_size];
+                if bytes[RING_MARKER_OFFSET] != RING_MARKER {
+                    return None;
+                }
+                // simlint: allow(no-panic-in-lib): ring frames are written whole by post_ring_frame before the validity marker is set, so a decode failure is a simulator bug
+                header = MsgHeader::decode(bytes).expect("malformed ring frame");
+                scratch.clear();
+                scratch.extend_from_slice(
+                    &bytes[HEADER_LEN..HEADER_LEN + header.payload_len as usize],
+                );
+            }
+            ctx.world.mr_bytes_mut(mr)[offset + RING_MARKER_OFFSET] = 0;
+            let cost = ctx.world.params().copy_time(HEADER_LEN + scratch.len());
+            Some((header, cost))
+        });
+        // The scratch allocation is reused across frames; an empty
+        // payload's owned copy does not allocate.
+        let frame = polled.map(|(header, cost)| (header, scratch.to_vec(), cost));
+        self.ring_scratch = scratch;
+        let (header, payload, copy_cost) = frame?;
+        // A short polled-discovery cost (no CQE, no repost) — the source
+        // of the RDMA channel's latency advantage.
+        self.charge(copy_cost + ibsim::SimDuration::nanos(100));
+        Some((header, payload))
+    }
+
     /// Drains the tail of the replaced ring generation(s) for `peer`,
     /// sharing the caller's per-pass burst budget, and retires each
     /// generation once its markers run dry *and* the peer has
@@ -709,8 +717,6 @@ impl MpiRank {
     /// the ring WRITEs, so once it has landed no further frame can reach
     /// the old region. A retirement unblocks a deferred growth retry.
     fn drain_retired_rings(&mut self, peer: Rank, drained: &mut u32) -> bool {
-        use crate::buffers::{RING_MARKER, RING_MARKER_OFFSET};
-        const RING_DRAIN_BURST: u32 = 8;
         let buf_size = self.cfg.buf_size;
         let mut any = false;
         while let Some((mr, slot, slots, gen)) = self
@@ -723,28 +729,7 @@ impl MpiRank {
                 self.ring_residual = true;
                 break;
             }
-            let offset = slot as usize * buf_size;
-            let mut scratch = std::mem::take(&mut self.ring_scratch);
-            let polled = self.proc.with(|ctx| {
-                let header;
-                {
-                    let bytes = &ctx.world.mr_bytes(mr)[offset..offset + buf_size];
-                    if bytes[RING_MARKER_OFFSET] != RING_MARKER {
-                        return None;
-                    }
-                    // simlint: allow(no-panic-in-lib): ring frames are written whole by post_ring_frame before the validity marker is set, so a decode failure is a simulator bug
-                    header = MsgHeader::decode(bytes).expect("malformed ring frame");
-                    scratch.clear();
-                    scratch.extend_from_slice(
-                        &bytes[HEADER_LEN..HEADER_LEN + header.payload_len as usize],
-                    );
-                }
-                ctx.world.mr_bytes_mut(mr)[offset + RING_MARKER_OFFSET] = 0;
-                let cost = ctx.world.params().copy_time(HEADER_LEN + scratch.len());
-                Some((header, cost))
-            });
-            let Some((header, copy_cost)) = polled else {
-                self.ring_scratch = scratch;
+            let Some((header, payload)) = self.take_ring_frame(mr, slot as usize * buf_size) else {
                 // Tail is dry. Retire only once the ack proves no
                 // further WRITE can land against the old rkey.
                 if self.conn(peer).peer_acked_gen > gen {
@@ -762,19 +747,12 @@ impl MpiRank {
                 }
                 break;
             };
-            let payload = if scratch.is_empty() {
-                Vec::new()
-            } else {
-                scratch.as_slice().to_vec()
-            };
-            self.ring_scratch = scratch;
-            self.charge(copy_cost + ibsim::SimDuration::nanos(100));
             {
                 let c = self.conn_mut(peer);
                 if let Some(r) = c.retired_rings.first_mut() {
                     r.read_slot = (slot + 1) % slots;
                 }
-                c.note_ring_consumed(1);
+                c.ring.owe(1);
             }
             self.stats.msgs_received.incr();
             self.gate_and_dispatch(peer, header, payload);
@@ -792,24 +770,17 @@ impl MpiRank {
     /// counters and whole-image words make every write idempotent, so a
     /// retransmitted or overtaken update is harmless.
     fn send_rdma_credit_update(&mut self, peer: Rank) {
-        let growth = self.cfg.rdma_ring_growth;
+        let growth = self.cfg.scheme.grows_ring();
         let (qp, mailbox, buf_total, ring_total, offer, ack_gen) = {
             let c = self.conn_mut(peer);
-            let owed = c.consumed_since_update;
-            c.mailbox_sent_total += u64::from(owed);
-            c.returned_total += u64::from(owed);
-            c.consumed_since_update = 0;
-            c.ring_mailbox_sent_total += u64::from(c.ring_consumed_since_update);
-            c.ring_returned_total += u64::from(c.ring_consumed_since_update);
-            c.ring_consumed_since_update = 0;
             if growth {
                 c.ring_gen_ack_pending = false;
             }
             (
                 c.qp,
                 c.peer_mailbox,
-                c.mailbox_sent_total,
-                c.ring_mailbox_sent_total,
+                c.credits.take_mailbox_return(),
+                c.ring.take_mailbox_return(),
                 (c.my_ring_gen, c.my_ring.as_raw(), c.my_ring_slots),
                 c.peer_ring_gen,
             )
@@ -856,29 +827,15 @@ impl MpiRank {
         while i < self.rdma_watch.len() {
             let peer = self.rdma_watch[i];
             i += 1;
-            let c = self.conn(peer);
-            let mailbox = c.my_mailbox;
-            let seen = c.mailbox_seen;
-            let ring_seen = c.ring_mailbox_seen;
-            let (current, ring_current) = self.proc.with(|ctx| {
+            let mailbox = self.conn(peer).my_mailbox;
+            let (buf_total, ring_total) = self.proc.with(|ctx| {
                 let b = ctx.world.mr_bytes(mailbox);
                 (crate::wire::u64_at(b, 0), crate::wire::u64_at(b, 8))
             });
-            if current > seen {
-                let delta = (current - seen) as u32;
-                let c = self.conn_mut(peer);
-                c.mailbox_seen = current;
-                c.apply_credits(delta);
-                any = true;
-            }
-            if ring_current > ring_seen {
-                let delta = (ring_current - ring_seen) as u32;
-                let c = self.conn_mut(peer);
-                c.ring_mailbox_seen = ring_current;
-                c.apply_ring_credits(delta);
-                any = true;
-            }
-            if self.cfg.rdma_ring_growth {
+            let c = self.conn_mut(peer);
+            any |= c.credits.apply_mailbox(buf_total);
+            any |= c.ring.apply_mailbox(ring_total);
+            if self.cfg.scheme.grows_ring() {
                 any |= self.poll_ring_growth_words(peer, mailbox);
             }
         }

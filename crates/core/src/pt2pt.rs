@@ -25,47 +25,9 @@ impl MpiRank {
     /// paper describes, by forcing the rendezvous protocol regardless of
     /// message size.
     pub async fn ssend(&mut self, data: &[u8], dst: Rank, tag: Tag) {
-        assert!(dst < self.size, "rank {dst} out of range");
-        assert_ne!(
-            dst, self.rank,
-            "self-sends are not supported at the transport level"
-        );
-        let req = self.reqs.insert(Request::Send(SendReq {
-            dst,
-            tag,
-            comm: WORLD_CTX,
-            state: SendState::Done, // set by the gated issue below
-            data: data.to_vec(),
-            was_backlogged: false,
-            buffered: false,
-            detached: false,
-            failed: false,
-        }));
-        self.ensure_established(dst);
-        if self.conn(dst).failed {
-            let s = self.reqs.send_mut(req);
-            s.state = SendState::Done;
-            s.failed = true;
-            self.wait(req).await;
-            return;
-        }
         // Rendezvous unconditionally: the reply proves the receiver
         // matched, which is the synchronous-mode guarantee.
-        let c = self.conn(dst);
-        if self.cfg.scheme.is_user_level() && (c.credits == 0 || !c.backlog.is_empty()) {
-            if let Request::Send(sr) = self.reqs.get_mut(req) {
-                sr.state = SendState::Backlogged;
-                sr.was_backlogged = true;
-            }
-            self.conn_mut(dst).backlog.push_back(req);
-            self.conn_mut(dst).stats.backlogged.incr();
-            self.drain_backlog_for(dst);
-        } else {
-            if self.cfg.scheme.is_user_level() {
-                self.conn_mut(dst).spend_credit();
-            }
-            self.start_rndz(req, false);
-        }
+        let req = self.start_send(data, dst, tag, WORLD_CTX, true);
         self.wait(req).await;
     }
 
@@ -323,6 +285,20 @@ impl MpiRank {
     // ------------------------------------------------------------------
 
     pub(crate) fn isend_ctx(&mut self, data: &[u8], dst: Rank, tag: Tag, comm: CommCtx) -> ReqId {
+        self.start_send(data, dst, tag, comm, false)
+    }
+
+    /// Creates a send request and routes it through the flow control
+    /// scheme; `force_rndz` selects the rendezvous protocol whatever the
+    /// size (synchronous mode).
+    fn start_send(
+        &mut self,
+        data: &[u8],
+        dst: Rank,
+        tag: Tag,
+        comm: CommCtx,
+        force_rndz: bool,
+    ) -> ReqId {
         assert!(dst < self.size, "rank {dst} out of range");
         assert_ne!(
             dst, self.rank,
@@ -339,7 +315,7 @@ impl MpiRank {
             detached: false,
             failed: false,
         }));
-        self.issue_send(req);
+        self.issue_send(req, force_rndz);
         req
     }
 
@@ -401,7 +377,7 @@ impl MpiRank {
     }
 
     /// Routes a send request through the active flow control scheme.
-    pub(crate) fn issue_send(&mut self, req: ReqId) {
+    fn issue_send(&mut self, req: ReqId, force_rndz: bool) {
         let (dst, len) = {
             let s = self.reqs.send_ref(req);
             (s.dst, s.data.len())
@@ -413,7 +389,7 @@ impl MpiRank {
             s.failed = true;
             return;
         }
-        let eager_ok = len <= self.cfg.eager_threshold;
+        let eager_ok = !force_rndz && len <= self.cfg.eager_threshold;
         match self.cfg.scheme {
             FlowControlScheme::Hardware => {
                 // No MPI-level accounting: post immediately; the HCA's
@@ -431,10 +407,11 @@ impl MpiRank {
                 // RDMA eager channel: small frames go through the ring
                 // while slots last; a full ring converts the message to
                 // rendezvous exactly like credit starvation does.
-                if self.cfg.rdma_eager_channel && eager_ok {
+                let ring = self.cfg.scheme.uses_ring();
+                if ring && eager_ok {
                     let c = self.conn(dst);
-                    if c.backlog.is_empty() && c.ring_credits > 0 {
-                        self.conn_mut(dst).spend_ring_credit();
+                    if c.backlog.is_empty() && c.ring.held > 0 {
+                        self.conn_mut(dst).ring.spend();
                         self.send_eager_ring(req);
                         return;
                     }
@@ -442,7 +419,7 @@ impl MpiRank {
                     // signal: count the conversion, and once the count
                     // crosses the threshold the next outgoing header
                     // carries the ring-backlog bit to the receiver.
-                    if self.cfg.rdma_ring_growth && c.ring_credits == 0 {
+                    if self.cfg.scheme.grows_ring() && c.ring.held == 0 {
                         let threshold = self.cfg.rdma_ring_growth_threshold;
                         self.conn_mut(dst).note_ring_full_conversion(threshold);
                     }
@@ -451,10 +428,10 @@ impl MpiRank {
                 // slab sends: a full ring converts to rendezvous. The
                 // *buffering* decision below still follows the size —
                 // only the wire protocol changes.
-                let eager_wire_ok = eager_ok && !self.cfg.rdma_eager_channel;
+                let eager_wire_ok = eager_ok && !ring;
                 let c = self.conn(dst);
-                if c.backlog.is_empty() && c.credits > 0 {
-                    self.conn_mut(dst).spend_credit();
+                if c.backlog.is_empty() && c.credits.held > 0 {
+                    self.conn_mut(dst).credits.spend();
                     if eager_wire_ok {
                         self.send_eager(req);
                     } else {
@@ -604,10 +581,10 @@ impl MpiRank {
             if c.backlog.is_empty() {
                 break;
             }
-            if c.credits > 0 {
+            if c.credits.held > 0 {
                 let req = {
                     let c = self.conn_mut(peer);
-                    c.spend_credit();
+                    c.credits.spend();
                     c.backlog.pop_front().expect("non-empty")
                 };
                 // The protocol was decided at issue time: backlogged

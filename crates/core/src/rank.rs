@@ -258,13 +258,13 @@ impl MpiRank {
                         .expect("peer prepost");
                 }
             });
-            self.conn_mut(peer).apply_credits(prepost);
+            self.conn_mut(peer).credits.grant(prepost);
         } else {
             // The peer connected first; our fabric-side buffers were posted
             // on our behalf. Adopt them.
             let c = self.conn_mut(peer);
             c.posted = prepost;
-            c.apply_credits(prepost);
+            c.credits.grant(prepost);
             c.stats.max_posted.observe(prepost as u64);
             // Mark the pre-posted slots as taken in the slab.
             for _ in 0..prepost {
@@ -357,24 +357,19 @@ impl MpiRank {
     /// Builds a header toward `peer` with piggybacked credits and the next
     /// sequence number stamped in.
     pub(crate) fn make_header(&mut self, peer: Rank, kind: MsgKind) -> MsgHeader {
-        let user_level = self.cfg.scheme.is_user_level();
-        let ring = self.cfg.rdma_eager_channel;
-        let growth = self.cfg.rdma_ring_growth;
+        let scheme = self.cfg.scheme;
         let rank = self.rank;
         let c = self.conn_mut(peer);
         let mut h = MsgHeader::new(kind, rank);
-        h.credits = if user_level {
-            c.take_piggyback_credits()
-        } else {
-            0
-        };
-        h.ring_credits = if ring {
-            c.take_piggyback_ring_credits()
-        } else {
-            0
-        };
+        if scheme.is_user_level() {
+            h.credits = c.credits.take_piggyback();
+            c.stats.credits_piggybacked.add(u64::from(h.credits));
+        }
+        if scheme.uses_ring() {
+            h.ring_credits = c.ring.take_piggyback();
+        }
         // The armed ring-backlog bit rides whatever frame leaves next.
-        if growth && c.ring_backlog_pending {
+        if scheme.grows_ring() && c.ring_backlog_pending {
             c.ring_backlog_pending = false;
             h.ring_backlog = true;
         }
@@ -478,7 +473,7 @@ impl MpiRank {
     /// Send credits currently held toward `peer` (user-level schemes;
     /// always zero under the hardware scheme). Diagnostic.
     pub fn credits_toward(&self, peer: Rank) -> u32 {
-        self.conn(peer).credits
+        self.conn(peer).credits.held
     }
 
     /// Snapshot of this rank's statistics.
@@ -493,25 +488,27 @@ impl MpiRank {
     }
 
     pub(crate) fn finish_stats(&mut self) -> RankStats {
-        // Fold per-conn stats, the final credit-ledger snapshot, and
-        // regcache counters into the report. The ledger copy is what lets
-        // release builds assert conservation (the per-sweep check is
-        // debug-only).
+        // Fold per-conn stats, the final snapshot of both credit windows,
+        // and regcache counters into the report. Conservation is asserted
+        // here in every build profile (the per-sweep check is debug-only),
+        // so a release run cannot leak a credit silently.
         for (peer, conn) in self.conns.iter().enumerate() {
             if let Some(c) = conn {
+                c.assert_conserved();
                 let mut cs = c.stats.clone();
-                cs.credits_granted.add(c.granted_total);
-                cs.credits_spent.add(c.spent_total);
-                cs.credits_held.add(u64::from(c.credits));
-                cs.credits_consumed.add(c.consumed_total);
-                cs.credits_returned.add(c.returned_total);
-                cs.credits_pending.add(u64::from(c.consumed_since_update));
-                cs.ring_granted.add(c.ring_granted_total);
-                cs.ring_spent.add(c.ring_spent_total);
-                cs.ring_held.add(u64::from(c.ring_credits));
-                cs.ring_consumed.add(c.ring_consumed_total);
-                cs.ring_returned.add(c.ring_returned_total);
-                cs.ring_pending.add(u64::from(c.ring_consumed_since_update));
+                let (w, r) = (&c.credits, &c.ring);
+                cs.credits_granted.add(w.granted_total);
+                cs.credits_spent.add(w.spent_total);
+                cs.credits_held.add(u64::from(w.held));
+                cs.credits_consumed.add(w.consumed_total);
+                cs.credits_returned.add(w.returned_total);
+                cs.credits_pending.add(u64::from(w.pending));
+                cs.ring_granted.add(r.granted_total);
+                cs.ring_spent.add(r.spent_total);
+                cs.ring_held.add(u64::from(r.held));
+                cs.ring_consumed.add(r.consumed_total);
+                cs.ring_returned.add(r.returned_total);
+                cs.ring_pending.add(u64::from(r.pending));
                 self.stats.conns[peer] = cs;
             }
         }

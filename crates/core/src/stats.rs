@@ -29,7 +29,7 @@ pub struct ConnStats {
     /// Pool-growth events triggered by backlog feedback (dynamic scheme).
     pub growth_events: Counter,
     /// Ring-growth events: larger rings registered and published through
-    /// the mailbox (rdma_ring_growth).
+    /// the mailbox ([`crate::FlowControlScheme::RdmaChannelDyn`]).
     pub ring_growth_events: Counter,
     /// Old ring generations fully drained and retired after a growth.
     pub rings_retired: Counter,

@@ -305,8 +305,8 @@ pub(crate) fn bootstrap_fabric(
                 continue;
             }
             let mut conn = make_conn(nprocs, cfg, i, j);
-            if cfg.rdma_eager_channel {
-                conn.apply_ring_credits(cfg.rdma_ring_slots);
+            if cfg.scheme.uses_ring() {
+                conn.ring.grant(cfg.rdma_ring_slots);
                 // Generation 0 = the bootstrap ring on both sides.
                 conn.my_ring_slots = cfg.rdma_ring_slots;
                 conn.peer_ring_slots = cfg.rdma_ring_slots;
@@ -331,7 +331,7 @@ pub(crate) fn bootstrap_fabric(
                         .expect("prepost");
                 }
                 conn.posted = cfg.prepost;
-                conn.apply_credits(cfg.prepost);
+                conn.credits.grant(cfg.prepost);
                 conn.established = true;
                 conn.stats.max_posted.observe(cfg.prepost as u64);
             }

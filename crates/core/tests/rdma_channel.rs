@@ -7,10 +7,8 @@ use mpib::{CreditMsgMode, FlowControlScheme, MpiConfig, MpiWorld};
 
 fn channel_cfg(ring_slots: u32) -> MpiConfig {
     MpiConfig {
-        rdma_eager_channel: true,
         rdma_ring_slots: ring_slots,
-        credit_msg_mode: CreditMsgMode::Rdma,
-        ..MpiConfig::scheme(FlowControlScheme::UserStatic, 10)
+        ..MpiConfig::scheme(FlowControlScheme::RdmaChannel, 10)
     }
 }
 
@@ -289,9 +287,8 @@ fn ring_growth_is_monotone_and_capped_at_max_slots() {
 #[test]
 fn config_validation_guards_prerequisites() {
     let bad = MpiConfig {
-        rdma_eager_channel: true,
         credit_msg_mode: CreditMsgMode::Optimistic,
-        ..MpiConfig::scheme(FlowControlScheme::UserStatic, 10)
+        ..MpiConfig::scheme(FlowControlScheme::RdmaChannel, 10)
     };
     assert!(matches!(
         MpiWorld::run(2, bad, FabricParams::mt23108(), async |_| ()),

@@ -238,7 +238,7 @@ fn decode_cg_state(bytes: &[u8], rows: usize) -> CgState {
 
 /// Checkpoint-aware CG: identical numerics to [`run`], but the outer
 /// power-method loop takes a coordinated [`MpiRank::checkpoint`] after
-/// every iteration, carrying [`CgState`] as application payload. On
+/// every iteration, carrying `CgState` as application payload. On
 /// resume ([`CkptStart::resumed_epoch`] > 0) the completed iterations are
 /// skipped and the matrix block is regenerated deterministically.
 pub async fn run_with_ckpt(mpi: &mut MpiRank, class: NasClass, start: CkptStart) -> KernelOutput {

@@ -16,17 +16,17 @@
 //!   channel `recv`, and `.lock()` — rank code must go through the
 //!   cooperative surface (`ProcCtx`), never block the one OS thread.
 //! * **credit pairing** (`credit-path-pairing`): abstract-interprets each
-//!   `crates/core` function, carrying the set of consume-side ledger ops
-//!   (`spend_credit`, `take_piggyback_*`, `make_header`) still awaiting a
-//!   matching send/grant op; any exit edge — `return`, `?`, or fall-off —
-//!   with the set non-empty loses credits and is reported. The same walk
-//!   covers the RDMA channel's ring ledger: a statement-level drain of
-//!   `ring_consumed_since_update`/`ring_mailbox_sent_total` (the lexer
-//!   drops operators, so `c.f = 0;` and `c.f += n;` both parse as a bare
-//!   field-path statement) must reach `send_rdma_credit_update` — or the
-//!   bare `post_send` that publishes the mailbox inside it — on every
-//!   exit path, else the ring-credit return is lost. A ring-generation
-//!   switch (`install_grown_ring`) takes on *two* obligations at once:
+//!   `crates/core` function, carrying the set of consume-side
+//!   `CreditWindow` ops (`spend`, `take_piggyback`, `take_mailbox_return`,
+//!   and `make_header`, which piggybacks) still awaiting a matching
+//!   send/grant op; any exit edge — `return`, `?`, or fall-off — with the
+//!   set non-empty loses credits and is reported. Both windows of a
+//!   connection (receive buffers, ring slots) drain through the same
+//!   methods, so one op table covers both. A mailbox return
+//!   (`take_mailbox_return`) is additionally settled by the bare
+//!   `post_send` that publishes the mailbox inside
+//!   `send_rdma_credit_update`. A ring-generation switch
+//!   (`install_grown_ring`) takes on *two* obligations at once:
 //!   the displaced ring must be staged for draining
 //!   (`stage_retired_ring`) and the new generation must be published
 //!   (`send_rdma_credit_update`) before the function exits.
@@ -58,15 +58,15 @@ const BORROW_METHODS: [&str; 4] = ["borrow", "borrow_mut", "try_borrow", "try_bo
 const LOCK_METHODS: [&str; 2] = ["lock", "try_lock"];
 const PANIC_MACROS: [&str; 4] = ["panic", "unreachable", "todo", "unimplemented"];
 const PANIC_METHODS: [&str; 2] = ["unwrap", "expect"];
-/// Consume-side ledger ops: each call takes on an obligation to reach a
-/// send/grant op on every path out of the function. `make_header` counts
-/// because it drains the piggyback counters into the header it returns.
-const CREDIT_CONSUME_OPS: [&str; 4] = [
-    "spend_credit",
-    "take_piggyback_credits",
-    "take_piggyback_ring_credits",
-    "make_header",
-];
+/// Consume-side `CreditWindow` ops: each call takes on an obligation to
+/// reach a send/grant op on every path out of the function. `make_header`
+/// counts because it drains both windows' piggyback returns into the
+/// header it returns.
+const CREDIT_CONSUME_OPS: [&str; 4] = ["spend", "take_piggyback", MAILBOX_RETURN_OP, "make_header"];
+/// The consume op that drains a window's pending return for a mailbox
+/// write: besides the send ops, the raw `post_send` that publishes the
+/// mailbox (inside `send_rdma_credit_update`) settles it.
+const MAILBOX_RETURN_OP: &str = "take_mailbox_return";
 /// Send/grant ops that discharge pending consume obligations.
 const CREDIT_SEND_OPS: [&str; 6] = [
     "post_frame",
@@ -76,16 +76,6 @@ const CREDIT_SEND_OPS: [&str; 6] = [
     "start_rndz",
     "send_rdma_credit_update",
 ];
-/// Ring-ledger counters whose statement-level mutation takes on the
-/// obligation to publish the return (via `send_rdma_credit_update`, or
-/// the bare `post_send` its body uses) before the function exits.
-/// `ring_returned_total` is deliberately absent: it is the grant-side
-/// mirror, always bumped alongside these.
-const RING_LEDGER_FIELDS: [&str; 2] = ["ring_consumed_since_update", "ring_mailbox_sent_total"];
-/// Functions whose bodies *are* ring-ledger bookkeeping: the counter
-/// mutations inside them are the op itself, not a leak (the piggyback
-/// variant is already skipped via [`CREDIT_CONSUME_OPS`]).
-const CREDIT_SKIP_FNS: [&str; 1] = ["note_ring_consumed"];
 /// The ring-generation switch: calling this takes on TWO obligations for
 /// every path out of the function — the displaced generation must be
 /// staged for tail draining (`stage_retired_ring`), and the new
@@ -142,10 +132,7 @@ pub fn collect_ast_findings(path: &str, fns: &[FnDef], out: &mut Vec<Finding>) {
             }
         }
 
-        if credit_rule_applies(path)
-            && !CREDIT_CONSUME_OPS.contains(&f.name.as_str())
-            && !CREDIT_SKIP_FNS.contains(&f.name.as_str())
-        {
+        if credit_rule_applies(path) && !CREDIT_CONSUME_OPS.contains(&f.name.as_str()) {
             credit_pairing(path, f, out);
         }
         if quiesce_rule_applies(path)
@@ -679,9 +666,6 @@ struct CreditCtx<'a> {
     /// Call-site transition: `(name, line, pending)` — inserts and/or
     /// discharges obligations.
     transition: &'a dyn Fn(&str, u32, &mut Pending),
-    /// Statement-level obligation (the ring-ledger counter mutations);
-    /// `None`-returning for rules without one.
-    stmt_obligation: &'a dyn Fn(&Expr) -> Option<(u32, String)>,
     /// Renders one leaked obligation at one exit edge.
     message: &'a dyn Fn(&str, &str) -> String,
 }
@@ -692,7 +676,6 @@ fn credit_pairing(path: &str, f: &FnDef, out: &mut Vec<Finding>) {
         path,
         out,
         transition: &credit_transition,
-        stmt_obligation: &|expr| ring_ledger_mutation(expr).map(|(l, f)| (l, f.to_string())),
         message: &credit_message,
     };
     let mut st = Pending::new();
@@ -709,7 +692,6 @@ fn quiesce_pairing(path: &str, f: &FnDef, out: &mut Vec<Finding>) {
         path,
         out,
         transition: &quiesce_transition,
-        stmt_obligation: &|_| None,
         message: &quiesce_message,
     };
     let mut st = Pending::new();
@@ -760,12 +742,12 @@ fn credit_message(op: &str, edge: &str) -> String {
                  `stage_retired_ring` keeping it polled until its tail \
                  drains; in-flight WRITEs against the old rkey are lost"
         )
-    } else if RING_LEDGER_FIELDS.contains(&op) {
+    } else if op == MAILBOX_RETURN_OP {
         format!(
-            "ring ledger counter `{op}` is drained here, but a path \
+            "`{op}()` drains a window's pending return here, but a path \
                  reaches {edge} without `send_rdma_credit_update` (or the \
                  `post_send` publishing the mailbox) making the return \
-                 visible to the peer; the ring credits drift on that path"
+                 visible to the peer; the credits drift on that path"
         )
     } else {
         format!(
@@ -775,27 +757,6 @@ fn credit_message(op: &str, edge: &str) -> String {
                  is lost on that path"
         )
     }
-}
-
-/// Matches a statement whose first node is a bare field-path chain ending
-/// in a ring-ledger counter — the parse shape of `c.<counter> = 0;` and
-/// `c.<counter> += n;` once the lexer has dropped the operator. (Plain
-/// reads never occur as statement-level field paths in idiomatic code.)
-fn ring_ledger_mutation(expr: &Expr) -> Option<(u32, &'static str)> {
-    let Some(Node::Chain(c)) = expr.nodes.first() else {
-        return None;
-    };
-    if c.base.is_empty() || c.base_group.is_some() || c.ops.is_empty() {
-        return None;
-    }
-    if !c.ops.iter().all(|op| matches!(op, Op::Field(_))) {
-        return None;
-    }
-    let Some(Op::Field(last)) = c.ops.last() else {
-        return None;
-    };
-    let field = *RING_LEDGER_FIELDS.iter().find(|f| **f == last.as_str())?;
-    Some((c.line, field))
 }
 
 fn credit_block(
@@ -820,12 +781,7 @@ fn credit_block(
                     credit_block(ctx, b, &mut alt, loop_exits);
                 }
             }
-            Stmt::Expr { expr, .. } => {
-                if let Some((line, op)) = (ctx.stmt_obligation)(expr) {
-                    st.insert((line, op));
-                }
-                credit_expr(ctx, expr, st, loop_exits);
-            }
+            Stmt::Expr { expr, .. } => credit_expr(ctx, expr, st, loop_exits),
         }
     }
 }
@@ -904,7 +860,6 @@ fn credit_expr(ctx: &mut CreditCtx, expr: &Expr, st: &mut Pending, loop_exits: &
                     path: ctx.path,
                     out: &mut suppressed,
                     transition: ctx.transition,
-                    stmt_obligation: ctx.stmt_obligation,
                     message: ctx.message,
                 };
                 credit_block(&mut ctx2, body, &mut entry2, &mut exits);
@@ -961,7 +916,7 @@ fn credit_chain(ctx: &mut CreditCtx, c: &Chain, st: &mut Pending, loop_exits: &m
         .filter(|_| matches!(c.ops.first(), Some(Op::CallArgs { .. })))
         .map(|s| s.as_str());
     if let Some(name) = bare {
-        credit_call(ctx, name, c.line, st);
+        (ctx.transition)(name, c.line, st);
     }
     for op in &c.ops {
         match op {
@@ -969,7 +924,7 @@ fn credit_chain(ctx: &mut CreditCtx, c: &Chain, st: &mut Pending, loop_exits: &m
                 for a in args {
                     credit_expr(ctx, a, st, loop_exits);
                 }
-                credit_call(ctx, name, *line, st);
+                (ctx.transition)(name, *line, st);
             }
             Op::CallArgs { args, .. } => {
                 for a in args {
@@ -990,10 +945,6 @@ fn credit_chain(ctx: &mut CreditCtx, c: &Chain, st: &mut Pending, loop_exits: &m
     }
 }
 
-fn credit_call(ctx: &mut CreditCtx, name: &str, line: u32, st: &mut Pending) {
-    (ctx.transition)(name, line, st);
-}
-
 /// Call-site transition for credit-path-pairing (the
 /// [`CreditCtx::transition`] of that rule).
 fn credit_transition(name: &str, line: u32, st: &mut Pending) {
@@ -1006,12 +957,12 @@ fn credit_transition(name: &str, line: u32, st: &mut Pending) {
         st.retain(|(_, op)| op == GROWTH_RETIRE_OB);
     } else if name == "post_send" {
         // The raw fabric verb: inside `send_rdma_credit_update` it is what
-        // actually publishes the mailbox, so it discharges ring-ledger
-        // obligations — but *only* those; a buffer-credit consume still
-        // needs one of the protocol-level send ops, and a generation
-        // switch needs the full `send_rdma_credit_update` (a bare WRITE
-        // carries no gen/rkey/slots words).
-        st.retain(|(_, op)| !RING_LEDGER_FIELDS.contains(&op.as_str()));
+        // actually publishes the mailbox, so it discharges mailbox
+        // returns — but *only* those; a spent credit still needs one of
+        // the protocol-level send ops, and a generation switch needs the
+        // full `send_rdma_credit_update` (a bare WRITE carries no
+        // gen/rkey/slots words).
+        st.retain(|(_, op)| op != MAILBOX_RETURN_OP);
     } else if name == GROWTH_INSTALL_OP {
         st.insert((line, GROWTH_PUBLISH_OB.to_string()));
         st.insert((line, GROWTH_RETIRE_OB.to_string()));
@@ -1427,7 +1378,7 @@ mod tests {
     #[test]
     fn consume_then_send_is_clean() {
         let src = "fn f(&mut self, dst: Rank) {\n\
-                   self.conn_mut(dst).spend_credit();\n\
+                   self.conn_mut(dst).credits.spend();\n\
                    self.post_frame(dst, &h, &[], WrKind::CtrlSend);\n}";
         assert!(rules_hit("crates/core/src/pt2pt.rs", src).is_empty());
     }
@@ -1435,7 +1386,7 @@ mod tests {
     #[test]
     fn consume_without_send_fires_at_fn_end() {
         let src = "fn f(&mut self, dst: Rank) {\n\
-                   self.conn_mut(dst).spend_credit();\n}";
+                   self.conn_mut(dst).credits.spend();\n}";
         let hits = rules_hit("crates/core/src/pt2pt.rs", src);
         assert_eq!(hits, [(CREDIT_PATH_PAIRING, 2)]);
     }
@@ -1443,7 +1394,7 @@ mod tests {
     #[test]
     fn early_return_path_leaks_credit() {
         let src = "fn f(&mut self, dst: Rank) {\n\
-                   self.conn_mut(dst).spend_credit();\n\
+                   self.conn_mut(dst).credits.spend();\n\
                    if self.conn(dst).failed {\n\
                    return;\n\
                    }\n\
@@ -1455,7 +1406,7 @@ mod tests {
     #[test]
     fn question_mark_path_leaks_credit() {
         let src = "fn f(&mut self, dst: Rank) -> Result<(), E> {\n\
-                   self.conn_mut(dst).spend_credit();\n\
+                   self.conn_mut(dst).credits.spend();\n\
                    self.qp_mut(dst).post_send(wr)?;\n\
                    self.post_frame(dst, &h, &[], WrKind::CtrlSend);\n\
                    Ok(())\n}";
@@ -1466,7 +1417,7 @@ mod tests {
     #[test]
     fn branch_where_both_arms_send_is_clean() {
         let src = "fn f(&mut self, req: ReqId) {\n\
-                   self.conn_mut(dst).spend_credit();\n\
+                   self.conn_mut(dst).credits.spend();\n\
                    if eager_ok {\n\
                    self.send_eager(req);\n\
                    } else {\n\
@@ -1478,7 +1429,7 @@ mod tests {
     #[test]
     fn branch_where_one_arm_skips_send_fires() {
         let src = "fn f(&mut self, req: ReqId) {\n\
-                   self.conn_mut(dst).spend_credit();\n\
+                   self.conn_mut(dst).credits.spend();\n\
                    if eager_ok {\n\
                    self.send_eager(req);\n\
                    }\n}";
@@ -1490,7 +1441,7 @@ mod tests {
     fn loop_break_between_consume_and_send_fires() {
         let src = "fn f(&mut self, peer: Rank) {\n\
                    loop {\n\
-                   self.conn_mut(peer).spend_credit();\n\
+                   self.conn_mut(peer).credits.spend();\n\
                    if done {\n\
                    break;\n\
                    }\n\
@@ -1508,47 +1459,26 @@ mod tests {
         assert_eq!(hits, [(CREDIT_PATH_PAIRING, 2)]);
         // …but its own implementation is the op, not a leak.
         let imp = "fn make_header(&mut self, peer: Rank) -> MsgHeader {\n\
-                   let credits = c.take_piggyback_credits();\n\
+                   let credits = c.credits.take_piggyback();\n\
                    MsgHeader { credits }\n}";
         assert!(rules_hit("crates/core/src/rank.rs", imp).is_empty());
     }
 
     #[test]
-    fn ring_drain_then_update_is_clean() {
-        let src = "fn f(&mut self, peer: Rank) {\n\
-                   c.ring_mailbox_sent_total += u64::from(c.ring_consumed_since_update);\n\
-                   c.ring_consumed_since_update = 0;\n\
-                   self.send_rdma_credit_update(peer);\n}";
-        assert!(rules_hit("crates/core/src/progress.rs", src).is_empty());
-    }
-
-    #[test]
-    fn ring_drain_on_early_return_path_fires() {
-        let src = "fn f(&mut self, peer: Rank) {\n\
-                   c.ring_consumed_since_update = 0;\n\
-                   if self.outstanding_ctrl > limit {\n\
-                   return;\n\
-                   }\n\
-                   self.send_rdma_credit_update(peer);\n}";
-        let hits = rules_hit("crates/core/src/progress.rs", src);
-        assert_eq!(hits, [(CREDIT_PATH_PAIRING, 2)]);
-    }
-
-    #[test]
-    fn bare_post_send_discharges_ring_but_not_buffer_credits() {
+    fn bare_post_send_discharges_mailbox_returns_but_not_spends() {
         // The mailbox publish inside `send_rdma_credit_update` is a raw
-        // `ibfabric::post_send`, which settles the ring drain...
+        // `ibfabric::post_send`, which settles the drained return...
         let ring = "fn f(&mut self, qp: QpId) {\n\
-                    c.ring_consumed_since_update = 0;\n\
+                    let total = c.credits.take_mailbox_return();\n\
                     ibfabric::post_send(ctx, qp, wr).expect(\"x\");\n}";
         let hits = rules_hit("crates/core/src/progress.rs", ring);
         assert!(
             !hits.iter().any(|(r, _)| *r == CREDIT_PATH_PAIRING),
             "{hits:?}"
         );
-        // ...but a buffer-credit consume still needs a protocol-level send.
+        // ...but a spent credit still needs a protocol-level send.
         let buf = "fn f(&mut self, qp: QpId) {\n\
-                   self.conn_mut(dst).spend_credit();\n\
+                   self.conn_mut(dst).credits.spend();\n\
                    ibfabric::post_send(ctx, qp, wr).expect(\"x\");\n}";
         let hits = rules_hit("crates/core/src/progress.rs", buf);
         assert!(hits.contains(&(CREDIT_PATH_PAIRING, 2)), "{hits:?}");
@@ -1588,7 +1518,7 @@ mod tests {
     #[test]
     fn bare_post_send_does_not_publish_a_generation_switch() {
         // A raw mailbox WRITE carries no gen/rkey/slots words, so it
-        // settles ring-ledger drains but not the growth publish.
+        // settles mailbox returns but not the growth publish.
         let src = "fn f(&mut self, peer: Rank) {\n\
                    let old = self.conn_mut(peer).install_grown_ring(mr, n);\n\
                    self.conn_mut(peer).stage_retired_ring(old);\n\
@@ -1610,15 +1540,8 @@ mod tests {
     }
 
     #[test]
-    fn ring_bookkeeping_fn_bodies_are_the_op_not_a_leak() {
-        let src = "fn note_ring_consumed(&mut self, n: u32) {\n\
-                   self.ring_consumed_since_update += n;\n}";
-        assert!(rules_hit("crates/core/src/conn.rs", src).is_empty());
-    }
-
-    #[test]
     fn credit_rule_scoped_to_core_src() {
-        let src = "fn f(&mut self) { self.conn.spend_credit(); }";
+        let src = "fn f(&mut self) { self.conn.credits.spend(); }";
         assert!(rules_hit("crates/bench/src/figures.rs", src).is_empty());
         assert!(rules_hit("crates/core/tests/flow.rs", src).is_empty());
     }

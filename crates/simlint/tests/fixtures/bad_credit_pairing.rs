@@ -1,14 +1,14 @@
 //! Fixture: consume-side ledger ops whose path can exit without a send.
 
 fn early_return_leaks(c: &mut Conn, frame: Frame) -> Result<(), Error> {
-    c.spend_credit();
+    c.credits.spend();
     let slot = c.reserve(frame.len())?;
     c.post_frame(slot);
     Ok(())
 }
 
 fn branch_leaks(c: &mut Conn, urgent: bool) {
-    c.spend_credit();
+    c.credits.spend();
     if urgent {
         return;
     }
@@ -16,6 +16,18 @@ fn branch_leaks(c: &mut Conn, urgent: bool) {
 }
 
 fn falls_off_the_end(c: &mut Conn) {
-    c.spend_credit();
+    c.credits.spend();
     c.note_pending();
+}
+
+fn mailbox_return_lost_on_error(c: &mut Conn) -> Result<(), Error> {
+    let total = c.ring.take_mailbox_return();
+    let qp = c.established_qp()?;
+    c.send_rdma_credit_update(qp, total);
+    Ok(())
+}
+
+fn mailbox_return_never_published(c: &mut Conn) {
+    let total = c.credits.take_mailbox_return();
+    c.note_pending(total);
 }

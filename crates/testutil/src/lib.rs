@@ -8,7 +8,7 @@
 //!
 //! * [`prop`] — seeded random case generation, failure-seed reporting, and
 //!   greedy shrinking for property-based tests.
-//! * [`bench`] — a wall-clock micro-benchmark harness (warmup + N samples,
+//! * [`mod@bench`] — a wall-clock micro-benchmark harness (warmup + N samples,
 //!   median/p10/p90) that writes JSON reports under `bench_results/`.
 //!
 //! Both are deterministic where it matters: property cases derive from

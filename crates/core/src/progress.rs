@@ -8,6 +8,7 @@ use crate::requests::{RecvState, ReqId, Request, SendState};
 use crate::types::Rank;
 use crate::wire::{MsgHeader, MsgKind, HEADER_LEN};
 use ibfabric::{CqeOpcode, CqeStatus, SendOp, SendWr};
+use std::sync::Arc;
 
 /// Frames drained from one connection's rings in one progress pass.
 const RING_DRAIN_BURST: u32 = 8;
@@ -18,19 +19,23 @@ impl MpiRank {
     /// happened.
     pub fn progress(&mut self) -> bool {
         let mut any = false;
+        let cq = self.cq;
+        let mut batch = std::mem::take(&mut self.cq_batch);
         loop {
-            let cq = self.cq;
-            let cqes = self.proc.with(|ctx| ctx.world.poll_cq(cq, 64));
-            if cqes.is_empty() {
+            let polled = self
+                .proc
+                .with(|ctx| ctx.world.poll_cq_into(cq, 64, &mut batch));
+            if polled == 0 {
                 break;
             }
             let poll_cost = self.proc.with(|ctx| ctx.world.params().sw_poll_cost);
             self.charge(poll_cost);
             any = true;
-            for cqe in cqes {
+            for cqe in batch.drain(..) {
                 self.dispatch_cqe(cqe);
             }
         }
+        self.cq_batch = batch;
         // RDMA-fed state (eager-channel rings, credit mailboxes) only
         // needs a scan when an RDMA WRITE actually landed on this node
         // since the last pass: the fabric's per-node delivery counter
@@ -421,12 +426,13 @@ impl MpiRank {
             let s = self.reqs.send_mut(req);
             debug_assert_eq!(s.state, SendState::StartSent);
             s.state = SendState::Writing;
-            s.data.clone()
+            Arc::clone(&s.data)
         };
         let qp = self.conn(peer).qp;
         let rkey = ibfabric::MrId::from_raw(h.rkey);
         let remote_offset = h.remote_offset as usize;
         let wr_id = crate::buffers::encode_wrid(WrKind::RndzWrite, req.0 as u64);
+        let len = data.len();
         let cost = self.proc.with(|ctx| {
             ibfabric::post_send(
                 ctx,
@@ -434,7 +440,8 @@ impl MpiRank {
                 SendWr {
                     wr_id,
                     op: SendOp::RdmaWrite {
-                        payload: data.clone().into(),
+                        // The request's snapshot itself: zero host copies.
+                        payload: data,
                         rkey,
                         remote_offset,
                     },
@@ -446,7 +453,7 @@ impl MpiRank {
             ctx.world.params().sw_post_cost * 2
         });
         self.charge(cost);
-        self.stats.rndz_bytes.add(data.len() as u64);
+        self.stats.rndz_bytes.add(len as u64);
         self.conn_mut(peer).stats.msgs_sent.incr(); // the data message
                                                     // Fin rides behind the data on the same QP.
         let mut fin = self.make_header(peer, MsgKind::RndzFin);
@@ -669,10 +676,10 @@ impl MpiRank {
     }
 
     /// Takes the frame out of the ring slot at `offset` of `mr`, if its
-    /// validity marker is set: one world access checks the marker, stages
-    /// the payload into the reusable scratch buffer, clears the marker
-    /// (the slot is free once the return reaches the sender), and prices
-    /// the copy.
+    /// validity marker is set: one world access checks the marker, copies
+    /// the payload out of the ring (the one copy this path makes), clears
+    /// the marker (the slot is free once the return reaches the sender),
+    /// and prices the copy.
     fn take_ring_frame(
         &mut self,
         mr: ibfabric::MrId,
@@ -680,30 +687,19 @@ impl MpiRank {
     ) -> Option<(MsgHeader, Vec<u8>)> {
         use crate::buffers::{RING_MARKER, RING_MARKER_OFFSET};
         let buf_size = self.cfg.buf_size;
-        let mut scratch = std::mem::take(&mut self.ring_scratch);
-        let polled = self.proc.with(|ctx| {
-            let header;
-            {
-                let bytes = &ctx.world.mr_bytes(mr)[offset..offset + buf_size];
-                if bytes[RING_MARKER_OFFSET] != RING_MARKER {
-                    return None;
-                }
-                // simlint: allow(no-panic-in-lib): ring frames are written whole by post_ring_frame before the validity marker is set, so a decode failure is a simulator bug
-                header = MsgHeader::decode(bytes).expect("malformed ring frame");
-                scratch.clear();
-                scratch.extend_from_slice(
-                    &bytes[HEADER_LEN..HEADER_LEN + header.payload_len as usize],
-                );
+        let (header, payload, copy_cost) = self.proc.with(|ctx| {
+            let bytes = &ctx.world.mr_bytes(mr)[offset..offset + buf_size];
+            if bytes[RING_MARKER_OFFSET] != RING_MARKER {
+                return None;
             }
+            // simlint: allow(no-panic-in-lib): ring frames are written whole by post_ring_frame before the validity marker is set, so a decode failure is a simulator bug
+            let header = MsgHeader::decode(bytes).expect("malformed ring frame");
+            // An empty payload's owned copy does not allocate.
+            let payload = bytes[HEADER_LEN..HEADER_LEN + header.payload_len as usize].to_vec();
             ctx.world.mr_bytes_mut(mr)[offset + RING_MARKER_OFFSET] = 0;
-            let cost = ctx.world.params().copy_time(HEADER_LEN + scratch.len());
-            Some((header, cost))
-        });
-        // The scratch allocation is reused across frames; an empty
-        // payload's owned copy does not allocate.
-        let frame = polled.map(|(header, cost)| (header, scratch.to_vec(), cost));
-        self.ring_scratch = scratch;
-        let (header, payload, copy_cost) = frame?;
+            let cost = ctx.world.params().copy_time(HEADER_LEN + payload.len());
+            Some((header, payload, cost))
+        })?;
         // A short polled-discovery cost (no CQE, no repost) — the source
         // of the RDMA channel's latency advantage.
         self.charge(copy_cost + ibsim::SimDuration::nanos(100));
@@ -785,15 +781,14 @@ impl MpiRank {
                 c.peer_ring_gen,
             )
         };
-        let mut payload = Vec::with_capacity(if growth { 32 } else { 16 });
-        payload.extend_from_slice(&buf_total.to_le_bytes());
-        payload.extend_from_slice(&ring_total.to_le_bytes());
-        if growth {
-            payload.extend_from_slice(&offer.0.to_le_bytes());
-            payload.extend_from_slice(&offer.1.to_le_bytes());
-            payload.extend_from_slice(&offer.2.to_le_bytes());
-            payload.extend_from_slice(&ack_gen.to_le_bytes());
-        }
+        let mut image = [0u8; 32];
+        image[..8].copy_from_slice(&buf_total.to_le_bytes());
+        image[8..16].copy_from_slice(&ring_total.to_le_bytes());
+        image[16..20].copy_from_slice(&offer.0.to_le_bytes());
+        image[20..24].copy_from_slice(&offer.1.to_le_bytes());
+        image[24..28].copy_from_slice(&offer.2.to_le_bytes());
+        image[28..].copy_from_slice(&ack_gen.to_le_bytes());
+        let payload: Arc<[u8]> = Arc::from(&image[..if growth { 32 } else { 16 }]);
         let wr_id = crate::buffers::encode_wrid(WrKind::CreditRdma, peer as u64);
         let cost = self.proc.with(|ctx| {
             ibfabric::post_send(
@@ -802,7 +797,7 @@ impl MpiRank {
                 SendWr {
                     wr_id,
                     op: SendOp::RdmaWrite {
-                        payload: payload.into(),
+                        payload,
                         rkey: mailbox,
                         remote_offset: 0,
                     },

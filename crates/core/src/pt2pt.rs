@@ -8,6 +8,7 @@ use crate::requests::{RecvReq, RecvState, ReqId, Request, SendReq, SendState};
 use crate::scalar::{decode_into, encode_slice, Scalar};
 use crate::types::{CommCtx, Rank, Status, Tag, WORLD_CTX};
 use crate::wire::MsgKind;
+use std::sync::Arc;
 
 impl MpiRank {
     // ------------------------------------------------------------------
@@ -309,7 +310,7 @@ impl MpiRank {
             tag,
             comm,
             state: SendState::Done, // set properly by issue_send
-            data: data.to_vec(),
+            data: data.into(),
             was_backlogged: false,
             buffered: false,
             detached: false,
@@ -493,7 +494,7 @@ impl MpiRank {
         h.comm = comm;
         h.payload_len = len as u32;
         h.backlog_flag = flagged;
-        let data = self.reqs.send_ref(req).data.clone();
+        let data = Arc::clone(&self.reqs.send_ref(req).data);
         let copy_cost = self
             .proc
             .with(|ctx| ctx.world.params().copy_time(crate::wire::HEADER_LEN + len));
@@ -516,7 +517,7 @@ impl MpiRank {
         h.tag = tag;
         h.comm = comm;
         h.payload_len = len as u32;
-        let data = self.reqs.send_ref(req).data.clone();
+        let data = Arc::clone(&self.reqs.send_ref(req).data);
         self.post_ring_frame(dst, &h, &data);
         self.stats.eager_bytes.add(len as u64);
         self.reqs.send_mut(req).state = SendState::Done;

@@ -93,8 +93,9 @@ pub struct MpiRank {
     /// A bounded ring drain left frames behind: forces the next scan even
     /// without new deliveries.
     pub(crate) ring_residual: bool,
-    /// Reusable staging buffer for ring frames (no per-frame allocation).
-    pub(crate) ring_scratch: Vec<u8>,
+    /// Reusable CQ drain buffer: a progress sweep polls into it instead
+    /// of allocating a batch per poll.
+    pub(crate) cq_batch: Vec<ibfabric::Cqe>,
     /// Checkpoint epochs this rank has passed through (see `ckpt.rs`; the
     /// next fence this rank enters is epoch `ckpt_epoch + 1`).
     pub(crate) ckpt_epoch: u64,
@@ -136,7 +137,7 @@ impl MpiRank {
             rdma_watch,
             rdma_seen: 0,
             ring_residual: false,
-            ring_scratch: Vec::new(),
+            cq_batch: Vec::new(),
             ckpt_epoch: 0,
         }
     }
@@ -394,8 +395,7 @@ impl MpiRank {
             (c.qp, c.peer_ring, slot as usize * buf_size)
         };
         // simlint: allow(no-panic-in-lib): src_rank < nprocs <= u16::MAX is asserted at world bootstrap, so framing cannot overflow a field
-        let mut frame = header.frame(payload).expect("header fields fit");
-        frame[crate::buffers::RING_MARKER_OFFSET] = crate::buffers::RING_MARKER;
+        let frame = header.ring_frame(payload).expect("header fields fit");
         let wr_id = encode_wrid(WrKind::RingWrite, peer as u64);
         let cost = self.proc.with(|ctx| {
             let p = ctx.world.params();
@@ -406,7 +406,7 @@ impl MpiRank {
                 SendWr {
                     wr_id,
                     op: SendOp::RdmaWrite {
-                        payload: frame.into(),
+                        payload: frame,
                         rkey: ring,
                         remote_offset: offset,
                     },
@@ -449,9 +449,7 @@ impl MpiRank {
                 qp,
                 SendWr {
                     wr_id,
-                    op: ibfabric::SendOp::Send {
-                        payload: bytes.into(),
-                    },
+                    op: ibfabric::SendOp::Send { payload: bytes },
                     signaled: true,
                 },
             )

@@ -1,6 +1,7 @@
 //! Non-blocking request table.
 
 use crate::types::{CommCtx, Rank, Status, Tag};
+use std::sync::Arc;
 
 /// Handle to a non-blocking operation, returned by `isend`/`irecv` and
 /// consumed by `wait`.
@@ -26,9 +27,11 @@ pub(crate) struct SendReq {
     pub tag: Tag,
     pub comm: CommCtx,
     pub state: SendState,
-    /// Payload (owned snapshot; the simulator's stand-in for the pinned
-    /// user buffer).
-    pub data: Vec<u8>,
+    /// Payload: the one snapshot of the caller's buffer, taken at post
+    /// time (the simulator's stand-in for the pinned user buffer). Every
+    /// later holder — frame builder, RDMA WRITE work request, in-flight
+    /// entry, delivery event — shares this allocation; nothing mutates it.
+    pub data: Arc<[u8]>,
     /// Whether this operation passed through the backlog (sets the
     /// feedback flag on its rendezvous start).
     pub was_backlogged: bool,
@@ -230,7 +233,7 @@ mod tests {
             tag: 0,
             comm: 0,
             state: SendState::Done,
-            data: vec![],
+            data: Arc::from([]),
             was_backlogged: false,
             buffered: false,
             detached: false,

@@ -6,7 +6,9 @@
 //! malformed bytes surface [`WireError::BadKind`] / [`WireError::ShortHeader`]
 //! instead of panicking.
 
+use crate::buffers::{RING_MARKER, RING_MARKER_OFFSET};
 use crate::types::{CommCtx, Rank, Tag};
+use std::sync::Arc;
 
 /// Serialized header length in bytes.
 pub const HEADER_LEN: usize = 64;
@@ -234,12 +236,30 @@ impl MsgHeader {
         })
     }
 
-    /// Builds the full wire message: header followed by `payload`.
-    pub fn frame(&self, payload: &[u8]) -> Result<Vec<u8>, WireError> {
+    /// Builds the full wire message: header followed by `payload`, as the
+    /// shared buffer a work request carries.
+    pub fn frame(&self, payload: &[u8]) -> Result<Arc<[u8]>, WireError> {
+        self.framed(payload, 0)
+    }
+
+    /// [`MsgHeader::frame`] for the RDMA eager channel: the frame carries
+    /// the validity marker the ring poller checks.
+    pub(crate) fn ring_frame(&self, payload: &[u8]) -> Result<Arc<[u8]>, WireError> {
+        self.framed(payload, RING_MARKER)
+    }
+
+    /// Header (with `marker` in its reserved marker byte) and payload in
+    /// one allocation; a `Vec` turned into an `Arc` would allocate and
+    /// copy twice.
+    fn framed(&self, payload: &[u8], marker: u8) -> Result<Arc<[u8]>, WireError> {
         debug_assert_eq!(u64::from(self.payload_len), payload.len() as u64);
-        let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-        out.extend_from_slice(&self.try_encode()?);
-        out.extend_from_slice(payload);
+        let mut head = self.try_encode()?;
+        head[RING_MARKER_OFFSET] = marker;
+        let mut out: Arc<[u8]> = std::iter::repeat_n(0, HEADER_LEN + payload.len()).collect();
+        // Freshly built, so unique: `make_mut` hands out the buffer in place.
+        let buf = Arc::make_mut(&mut out);
+        buf[..HEADER_LEN].copy_from_slice(&head);
+        buf[HEADER_LEN..].copy_from_slice(payload);
         Ok(out)
     }
 }

@@ -1,0 +1,182 @@
+//! Allocation budget of the point-to-point fast paths.
+//!
+//! A message's bytes exist once on the host between `isend` and the wire
+//! (the `Arc<[u8]>` snapshot in the request table, shared by the frame
+//! builder, the RDMA WRITE work request and the delivery event), and the
+//! RC transport keeps its per-work-request bookkeeping off the heap. This
+//! test holds that in place with exact counts from a counting global
+//! allocator: the same technique as `benchmark/`'s traced reps, in an
+//! integration test because the libraries deny `unsafe`.
+//!
+//! Steady state is measured as a difference: the same body runs for a
+//! short and a long number of windows, and the extra allocations of the
+//! long run divided by its extra messages is the per-message cost with
+//! bootstrap, warm-up growth and teardown cancelled exactly. The counts
+//! repeat run to run, so the bounds are asserted, not sampled.
+//!
+//! One `#[test]` only: a second test on another thread would be counted
+//! too.
+
+use ibfabric::FabricParams;
+use mpib::{FlowControlScheme, MpiConfig, MpiWorld};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+
+struct CountingAlloc;
+
+static COUNTING: AtomicBool = AtomicBool::new(false);
+static ALLOC_COUNT: AtomicU64 = AtomicU64::new(0);
+static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
+
+fn note_alloc(size: usize) {
+    // Relaxed: the counters are statistics and publish no other data.
+    if COUNTING.load(Ordering::Relaxed) {
+        ALLOC_COUNT.fetch_add(1, Ordering::Relaxed);
+        ALLOC_BYTES.fetch_add(size as u64, Ordering::Relaxed);
+    }
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counters touch no allocator state.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note_alloc(layout.size());
+        // SAFETY: the caller's `layout` obligations pass through to `System`.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note_alloc(layout.size());
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`, with `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note_alloc(new_size);
+        // SAFETY: `ptr`/`layout` came from `System`; `new_size` obligations pass through.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+const TAG_DATA: i32 = 7;
+const TAG_ACK: i32 = 8;
+
+/// `(allocations, bytes)` of one whole two-rank run: rank 0 posts `window`
+/// `isend`s of `size` bytes and waits for a 4-byte ack, rank 1 posts
+/// `window` `irecv`s, takes the payloads and acks; `windows` times.
+fn run_cost(
+    scheme: FlowControlScheme,
+    prepost: u32,
+    size: usize,
+    window: usize,
+    windows: usize,
+) -> (u64, u64) {
+    let before = (
+        ALLOC_COUNT.load(Ordering::Relaxed),
+        ALLOC_BYTES.load(Ordering::Relaxed),
+    );
+    COUNTING.store(true, Ordering::Relaxed);
+    let out = MpiWorld::run(
+        2,
+        MpiConfig::scheme(scheme, prepost),
+        FabricParams::mt23108(),
+        async move |mpi| {
+            let peer = 1 - mpi.rank();
+            let buf = vec![0xA5u8; size];
+            let mut reqs = Vec::with_capacity(window);
+            let mut received = 0usize;
+            for _ in 0..windows {
+                reqs.clear();
+                if mpi.rank() == 0 {
+                    reqs.extend((0..window).map(|_| mpi.isend(&buf, peer, TAG_DATA)));
+                    mpi.waitall(&reqs).await;
+                    mpi.recv(Some(peer), Some(TAG_ACK)).await;
+                } else {
+                    reqs.extend((0..window).map(|_| mpi.irecv(Some(peer), Some(TAG_DATA))));
+                    for &r in &reqs {
+                        let (_, data) = mpi.wait_recv(r).await;
+                        assert_eq!(data.len(), size);
+                        received += 1;
+                    }
+                    mpi.send(&[0; 4], peer, TAG_ACK).await;
+                }
+            }
+            received
+        },
+    );
+    COUNTING.store(false, Ordering::Relaxed);
+    let out = out.expect("clean run");
+    assert_eq!(out.results[1], window * windows);
+    (
+        ALLOC_COUNT.load(Ordering::Relaxed) - before.0,
+        ALLOC_BYTES.load(Ordering::Relaxed) - before.1,
+    )
+}
+
+/// Steady-state `(allocations, bytes)` per received message, in
+/// thousandths (exact integers: the counts repeat, and a window's ack is
+/// spread over its messages).
+fn per_message_milli(
+    scheme: FlowControlScheme,
+    prepost: u32,
+    size: usize,
+    window: usize,
+    (short, long): (usize, usize),
+) -> (u64, u64) {
+    let a = run_cost(scheme, prepost, size, window, short);
+    let b = run_cost(scheme, prepost, size, window, long);
+    assert_eq!(
+        b,
+        run_cost(scheme, prepost, size, window, long),
+        "allocation counts must repeat exactly"
+    );
+    let msgs = ((long - short) * window) as u64;
+    ((b.0 - a.0) * 1000 / msgs, (b.1 - a.1) * 1000 / msgs)
+}
+
+#[test]
+fn fast_paths_stay_within_their_allocation_budget() {
+    // (a) 4 B eager, window 64, pre-post 100 (the benchmark's
+    // `eager_small` shape). Allocations per received message, measured
+    // with this body (the benchmark's own harness, whose body allocates
+    // a little itself, read 15.19 before):
+    //
+    //   scheme        parent (PR 12)   this change
+    //   UserStatic    16.062           6.843
+    //   RdmaChannel   14.828           6.843
+    //
+    // What is left: the snapshot, the frame, three boxed simulator events
+    // (delivery, DMA placement, ACK), the copy-out, and a window's ack
+    // spread over its 64 messages.
+    for (scheme, budget_milli) in [
+        (FlowControlScheme::UserStatic, 6843),
+        (FlowControlScheme::RdmaChannel, 6843),
+    ] {
+        let (count, _) = per_message_milli(scheme, 100, 4, 64, (20, 120));
+        assert!(
+            count <= budget_milli,
+            "{}: {count} milli-allocations per eager message, budget {budget_milli}",
+            scheme.label()
+        );
+    }
+
+    // (b) 256 KB rendezvous, window 16, pre-post 10 (the benchmark's
+    // `rndv_large` shape): one snapshot at `isend` and one copy-out at
+    // `wait_recv`, plus small change: 525 095 B per message. The parent
+    // allocated five payloads per message (1 315 284 B).
+    const SIZE: usize = 256 << 10;
+    let (_, bytes) = per_message_milli(FlowControlScheme::UserStatic, 10, SIZE, 16, (2, 6));
+    assert!(
+        bytes <= (2 * SIZE as u64 + (8 << 10)) * 1000,
+        "{} bytes allocated per 256 KB rendezvous message",
+        bytes / 1000
+    );
+}

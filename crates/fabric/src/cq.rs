@@ -58,6 +58,13 @@ impl Cq {
         std::mem::take(&mut self.waiters)
     }
 
+    /// Takes back the (drained) list [`Cq::push`] handed out, keeping its
+    /// capacity for the next registration.
+    pub(crate) fn recycle_waiters(&mut self, drained: Vec<Waker>) {
+        debug_assert!(drained.is_empty() && self.waiters.is_empty());
+        self.waiters = drained;
+    }
+
     pub(crate) fn pop(&mut self) -> Option<Cqe> {
         self.entries.pop_front()
     }

@@ -293,15 +293,23 @@ impl Fabric {
 
     /// Drains up to `max` completions from `cq`.
     pub fn poll_cq(&mut self, cq: CqId, max: usize) -> Vec<Cqe> {
-        let q = &mut self.cqs[cq.index()];
         let mut out = Vec::new();
-        while out.len() < max {
-            match q.pop() {
-                Some(c) => out.push(c),
-                None => break,
-            }
-        }
+        self.poll_cq_into(cq, max, &mut out);
         out
+    }
+
+    /// Drains up to `max` completions from `cq`, appending them to `out`
+    /// (a progress loop passes the same buffer every sweep, so polling
+    /// allocates nothing). Returns how many were drained.
+    pub fn poll_cq_into(&mut self, cq: CqId, max: usize, out: &mut Vec<Cqe>) -> usize {
+        let q = &mut self.cqs[cq.index()];
+        for drained in 0..max {
+            let Some(c) = q.pop() else {
+                return drained;
+            };
+            out.push(c);
+        }
+        max
     }
 
     /// Registers `waker` for a wake when the next completion lands in `cq`.

@@ -37,11 +37,13 @@ use crate::wr::{Cqe, CqeOpcode, CqeStatus, SendOp};
 use ibsim::{Ctx, SimDuration, SimTime};
 use std::sync::Arc;
 
-/// Pushes a completion and wakes any CQ waiters.
+/// Pushes a completion and wakes any CQ waiters. The drained waiter list
+/// goes back to the CQ so the next `req_notify_cq` reuses its capacity.
 pub(crate) fn push_cqe(ctx: &mut Ctx<'_, Fabric>, cq: crate::cq::CqId, cqe: Cqe) {
     ctx.world.stats.cqes.incr();
     let mut waiters = ctx.world.cqs[cq.index()].push(cqe);
     ctx.wake_all(&mut waiters);
+    ctx.world.cqs[cq.index()].recycle_waiters(waiters);
 }
 
 /// Launch-eligibility decision for the head of a QP's send queue.
@@ -126,31 +128,26 @@ fn transmit(
     let w = &mut *ctx.world;
     let params = &w.params;
     let mtu = params.mtu;
-    let npkts = params.packets_for(bytes);
 
-    // Pass 1: per-packet departure times off the source host. The
-    // per-WQE processing cost *occupies* the transmit engine: it is what
-    // bounds the small-message rate of the era's HCAs (~300k msg/s).
+    // The per-WQE processing cost *occupies* the transmit engine: it is
+    // what bounds the small-message rate of the era's HCAs (~300k msg/s).
     let mut cursor = now.max(w.nodes[src.index()].tx_busy_until) + params.wqe_tx_proc;
-    let mut departures = Vec::with_capacity(npkts);
-    let mut remaining = bytes;
-    for _ in 0..npkts {
-        let pkt = remaining.min(mtu);
-        remaining -= pkt;
-        let spacing = params.serialize_time(pkt).max(params.dma_time(pkt));
-        cursor += spacing;
-        departures.push((cursor + params.pkt_tx_overhead, pkt));
-    }
-    w.nodes[src.index()].tx_busy_until = cursor;
-
-    // Pass 2: route each packet through the switch to the egress port.
     let mut first = SimTime::MAX;
     let mut last = SimTime::ZERO;
-    for (tx_done, pkt) in departures {
-        let arrival = w.net.route_packet(&w.params, dst, tx_done, pkt);
+    let mut remaining = bytes;
+    for _ in 0..params.packets_for(bytes) {
+        // Each packet leaves the source host one spacing after the
+        // previous one, then crosses the switch to the egress port.
+        let pkt = remaining.min(mtu);
+        remaining -= pkt;
+        cursor += params.serialize_time(pkt).max(params.dma_time(pkt));
+        let arrival = w
+            .net
+            .route_packet(params, dst, cursor + params.pkt_tx_overhead, pkt);
         first = first.min(arrival);
         last = last.max(arrival);
     }
+    w.nodes[src.index()].tx_busy_until = cursor;
     (first, last)
 }
 
@@ -404,16 +401,6 @@ fn deliver(
             let has_buffer = !ctx.world.qps[dst_qp.index()].rq.is_empty();
             if !has_buffer {
                 // Receiver not ready.
-                if std::env::var("IBFABRIC_TRACE_RNR").is_ok() {
-                    eprintln!(
-                        "RNR t={} dst_qp={} msn={} len={} first_byte={}",
-                        now,
-                        dst_qp.index(),
-                        msn,
-                        payload.len(),
-                        payload.first().copied().unwrap_or(255)
-                    );
-                }
                 {
                     let q = &mut ctx.world.qps[dst_qp.index()];
                     q.stats.rnr_naks_sent.incr();
@@ -422,16 +409,6 @@ fn deliver(
                 let delay = ctx.world.params.ack_latency + ctx.world.fault_ack_delay();
                 ctx.schedule_after(delay, move |c| handle_rnr_nak(c, src_qp, msn));
                 return;
-            }
-            if std::env::var("IBFABRIC_TRACE_RNR").is_ok() {
-                eprintln!(
-                    "CONSUME t={} dst_qp={} msn={} kind={} rq_left={}",
-                    now,
-                    dst_qp.index(),
-                    msn,
-                    payload.first().copied().unwrap_or(255),
-                    ctx.world.qps[dst_qp.index()].rq.len() - 1
-                );
             }
             let (rwqe, recv_cq) = {
                 let q = &mut ctx.world.qps[dst_qp.index()];
@@ -515,9 +492,12 @@ fn deliver(
                 c.world.mrs[rkey.index()].bytes[remote_offset..remote_offset + len]
                     .copy_from_slice(&payload);
                 c.world.nodes[dst_node.index()].rdma_delivered += 1;
+                // The drained list goes back so the next `watch_rdma`
+                // reuses its capacity.
                 let mut watchers =
                     std::mem::take(&mut c.world.nodes[dst_node.index()].rdma_watchers);
                 c.wake_all(&mut watchers);
+                c.world.nodes[dst_node.index()].rdma_watchers = watchers;
                 send_ack(c, dst_qp, src_qp, msn);
             });
         }
@@ -697,71 +677,62 @@ fn handle_ack(
 ) {
     let now = ctx.now();
     let ack_timeout = ctx.world.params.ack_timeout;
-    let mut completions: Vec<(crate::cq::CqId, Cqe)> = Vec::new();
     {
         let q = &mut ctx.world.qps[qp_id.index()];
         if q.state == QpState::Error {
             return;
         }
         q.stats.acks_received.incr();
-        let inflight_before = q.inflight.len();
-        while let Some(front) = q.inflight.front() {
-            if front.msn > msn {
-                break;
-            }
-            if matches!(front.wqe.op, SendOp::RdmaRead { .. }) && !from_read_response {
-                break;
-            }
-            // simlint: allow(no-panic-in-lib): the loop head breaks when inflight is empty before reaching here
-            let m = q.inflight.pop_front().expect("front exists");
-            let opcode = match &m.wqe.op {
-                SendOp::Send { .. } => {
-                    q.unacked_sends -= 1;
-                    CqeOpcode::SendComplete
-                }
-                SendOp::RdmaWrite { .. } => CqeOpcode::RdmaWriteComplete,
-                SendOp::RdmaRead { len, .. } => {
-                    if m.wqe.signaled {
-                        completions.push((
-                            q.send_cq,
-                            Cqe {
-                                wr_id: m.wqe.wr_id,
-                                qp: qp_id,
-                                opcode: CqeOpcode::RdmaReadComplete,
-                                status: CqeStatus::Success,
-                                byte_len: *len,
-                            },
-                        ));
-                    }
-                    continue;
-                }
-            };
-            if m.wqe.signaled {
-                completions.push((
-                    q.send_cq,
-                    Cqe {
-                        wr_id: m.wqe.wr_id,
-                        qp: qp_id,
-                        opcode,
-                        status: CqeStatus::Success,
-                        byte_len: m.wqe.op.request_bytes(),
-                    },
-                ));
-            }
+    }
+    // Each completion is pushed as its WQE retires: pushing a CQE reads
+    // no QP state, so interleaving it with the pops changes nothing.
+    let mut retired = false;
+    loop {
+        let q = &mut ctx.world.qps[qp_id.index()];
+        let covered = q.inflight.front().is_some_and(|front| {
+            front.msn <= msn
+                && (from_read_response || !matches!(front.wqe.op, SendOp::RdmaRead { .. }))
+        });
+        if !covered {
+            break;
         }
-        q.adv_credits = credits.saturating_sub(q.unacked_sends);
-        if q.inflight.len() < inflight_before {
-            // Forward progress: the loss-recovery window restarts for the
-            // new oldest unacknowledged message (the in-flight timer event
-            // notices the pushed-out deadline and re-arms).
-            q.timeout_streak = 0;
-            if !q.inflight.is_empty() {
-                q.retry_deadline = now + ack_timeout;
+        let Some(m) = q.inflight.pop_front() else {
+            break;
+        };
+        retired = true;
+        let (opcode, byte_len) = match &m.wqe.op {
+            SendOp::Send { .. } => {
+                q.unacked_sends -= 1;
+                (CqeOpcode::SendComplete, m.wqe.op.request_bytes())
             }
+            SendOp::RdmaWrite { .. } => (CqeOpcode::RdmaWriteComplete, m.wqe.op.request_bytes()),
+            SendOp::RdmaRead { len, .. } => (CqeOpcode::RdmaReadComplete, *len),
+        };
+        if m.wqe.signaled {
+            let send_cq = q.send_cq;
+            push_cqe(
+                ctx,
+                send_cq,
+                Cqe {
+                    wr_id: m.wqe.wr_id,
+                    qp: qp_id,
+                    opcode,
+                    status: CqeStatus::Success,
+                    byte_len,
+                },
+            );
         }
     }
-    for (cq, cqe) in completions {
-        push_cqe(ctx, cq, cqe);
+    let q = &mut ctx.world.qps[qp_id.index()];
+    q.adv_credits = credits.saturating_sub(q.unacked_sends);
+    if retired {
+        // Forward progress: the loss-recovery window restarts for the
+        // new oldest unacknowledged message (the in-flight timer event
+        // notices the pushed-out deadline and re-arms).
+        q.timeout_streak = 0;
+        if !q.inflight.is_empty() {
+            q.retry_deadline = now + ack_timeout;
+        }
     }
     pump(ctx, qp_id);
 }
@@ -1022,5 +993,171 @@ fn fail_qp(ctx: &mut Ctx<'_, Fabric>, qp_id: QpId) {
             let delay = ctx.world.params.ack_latency;
             ctx.schedule_after(delay, move |c| fail_qp(c, p));
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ibsim::{Sim, SimConfig};
+    use std::cell::RefCell;
+    use std::rc::Rc;
+    use testutil::prop::{check, shrink, Case, Gen};
+
+    /// The two-pass `transmit` this module shipped until the passes were
+    /// fused: all departures into a `Vec` first, then every packet through
+    /// the switch. Kept as the reference the fused loop is checked against.
+    fn transmit_two_pass(
+        ctx: &mut Ctx<'_, Fabric>,
+        src: NodeId,
+        dst: NodeId,
+        bytes: usize,
+    ) -> (SimTime, SimTime) {
+        let now = ctx.now();
+        let w = &mut *ctx.world;
+        let params = &w.params;
+        let mtu = params.mtu;
+        let npkts = params.packets_for(bytes);
+
+        let mut cursor = now.max(w.nodes[src.index()].tx_busy_until) + params.wqe_tx_proc;
+        let mut departures = Vec::with_capacity(npkts);
+        let mut remaining = bytes;
+        for _ in 0..npkts {
+            let pkt = remaining.min(mtu);
+            remaining -= pkt;
+            let spacing = params.serialize_time(pkt).max(params.dma_time(pkt));
+            cursor += spacing;
+            departures.push((cursor + params.pkt_tx_overhead, pkt));
+        }
+        w.nodes[src.index()].tx_busy_until = cursor;
+
+        let mut first = SimTime::MAX;
+        let mut last = SimTime::ZERO;
+        for (tx_done, pkt) in departures {
+            let arrival = w.net.route_packet(&w.params, dst, tx_done, pkt);
+            first = first.min(arrival);
+            last = last.max(arrival);
+        }
+        (first, last)
+    }
+
+    /// Messages from node 0 to nodes 1 and 2 against pre-loaded transmit
+    /// and egress horizons.
+    #[derive(Clone, Debug)]
+    struct TransmitCase {
+        /// `tx_busy_until` of node 0, egress horizons of nodes 1 and 2 (ns).
+        horizons: [u64; 3],
+        /// `(gap to the previous message in ns, bytes, to node 2?)`; a zero
+        /// gap is a back-to-back post in the same instant.
+        msgs: Vec<(u64, usize, bool)>,
+    }
+
+    fn edge_or_random_size(g: &mut Gen) -> usize {
+        const MTU: usize = 2048;
+        const EDGES: [usize; 12] = [
+            0,
+            1,
+            MTU - 1,
+            MTU,
+            MTU + 1,
+            2 * MTU - 1,
+            2 * MTU,
+            2 * MTU + 1,
+            32 << 10,
+            (256 << 10) + 1,
+            4 << 20,
+            (4 << 20) + 1,
+        ];
+        if g.bool() {
+            EDGES[g.index(EDGES.len())]
+        } else {
+            g.usize_in(0..100_000)
+        }
+    }
+
+    impl Case for TransmitCase {
+        fn generate(g: &mut Gen) -> Self {
+            TransmitCase {
+                horizons: [
+                    g.u64_in(0..200_000),
+                    g.u64_in(0..200_000),
+                    g.u64_in(0..200_000),
+                ],
+                msgs: g.vec(1..9, |g| {
+                    let gap = if g.bool() { 0 } else { g.u64_in(0..100_000) };
+                    (gap, edge_or_random_size(g), g.bool())
+                }),
+            }
+        }
+
+        fn shrink(&self) -> Vec<Self> {
+            shrink::vec_candidates(&self.msgs, 1, |&(gap, bytes, far)| {
+                let mut out: Vec<_> = shrink::u64_toward(gap, 0)
+                    .into_iter()
+                    .map(|gap| (gap, bytes, far))
+                    .collect();
+                out.extend(
+                    shrink::usize_toward(bytes, 0)
+                        .into_iter()
+                        .map(|bytes| (gap, bytes, far)),
+                );
+                out
+            })
+            .into_iter()
+            .map(|msgs| TransmitCase {
+                msgs,
+                ..self.clone()
+            })
+            .collect()
+        }
+    }
+
+    type Transmit = fn(&mut Ctx<'_, Fabric>, NodeId, NodeId, usize) -> (SimTime, SimTime);
+
+    /// Runs the case through `f` and returns, per message, `(first, last)`,
+    /// node 0's `tx_busy_until` and both egress horizons right after it.
+    fn trace(case: &TransmitCase, f: Transmit) -> Vec<[SimTime; 5]> {
+        let mut fabric = Fabric::new(FabricParams::mt23108());
+        assert_eq!(fabric.params.mtu, 2048, "edge sizes assume this MTU");
+        let nodes = [fabric.add_node(), fabric.add_node(), fabric.add_node()];
+        fabric.nodes[0].tx_busy_until = SimTime::from_nanos(case.horizons[0]);
+        fabric.net.restore_egress(vec![
+            SimTime::ZERO,
+            SimTime::from_nanos(case.horizons[1]),
+            SimTime::from_nanos(case.horizons[2]),
+        ]);
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let mut sim = Sim::new(fabric, SimConfig::default());
+        sim.with_world(|ctx| {
+            let mut at = 0;
+            for &(gap, bytes, far) in &case.msgs {
+                at += gap;
+                let dst = nodes[1 + usize::from(far)];
+                let log = Rc::clone(&log);
+                ctx.schedule_at(SimTime::from_nanos(at), move |c| {
+                    let (first, last) = f(c, nodes[0], dst, bytes);
+                    let egress = c.world.net.egress_horizons();
+                    log.borrow_mut().push([
+                        first,
+                        last,
+                        c.world.nodes[0].tx_busy_until,
+                        egress[1],
+                        egress[2],
+                    ]);
+                });
+            }
+        });
+        sim.run().expect("events only: nothing can deadlock");
+        drop(sim);
+        Rc::try_unwrap(log).expect("sim dropped").into_inner()
+    }
+
+    #[test]
+    fn fused_transmit_matches_the_two_pass_reference() {
+        check("transport::fused_transmit", 64, |c: &TransmitCase| {
+            let fused = trace(c, transmit);
+            assert_eq!(fused.len(), c.msgs.len());
+            assert_eq!(fused, trace(c, transmit_two_pass));
+        });
     }
 }

@@ -10,8 +10,11 @@ pub enum SendOp {
     /// Two-sided send (channel semantics): consumes a receive WQE and a
     /// flow control credit at the remote side.
     Send {
-        /// Message payload (snapshotted at post time, as the posting layer
-        /// must not reuse its buffer until completion anyway).
+        /// Message payload. The poster's snapshot is *shared*, not
+        /// re-taken: the send queue, the in-flight (go-back-N replay)
+        /// entry and the delivery event all hold this one allocation, and
+        /// nothing mutates it, so a retransmission replays the bytes
+        /// captured at post time.
         payload: Arc<[u8]>,
     },
     /// One-sided RDMA WRITE (memory semantics): no receive WQE consumed,

@@ -745,3 +745,112 @@ fn rnr_timer_sets_retry_spacing() {
         "expected ~4-5 NAKs at 60us spacing, got {naks}"
     );
 }
+
+/// One cumulative ACK retires several signalled WQEs of mixed kinds.
+///
+/// Seed 28 of the plan delays the ACKs of messages 0, 1, 2 and 7 by
+/// 30 us and no other (`acks_delayed == 4`). So ACK 3 arrives first and
+/// retires SEND, SEND, WRITE, SEND at once; ACKs 5 and 6 arrive while the
+/// 20 KB READ (message 4) is still waiting for its response data and must
+/// stop in front of it; the response retires the READ alone; the late
+/// ACK 7 then retires SEND, WRITE, SEND. Completions must surface in MSN
+/// order with the right opcodes and lengths, and the run must take the
+/// 29 events it took at the commit where `handle_ack` still collected its
+/// completions into a `Vec` before pushing them: a reordered CQE push,
+/// wake or `pump` would change the batches or the count.
+#[test]
+fn cumulative_ack_retires_mixed_wqes_in_msn_order() {
+    const READ_LEN: usize = 20_000;
+    const READ_FROM: usize = 500_000;
+    let mut p = pair(8);
+    p.sim.with_world(|ctx| {
+        ctx.world
+            .set_fault_plan(FaultPlan::new(28).with_ack_delay(0.5, SimDuration::micros(30)));
+        for (i, b) in ctx.world.mr_bytes_mut(p.mr_b)[READ_FROM..READ_FROM + READ_LEN]
+            .iter_mut()
+            .enumerate()
+        {
+            *b = (i % 199) as u8;
+        }
+        let posts = [
+            SendWr::inline_send(0, vec![1; 64]),
+            SendWr::inline_send(1, vec![2; 200]),
+            SendWr::rdma_write(2, vec![3; 3000], p.mr_b, 100_000),
+            SendWr::inline_send(3, vec![4; 16]),
+            SendWr::rdma_read(4, p.mr_b, READ_FROM, p.mr_a, 0, READ_LEN),
+            SendWr::inline_send(5, vec![5; 32]),
+            SendWr::rdma_write(6, vec![6; 5000], p.mr_b, 200_000),
+            SendWr::inline_send(7, vec![7; 8]),
+        ];
+        for wr in posts {
+            post_send(ctx, p.qp_a, wr).unwrap();
+        }
+    });
+    // Observer: every wake drains the CQ, so the completions one ACK
+    // pushed show up as one batch.
+    let batches = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+    let (cq_a, mr_a) = (p.cq_a, p.mr_a);
+    let log = std::rc::Rc::clone(&batches);
+    p.sim.spawn("observer", move |mut proc| async move {
+        let mut seen = 0;
+        while seen < 8 {
+            let cqes = proc.with(|ctx| {
+                let cqes = ctx.world.poll_cq(cq_a, 16);
+                if cqes.iter().any(|c| c.opcode == CqeOpcode::RdmaReadComplete) {
+                    let got = &ctx.world.mr_bytes(mr_a)[..READ_LEN];
+                    assert!(
+                        got.iter().enumerate().all(|(i, &b)| b == (i % 199) as u8),
+                        "READ completed before its data landed"
+                    );
+                }
+                cqes
+            });
+            if cqes.is_empty() {
+                let w = proc.waker();
+                proc.with(|ctx| ctx.world.req_notify_cq(cq_a, w));
+                proc.park("waiting for send cqe").await;
+            } else {
+                seen += cqes.len();
+                log.borrow_mut().push((proc.now(), cqes));
+            }
+        }
+    });
+    let report = p.sim.run().unwrap();
+    let f = p.sim.into_world();
+
+    let batches = batches.borrow();
+    let ids: Vec<Vec<u64>> = batches
+        .iter()
+        .map(|(_, b)| b.iter().map(|c| c.wr_id).collect())
+        .collect();
+    assert_eq!(ids, [vec![0, 1, 2, 3], vec![4], vec![5, 6, 7]]);
+    assert!(batches.windows(2).all(|w| w[0].0 < w[1].0));
+    use CqeOpcode::{RdmaReadComplete as Read, RdmaWriteComplete as Write, SendComplete as Send};
+    let want = [
+        (Send, 64),
+        (Send, 200),
+        (Write, 3000),
+        (Send, 16),
+        (Read, READ_LEN),
+        (Send, 32),
+        (Write, 5000),
+        (Send, 8),
+    ];
+    let got: Vec<_> = batches
+        .iter()
+        .flat_map(|(_, b)| b)
+        .map(|c| {
+            assert!(c.is_success());
+            (c.opcode, c.byte_len)
+        })
+        .collect();
+    assert_eq!(got, want);
+    assert_eq!(f.stats.acks_delayed.get(), 4);
+    assert_eq!(
+        f.stats.ack_timeouts.get(),
+        0,
+        "nothing was recovered by timeout"
+    );
+    assert_eq!(f.stats.retransmissions.get(), 0);
+    assert_eq!(report.events_processed, 29);
+}

@@ -44,15 +44,8 @@ impl LuConfig {
 const OMEGA: f64 = 0.8;
 const COUPLE: f64 = 0.11;
 
-/// Modelled SSOR flops per grid point per sweep (per flow variable). The
-/// `LU_FLOPS_PER_CELL` environment variable overrides it for calibration
-/// sweeps.
-fn flops_per_cell() -> f64 {
-    std::env::var("LU_FLOPS_PER_CELL")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(30.0)
-}
+/// Modelled SSOR flops per grid point per sweep (per flow variable).
+const FLOPS_PER_CELL: f64 = 30.0;
 
 /// Picks the 2D process grid (px, py) with px >= py, both dividing the
 /// world as evenly as possible (8 -> 4x2, 16 -> 4x4, 4 -> 2x2, 2 -> 2x1).
@@ -206,7 +199,7 @@ async fn lower_sweep(
                 loc.set(i, j, k, v);
             }
         }
-        charge_flops(mpi, (nx_l * ny_l) as f64 * flops_per_cell() * VARS as f64).await;
+        charge_flops(mpi, (nx_l * ny_l) as f64 * FLOPS_PER_CELL * VARS as f64).await;
         // Forward the updated boundary pencils.
         if let Some(e) = east {
             let mut buf = vec![0.0f64; ny_l * VARS];
@@ -269,7 +262,7 @@ async fn upper_sweep(
                 loc.set(i, j, k, v);
             }
         }
-        charge_flops(mpi, (nx_l * ny_l) as f64 * flops_per_cell() * VARS as f64).await;
+        charge_flops(mpi, (nx_l * ny_l) as f64 * FLOPS_PER_CELL * VARS as f64).await;
         if let Some(w) = west {
             let mut buf = vec![0.0f64; ny_l * VARS];
             for j in 0..ny_l {

@@ -211,9 +211,6 @@ pub async fn run(mpi: &mut MpiRank, class: NasClass) -> KernelOutput {
     })
     .await;
     let (r0, rn) = result;
-    if std::env::var("MG_DEBUG").is_ok() && me == 0 {
-        eprintln!("MG r0={r0:e} rn={rn:e} ratio={:e}", rn / r0);
-    }
 
     let local: f64 = top.u.iter().sum();
     let checksum = global_checksum(mpi, &world, local).await;

@@ -9,7 +9,7 @@
 //! figure, and golden snapshot — are byte-identical at any job count.
 
 use crate::micro::{bandwidth_test, latency_test, MicroParams};
-use crate::nas::{run_nas, NasRun};
+use crate::nas::{pool_memory, run_nas, NasRun, PoolMemory};
 use crate::report::table;
 use crate::{DYN_SCHEMES, SCHEMES};
 use ibfabric::FabricParams;
@@ -333,6 +333,46 @@ pub fn table2(runs: &[NasRun]) -> String {
         })
         .collect();
     table(&["app", "max posted buffers"], &data)
+}
+
+/// [`pool_memory`] of SP on its 16 ranks under the five schemes at both
+/// pre-post depths: the rows of [`resident_memory_table`].
+pub fn resident_memory_sweep(class: NasClass) -> Vec<(FlowControlScheme, u32, PoolMemory)> {
+    let mut rows = Vec::new();
+    for prepost in [100u32, 1] {
+        for scheme in DYN_SCHEMES {
+            rows.push((
+                scheme,
+                prepost,
+                pool_memory(Kernel::Sp, class, scheme, prepost),
+            ));
+        }
+    }
+    rows
+}
+
+/// Registered vs resident receive memory per connection, as the markdown
+/// table EXPERIMENTS.md carries next to Table 2 (a test holds the two
+/// equal).
+pub fn resident_memory_table(rows: &[(FlowControlScheme, u32, PoolMemory)]) -> String {
+    let kib = |bytes: usize| format!("{:.1}", bytes as f64 / 1024.0);
+    let mib = |bytes: usize| format!("{:.1}", bytes as f64 / (1024.0 * 1024.0));
+    let mut out = String::from(
+        "| scheme | pre-post | registered / conn (KiB) | resident / conn, mean (KiB) | resident, busiest conn (KiB) | fabric registered (MiB) | fabric resident (MiB) |\n\
+         |---|---|---|---|---|---|---|\n",
+    );
+    for (scheme, prepost, m) in rows {
+        out.push_str(&format!(
+            "| {} | {prepost} | {} | {} | {} | {} | {} |\n",
+            scheme.label(),
+            kib(m.registered),
+            kib(m.resident_total / m.connections),
+            kib(m.resident_max),
+            mib(m.fabric_registered),
+            mib(m.fabric_resident),
+        ));
+    }
+    out
 }
 
 #[cfg(test)]

@@ -182,3 +182,40 @@ fn checksums_scheme_invariant_at_class_w() {
         assert_eq!(b.to_bits(), c.to_bits(), "{kernel:?}");
     }
 }
+
+#[test]
+fn resident_memory_follows_the_posted_pool_and_matches_experiments_md() {
+    use ibflow_bench::figures::{resident_memory_sweep, resident_memory_table};
+    let rows = resident_memory_sweep(NasClass::W);
+    // The table in EXPERIMENTS.md is this sweep's rendering, verbatim.
+    let table = resident_memory_table(&rows);
+    assert!(
+        include_str!("../../../EXPERIMENTS.md").contains(&table),
+        "EXPERIMENTS.md is stale; paste the table printed by \
+         `cargo run --release -p ibflow-bench --bin table2_max_buffers`:\n{table}"
+    );
+    // The paper's scalability argument, on the host: what a connection
+    // costs is what its traffic touched, a few percent of the megabyte
+    // registered for it, under every scheme and pre-post depth.
+    for (scheme, prepost, m) in &rows {
+        assert!(
+            m.resident_max * 20 < m.registered,
+            "{scheme:?}/pp{prepost}: busiest connection holds {} of {} bytes",
+            m.resident_max,
+            m.registered
+        );
+        assert!(m.fabric_resident * 20 < m.fabric_registered);
+    }
+    // Dynamic from one buffer: the busiest connection's resident memory is
+    // the pool it grew to (Table 2) plus its 32-byte credit mailbox.
+    let posted = run(Kernel::Sp, FlowControlScheme::UserDynamic, 1).max_posted as usize;
+    let (_, _, m) = rows
+        .iter()
+        .find(|(s, pp, _)| *s == FlowControlScheme::UserDynamic && *pp == 1)
+        .expect("sweep is complete");
+    assert!(
+        m.resident_max <= posted * 2048 + 32,
+        "busiest connection holds {} bytes with at most {posted} buffers posted",
+        m.resident_max
+    );
+}

@@ -13,6 +13,18 @@ use std::sync::Arc;
 /// Frames drained from one connection's rings in one progress pass.
 const RING_DRAIN_BURST: u32 = 8;
 
+/// Takes the frame at `offset` of `mr` (a slab slot or a ring slot) out of
+/// the region: its decoded header and an owned copy of its payload (which
+/// does not allocate when the payload is empty).
+fn read_frame(world: &ibfabric::Fabric, mr: ibfabric::MrId, offset: usize) -> (MsgHeader, Vec<u8>) {
+    let mut head = [0u8; HEADER_LEN];
+    world.mr_read_into(mr, offset, &mut head);
+    // simlint: allow(no-panic-in-lib): frames only ever come from MsgHeader::try_encode, and a ring frame is written whole before its validity marker is set, so a decode failure is a simulator bug
+    let header = MsgHeader::decode(&head).expect("malformed frame");
+    let payload = world.mr_read_vec(mr, offset + HEADER_LEN, header.payload_len as usize);
+    (header, payload)
+}
+
 impl MpiRank {
     /// One progress sweep: drain the CQ, apply flow control bookkeeping,
     /// drain backlogs, and emit credit updates. Returns true if anything
@@ -220,15 +232,13 @@ impl MpiRank {
                 let c = self.conn(peer);
                 (c.slab.mr, c.slab.byte_offset(slot as u32))
             };
-            self.proc.with(|ctx| {
-                let bytes = &ctx.world.mr_bytes(mr)[offset..offset + byte_len];
-                // simlint: allow(no-panic-in-lib): slab frames only ever come from MsgHeader::try_encode, so a decode failure is a simulator bug
-                let header = MsgHeader::decode(bytes).expect("malformed slab frame");
-                let payload = bytes[HEADER_LEN..HEADER_LEN + header.payload_len as usize].to_vec();
-                (header, payload)
-            })
+            self.proc.with(|ctx| read_frame(ctx.world, mr, offset))
         };
         debug_assert_eq!(header.src_rank, peer, "message arrived on wrong connection");
+        debug_assert!(
+            HEADER_LEN + payload.len() <= byte_len,
+            "frame longer than the completion"
+        );
 
         // On-demand bookkeeping: the peer connected to us first.
         if !self.conn(peer).established {
@@ -476,9 +486,7 @@ impl MpiRank {
             // simlint: allow(no-panic-in-lib): accept_rndz pins the staging region before the reply that triggers this fin can exist
             (r.staging.expect("staging set"), r.rndz_len)
         };
-        let data = self
-            .proc
-            .with(|ctx| ctx.world.mr_bytes(staging)[..len].to_vec());
+        let data = self.proc.with(|ctx| ctx.world.mr_read_vec(staging, 0, len));
         let r = self.reqs.recv_mut(req);
         r.data = Some(data);
         r.state = RecvState::Done;
@@ -686,17 +694,16 @@ impl MpiRank {
         offset: usize,
     ) -> Option<(MsgHeader, Vec<u8>)> {
         use crate::buffers::{RING_MARKER, RING_MARKER_OFFSET};
-        let buf_size = self.cfg.buf_size;
         let (header, payload, copy_cost) = self.proc.with(|ctx| {
-            let bytes = &ctx.world.mr_bytes(mr)[offset..offset + buf_size];
-            if bytes[RING_MARKER_OFFSET] != RING_MARKER {
+            // A slot nothing has landed in yet reads as zeros: no marker.
+            let mut marker = [0u8];
+            ctx.world
+                .mr_read_into(mr, offset + RING_MARKER_OFFSET, &mut marker);
+            if marker[0] != RING_MARKER {
                 return None;
             }
-            // simlint: allow(no-panic-in-lib): ring frames are written whole by post_ring_frame before the validity marker is set, so a decode failure is a simulator bug
-            let header = MsgHeader::decode(bytes).expect("malformed ring frame");
-            // An empty payload's owned copy does not allocate.
-            let payload = bytes[HEADER_LEN..HEADER_LEN + header.payload_len as usize].to_vec();
-            ctx.world.mr_bytes_mut(mr)[offset + RING_MARKER_OFFSET] = 0;
+            let (header, payload) = read_frame(ctx.world, mr, offset);
+            ctx.world.mr_write(mr, offset + RING_MARKER_OFFSET, &[0]);
             let cost = ctx.world.params().copy_time(HEADER_LEN + payload.len());
             Some((header, payload, cost))
         })?;
@@ -824,8 +831,9 @@ impl MpiRank {
             i += 1;
             let mailbox = self.conn(peer).my_mailbox;
             let (buf_total, ring_total) = self.proc.with(|ctx| {
-                let b = ctx.world.mr_bytes(mailbox);
-                (crate::wire::u64_at(b, 0), crate::wire::u64_at(b, 8))
+                let mut b = [0u8; 16];
+                ctx.world.mr_read_into(mailbox, 0, &mut b);
+                (crate::wire::u64_at(&b, 0), crate::wire::u64_at(&b, 8))
             });
             let c = self.conn_mut(peer);
             any |= c.credits.apply_mailbox(buf_total);
@@ -845,12 +853,13 @@ impl MpiRank {
     /// duplicated or overtaken write a no-op.
     fn poll_ring_growth_words(&mut self, peer: Rank, mailbox: ibfabric::MrId) -> bool {
         let (offer_gen, offer_rkey, offer_slots, ack_gen) = self.proc.with(|ctx| {
-            let b = ctx.world.mr_bytes(mailbox);
+            let mut b = [0u8; 16];
+            ctx.world.mr_read_into(mailbox, 16, &mut b);
             (
-                crate::wire::u32_at(b, 16),
-                crate::wire::u32_at(b, 20),
-                crate::wire::u32_at(b, 24),
-                crate::wire::u32_at(b, 28),
+                crate::wire::u32_at(&b, 0),
+                crate::wire::u32_at(&b, 4),
+                crate::wire::u32_at(&b, 8),
+                crate::wire::u32_at(&b, 12),
             )
         });
         let mut any = false;

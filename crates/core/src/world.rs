@@ -386,6 +386,52 @@ pub(crate) fn collect_results<R>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::FlowControlScheme;
+
+    /// Registered memory is fixed by the configuration; resident memory by
+    /// the traffic. Four ranks, pre-post 4, one 4-byte message to the next
+    /// rank round the ring, then the finalize barrier (two dissemination
+    /// rounds: a header-only message from the previous rank and one from
+    /// the rank before that).
+    #[test]
+    fn registered_and_resident_bytes_of_a_four_rank_world() {
+        use crate::wire::HEADER_LEN;
+        const BUF: usize = 2048;
+        // Per directed connection: the 512-slot slab, the 32-byte credit
+        // mailbox, and the ring — 32 slots by default, sized to the
+        // pre-post depth under the RDMA channel schemes.
+        let registered = |ring_slots: usize| 12 * (512 * BUF + 32 + ring_slots * BUF);
+        // Per rank: from the previous rank a data frame in slot 0 and a
+        // barrier frame in slot 1 (resident through the end of the
+        // second), from the one before a barrier frame in slot 0. The
+        // RDMA channel lands the same frames in ring slots instead.
+        let resident = 4 * ((BUF + HEADER_LEN) + HEADER_LEN);
+        for (scheme, ring_slots) in [
+            (FlowControlScheme::Hardware, 32),
+            (FlowControlScheme::UserStatic, 32),
+            (FlowControlScheme::UserDynamic, 32),
+            (FlowControlScheme::RdmaChannel, 4),
+            (FlowControlScheme::RdmaChannelDyn, 4),
+        ] {
+            let out = MpiWorld::run(
+                4,
+                MpiConfig::scheme(scheme, 4),
+                FabricParams::mt23108(),
+                async |mpi| {
+                    let (next, prev) = ((mpi.rank() + 1) % 4, (mpi.rank() + 3) % 4);
+                    let s = mpi.isend(&[7; 4], next, 1);
+                    mpi.recv(Some(prev), Some(1)).await;
+                    mpi.waitall(&[s]).await;
+                },
+            )
+            .unwrap();
+            assert_eq!(
+                (out.fabric.registered_bytes(), out.fabric.resident_bytes()),
+                (registered(ring_slots), resident),
+                "{scheme:?}"
+            );
+        }
+    }
 
     #[test]
     fn pair_index_is_dense_and_unique() {

@@ -214,28 +214,74 @@ impl Fabric {
         id
     }
 
-    /// Registers (pins) a fresh region of `len` zeroed bytes on `node`.
+    /// Registers (pins) a fresh region of `len` zero bytes on `node`.
+    /// Registration allocates nothing: the host materialises a region only
+    /// as far as something has been written into it (see [`Mr`]), so `len`
+    /// bounds every access without being resident.
     /// The caller is responsible for charging [`FabricParams::reg_cost`]
     /// as process time (the MPI layer's pin-down cache does).
     pub fn register(&mut self, node: NodeId, len: usize, access: Access) -> MrId {
         let id = MrId(self.mrs.len() as u32);
-        self.mrs.push(Mr {
-            node,
-            access,
-            bytes: vec![0; len],
-        });
+        self.mrs.push(Mr::new(node, access, len));
         id
     }
 
-    /// Read access to a region's bytes.
-    pub fn mr_bytes(&self, mr: MrId) -> &[u8] {
-        &self.mrs[mr.index()].bytes
+    /// Registered length of a region: what `offset + len` is checked
+    /// against everywhere.
+    pub fn mr_len(&self, mr: MrId) -> usize {
+        self.mrs[mr.index()].len()
     }
 
-    /// Write access to a region's bytes (host software touching its own
-    /// memory, e.g. the MPI layer filling an eager buffer).
+    /// The *materialised extent* of a region: one contiguous slice from
+    /// offset 0 to the end of the furthest write so far, at most
+    /// [`Fabric::mr_len`] long. Every byte a completion has reported placed
+    /// is inside it; the region's remaining bytes are zero and not
+    /// resident. Code that reads by `(offset, len)` wants
+    /// [`Fabric::mr_read_into`] or [`Fabric::mr_read_vec`], which see the
+    /// full registered length.
+    pub fn mr_bytes(&self, mr: MrId) -> &[u8] {
+        self.mrs[mr.index()].resident()
+    }
+
+    /// Mutable view of the whole region, **materialising all of it** —
+    /// the only call that does. Kept for tests that fill a region in
+    /// place; host software touching its own memory uses
+    /// [`Fabric::mr_write`].
     pub fn mr_bytes_mut(&mut self, mr: MrId) -> &mut [u8] {
-        &mut self.mrs[mr.index()].bytes
+        self.mrs[mr.index()].materialise_all()
+    }
+
+    /// Stores `data` at `offset` of the region (host software touching its
+    /// own memory), materialising it up to the end of the write. Panics
+    /// when `offset + data.len()` exceeds the registered length.
+    pub fn mr_write(&mut self, mr: MrId, offset: usize, data: &[u8]) {
+        self.mrs[mr.index()].write(offset, data);
+    }
+
+    /// Copies `out.len()` bytes at `offset` of the region into `out`;
+    /// bytes never written read as zero and stay unmaterialised. Panics
+    /// when `offset + out.len()` exceeds the registered length.
+    pub fn mr_read_into(&self, mr: MrId, offset: usize, out: &mut [u8]) {
+        self.mrs[mr.index()].read_into(offset, out);
+    }
+
+    /// An owned copy of `len` bytes at `offset` of the region, with the
+    /// same zero-fill and bounds rule as [`Fabric::mr_read_into`].
+    pub fn mr_read_vec(&self, mr: MrId, offset: usize, len: usize) -> Vec<u8> {
+        self.mrs[mr.index()].read_vec(offset, len)
+    }
+
+    /// Bytes registered across all regions: what a real HCA would have
+    /// pinned.
+    pub fn registered_bytes(&self) -> usize {
+        self.mrs.iter().map(Mr::len).sum()
+    }
+
+    /// Bytes the host actually holds across all regions (the sum of the
+    /// materialised extents): the memory the protocol has touched, which
+    /// is the paper's scalability argument made measurable.
+    pub fn resident_bytes(&self) -> usize {
+        self.mrs.iter().map(|mr| mr.resident().len()).sum()
     }
 
     /// Number of registered memory regions (restore drivers bounds-check

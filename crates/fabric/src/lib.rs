@@ -11,8 +11,9 @@
 //! * **Verbs object model** — HCAs per node, queue pairs ([`QpId`]) with send
 //!   and receive queues, completion queues ([`CqId`]) with wakeable waiters,
 //!   registered memory regions ([`MrId`]) with access-flag and bounds
-//!   checking, work requests and completions ([`SendWr`], [`RecvWr`],
-//!   [`Cqe`]).
+//!   checking against the registered length, held on the host only as far
+//!   as they have been written ([`Fabric::resident_bytes`]), work requests
+//!   and completions ([`SendWr`], [`RecvWr`], [`Cqe`]).
 //! * **Reliable Connection transport** — per-QP message sequence numbers,
 //!   in-order delivery, go-back-N retransmission, **RNR NAK** generation when
 //!   a message finds no posted receive WQE, configurable (including
@@ -61,6 +62,10 @@
 //! assert_eq!(cqes.len(), 1);
 //! assert_eq!(cqes[0].byte_len, 3);
 //! assert_eq!(&fabric.mr_bytes(mr_b)[..3], b"hi!");
+//! // 4096 bytes are registered; the host holds the three that landed.
+//! assert_eq!(fabric.mr_len(mr_b), 4096);
+//! assert_eq!(fabric.resident_bytes(), 3);
+//! assert_eq!(fabric.mr_read_vec(mr_b, 0, 5), b"hi!\0\0");
 //! ```
 
 #![warn(missing_docs)]

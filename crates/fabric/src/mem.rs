@@ -79,27 +79,73 @@ impl std::ops::BitOr for Access {
 }
 
 /// A registered ("pinned") memory region owned by one node.
+///
+/// The region is `len` bytes long to every bounds check, but the host only
+/// holds the **materialised prefix**: `bytes.len() <= len`, and every byte
+/// at or past `bytes.len()` is zero and has never been allocated. Writes
+/// grow the prefix to their own end; reads never grow it. Nothing is
+/// reserved up front, so a region costs what the protocol has touched, not
+/// what it registered (DESIGN.md §9, "Registered vs resident memory").
 #[derive(Debug)]
 pub struct Mr {
     pub(crate) node: NodeId,
     pub(crate) access: Access,
-    pub(crate) bytes: Vec<u8>,
+    len: usize,
+    bytes: Vec<u8>,
 }
 
+/// Granule of the zero-tail scan in [`Mr::from_image`].
+const ZERO_BLOCK: [u8; 4096] = [0; 4096];
+
 impl Mr {
+    /// A region of `len` registered bytes, none of them materialised.
+    pub(crate) fn new(node: NodeId, access: Access, len: usize) -> Mr {
+        Mr {
+            node,
+            access,
+            len,
+            bytes: Vec::new(),
+        }
+    }
+
+    /// Rebuilds a region from its dense image (checkpoint restore): the
+    /// registered length is the image's, the prefix ends at its last
+    /// non-zero byte. The zero tail is found a block at a time — one
+    /// `memcmp` against a zero page per 4 KiB — because a byte-wise scan of
+    /// the megabytes of untouched tail costs more than the restore itself.
+    pub(crate) fn from_image(node: NodeId, access: Access, image: &[u8]) -> Mr {
+        let mut end = image.len();
+        for block in image.rchunks(ZERO_BLOCK.len()) {
+            if *block != ZERO_BLOCK[..block.len()] {
+                break;
+            }
+            end -= block.len();
+        }
+        let used = image[..end]
+            .iter()
+            .rposition(|&b| b != 0)
+            .map_or(0, |i| i + 1);
+        Mr {
+            node,
+            access,
+            len: image.len(),
+            bytes: image[..used].to_vec(),
+        }
+    }
+
     /// Owning node.
     pub fn node(&self) -> NodeId {
         self.node
     }
 
-    /// Region length in bytes.
+    /// Registered length in bytes.
     pub fn len(&self) -> usize {
-        self.bytes.len()
+        self.len
     }
 
-    /// True when the region is empty.
+    /// True when the region was registered with zero length.
     pub fn is_empty(&self) -> bool {
-        self.bytes.is_empty()
+        self.len == 0
     }
 
     /// Access flags granted at registration.
@@ -108,9 +154,74 @@ impl Mr {
     }
 
     pub(crate) fn check_range(&self, offset: usize, len: usize) -> bool {
-        offset
-            .checked_add(len)
-            .is_some_and(|end| end <= self.bytes.len())
+        offset.checked_add(len).is_some_and(|end| end <= self.len)
+    }
+
+    /// End of `offset..offset + len`, which must lie inside the registered
+    /// length: the one bounds check every read and write goes through.
+    fn end_of(&self, offset: usize, len: usize) -> usize {
+        assert!(
+            self.check_range(offset, len),
+            "memory region access at {offset}, {len} bytes, outside the {} registered",
+            self.len
+        );
+        offset + len
+    }
+
+    /// The materialised prefix.
+    pub(crate) fn resident(&self) -> &[u8] {
+        &self.bytes
+    }
+
+    /// Materialises the whole region and returns it.
+    pub(crate) fn materialise_all(&mut self) -> &mut [u8] {
+        self.bytes.resize(self.len, 0);
+        &mut self.bytes
+    }
+
+    /// Stores `data` at `offset`, growing the prefix to the write's end if
+    /// it lies beyond. Only a gap between the prefix and `offset` is
+    /// zero-filled; the bytes `data` covers are appended, not zeroed first.
+    /// A zero-length write materialises nothing.
+    pub(crate) fn write(&mut self, offset: usize, data: &[u8]) {
+        self.end_of(offset, data.len());
+        let have = self.bytes.len();
+        // What falls on materialised bytes overwrites them; the rest
+        // extends the prefix.
+        let (over, append) = data.split_at(have.saturating_sub(offset).min(data.len()));
+        self.bytes[offset.min(have)..][..over.len()].copy_from_slice(over);
+        if !append.is_empty() {
+            if offset > have {
+                self.bytes.resize(offset, 0);
+            }
+            self.bytes.extend_from_slice(append);
+        }
+    }
+
+    /// The materialised part of `offset..offset + len`; whatever it is
+    /// short of `len` lies past the prefix and reads as zero.
+    fn resident_part(&self, offset: usize, len: usize) -> &[u8] {
+        let end = self.end_of(offset, len);
+        let have = self.bytes.len();
+        &self.bytes[offset.min(have)..end.min(have)]
+    }
+
+    /// Copies `out.len()` bytes at `offset` into `out`.
+    pub(crate) fn read_into(&self, offset: usize, out: &mut [u8]) {
+        let part = self.resident_part(offset, out.len());
+        let (head, tail) = out.split_at_mut(part.len());
+        head.copy_from_slice(part);
+        tail.fill(0);
+    }
+
+    /// An owned copy of `len` bytes at `offset` (empty without allocating
+    /// when `len` is zero).
+    pub(crate) fn read_vec(&self, offset: usize, len: usize) -> Vec<u8> {
+        let part = self.resident_part(offset, len);
+        let mut out = Vec::with_capacity(len);
+        out.extend_from_slice(part);
+        out.resize(len, 0);
+        out
     }
 }
 
@@ -130,11 +241,7 @@ mod tests {
 
     #[test]
     fn range_checks() {
-        let mr = Mr {
-            node: NodeId(0),
-            access: Access::FULL,
-            bytes: vec![0; 100],
-        };
+        let mr = Mr::new(NodeId(0), Access::FULL, 100);
         assert!(mr.check_range(0, 100));
         assert!(mr.check_range(99, 1));
         assert!(!mr.check_range(99, 2));

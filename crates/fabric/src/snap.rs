@@ -20,7 +20,7 @@
 
 use crate::cq::CqId;
 use crate::fabric::Fabric;
-use crate::mem::Access;
+use crate::mem::{Access, Mr};
 use crate::qp::{QpAttrs, QpId, QpState, QpType};
 use crate::wr::{Cqe, CqeOpcode, CqeStatus, RecvWr};
 use ibsim::codec::{CodecError, Reader, Writer};
@@ -322,7 +322,9 @@ pub fn encode_fabric(f: &Fabric, w: &mut Writer) {
             for mr in &f.mrs {
                 w.u32(mr.node.0);
                 w.u8(mr.access.bits());
-                w.bytes(&mr.bytes);
+                // Dense on the wire (IBCK v1): the prefix, then the zero
+                // tail the host never materialised.
+                w.bytes_zero_padded(mr.resident(), mr.len());
             }
         });
         w.section(TAG_NET, |w| {
@@ -512,9 +514,9 @@ pub fn restore_fabric(f: &mut Fabric, r: &mut Reader<'_>) -> Result<(), CodecErr
                 max: u64::from(Access::FULL.bits()),
             });
         }
-        let bytes = ms.bytes("mr.bytes")?;
-        let id = f.register(node, 0, Access::from_bits(bits));
-        f.mrs[id.index()].bytes = bytes;
+        let image = ms.bytes_ref("mr.bytes")?;
+        f.mrs
+            .push(Mr::from_image(node, Access::from_bits(bits), image));
     }
     ms.done("fabric.mrs")?;
 
@@ -693,6 +695,141 @@ mod tests {
         let q = restored.qp(QpId(0));
         assert_eq!(q.state(), QpState::ReadyToSend);
         assert_eq!(q.peer(), Some(QpId(1)));
+    }
+
+    #[test]
+    fn restore_keeps_registered_lengths_and_sheds_the_zero_tail() {
+        let mut f = exercised_fabric(None);
+        let mr_b = crate::mem::MrId(0);
+        // Traffic reached byte 1280 of a 4096-byte region; a host store of
+        // zeros further out materialises memory a restore need not keep.
+        assert_eq!(f.mr_bytes(mr_b).len(), 1280);
+        f.mr_write(mr_b, 3000, &[0; 96]);
+        assert_eq!(f.mr_bytes(mr_b).len(), 3096);
+        let bytes = image(&f);
+        let mut restored = Fabric::new(FabricParams::mt23108());
+        restore_fabric(&mut restored, &mut Reader::new(&bytes)).unwrap();
+        assert_eq!(image(&restored), bytes, "IBCK bytes survive the round trip");
+        assert_eq!(restored.registered_bytes(), f.registered_bytes());
+        assert_eq!(restored.mr_len(mr_b), 4096);
+        assert_eq!(restored.mr_bytes(mr_b).len(), 1280);
+        assert!(restored.resident_bytes() < f.resident_bytes());
+    }
+
+    /// The byte range of the `TAG_MRS` section's body inside a fabric
+    /// image: the outer frame, then the nested frames in order.
+    fn mrs_body(image: &[u8]) -> std::ops::Range<usize> {
+        let mut pos = 12;
+        loop {
+            let tag = u32::from_le_bytes(image[pos..pos + 4].try_into().unwrap());
+            let len = u64::from_le_bytes(image[pos + 4..pos + 12].try_into().unwrap()) as usize;
+            if tag == TAG_MRS {
+                return pos + 12..pos + 12 + len;
+            }
+            pos += 12 + len;
+        }
+    }
+
+    /// Offset, within the `TAG_MRS` body, of region `k`'s record
+    /// (`node u32 | access u8 | len u64 | image`).
+    fn mr_record(body: &[u8], k: usize) -> usize {
+        let mut pos = 8;
+        for _ in 0..k {
+            let len = u64::from_le_bytes(body[pos + 5..pos + 13].try_into().unwrap()) as usize;
+            pos += 13 + len;
+        }
+        pos
+    }
+
+    /// One lie told inside the `TAG_MRS` section of an otherwise valid
+    /// image.
+    #[derive(Clone, Debug)]
+    enum Lie {
+        /// Region length raised to more than the input holds — by one
+        /// byte, or to a size no allocator would grant.
+        Length { huge: bool },
+        /// The section ends `cut` bytes into the region's image (frame
+        /// lengths patched to match, so only the region is short).
+        CutImage { cut: usize },
+        /// `mr.node` names a node the image does not have.
+        Node { node: u32 },
+        /// Access bits above `Access::FULL`.
+        AccessBits { bits: u8 },
+    }
+
+    #[derive(Clone, Debug)]
+    struct HostileMrs {
+        region: usize,
+        lie: Lie,
+    }
+
+    impl testutil::prop::Case for HostileMrs {
+        fn generate(g: &mut testutil::prop::Gen) -> Self {
+            let lie = match g.index(4) {
+                0 => Lie::Length { huge: g.bool() },
+                1 => Lie::CutImage {
+                    cut: g.usize_in(0..4096),
+                },
+                2 => Lie::Node {
+                    node: g.u32_in(2..u32::MAX),
+                },
+                _ => Lie::AccessBits {
+                    bits: g.u32_in(8..256) as u8,
+                },
+            };
+            HostileMrs {
+                region: g.index(2),
+                lie,
+            }
+        }
+    }
+
+    #[test]
+    fn hostile_region_images_are_typed_errors() {
+        let good = image(&exercised_fabric(None));
+        let body = mrs_body(&good);
+        testutil::prop::check("hostile_region_images", 64, |c: &HostileMrs| {
+            let mut bad = good.clone();
+            let rec = body.start + mr_record(&good[body.clone()], c.region);
+            let want_overflow = match c.lie {
+                Lie::Length { huge } => {
+                    let left = (body.end - (rec + 13)) as u64;
+                    let claim = if huge { 1 << 44 } else { left + 1 };
+                    bad[rec + 5..rec + 13].copy_from_slice(&claim.to_le_bytes());
+                    false
+                }
+                Lie::CutImage { cut } => {
+                    // Drop the rest of the section after `cut` bytes of
+                    // this region's image and shorten both frames.
+                    let keep = rec + 13 + cut;
+                    let dropped = body.end - keep;
+                    bad.drain(keep..body.end);
+                    for (at, old) in [(4, good.len() - 12), (body.start - 8, body.len())] {
+                        let new = (old - dropped) as u64;
+                        bad[at..at + 8].copy_from_slice(&new.to_le_bytes());
+                    }
+                    false
+                }
+                Lie::Node { node } => {
+                    bad[rec..rec + 4].copy_from_slice(&node.to_le_bytes());
+                    true
+                }
+                Lie::AccessBits { bits } => {
+                    bad[rec + 4] = bits;
+                    true
+                }
+            };
+            let mut fresh = Fabric::new(FabricParams::mt23108());
+            // The region image is borrowed from the input, so a lying
+            // length is refused against what remains before anything is
+            // allocated: the 16 TiB claim returns, it does not abort.
+            let err = restore_fabric(&mut fresh, &mut Reader::new(&bad)).unwrap_err();
+            match err {
+                CodecError::Overflow { .. } => assert!(want_overflow, "{c:?}: {err}"),
+                CodecError::Truncated { .. } => assert!(!want_overflow, "{c:?}: {err}"),
+                CodecError::BadTag { .. } => panic!("{c:?}: {err}"),
+            }
+        });
     }
 
     #[test]

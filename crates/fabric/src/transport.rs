@@ -441,8 +441,7 @@ fn deliver(
             let rx_done = charge_rx(ctx, dst_node, first_arrival, now, payload.len());
             ctx.schedule_at(rx_done, move |c| {
                 let len = payload.len();
-                c.world.mrs[rwqe.mr.index()].bytes[rwqe.offset..rwqe.offset + len]
-                    .copy_from_slice(&payload);
+                c.world.mrs[rwqe.mr.index()].write(rwqe.offset, &payload);
                 let recv_cq = c.world.qps[dst_qp.index()].recv_cq;
                 push_cqe(
                     c,
@@ -488,9 +487,7 @@ fn deliver(
             ctx.world.stats.bytes_delivered.add(payload.len() as u64);
             let rx_done = charge_rx_rdma(ctx, dst_node, first_arrival, now, payload.len());
             ctx.schedule_at(rx_done, move |c| {
-                let len = payload.len();
-                c.world.mrs[rkey.index()].bytes[remote_offset..remote_offset + len]
-                    .copy_from_slice(&payload);
+                c.world.mrs[rkey.index()].write(remote_offset, &payload);
                 c.world.nodes[dst_node.index()].rdma_delivered += 1;
                 // The drained list goes back so the next `watch_rdma`
                 // reuses its capacity.
@@ -552,8 +549,9 @@ fn send_read_response(
     else {
         return;
     };
-    let data: Arc<[u8]> =
-        ctx.world.mrs[rkey.index()].bytes[remote_offset..remote_offset + len].into();
+    let data: Arc<[u8]> = ctx.world.mrs[rkey.index()]
+        .read_vec(remote_offset, len)
+        .into();
     let src_node = ctx.world.qps[src_qp.index()].node;
     let (rfirst, rlast) = transmit(ctx, dst_node, src_node, len);
     // The response crosses the same lossy wire as any request.
@@ -565,8 +563,7 @@ fn send_read_response(
         // Response data has arrived at the requester HCA.
         let rx_done = charge_rx_rdma(c, src_node, rfirst, c.now(), data.len());
         c.schedule_at(rx_done, move |c2| {
-            c2.world.mrs[local_mr.index()].bytes[local_offset..local_offset + data.len()]
-                .copy_from_slice(&data);
+            c2.world.mrs[local_mr.index()].write(local_offset, &data);
             // The read response acknowledges everything up to msn.
             let credits = c2.world.qps[src_qp.index()].adv_credits; // unchanged by reads
             handle_ack(c2, src_qp, msn, credits, true);
@@ -878,8 +875,7 @@ fn deliver_ud(ctx: &mut Ctx<'_, Fabric>, dst_qp: QpId, payload: Arc<[u8]>, first
     let rx_done = charge_rx(ctx, dst_node, first_arrival, now, payload.len());
     ctx.schedule_at(rx_done, move |c| {
         let len = payload.len();
-        c.world.mrs[rwqe.mr.index()].bytes[rwqe.offset..rwqe.offset + len]
-            .copy_from_slice(&payload);
+        c.world.mrs[rwqe.mr.index()].write(rwqe.offset, &payload);
         let recv_cq = c.world.qps[dst_qp.index()].recv_cq;
         push_cqe(
             c,

@@ -1,0 +1,275 @@
+//! Differential property test of demand-materialised memory regions.
+//!
+//! A region holds only the prefix that writes have reached; everything
+//! past it is zero and unallocated. The reference here is what a region
+//! used to be — a plain `Vec<u8>` of the registered length — driven with
+//! the same random sequence of writes, reads, whole-region pokes and
+//! snapshot round trips. After every step the two must agree on logical
+//! contents, on the encoded image, and on which accesses are out of range.
+//! (The eager vector lives only in this test; the library has one path.)
+
+use ibfabric::*;
+use ibsim::codec::{Reader, Writer};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use testutil::prop::{check, shrink, Case, Gen};
+
+const CASES: u32 = 96;
+
+/// Where an access starts, resolved against the region's state when the
+/// step runs so that the interesting boundaries are hit on purpose.
+#[derive(Clone, Copy, Debug)]
+enum Anchor {
+    /// Offset 0.
+    Start,
+    /// Exactly at the materialised prefix (a pure append).
+    Prefix,
+    /// Past the prefix, leaving a gap of this many bytes plus one.
+    PastPrefix(usize),
+    /// Placed so the access ends exactly at the registered length.
+    EndAligned,
+    /// This many thousandths of the way through the region.
+    Permille(usize),
+    /// Past the registered end by this many bytes plus one.
+    BeyondEnd(usize),
+    /// `usize::MAX`: `offset + len` overflows.
+    Max,
+}
+
+impl Anchor {
+    fn generate(g: &mut Gen) -> Anchor {
+        match g.index(9) {
+            0 => Anchor::Start,
+            1 | 2 => Anchor::Prefix,
+            3 => Anchor::PastPrefix(g.usize_in(0..6000)),
+            4 => Anchor::EndAligned,
+            5..=7 => Anchor::Permille(g.usize_in(0..1000)),
+            _ if g.bool() => Anchor::BeyondEnd(g.usize_in(0..64)),
+            _ => Anchor::Max,
+        }
+    }
+
+    fn resolve(self, n: usize, len: usize, prefix: usize) -> usize {
+        match self {
+            Anchor::Start => 0,
+            Anchor::Prefix => prefix,
+            Anchor::PastPrefix(gap) => prefix + 1 + gap,
+            Anchor::EndAligned => len.saturating_sub(n),
+            Anchor::Permille(x) => x * len / 1000,
+            Anchor::BeyondEnd(d) => len - n.min(len) + 1 + d,
+            Anchor::Max => usize::MAX,
+        }
+    }
+}
+
+#[derive(Clone, Debug)]
+enum Step {
+    /// `n` bytes derived from `fill` (0 writes zeros: they materialise the
+    /// range but a restore may trim them again).
+    Write {
+        at: Anchor,
+        n: usize,
+        fill: u8,
+    },
+    Read {
+        at: Anchor,
+        n: usize,
+    },
+    /// One byte stored through the whole-region mutable view.
+    Poke {
+        permille: usize,
+        value: u8,
+    },
+    /// `encode_fabric` → `restore_fabric`; later steps run on the restored
+    /// fabric, whose prefix has been trimmed to its last non-zero byte.
+    RoundTrip,
+}
+
+#[derive(Clone, Debug)]
+struct MrCase {
+    len: usize,
+    steps: Vec<Step>,
+}
+
+impl Case for MrCase {
+    fn generate(g: &mut Gen) -> Self {
+        // Up to a few zero-scan blocks (4 KiB) and a ragged head.
+        let len = match g.index(8) {
+            0 => g.usize_in(0..3),
+            _ => g.usize_in(1..20_000),
+        };
+        let steps = g.vec(1..40, |g| {
+            let n = match g.index(6) {
+                0 => 0,
+                1 => g.usize_in(1..9000),
+                _ => g.usize_in(1..300),
+            };
+            match g.index(10) {
+                0..=4 => Step::Write {
+                    at: Anchor::generate(g),
+                    n,
+                    fill: if g.index(5) == 0 {
+                        0
+                    } else {
+                        g.index(256) as u8
+                    },
+                },
+                5..=7 => Step::Read {
+                    at: Anchor::generate(g),
+                    n,
+                },
+                8 => Step::Poke {
+                    permille: g.usize_in(0..1000),
+                    value: g.index(256) as u8,
+                },
+                _ => Step::RoundTrip,
+            }
+        });
+        MrCase { len, steps }
+    }
+
+    fn shrink(&self) -> Vec<Self> {
+        let mut out: Vec<Self> = shrink::vec_candidates(&self.steps, 1, |_| Vec::new())
+            .into_iter()
+            .map(|steps| MrCase {
+                len: self.len,
+                steps,
+            })
+            .collect();
+        for len in shrink::usize_toward(self.len, 0) {
+            out.push(MrCase {
+                len,
+                steps: self.steps.clone(),
+            });
+        }
+        out
+    }
+}
+
+fn data(n: usize, fill: u8) -> Vec<u8> {
+    if fill == 0 {
+        return vec![0; n];
+    }
+    // Non-zero fills still carry a zero byte every 256 positions.
+    (0..n).map(|i| fill.wrapping_add(i as u8)).collect()
+}
+
+/// The eager model's bounds rule: the slice's own.
+fn model_range(model: &[u8], offset: usize, n: usize) -> Option<std::ops::Range<usize>> {
+    let end = offset.checked_add(n)?;
+    (end <= model.len()).then_some(offset..end)
+}
+
+fn image(f: &Fabric) -> Vec<u8> {
+    let mut w = Writer::new();
+    encode_fabric(f, &mut w);
+    w.finish()
+}
+
+/// The region's IBCK v1 record — node, access bits, length, then every
+/// registered byte — must appear in the fabric image exactly as the dense
+/// model dictates.
+fn assert_image_is_dense(img: &[u8], model: &[u8]) {
+    let mut head = Vec::new();
+    head.extend_from_slice(&0u32.to_le_bytes());
+    head.push(Access::FULL.bits());
+    head.extend_from_slice(&(model.len() as u64).to_le_bytes());
+    let found = img
+        .windows(head.len())
+        .enumerate()
+        .any(|(i, w)| w == head && img[i + head.len()..].starts_with(model));
+    assert!(found, "image does not carry the dense region record");
+}
+
+fn check_agreement(f: &Fabric, mr: MrId, model: &[u8], high_water: usize) {
+    assert_eq!(f.mr_len(mr), model.len());
+    assert_eq!(f.registered_bytes(), model.len());
+    let prefix = f.mr_bytes(mr);
+    assert_eq!(f.resident_bytes(), prefix.len());
+    assert!(
+        prefix.len() <= high_water,
+        "prefix {} beyond the highest written end {high_water}",
+        prefix.len()
+    );
+    assert_eq!(prefix, &model[..prefix.len()]);
+    assert!(model[prefix.len()..].iter().all(|&b| b == 0));
+    assert_eq!(f.mr_read_vec(mr, 0, model.len()), model);
+    assert_image_is_dense(&image(f), model);
+}
+
+#[test]
+fn lazy_region_matches_the_eager_model() {
+    check(
+        "lazy_region_matches_the_eager_model",
+        CASES,
+        |c: &MrCase| {
+            let mut f = Fabric::new(FabricParams::mt23108());
+            let node = f.add_node();
+            let mr = f.register(node, c.len, Access::FULL);
+            let mut model = vec![0u8; c.len];
+            let mut high_water = 0usize;
+            check_agreement(&f, mr, &model, high_water);
+
+            for step in &c.steps {
+                let prefix = f.mr_bytes(mr).len();
+                match *step {
+                    Step::Write { at, n, fill } => {
+                        let offset = at.resolve(n, c.len, prefix);
+                        let bytes = data(n, fill);
+                        let lazy =
+                            catch_unwind(AssertUnwindSafe(|| f.mr_write(mr, offset, &bytes)));
+                        match model_range(&model, offset, n) {
+                            Some(r) => {
+                                assert!(lazy.is_ok(), "in-range write {offset}+{n} refused");
+                                if n > 0 {
+                                    high_water = high_water.max(r.end);
+                                }
+                                model[r].copy_from_slice(&bytes);
+                            }
+                            None => {
+                                assert!(lazy.is_err(), "out-of-range write {offset}+{n} accepted")
+                            }
+                        }
+                    }
+                    Step::Read { at, n } => {
+                        let offset = at.resolve(n, c.len, prefix);
+                        let mut into = vec![0xEE; n];
+                        let lazy = catch_unwind(AssertUnwindSafe(|| {
+                            f.mr_read_into(mr, offset, &mut into);
+                            f.mr_read_vec(mr, offset, n)
+                        }));
+                        match model_range(&model, offset, n) {
+                            Some(r) => {
+                                let got = lazy.expect("in-range read refused");
+                                assert_eq!(got, &model[r.clone()]);
+                                assert_eq!(into, &model[r]);
+                            }
+                            None => {
+                                assert!(lazy.is_err(), "out-of-range read {offset}+{n} accepted")
+                            }
+                        }
+                        assert_eq!(f.mr_bytes(mr).len(), prefix, "a read materialised memory");
+                    }
+                    Step::Poke { permille, value } => {
+                        let whole = f.mr_bytes_mut(mr);
+                        assert_eq!(whole.len(), c.len);
+                        if c.len > 0 {
+                            let at = permille * c.len / 1000;
+                            whole[at] = value;
+                            model[at] = value;
+                        }
+                        high_water = c.len;
+                    }
+                    Step::RoundTrip => {
+                        let img = image(&f);
+                        let mut restored = Fabric::new(FabricParams::mt23108());
+                        restore_fabric(&mut restored, &mut Reader::new(&img)).unwrap();
+                        assert_eq!(image(&restored), img, "re-snapshot differs");
+                        assert!(restored.resident_bytes() <= f.resident_bytes());
+                        f = restored;
+                    }
+                }
+                check_agreement(&f, mr, &model, high_water);
+            }
+        },
+    );
+}

@@ -424,8 +424,9 @@ fn rdma_write_access_violation_errors_the_qp() {
     assert_eq!(cqes.len(), 1);
     assert_eq!(cqes[0].status, CqeStatus::RemoteAccessError);
     assert_eq!(f.qp(qp_a).state(), QpState::Error);
-    // Target memory untouched.
-    assert_eq!(&f.mr_bytes(mr_b)[..3], &[0, 0, 0]);
+    // Target memory untouched: still all zero, and nothing materialised.
+    assert_eq!(f.mr_read_vec(mr_b, 0, 3), [0, 0, 0]);
+    assert!(f.mr_bytes(mr_b).is_empty());
 }
 
 #[test]
@@ -492,7 +493,7 @@ fn remote_access_error_flushes_queued_work_end_to_end() {
 fn rdma_write_out_of_bounds_is_rejected() {
     let mut p = pair(0);
     p.sim.with_world(|ctx| {
-        let len = ctx.world.mr_bytes(p.mr_b).len();
+        let len = ctx.world.mr_len(p.mr_b);
         post_send(
             ctx,
             p.qp_a,

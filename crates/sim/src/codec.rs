@@ -141,6 +141,16 @@ impl Writer {
         self.buf.extend_from_slice(v);
     }
 
+    /// Appends a byte string of `len` bytes — `v` followed by zeros —
+    /// encoded exactly as [`Writer::bytes`] would encode the padded
+    /// string, without building it. `v` must not be longer than `len`.
+    pub fn bytes_zero_padded(&mut self, v: &[u8], len: usize) {
+        assert!(v.len() <= len, "prefix longer than the padded length");
+        self.usize(len);
+        self.buf.extend_from_slice(v);
+        self.buf.resize(self.buf.len() + (len - v.len()), 0);
+    }
+
     /// Appends `Some`/`None` as a presence byte plus the value.
     pub fn opt_u64(&mut self, v: Option<u64>) {
         match v {
@@ -256,8 +266,15 @@ impl<'a> Reader<'a> {
 
     /// Reads a length-prefixed byte string.
     pub fn bytes(&mut self, context: &'static str) -> Result<Vec<u8>, CodecError> {
+        Ok(self.bytes_ref(context)?.to_vec())
+    }
+
+    /// Reads a length-prefixed byte string, borrowed from the input: a
+    /// length that exceeds what remains is an error before anything is
+    /// allocated.
+    pub fn bytes_ref(&mut self, context: &'static str) -> Result<&'a [u8], CodecError> {
         let len = self.usize(context)?;
-        Ok(self.take(len, context)?.to_vec())
+        self.take(len, context)
     }
 
     /// Reads a presence byte plus an optional `u64`.
@@ -319,6 +336,7 @@ mod tests {
         w.bool(true);
         w.bool(false);
         w.bytes(b"hello");
+        w.bytes_zero_padded(b"hi", 5);
         w.opt_u64(Some(5));
         w.opt_u64(None);
         let bytes = w.finish();
@@ -333,6 +351,7 @@ mod tests {
         assert!(r.bool("h").unwrap());
         assert!(!r.bool("i").unwrap());
         assert_eq!(r.bytes("j").unwrap(), b"hello");
+        assert_eq!(r.bytes_ref("j2").unwrap(), b"hi\0\0\0");
         assert_eq!(r.opt_u64("k").unwrap(), Some(5));
         assert_eq!(r.opt_u64("l").unwrap(), None);
         r.done("end").unwrap();

@@ -4,7 +4,7 @@
 #
 #   ci/bench_pair.sh <parent-rev> [--pairs N] [--workload W] [--seed S] [--traced]
 #
-# Checks <parent-rev> out into a temporary `git worktree`, then runs
+# Unpacks <parent-rev> (`git archive`) into a temporary directory, then runs
 # `benchmark/run.sh --out` N times on each side (default 10, the fewest a
 # claim may rest on), alternating which side goes first, on the
 # benchmark's default seed 1; repeats the whole series on seed S (default
@@ -14,8 +14,25 @@
 # with one `run.sh --traced` set per side (A-seedS-traced.json,
 # B-seedS-traced.json, and each side's ledger.md rendering beside them),
 # so the per-layer rows a PR cites (mpib.bootstrap_ms.*, alloc.*, ckpt.*,
-# nasbench.wall_ms.*) come from the same trees as the verdict. Exit status
-# 1 if either comparison reports a regression or a sim mismatch.
+# nasbench.wall_ms.*) come from the same trees as the verdict.
+#
+# Last, two facts about the harness that can sink a PR whose code is
+# innocent (each only for the workloads the run covers):
+#   * peak_rss_mb of `fabric_raw` and `sim_raw` over seeds 1-10, 1 s each,
+#     on both trees. `fabric_raw` has two heap-layout states, 15.4 MB and
+#     19.4 MB (+26%, past BENCHMARK.json's 20% bound): whether `write4m`'s
+#     4 MiB region re-uses the 4 MiB block the harness freed just before or
+#     lands on fresh top-of-heap depends on whether some small allocation
+#     made in between split that block, and which seeds flip moves with any
+#     change to what the libraries allocate while events run. A seed whose
+#     two sides differ by more than 10% fails the run.
+#   * `nas_w`'s rep wall and set-up time on both trees. The worker repeats
+#     warm-up reps until 2.5 s have passed, so a rep that falls from above
+#     2.5 s to ~1.75-2.4 s doubles `setup_s` and reads as a > 25%
+#     regression; a rep under 2.5 s prints a warning.
+#
+# Exit status 1 if either comparison reports a regression or a sim
+# mismatch, or the resident-memory check fails.
 #
 # Each side builds the harness from its own sources into its own
 # benchmark/target/. Result files go to a fresh directory under
@@ -24,7 +41,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 usage() {
-    sed -n '2,22s/^# \{0,1\}//p' "$0" >&2
+    sed -n '2,39s/^# \{0,1\}//p' "$0" >&2
     exit 2
 }
 
@@ -50,8 +67,9 @@ case $held_out_seed in '' | *[!0-9]*) usage ;; esac
 change=$PWD
 work=$(mktemp -d "${TMPDIR:-/tmp}/bench_pair.XXXXXX")
 parent=$work/parent
-git worktree add --quiet --detach "$parent" "$parent_rev"
-trap 'git -C "$change" worktree remove --force "$parent"' EXIT
+mkdir "$parent"
+git archive "$parent_rev" | tar -x -C "$parent"
+trap 'rm -rf "$parent"' EXIT
 
 # One benchmark run of the tree at $1 with seed $2, appended to $3.
 run_side() {
@@ -112,5 +130,39 @@ for seed in 1 "$held_out_seed"; do
     echo "==> seed $seed: $a (parent $parent_rev) vs $b (this tree)"
     benchmark/compare.sh "$a" "$b" || status=1
 done
+# Prints the metric lines of a 1 s untraced run of workload $2 at seed $3
+# in the tree at $1; `metric NAME` picks one value out of them.
+one_run() {
+    (cd "$1" && benchmark/run.sh --workload "$2" --seed "$3" --seconds 1 --trace 0) 2>/dev/null
+}
+metric() {
+    awk -v m="$1" '$1 == m { print $2 }'
+}
+
+for w in fabric_raw sim_raw; do
+    [ -z "$workload" ] || [ "$workload" = "$w" ] || continue
+    echo "==> $w peak_rss_mb, seeds 1-10: parent, this tree"
+    for seed in $(seq 1 10); do
+        a=$(one_run "$parent" "$w" "$seed" | metric peak_rss_mb)
+        b=$(one_run "$change" "$w" "$seed" | metric peak_rss_mb)
+        if awk -v a="$a" -v b="$b" 'BEGIN { exit !(a > 1.1 * b || b > 1.1 * a) }'; then
+            echo "seed $seed: $a MB, $b MB  DIFFER by more than 10%"
+            status=1
+        else
+            echo "seed $seed: $a MB, $b MB"
+        fi
+    done
+done
+if [ -z "$workload" ] || [ "$workload" = nas_w ]; then
+    echo "==> nas_w rep wall and set-up"
+    for side in parent change; do
+        out=$(one_run "${!side}" nas_w 1)
+        wall=$(metric wall_s <<<"$out")
+        echo "$side: wall_s $wall, setup_s $(metric setup_s <<<"$out")"
+        if awk -v w="$wall" 'BEGIN { exit !(w < 2.5) }'; then
+            echo "warning: a nas_w rep takes under 2.5 s here, so the worker warms up with two; setup_s doubles against a side whose rep takes longer"
+        fi
+    done
+fi
 echo "result files: $work"
 exit $status

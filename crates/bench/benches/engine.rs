@@ -1,12 +1,13 @@
 //! Engine throughput bench: raw event-loop rates plus the battery wall.
 //!
-//! Seven measurements, recorded in `bench_results/BENCH_engine.json`:
+//! Seven measurements recorded in `bench_results/BENCH_engine.json`, and
+//! two deep-queue rates that are printed and floored but not recorded:
 //!
 //! * **call events/sec** — a self-perpetuating closure-event chain drained
 //!   under a single borrow of the scheduler; the ceiling on pure event
 //!   dispatch.
 //! * **handoff events/sec** — one process advancing the clock in a tight
-//!   loop. Every resume targets the advancing coroutine itself: one heap
+//!   loop. Every resume targets the advancing coroutine itself: one queue
 //!   push/pop plus one poll.
 //! * **handoff_xproc events/sec** — two processes advancing on interleaved
 //!   odd/even schedules so consecutive resumes always alternate between
@@ -18,6 +19,13 @@
 //! * **ranks_per_thread** — 64 processes advancing on interleaved
 //!   schedules, all multiplexed on the one calling thread; measures that
 //!   event throughput holds up when many coroutines share the queue.
+//! * **deep_queue_fixed / deep_queue_scattered events/sec** — 4096
+//!   self-rearming timers keep the queue ~4k deep, where every other
+//!   measurement here leaves it at depth 1 to 64. With five fixed deltas
+//!   (the shape of link/DMA latencies) every push lands in one of the
+//!   event queue's FIFO lanes; with 64 distinct deltas there are more
+//!   streams than lanes and the overflow heap carries the load. One
+//!   floor per path, so neither can rot unnoticed.
 //! * **ring_poll events/sec** — a 2-rank rdma-channel world pumping
 //!   4-byte messages through the eager ring in windowed bursts; the rate
 //!   is ring frames landed per *host* second. This is the tripwire for
@@ -104,6 +112,56 @@ fn interleaved_rate(procs: u64, n: u64) -> f64 {
     let t0 = Instant::now();
     let rep = sim.run().expect("interleaved run");
     rep.events_processed as f64 / t0.elapsed().as_secs_f64()
+}
+
+/// Timers the deep-queue workload keeps outstanding.
+const DEEP_QUEUE_TIMERS: u64 = 4096;
+
+/// World for the deep-queue workload: the deltas the timers re-arm with,
+/// in turn, and how many fires are left.
+struct Timers {
+    deltas: Vec<u64>,
+    next: usize,
+    left: u64,
+}
+
+/// Events/sec over `n` fires of [`DEEP_QUEUE_TIMERS`] timers, each
+/// re-arming itself with the next of `deltas` (nanoseconds).
+fn deep_queue_rate(deltas: Vec<u64>, n: u64) -> f64 {
+    fn fire(c: &mut Ctx<'_, Timers>) {
+        let w = &mut *c.world;
+        if w.left == 0 {
+            return;
+        }
+        w.left -= 1;
+        w.next = (w.next + 1) % w.deltas.len();
+        let delta = SimDuration::nanos(w.deltas[w.next]);
+        c.schedule_after(delta, fire);
+    }
+    let world = Timers {
+        deltas,
+        next: 0,
+        left: n,
+    };
+    let mut sim = Sim::new(world, SimConfig::default());
+    sim.with_world(|ctx| {
+        for _ in 0..DEEP_QUEUE_TIMERS {
+            fire(ctx);
+        }
+    });
+    let t0 = Instant::now();
+    let rep = sim.run().expect("deep queue run");
+    rep.events_processed as f64 / t0.elapsed().as_secs_f64()
+}
+
+/// Five fixed deltas: every push finds a lane.
+fn deep_queue_fixed_rate(n: u64) -> f64 {
+    deep_queue_rate(vec![130, 260, 520, 1040, 4160], n)
+}
+
+/// 64 distinct deltas: eight times more streams than lanes.
+fn deep_queue_scattered_rate(n: u64) -> f64 {
+    deep_queue_rate((0..64).map(|i| 130 + 61 * i).collect(), n)
 }
 
 /// Median of three samples of `f`.
@@ -208,6 +266,8 @@ fn main() {
         let handoff = median3(|| handoff_rate(20_000));
         let xproc = median3(|| interleaved_rate(2, 10_000));
         let many = interleaved_rate(RANKS_PER_THREAD, 500);
+        let deep_fixed = median3(|| deep_queue_fixed_rate(200_000));
+        let deep_scattered = median3(|| deep_queue_scattered_rate(200_000));
         let ring = median3(|| ring_poll_rate(6_400));
         let (grow, generations) = {
             let mut s = [
@@ -222,6 +282,8 @@ fn main() {
         println!("test engine/handoffs_self ({handoff:.0} events/sec) ... ok");
         println!("test engine/handoffs_xproc ({xproc:.0} events/sec) ... ok");
         println!("test engine/ranks_per_thread ({many:.0} events/sec) ... ok");
+        println!("test engine/deep_queue_fixed ({deep_fixed:.0} events/sec) ... ok");
+        println!("test engine/deep_queue_scattered ({deep_scattered:.0} events/sec) ... ok");
         println!("test engine/ring_poll ({ring:.0} events/sec) ... ok");
         println!("test engine/ring_grow ({grow:.0} events/sec, {generations} generations) ... ok");
         assert!(
@@ -240,6 +302,24 @@ fn main() {
         assert!(
             many > 1_000_000.0,
             "{RANKS_PER_THREAD}-coroutine interleave regressed: {many:.0} events/sec"
+        );
+        assert!(
+            deep_fixed > 4_000_000.0,
+            "the event queue's lane path regressed at depth {DEEP_QUEUE_TIMERS}: \
+             {deep_fixed:.0} events/sec"
+        );
+        assert!(
+            deep_scattered > 1_000_000.0,
+            "the event queue's overflow heap regressed at depth {DEEP_QUEUE_TIMERS}: \
+             {deep_scattered:.0} events/sec"
+        );
+        // The absolute floors cannot tell a lane from a heap on a fast
+        // host; the ratio can on any host (measured ~4x).
+        assert!(
+            deep_fixed > deep_scattered * 2.0,
+            "fixed deltas ({deep_fixed:.0}/s) run less than twice as fast as scattered \
+             ones ({deep_scattered:.0}/s) at depth {DEEP_QUEUE_TIMERS}; are fixed-delta \
+             pushes still landing in the event queue's lanes?"
         );
         assert!(
             ring > 100_000.0,
@@ -275,6 +355,10 @@ fn main() {
     println!("handoff_xproc events/sec: {xproc:>14.0}");
     let many = median3(|| interleaved_rate(RANKS_PER_THREAD, 30_000));
     println!("ranks_per_thread ({RANKS_PER_THREAD}) events/sec: {many:>14.0}");
+    let deep_fixed = median3(|| deep_queue_fixed_rate(4_000_000));
+    println!("deep_queue_fixed events/sec:     {deep_fixed:>11.0}");
+    let deep_scattered = median3(|| deep_queue_scattered_rate(4_000_000));
+    println!("deep_queue_scattered events/sec: {deep_scattered:>11.0}");
     let ring = median3(|| ring_poll_rate(64_000));
     println!("ring_poll events/sec:     {ring:>14.0}");
     let (grow, generations) = {

@@ -98,9 +98,7 @@ impl MpiRank {
         }
         match (cqe.opcode, kind) {
             (CqeOpcode::RecvComplete, WrKind::RecvSlot) => {
-                // simlint: allow(no-panic-in-lib): every QP is registered in qp_to_peer at bootstrap before any completion can reference it
-                let peer = *self.qp_to_peer.get(&cqe.qp).expect("unknown QP");
-                self.handle_incoming(peer, value, cqe.byte_len);
+                self.handle_incoming(self.peer_of(cqe.qp), value, cqe.byte_len);
             }
             (CqeOpcode::SendComplete, WrKind::CtrlSend | WrKind::Ecm) => {
                 self.outstanding_ctrl -= 1;
@@ -152,8 +150,7 @@ impl MpiRank {
                 dst
             }
             WrKind::RecvSlot => {
-                // simlint: allow(no-panic-in-lib): every QP is registered in qp_to_peer at bootstrap before any completion can reference it
-                let peer = *self.qp_to_peer.get(&cqe.qp).expect("unknown QP");
+                let peer = self.peer_of(cqe.qp);
                 // The flushed WQE consumed a posted buffer.
                 let c = self.conn_mut(peer);
                 c.posted = c.posted.saturating_sub(1);

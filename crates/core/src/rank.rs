@@ -64,7 +64,11 @@ pub struct MpiRank {
     pub(crate) cq: CqId,
     /// Per-peer connections (the self slot is `None`).
     pub(crate) conns: Vec<Option<Conn>>,
-    pub(crate) qp_to_peer: BTreeMap<QpId, Rank>,
+    /// Peer behind each of this rank's QPs, indexed by
+    /// `QpId::index() - qp_base`: bootstrap creates a rank's QPs back to
+    /// back (`world::qp_id_for`), so the table is dense.
+    qp_to_peer: Vec<Rank>,
+    qp_base: usize,
     pub(crate) reqs: ReqTable,
     /// Posted receives in matching order.
     pub(crate) posted_recvs: Vec<crate::requests::ReqId>,
@@ -111,18 +115,21 @@ impl MpiRank {
             .filter(|c| c.established)
             .map(|c| c.peer)
             .collect();
+        let conns = || setup.conns.iter().flatten();
+        let qp_base = conns().next().map_or(0, |c| c.qp.index());
+        assert!(
+            conns().zip(qp_base..).all(|(c, qp)| c.qp.index() == qp),
+            "a rank's QPs are consecutive"
+        );
+        let qp_to_peer = conns().map(|c| c.peer).collect();
         MpiRank {
             proc,
             rank: setup.rank,
             size: setup.size,
             node: setup.node,
             cq: setup.cq,
-            qp_to_peer: setup
-                .conns
-                .iter()
-                .flatten()
-                .map(|c| (c.qp, c.peer))
-                .collect(),
+            qp_to_peer,
+            qp_base,
             conns: setup.conns,
             cfg: setup.cfg,
             reqs: ReqTable::default(),
@@ -140,6 +147,13 @@ impl MpiRank {
             cq_batch: Vec::new(),
             ckpt_epoch: 0,
         }
+    }
+
+    /// The peer whose connection owns `qp`. Every QP is in the table from
+    /// bootstrap, before any completion can name it; a QP of another rank
+    /// is a simulator bug and fails the bounds check.
+    pub(crate) fn peer_of(&self, qp: QpId) -> Rank {
+        self.qp_to_peer[qp.index() - self.qp_base]
     }
 
     /// Adds `peer` to the RDMA-poll watchlist (idempotent; called when a

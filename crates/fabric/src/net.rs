@@ -10,7 +10,7 @@
 
 use crate::fabric::NodeId;
 use crate::params::FabricParams;
-use ibsim::SimTime;
+use ibsim::{SimDuration, SimTime};
 
 /// Per-destination egress port occupancy.
 #[derive(Debug)]
@@ -30,19 +30,21 @@ impl Net {
     }
 
     /// Routes one packet that finished serializing out of the source host
-    /// at `tx_done`, destined for `dst`. Returns the instant the packet has
-    /// fully arrived at the destination HCA.
+    /// at `tx_done`, destined for `dst`, and takes `serialize` (its
+    /// [`FabricParams::serialize_time`], which the caller computes once
+    /// per packet size) to cross the egress port. Returns the instant the
+    /// packet has fully arrived at the destination HCA.
     pub(crate) fn route_packet(
         &mut self,
         params: &FabricParams,
         dst: NodeId,
         tx_done: SimTime,
-        payload: usize,
+        serialize: SimDuration,
     ) -> SimTime {
         let sw_in = tx_done + params.prop_delay + params.switch_delay;
         let busy = &mut self.egress_busy_until[dst.index()];
         let egress_start = sw_in.max(*busy);
-        let egress_done = egress_start + params.serialize_time(payload);
+        let egress_done = egress_start + serialize;
         *busy = egress_done;
         egress_done + params.prop_delay
     }
@@ -75,7 +77,7 @@ mod tests {
         let params = FabricParams::mt23108();
         let mut net = Net::new(2);
         let t0 = SimTime::from_nanos(1_000);
-        let arrival = net.route_packet(&params, NodeId(1), t0, 1024);
+        let arrival = net.route_packet(&params, NodeId(1), t0, params.serialize_time(1024));
         let expect = t0
             + params.prop_delay
             + params.switch_delay
@@ -91,16 +93,17 @@ mod tests {
         let t0 = SimTime::from_nanos(0);
         // Two packets from different sources to node 2 at the same instant:
         // the second serializes after the first on the shared egress port.
-        let a1 = net.route_packet(&params, NodeId(2), t0, 2048);
-        let a2 = net.route_packet(&params, NodeId(2), t0, 2048);
+        let serialize = params.serialize_time(2048);
+        let a1 = net.route_packet(&params, NodeId(2), t0, serialize);
+        let a2 = net.route_packet(&params, NodeId(2), t0, serialize);
         assert!(a2 > a1);
         assert_eq!(
             a2.since(a1),
-            params.serialize_time(2048),
+            serialize,
             "second packet delayed by exactly one serialization"
         );
         // A packet to a different node is unaffected.
-        let b = net.route_packet(&params, NodeId(1), t0, 2048);
+        let b = net.route_packet(&params, NodeId(1), t0, serialize);
         assert_eq!(b, a1);
     }
 }

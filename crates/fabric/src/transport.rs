@@ -134,16 +134,24 @@ fn transmit(
     let mut cursor = now.max(w.nodes[src.index()].tx_busy_until) + params.wqe_tx_proc;
     let mut first = SimTime::MAX;
     let mut last = SimTime::ZERO;
-    let mut remaining = bytes;
-    for _ in 0..params.packets_for(bytes) {
+    // A packet's wire time and its spacing behind the previous packet are
+    // divisions by a rate. Every packet but the last carries a full MTU,
+    // so a message needs them for two sizes, not once per packet.
+    let npkts = params.packets_for(bytes);
+    let times = |pkt: usize| {
+        let serialize = params.serialize_time(pkt);
+        (serialize, serialize.max(params.dma_time(pkt)))
+    };
+    let tail = times(bytes - (npkts - 1) * mtu);
+    let full = if npkts > 1 { times(mtu) } else { tail };
+    for i in 1..=npkts {
         // Each packet leaves the source host one spacing after the
         // previous one, then crosses the switch to the egress port.
-        let pkt = remaining.min(mtu);
-        remaining -= pkt;
-        cursor += params.serialize_time(pkt).max(params.dma_time(pkt));
+        let (serialize, spacing) = if i < npkts { full } else { tail };
+        cursor += spacing;
         let arrival = w
             .net
-            .route_packet(params, dst, cursor + params.pkt_tx_overhead, pkt);
+            .route_packet(params, dst, cursor + params.pkt_tx_overhead, serialize);
         first = first.min(arrival);
         last = last.max(arrival);
     }
@@ -1030,7 +1038,9 @@ mod tests {
         let mut first = SimTime::MAX;
         let mut last = SimTime::ZERO;
         for (tx_done, pkt) in departures {
-            let arrival = w.net.route_packet(&w.params, dst, tx_done, pkt);
+            let arrival = w
+                .net
+                .route_packet(&w.params, dst, tx_done, w.params.serialize_time(pkt));
             first = first.min(arrival);
             last = last.max(arrival);
         }

@@ -6,7 +6,7 @@
 //! resuming processes by polling their state machines directly. A process
 //! is a stackless coroutine (an `async` body compiled to a resumable state
 //! machine by rustc), so "handing the baton" to any process — itself or a
-//! peer — is one heap pop plus one `Future::poll` call: no channels, no
+//! peer — is one queue pop plus one `Future::poll` call: no channels, no
 //! context switches, no OS threads. Virtual-time order is fully determined
 //! by the `(time, seq)` event queue, so result bytes cannot depend on how
 //! the poll loop interleaves the coroutines.
@@ -14,11 +14,10 @@
 use crate::error::{DeadlockInfo, SimError};
 use crate::event::{Entry, EventKind};
 use crate::process::{ProcCtx, ProcId, ProcSlot, ProcStatus};
+use crate::queue::EventQueue;
 use crate::time::{SimDuration, SimTime};
 use crate::waker::Waker;
 use std::cell::{RefCell, RefMut};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::future::Future;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::pin::Pin;
@@ -47,7 +46,7 @@ impl Default for SimConfig {
 pub(crate) struct Sched<W> {
     pub(crate) now: SimTime,
     seq: u64,
-    queue: BinaryHeap<Reverse<Entry<W>>>,
+    queue: EventQueue<W>,
     pub(crate) procs: Vec<ProcSlot>,
     events_processed: u64,
 }
@@ -57,7 +56,7 @@ impl<W> Sched<W> {
         debug_assert!(time >= self.now, "event scheduled in the past");
         let seq = self.seq;
         self.seq += 1;
-        self.queue.push(Reverse(Entry { time, seq, kind }));
+        self.queue.push(Entry { time, seq, kind });
     }
 
     /// Pops and runs ready `Call` events inline, stopping at the first
@@ -67,7 +66,7 @@ impl<W> Sched<W> {
         loop {
             match self.queue.pop() {
                 None => return KernelStep::QueueEmpty,
-                Some(Reverse(entry)) => {
+                Some(entry) => {
                     // Limits are checked *before* counting the event, so an
                     // `EventLimitExceeded` reports exactly the configured
                     // limit rather than limit + 1.
@@ -258,7 +257,7 @@ impl<W: 'static> Sim<W> {
                     sched: Sched {
                         now: SimTime::ZERO,
                         seq: 0,
-                        queue: BinaryHeap::new(),
+                        queue: EventQueue::new(),
                         procs: Vec::new(),
                         events_processed: 0,
                     },
@@ -287,7 +286,7 @@ impl<W: 'static> Sim<W> {
                     sched: Sched {
                         now: clock.now,
                         seq: clock.seq,
-                        queue: BinaryHeap::new(),
+                        queue: EventQueue::new(),
                         procs: Vec::new(),
                         events_processed: clock.events_processed,
                     },

@@ -24,7 +24,7 @@ pub(crate) struct Entry<W> {
 }
 
 impl<W> Entry<W> {
-    fn key(&self) -> (SimTime, u64) {
+    pub(crate) fn key(&self) -> (SimTime, u64) {
         (self.time, self.seq)
     }
 }
@@ -50,8 +50,6 @@ impl<W> Ord for Entry<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
 
     fn entry(time: u64, seq: u64) -> Entry<()> {
         Entry {
@@ -62,15 +60,10 @@ mod tests {
     }
 
     #[test]
-    fn min_heap_pops_in_time_then_seq_order() {
-        let mut heap = BinaryHeap::new();
-        heap.push(Reverse(entry(20, 3)));
-        heap.push(Reverse(entry(10, 5)));
-        heap.push(Reverse(entry(10, 4)));
-        heap.push(Reverse(entry(5, 9)));
-        let order: Vec<(u64, u64)> = std::iter::from_fn(|| heap.pop())
-            .map(|Reverse(e)| (e.time.as_nanos(), e.seq))
-            .collect();
+    fn entries_order_by_time_then_seq() {
+        let mut entries = [entry(20, 3), entry(10, 5), entry(10, 4), entry(5, 9)];
+        entries.sort();
+        let order: Vec<(u64, u64)> = entries.iter().map(|e| (e.time.as_nanos(), e.seq)).collect();
         assert_eq!(order, vec![(5, 9), (10, 4), (10, 5), (20, 3)]);
     }
 }

@@ -25,7 +25,7 @@
 //! * **Uniform handoff**: the poll loop pops the next `(time, seq)` event
 //!   and either runs a closure inline or polls the target coroutine —
 //!   whether that target is the process that just yielded (self-resume) or
-//!   a peer makes no difference in cost: one heap pop plus one poll. Which
+//!   a peer makes no difference in cost: one queue pop plus one poll. Which
 //!   coroutine runs when never affects results: virtual-time order is
 //!   fixed by the `(time, seq)` queue alone.
 //! * **Termination**: [`Sim::run`] returns when every process finished, when
@@ -58,6 +58,7 @@ mod engine;
 mod error;
 mod event;
 mod process;
+mod queue;
 pub mod rng;
 pub mod stats;
 mod time;

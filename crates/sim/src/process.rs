@@ -121,7 +121,7 @@ impl<W: 'static> ProcCtx<W> {
     /// Lets `dt` of virtual time pass for this process (models compute or
     /// software overhead). Other processes and fabric events run in the
     /// meantime. Whether the next resume is this process again (self-resume)
-    /// or a peer, the cost is identical: one heap push/pop and one poll.
+    /// or a peer, the cost is identical: one queue push/pop and one poll.
     pub fn advance(&mut self, dt: SimDuration) -> impl Future<Output = ()> + '_ {
         Advance {
             proc: self,

@@ -147,3 +147,76 @@ fn lu_grows_the_largest_dynamic_pool() {
     let cg = run(Kernel::Cg);
     assert!(lu >= 2 * cg, "LU pool ({lu}) should dwarf CG's ({cg})");
 }
+
+/// Bit-exact fingerprints of every kernel, captured at the commit before
+/// the host-side loops were restructured (ISSUE 17): per kernel × class ×
+/// scheme at pre-post 1 on the paper's process counts, the reduced
+/// checksum's bits, the timed virtual span, the world's end time and its
+/// event count — the tier-1-reachable form of the `nas_w` `sim_digest`
+/// that `benchmark/` computes. A host-side optimisation must leave every
+/// row alone: a changed payload byte or `charge_flops` argument moves
+/// virtual time, a reordered floating-point sum moves the checksum.
+#[rustfmt::skip]
+const FINGERPRINTS: &[(Kernel, NasClass, FlowControlScheme, u64, u64, u64, u64)] = &[
+    (Kernel::Is, NasClass::Test, FlowControlScheme::Hardware, 0x41f000515be00000, 634793, 754651, 2754),
+    (Kernel::Is, NasClass::Test, FlowControlScheme::UserDynamic, 0x41f000515be00000, 1766176, 1889487, 3491),
+    (Kernel::Is, NasClass::W, FlowControlScheme::Hardware, 0x42400295e3800000, 50134660, 50250600, 16978),
+    (Kernel::Is, NasClass::W, FlowControlScheme::UserDynamic, 0x42400295e3800000, 49995032, 50129566, 17397),
+    (Kernel::Ft, NasClass::Test, FlowControlScheme::Hardware, 0x408138188ef4873b, 269555, 385495, 1768),
+    (Kernel::Ft, NasClass::Test, FlowControlScheme::UserDynamic, 0x408138188ef4873b, 1081460, 1258963, 2406),
+    (Kernel::Ft, NasClass::W, FlowControlScheme::Hardware, 0xc0b51b1e8817e096, 12818503, 12934443, 3632),
+    (Kernel::Ft, NasClass::W, FlowControlScheme::UserDynamic, 0xc0b51b1e8817e096, 12815503, 12992453, 3604),
+    (Kernel::Lu, NasClass::Test, FlowControlScheme::Hardware, 0x401320ded6659c6a, 878493, 1012829, 3702),
+    (Kernel::Lu, NasClass::Test, FlowControlScheme::UserDynamic, 0x401320ded6659c6a, 1884370, 2045105, 5931),
+    (Kernel::Lu, NasClass::W, FlowControlScheme::Hardware, 0x3f77ac8a24945548, 29309099, 29451208, 20993),
+    (Kernel::Lu, NasClass::W, FlowControlScheme::UserDynamic, 0x3f77ac8a24945548, 30853513, 31014248, 23944),
+    (Kernel::Cg, NasClass::Test, FlowControlScheme::Hardware, 0x4043ef63e26592f2, 1132057, 1248957, 8008),
+    (Kernel::Cg, NasClass::Test, FlowControlScheme::UserDynamic, 0x4043ef63e26592f2, 1592456, 1708396, 8821),
+    (Kernel::Cg, NasClass::W, FlowControlScheme::Hardware, 0x404368960856c596, 12424273, 12544463, 36610),
+    (Kernel::Cg, NasClass::W, FlowControlScheme::UserDynamic, 0x404368960856c596, 12755191, 12895176, 38579),
+    (Kernel::Mg, NasClass::Test, FlowControlScheme::Hardware, 0xbd04000000000000, 1554687, 1694664, 8145),
+    (Kernel::Mg, NasClass::Test, FlowControlScheme::UserDynamic, 0xbd04000000000000, 2145947, 2281120, 8505),
+    (Kernel::Mg, NasClass::W, FlowControlScheme::Hardware, 0x3ffbbb9db9963000, 32234144, 32354571, 27453),
+    (Kernel::Mg, NasClass::W, FlowControlScheme::UserDynamic, 0x3ffbbb9db9963000, 32765339, 32884156, 28059),
+    (Kernel::Bt, NasClass::Test, FlowControlScheme::Hardware, 0x40e6496c2a4830de, 695368, 882214, 4240),
+    (Kernel::Bt, NasClass::Test, FlowControlScheme::UserDynamic, 0x40e6496c2a4830de, 983818, 1300446, 5229),
+    (Kernel::Bt, NasClass::W, FlowControlScheme::Hardware, 0x41a4fbae453ee188, 22532136, 22746934, 9187),
+    (Kernel::Bt, NasClass::W, FlowControlScheme::UserDynamic, 0x41a4fbae453ee188, 22675539, 22985940, 9839),
+    (Kernel::Sp, NasClass::Test, FlowControlScheme::Hardware, 0x40c1de1213441dd0, 274151, 462543, 4264),
+    (Kernel::Sp, NasClass::Test, FlowControlScheme::UserDynamic, 0x40c1de1213441dd0, 587367, 971320, 5160),
+    (Kernel::Sp, NasClass::W, FlowControlScheme::Hardware, 0x4180c956c2d44588, 2089115, 2289520, 6973),
+    (Kernel::Sp, NasClass::W, FlowControlScheme::UserDynamic, 0x4180c956c2d44588, 2217453, 2531858, 7593),
+];
+
+#[test]
+fn kernel_fingerprints_are_pinned() {
+    for &(kernel, class, scheme, checksum, time_ns, end_ns, events) in FINGERPRINTS {
+        let out = MpiWorld::run(
+            kernel.paper_procs(),
+            MpiConfig::scheme(scheme, 1),
+            FabricParams::mt23108(),
+            async move |mpi| run_kernel(mpi, kernel, class).await,
+        )
+        .unwrap_or_else(|e| panic!("{kernel:?}/{class:?}/{scheme:?} run failed: {e}"));
+        for r in &out.results {
+            assert!(r.verified, "{kernel:?}/{class:?}/{scheme:?} not verified");
+            assert_eq!(
+                r.checksum.to_bits(),
+                checksum,
+                "{kernel:?}/{class:?}/{scheme:?}: checksum bits moved"
+            );
+        }
+        // The closing barrier releases ranks at different instants, so
+        // the timed span is rank 0's.
+        assert_eq!(
+            out.results[0].time.as_nanos(),
+            time_ns,
+            "{kernel:?}/{class:?}/{scheme:?}: timed span moved"
+        );
+        assert_eq!(
+            (out.end_time.as_nanos(), out.events),
+            (end_ns, events),
+            "{kernel:?}/{class:?}/{scheme:?}: end time or event count moved"
+        );
+    }
+}

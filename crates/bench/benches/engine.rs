@@ -1,7 +1,8 @@
 //! Engine throughput bench: raw event-loop rates plus the battery wall.
 //!
 //! Seven measurements recorded in `bench_results/BENCH_engine.json`, and
-//! two deep-queue rates that are printed and floored but not recorded:
+//! two deep-queue rates and two NAS kernel rates that are printed and
+//! floored but not recorded:
 //!
 //! * **call events/sec** — a self-perpetuating closure-event chain drained
 //!   under a single borrow of the scheduler; the ceiling on pure event
@@ -37,6 +38,16 @@
 //!   *post-growth* drain rate, expected within 10% of `ring_poll`. The
 //!   tripwire for growth leaving a slow path behind (a residual
 //!   retired-ring scan, quadratic generation checks).
+//! * **nas_is key-iterations/sec, nas_mg cell-updates/sec** — one class-W
+//!   run each of the two kernels that were most of the battery's wall
+//!   until their host loops were restructured (DESIGN.md §9, "NAS
+//!   kernels: charged cost vs host cost"): keys bucketed per host second
+//!   (keys × ranks × iterations) and fine-grid stencil updates per host
+//!   second (n³ × fine-grid sweeps). Each has an order-of-magnitude
+//!   floor, and the pair a host-independent tripwire — IS must cost less
+//!   than [`IS_OVER_MG_LIMIT`] × MG — which a per-key division or
+//!   allocation creeping back into IS, or a per-cell modulo into MG's
+//!   neighbour, cannot pass unnoticed.
 //! * **battery wall** — the `all_experiments` workload (every figure and
 //!   table at the default class) at `IBFLOW_JOBS=1` and at jobs=N, timing
 //!   the serial hot path and the pool speedup. Simulated ranks are
@@ -54,8 +65,12 @@
 
 use ibfabric::FabricParams;
 use ibflow_bench::figures::{bandwidth_figure, fig2_latency, nas_battery};
+use ibflow_bench::nas::run_nas;
 use ibsim::{Ctx, Sim, SimConfig, SimDuration, SimTime};
 use mpib::{FlowControlScheme, MpiConfig, MpiWorld};
+use nasbench::is::IsConfig;
+use nasbench::mg::MgConfig;
+use nasbench::{Kernel, NasClass};
 use std::time::Instant;
 
 /// World for the call-chain workload: (fired so far, chain length).
@@ -228,6 +243,48 @@ fn ring_grow_rate(msgs: u32) -> (f64, u64) {
     windowed_ring_rate(cfg, msgs)
 }
 
+/// Host seconds of one class-W run of `kernel` on the paper's process
+/// count, static scheme at pre-post 100 (median of three).
+fn kernel_wall_s(kernel: Kernel) -> f64 {
+    median3(|| {
+        let t0 = Instant::now();
+        let run = run_nas(kernel, NasClass::W, FlowControlScheme::UserStatic, 100);
+        assert!(run.verified, "{kernel:?} must verify");
+        t0.elapsed().as_secs_f64()
+    })
+}
+
+/// Host walls of class-W IS and MG, and the rates they amount to: keys
+/// bucketed per second over all ranks and iterations, and fine-grid cell
+/// updates per second (per V-cycle two smooths, the residual that is
+/// restricted, the closing smooth and the norm's residual; one residual
+/// before the cycles and one after).
+struct KernelRates {
+    is_wall_s: f64,
+    mg_wall_s: f64,
+    is_keys_per_s: f64,
+    mg_cells_per_s: f64,
+}
+
+fn kernel_rates() -> KernelRates {
+    let is = IsConfig::for_class(NasClass::W);
+    let mg = MgConfig::for_class(NasClass::W);
+    let keys = (is.keys_per_rank * Kernel::Is.paper_procs() * is.iters) as f64;
+    let cells = (mg.n * mg.n * mg.n * (5 * mg.cycles + 2)) as f64;
+    let (is_wall_s, mg_wall_s) = (kernel_wall_s(Kernel::Is), kernel_wall_s(Kernel::Mg));
+    KernelRates {
+        is_wall_s,
+        mg_wall_s,
+        is_keys_per_s: keys / is_wall_s,
+        mg_cells_per_s: cells / mg_wall_s,
+    }
+}
+
+/// IS may cost at most this many times MG. Measured 1.5-1.7 with both
+/// kernels restructured; the old IS loops against the new MG read above
+/// 5, the new IS against the old MG below 0.6.
+const IS_OVER_MG_LIMIT: f64 = 3.0;
+
 /// The `all_experiments` workload (results discarded); returns wall ns.
 fn battery_wall_ns(class: nasbench::NasClass) -> u64 {
     let t0 = Instant::now();
@@ -286,6 +343,17 @@ fn main() {
         println!("test engine/deep_queue_scattered ({deep_scattered:.0} events/sec) ... ok");
         println!("test engine/ring_poll ({ring:.0} events/sec) ... ok");
         println!("test engine/ring_grow ({grow:.0} events/sec, {generations} generations) ... ok");
+        let nas = kernel_rates();
+        println!(
+            "test engine/nas_is ({:.0} key-iterations/sec, {:.1} ms) ... ok",
+            nas.is_keys_per_s,
+            nas.is_wall_s * 1e3
+        );
+        println!(
+            "test engine/nas_mg ({:.0} cell-updates/sec, {:.1} ms) ... ok",
+            nas.mg_cells_per_s,
+            nas.mg_wall_s * 1e3
+        );
         assert!(
             call > 1_000_000.0,
             "call-event dispatch regressed: {call:.0} events/sec"
@@ -344,6 +412,25 @@ fn main() {
             "post-growth polling ({grow:.0}/s) fell to less than half the static \
              ring's rate ({ring:.0}/s); growth left a slow path behind"
         );
+        assert!(
+            nas.is_keys_per_s > 20_000_000.0,
+            "class-W IS regressed: {:.0} key-iterations/sec",
+            nas.is_keys_per_s
+        );
+        assert!(
+            nas.mg_cells_per_s > 20_000_000.0,
+            "class-W MG regressed: {:.0} cell-updates/sec",
+            nas.mg_cells_per_s
+        );
+        // The absolute floors leave a slow host an order of magnitude;
+        // the ratio holds on any host.
+        assert!(
+            nas.is_wall_s < nas.mg_wall_s * IS_OVER_MG_LIMIT,
+            "class-W IS ({:.1} ms) costs more than {IS_OVER_MG_LIMIT} x MG ({:.1} ms); did a \
+             per-key division, allocation or decode grow back into is.rs?",
+            nas.is_wall_s * 1e3,
+            nas.mg_wall_s * 1e3
+        );
         return;
     }
 
@@ -379,6 +466,18 @@ fn main() {
             grow_ratio * 100.0
         );
     }
+
+    let nas = kernel_rates();
+    println!(
+        "nas_is key-iterations/sec: {:>13.0}  ({:.1} ms per class-W run)",
+        nas.is_keys_per_s,
+        nas.is_wall_s * 1e3
+    );
+    println!(
+        "nas_mg cell-updates/sec:   {:>13.0}  ({:.1} ms per class-W run)",
+        nas.mg_cells_per_s,
+        nas.mg_wall_s * 1e3
+    );
 
     let class = ibflow_bench::nas_class_from_env();
     let jobs_n = ibpool::worker_count().max(4);

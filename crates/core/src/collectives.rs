@@ -7,7 +7,7 @@
 
 use crate::comm::Comm;
 use crate::rank::MpiRank;
-use crate::scalar::{decode_slice, encode_slice, ReduceOp, Scalar};
+use crate::scalar::{decode_extend, decode_slice, encode_slice, ReduceOp, Scalar};
 use crate::types::Tag;
 
 /// Collective calls reserve the tag space above this bit.
@@ -193,8 +193,8 @@ pub async fn allreduce_scalars<T: Scalar>(
 pub async fn allgather_scalars<T: Scalar>(mpi: &mut MpiRank, comm: &Comm, mine: &[T]) -> Vec<T> {
     let chunks = allgather_bytes(mpi, comm, &encode_slice(mine)).await;
     let mut out = Vec::with_capacity(mine.len() * comm.size());
-    for c in chunks {
-        out.extend(decode_slice::<T>(&c));
+    for c in &chunks {
+        decode_extend(c, &mut out);
     }
     out
 }
@@ -300,8 +300,8 @@ pub async fn alltoall_scalars<T: Scalar>(mpi: &mut MpiRank, comm: &Comm, data: &
         .collect();
     let got = alltoallv_bytes(mpi, comm, &chunks).await;
     let mut out = Vec::with_capacity(data.len());
-    for c in got {
-        out.extend(decode_slice::<T>(&c));
+    for c in &got {
+        decode_extend(c, &mut out);
     }
     out
 }

@@ -92,7 +92,7 @@ pub use config::{CreditMsgMode, FlowControlScheme, GrowthPolicy, MpiConfig};
 pub use fault::FabricFault;
 pub use rank::MpiRank;
 pub use requests::ReqId;
-pub use scalar::{decode_into, decode_slice, encode_slice, ReduceOp, Scalar};
+pub use scalar::{decode_extend, decode_into, decode_slice, encode_slice, ReduceOp, Scalar};
 pub use stats::{ConnStats, RankStats, WorldStats};
 pub use types::{Rank, Status, Tag};
 pub use wire::{MsgHeader, MsgKind, WireError, HEADER_LEN};

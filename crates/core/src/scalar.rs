@@ -4,8 +4,10 @@
 pub trait Scalar: Copy + PartialEq + std::fmt::Debug + Send + 'static {
     /// Width on the wire, in bytes.
     const BYTES: usize;
-    /// Writes the little-endian encoding into `out[..Self::BYTES]`.
-    fn write_le(&self, out: &mut [u8]);
+    /// The little-endian encoding: an array of [`Scalar::BYTES`] bytes.
+    type Le: IntoIterator<Item = u8>;
+    /// Encodes the value.
+    fn to_le(self) -> Self::Le;
     /// Reads a value from `b[..Self::BYTES]`.
     fn read_le(b: &[u8]) -> Self;
     /// Additive identity.
@@ -31,9 +33,10 @@ macro_rules! impl_scalar {
     ($($t:ty),*) => {$(
         impl Scalar for $t {
             const BYTES: usize = std::mem::size_of::<$t>();
+            type Le = [u8; std::mem::size_of::<$t>()];
             #[inline]
-            fn write_le(&self, out: &mut [u8]) {
-                out[..Self::BYTES].copy_from_slice(&self.to_le_bytes());
+            fn to_le(self) -> Self::Le {
+                self.to_le_bytes()
             }
             #[inline]
             fn read_le(b: &[u8]) -> Self {
@@ -62,10 +65,9 @@ impl_scalar!(f64, f32, u64, i64, u32, i32, u16, u8);
 
 /// Encodes a slice of scalars to bytes.
 pub fn encode_slice<T: Scalar>(xs: &[T]) -> Vec<u8> {
-    let mut out = vec![0u8; xs.len() * T::BYTES];
-    for (x, chunk) in xs.iter().zip(out.chunks_exact_mut(T::BYTES)) {
-        x.write_le(chunk);
-    }
+    // Appends into reserved capacity: nothing is zero-filled first.
+    let mut out = Vec::with_capacity(xs.len() * T::BYTES);
+    out.extend(xs.iter().flat_map(|x| x.to_le()));
     out
 }
 
@@ -74,12 +76,23 @@ pub fn encode_slice<T: Scalar>(xs: &[T]) -> Vec<u8> {
 /// # Panics
 /// Panics if `bytes` is not a whole number of elements.
 pub fn decode_slice<T: Scalar>(bytes: &[u8]) -> Vec<T> {
+    let mut out = Vec::new();
+    decode_extend(bytes, &mut out);
+    out
+}
+
+/// Decodes bytes onto the end of `out` — for gathering several chunks
+/// into one vector reserved up front, without a vector per chunk.
+///
+/// # Panics
+/// Panics if `bytes` is not a whole number of elements.
+pub fn decode_extend<T: Scalar>(bytes: &[u8], out: &mut Vec<T>) {
     assert_eq!(
         bytes.len() % T::BYTES,
         0,
         "byte length not a multiple of element size"
     );
-    bytes.chunks_exact(T::BYTES).map(T::read_le).collect()
+    out.extend(bytes.chunks_exact(T::BYTES).map(T::read_le));
 }
 
 /// Decodes bytes into an existing slice (lengths must match exactly).
@@ -113,6 +126,15 @@ mod tests {
             decode_slice::<u64>(&encode_slice(&[u64::MAX])),
             vec![u64::MAX]
         );
+    }
+
+    #[test]
+    fn decode_extend_appends() {
+        let mut out = vec![7u32];
+        decode_extend(&encode_slice(&[1u32, 2]), &mut out);
+        decode_extend(&[], &mut out);
+        decode_extend(&encode_slice(&[3u32]), &mut out);
+        assert_eq!(out, [7, 1, 2, 3]);
     }
 
     #[test]

@@ -16,7 +16,7 @@ use ibsim::codec::{Reader, Writer};
 use ibsim::rng::det_rng;
 use ibsim::SimDuration;
 use mpib::collectives::{allgather_bytes, allreduce_scalars, barrier};
-use mpib::{decode_slice, encode_slice, CkptStart, Comm, MpiRank, ReduceOp};
+use mpib::{decode_extend, encode_slice, CkptStart, Comm, MpiRank, ReduceOp};
 
 /// Problem shape for one class.
 #[derive(Clone, Copy, Debug)]
@@ -110,7 +110,7 @@ async fn gather_full(mpi: &mut MpiRank, world: &Comm, mine: &[f64], n: usize) ->
     let chunks = allgather_bytes(mpi, world, &encode_slice(mine)).await;
     let mut full = Vec::with_capacity(n);
     for c in &chunks {
-        full.extend(decode_slice::<f64>(c));
+        decode_extend(c, &mut full);
     }
     debug_assert_eq!(full.len(), n);
     full

@@ -16,56 +16,88 @@ use mpib::{decode_slice, encode_slice, Comm, MpiRank};
 pub mod fft {
     //! Minimal iterative radix-2 complex FFT.
 
+    /// A transform of one length and direction: the twiddle step
+    /// `(cos, sin)` of `±2π / len` for every stage `len = 2, 4, .., n`.
+    ///
+    /// The steps depend on nothing but the length and the direction, so a
+    /// kernel that transforms thousands of lines of three lengths builds
+    /// six plans per run instead of calling `cos` and `sin` once per stage
+    /// per line; the values, and so every output bit, are the same.
+    pub struct Plan {
+        n: usize,
+        inverse: bool,
+        steps: Vec<(f64, f64)>,
+    }
+
+    impl Plan {
+        /// Plan for lines of length `n`, a power of two; forward
+        /// (`inverse = false`) or inverse.
+        pub fn new(n: usize, inverse: bool) -> Plan {
+            assert!(n.is_power_of_two(), "FFT length must be a power of two");
+            let sign = if inverse { 1.0 } else { -1.0 };
+            let steps = (1..=n.trailing_zeros())
+                .map(|stage| {
+                    let ang = sign * 2.0 * std::f64::consts::PI / (1usize << stage) as f64;
+                    (ang.cos(), ang.sin())
+                })
+                .collect();
+            Plan { n, inverse, steps }
+        }
+
+        /// Transforms `re/im` in place. The inverse includes the 1/n
+        /// scaling.
+        pub fn run(&self, re: &mut [f64], im: &mut [f64]) {
+            let n = self.n;
+            assert_eq!(n, re.len());
+            assert_eq!(n, im.len());
+            if n <= 1 {
+                return;
+            }
+            // Bit-reversal permutation.
+            let bits = n.trailing_zeros();
+            for i in 0..n {
+                let j = i.reverse_bits() >> (usize::BITS - bits);
+                if j > i {
+                    re.swap(i, j);
+                    im.swap(i, j);
+                }
+            }
+            let mut len = 2;
+            for &(wr, wi) in &self.steps {
+                let mut i = 0;
+                while i < n {
+                    let (mut cr, mut ci) = (1.0f64, 0.0f64);
+                    for j in 0..len / 2 {
+                        let a = i + j;
+                        let b = i + j + len / 2;
+                        let tr = re[b] * cr - im[b] * ci;
+                        let ti = re[b] * ci + im[b] * cr;
+                        re[b] = re[a] - tr;
+                        im[b] = im[a] - ti;
+                        re[a] += tr;
+                        im[a] += ti;
+                        let ncr = cr * wr - ci * wi;
+                        ci = cr * wi + ci * wr;
+                        cr = ncr;
+                    }
+                    i += len;
+                }
+                len <<= 1;
+            }
+            if self.inverse {
+                let s = 1.0 / n as f64;
+                for v in re.iter_mut().chain(im.iter_mut()) {
+                    *v *= s;
+                }
+            }
+        }
+    }
+
     /// In-place forward (`inverse = false`) or inverse (`true`) transform
     /// of `re/im` (lengths must be equal powers of two). The inverse
-    /// includes the 1/n scaling.
+    /// includes the 1/n scaling. One-off form of [`Plan`].
     pub fn fft_inplace(re: &mut [f64], im: &mut [f64], inverse: bool) {
-        let n = re.len();
-        assert_eq!(n, im.len());
-        assert!(n.is_power_of_two(), "FFT length must be a power of two");
-        if n <= 1 {
-            return;
-        }
-        // Bit-reversal permutation.
-        let bits = n.trailing_zeros();
-        for i in 0..n {
-            let j = i.reverse_bits() >> (usize::BITS - bits);
-            if j > i {
-                re.swap(i, j);
-                im.swap(i, j);
-            }
-        }
-        let sign = if inverse { 1.0 } else { -1.0 };
-        let mut len = 2;
-        while len <= n {
-            let ang = sign * 2.0 * std::f64::consts::PI / len as f64;
-            let (wr, wi) = (ang.cos(), ang.sin());
-            let mut i = 0;
-            while i < n {
-                let (mut cr, mut ci) = (1.0f64, 0.0f64);
-                for j in 0..len / 2 {
-                    let a = i + j;
-                    let b = i + j + len / 2;
-                    let tr = re[b] * cr - im[b] * ci;
-                    let ti = re[b] * ci + im[b] * cr;
-                    re[b] = re[a] - tr;
-                    im[b] = im[a] - ti;
-                    re[a] += tr;
-                    im[a] += ti;
-                    let ncr = cr * wr - ci * wi;
-                    ci = cr * wi + ci * wr;
-                    cr = ncr;
-                }
-                i += len;
-            }
-            len <<= 1;
-        }
-        if inverse {
-            let s = 1.0 / n as f64;
-            for v in re.iter_mut().chain(im.iter_mut()) {
-                *v *= s;
-            }
-        }
+        Plan::new(re.len(), inverse).run(re, im);
     }
 
     #[cfg(test)]
@@ -84,6 +116,73 @@ pub mod fft {
                 }
             }
             (or, oi)
+        }
+
+        /// The transform as first written: `cos` and `sin` of every
+        /// stage's angle taken on every call.
+        fn fft_per_call(re: &mut [f64], im: &mut [f64], inverse: bool) {
+            let n = re.len();
+            let bits = n.trailing_zeros();
+            for i in 0..n {
+                let j = i.reverse_bits() >> (usize::BITS - bits);
+                if j > i {
+                    re.swap(i, j);
+                    im.swap(i, j);
+                }
+            }
+            let sign = if inverse { 1.0 } else { -1.0 };
+            let mut len = 2;
+            while len <= n {
+                let ang = sign * 2.0 * std::f64::consts::PI / len as f64;
+                let (wr, wi) = (ang.cos(), ang.sin());
+                let mut i = 0;
+                while i < n {
+                    let (mut cr, mut ci) = (1.0f64, 0.0f64);
+                    for j in 0..len / 2 {
+                        let a = i + j;
+                        let b = i + j + len / 2;
+                        let tr = re[b] * cr - im[b] * ci;
+                        let ti = re[b] * ci + im[b] * cr;
+                        re[b] = re[a] - tr;
+                        im[b] = im[a] - ti;
+                        re[a] += tr;
+                        im[a] += ti;
+                        let ncr = cr * wr - ci * wi;
+                        ci = cr * wi + ci * wr;
+                        cr = ncr;
+                    }
+                    i += len;
+                }
+                len <<= 1;
+            }
+            if inverse {
+                let s = 1.0 / n as f64;
+                for v in re.iter_mut().chain(im.iter_mut()) {
+                    *v *= s;
+                }
+            }
+        }
+
+        #[test]
+        fn a_reused_plan_gives_the_per_call_bits() {
+            for n in [2usize, 8, 32, 64, 128] {
+                for inverse in [false, true] {
+                    let plan = Plan::new(n, inverse);
+                    for line in 0..3 {
+                        let re: Vec<f64> =
+                            (0..n).map(|i| ((i + line) as f64 * 0.7).sin()).collect();
+                        let im: Vec<f64> =
+                            (0..n).map(|i| ((i * line) as f64 * 1.3).cos()).collect();
+                        let (mut pr, mut pi) = (re.clone(), im.clone());
+                        plan.run(&mut pr, &mut pi);
+                        let (mut rr, mut ri) = (re, im);
+                        fft_per_call(&mut rr, &mut ri, inverse);
+                        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(bits(&pr), bits(&rr), "re, n={n} inverse={inverse}");
+                        assert_eq!(bits(&pi), bits(&ri), "im, n={n} inverse={inverse}");
+                    }
+                }
+            }
         }
 
         #[test]
@@ -280,12 +379,29 @@ async fn transpose_x_to_z(
     out
 }
 
+/// The line transforms of one direction, one per grid extent.
+struct Plans {
+    x: fft::Plan,
+    y: fft::Plan,
+    z: fft::Plan,
+}
+
+impl Plans {
+    fn new(cfg: &FtConfig, inverse: bool) -> Plans {
+        Plans {
+            x: fft::Plan::new(cfg.nx, inverse),
+            y: fft::Plan::new(cfg.ny, inverse),
+            z: fft::Plan::new(cfg.nz, inverse),
+        }
+    }
+}
+
 /// FFT over every x-line and y-line of a z-slab field.
-async fn fft_xy(mpi: &mut MpiRank, s: &mut Slab, nx: usize, ny: usize, nz_l: usize, inverse: bool) {
+async fn fft_xy(mpi: &mut MpiRank, s: &mut Slab, nx: usize, ny: usize, nz_l: usize, plans: &Plans) {
     // x lines are contiguous.
     for zy in 0..nz_l * ny {
         let a = zy * nx;
-        fft::fft_inplace(&mut s.re[a..a + nx], &mut s.im[a..a + nx], inverse);
+        plans.x.run(&mut s.re[a..a + nx], &mut s.im[a..a + nx]);
     }
     // y lines are strided: gather/scatter through a scratch buffer.
     let mut tr = vec![0.0f64; ny];
@@ -297,7 +413,7 @@ async fn fft_xy(mpi: &mut MpiRank, s: &mut Slab, nx: usize, ny: usize, nz_l: usi
                 tr[y] = s.re[idx];
                 ti[y] = s.im[idx];
             }
-            fft::fft_inplace(&mut tr, &mut ti, inverse);
+            plans.y.run(&mut tr, &mut ti);
             for y in 0..ny {
                 let idx = (zl * ny + y) * nx + x;
                 s.re[idx] = tr[y];
@@ -310,10 +426,10 @@ async fn fft_xy(mpi: &mut MpiRank, s: &mut Slab, nx: usize, ny: usize, nz_l: usi
 }
 
 /// FFT over every z-line of an x-slab field (contiguous in that layout).
-async fn fft_z(mpi: &mut MpiRank, s: &mut Slab, nx_l: usize, ny: usize, nz: usize, inverse: bool) {
+async fn fft_z(mpi: &mut MpiRank, s: &mut Slab, nx_l: usize, ny: usize, nz: usize, plans: &Plans) {
     for xy in 0..nx_l * ny {
         let a = xy * nz;
-        fft::fft_inplace(&mut s.re[a..a + nz], &mut s.im[a..a + nz], inverse);
+        plans.z.run(&mut s.re[a..a + nz], &mut s.im[a..a + nz]);
     }
     charge_flops(mpi, 5.0 * (nx_l * ny * nz) as f64 * (nz as f64).log2()).await;
 }
@@ -345,11 +461,13 @@ pub async fn run(mpi: &mut MpiRank, class: NasClass) -> KernelOutput {
     let orig_re = u.re.clone();
     let orig_im = u.im.clone();
 
+    let (forward, inverse) = (Plans::new(&cfg, false), Plans::new(&cfg, true));
+
     let ((verified, local_ck), time) = timed(mpi, &world, async |mpi| {
         // Forward 3D FFT.
-        fft_xy(mpi, &mut u, nx, ny, nz_l, false).await;
+        fft_xy(mpi, &mut u, nx, ny, nz_l, &forward).await;
         let mut spec = transpose_z_to_x(mpi, &world, &u, nx, ny, nz_l).await;
-        fft_z(mpi, &mut spec, nx_l, ny, nz, false).await;
+        fft_z(mpi, &mut spec, nx_l, ny, nz, &forward).await;
 
         // Evolution iterations with per-iteration checksums (NPB style).
         let mut local_ck = 0.0f64;
@@ -377,9 +495,9 @@ pub async fn run(mpi: &mut MpiRank, class: NasClass) -> KernelOutput {
         }
 
         // Inverse transform: verifies the whole distributed pipeline.
-        fft_z(mpi, &mut spec, nx_l, ny, nz, true).await;
+        fft_z(mpi, &mut spec, nx_l, ny, nz, &inverse).await;
         let mut back = transpose_x_to_z(mpi, &world, &spec, nx, ny, nz).await;
-        fft_xy(mpi, &mut back, nx, ny, nz_l, true).await;
+        fft_xy(mpi, &mut back, nx, ny, nz_l, &inverse).await;
 
         // Compare against an evolution applied directly in... the damping
         // makes an exact roundtrip impossible; with tiny tau the field

@@ -67,6 +67,7 @@ impl DetRng {
     }
 
     /// Next 64 uniformly distributed bits.
+    #[inline]
     pub fn gen_u64(&mut self) -> u64 {
         let s = &mut self.s;
         let result = s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
@@ -81,6 +82,7 @@ impl DetRng {
     }
 
     /// Uniform `f64` in `[0, 1)` with 53 bits of precision.
+    #[inline]
     pub fn gen_f64(&mut self) -> f64 {
         (self.gen_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
@@ -98,7 +100,30 @@ impl DetRng {
 
     /// Uniform `u64` in `[0, n)` via Lemire's multiply-shift with rejection
     /// (unbiased). Panics if `n == 0`.
+    ///
+    /// The rejection threshold `2^64 mod n` is below `n`, so a draw whose
+    /// low word is at least `n` is accepted without knowing it: the 64-bit
+    /// remainder is paid only on the `n / 2^64` of draws that might be
+    /// rejected. Values and generator state are those of the form that
+    /// computes the threshold up front (`gen_u64_below_eager`, the test
+    /// reference).
+    #[inline]
     pub fn gen_u64_below(&mut self, n: u64) -> u64 {
+        assert!(n > 0, "gen_u64_below(0)");
+        let mut m = (self.gen_u64() as u128) * (n as u128);
+        if (m as u64) < n {
+            let threshold = n.wrapping_neg() % n;
+            while (m as u64) < threshold {
+                m = (self.gen_u64() as u128) * (n as u128);
+            }
+        }
+        (m >> 64) as u64
+    }
+
+    /// [`DetRng::gen_u64_below`] as first written: the threshold computed
+    /// on every call.
+    #[cfg(test)]
+    fn gen_u64_below_eager(&mut self, n: u64) -> u64 {
         assert!(n > 0, "gen_u64_below(0)");
         let threshold = n.wrapping_neg() % n;
         loop {
@@ -120,6 +145,7 @@ pub trait SampleRange: Sized {
 macro_rules! impl_sample_uint {
     ($($t:ty),*) => {$(
         impl SampleRange for $t {
+            #[inline]
             fn sample(rng: &mut DetRng, lo: Self, hi: Self) -> Self {
                 assert!(lo < hi, "empty range in gen_range");
                 lo + rng.gen_u64_below((hi - lo) as u64) as $t
@@ -132,6 +158,7 @@ impl_sample_uint!(u8, u16, u32, u64, usize);
 macro_rules! impl_sample_int {
     ($($t:ty),*) => {$(
         impl SampleRange for $t {
+            #[inline]
             fn sample(rng: &mut DetRng, lo: Self, hi: Self) -> Self {
                 assert!(lo < hi, "empty range in gen_range");
                 let span = (hi as i128 - lo as i128) as u64;
@@ -143,6 +170,7 @@ macro_rules! impl_sample_int {
 impl_sample_int!(i8, i16, i32, i64, isize);
 
 impl SampleRange for f64 {
+    #[inline]
     fn sample(rng: &mut DetRng, lo: Self, hi: Self) -> Self {
         assert!(lo < hi, "empty range in gen_range");
         let v = lo + rng.gen_f64() * (hi - lo);
@@ -287,6 +315,88 @@ mod tests {
         assert!((2200..2800).contains(&hits), "{hits} hits for p=0.25");
         assert!(!r.gen_bool(0.0));
         assert!(r.gen_bool(1.1));
+    }
+
+    /// A bound for `gen_u64_below` and how many draws to compare on it.
+    #[derive(Clone, Debug)]
+    struct Below {
+        seed: u64,
+        n: u64,
+        draws: usize,
+    }
+
+    impl testutil::prop::Case for Below {
+        fn generate(g: &mut testutil::prop::Gen) -> Self {
+            let n = match g.index(4) {
+                // Small bounds and powers of two never reject; bounds just
+                // above 2^63 reject almost half of all draws.
+                0 => g.u64_in(1..4),
+                1 => 1u64 << g.u32_in(0..64),
+                2 => [(1u64 << 63) + 1, u64::MAX, u64::MAX / 3 * 2][g.index(3)],
+                _ => g.u64_in(1..u64::MAX),
+            };
+            Below {
+                seed: g.u64_in(0..u64::MAX),
+                n,
+                draws: g.usize_in(1..200),
+            }
+        }
+
+        fn shrink(&self) -> Vec<Self> {
+            testutil::prop::shrink::usize_toward(self.draws, 1)
+                .into_iter()
+                .map(|draws| Below {
+                    draws,
+                    ..self.clone()
+                })
+                .collect()
+        }
+    }
+
+    #[test]
+    fn lazy_threshold_matches_eager_value_and_state() {
+        testutil::prop::check("gen_u64_below lazy == eager", 400, |c: &Below| {
+            let mut lazy = det_rng(c.seed, 3);
+            let mut eager = lazy.clone();
+            for i in 0..c.draws {
+                let (a, b) = (lazy.gen_u64_below(c.n), eager.gen_u64_below_eager(c.n));
+                assert_eq!(a, b, "draw {i} below {}", c.n);
+                assert!(a < c.n);
+                assert_eq!(lazy.state(), eager.state(), "state after draw {i}");
+            }
+        });
+    }
+
+    #[test]
+    fn lazy_threshold_rejects_what_eager_rejects() {
+        // `2^64 mod n` of every `2^64` raw words are rejected: almost half
+        // just above 2^63, a third at two thirds of the word, none for a
+        // power of two. The two forms must consume the same raw words.
+        for (n, rejects) in [
+            ((1u64 << 63) + 1, true),
+            (u64::MAX / 3 * 2, true),
+            (1 << 40, false),
+            (1, false),
+        ] {
+            let mut lazy = det_rng(9, n);
+            let mut eager = lazy.clone();
+            let mut raw = lazy.clone();
+            let mut words = 0u32;
+            for _ in 0..300 {
+                assert_eq!(lazy.gen_u64_below(n), eager.gen_u64_below_eager(n));
+                assert_eq!(lazy.state(), eager.state());
+                while raw.state() != lazy.state() {
+                    raw.gen_u64();
+                    words += 1;
+                }
+            }
+            assert_eq!(
+                words > 380,
+                rejects,
+                "{words} words for 300 draws below {n}"
+            );
+            assert!(words >= 300);
+        }
     }
 
     #[test]

@@ -3,6 +3,7 @@
 # ("Comparing") prescribes for every PR that claims a gain.
 #
 #   ci/bench_pair.sh <parent-rev> [--pairs N] [--workload W] [--seed S] [--traced]
+#                    [--rebaseline W]
 #
 # Unpacks <parent-rev> (`git archive`) into a temporary directory, then runs
 # `benchmark/run.sh --out` N times on each side (default 10, the fewest a
@@ -16,7 +17,17 @@
 # so the per-layer rows a PR cites (mpib.bootstrap_ms.*, alloc.*, ckpt.*,
 # nasbench.wall_ms.*) come from the same trees as the verdict.
 #
-# Last, two facts about the harness that can sink a PR whose code is
+# A change that is *meant* to alter what a workload's simulation produces
+# declares it: `--rebaseline W` accepts compare.sh's exit 1 on a seed when,
+# and only when, no row reads REGRESSION, the one `DIFFER` line is W's and
+# names exactly `sim_digest, counts`, and between the two sides' records of
+# W exactly one count differs and it fell (it is printed with both values:
+# for `ckpt_ladder` under a sparser snapshot format, `ckpt.snapshot_bytes`,
+# which the harness also folds into the digest). A second workload that
+# differs, a `sim_time_ms` or op count that moves, a second count, or a
+# count that rose still fails the run.
+#
+# Last, three facts about the harness that can sink a PR whose code is
 # innocent (each only for the workloads the run covers):
 #   * peak_rss_mb of `fabric_raw` and `sim_raw` over seeds 1-10, 1 s each,
 #     on both trees. `fabric_raw` has two heap-layout states, 15.4 MB and
@@ -26,6 +37,14 @@
 #     made in between split that block, and which seeds flip moves with any
 #     change to what the libraries allocate while events run. A seed whose
 #     two sides differ by more than 10% fails the run.
+#   * peak_rss_mb of `ckpt_ladder` over the same seeds in the two forms a
+#     worker is started in: as BENCHMARK.json's command starts it, and as a
+#     full run's orchestrator does, with `--out <relative path>`. While a
+#     snapshot was a dozen 1 MiB blocks of zeros, which of them were ever
+#     touched depended on the heap layout at start-up, and a longer
+#     argument list was enough to move it between 44 and 57 MB (+28%). The
+#     distinct readings per side are printed; a seed and form on which
+#     this tree reads more than 10% above the parent fails the run.
 #   * `nas_w`'s warm-up quantum. The worker repeats warm-up reps until
 #     2.5 s have passed, so `setup_s` is 0.1 s of probes plus a whole
 #     number of reps: a rep that falls from above 2.5 s to 1.75-2.4 s
@@ -51,7 +70,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 usage() {
-    sed -n '2,48s/^# \{0,1\}//p' "$0" >&2
+    sed -n '2,68s/^# \{0,1\}//p' "$0" >&2
     exit 2
 }
 
@@ -62,12 +81,14 @@ pairs=10
 workload=
 held_out_seed=2
 traced=
+rebaseline=
 while [ $# -gt 0 ]; do
     case $1 in
         --pairs) pairs=${2:?--pairs needs a number}; shift 2 ;;
         --workload) workload=${2:?--workload needs a name}; shift 2 ;;
         --seed) held_out_seed=${2:?--seed needs a number}; shift 2 ;;
         --traced) traced=1; shift ;;
+        --rebaseline) rebaseline=${2:?--rebaseline needs a workload}; shift 2 ;;
         *) usage ;;
     esac
 done
@@ -135,6 +156,36 @@ median_of() {
         END { if (NR) print (NR % 2 ? v[(NR + 1) / 2] : (v[NR / 2] + v[NR / 2 + 1]) / 2) }'
 }
 
+# "name value" for every count in the first record of workload $2 in the
+# result file $1, the record compare.sh takes the sim outputs from:
+# "counts" opens a record's block of them, one per line.
+counts_of() {
+    awk -v w="\"workload\": \"$2\"" '
+        /"counts": \{/ { n = 0; inside = 1; next }
+        inside && /\}/ { inside = 0 }
+        inside { gsub(/[",:]/, ""); name[n] = $1; value[n] = $2; n++ }
+        index($0, w) { for (i = 0; i < n; i++) print name[i], value[i]; exit }
+    ' "$1"
+}
+# True when compare.sh's exit 1 on the result files $2 (parent) and $3
+# (this tree), its output in $1, is the re-baseline `--rebaseline` declared
+# and nothing more.
+declared_rebaseline() {
+    local verdict=$1 moved
+    if grep -q REGRESSION "$verdict"; then return 1; fi
+    [ "$(grep DIFFER "$verdict" | tr -s ' ')" = "$rebaseline DIFFER: sim_digest, counts" ] || return 1
+    moved=$(awk '
+        NR == FNR { a[$1] = $2; next }
+        { b[$1] = $2 }
+        END {
+            for (k in a) if (a[k] != b[k]) print k, a[k], "->", b[k]
+            for (k in b) if (!(k in a)) print k, "absent ->", b[k]
+        }' <(counts_of "$2" "$rebaseline") <(counts_of "$3" "$rebaseline"))
+    echo "$rebaseline counts that differ (parent -> this tree):"
+    echo "${moved:-none found}"
+    [ "$(grep -c . <<<"$moved")" -eq 1 ] && awk '{ exit !($4 < $2) }' <<<"$moved"
+}
+
 status=0
 for seed in 1 "$held_out_seed"; do
     a=$work/A-seed$seed.json
@@ -155,7 +206,14 @@ for seed in 1 "$held_out_seed"; do
         run_traced "$change" "$seed" "${b%.json}-traced.json"
     fi
     echo "==> seed $seed: $a (parent $parent_rev) vs $b (this tree)"
-    benchmark/compare.sh "$a" "$b" || status=1
+    verdict=$work/compare-seed$seed.txt
+    if ! benchmark/compare.sh "$a" "$b" | tee "$verdict"; then
+        if [ -n "$rebaseline" ] && declared_rebaseline "$verdict" "$a" "$b"; then
+            echo "seed $seed: accepted as the declared re-baseline of $rebaseline"
+        else
+            status=1
+        fi
+    fi
     if [ -z "$workload" ] || [ "$workload" = nas_w ]; then
         echo "==> seed $seed: nas_w warm-up (median rep wall, median setup_s, warm-up reps implied)"
         for side in parent change; do
@@ -173,9 +231,10 @@ for seed in 1 "$held_out_seed"; do
     fi
 done
 # Prints the metric lines of a 1 s untraced run of workload $2 at seed $3
-# in the tree at $1; `metric NAME` picks one value out of them.
+# in the tree at $1 (further arguments go to the worker); `metric NAME`
+# picks one value out of them.
 one_run() {
-    (cd "$1" && benchmark/run.sh --workload "$2" --seed "$3" --seconds 1 --trace 0) 2>/dev/null
+    (cd "$1" && benchmark/run.sh --workload "$2" --seed "$3" --seconds 1 --trace 0 "${@:4}") 2>/dev/null
 }
 metric() {
     awk -v m="$1" '$1 == m { print $2 }'
@@ -195,5 +254,31 @@ for w in fabric_raw sim_raw; do
         fi
     done
 done
+if [ -z "$workload" ] || [ "$workload" = ckpt_ladder ]; then
+    echo "==> ckpt_ladder peak_rss_mb, seeds 1-10, bare command / with --out <relative path>: parent, this tree"
+    probe=benchmark/results/raw/rss-probe.json
+    mkdir -p "$parent/${probe%/*}" "$change/${probe%/*}"
+    : >"$work/rss-parent" >"$work/rss-change"
+    for seed in $(seq 1 10); do
+        for out in "" "--out $probe"; do
+            # shellcheck disable=SC2086  # $out is zero or two words
+            a=$(one_run "$parent" ckpt_ladder "$seed" $out | metric peak_rss_mb)
+            # shellcheck disable=SC2086
+            b=$(one_run "$change" ckpt_ladder "$seed" $out | metric peak_rss_mb)
+            echo "$a" >>"$work/rss-parent"
+            echo "$b" >>"$work/rss-change"
+            if awk -v a="$a" -v b="$b" 'BEGIN { exit !(b > 1.1 * a) }'; then
+                echo "seed $seed ${out:-(bare)}: $a MB, $b MB  this tree more than 10% above the parent"
+                status=1
+            else
+                echo "seed $seed ${out:-(bare)}: $a MB, $b MB"
+            fi
+        done
+    done
+    rm -f "$parent/$probe" "$change/$probe"
+    for side in parent change; do
+        echo "$side states (runs x MB): $(awk '{ printf "%.0f\n", $1 }' "$work/rss-$side" | sort -n | uniq -c | awk '{ printf "%s%d x %d", (NR > 1 ? ", " : ""), $1, $2 }')"
+    done
+fi
 echo "result files: $work"
 exit $status

@@ -148,10 +148,16 @@ fn main() {
             let seed = ibflow_bench::chaos::seed_from_env();
             let epoch = ibflow_bench::ckpt::snap_epoch_from_env();
             let runs = ibflow_bench::ckpt::ckpt_ladder(seed, epoch);
-            vec![section(
-                "Checkpoint ladder — CG snapshot / restore / replace / chaos-soak",
-                &ibflow_bench::ckpt::ckpt_table(&runs),
-            )]
+            vec![
+                section(
+                    "Checkpoint ladder — CG snapshot / restore / replace / chaos-soak",
+                    &ibflow_bench::ckpt::ckpt_table(&runs),
+                ),
+                section(
+                    "Checkpoint size vs world size — CG snapshot / resume",
+                    &ibflow_bench::ckpt::ckpt_scaling_table(&ibflow_bench::ckpt::ckpt_scaling()),
+                ),
+            ]
         })
     }));
 

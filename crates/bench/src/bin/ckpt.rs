@@ -4,9 +4,12 @@
 //! The chaos seed comes from `IBFLOW_CHAOS_SEED` (default `0xC4A055ED`)
 //! and the snapshot epoch from `IBFLOW_CKPT_EPOCH` (default `1`, the
 //! first outer CG iteration); identical knobs give byte-identical output
-//! at any `IBFLOW_JOBS` width.
+//! at any `IBFLOW_JOBS` width. Then the checkpoint-size sweep: the same
+//! body's snapshot at 4 to 64 ranks, against what the world registered.
 use ibflow_bench::chaos::seed_from_env;
-use ibflow_bench::ckpt::{ckpt_ladder, ckpt_table, snap_epoch_from_env, NPROCS};
+use ibflow_bench::ckpt::{
+    ckpt_ladder, ckpt_scaling, ckpt_scaling_table, ckpt_table, snap_epoch_from_env, NPROCS,
+};
 
 fn main() {
     let seed = seed_from_env();
@@ -25,4 +28,6 @@ fn main() {
         "\nall restores byte-identical to the uninterrupted goldens; \
          replacement ranks rejoined; all credit ledgers conserved"
     );
+    println!("\nCheckpoint size vs world size — snapshot at epoch 1, resumed\n");
+    print!("{}", ckpt_scaling_table(&ckpt_scaling()));
 }

@@ -21,6 +21,11 @@
 //! `IBFLOW_CHAOS_SEED`, and the effective `IBFLOW_CKPT_EPOCH`, so a
 //! failure under non-default knobs is reproducible from the log line
 //! alone.
+//!
+//! [`ckpt_scaling`] runs the first two legs of the same body at 4 to 64
+//! ranks and reports what the world registered, what it held resident and
+//! what its snapshot weighs: the checkpoint follows the resident curve,
+//! not the registered one.
 
 use crate::report::table;
 use crate::DYN_SCHEMES;
@@ -133,6 +138,81 @@ fn complete(
     }
 }
 
+/// The legs every ladder starts with: the uninterrupted golden, the run
+/// to the snapshot fence, the codec round trip, and the plain resume.
+struct Resumed {
+    golden: MpiRunOutput<KernelOutput>,
+    golden_digest: u64,
+    /// The snapshot as serialized, and as decoded from those bytes (what
+    /// every restore runs from).
+    snap_bytes: Vec<u8>,
+    snap: Snapshot,
+    resumed: MpiRunOutput<KernelOutput>,
+    /// Did the resumed run land on the golden byte-for-byte? (Asserted.)
+    resume_identical: bool,
+}
+
+/// Runs golden → snapshot → round trip → resume for one world.
+///
+/// # Panics
+///
+/// Panics if a leg fails to complete, the golden fails verification, or
+/// the resumed run drifts from the golden by even one byte.
+fn snapshot_and_resume(nprocs: usize, cfg: &MpiConfig, snap_epoch: u64, ctx: &str) -> Resumed {
+    let params = FabricParams::mt23108;
+    let run_to = |epoch| {
+        MpiWorld::run_with_checkpoints(
+            nprocs,
+            cfg.clone(),
+            params(),
+            Default::default(),
+            epoch,
+            body,
+        )
+    };
+    let golden = complete(run_to(None), ctx);
+    assert!(
+        golden.results.iter().all(|r| r.verified),
+        "{ctx}: golden CG failed verification"
+    );
+    let golden_digest = run_digest(&golden);
+
+    let snap = match run_to(Some(snap_epoch))
+        .unwrap_or_else(|e| panic!("{ctx}: snapshot leg failed: {e}"))
+    {
+        CkptRun::Snapshot(s) => s,
+        CkptRun::Completed(_) => panic!("{ctx}: run completed before epoch {snap_epoch}"),
+    };
+    let snap_bytes = snap.to_bytes();
+    let snap = Snapshot::from_bytes(&snap_bytes)
+        .unwrap_or_else(|e| panic!("{ctx}: snapshot bytes did not round-trip: {e}"));
+
+    let resumed = complete(
+        MpiWorld::restore(
+            &snap,
+            cfg.clone(),
+            params(),
+            Default::default(),
+            RestoreOptions::default(),
+            body,
+        ),
+        ctx,
+    );
+    let resume_identical = run_digest(&resumed) == golden_digest;
+    assert!(
+        resume_identical,
+        "{ctx}: snapshot -> restore -> resume drifted from the golden run"
+    );
+    Resumed {
+        golden,
+        golden_digest,
+        snap_bytes,
+        snap,
+        resumed,
+        resume_identical,
+    }
+}
+
 /// Runs one scheme's full ladder and asserts the robustness contract.
 ///
 /// # Panics
@@ -148,50 +228,15 @@ pub fn run_one(scheme: FlowControlScheme, seed: u64, snap_epoch: u64) -> CkptLad
     let cfg = || MpiConfig::scheme(scheme, 4);
     let params = FabricParams::mt23108;
 
-    let golden = complete(
-        MpiWorld::run_with_checkpoints(NPROCS, cfg(), params(), Default::default(), None, body),
-        &ctx,
-    );
-    assert!(
-        golden.results.iter().all(|r| r.verified),
-        "{ctx}: golden CG failed verification"
-    );
-    let golden_digest = run_digest(&golden);
-    let checksum_bits = golden.results[0].checksum.to_bits();
-
-    let snap = match MpiWorld::run_with_checkpoints(
-        NPROCS,
-        cfg(),
-        params(),
-        Default::default(),
-        Some(snap_epoch),
-        body,
-    )
-    .unwrap_or_else(|e| panic!("{ctx}: snapshot leg failed: {e}"))
-    {
-        CkptRun::Snapshot(s) => s,
-        CkptRun::Completed(_) => panic!("{ctx}: run completed before epoch {snap_epoch}"),
-    };
-    let snap_bytes = snap.to_bytes();
-    let snap = Snapshot::from_bytes(&snap_bytes)
-        .unwrap_or_else(|e| panic!("{ctx}: snapshot bytes did not round-trip: {e}"));
-
-    let resumed = complete(
-        MpiWorld::restore(
-            &snap,
-            cfg(),
-            params(),
-            Default::default(),
-            RestoreOptions::default(),
-            body,
-        ),
-        &ctx,
-    );
-    let resume_identical = run_digest(&resumed) == golden_digest;
-    assert!(
+    let Resumed {
+        golden,
+        golden_digest,
+        snap_bytes,
+        snap,
+        resumed,
         resume_identical,
-        "{ctx}: snapshot -> restore -> resume drifted from the golden run"
-    );
+    } = snapshot_and_resume(NPROCS, &cfg(), snap_epoch, &ctx);
+    let checksum_bits = golden.results[0].checksum.to_bits();
 
     let replaced = complete(
         MpiWorld::restore(
@@ -287,6 +332,96 @@ pub fn ckpt_ladder(seed: u64, snap_epoch: u64) -> Vec<CkptLadderRun> {
     ibpool::run_batch(jobs)
 }
 
+/// World sizes of the checkpoint-size sweep.
+pub const SCALING_NPROCS: [usize; 5] = [4, 8, 16, 32, 64];
+
+/// Schemes of the checkpoint-size sweep: one that receives into pre-posted
+/// slabs and one that receives into RDMA rings.
+pub const SCALING_SCHEMES: [FlowControlScheme; 2] =
+    [FlowControlScheme::Hardware, FlowControlScheme::RdmaChannel];
+
+/// One world of the checkpoint-size sweep: what it registered, what it
+/// held resident, and what its snapshot weighs.
+pub struct CkptScalingRun {
+    /// World size.
+    pub nprocs: usize,
+    /// Scheme under test.
+    pub scheme: FlowControlScheme,
+    /// Bytes registered across the golden run's fabric when it ended.
+    pub registered_bytes: usize,
+    /// Bytes that fabric held resident.
+    pub resident_bytes: usize,
+    /// Serialized snapshot size, bytes.
+    pub snapshot_bytes: usize,
+    /// Did snapshot → restore → resume land on the golden byte-for-byte?
+    pub resume_identical: bool,
+}
+
+/// Checkpoint size against world size: golden, snapshot at [`SNAP_EPOCH`],
+/// codec round trip and plain resume of the ladder's CG body at each of
+/// [`SCALING_NPROCS`] under each of [`SCALING_SCHEMES`], one [`ibpool`]
+/// job per world. Registered memory grows with N², the snapshot with what
+/// the connections carried.
+///
+/// # Panics
+///
+/// As [`run_one`], for the legs it runs.
+pub fn ckpt_scaling() -> Vec<CkptScalingRun> {
+    let jobs: Vec<ibpool::Job<'_, CkptScalingRun>> = SCALING_NPROCS
+        .into_iter()
+        .flat_map(|nprocs| SCALING_SCHEMES.map(|scheme| (nprocs, scheme)))
+        .map(|(nprocs, scheme)| {
+            let ctx = format!("ckpt_scaling/{}x{nprocs}", scheme.label());
+            ibpool::job(ctx.clone(), move || {
+                let r =
+                    snapshot_and_resume(nprocs, &MpiConfig::scheme(scheme, 4), SNAP_EPOCH, &ctx);
+                assert!(
+                    r.golden.stats.all_ledgers_conserved()
+                        && r.resumed.stats.all_ledgers_conserved(),
+                    "{ctx}: a credit ledger leaked"
+                );
+                CkptScalingRun {
+                    nprocs,
+                    scheme,
+                    registered_bytes: r.golden.fabric.registered_bytes(),
+                    resident_bytes: r.golden.fabric.resident_bytes(),
+                    snapshot_bytes: r.snap_bytes.len(),
+                    resume_identical: r.resume_identical,
+                }
+            })
+        })
+        .collect();
+    ibpool::run_batch(jobs)
+}
+
+/// Formats the size sweep as the table the `ckpt` binary prints.
+pub fn ckpt_scaling_table(runs: &[CkptScalingRun]) -> String {
+    let data: Vec<Vec<String>> = runs
+        .iter()
+        .map(|r| {
+            vec![
+                r.nprocs.to_string(),
+                r.scheme.label().to_string(),
+                r.registered_bytes.to_string(),
+                r.resident_bytes.to_string(),
+                r.snapshot_bytes.to_string(),
+                if r.resume_identical { "ok" } else { "DRIFT" }.to_string(),
+            ]
+        })
+        .collect();
+    table(
+        &[
+            "N",
+            "scheme",
+            "registered(B)",
+            "resident(B)",
+            "snap(B)",
+            "resume",
+        ],
+        &data,
+    )
+}
+
 /// Formats the ladder as the table the `ckpt` binary prints.
 pub fn ckpt_table(runs: &[CkptLadderRun]) -> String {
     let data: Vec<Vec<String>> = runs
@@ -319,9 +454,9 @@ pub fn ckpt_table(runs: &[CkptLadderRun]) -> String {
     )
 }
 
-/// Renders the ladder as stable JSON for the golden snapshot: fixed
-/// field order, fixed float precision, hex digests.
-pub fn ckpt_json(runs: &[CkptLadderRun]) -> String {
+/// Renders the ladder and the size sweep as stable JSON for the golden
+/// snapshot: fixed field order, fixed float precision, hex digests.
+pub fn ckpt_json(runs: &[CkptLadderRun], scaling: &[CkptScalingRun]) -> String {
     let mut out = String::from("{\n  \"ckpt_ladder\": [\n");
     for (i, r) in runs.iter().enumerate() {
         out.push_str(&format!(
@@ -343,6 +478,20 @@ pub fn ckpt_json(runs: &[CkptLadderRun]) -> String {
             r.chaos_injected,
             if r.ledger_ok { "ok" } else { "LEAK" },
             if i + 1 < runs.len() { "," } else { "" }
+        ));
+    }
+    out.push_str("  ],\n  \"ckpt_scaling\": [\n");
+    for (i, r) in scaling.iter().enumerate() {
+        out.push_str(&format!(
+            "    {{\"nprocs\": {}, \"scheme\": \"{}\", \"registered_bytes\": {}, \
+             \"resident_bytes\": {}, \"snapshot_bytes\": {}, \"resume\": \"{}\"}}{}\n",
+            r.nprocs,
+            r.scheme.label(),
+            r.registered_bytes,
+            r.resident_bytes,
+            r.snapshot_bytes,
+            if r.resume_identical { "ok" } else { "DRIFT" },
+            if i + 1 < scaling.len() { "," } else { "" }
         ));
     }
     out.push_str("  ]\n}\n");

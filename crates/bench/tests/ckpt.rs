@@ -14,7 +14,7 @@
 //! and commit the diff alongside the change that explains it.
 
 use ibflow_bench::chaos::DEFAULT_SEED;
-use ibflow_bench::ckpt::{ckpt_json, ckpt_ladder, SNAP_EPOCH};
+use ibflow_bench::ckpt::{ckpt_json, ckpt_ladder, ckpt_scaling, SNAP_EPOCH};
 use std::path::PathBuf;
 
 fn golden_path() -> PathBuf {
@@ -27,10 +27,12 @@ fn golden_path() -> PathBuf {
 fn ckpt_ladder_is_deterministic_and_matches_golden() {
     std::env::set_var(ibpool::JOBS_ENV, "1");
     let runs = ckpt_ladder(DEFAULT_SEED, SNAP_EPOCH);
-    let serial = ckpt_json(&runs);
+    let scaling = ckpt_scaling();
+    let serial = ckpt_json(&runs, &scaling);
     std::env::set_var(ibpool::JOBS_ENV, "4");
-    let parallel = ckpt_json(&ckpt_ladder(DEFAULT_SEED, SNAP_EPOCH));
-    let parallel_again = ckpt_json(&ckpt_ladder(DEFAULT_SEED, SNAP_EPOCH));
+    let both = || ckpt_json(&ckpt_ladder(DEFAULT_SEED, SNAP_EPOCH), &ckpt_scaling());
+    let parallel = both();
+    let parallel_again = both();
     std::env::remove_var(ibpool::JOBS_ENV);
 
     assert_eq!(
@@ -53,6 +55,24 @@ fn ckpt_ladder_is_deterministic_and_matches_golden() {
         runs.iter().all(|r| r.snapshot_bytes > 0),
         "an empty snapshot serialized"
     );
+    // The size sweep: every world resumed, and a snapshot is the bytes the
+    // world held resident plus a bounded record per connection — it does
+    // not follow registered memory, which any dense encoding would exceed.
+    assert_eq!(scaling.len(), 10, "five world sizes under two schemes");
+    for r in &scaling {
+        assert!(r.resume_identical, "{}x{}", r.scheme.label(), r.nprocs);
+        let connections = r.nprocs * (r.nprocs - 1);
+        assert!(
+            r.snapshot_bytes < r.resident_bytes + 4096 * connections
+                && r.snapshot_bytes < r.registered_bytes / 32,
+            "{}x{}: {} snapshot bytes, {} resident, {} registered",
+            r.scheme.label(),
+            r.nprocs,
+            r.snapshot_bytes,
+            r.resident_bytes,
+            r.registered_bytes
+        );
+    }
     // The chaos leg must actually exercise recovery on top of the
     // restored state — a quiet soak would mean the plan stopped firing.
     assert!(

@@ -85,7 +85,7 @@ pub const CKPT_FENCE_NOTE: &str = "checkpoint fence";
 
 /// Snapshot container format: magic, version, and section tags.
 const SNAPSHOT_MAGIC: u32 = 0x4942_434B; // "IBCK"
-const SNAPSHOT_VERSION: u32 = 1;
+const SNAPSHOT_VERSION: u32 = 2;
 const TAG_SNAP_META: u32 = 0xCB01;
 const TAG_SNAP_FABRIC: u32 = 0xCB02;
 const TAG_SNAP_RANKS: u32 = 0xCB03;
@@ -218,7 +218,7 @@ impl Snapshot {
         let fabric_image = fs.bytes("snapshot fabric image")?;
         fs.done("snapshot fabric")?;
         let mut rs = r.section(TAG_SNAP_RANKS, "snapshot ranks")?;
-        let n = rs.usize("snapshot rank count")?;
+        let n = rs.count("snapshot rank count", 8)?;
         if n != nprocs {
             return Err(CodecError::Overflow {
                 context: "snapshot rank count",
@@ -639,7 +639,7 @@ fn mr_id(raw: u32, n_mrs: usize, context: &'static str) -> Result<MrId, CodecErr
         Err(CodecError::Overflow {
             context,
             value: u64::from(raw),
-            max: n_mrs as u64 - 1,
+            max: (n_mrs as u64).saturating_sub(1),
         })
     }
 }
@@ -653,7 +653,7 @@ fn decode_conn(
     let established = r.bool("conn.established")?;
     credits.held = r.u32("conn.credits.held")?;
     let send_seq = r.u32("conn.send_seq")?;
-    let n_free = r.usize("conn.slab_free.count")?;
+    let n_free = r.count("conn.slab_free.count", 4)?;
     let mut slab_free = Vec::with_capacity(n_free);
     for _ in 0..n_free {
         let s = r.u32("conn.slab_free.slot")?;
@@ -661,7 +661,7 @@ fn decode_conn(
             return Err(CodecError::Overflow {
                 context: "conn.slab_free.slot",
                 value: u64::from(s),
-                max: u64::from(max_prepost) - 1,
+                max: u64::from(max_prepost).saturating_sub(1),
             });
         }
         slab_free.push(s);
@@ -693,7 +693,7 @@ fn decode_conn(
         });
     }
     let next_deliver_seq = r.u32("conn.next_deliver_seq")?;
-    let n_reorder = r.usize("conn.reorder.count")?;
+    let n_reorder = r.count("conn.reorder.count", 4 + 8 + 8)?;
     let mut reorder = Vec::with_capacity(n_reorder);
     for _ in 0..n_reorder {
         let seq = r.u32("conn.reorder.seq")?;
@@ -715,7 +715,7 @@ fn decode_conn(
     let peer_ring_gen = r.u32("conn.peer_ring_gen")?;
     let peer_ring_slots = r.u32("conn.peer_ring_slots")?;
     let peer_acked_gen = r.u32("conn.peer_acked_gen")?;
-    let n_retired = r.usize("conn.retired.count")?;
+    let n_retired = r.count("conn.retired.count", 4 * 4)?;
     let mut retired_rings = Vec::with_capacity(n_retired);
     for _ in 0..n_retired {
         let gen = r.u32("conn.retired.gen")?;
@@ -867,7 +867,7 @@ fn decode_rank_blob(
     }
     let ckpt_epoch = rs.u64("rank blob epoch")?;
     let next_ctx = rs.u16("rank blob next_ctx")?;
-    let n_coll = rs.usize("rank blob coll_seq.count")?;
+    let n_coll = rs.count("rank blob coll_seq.count", 2 + 4)?;
     let mut coll_seq = Vec::with_capacity(n_coll);
     for _ in 0..n_coll {
         let c = rs.u16("rank blob coll_seq.ctx")?;
@@ -876,7 +876,7 @@ fn decode_rank_blob(
     }
     let rdma_seen = rs.u64("rank blob rdma_seen")?;
     let ring_residual = rs.bool("rank blob ring_residual")?;
-    let n_watch = rs.usize("rank blob rdma_watch.count")?;
+    let n_watch = rs.count("rank blob rdma_watch.count", 8)?;
     let mut rdma_watch = Vec::with_capacity(n_watch);
     for _ in 0..n_watch {
         let p = rs.usize("rank blob rdma_watch.peer")?;
@@ -890,7 +890,7 @@ fn decode_rank_blob(
         rdma_watch.push(p);
     }
     let req_slots = rs.u32("rank blob req.slots")?;
-    let n_req_free = rs.usize("rank blob req.free.count")?;
+    let n_req_free = rs.count("rank blob req.free.count", 4)?;
     if n_req_free != req_slots as usize {
         // A fenced table has zero live requests, so every slot is free.
         return Err(CodecError::Overflow {
@@ -914,7 +914,7 @@ fn decode_rank_blob(
     rs.done("rank blob")?;
 
     let mut us = r.section(TAG_UNEXPECTED, "rank blob unexpected")?;
-    let n_unexp = us.usize("unexpected.count")?;
+    let n_unexp = us.count("unexpected.count", 8 + 4 + 2 + 8)?;
     let mut unexpected = Vec::with_capacity(n_unexp);
     for _ in 0..n_unexp {
         let src = us.usize("unexpected.src")?;
@@ -1302,15 +1302,20 @@ mod tests {
                 ..
             }
         ));
-        let mut bytes = sample().to_bytes();
-        bytes[4] = 99; // future format version
-        assert!(matches!(
-            Snapshot::from_bytes(&bytes).unwrap_err(),
-            CodecError::BadTag {
-                context: "snapshot version",
-                ..
-            }
-        ));
+        // One format: a future version and the dense v1 this one replaced
+        // are both refused by number, never misread.
+        for version in [99, 1] {
+            let mut bytes = sample().to_bytes();
+            bytes[4] = version;
+            assert!(matches!(
+                Snapshot::from_bytes(&bytes).unwrap_err(),
+                CodecError::BadTag {
+                    context: "snapshot version",
+                    want: 2,
+                    ..
+                }
+            ));
+        }
     }
 
     #[test]
@@ -1339,6 +1344,81 @@ mod tests {
         // conservation panic at finalize.
         c.ring.held += 1;
         assert!(matches!(image(&c), Err(CodecError::BadTag { .. })));
+    }
+
+    /// Every eight-byte window of a real rank blob overwritten with a
+    /// count no input could back: the decoder returns, having sized
+    /// nothing by it — `Ok` where the window was a plain number, a typed
+    /// error elsewhere. (Sizing `with_capacity` by such a count aborts the
+    /// process.)
+    #[test]
+    fn hostile_counts_are_refused_before_anything_is_sized() {
+        let cfg = MpiConfig::scheme(crate::FlowControlScheme::RdmaChannelDyn, 4);
+        let snap = MpiWorld::run_with_checkpoints(
+            2,
+            cfg.clone(),
+            FabricParams::mt23108(),
+            SimConfig::default(),
+            Some(1),
+            async |mpi: &mut MpiRank, _start: CkptStart| {
+                let peer = 1 - mpi.rank();
+                let req = mpi.isend(b"before the fence", peer, 1);
+                mpi.recv(Some(peer), Some(1)).await;
+                mpi.wait(req).await;
+                mpi.checkpoint(b"app").await;
+            },
+        )
+        .expect("snapshot run")
+        .into_snapshot();
+        let mut fabric = Fabric::new(FabricParams::mt23108());
+        ibfabric::restore_fabric(&mut fabric, &mut Reader::new(&snap.fabric_image)).unwrap();
+        let (node, n_mrs) = (fabric.node_by_index(0), fabric.mr_count());
+        let blob = &snap.rank_blobs[0];
+        decode_rank_blob(blob, 0, 2, node, &cfg, n_mrs).expect("the honest blob decodes");
+
+        for claim in [1u64 << 40, u64::MAX] {
+            for at in 0..blob.len() - 8 {
+                let mut bad = blob.clone();
+                bad[at..at + 8].copy_from_slice(&claim.to_le_bytes());
+                let _ = decode_rank_blob(&bad, 0, 2, node, &cfg, n_mrs);
+            }
+        }
+        // By name: the first count of the blob (`coll_seq`, after the
+        // version, the section frame, rank, size, epoch and `next_ctx`) and
+        // of a connection record (`slab_free`, after `established`,
+        // `credits.held` and `send_seq`).
+        let mut bad = blob.clone();
+        bad[4 + 12 + 3 * 8 + 2..][..8].copy_from_slice(&(1u64 << 40).to_le_bytes());
+        let err = decode_rank_blob(&bad, 0, 2, node, &cfg, n_mrs)
+            .err()
+            .expect("refused");
+        assert!(
+            matches!(
+                err,
+                CodecError::Truncated {
+                    context: "rank blob coll_seq.count",
+                    ..
+                }
+            ),
+            "{err}"
+        );
+        let mut w = Writer::new();
+        encode_conn(&world::make_conn(2, &cfg, 0, 1), &mut w);
+        let mut bad = w.finish();
+        bad[1 + 4 + 4..][..8].copy_from_slice(&(1u64 << 40).to_le_bytes());
+        let err = decode_conn(&mut Reader::new(&bad), cfg.max_prepost, n_mrs)
+            .err()
+            .expect("refused");
+        assert!(
+            matches!(
+                err,
+                CodecError::Truncated {
+                    context: "conn.slab_free.count",
+                    ..
+                }
+            ),
+            "{err}"
+        );
     }
 
     #[test]

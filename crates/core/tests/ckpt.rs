@@ -128,7 +128,17 @@ fn restore_and_resume_is_byte_identical_across_schemes() {
             let snap = snapshot_at(cfg_for(scheme), epoch);
             assert_eq!(snap.epoch, epoch);
             assert!(snap.time() > ibsim::SimTime::ZERO);
-            let snap = Snapshot::from_bytes(&snap.to_bytes()).expect("snapshot round trip");
+            let bytes = snap.to_bytes();
+            // A snapshot costs what the protocol touched (under 1% of what
+            // it registered); any dense region encoding is over 100%.
+            assert!(
+                bytes.len() < g.fabric.registered_bytes() / 32,
+                "{}: {} snapshot bytes for {} registered",
+                scheme.label(),
+                bytes.len(),
+                g.fabric.registered_bytes()
+            );
+            let snap = Snapshot::from_bytes(&bytes).expect("snapshot round trip");
             let out = MpiWorld::restore(
                 &snap,
                 cfg_for(scheme),

@@ -94,9 +94,6 @@ pub struct Mr {
     bytes: Vec<u8>,
 }
 
-/// Granule of the zero-tail scan in [`Mr::from_image`].
-const ZERO_BLOCK: [u8; 4096] = [0; 4096];
-
 impl Mr {
     /// A region of `len` registered bytes, none of them materialised.
     pub(crate) fn new(node: NodeId, access: Access, len: usize) -> Mr {
@@ -105,31 +102,6 @@ impl Mr {
             access,
             len,
             bytes: Vec::new(),
-        }
-    }
-
-    /// Rebuilds a region from its dense image (checkpoint restore): the
-    /// registered length is the image's, the prefix ends at its last
-    /// non-zero byte. The zero tail is found a block at a time — one
-    /// `memcmp` against a zero page per 4 KiB — because a byte-wise scan of
-    /// the megabytes of untouched tail costs more than the restore itself.
-    pub(crate) fn from_image(node: NodeId, access: Access, image: &[u8]) -> Mr {
-        let mut end = image.len();
-        for block in image.rchunks(ZERO_BLOCK.len()) {
-            if *block != ZERO_BLOCK[..block.len()] {
-                break;
-            }
-            end -= block.len();
-        }
-        let used = image[..end]
-            .iter()
-            .rposition(|&b| b != 0)
-            .map_or(0, |i| i + 1);
-        Mr {
-            node,
-            access,
-            len: image.len(),
-            bytes: image[..used].to_vec(),
         }
     }
 

@@ -10,6 +10,11 @@
 //! written through the checked [`ibsim::codec`] so a restored fabric is
 //! field-for-field identical to the snapshotted one.
 //!
+//! A memory region is written the way [`crate::mem::Mr`] holds it: its
+//! registered length, then the materialised prefix, cut at its last
+//! non-zero byte. An image therefore costs what the protocol touched, and
+//! equal memory is equal bytes whether a zero was stored or never written.
+//!
 //! What is *not* in the image: configuration. [`crate::FabricParams`] and
 //! the [`crate::FaultPlan`] structure (rates, flap windows) are inputs the
 //! restoring caller supplies again; the snapshot carries only the plan's
@@ -18,9 +23,9 @@
 //! *different* plan (e.g. a kill-and-replace scenario) starts that plan's
 //! own stream untouched.
 
-use crate::cq::CqId;
-use crate::fabric::Fabric;
-use crate::mem::{Access, Mr};
+use crate::cq::{Cq, CqId};
+use crate::fabric::{Fabric, VerbsError};
+use crate::mem::{Access, Mr, MrId};
 use crate::qp::{QpAttrs, QpId, QpState, QpType};
 use crate::wr::{Cqe, CqeOpcode, CqeStatus, RecvWr};
 use ibsim::codec::{CodecError, Reader, Writer};
@@ -37,6 +42,11 @@ const TAG_MRS: u32 = 0xFAB4;
 const TAG_NET: u32 = 0xFAB5;
 const TAG_FAULT: u32 = 0xFAB6;
 const TAG_STATS: u32 = 0xFAB7;
+
+/// Encoded size of one queued completion and of one posted receive WQE:
+/// what a record count in the image is held against.
+const CQE_BYTES: usize = 8 + 4 + 1 + 4 + 8;
+const RWQE_BYTES: usize = 8 + 4 + 8 + 8;
 
 /// Checkpoint coordination state shared by the MPI ranks and the engine's
 /// fence callback. Lives on the [`Fabric`] because that is the world type
@@ -322,9 +332,13 @@ pub fn encode_fabric(f: &Fabric, w: &mut Writer) {
             for mr in &f.mrs {
                 w.u32(mr.node.0);
                 w.u8(mr.access.bits());
-                // Dense on the wire (IBCK v1): the prefix, then the zero
-                // tail the host never materialised.
-                w.bytes_zero_padded(mr.resident(), mr.len());
+                w.usize(mr.len());
+                // Canonical form: the prefix ends at the last non-zero
+                // byte, so a zero that was stored and a byte that was
+                // never touched are the same image.
+                let resident = mr.resident();
+                let used = resident.iter().rposition(|&b| b != 0).map_or(0, |i| i + 1);
+                w.bytes(&resident[..used]);
             }
         });
         w.section(TAG_NET, |w| {
@@ -371,6 +385,12 @@ pub fn encode_fabric(f: &Fabric, w: &mut Writer) {
 /// the snapshotted plan's, its RNG position is restored so the fault draw
 /// stream continues seamlessly, and otherwise the installed plan's fresh
 /// stream is left untouched.
+///
+/// Every count and length of the image is held against the input that
+/// remains before anything is sized by it, and every reference from one
+/// section into another is checked, so arbitrary bytes decode to `Ok` or
+/// to a typed [`CodecError`]; after an `Err`, `f` is partly built and must
+/// be discarded.
 pub fn restore_fabric(f: &mut Fabric, r: &mut Reader<'_>) -> Result<(), CodecError> {
     assert!(
         f.nodes.is_empty() && f.qps.is_empty() && f.cqs.is_empty() && f.mrs.is_empty(),
@@ -398,7 +418,7 @@ pub fn restore_fabric(f: &mut Fabric, r: &mut Reader<'_>) -> Result<(), CodecErr
         let node = node_id(cs.u32("cq.node")?, n_nodes, "cq.node")?;
         let id = f.create_cq(node);
         let peak_depth = cs.usize("cq.peak_depth")?;
-        let n_entries = cs.usize("cq.entries.count")?;
+        let n_entries = cs.count("cq.entries.count", CQE_BYTES)?;
         let mut entries = VecDeque::with_capacity(n_entries);
         for _ in 0..n_entries {
             entries.push_back(Cqe {
@@ -417,6 +437,7 @@ pub fn restore_fabric(f: &mut Fabric, r: &mut Reader<'_>) -> Result<(), CodecErr
 
     let mut qs = s.section(TAG_QPS, "fabric.qps")?;
     let n_qps = qs.usize("fabric.qps.count")?;
+    let mut rq = Vec::new();
     for _ in 0..n_qps {
         let node = node_id(qs.u32("qp.node")?, n_nodes, "qp.node")?;
         let peer = match qs.opt_u64("qp.peer")? {
@@ -426,12 +447,22 @@ pub fn restore_fabric(f: &mut Fabric, r: &mut Reader<'_>) -> Result<(), CodecErr
                 return Err(CodecError::Overflow {
                     context: "qp.peer",
                     value: p,
-                    max: n_qps as u64 - 1,
+                    max: (n_qps as u64).saturating_sub(1),
                 })
             }
         };
         let send_cq = cq_id(qs.u32("qp.send_cq")?, n_cqs, "qp.send_cq")?;
         let recv_cq = cq_id(qs.u32("qp.recv_cq")?, n_cqs, "qp.recv_cq")?;
+        for cq in [send_cq, recv_cq] {
+            let cq_node = f.cqs[cq.index()].node;
+            if cq_node != node {
+                return Err(CodecError::BadTag {
+                    context: "qp completion queue (another node's)",
+                    want: u64::from(node.0),
+                    got: u64::from(cq_node.0),
+                });
+            }
+        }
         let state = state_from_tag(qs.u8("qp.state")?, "qp.state")?;
         let rnr_retry = opt_u32_from(qs.opt_u64("qp.rnr_retry")?, "qp.rnr_retry")?;
         let retry_cnt = opt_u32_from(qs.opt_u64("qp.retry_cnt")?, "qp.retry_cnt")?;
@@ -463,15 +494,18 @@ pub fn restore_fabric(f: &mut Fabric, r: &mut Reader<'_>) -> Result<(), CodecErr
         let retry_deadline = SimTime::from_nanos(qs.u64("qp.retry_deadline")?);
         let timeout_streak = qs.u32("qp.timeout_streak")?;
         let expected_msn = qs.u64("qp.expected_msn")?;
-        let n_rq = qs.usize("qp.rq.count")?;
-        let mut rq = VecDeque::with_capacity(n_rq);
-        for _ in 0..n_rq {
-            rq.push_back(RecvWr {
-                wr_id: qs.u64("rwqe.wr_id")?,
-                mr: crate::mem::MrId(qs.u32("rwqe.mr")?),
-                offset: qs.usize("rwqe.offset")?,
-                len: qs.usize("rwqe.len")?,
-            });
+        // Receive WQEs name memory regions, which the image carries
+        // further on: they are held here and posted once those exist.
+        for _ in 0..qs.count("qp.rq.count", RWQE_BYTES)? {
+            rq.push((
+                id,
+                RecvWr {
+                    wr_id: qs.u64("rwqe.wr_id")?,
+                    mr: MrId(qs.u32("rwqe.mr")?),
+                    offset: qs.usize("rwqe.offset")?,
+                    len: qs.usize("rwqe.len")?,
+                },
+            ));
         }
         let peak_sq_depth = qs.usize("qp.peak_sq_depth")?;
         let peak_rq_depth = qs.usize("qp.peak_rq_depth")?;
@@ -485,7 +519,6 @@ pub fn restore_fabric(f: &mut Fabric, r: &mut Reader<'_>) -> Result<(), CodecErr
         q.retry_deadline = retry_deadline;
         q.timeout_streak = timeout_streak;
         q.expected_msn = expected_msn;
-        q.rq = rq;
         q.peak_sq_depth = peak_sq_depth;
         q.peak_rq_depth = peak_rq_depth;
         q.stats.sends_launched = counter(qs.u64("qp.stats.sends_launched")?);
@@ -504,6 +537,7 @@ pub fn restore_fabric(f: &mut Fabric, r: &mut Reader<'_>) -> Result<(), CodecErr
 
     let mut ms = s.section(TAG_MRS, "fabric.mrs")?;
     let n_mrs = ms.usize("fabric.mrs.count")?;
+    let mut registered = 0usize;
     for _ in 0..n_mrs {
         let node = node_id(ms.u32("mr.node")?, n_nodes, "mr.node")?;
         let bits = ms.u8("mr.access")?;
@@ -514,14 +548,51 @@ pub fn restore_fabric(f: &mut Fabric, r: &mut Reader<'_>) -> Result<(), CodecErr
                 max: u64::from(Access::FULL.bits()),
             });
         }
-        let image = ms.bytes_ref("mr.bytes")?;
-        f.mrs
-            .push(Mr::from_image(node, Access::from_bits(bits), image));
+        let len = ms.usize("mr.len")?;
+        // A registered length sizes nothing, so any value is a region;
+        // the sum is what `Fabric::registered_bytes` has to return.
+        registered = registered.checked_add(len).ok_or(CodecError::Overflow {
+            context: "mr.len (registered total)",
+            value: len as u64,
+            max: (usize::MAX - registered) as u64,
+        })?;
+        // Borrowed from the input: the prefix is as long as it claims
+        // before a byte of it is copied.
+        let prefix = ms.bytes_ref("mr.prefix")?;
+        if prefix.len() > len {
+            return Err(CodecError::Overflow {
+                context: "mr.prefix",
+                value: prefix.len() as u64,
+                max: len as u64,
+            });
+        }
+        let mut mr = Mr::new(node, Access::from_bits(bits), len);
+        mr.write(0, prefix);
+        f.mrs.push(mr);
     }
     ms.done("fabric.mrs")?;
 
+    // References between sections, now that both ends exist. Posting
+    // through the verbs call applies its checks (region exists, is this
+    // node's, is locally writable, covers the range) to the image; an
+    // honest image's `peak_rq_depth`, set above, is at least its queue's
+    // length, so posting leaves it where the image put it.
+    for (qp, wr) in rq {
+        f.post_recv(qp, wr)
+            .map_err(|e| rwqe_refused(e, &wr, n_mrs))?;
+    }
+    for e in f.cqs.iter().flat_map(Cq::entries) {
+        if e.qp.index() >= n_qps {
+            return Err(CodecError::Overflow {
+                context: "cqe.qp",
+                value: u64::from(e.qp.0),
+                max: (n_qps as u64).saturating_sub(1),
+            });
+        }
+    }
+
     let mut es = s.section(TAG_NET, "fabric.net")?;
-    let n_egress = es.usize("fabric.net.count")?;
+    let n_egress = es.count("fabric.net.count", 8)?;
     if n_egress != n_nodes {
         return Err(CodecError::Overflow {
             context: "fabric.net.count",
@@ -588,6 +659,24 @@ pub fn restore_fabric(f: &mut Fabric, r: &mut Reader<'_>) -> Result<(), CodecErr
     Ok(())
 }
 
+/// The typed error for a receive WQE of the image that
+/// [`Fabric::post_recv`] would not have accepted.
+fn rwqe_refused(e: VerbsError, wr: &RecvWr, n_mrs: usize) -> CodecError {
+    CodecError::Overflow {
+        context: match e {
+            VerbsError::UnknownMr => "rwqe.mr (no such region)",
+            VerbsError::WrongNode => "rwqe.mr (another node's region)",
+            VerbsError::AccessDenied => "rwqe.mr (region not locally writable)",
+            VerbsError::OutOfBounds => "rwqe range (outside its region)",
+            VerbsError::InvalidQpState | VerbsError::MessageTooLong => {
+                "rwqe (queue pair in the error state)"
+            }
+        },
+        value: u64::from(wr.mr.0),
+        max: (n_mrs as u64).saturating_sub(1),
+    }
+}
+
 fn node_id(
     raw: u32,
     count: usize,
@@ -599,7 +688,7 @@ fn node_id(
         Err(CodecError::Overflow {
             context,
             value: u64::from(raw),
-            max: count as u64 - 1,
+            max: (count as u64).saturating_sub(1),
         })
     }
 }
@@ -611,7 +700,7 @@ fn cq_id(raw: u32, count: usize, context: &'static str) -> Result<CqId, CodecErr
         Err(CodecError::Overflow {
             context,
             value: u64::from(raw),
-            max: count as u64 - 1,
+            max: (count as u64).saturating_sub(1),
         })
     }
 }
@@ -684,10 +773,7 @@ mod tests {
         assert_eq!(image(&restored), bytes);
         // Spot-check restored contents against the source.
         assert_eq!(restored.node_count(), 2);
-        assert_eq!(
-            restored.mr_bytes(crate::mem::MrId(0)),
-            f.mr_bytes(crate::mem::MrId(0))
-        );
+        assert_eq!(restored.mr_bytes(MrId(0)), f.mr_bytes(MrId(0)));
         assert_eq!(
             restored.stats.msgs_delivered.get(),
             f.stats.msgs_delivered.get()
@@ -697,16 +783,19 @@ mod tests {
         assert_eq!(q.peer(), Some(QpId(1)));
     }
 
+    /// Canonical form: the image is a function of the memory's contents,
+    /// not of which zeros the host happened to store.
     #[test]
-    fn restore_keeps_registered_lengths_and_sheds_the_zero_tail() {
+    fn encoder_output_is_canonical() {
         let mut f = exercised_fabric(None);
-        let mr_b = crate::mem::MrId(0);
+        let mr_b = MrId(0);
+        let bytes = image(&f);
         // Traffic reached byte 1280 of a 4096-byte region; a host store of
-        // zeros further out materialises memory a restore need not keep.
+        // zeros further out materialises memory and changes no byte of it.
         assert_eq!(f.mr_bytes(mr_b).len(), 1280);
         f.mr_write(mr_b, 3000, &[0; 96]);
         assert_eq!(f.mr_bytes(mr_b).len(), 3096);
-        let bytes = image(&f);
+        assert_eq!(image(&f), bytes, "a stored zero changed the image");
         let mut restored = Fabric::new(FabricParams::mt23108());
         restore_fabric(&mut restored, &mut Reader::new(&bytes)).unwrap();
         assert_eq!(image(&restored), bytes, "IBCK bytes survive the round trip");
@@ -714,29 +803,41 @@ mod tests {
         assert_eq!(restored.mr_len(mr_b), 4096);
         assert_eq!(restored.mr_bytes(mr_b).len(), 1280);
         assert!(restored.resident_bytes() < f.resident_bytes());
+        // The image holds what is resident, not what is registered.
+        assert!(
+            bytes.len() < 4096,
+            "{} bytes for 1408 resident",
+            bytes.len()
+        );
     }
 
-    /// The byte range of the `TAG_MRS` section's body inside a fabric
-    /// image: the outer frame, then the nested frames in order.
-    fn mrs_body(image: &[u8]) -> std::ops::Range<usize> {
+    /// The byte range of the body of section `tag` inside a fabric image:
+    /// the outer frame, then the nested frames in order.
+    fn section_body(image: &[u8], tag: u32) -> std::ops::Range<usize> {
         let mut pos = 12;
         loop {
-            let tag = u32::from_le_bytes(image[pos..pos + 4].try_into().unwrap());
+            let got = u32::from_le_bytes(image[pos..pos + 4].try_into().unwrap());
             let len = u64::from_le_bytes(image[pos + 4..pos + 12].try_into().unwrap()) as usize;
-            if tag == TAG_MRS {
+            if got == tag {
                 return pos + 12..pos + 12 + len;
             }
             pos += 12 + len;
         }
     }
 
-    /// Offset, within the `TAG_MRS` body, of region `k`'s record
-    /// (`node u32 | access u8 | len u64 | image`).
+    /// Bytes of a region record before its prefix:
+    /// `node u32 | access u8 | registered len u64 | prefix len u64`.
+    const MR_HEAD: usize = 4 + 1 + 8 + 8;
+
+    fn u64_at(bytes: &[u8], at: usize) -> u64 {
+        u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())
+    }
+
+    /// Offset, within the `TAG_MRS` body, of region `k`'s record.
     fn mr_record(body: &[u8], k: usize) -> usize {
         let mut pos = 8;
         for _ in 0..k {
-            let len = u64::from_le_bytes(body[pos + 5..pos + 13].try_into().unwrap()) as usize;
-            pos += 13 + len;
+            pos += MR_HEAD + u64_at(body, pos + 13) as usize;
         }
         pos
     }
@@ -745,12 +846,17 @@ mod tests {
     /// image.
     #[derive(Clone, Debug)]
     enum Lie {
-        /// Region length raised to more than the input holds — by one
+        /// Registered length raised to 16 TiB, or to `u64::MAX`, over the
+        /// region's honest prefix.
+        Registered { max: bool },
+        /// Registered length one byte short of the prefix that follows.
+        PrefixPastLen,
+        /// Prefix length raised to more than the section holds — by one
         /// byte, or to a size no allocator would grant.
-        Length { huge: bool },
-        /// The section ends `cut` bytes into the region's image (frame
+        PrefixLen { huge: bool },
+        /// The section ends part-way through the region's prefix (frame
         /// lengths patched to match, so only the region is short).
-        CutImage { cut: usize },
+        CutPrefix { cut: usize },
         /// `mr.node` names a node the image does not have.
         Node { node: u32 },
         /// Access bits above `Access::FULL`.
@@ -765,12 +871,14 @@ mod tests {
 
     impl testutil::prop::Case for HostileMrs {
         fn generate(g: &mut testutil::prop::Gen) -> Self {
-            let lie = match g.index(4) {
-                0 => Lie::Length { huge: g.bool() },
-                1 => Lie::CutImage {
+            let lie = match g.index(6) {
+                0 => Lie::Registered { max: g.bool() },
+                1 => Lie::PrefixPastLen,
+                2 => Lie::PrefixLen { huge: g.bool() },
+                3 => Lie::CutPrefix {
                     cut: g.usize_in(0..4096),
                 },
-                2 => Lie::Node {
+                4 => Lie::Node {
                     node: g.u32_in(2..u32::MAX),
                 },
                 _ => Lie::AccessBits {
@@ -784,52 +892,220 @@ mod tests {
         }
     }
 
+    /// What the decoder must make of a [`Lie`].
+    #[derive(Debug, PartialEq)]
+    enum Want {
+        Accepted,
+        Overflow,
+        Truncated,
+    }
+
     #[test]
     fn hostile_region_images_are_typed_errors() {
         let good = image(&exercised_fabric(None));
-        let body = mrs_body(&good);
-        testutil::prop::check("hostile_region_images", 64, |c: &HostileMrs| {
+        let body = section_body(&good, TAG_MRS);
+        testutil::prop::check("hostile_region_images", 96, |c: &HostileMrs| {
             let mut bad = good.clone();
             let rec = body.start + mr_record(&good[body.clone()], c.region);
-            let want_overflow = match c.lie {
-                Lie::Length { huge } => {
-                    let left = (body.end - (rec + 13)) as u64;
-                    let claim = if huge { 1 << 44 } else { left + 1 };
+            let prefix_len = u64_at(&good, rec + 13);
+            let want = match c.lie {
+                Lie::Registered { max } => {
+                    let claim = if max { u64::MAX } else { 1 << 44 };
                     bad[rec + 5..rec + 13].copy_from_slice(&claim.to_le_bytes());
-                    false
+                    // 16 TiB is a region like any other; `u64::MAX` plus
+                    // the other region's 4096 is not a total.
+                    if max {
+                        Want::Overflow
+                    } else {
+                        Want::Accepted
+                    }
                 }
-                Lie::CutImage { cut } => {
-                    // Drop the rest of the section after `cut` bytes of
-                    // this region's image and shorten both frames.
-                    let keep = rec + 13 + cut;
+                Lie::PrefixPastLen => {
+                    bad[rec + 5..rec + 13].copy_from_slice(&(prefix_len - 1).to_le_bytes());
+                    Want::Overflow
+                }
+                Lie::PrefixLen { huge } => {
+                    let left = (body.end - (rec + MR_HEAD)) as u64;
+                    let claim = if huge { 1 << 44 } else { left + 1 };
+                    bad[rec + 13..rec + 21].copy_from_slice(&claim.to_le_bytes());
+                    Want::Truncated
+                }
+                Lie::CutPrefix { cut } => {
+                    // Drop the rest of the section part-way through this
+                    // region's prefix and shorten both frames.
+                    let keep = rec + MR_HEAD + cut % prefix_len as usize;
                     let dropped = body.end - keep;
                     bad.drain(keep..body.end);
                     for (at, old) in [(4, good.len() - 12), (body.start - 8, body.len())] {
                         let new = (old - dropped) as u64;
                         bad[at..at + 8].copy_from_slice(&new.to_le_bytes());
                     }
-                    false
+                    Want::Truncated
                 }
                 Lie::Node { node } => {
                     bad[rec..rec + 4].copy_from_slice(&node.to_le_bytes());
-                    true
+                    Want::Overflow
                 }
                 Lie::AccessBits { bits } => {
                     bad[rec + 4] = bits;
-                    true
+                    Want::Overflow
                 }
             };
             let mut fresh = Fabric::new(FabricParams::mt23108());
-            // The region image is borrowed from the input, so a lying
-            // length is refused against what remains before anything is
-            // allocated: the 16 TiB claim returns, it does not abort.
-            let err = restore_fabric(&mut fresh, &mut Reader::new(&bad)).unwrap_err();
-            match err {
-                CodecError::Overflow { .. } => assert!(want_overflow, "{c:?}: {err}"),
-                CodecError::Truncated { .. } => assert!(!want_overflow, "{c:?}: {err}"),
-                CodecError::BadTag { .. } => panic!("{c:?}: {err}"),
+            // Nothing is sized by a number the image merely claims: the
+            // prefix is borrowed from the input and the registered length
+            // is bookkeeping, so the 16 TiB claims return, they do not
+            // abort.
+            let got = match restore_fabric(&mut fresh, &mut Reader::new(&bad)) {
+                Ok(()) => Want::Accepted,
+                Err(CodecError::Overflow { .. }) => Want::Overflow,
+                Err(CodecError::Truncated { .. }) => Want::Truncated,
+                Err(e @ CodecError::BadTag { .. }) => panic!("{c:?}: {e}"),
+            };
+            assert_eq!(got, want, "{c:?}");
+            assert!(fresh.resident_bytes() <= bad.len(), "{c:?}");
+            if got == Want::Accepted {
+                assert_eq!(fresh.mr_len(MrId(c.region as u32)), 1 << 44);
+                assert_eq!(image(&fresh), bad, "{c:?}: accepted image re-encodes");
             }
         });
+    }
+
+    /// Every eight-byte window of a valid image overwritten with a count
+    /// no input could back: the decoder returns — `Ok` where the window was
+    /// a plain number, a typed error elsewhere — having sized nothing by
+    /// it. (Sizing `with_capacity` by such a count aborts the process.)
+    #[test]
+    fn hostile_counts_are_refused_before_anything_is_sized() {
+        let good = image(&exercised_fabric(None));
+        for claim in [1u64 << 40, u64::MAX] {
+            for at in 0..good.len() - 8 {
+                let mut bad = good.clone();
+                bad[at..at + 8].copy_from_slice(&claim.to_le_bytes());
+                let mut fresh = Fabric::new(FabricParams::mt23108());
+                let _ = restore_fabric(&mut fresh, &mut Reader::new(&bad));
+                assert!(fresh.resident_bytes() <= bad.len());
+            }
+        }
+        // The two counts that sized a queue, by name.
+        let cqs = section_body(&good, TAG_CQS);
+        let first_cq_entries = cqs.start + 8 + 4 + 8;
+        assert_eq!(u64_at(&good, first_cq_entries), 3, "cq.entries.count");
+        let qps = section_body(&good, TAG_QPS);
+        let rq_count = (qps.start..qps.end - 8)
+            .rfind(|&at| {
+                // The last queue pair holds the three receives traffic left
+                // posted: wr_ids 101..=103 follow its count.
+                u64_at(&good, at) == 3 && u64_at(&good, at + 8) == 101
+            })
+            .expect("qp.rq.count of the receiving queue pair");
+        for at in [first_cq_entries, rq_count] {
+            let mut bad = good.clone();
+            bad[at..at + 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
+            let mut fresh = Fabric::new(FabricParams::mt23108());
+            let err = restore_fabric(&mut fresh, &mut Reader::new(&bad)).unwrap_err();
+            assert!(matches!(err, CodecError::Truncated { .. }), "{err}");
+        }
+    }
+
+    /// References from one section of the image into another are checked
+    /// at decode, not found by the first delivery that follows them.
+    #[test]
+    fn hostile_references_are_typed_errors() {
+        fn wqe(mr: u32, offset: usize) -> RecvWr {
+            RecvWr {
+                wr_id: 1,
+                mr: MrId(mr),
+                offset,
+                len: 64,
+            }
+        }
+        // Region 0 is node 1's, region 1 node 0's; queue pair 1 is node 1's.
+        type Corrupt = fn(&mut Fabric);
+        let cases: [(&str, Corrupt); 6] = [
+            ("rwqe.mr (no such region)", |f| {
+                f.qps[1].rq.push_back(wqe(77, 0))
+            }),
+            ("rwqe.mr (another node's region)", |f| {
+                f.qps[1].rq.push_back(wqe(1, 0))
+            }),
+            ("rwqe.mr (region not locally writable)", |f| {
+                f.mrs[0].access = Access::REMOTE_READ
+            }),
+            ("rwqe range (outside its region)", |f| {
+                f.qps[1].rq.push_back(wqe(0, 4096 - 63))
+            }),
+            ("rwqe (queue pair in the error state)", |f| {
+                f.qps[1].state = QpState::Error
+            }),
+            ("cqe.qp", |f| {
+                let _ = f.cqs[0].push(Cqe {
+                    wr_id: 1,
+                    qp: QpId(9),
+                    opcode: CqeOpcode::SendComplete,
+                    status: CqeStatus::Success,
+                    byte_len: 0,
+                });
+            }),
+        ];
+        for (context, corrupt) in cases {
+            let mut f = exercised_fabric(None);
+            corrupt(&mut f);
+            let bad = image(&f);
+            let mut fresh = Fabric::new(FabricParams::mt23108());
+            let err = restore_fabric(&mut fresh, &mut Reader::new(&bad)).unwrap_err();
+            assert!(
+                matches!(err, CodecError::Overflow { context: c, .. } if c == context),
+                "{context}: {err}"
+            );
+        }
+        // A queue pair completing into another node's queue.
+        let mut f = exercised_fabric(None);
+        f.qps[1].recv_cq = CqId(0);
+        let mut fresh = Fabric::new(FabricParams::mt23108());
+        let err = restore_fabric(&mut fresh, &mut Reader::new(&image(&f))).unwrap_err();
+        assert!(matches!(err, CodecError::BadTag { .. }), "{err}");
+    }
+
+    /// An id checked against an empty table reports `max: 0`; building the
+    /// error must not compute `0 - 1`.
+    #[test]
+    fn ids_into_empty_tables_are_typed_errors() {
+        // A completion queue on node 0 of a fabric with no nodes.
+        let mut f = Fabric::new(FabricParams::mt23108());
+        f.cqs.push(Cq::new(crate::fabric::NodeId(0)));
+        let mut fresh = Fabric::new(FabricParams::mt23108());
+        let err = restore_fabric(&mut fresh, &mut Reader::new(&image(&f))).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                CodecError::Overflow {
+                    context: "cq.node",
+                    max: 0,
+                    ..
+                }
+            ),
+            "{err}"
+        );
+        // A queue pair completing into queue 0 of a fabric with no queues.
+        let mut f = Fabric::new(FabricParams::mt23108());
+        let node = f.add_node();
+        let (id, cq) = (QpId(0), CqId(0));
+        f.qps
+            .push(crate::qp::Qp::new(id, node, cq, cq, QpAttrs::default()));
+        let mut fresh = Fabric::new(FabricParams::mt23108());
+        let err = restore_fabric(&mut fresh, &mut Reader::new(&image(&f))).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                CodecError::Overflow {
+                    context: "qp.send_cq",
+                    max: 0,
+                    ..
+                }
+            ),
+            "{err}"
+        );
     }
 
     #[test]

@@ -165,19 +165,28 @@ fn image(f: &Fabric) -> Vec<u8> {
     w.finish()
 }
 
-/// The region's IBCK v1 record — node, access bits, length, then every
-/// registered byte — must appear in the fabric image exactly as the dense
-/// model dictates.
-fn assert_image_is_dense(img: &[u8], model: &[u8]) {
-    let mut head = Vec::new();
-    head.extend_from_slice(&0u32.to_le_bytes());
-    head.push(Access::FULL.bits());
-    head.extend_from_slice(&(model.len() as u64).to_le_bytes());
-    let found = img
-        .windows(head.len())
-        .enumerate()
-        .any(|(i, w)| w == head && img[i + head.len()..].starts_with(model));
-    assert!(found, "image does not carry the dense region record");
+/// The region's IBCK v2 record — node, access bits, registered length,
+/// then the model cut at its last non-zero byte as a length-prefixed
+/// string — must appear in the fabric image exactly as the dense model
+/// dictates: the image is a function of the logical contents alone.
+fn assert_image_is_canonical(img: &[u8], model: &[u8]) {
+    let used = model.iter().rposition(|&b| b != 0).map_or(0, |i| i + 1);
+    let mut record = Vec::new();
+    record.extend_from_slice(&0u32.to_le_bytes());
+    record.push(Access::FULL.bits());
+    record.extend_from_slice(&(model.len() as u64).to_le_bytes());
+    record.extend_from_slice(&(used as u64).to_le_bytes());
+    record.extend_from_slice(&model[..used]);
+    assert!(
+        img.windows(record.len()).any(|w| w == record),
+        "image does not carry the canonical region record"
+    );
+    assert!(
+        img.len() < record.len() + 512,
+        "image of {} bytes for a {}-byte record",
+        img.len(),
+        record.len()
+    );
 }
 
 fn check_agreement(f: &Fabric, mr: MrId, model: &[u8], high_water: usize) {
@@ -193,7 +202,7 @@ fn check_agreement(f: &Fabric, mr: MrId, model: &[u8], high_water: usize) {
     assert_eq!(prefix, &model[..prefix.len()]);
     assert!(model[prefix.len()..].iter().all(|&b| b == 0));
     assert_eq!(f.mr_read_vec(mr, 0, model.len()), model);
-    assert_image_is_dense(&image(f), model);
+    assert_image_is_canonical(&image(f), model);
 }
 
 #[test]

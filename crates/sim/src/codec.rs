@@ -141,16 +141,6 @@ impl Writer {
         self.buf.extend_from_slice(v);
     }
 
-    /// Appends a byte string of `len` bytes — `v` followed by zeros —
-    /// encoded exactly as [`Writer::bytes`] would encode the padded
-    /// string, without building it. `v` must not be longer than `len`.
-    pub fn bytes_zero_padded(&mut self, v: &[u8], len: usize) {
-        assert!(v.len() <= len, "prefix longer than the padded length");
-        self.usize(len);
-        self.buf.extend_from_slice(v);
-        self.buf.resize(self.buf.len() + (len - v.len()), 0);
-    }
-
     /// Appends `Some`/`None` as a presence byte plus the value.
     pub fn opt_u64(&mut self, v: Option<u64>) {
         match v {
@@ -277,6 +267,28 @@ impl<'a> Reader<'a> {
         self.take(len, context)
     }
 
+    /// Reads the element count of a sequence whose records each occupy
+    /// at least `min_record_bytes` of input, refusing a count the
+    /// remaining input cannot hold. A decoder that sizes a collection by
+    /// what this returns allocates in proportion to its input, whatever
+    /// the image claims.
+    pub fn count(
+        &mut self,
+        context: &'static str,
+        min_record_bytes: usize,
+    ) -> Result<usize, CodecError> {
+        let n = self.usize(context)?;
+        let needed = n.saturating_mul(min_record_bytes);
+        if needed > self.remaining() {
+            return Err(CodecError::Truncated {
+                context,
+                needed,
+                have: self.remaining(),
+            });
+        }
+        Ok(n)
+    }
+
     /// Reads a presence byte plus an optional `u64`.
     pub fn opt_u64(&mut self, context: &'static str) -> Result<Option<u64>, CodecError> {
         match self.u8(context)? {
@@ -336,7 +348,6 @@ mod tests {
         w.bool(true);
         w.bool(false);
         w.bytes(b"hello");
-        w.bytes_zero_padded(b"hi", 5);
         w.opt_u64(Some(5));
         w.opt_u64(None);
         let bytes = w.finish();
@@ -351,7 +362,6 @@ mod tests {
         assert!(r.bool("h").unwrap());
         assert!(!r.bool("i").unwrap());
         assert_eq!(r.bytes("j").unwrap(), b"hello");
-        assert_eq!(r.bytes_ref("j2").unwrap(), b"hi\0\0\0");
         assert_eq!(r.opt_u64("k").unwrap(), Some(5));
         assert_eq!(r.opt_u64("l").unwrap(), None);
         r.done("end").unwrap();
@@ -406,6 +416,32 @@ mod tests {
                 have: 3,
                 ..
             })
+        ));
+    }
+
+    #[test]
+    fn count_is_held_against_the_remaining_input() {
+        let mut w = Writer::new();
+        w.usize(3);
+        w.u32(1);
+        w.u32(2);
+        w.u32(3);
+        let bytes = w.finish();
+        assert_eq!(Reader::new(&bytes).count("n", 4).unwrap(), 3);
+        // Three records of five bytes do not fit in the twelve that remain.
+        assert!(matches!(
+            Reader::new(&bytes).count("n", 5),
+            Err(CodecError::Truncated {
+                needed: 15,
+                have: 12,
+                ..
+            })
+        ));
+        // A count whose byte size overflows is refused, not wrapped.
+        let huge = u64::MAX.to_le_bytes();
+        assert!(matches!(
+            Reader::new(&huge).count("n", 28),
+            Err(CodecError::Truncated { .. } | CodecError::Overflow { .. })
         ));
     }
 

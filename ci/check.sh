@@ -1,14 +1,15 @@
 #!/usr/bin/env bash
-# Local mirror of .github/workflows/ci.yml — run before pushing.
+# The gate. `ci/check.sh <stage>` runs one stage; with no argument every
+# stage runs, in the order of STAGES. .github/workflows/ci.yml runs one
+# job per stage and holds no cargo invocation of its own
+# (tests/ci_parity.rs checks both files name the same stages).
 #
 # The workspace is hermetic (path-only dependencies), so everything runs
 # with --locked --offline; a step that needs the network is a bug.
-#
-# The `ci_parity` test (tests/ci_parity.rs) asserts every cargo
-# invocation here also appears in ci.yml and vice versa — edit both
-# files together.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+STAGES=(build-test golden ckpt lint smoke)
 
 run() {
     echo "==> $*"
@@ -16,61 +17,94 @@ run() {
 }
 
 # Like run, but reports the step's wall time in milliseconds (used for
-# the per-target smoke runs so throughput regressions are visible in the
-# CI log; `$SECONDS` has 1-second resolution, useless for sub-second
-# smoke targets).
+# the smoke runs so throughput regressions are visible in the CI log;
+# `$SECONDS` has 1-second resolution, useless for sub-second targets).
+# Reports on stderr: the smoke runs send their tables to /dev/null.
 timed() {
-    echo "==> $*"
+    echo "==> $*" >&2
     local t0 t1
     t0=$(date +%s%N)
     "$@"
     t1=$(date +%s%N)
-    echo "    took $(((t1 - t0) / 1000000))ms (wall)"
+    echo "    took $(((t1 - t0) / 1000000))ms (wall)" >&2
 }
 
-run cargo build --release --workspace --locked --offline
-run cargo test -q --workspace --release --locked --offline
-run cargo fmt --check
-run cargo run --release -p simlint --locked --offline -- --stats --stats-json bench_results/simlint_stats.json
-run cargo clippy --workspace --all-targets --locked --offline -- -D warnings
-# Intra-doc links are checked too, so a link to a deleted item fails
-# here instead of rotting.
-run env RUSTDOCFLAGS=-Dwarnings cargo doc --workspace --no-deps --locked --offline
-run cargo bench -p ibfabric --bench transport --locked --offline -- --test
-run cargo bench -p ibflow-bench --bench paper --locked --offline -- --test
-# The engine bench's --test mode enforces the committed throughput
-# floors: the 1M events/s event-loop/handoff rates, and the 100k
-# frames/s ring_poll floor guarding the RDMA channel's O(active)
-# polling path.
-run cargo bench -p ibflow-bench --bench engine --locked --offline -- --test
+BENCH=(cargo run --release --locked --offline -p ibflow-bench --)
 
-# Goldens must be byte-identical at every pool width: serial, moderate,
-# and deliberately oversubscribed (mirrors the CI golden matrix).
-for jobs in 1 4 16; do
-    run env IBFLOW_JOBS=$jobs cargo test -q --release --locked --offline -p ibflow-bench --test golden
+stage() {
+    case "$1" in
+    build-test)
+        run cargo build --release --workspace --locked --offline
+        run cargo test -q --workspace --release --locked --offline
+        run cargo bench -p ibfabric --bench transport --locked --offline -- --test
+        run cargo bench -p ibflow-bench --bench paper --locked --offline -- --test
+        # The engine bench's --test mode enforces the committed throughput
+        # floors: the 1M events/s event-loop/handoff rates, and the 100k
+        # frames/s ring_poll floor guarding the RDMA channel's O(active)
+        # polling path.
+        run cargo bench -p ibflow-bench --bench engine --locked --offline -- --test
+        # Chaos battery at the fixed default seed: same-seed determinism
+        # across pool widths plus the golden counter snapshot.
+        run cargo test -q --release --locked --offline -p ibflow-bench --test chaos
+        # The benchmark harness pins part of the public surface
+        # (benchmark/README.md, "The public surface this harness pins");
+        # its quick self-check catches drift before a paired
+        # parent-vs-change run does.
+        run bash benchmark/run.sh --check
+        ;;
+    golden)
+        # Goldens must be byte-identical at every pool width: serial,
+        # moderate, and deliberately oversubscribed.
+        for jobs in 1 4 16; do
+            run env IBFLOW_JOBS=$jobs cargo test -q --release --locked --offline -p ibflow-bench --test golden
+        done
+        ;;
+    ckpt)
+        # The snapshot-kill-restore ladder (all five schemes, clean
+        # restore + kill-and-replace + chaos soak) must land
+        # byte-identically on its golden at serial and moderate widths.
+        for jobs in 1 4; do
+            run env IBFLOW_JOBS=$jobs cargo test -q --release --locked --offline -p ibflow-bench --test ckpt
+        done
+        ;;
+    lint)
+        run cargo fmt --check
+        run cargo run --release -p simlint --locked --offline -- --stats --stats-json bench_results/simlint_stats.json
+        # Carries await_holding_refcell_ref and await_holding_lock at
+        # their default level: the guard-across-await check simlint no
+        # longer duplicates (DESIGN.md §8).
+        run cargo clippy --workspace --all-targets --locked --offline -- -D warnings
+        # Intra-doc links are checked too, so a link to a deleted item
+        # fails here instead of rotting.
+        run env RUSTDOCFLAGS=-Dwarnings cargo doc --workspace --no-deps --locked --offline
+        ;;
+    smoke)
+        # The headline experiments must complete cleanly through the one
+        # binary with the pool engaged, and print how long each takes.
+        timed env IBFLOW_JOBS=4 "${BENCH[@]}" fig2 >/dev/null
+        timed env IBFLOW_CLASS=test IBFLOW_JOBS=4 "${BENCH[@]}" table1 >/dev/null
+        timed env IBFLOW_JOBS=4 "${BENCH[@]}" chaos >/dev/null
+        timed env IBFLOW_JOBS=4 "${BENCH[@]}" ckpt >/dev/null
+        # Every paper row at class W against the committed record: the
+        # title and the bytes each experiment has.
+        timed env IBFLOW_CLASS=w IBFLOW_JOBS=4 "${BENCH[@]}" all
+        run git diff --exit-code bench_results/experiments.md
+        ;;
+    *)
+        echo "unknown stage '$1'; valid stages: ${STAGES[*]}" >&2
+        exit 2
+        ;;
+    esac
+}
+
+if [ $# -gt 1 ]; then
+    echo "usage: ci/check.sh [stage]; valid stages: ${STAGES[*]}" >&2
+    exit 2
+fi
+if [ $# -eq 0 ]; then
+    set -- "${STAGES[@]}"
+fi
+for s in "$@"; do
+    stage "$s"
 done
-
-# Chaos battery at the fixed default seed: same-seed determinism across
-# pool widths plus the golden counter snapshot.
-run cargo test -q --release --locked --offline -p ibflow-bench --test chaos
-
-# Checkpoint/restore matrix: the snapshot-kill-restore ladder must land
-# byte-identically on its golden at serial and moderate pool widths
-# (mirrors the CI ckpt-restore matrix).
-for jobs in 1 4; do
-    run env IBFLOW_JOBS=$jobs cargo test -q --release --locked --offline -p ibflow-bench --test ckpt
-done
-
-# Smoke: the two headline experiment binaries must complete cleanly with
-# the pool engaged, and print how long each takes.
-timed env IBFLOW_JOBS=4 cargo run --release --locked --offline -p ibflow-bench --bin fig2_latency >/dev/null
-timed env IBFLOW_CLASS=test IBFLOW_JOBS=4 cargo run --release --locked --offline -p ibflow-bench --bin table1_ecm >/dev/null
-timed env IBFLOW_JOBS=4 cargo run --release --locked --offline -p ibflow-bench --bin chaos >/dev/null
-timed env IBFLOW_JOBS=4 cargo run --release --locked --offline -p ibflow-bench --bin ckpt >/dev/null
-
-# The benchmark harness pins part of the public surface (benchmark/README.md,
-# "The public surface this harness pins"); its quick self-check catches
-# drift before a paired parent-vs-change run does.
-run bash benchmark/run.sh --check
-
 echo "All checks passed."

@@ -1,8 +1,6 @@
 //! Engine throughput bench: raw event-loop rates plus the battery wall.
 //!
-//! Seven measurements recorded in `bench_results/BENCH_engine.json`, and
-//! two deep-queue rates and two NAS kernel rates that are printed and
-//! floored but not recorded:
+//! Every measurement is printed; `--test` holds the rates to floors:
 //!
 //! * **call events/sec** — a self-perpetuating closure-event chain drained
 //!   under a single borrow of the scheduler; the ceiling on pure event
@@ -48,23 +46,22 @@
 //!   than [`IS_OVER_MG_LIMIT`] × MG — which a per-key division or
 //!   allocation creeping back into IS, or a per-cell modulo into MG's
 //!   neighbour, cannot pass unnoticed.
-//! * **battery wall** — the `all_experiments` workload (every figure and
-//!   table at the default class) at `IBFLOW_JOBS=1` and at jobs=N, timing
+//! * **battery wall** — the `ibflow-bench all` workload (every paper row
+//!   at the default class) at `IBFLOW_JOBS=1` and at jobs=N, timing
 //!   the serial hot path and the pool speedup. Simulated ranks are
 //!   coroutines, not OS threads, so only the *job* count can
 //!   oversubscribe the host; when jobs=N exceeds the hardware threads
-//!   the jobs=N wall is pure scheduler noise, so that run is skipped and
-//!   `battery_wall_jobsn_ns` is recorded as `null`.
+//!   the jobs=N wall is pure scheduler noise, so that run is skipped.
 //!
 //! `--test` (as passed by `cargo test --benches`) runs tiny versions of
-//! each measurement, asserts sanity floors, and writes nothing; CI uses
+//! each measurement and asserts sanity floors; CI uses
 //! this as a throughput-regression tripwire. The cross-process floor
 //! (1M events/s) sits ~3x above the thread-per-rank runtime's best rate
 //! (~350k/s), so reintroducing any thread hop on the handoff path fails
 //! CI.
 
 use ibfabric::FabricParams;
-use ibflow_bench::figures::{bandwidth_figure, fig2_latency, nas_battery};
+use ibflow_bench::experiments::{render_all, Inputs};
 use ibflow_bench::nas::run_nas;
 use ibsim::{Ctx, Sim, SimConfig, SimDuration, SimTime};
 use mpib::{FlowControlScheme, MpiConfig, MpiWorld};
@@ -285,22 +282,10 @@ fn kernel_rates() -> KernelRates {
 /// 5, the new IS against the old MG below 0.6.
 const IS_OVER_MG_LIMIT: f64 = 3.0;
 
-/// The `all_experiments` workload (results discarded); returns wall ns.
+/// The `ibflow-bench all` workload (results discarded); returns wall ns.
 fn battery_wall_ns(class: nasbench::NasClass) -> u64 {
     let t0 = Instant::now();
-    let _ = fig2_latency();
-    for (size, prepost, blocking) in [
-        (4usize, 100u32, true),
-        (4, 100, false),
-        (4, 10, true),
-        (4, 10, false),
-        (32768, 10, true),
-        (32768, 10, false),
-    ] {
-        let _ = bandwidth_figure(size, prepost, blocking);
-    }
-    let runs = nas_battery(class);
-    assert!(runs.iter().all(|r| r.verified), "every kernel must verify");
+    let _ = render_all(&Inputs::new(class));
     t0.elapsed().as_nanos() as u64
 }
 
@@ -492,15 +477,14 @@ fn main() {
     // only the *job* count can oversubscribe the host. A jobs=N wall
     // measured on an oversubscribed host is pure scheduler noise (it
     // reliably comes out *slower* than jobs=1), so skip the jobs=N run
-    // and its comparison entirely rather than committing a misleading
+    // and its comparison entirely rather than printing a misleading
     // number from a single-core CI host.
     let oversubscribed = jobs_n > host_parallelism;
-    let wall_jobsn = if oversubscribed {
+    if oversubscribed {
         println!(
             "battery wall (class {class:?}, jobs={jobs_n}): skipped — jobs={jobs_n} exceeds \
              the {host_parallelism} available hardware thread(s) on this host"
         );
-        None
     } else {
         std::env::set_var(ibpool::JOBS_ENV, jobs_n.to_string());
         let wall = battery_wall_ns(class);
@@ -515,30 +499,6 @@ fn main() {
                 wall_jobs1 as f64 / 1e9,
             );
         }
-        Some(wall)
-    };
+    }
     std::env::remove_var(ibpool::JOBS_ENV);
-
-    let dir = match std::env::var("IBFLOW_BENCH_DIR") {
-        Ok(d) => std::path::PathBuf::from(d),
-        Err(_) => std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../bench_results"),
-    };
-    std::fs::create_dir_all(&dir).expect("create bench_results dir");
-    let path = dir.join("BENCH_engine.json");
-    let wall_jobsn_field = wall_jobsn.map_or_else(|| "null".to_string(), |w| w.to_string());
-    let json = format!(
-        "{{\n  \"group\": \"engine\",\n  \"host_parallelism\": {host_parallelism},\n  \
-         \"call_events_per_sec\": {call:.0},\n  \"handoff_events_per_sec\": {handoff:.0},\n  \
-         \"handoff_xproc_events_per_sec\": {xproc:.0},\n  \
-         \"ranks_per_thread\": {RANKS_PER_THREAD},\n  \
-         \"ranks_per_thread_events_per_sec\": {many:.0},\n  \
-         \"ring_poll_events_per_sec\": {ring:.0},\n  \
-         \"ring_grow_events_per_sec\": {grow:.0},\n  \
-         \"ring_grow_generations\": {generations},\n  \
-         \"battery_class\": \"{class:?}\",\n  \"battery_wall_jobs1_ns\": {wall_jobs1},\n  \
-         \"battery_jobs_n\": {jobs_n},\n  \"battery_wall_jobsn_ns\": {wall_jobsn_field},\n  \
-         \"jobsn_oversubscribed\": {oversubscribed}\n}}\n"
-    );
-    std::fs::write(&path, json).expect("write engine bench report");
-    println!("-> {}", path.display());
 }

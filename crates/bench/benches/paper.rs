@@ -4,7 +4,7 @@
 //! Each bench runs a scaled-down version of the corresponding experiment
 //! end-to-end through the simulator (wall-clock time here measures the
 //! simulator; the *virtual-time* results the paper reports come from the
-//! `fig*`/`table*` binaries and are deterministic). Together they keep
+//! `ibflow-bench fig*`/`table*` experiments and are deterministic). Together they keep
 //! the full reproduction pipeline exercised and performance-tracked.
 
 use ibfabric::FabricParams;

@@ -299,7 +299,7 @@ pub fn chaos_battery_dyn(seed: u64) -> Vec<ChaosRun> {
     ibpool::run_batch(jobs)
 }
 
-/// Formats the battery as the table the `chaos` binary prints.
+/// Formats the battery as the table the `chaos` experiment prints.
 pub fn chaos_table(runs: &[ChaosRun]) -> String {
     let data: Vec<Vec<String>> = runs
         .iter()

@@ -394,7 +394,7 @@ pub fn ckpt_scaling() -> Vec<CkptScalingRun> {
     ibpool::run_batch(jobs)
 }
 
-/// Formats the size sweep as the table the `ckpt` binary prints.
+/// Formats the size sweep as the table the `ckpt-scaling` experiment prints.
 pub fn ckpt_scaling_table(runs: &[CkptScalingRun]) -> String {
     let data: Vec<Vec<String>> = runs
         .iter()
@@ -422,7 +422,7 @@ pub fn ckpt_scaling_table(runs: &[CkptScalingRun]) -> String {
     )
 }
 
-/// Formats the ladder as the table the `ckpt` binary prints.
+/// Formats the ladder as the table the `ckpt` experiment prints.
 pub fn ckpt_table(runs: &[CkptLadderRun]) -> String {
     let data: Vec<Vec<String>> = runs
         .iter()

@@ -1,5 +1,5 @@
 //! One function per table/figure of the paper: each returns the rows the
-//! corresponding binary prints, so integration tests can assert the
+//! corresponding [`EXPERIMENTS`](crate::EXPERIMENTS) row prints, so integration tests can assert the
 //! paper's *shape* claims against the exact data the harness reports.
 //!
 //! Every sweep fans its independent simulations out over the

@@ -6,8 +6,10 @@
 //!   windowed bandwidth (blocking and non-blocking variants).
 //! * [`nas`] — the §6.3 application harness running the NAS kernels under
 //!   each flow control scheme and pre-post depth.
-//! * [`report`] — plain-text table/series formatting used by the
-//!   per-figure binaries (`fig2_latency` … `table2_max_buffers`).
+//! * [`report`] — plain-text table formatting.
+//! * [`experiments`] — the [`EXPERIMENTS`] table: every figure, table,
+//!   ablation and battery by name, title and render function, behind the
+//!   one `ibflow-bench` binary.
 //!
 //! All numbers are *virtual-time* measurements from the deterministic
 //! simulation, so every figure regenerates bit-identically.
@@ -15,11 +17,13 @@
 pub mod ablations;
 pub mod chaos;
 pub mod ckpt;
+pub mod experiments;
 pub mod figures;
 pub mod micro;
 pub mod nas;
 pub mod report;
 
+pub use experiments::EXPERIMENTS;
 pub use micro::{bandwidth_test, latency_test, BandwidthResult, MicroParams};
 
 use mpib::FlowControlScheme;

@@ -1,6 +1,6 @@
 //! Shape assertions for the paper's application-level results (Figures
-//! 9–10, Tables 1–2), run at class W — the same configuration the figure
-//! binaries use, so these tests pin exactly what EXPERIMENTS.md reports.
+//! 9–10, Tables 1–2), run at class W — the same configuration `ibflow-bench`
+//! runs by default, so these tests pin exactly what EXPERIMENTS.md reports.
 
 use ibflow_bench::nas::{run_nas, NasRun};
 use mpib::FlowControlScheme;
@@ -192,7 +192,7 @@ fn resident_memory_follows_the_posted_pool_and_matches_experiments_md() {
     assert!(
         include_str!("../../../EXPERIMENTS.md").contains(&table),
         "EXPERIMENTS.md is stale; paste the table printed by \
-         `cargo run --release -p ibflow-bench --bin table2_max_buffers`:\n{table}"
+         `cargo run --release -p ibflow-bench -- resident-memory`:\n{table}"
     );
     // The paper's scalability argument, on the host: what a connection
     // costs is what its traffic touched, a few percent of the megabyte

@@ -65,7 +65,7 @@
 use crate::collectives;
 use crate::comm::Comm;
 use crate::config::MpiConfig;
-use crate::conn::{Conn, CreditWindow, RetiredRing};
+use crate::conn::{Conn, RetiredRing};
 use crate::rank::{MpiRank, RankSetup, Unexpected};
 use crate::regcache::RegCache;
 use crate::stats::RankStats;
@@ -74,7 +74,6 @@ use crate::wire::MsgHeader;
 use crate::world::{self, MpiRunError, MpiRunOutput, MpiWorld};
 use ibfabric::{CkptBus, Fabric, FabricParams, MrId, NodeId};
 use ibsim::codec::{CodecError, Reader, Writer};
-use ibsim::stats::{Counter, Peak};
 use ibsim::{FenceAction, Sim, SimClock, SimConfig, SimDuration, SimError, SimTime};
 use std::rc::Rc;
 
@@ -98,20 +97,6 @@ const TAG_REGCACHE: u32 = 0xC4A3;
 const TAG_RANK_STATS: u32 = 0xC4A4;
 const TAG_CONNS: u32 = 0xC4A5;
 const TAG_APP: u32 = 0xC4A6;
-
-/// A [`Counter`] holding `v` (checkpoint decode).
-fn counter(v: u64) -> Counter {
-    let mut c = Counter::default();
-    c.add(v);
-    c
-}
-
-/// A [`Peak`] holding `v` (checkpoint decode).
-fn peak(v: u64) -> Peak {
-    let mut p = Peak::default();
-    p.observe(v);
-    p
-}
 
 /// The scheme and effective chaos seed, for assertion messages: when a
 /// checkpoint invariant trips under the chaos battery, the report carries
@@ -489,9 +474,10 @@ impl MpiRank {
     }
 
     /// Overwrites this (freshly constructed) rank's dynamic state with a
-    /// decoded image and returns the application bytes. Infallible: every
-    /// field was validated by [`decode_rank_blob`] before any coroutine
-    /// was spawned.
+    /// decoded image and returns the application bytes; the image's
+    /// connections arrived through [`RankSetup`]. Infallible: every field
+    /// was validated by [`decode_rank_blob`] before any coroutine was
+    /// spawned.
     pub(crate) fn apply_image(&mut self, img: RankImage) -> Vec<u8> {
         debug_assert_eq!(self.rank, img.rank);
         debug_assert_eq!(self.size, img.size);
@@ -513,16 +499,10 @@ impl MpiRank {
             })
             .collect();
         self.regcache = img.regcache;
-        self.stats.msgs_received = counter(img.msgs_received);
-        self.stats.eager_bytes = counter(img.eager_bytes);
-        self.stats.rndz_bytes = counter(img.rndz_bytes);
-        self.stats.unexpected_msgs = counter(img.unexpected_msgs);
-        let mut conns = img.conns.into_iter();
-        for c in self.conns.iter_mut().flatten() {
-            // simlint: allow(no-panic-in-lib): decode produced exactly size-1 images in peer order, matching the bare setup
-            let ci = conns.next().expect("one image per connection");
-            apply_conn_image(c, ci);
-        }
+        self.stats.msgs_received = img.msgs_received.into();
+        self.stats.eager_bytes = img.eager_bytes.into();
+        self.stats.rndz_bytes = img.rndz_bytes.into();
+        self.stats.unexpected_msgs = img.unexpected_msgs.into();
         img.app_state
     }
 }
@@ -604,35 +584,9 @@ fn encode_conn(c: &Conn, w: &mut Writer) {
     w.u64(c.stats.ring_generation.get());
 }
 
-/// Decoded image of one connection (mirror of [`encode_conn`]).
-pub(crate) struct ConnImage {
-    established: bool,
-    credits: CreditWindow,
-    ring: CreditWindow,
-    send_seq: u32,
-    slab_free: Vec<u32>,
-    prepost_target: u32,
-    posted: u32,
-    next_deliver_seq: u32,
-    reorder: Vec<(u32, MsgHeader, Vec<u8>)>,
-    my_ring: MrId,
-    ring_read_slot: u32,
-    peer_ring: MrId,
-    ring_write_slot: u32,
-    my_ring_gen: u32,
-    my_ring_slots: u32,
-    peer_ring_gen: u32,
-    peer_ring_slots: u32,
-    peer_acked_gen: u32,
-    retired_rings: Vec<(u32, MrId, u32, u32)>,
-    ring_full_since_update: u32,
-    ring_backlog_pending: bool,
-    ring_gen_ack_pending: bool,
-    ring_growth_pending: bool,
-    stats: [u64; 13],
-}
-
-fn mr_id(raw: u32, n_mrs: usize, context: &'static str) -> Result<MrId, CodecError> {
+/// A serialized region handle, held against the restored fabric's region
+/// count.
+pub(crate) fn mr_id(raw: u32, n_mrs: usize, context: &'static str) -> Result<MrId, CodecError> {
     if (raw as usize) < n_mrs {
         Ok(MrId::from_raw(raw))
     } else {
@@ -644,15 +598,19 @@ fn mr_id(raw: u32, n_mrs: usize, context: &'static str) -> Result<MrId, CodecErr
     }
 }
 
+/// Fills the dynamic state of `c` — the bare connection
+/// [`world::make_conn`] builds — from its record (mirror of
+/// [`encode_conn`]). Sequences replace what the bare connection holds:
+/// its slab starts with every slot free.
 fn decode_conn(
     r: &mut Reader<'_>,
+    c: &mut Conn,
     max_prepost: u32,
     n_mrs: usize,
-) -> Result<ConnImage, CodecError> {
-    let (mut credits, mut ring) = (CreditWindow::default(), CreditWindow::default());
-    let established = r.bool("conn.established")?;
-    credits.held = r.u32("conn.credits.held")?;
-    let send_seq = r.u32("conn.send_seq")?;
+) -> Result<(), CodecError> {
+    c.established = r.bool("conn.established")?;
+    c.credits.held = r.u32("conn.credits.held")?;
+    c.send_seq = r.u32("conn.send_seq")?;
     let n_free = r.count("conn.slab_free.count", 4)?;
     let mut slab_free = Vec::with_capacity(n_free);
     for _ in 0..n_free {
@@ -666,8 +624,10 @@ fn decode_conn(
         }
         slab_free.push(s);
     }
-    let prepost_target = r.u32("conn.prepost_target")?;
-    let posted = r.u32("conn.posted")?;
+    c.slab.restore_free(slab_free);
+    c.prepost_target = r.u32("conn.prepost_target")?;
+    c.posted = r.u32("conn.posted")?;
+    let (credits, ring) = (&mut c.credits, &mut c.ring);
     credits.pending = r.u32("conn.credits.pending")?;
     credits.granted_total = r.u64("conn.credits.granted_total")?;
     credits.spent_total = r.u64("conn.credits.spent_total")?;
@@ -692,9 +652,9 @@ fn decode_conn(
             got: 1,
         });
     }
-    let next_deliver_seq = r.u32("conn.next_deliver_seq")?;
+    c.next_deliver_seq = r.u32("conn.next_deliver_seq")?;
     let n_reorder = r.count("conn.reorder.count", 4 + 8 + 8)?;
-    let mut reorder = Vec::with_capacity(n_reorder);
+    c.reorder.clear();
     for _ in 0..n_reorder {
         let seq = r.u32("conn.reorder.seq")?;
         let hb = r.bytes("conn.reorder.header")?;
@@ -704,114 +664,46 @@ fn decode_conn(
             got: 1,
         })?;
         let payload = r.bytes("conn.reorder.payload")?;
-        reorder.push((seq, h, payload));
+        c.reorder.insert(seq, (h, payload));
     }
-    let my_ring = mr_id(r.u32("conn.my_ring")?, n_mrs, "conn.my_ring")?;
-    let ring_read_slot = r.u32("conn.ring_read_slot")?;
-    let peer_ring = mr_id(r.u32("conn.peer_ring")?, n_mrs, "conn.peer_ring")?;
-    let ring_write_slot = r.u32("conn.ring_write_slot")?;
-    let my_ring_gen = r.u32("conn.my_ring_gen")?;
-    let my_ring_slots = r.u32("conn.my_ring_slots")?;
-    let peer_ring_gen = r.u32("conn.peer_ring_gen")?;
-    let peer_ring_slots = r.u32("conn.peer_ring_slots")?;
-    let peer_acked_gen = r.u32("conn.peer_acked_gen")?;
+    c.my_ring = mr_id(r.u32("conn.my_ring")?, n_mrs, "conn.my_ring")?;
+    c.ring_read_slot = r.u32("conn.ring_read_slot")?;
+    c.peer_ring = mr_id(r.u32("conn.peer_ring")?, n_mrs, "conn.peer_ring")?;
+    c.ring_write_slot = r.u32("conn.ring_write_slot")?;
+    c.my_ring_gen = r.u32("conn.my_ring_gen")?;
+    c.my_ring_slots = r.u32("conn.my_ring_slots")?;
+    c.peer_ring_gen = r.u32("conn.peer_ring_gen")?;
+    c.peer_ring_slots = r.u32("conn.peer_ring_slots")?;
+    c.peer_acked_gen = r.u32("conn.peer_acked_gen")?;
     let n_retired = r.count("conn.retired.count", 4 * 4)?;
-    let mut retired_rings = Vec::with_capacity(n_retired);
+    c.retired_rings.clear();
     for _ in 0..n_retired {
-        let gen = r.u32("conn.retired.gen")?;
-        let mr = mr_id(r.u32("conn.retired.mr")?, n_mrs, "conn.retired.mr")?;
-        let slots = r.u32("conn.retired.slots")?;
-        let read_slot = r.u32("conn.retired.read_slot")?;
-        retired_rings.push((gen, mr, slots, read_slot));
+        c.retired_rings.push(RetiredRing {
+            gen: r.u32("conn.retired.gen")?,
+            mr: mr_id(r.u32("conn.retired.mr")?, n_mrs, "conn.retired.mr")?,
+            slots: r.u32("conn.retired.slots")?,
+            read_slot: r.u32("conn.retired.read_slot")?,
+        });
     }
-    let ring_full_since_update = r.u32("conn.ring_full_since_update")?;
-    let ring_backlog_pending = r.bool("conn.ring_backlog_pending")?;
-    let ring_gen_ack_pending = r.bool("conn.ring_gen_ack_pending")?;
-    let ring_growth_pending = r.bool("conn.ring_growth_pending")?;
-    let mut stats = [0u64; 13];
-    for s in &mut stats {
-        *s = r.u64("conn.stats")?;
-    }
-    Ok(ConnImage {
-        established,
-        credits,
-        ring,
-        send_seq,
-        slab_free,
-        prepost_target,
-        posted,
-        next_deliver_seq,
-        reorder,
-        my_ring,
-        ring_read_slot,
-        peer_ring,
-        ring_write_slot,
-        my_ring_gen,
-        my_ring_slots,
-        peer_ring_gen,
-        peer_ring_slots,
-        peer_acked_gen,
-        retired_rings,
-        ring_full_since_update,
-        ring_backlog_pending,
-        ring_gen_ack_pending,
-        ring_growth_pending,
-        stats,
-    })
-}
-
-fn apply_conn_image(c: &mut Conn, img: ConnImage) {
-    c.established = img.established;
-    c.credits = img.credits;
-    c.ring = img.ring;
-    c.send_seq = img.send_seq;
-    c.slab.restore_free(img.slab_free);
-    c.prepost_target = img.prepost_target;
-    c.posted = img.posted;
-    c.next_deliver_seq = img.next_deliver_seq;
-    c.reorder = img
-        .reorder
-        .into_iter()
-        .map(|(seq, h, p)| (seq, (h, p)))
-        .collect();
-    c.my_ring = img.my_ring;
-    c.ring_read_slot = img.ring_read_slot;
-    c.peer_ring = img.peer_ring;
-    c.ring_write_slot = img.ring_write_slot;
-    c.my_ring_gen = img.my_ring_gen;
-    c.my_ring_slots = img.my_ring_slots;
-    c.peer_ring_gen = img.peer_ring_gen;
-    c.peer_ring_slots = img.peer_ring_slots;
-    c.peer_acked_gen = img.peer_acked_gen;
-    c.retired_rings = img
-        .retired_rings
-        .into_iter()
-        .map(|(gen, mr, slots, read_slot)| RetiredRing {
-            gen,
-            mr,
-            slots,
-            read_slot,
-        })
-        .collect();
-    c.ring_full_since_update = img.ring_full_since_update;
-    c.ring_backlog_pending = img.ring_backlog_pending;
-    c.ring_gen_ack_pending = img.ring_gen_ack_pending;
-    c.ring_growth_pending = img.ring_growth_pending;
-    let [msgs_sent, eager_sent, ring_sent, rndz_sent, ecm_sent, rdma_credit_updates, backlogged, credits_piggybacked, max_posted, growth_events, ring_growth_events, rings_retired, ring_generation] =
-        img.stats;
-    c.stats.msgs_sent = counter(msgs_sent);
-    c.stats.eager_sent = counter(eager_sent);
-    c.stats.ring_sent = counter(ring_sent);
-    c.stats.rndz_sent = counter(rndz_sent);
-    c.stats.ecm_sent = counter(ecm_sent);
-    c.stats.rdma_credit_updates = counter(rdma_credit_updates);
-    c.stats.backlogged = counter(backlogged);
-    c.stats.credits_piggybacked = counter(credits_piggybacked);
-    c.stats.max_posted = peak(max_posted);
-    c.stats.growth_events = counter(growth_events);
-    c.stats.ring_growth_events = counter(ring_growth_events);
-    c.stats.rings_retired = counter(rings_retired);
-    c.stats.ring_generation = peak(ring_generation);
+    c.ring_full_since_update = r.u32("conn.ring_full_since_update")?;
+    c.ring_backlog_pending = r.bool("conn.ring_backlog_pending")?;
+    c.ring_gen_ack_pending = r.bool("conn.ring_gen_ack_pending")?;
+    c.ring_growth_pending = r.bool("conn.ring_growth_pending")?;
+    let st = &mut c.stats;
+    st.msgs_sent = r.u64("conn.stats")?.into();
+    st.eager_sent = r.u64("conn.stats")?.into();
+    st.ring_sent = r.u64("conn.stats")?.into();
+    st.rndz_sent = r.u64("conn.stats")?.into();
+    st.ecm_sent = r.u64("conn.stats")?.into();
+    st.rdma_credit_updates = r.u64("conn.stats")?.into();
+    st.backlogged = r.u64("conn.stats")?.into();
+    st.credits_piggybacked = r.u64("conn.stats")?.into();
+    st.max_posted = r.u64("conn.stats")?.into();
+    st.growth_events = r.u64("conn.stats")?.into();
+    st.ring_growth_events = r.u64("conn.stats")?.into();
+    st.rings_retired = r.u64("conn.stats")?.into();
+    st.ring_generation = r.u64("conn.stats")?.into();
+    Ok(())
 }
 
 /// Fully decoded image of one rank's blob, validated before any coroutine
@@ -834,7 +726,9 @@ pub(crate) struct RankImage {
     eager_bytes: u64,
     rndz_bytes: u64,
     unexpected_msgs: u64,
-    conns: Vec<ConnImage>,
+    /// The rank's connections, built bare and filled from their records:
+    /// what [`RankSetup`] takes.
+    conns: Vec<Option<Conn>>,
     app_state: Vec<u8>,
 }
 
@@ -844,7 +738,7 @@ fn decode_rank_blob(
     size: usize,
     node: NodeId,
     cfg: &MpiConfig,
-    n_mrs: usize,
+    fabric: &Fabric,
 ) -> Result<RankImage, CodecError> {
     let mut r = Reader::new(blob);
     let version = r.u32("rank blob version")?;
@@ -934,7 +828,7 @@ fn decode_rank_blob(
 
     let mut gs = r.section(TAG_REGCACHE, "rank blob regcache")?;
     let mut regcache = RegCache::new(node, cfg.regcache_capacity);
-    regcache.restore(&mut gs)?;
+    regcache.restore(&mut gs, fabric)?;
     gs.done("rank blob regcache")?;
 
     let mut ss = r.section(TAG_RANK_STATS, "rank blob stats")?;
@@ -945,9 +839,17 @@ fn decode_rank_blob(
     ss.done("rank blob stats")?;
 
     let mut cs = r.section(TAG_CONNS, "rank blob conns")?;
-    let mut conns = Vec::with_capacity(size.saturating_sub(1));
-    for _ in 0..size.saturating_sub(1) {
-        conns.push(decode_conn(&mut cs, cfg.max_prepost, n_mrs)?);
+    let mut conns: Vec<Option<Conn>> = Vec::with_capacity(size);
+    for peer in 0..size {
+        conns.push(if peer == rank {
+            None
+        } else {
+            // Bare connection: the record overwrites every dynamic field,
+            // so no preposting or credit seeding here.
+            let mut c = world::make_conn(size, cfg, rank, peer);
+            decode_conn(&mut cs, &mut c, cfg.max_prepost, fabric.mr_count())?;
+            Some(c)
+        });
     }
     cs.done("rank blob conns")?;
 
@@ -1144,7 +1046,6 @@ impl MpiWorld {
             }
             .into());
         }
-        let n_mrs = fabric.mr_count();
         // Decode everything before spawning anything: a corrupt blob is a
         // typed error, never a panic inside a half-built simulation.
         let mut images = Vec::with_capacity(nprocs);
@@ -1155,7 +1056,7 @@ impl MpiWorld {
                 nprocs,
                 fabric.node_by_index(i),
                 &cfg,
-                n_mrs,
+                &fabric,
             )?);
         }
         let nodes: Vec<NodeId> = (0..nprocs).map(|i| fabric.node_by_index(i)).collect();
@@ -1195,23 +1096,13 @@ impl MpiWorld {
         let body = Rc::new(body);
         let (tx, rx) = std::sync::mpsc::channel::<(usize, R, RankStats)>();
         let resumed_epoch = snapshot.epoch;
-        for (i, image) in images.into_iter().enumerate() {
-            let mut conns: Vec<Option<Conn>> = Vec::with_capacity(nprocs);
-            for j in 0..nprocs {
-                if i == j {
-                    conns.push(None);
-                } else {
-                    // Bare connection: the image overwrites every dynamic
-                    // field, so no preposting or credit seeding here.
-                    conns.push(Some(world::make_conn(nprocs, &cfg, i, j)));
-                }
-            }
+        for (i, mut image) in images.into_iter().enumerate() {
             let setup = RankSetup {
                 rank: i,
                 size: nprocs,
                 node: nodes[i],
                 cq: cqs[i],
-                conns,
+                conns: std::mem::take(&mut image.conns),
                 cfg: cfg.clone(),
             };
             let body = Rc::clone(&body);
@@ -1326,24 +1217,49 @@ mod tests {
     }
 
     #[test]
-    fn conn_image_roundtrips_and_rejects_a_leaking_window() {
+    fn conn_record_roundtrips_and_rejects_a_leaking_window() {
         let cfg = MpiConfig::scheme(crate::FlowControlScheme::RdmaChannel, 8);
-        let image = |c: &Conn| {
+        let decoded = |c: &Conn| {
             let mut w = Writer::new();
             encode_conn(c, &mut w);
             let bytes = w.finish();
-            decode_conn(&mut Reader::new(&bytes), cfg.max_prepost, 16)
+            let mut back = world::make_conn(2, &cfg, 0, 1);
+            decode_conn(&mut Reader::new(&bytes), &mut back, cfg.max_prepost, 16).map(|()| back)
         };
         let mut c = world::make_conn(2, &cfg, 0, 1);
         c.credits.grant(8);
         c.credits.spend();
         c.ring.owe(3);
-        let img = image(&c).unwrap();
-        assert_eq!((img.credits, img.ring), (c.credits, c.ring));
+        // A slot out on a posted receive: the bare connection's full free
+        // list must be replaced by the record's, not extended.
+        let _ = c.slab.take_free();
+        let back = decoded(&c).unwrap();
+        assert_eq!((back.credits, back.ring), (c.credits, c.ring));
+        assert_eq!(back.slab.free_slots(), c.slab.free_slots());
         // One slot the ledger never saw: a typed error at decode, not a
         // conservation panic at finalize.
         c.ring.held += 1;
-        assert!(matches!(image(&c), Err(CodecError::BadTag { .. })));
+        assert!(matches!(decoded(&c), Err(CodecError::BadTag { .. })));
+    }
+
+    /// A 2-rank snapshot taken after each rank sent the other `len` bytes.
+    fn snapshot_after_exchange(cfg: &MpiConfig, len: usize) -> Snapshot {
+        MpiWorld::run_with_checkpoints(
+            2,
+            cfg.clone(),
+            FabricParams::mt23108(),
+            SimConfig::default(),
+            Some(1),
+            async move |mpi: &mut MpiRank, _start: CkptStart| {
+                let peer = 1 - mpi.rank();
+                let req = mpi.isend(&vec![7u8; len], peer, 1);
+                mpi.recv(Some(peer), Some(1)).await;
+                mpi.wait(req).await;
+                mpi.checkpoint(b"app").await;
+            },
+        )
+        .expect("snapshot run")
+        .into_snapshot()
     }
 
     /// Every eight-byte window of a real rank blob overwritten with a
@@ -1354,33 +1270,18 @@ mod tests {
     #[test]
     fn hostile_counts_are_refused_before_anything_is_sized() {
         let cfg = MpiConfig::scheme(crate::FlowControlScheme::RdmaChannelDyn, 4);
-        let snap = MpiWorld::run_with_checkpoints(
-            2,
-            cfg.clone(),
-            FabricParams::mt23108(),
-            SimConfig::default(),
-            Some(1),
-            async |mpi: &mut MpiRank, _start: CkptStart| {
-                let peer = 1 - mpi.rank();
-                let req = mpi.isend(b"before the fence", peer, 1);
-                mpi.recv(Some(peer), Some(1)).await;
-                mpi.wait(req).await;
-                mpi.checkpoint(b"app").await;
-            },
-        )
-        .expect("snapshot run")
-        .into_snapshot();
+        let snap = snapshot_after_exchange(&cfg, 16);
         let mut fabric = Fabric::new(FabricParams::mt23108());
         ibfabric::restore_fabric(&mut fabric, &mut Reader::new(&snap.fabric_image)).unwrap();
-        let (node, n_mrs) = (fabric.node_by_index(0), fabric.mr_count());
+        let node = fabric.node_by_index(0);
         let blob = &snap.rank_blobs[0];
-        decode_rank_blob(blob, 0, 2, node, &cfg, n_mrs).expect("the honest blob decodes");
+        decode_rank_blob(blob, 0, 2, node, &cfg, &fabric).expect("the honest blob decodes");
 
         for claim in [1u64 << 40, u64::MAX] {
             for at in 0..blob.len() - 8 {
                 let mut bad = blob.clone();
                 bad[at..at + 8].copy_from_slice(&claim.to_le_bytes());
-                let _ = decode_rank_blob(&bad, 0, 2, node, &cfg, n_mrs);
+                let _ = decode_rank_blob(&bad, 0, 2, node, &cfg, &fabric);
             }
         }
         // By name: the first count of the blob (`coll_seq`, after the
@@ -1389,7 +1290,7 @@ mod tests {
         // `credits.held` and `send_seq`).
         let mut bad = blob.clone();
         bad[4 + 12 + 3 * 8 + 2..][..8].copy_from_slice(&(1u64 << 40).to_le_bytes());
-        let err = decode_rank_blob(&bad, 0, 2, node, &cfg, n_mrs)
+        let err = decode_rank_blob(&bad, 0, 2, node, &cfg, &fabric)
             .err()
             .expect("refused");
         assert!(
@@ -1402,13 +1303,18 @@ mod tests {
             ),
             "{err}"
         );
+        let mut bare = world::make_conn(2, &cfg, 0, 1);
         let mut w = Writer::new();
-        encode_conn(&world::make_conn(2, &cfg, 0, 1), &mut w);
+        encode_conn(&bare, &mut w);
         let mut bad = w.finish();
         bad[1 + 4 + 4..][..8].copy_from_slice(&(1u64 << 40).to_le_bytes());
-        let err = decode_conn(&mut Reader::new(&bad), cfg.max_prepost, n_mrs)
-            .err()
-            .expect("refused");
+        let err = decode_conn(
+            &mut Reader::new(&bad),
+            &mut bare,
+            cfg.max_prepost,
+            fabric.mr_count(),
+        )
+        .expect_err("refused");
         assert!(
             matches!(
                 err,
@@ -1419,6 +1325,83 @@ mod tests {
             ),
             "{err}"
         );
+    }
+
+    /// Restores a snapshot taken after a rendezvous each way (both pin-down
+    /// caches hold entries) with `lie` applied to rank 0's `TAG_REGCACHE`
+    /// section — `used_bytes`, tick and three counters, the entry count at
+    /// byte 40, then 36-byte entries: key slot, key len, region id at +16,
+    /// length at +20, last use — and returns the refusal. No rank may run:
+    /// every lie must be caught before anything is spawned.
+    fn restore_with_regcache_lie(lie: impl FnOnce(&mut [u8])) -> String {
+        let cfg = MpiConfig::scheme(crate::FlowControlScheme::UserDynamic, 4);
+        let mut snap = snapshot_after_exchange(&cfg, 64 * 1024);
+        let blob = &mut snap.rank_blobs[0];
+        let mut at = 4; // past the blob version; then tag u32 | len u64 | body
+        let section = loop {
+            let tag = u32::from_le_bytes(blob[at..at + 4].try_into().unwrap());
+            let len = u64::from_le_bytes(blob[at + 4..at + 12].try_into().unwrap()) as usize;
+            if tag == TAG_REGCACHE {
+                break &mut blob[at + 12..at + 12 + len];
+            }
+            at += 12 + len;
+        };
+        assert_ne!(section[40..48], [0; 8], "the cache holds entries");
+        lie(section);
+        let refused = MpiWorld::restore(
+            &snap,
+            cfg,
+            FabricParams::mt23108(),
+            SimConfig::default(),
+            RestoreOptions::default(),
+            async |_: &mut MpiRank, _: CkptStart| panic!("a rank ran on a refused snapshot"),
+        );
+        match refused {
+            Err(MpiRunError::Snapshot(e)) => e.to_string(),
+            Err(e) => panic!("refused, but not as a bad image: {e}"),
+            Ok(_) => panic!("a lying pin-down cache image was restored"),
+        }
+    }
+
+    #[test]
+    fn regcache_entry_naming_a_region_the_fabric_lacks_is_refused() {
+        let err = restore_with_regcache_lie(|s| s[64..68].copy_from_slice(&77u32.to_le_bytes()));
+        assert!(
+            err.starts_with("regcache entry mr: value 77 exceeds"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn regcache_entry_naming_a_peers_region_is_refused() {
+        // Rank 1's receive slab: a real region, on the wrong node.
+        let theirs = world::slab_mr_for(2, 1, 0).as_raw().to_le_bytes();
+        let err = restore_with_regcache_lie(|s| s[64..68].copy_from_slice(&theirs));
+        assert!(
+            err.starts_with("regcache entry mr (another node's region)"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn regcache_entry_longer_than_its_region_is_refused() {
+        let err =
+            restore_with_regcache_lie(|s| s[68..76].copy_from_slice(&(1u64 << 40).to_le_bytes()));
+        assert!(err.starts_with("regcache entry len: value"), "{err}");
+    }
+
+    #[test]
+    fn regcache_used_bytes_off_the_sum_of_its_entries_is_refused() {
+        // One byte off: eviction's `used_bytes -= len` can underflow.
+        let err = restore_with_regcache_lie(|s| s[0] ^= 1);
+        assert!(err.starts_with("regcache used_bytes (not the sum"), "{err}");
+    }
+
+    #[test]
+    fn regcache_entry_count_no_input_could_back_is_refused() {
+        let err =
+            restore_with_regcache_lie(|s| s[40..48].copy_from_slice(&(1u64 << 40).to_le_bytes()));
+        assert!(err.starts_with("regcache entry count: truncated"), "{err}");
     }
 
     #[test]

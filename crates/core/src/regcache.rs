@@ -36,13 +36,6 @@ struct Entry {
     last_use: u64,
 }
 
-/// A [`Counter`] holding `v` (checkpoint decode).
-fn counter(v: u64) -> Counter {
-    let mut c = Counter::default();
-    c.add(v);
-    c
-}
-
 /// An LRU pin-down cache for one node.
 #[derive(Debug)]
 pub struct RegCache {
@@ -134,24 +127,53 @@ impl RegCache {
     }
 
     /// Restores the dynamic state captured by [`RegCache::encode`] into a
-    /// freshly constructed cache.
-    pub fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), CodecError> {
-        self.used_bytes = r.u64("regcache used_bytes")? as usize;
+    /// freshly constructed cache. The image is input: every entry must
+    /// name a region `fabric` (already restored) holds on this cache's
+    /// node, no longer than that region, and the entries must add up to
+    /// the recorded `used_bytes` — or eviction underflows and the first
+    /// cache hit hands the protocol memory that is not there.
+    pub fn restore(&mut self, r: &mut Reader<'_>, fabric: &Fabric) -> Result<(), CodecError> {
+        self.used_bytes = r.usize("regcache used_bytes")?;
         self.tick = r.u64("regcache tick")?;
-        self.hits = counter(r.u64("regcache hits")?);
-        self.misses = counter(r.u64("regcache misses")?);
-        self.evictions = counter(r.u64("regcache evictions")?);
-        let n = r.u64("regcache entry count")?;
+        self.hits = r.u64("regcache hits")?.into();
+        self.misses = r.u64("regcache misses")?.into();
+        self.evictions = r.u64("regcache evictions")?.into();
+        let n = r.count("regcache entry count", 8 + 8 + 4 + 8 + 8)?;
         self.entries.clear();
+        let mut sum = 0usize;
         for _ in 0..n {
             let key = BufKey {
-                slot: r.u64("regcache key slot")? as usize,
-                len: r.u64("regcache key len")? as usize,
+                slot: r.usize("regcache key slot")?,
+                len: r.usize("regcache key len")?,
             };
-            let mr = MrId::from_raw(r.u32("regcache entry mr")?);
-            let len = r.u64("regcache entry len")? as usize;
+            let raw = r.u32("regcache entry mr")?;
+            let mr = crate::ckpt::mr_id(raw, fabric.mr_count(), "regcache entry mr")?;
+            let owner = fabric.mr_node(mr);
+            if owner != self.node {
+                return Err(CodecError::BadTag {
+                    context: "regcache entry mr (another node's region)",
+                    want: self.node.index() as u64,
+                    got: owner.index() as u64,
+                });
+            }
+            let len = r.usize("regcache entry len")?;
+            if len > fabric.mr_len(mr) {
+                return Err(CodecError::Overflow {
+                    context: "regcache entry len",
+                    value: len as u64,
+                    max: fabric.mr_len(mr) as u64,
+                });
+            }
+            sum = sum.saturating_add(len);
             let last_use = r.u64("regcache entry last_use")?;
             self.entries.insert(key, Entry { mr, len, last_use });
+        }
+        if sum != self.used_bytes {
+            return Err(CodecError::Overflow {
+                context: "regcache used_bytes (not the sum of its entries)",
+                value: self.used_bytes as u64,
+                max: sum as u64,
+            });
         }
         Ok(())
     }

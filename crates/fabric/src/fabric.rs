@@ -232,6 +232,12 @@ impl Fabric {
         self.mrs[mr.index()].len()
     }
 
+    /// The node a region was registered on (restore drivers check a
+    /// serialized handle still names its holder's memory).
+    pub fn mr_node(&self, mr: MrId) -> NodeId {
+        self.mrs[mr.index()].node
+    }
+
     /// The *materialised extent* of a region: one contiguous slice from
     /// offset 0 to the end of the furthest write so far, at most
     /// [`Fabric::mr_len`] long. Every byte a completion has reported placed

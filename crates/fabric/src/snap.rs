@@ -29,7 +29,6 @@ use crate::mem::{Access, Mr, MrId};
 use crate::qp::{QpAttrs, QpId, QpState, QpType};
 use crate::wr::{Cqe, CqeOpcode, CqeStatus, RecvWr};
 use ibsim::codec::{CodecError, Reader, Writer};
-use ibsim::stats::{Counter, Peak};
 use ibsim::SimTime;
 use std::collections::VecDeque;
 
@@ -147,18 +146,6 @@ pub fn reset_qp_for_reconnect(f: &mut Fabric, qp: QpId) {
     q.retry_deadline = SimTime::ZERO;
     q.timeout_streak = 0;
     q.expected_msn = 0;
-}
-
-fn counter(v: u64) -> Counter {
-    let mut c = Counter::default();
-    c.add(v);
-    c
-}
-
-fn peak(v: u64) -> Peak {
-    let mut p = Peak::default();
-    p.observe(v);
-    p
 }
 
 fn state_tag(s: QpState) -> u8 {
@@ -521,17 +508,17 @@ pub fn restore_fabric(f: &mut Fabric, r: &mut Reader<'_>) -> Result<(), CodecErr
         q.expected_msn = expected_msn;
         q.peak_sq_depth = peak_sq_depth;
         q.peak_rq_depth = peak_rq_depth;
-        q.stats.sends_launched = counter(qs.u64("qp.stats.sends_launched")?);
-        q.stats.rdma_writes = counter(qs.u64("qp.stats.rdma_writes")?);
-        q.stats.rdma_reads = counter(qs.u64("qp.stats.rdma_reads")?);
-        q.stats.bytes_launched = counter(qs.u64("qp.stats.bytes_launched")?);
-        q.stats.retransmissions = counter(qs.u64("qp.stats.retransmissions")?);
-        q.stats.rnr_naks_sent = counter(qs.u64("qp.stats.rnr_naks_sent")?);
-        q.stats.rnr_naks_received = counter(qs.u64("qp.stats.rnr_naks_received")?);
-        q.stats.acks_received = counter(qs.u64("qp.stats.acks_received")?);
-        q.stats.zero_credit_probes = counter(qs.u64("qp.stats.zero_credit_probes")?);
-        q.stats.ack_timeouts = counter(qs.u64("qp.stats.ack_timeouts")?);
-        q.stats.peak_inflight = peak(qs.u64("qp.stats.peak_inflight")?);
+        q.stats.sends_launched = qs.u64("qp.stats.sends_launched")?.into();
+        q.stats.rdma_writes = qs.u64("qp.stats.rdma_writes")?.into();
+        q.stats.rdma_reads = qs.u64("qp.stats.rdma_reads")?.into();
+        q.stats.bytes_launched = qs.u64("qp.stats.bytes_launched")?.into();
+        q.stats.retransmissions = qs.u64("qp.stats.retransmissions")?.into();
+        q.stats.rnr_naks_sent = qs.u64("qp.stats.rnr_naks_sent")?.into();
+        q.stats.rnr_naks_received = qs.u64("qp.stats.rnr_naks_received")?.into();
+        q.stats.acks_received = qs.u64("qp.stats.acks_received")?.into();
+        q.stats.zero_credit_probes = qs.u64("qp.stats.zero_credit_probes")?.into();
+        q.stats.ack_timeouts = qs.u64("qp.stats.ack_timeouts")?.into();
+        q.stats.peak_inflight = qs.u64("qp.stats.peak_inflight")?.into();
     }
     qs.done("fabric.qps")?;
 
@@ -640,19 +627,19 @@ pub fn restore_fabric(f: &mut Fabric, r: &mut Reader<'_>) -> Result<(), CodecErr
     fs.done("fabric.fault")?;
 
     let mut ss = s.section(TAG_STATS, "fabric.stats")?;
-    f.stats.msgs_delivered = counter(ss.u64("stats.msgs_delivered")?);
-    f.stats.bytes_delivered = counter(ss.u64("stats.bytes_delivered")?);
-    f.stats.rnr_naks = counter(ss.u64("stats.rnr_naks")?);
-    f.stats.retransmissions = counter(ss.u64("stats.retransmissions")?);
-    f.stats.cqes = counter(ss.u64("stats.cqes")?);
-    f.stats.ud_drops = counter(ss.u64("stats.ud_drops")?);
-    f.stats.msgs_dropped = counter(ss.u64("stats.msgs_dropped")?);
-    f.stats.msgs_corrupted = counter(ss.u64("stats.msgs_corrupted")?);
-    f.stats.flap_drops = counter(ss.u64("stats.flap_drops")?);
-    f.stats.acks_delayed = counter(ss.u64("stats.acks_delayed")?);
-    f.stats.ack_timeouts = counter(ss.u64("stats.ack_timeouts")?);
-    f.stats.dup_suppressed = counter(ss.u64("stats.dup_suppressed")?);
-    f.stats.read_replays = counter(ss.u64("stats.read_replays")?);
+    f.stats.msgs_delivered = ss.u64("stats.msgs_delivered")?.into();
+    f.stats.bytes_delivered = ss.u64("stats.bytes_delivered")?.into();
+    f.stats.rnr_naks = ss.u64("stats.rnr_naks")?.into();
+    f.stats.retransmissions = ss.u64("stats.retransmissions")?.into();
+    f.stats.cqes = ss.u64("stats.cqes")?.into();
+    f.stats.ud_drops = ss.u64("stats.ud_drops")?.into();
+    f.stats.msgs_dropped = ss.u64("stats.msgs_dropped")?.into();
+    f.stats.msgs_corrupted = ss.u64("stats.msgs_corrupted")?.into();
+    f.stats.flap_drops = ss.u64("stats.flap_drops")?.into();
+    f.stats.acks_delayed = ss.u64("stats.acks_delayed")?.into();
+    f.stats.ack_timeouts = ss.u64("stats.ack_timeouts")?.into();
+    f.stats.dup_suppressed = ss.u64("stats.dup_suppressed")?.into();
+    f.stats.read_replays = ss.u64("stats.read_replays")?.into();
     ss.done("fabric.stats")?;
 
     s.done("fabric")?;

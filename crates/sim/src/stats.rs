@@ -26,6 +26,13 @@ impl Counter {
     }
 }
 
+/// A counter holding `v` (snapshot decode).
+impl From<u64> for Counter {
+    fn from(v: u64) -> Self {
+        Counter(v)
+    }
+}
+
 impl fmt::Display for Counter {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         self.0.fmt(f)
@@ -50,6 +57,13 @@ impl Peak {
     #[inline]
     pub fn get(&self) -> u64 {
         self.0
+    }
+}
+
+/// A peak whose maximum so far is `v` (snapshot decode).
+impl From<u64> for Peak {
+    fn from(v: u64) -> Self {
+        Peak(v)
     }
 }
 

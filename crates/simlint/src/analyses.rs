@@ -5,12 +5,6 @@
 //! deterministic — but reason about *paths through a function* instead of
 //! single tokens:
 //!
-//! * **guard liveness** (`borrow-across-await`, `await-under-lock`):
-//!   tracks `RefCell` borrow guards and lock guards from creation to
-//!   `drop`/scope end, and reports any `.await` they are live across.
-//!   Temporaries live to the end of their statement; a `match` scrutinee's
-//!   temporaries live through every arm (the Rust rule that makes
-//!   `match x.borrow_mut().kind { .. await .. }` a real runtime panic).
 //! * **blocking calls** (`no-blocking-in-async`): inside `async` bodies of
 //!   the simulation crates, flags `std::thread::sleep`/`spawn`, zero-arg
 //!   channel `recv`, and `.lock()` — rank code must go through the
@@ -49,13 +43,11 @@
 
 use crate::ast::{Block, Chain, Expr, FnDef, Node, Op, Stmt};
 use crate::rules::{
-    is_lib_code, push, Finding, AWAIT_UNDER_LOCK, BORROW_ACROSS_AWAIT, CREDIT_PATH_PAIRING,
-    EXHAUSTIVE_PROTOCOL_MATCH, NO_BLOCKING_IN_ASYNC, NO_PANIC_IN_LIB, QUIESCE_PAIRING,
+    is_lib_code, push, Finding, CREDIT_PATH_PAIRING, EXHAUSTIVE_PROTOCOL_MATCH,
+    NO_BLOCKING_IN_ASYNC, NO_PANIC_IN_LIB, QUIESCE_PAIRING,
 };
 use std::collections::BTreeSet;
 
-const BORROW_METHODS: [&str; 4] = ["borrow", "borrow_mut", "try_borrow", "try_borrow_mut"];
-const LOCK_METHODS: [&str; 2] = ["lock", "try_lock"];
 const PANIC_MACROS: [&str; 4] = ["panic", "unreachable", "todo", "unimplemented"];
 const PANIC_METHODS: [&str; 2] = ["unwrap", "expect"];
 /// Consume-side `CreditWindow` ops: each call takes on an obligation to
@@ -125,9 +117,8 @@ pub fn collect_ast_findings(path: &str, fns: &[FnDef], out: &mut Vec<Finding>) {
             scopes.push(&f.body);
         }
         collect_async_blocks(&f.body, &mut scopes);
-        for scope in &scopes {
-            guard_liveness(path, scope, out);
-            if in_async_rule_crates(path) {
+        if in_async_rule_crates(path) {
+            for scope in &scopes {
                 blocking_calls(path, scope, out);
             }
         }
@@ -303,292 +294,6 @@ fn field_path(chain: &Chain, upto: usize) -> Option<String> {
         }
     }
     Some(key)
-}
-
-// ---------------------------------------------------------------------
-// Guard liveness: borrow-across-await & await-under-lock.
-// ---------------------------------------------------------------------
-
-#[derive(Clone, Copy, PartialEq)]
-enum GuardKind {
-    Borrow,
-    Lock,
-}
-
-#[derive(Clone)]
-struct Guard {
-    /// Binding name; empty for a temporary (lives to end of statement).
-    name: String,
-    kind: GuardKind,
-    line: u32,
-}
-
-fn guard_kind_of_method(name: &str) -> Option<GuardKind> {
-    if BORROW_METHODS.contains(&name) {
-        Some(GuardKind::Borrow)
-    } else if LOCK_METHODS.contains(&name) {
-        Some(GuardKind::Lock)
-    } else {
-        None
-    }
-}
-
-/// Analyzes one async scope. `out` receives a finding for every `.await`
-/// a borrow/lock guard is live across.
-fn guard_liveness(path: &str, scope: &Block, out: &mut Vec<Finding>) {
-    let named = Vec::new();
-    guard_block(path, scope, named, out);
-}
-
-/// Walks a block with the given inherited live guards (an owned copy:
-/// guards bound here die with the block, and a `drop(g)` of an outer
-/// guard propagates for the rest of *this* block, which is where the
-/// subsequent awaits it unblocks live).
-fn guard_block(path: &str, block: &Block, inherited: Vec<Guard>, out: &mut Vec<Finding>) {
-    let mut live = inherited;
-    for stmt in &block.stmts {
-        let mut temps: Vec<Guard> = Vec::new();
-        match stmt {
-            Stmt::Let {
-                names,
-                init,
-                else_block,
-                line,
-            } => {
-                if let Some(init) = init {
-                    guard_expr(path, init, &mut live, &mut temps, out);
-                    // Rebinding a name kills whatever guard it held.
-                    live.retain(|g| !names.contains(&g.name));
-                    if names.len() == 1 && names[0] != "_" {
-                        if let Some(kind) = binding_guard_kind(init) {
-                            live.push(Guard {
-                                name: names[0].clone(),
-                                kind,
-                                line: *line,
-                            });
-                        }
-                    }
-                } else {
-                    live.retain(|g| !names.contains(&g.name));
-                }
-                if let Some(b) = else_block {
-                    // The else-block runs when the pattern failed; the
-                    // initializer's temporaries are still live there.
-                    let mut inner = live.clone();
-                    inner.extend(temps.iter().cloned());
-                    guard_block(path, b, inner, out);
-                }
-            }
-            Stmt::Expr { expr, .. } => {
-                guard_expr(path, expr, &mut live, &mut temps, out);
-            }
-        }
-        // Temporaries die at the end of the statement.
-    }
-}
-
-/// True when `init` is a single chain ending in a borrow/lock op (with
-/// only `unwrap`/`expect`/`?` after it), i.e. the `let` binds the guard.
-fn binding_guard_kind(init: &Expr) -> Option<GuardKind> {
-    let [Node::Chain(c)] = init.nodes.as_slice() else {
-        return None;
-    };
-    let mut found = None;
-    for (i, op) in c.ops.iter().enumerate() {
-        if let Op::Method { name, .. } = op {
-            if let Some(kind) = guard_kind_of_method(name) {
-                // Everything after must merely unwrap the guard.
-                let tail_ok = c.ops[i + 1..].iter().all(|o| {
-                    matches!(o, Op::Try { .. })
-                        || matches!(o, Op::Method { name, .. } if PANIC_METHODS.contains(&name.as_str()))
-                });
-                if tail_ok {
-                    found = Some(kind);
-                }
-            }
-        }
-    }
-    found
-}
-
-/// Walks an expression: creates temporaries for borrow/lock calls,
-/// handles `drop(g)`, descends into control flow, and reports awaits
-/// with anything live.
-fn guard_expr(
-    path: &str,
-    expr: &Expr,
-    live: &mut Vec<Guard>,
-    temps: &mut Vec<Guard>,
-    out: &mut Vec<Finding>,
-) {
-    for node in &expr.nodes {
-        match node {
-            Node::Chain(c) => guard_chain(path, c, live, temps, out),
-            Node::If {
-                cond, then, else_, ..
-            } => {
-                // Condition temporaries drop before the block runs.
-                let mut cond_temps = Vec::new();
-                guard_expr(path, cond, live, &mut cond_temps, out);
-                let mut inner = live.clone();
-                inner.extend(temps.iter().cloned());
-                guard_block(path, then, inner.clone(), out);
-                let mut e = else_.as_deref();
-                while let Some(n) = e {
-                    match n {
-                        Node::BlockExpr(b) => {
-                            guard_block(path, b, inner.clone(), out);
-                            e = None;
-                        }
-                        Node::If {
-                            cond, then, else_, ..
-                        } => {
-                            let mut ct = Vec::new();
-                            guard_expr(path, cond, live, &mut ct, out);
-                            guard_block(path, then, inner.clone(), out);
-                            e = else_.as_deref();
-                        }
-                        _ => e = None,
-                    }
-                }
-            }
-            Node::Match {
-                scrutinee, arms, ..
-            } => {
-                // Scrutinee temporaries live through *every* arm — the
-                // classic borrow-across-await footgun.
-                let mut scrut_temps = Vec::new();
-                guard_expr(path, scrutinee, live, &mut scrut_temps, out);
-                for arm in arms {
-                    let mut arm_live = live.clone();
-                    arm_live.extend(temps.iter().cloned());
-                    arm_live.extend(scrut_temps.iter().cloned());
-                    let mut arm_temps = Vec::new();
-                    if let Some(g) = &arm.guard {
-                        guard_expr(path, g, &mut arm_live, &mut arm_temps, out);
-                    }
-                    guard_expr(path, &arm.body, &mut arm_live, &mut arm_temps, out);
-                }
-            }
-            Node::Loop { body, .. } => {
-                let mut inner = live.clone();
-                inner.extend(temps.iter().cloned());
-                guard_block(path, body, inner, out);
-            }
-            Node::While { cond, body, .. } => {
-                let mut ct = Vec::new();
-                guard_expr(path, cond, live, &mut ct, out);
-                let mut inner = live.clone();
-                inner.extend(temps.iter().cloned());
-                guard_block(path, body, inner, out);
-            }
-            Node::For { iter, body, .. } => {
-                let mut it = Vec::new();
-                guard_expr(path, iter, live, &mut it, out);
-                let mut inner = live.clone();
-                inner.extend(temps.iter().cloned());
-                inner.extend(it.iter().cloned()); // iterator lives for the loop
-                guard_block(path, body, inner, out);
-            }
-            Node::BlockExpr(b) => {
-                let mut inner = live.clone();
-                inner.extend(temps.iter().cloned());
-                guard_block(path, b, inner, out);
-            }
-            // A nested async block is its own scope (analyzed separately);
-            // a sync closure body cannot contain `.await` at this scope.
-            Node::AsyncBlock(_) | Node::Closure { .. } => {}
-            Node::Return { value, .. } => {
-                if let Some(v) = value {
-                    guard_expr(path, v, live, temps, out);
-                }
-            }
-            Node::Macro { inner, .. } => {
-                if let Some(i) = inner {
-                    guard_expr(path, i, live, temps, out);
-                }
-            }
-            Node::Break { .. } | Node::Continue { .. } => {}
-        }
-    }
-}
-
-fn guard_chain(
-    path: &str,
-    c: &Chain,
-    live: &mut Vec<Guard>,
-    temps: &mut Vec<Guard>,
-    out: &mut Vec<Finding>,
-) {
-    // `drop(g)` releases a named guard.
-    if c.base.len() == 1 && c.base[0] == "drop" && c.ops.len() == 1 {
-        if let Op::CallArgs { args, .. } = &c.ops[0] {
-            if let [arg] = args.as_slice() {
-                if let [Node::Chain(inner)] = arg.nodes.as_slice() {
-                    if inner.ops.is_empty() && inner.base.len() == 1 {
-                        let name = &inner.base[0];
-                        live.retain(|g| &g.name != name);
-                        return;
-                    }
-                }
-            }
-        }
-    }
-    if let Some(g) = &c.base_group {
-        guard_expr(path, g, live, temps, out);
-    }
-    for op in &c.ops {
-        match op {
-            Op::Method { name, args, line } => {
-                for a in args {
-                    guard_expr(path, a, live, temps, out);
-                }
-                if let Some(kind) = guard_kind_of_method(name) {
-                    temps.push(Guard {
-                        name: String::new(),
-                        kind,
-                        line: *line,
-                    });
-                }
-            }
-            Op::CallArgs { args, .. } => {
-                for a in args {
-                    guard_expr(path, a, live, temps, out);
-                }
-            }
-            Op::Index(e) => guard_expr(path, e, live, temps, out),
-            Op::StructLit(fields) => {
-                for e in fields {
-                    guard_expr(path, e, live, temps, out);
-                }
-            }
-            Op::Await { line } => {
-                for g in live.iter().chain(temps.iter()) {
-                    let (rule, what) = match g.kind {
-                        GuardKind::Borrow => (BORROW_ACROSS_AWAIT, "RefCell borrow guard"),
-                        GuardKind::Lock => (AWAIT_UNDER_LOCK, "lock guard"),
-                    };
-                    let who = if g.name.is_empty() {
-                        format!("temporary {what} from line {}", g.line)
-                    } else {
-                        format!("{what} `{}` (line {})", g.name, g.line)
-                    };
-                    push(
-                        out,
-                        rule,
-                        path,
-                        *line,
-                        format!(
-                            "{who} is live across this `.await`; the suspended \
-                             coroutine keeps it held, poisoning re-entry — \
-                             drop or scope the guard before awaiting"
-                        ),
-                    );
-                }
-            }
-            Op::Field(_) | Op::Try { .. } => {}
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -1244,90 +949,17 @@ mod tests {
             .collect()
     }
 
-    // -- guard liveness ------------------------------------------------
-
-    #[test]
-    fn borrow_held_across_await_fires() {
-        let src = "async fn f(&mut self) {\n\
-                   let st = self.state.borrow_mut();\n\
-                   self.park(\"x\").await;\n\
-                   st.touch();\n}";
-        let hits = rules_hit("crates/core/src/rank.rs", src);
-        assert!(hits.contains(&(BORROW_ACROSS_AWAIT, 3)), "{hits:?}");
-    }
-
-    #[test]
-    fn borrow_dropped_before_await_is_clean() {
-        let src = "async fn f(&mut self) {\n\
-                   let st = self.state.borrow_mut();\n\
-                   st.touch();\n\
-                   drop(st);\n\
-                   self.park(\"x\").await;\n}";
-        assert!(rules_hit("crates/core/src/rank.rs", src).is_empty());
-    }
-
-    #[test]
-    fn scoped_borrow_before_await_is_clean() {
-        let src = "async fn f(&mut self) {\n\
-                   { let st = self.state.borrow_mut(); st.touch(); }\n\
-                   self.park(\"x\").await;\n}";
-        assert!(rules_hit("crates/core/src/rank.rs", src).is_empty());
-    }
-
-    #[test]
-    fn match_scrutinee_temp_lives_through_arms() {
-        // The scrutinee's `borrow_mut` temporary is live inside every arm.
-        let src = "async fn f(&mut self) {\n\
-                   match self.state.borrow_mut().kind {\n\
-                   K::A => self.park(\"x\").await,\n\
-                   K::B => {}\n\
-                   }\n}";
-        let hits = rules_hit("crates/core/src/rank.rs", src);
-        assert!(
-            hits.iter().any(|(r, _)| *r == BORROW_ACROSS_AWAIT),
-            "{hits:?}"
-        );
-    }
-
-    #[test]
-    fn if_condition_temp_dies_before_block() {
-        let src = "async fn f(&mut self) {\n\
-                   if self.state.borrow().ready {\n\
-                   self.park(\"x\").await;\n\
-                   }\n}";
-        let hits = rules_hit("crates/core/src/rank.rs", src);
-        assert!(
-            !hits.iter().any(|(r, _)| *r == BORROW_ACROSS_AWAIT),
-            "{hits:?}"
-        );
-    }
-
-    #[test]
-    fn lock_across_await_is_its_own_rule() {
-        let src = "async fn f(&mut self) {\n\
-                   let st = self.shared.lock();\n\
-                   self.park(\"x\").await;\n\
-                   st.touch();\n}";
-        let hits = rules_hit("crates/fabric/src/transport.rs", src);
-        assert!(hits.contains(&(AWAIT_UNDER_LOCK, 3)), "{hits:?}");
-    }
+    // -- no-blocking-in-async -------------------------------------------
 
     #[test]
     fn async_block_inside_sync_fn_is_analyzed() {
         let src = "fn f(&mut self) -> impl Future<Output = ()> {\n\
                    async move {\n\
-                   let g = self.cell.borrow();\n\
-                   park().await;\n\
-                   g.touch();\n\
+                   std::thread::sleep(d);\n\
                    }\n}";
         let hits = rules_hit("crates/core/src/rank.rs", src);
-        assert!(
-            hits.iter().any(|(r, _)| *r == BORROW_ACROSS_AWAIT),
-            "{hits:?}"
-        );
+        assert!(hits.contains(&(NO_BLOCKING_IN_ASYNC, 3)), "{hits:?}");
     }
-
-    // -- no-blocking-in-async -------------------------------------------
 
     #[test]
     fn thread_sleep_in_async_fires() {

@@ -36,11 +36,8 @@ pub struct Block {
 
 #[derive(Debug)]
 pub enum Stmt {
-    /// `let <pat> [= init] [else { .. }];` — `names` are the idents bound
-    /// by the pattern (lowercase-initial only, so variant paths in the
-    /// pattern are not mistaken for bindings).
+    /// `let <pat> [= init] [else { .. }];`
     Let {
-        names: Vec<String>,
         init: Option<Expr>,
         else_block: Option<Block>,
         line: u32,
@@ -441,9 +438,8 @@ impl<'a> Parser<'a> {
     fn parse_let(&mut self) -> Stmt {
         let line = self.line();
         self.bump(); // let
-        let mut names = Vec::new();
-        // Pattern: collect lowercase-initial idents until `=`, `:`, or
-        // `;` at bracket depth 0 (`==` cannot appear in a pattern).
+                     // Pattern: skip to `=`, `:`, or `;` at bracket depth 0 (`==`
+                     // cannot appear in a pattern).
         let mut depth = 0i32;
         while !self.at_end() {
             let t = self.text();
@@ -457,15 +453,7 @@ impl<'a> Parser<'a> {
                     self.bump();
                 }
                 "=" | ":" | ";" if depth == 0 => break,
-                _ => {
-                    if self.is_ident()
-                        && !matches!(t, "mut" | "ref" | "box" | "_")
-                        && t.starts_with(|c: char| c.is_ascii_lowercase() || c == '_')
-                    {
-                        names.push(t.to_string());
-                    }
-                    self.bump();
-                }
+                _ => self.bump(),
             }
         }
         // Optional type annotation: skip to `=` or `;` tracking angle
@@ -496,7 +484,6 @@ impl<'a> Parser<'a> {
         }
         self.eat(";");
         Stmt::Let {
-            names,
             init,
             else_block,
             line,
@@ -1167,17 +1154,16 @@ mod tests {
     }
 
     #[test]
-    fn parses_let_binding_names() {
+    fn parses_let_initializers_past_any_pattern() {
         let fns = parse_src("fn f() { let mut st = self.shared.lock(); let (a, b) = pair(); }");
-        let Stmt::Let { names, init, .. } = &fns[0].body.stmts[0] else {
+        let Stmt::Let { init, .. } = &fns[0].body.stmts[0] else {
             panic!()
         };
-        assert_eq!(names, &["st"]);
         assert_eq!(shape(init.as_ref().unwrap()).trim(), "self.shared.lock()");
-        let Stmt::Let { names, .. } = &fns[0].body.stmts[1] else {
+        let Stmt::Let { init, .. } = &fns[0].body.stmts[1] else {
             panic!()
         };
-        assert_eq!(names, &["a", "b"]);
+        assert_eq!(shape(init.as_ref().unwrap()).trim(), "pair()");
     }
 
     #[test]
@@ -1286,13 +1272,9 @@ mod tests {
     #[test]
     fn let_else_parses() {
         let fns = parse_src("fn f() { let Some(c) = self.conns(p) else { return; }; c.go(); }");
-        let Stmt::Let {
-            names, else_block, ..
-        } = &fns[0].body.stmts[0]
-        else {
+        let Stmt::Let { else_block, .. } = &fns[0].body.stmts[0] else {
             panic!()
         };
-        assert_eq!(names, &["c"]);
         assert!(else_block.is_some());
         assert_eq!(fns[0].body.stmts.len(), 2);
     }

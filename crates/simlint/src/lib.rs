@@ -11,16 +11,17 @@
 //! | `no-truncating-cast` | `as u8/u16/u32/usize` in `wire.rs`, `qp.rs`, `conn.rs` |
 //! | `no-panic-in-lib` | `unwrap()`/`expect()`/`panic!` in `ibsim`/`ibfabric`/`mpib` library code |
 //! | `no-ambient-rng` | RNG construction outside the `det_rng(seed, stream)` contract |
-//! | `borrow-across-await` | a `RefCell` borrow guard live at an `.await` point |
-//! | `await-under-lock` | a lock guard live at an `.await` point |
 //! | `no-blocking-in-async` | `thread::sleep`/`spawn`, blocking `recv`, `.lock()` in async bodies |
 //! | `credit-path-pairing` | a consume-side ledger op whose path can exit without a send/grant |
 //! | `quiesce-pairing` | a `begin_quiesce` whose path can exit without `resume_world`/`abort_quiesce` |
 //! | `exhaustive-protocol-match` | catch-all arms in `match`es over the wire/completion enums |
 //!
 //! The first five are token rules (their idents can appear outside any
-//! function body); the last six run on the AST built by [`ast`] with the
-//! control-flow walks in [`analyses`]. Escapes are per-line comments —
+//! function body); the last four run on the AST built by [`ast`] with the
+//! control-flow walks in [`analyses`]. A guard held across an `.await` is
+//! not here: clippy's `await_holding_refcell_ref` and
+//! `await_holding_lock`, which the same lint stage denies, check it on
+//! types rather than method names. Escapes are per-line comments —
 //! `// simlint: allow(<rule>): <why>` — and are audited: an escape with
 //! no justification, or one that suppresses nothing, is itself a
 //! violation, so the allowlist cannot silently grow. `--stats` reports

@@ -11,14 +11,12 @@
 use crate::lexer::{lex, Lexed, TokKind};
 
 /// Names of every rule, in reporting order.
-pub const RULE_NAMES: [&str; 13] = [
+pub const RULE_NAMES: [&str; 11] = [
     NO_WALL_CLOCK,
     NO_UNORDERED_ITERATION,
     NO_TRUNCATING_CAST,
     NO_PANIC_IN_LIB,
     NO_AMBIENT_RNG,
-    BORROW_ACROSS_AWAIT,
-    AWAIT_UNDER_LOCK,
     NO_BLOCKING_IN_ASYNC,
     CREDIT_PATH_PAIRING,
     QUIESCE_PAIRING,
@@ -32,8 +30,6 @@ pub const NO_UNORDERED_ITERATION: &str = "no-unordered-iteration";
 pub const NO_TRUNCATING_CAST: &str = "no-truncating-cast";
 pub const NO_PANIC_IN_LIB: &str = "no-panic-in-lib";
 pub const NO_AMBIENT_RNG: &str = "no-ambient-rng";
-pub const BORROW_ACROSS_AWAIT: &str = "borrow-across-await";
-pub const AWAIT_UNDER_LOCK: &str = "await-under-lock";
 pub const NO_BLOCKING_IN_ASYNC: &str = "no-blocking-in-async";
 pub const CREDIT_PATH_PAIRING: &str = "credit-path-pairing";
 pub const QUIESCE_PAIRING: &str = "quiesce-pairing";
@@ -74,7 +70,7 @@ pub(crate) fn in_sim_crates(path: &str) -> bool {
 }
 
 fn is_bench_or_bin(path: &str) -> bool {
-    path.contains("/bin/") || path.contains("/benches/")
+    path.contains("/bin/") || path.ends_with("/src/main.rs") || path.contains("/benches/")
 }
 
 pub(crate) fn is_lib_code(path: &str) -> bool {
@@ -297,7 +293,7 @@ mod tests {
         let src = "let t = std::time::Instant::now();";
         assert_eq!(rules_hit("crates/core/src/rank.rs", src), [NO_WALL_CLOCK]);
         assert!(rules_hit("crates/testutil/src/bench.rs", src).is_empty());
-        assert!(rules_hit("crates/bench/src/bin/all.rs", src).is_empty());
+        assert!(rules_hit("crates/bench/src/main.rs", src).is_empty());
         assert!(rules_hit("crates/fabric/benches/transport.rs", src).is_empty());
     }
 

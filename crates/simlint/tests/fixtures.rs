@@ -68,26 +68,6 @@ fn rng_fixture() {
 }
 
 #[test]
-fn borrow_across_await_fixture() {
-    assert_eq!(
-        hits("bad_borrow_await.rs", "crates/core/src/x.rs"),
-        expect(rules::BORROW_ACROSS_AWAIT, &[5, 10])
-    );
-    assert!(hits("good_borrow_await.rs", "crates/core/src/x.rs").is_empty());
-}
-
-#[test]
-fn await_under_lock_fixture() {
-    // Linted under crates/fabric (guard liveness runs everywhere) so the
-    // `.lock()` call does not also trip no-blocking-in-async.
-    assert_eq!(
-        hits("bad_await_lock.rs", "crates/fabric/src/x.rs"),
-        expect(rules::AWAIT_UNDER_LOCK, &[5])
-    );
-    assert!(hits("good_await_lock.rs", "crates/fabric/src/x.rs").is_empty());
-}
-
-#[test]
 fn blocking_in_async_fixture() {
     assert_eq!(
         hits("bad_blocking.rs", "crates/core/src/x.rs"),

@@ -4,7 +4,7 @@
 //! Used by the `harness = false` bench targets (`crates/bench/benches/
 //! paper.rs`, `crates/fabric/benches/transport.rs`). Wall-clock numbers
 //! track the *simulator's* speed; the paper's figures are virtual-time
-//! measurements and come from the `fig*`/`table*` binaries instead.
+//! measurements and come from `ibflow-bench` instead.
 //!
 //! CLI behaviour mirrors the standard harness closely enough for cargo:
 //! `--test` (passed by `cargo test --benches`) runs every bench once

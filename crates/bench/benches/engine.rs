@@ -60,6 +60,11 @@
 //! (~350k/s), so reintroducing any thread hop on the handoff path fails
 //! CI.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "a host-throughput bench: wall time is the quantity measured"
+)]
+
 use ibfabric::FabricParams;
 use ibflow_bench::experiments::{render_all, Inputs};
 use ibflow_bench::nas::run_nas;

@@ -6,6 +6,11 @@
 //! `IBFLOW_CLASS=test|w|a` scales the NAS rows, `IBFLOW_CHAOS_SEED` seeds
 //! the fault plans, `IBFLOW_CKPT_EPOCH=1|2` picks the ladder's snapshot.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "a driver: the wall clock only times `all` for the operator, never an experiment's bytes"
+)]
+
 use ibflow_bench::experiments::{render_all, Inputs, EXPERIMENTS};
 use std::process::ExitCode;
 use std::time::Instant;

@@ -41,6 +41,10 @@ pub(crate) fn encode_wrid(kind: WrKind, value: u64) -> u64 {
 }
 
 pub(crate) fn decode_wrid(wr_id: u64) -> (WrKind, u64) {
+    #[expect(
+        clippy::panic,
+        reason = "wr_ids only come from encode_wrid; a corrupt kind tag is a simulator bug"
+    )]
     let kind = match wr_id >> 56 {
         1 => WrKind::RecvSlot,
         2 => WrKind::CtrlSend,
@@ -48,7 +52,6 @@ pub(crate) fn decode_wrid(wr_id: u64) -> (WrKind, u64) {
         4 => WrKind::Ecm,
         5 => WrKind::CreditRdma,
         6 => WrKind::RingWrite,
-        // simlint: allow(no-panic-in-lib): wr_ids only come from encode_wrid; a corrupt kind tag is a simulator bug
         other => panic!("corrupt wr_id kind {other}"),
     };
     (kind, wr_id & ((1u64 << 56) - 1))
@@ -84,18 +87,6 @@ impl RecvSlab {
     /// Takes a free slot for posting.
     pub fn take_free(&mut self) -> Option<u32> {
         self.free.pop()
-    }
-
-    /// Returns a consumed slot to the free list (before immediate repost).
-    #[allow(dead_code)]
-    pub fn release(&mut self, slot: u32) {
-        debug_assert!(!self.free.contains(&slot));
-        self.free.push(slot);
-    }
-
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn free_count(&self) -> usize {
-        self.free.len()
     }
 
     /// The free-slot stack, bottom to top (checkpoint encode).
@@ -141,11 +132,9 @@ mod tests {
     #[test]
     fn slab_slots() {
         let mut slab = RecvSlab::new(MrId::from_index_for_tests(0), 2048, 4);
-        assert_eq!(slab.free_count(), 4);
-        let a = slab.take_free().unwrap();
-        assert_eq!(a, 0, "slots hand out in order");
+        assert_eq!(slab.free_slots().len(), 4);
+        assert_eq!(slab.take_free(), Some(0), "slots hand out in order");
+        assert_eq!(slab.free_slots().len(), 3);
         assert_eq!(slab.byte_offset(3), 3 * 2048);
-        slab.release(a);
-        assert_eq!(slab.free_count(), 4);
     }
 }

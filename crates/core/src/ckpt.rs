@@ -67,14 +67,13 @@ use crate::comm::Comm;
 use crate::config::MpiConfig;
 use crate::conn::{Conn, RetiredRing};
 use crate::rank::{MpiRank, RankSetup, Unexpected};
-use crate::regcache::RegCache;
-use crate::stats::RankStats;
+use crate::regcache::{RegCache, REGCACHE_CAPACITY};
 use crate::types::{CommCtx, Rank, Tag};
 use crate::wire::MsgHeader;
 use crate::world::{self, MpiRunError, MpiRunOutput, MpiWorld};
 use ibfabric::{CkptBus, Fabric, FabricParams, MrId, NodeId};
 use ibsim::codec::{CodecError, Reader, Writer};
-use ibsim::{FenceAction, Sim, SimClock, SimConfig, SimDuration, SimError, SimTime};
+use ibsim::{FenceAction, Sim, SimClock, SimConfig, SimDuration, SimTime};
 use std::rc::Rc;
 
 /// Park note every rank uses at the checkpoint fence; the engine treats a
@@ -248,7 +247,10 @@ impl<R> CkptRun<R> {
     pub fn into_completed(self) -> MpiRunOutput<R> {
         match self {
             CkptRun::Completed(out) => *out,
-            // simlint: allow(no-panic-in-lib): explicit unwrap helper; the variant is part of its contract
+            #[expect(
+                clippy::panic,
+                reason = "explicit unwrap helper; the variant is part of its contract"
+            )]
             CkptRun::Snapshot(s) => panic!("run stopped at snapshot epoch {}", s.epoch),
         }
     }
@@ -259,7 +261,10 @@ impl<R> CkptRun<R> {
     /// Panics when the run completed instead of stopping at a fence.
     pub fn into_snapshot(self) -> Snapshot {
         match self {
-            // simlint: allow(no-panic-in-lib): explicit unwrap helper; the variant is part of its contract
+            #[expect(
+                clippy::panic,
+                reason = "explicit unwrap helper; the variant is part of its contract"
+            )]
             CkptRun::Completed(_) => panic!("run completed without reaching the snapshot epoch"),
             CkptRun::Snapshot(s) => s,
         }
@@ -431,8 +436,11 @@ impl MpiRank {
                         w.u16(*comm);
                         w.bytes(data);
                     }
+                    #[expect(
+                        clippy::panic,
+                        reason = "an unmatched rendezvous start means its sender cannot have drained, so reaching the fence with one is a protocol bug"
+                    )]
                     Unexpected::Rndz { src, .. } => {
-                        // simlint: allow(no-panic-in-lib): an unmatched rendezvous start means its sender cannot have drained, so reaching the fence with one is a protocol bug
                         panic!(
                             "rank {}: unmatched rendezvous from rank {src} at a checkpoint \
                              fence ({}); post the matching receive before checkpointing",
@@ -542,7 +550,10 @@ fn encode_conn(c: &Conn, w: &mut Writer) {
     w.usize(c.reorder.len());
     for (&seq, (h, payload)) in &c.reorder {
         w.u32(seq);
-        // simlint: allow(no-panic-in-lib): reorder headers came off the wire, so their fields fit by construction
+        #[expect(
+            clippy::expect_used,
+            reason = "reorder headers came off the wire, so their fields fit by construction"
+        )]
         let hb = h.try_encode().expect("reorder header fields fit");
         w.bytes(&hb);
         w.bytes(payload);
@@ -827,7 +838,7 @@ fn decode_rank_blob(
     us.done("rank blob unexpected")?;
 
     let mut gs = r.section(TAG_REGCACHE, "rank blob regcache")?;
-    let mut regcache = RegCache::new(node, cfg.regcache_capacity);
+    let mut regcache = RegCache::new(node, REGCACHE_CAPACITY);
     regcache.restore(&mut gs, fabric)?;
     gs.done("rank blob regcache")?;
 
@@ -880,61 +891,74 @@ fn decode_rank_blob(
     })
 }
 
-/// Runs the fenced poll loop with the shared fence callback: release
-/// barrier-only epochs, stop-and-snapshot at the requested epoch, and
-/// enrich deadlock notes exactly like the plain run path.
-fn run_fenced(
-    mut sim: Sim<Fabric>,
-    nprocs: usize,
-) -> Result<(Sim<Fabric>, ibsim::RunReport, Option<Snapshot>), MpiRunError> {
-    let mut snapshot = None;
-    let result = sim.run_with_fence(CKPT_FENCE_NOTE, |world, clock| {
-        // Every live rank is parked at the fence, so every registered CQ
-        // waiter and RDMA watcher is stale; clearing them here (in BOTH
-        // paths) keeps the released run and the restored run identical.
-        world.clear_transient_wakers();
-        let epoch = world.ckpt.pending_epoch;
-        if world.ckpt.snapshot_epoch == Some(epoch) {
-            let n = world.ckpt.rank_blobs.len();
-            let rank_blobs: Vec<Vec<u8>> = (0..n)
-                .map(|i| {
-                    world.ckpt.rank_blobs[i].take().unwrap_or_else(|| {
-                        // simlint: allow(no-panic-in-lib): every rank deposits before stamping the epoch it parks on, so a missing blob is a protocol bug
-                        panic!("rank {i} reached snapshot epoch {epoch} without a blob")
-                    })
-                })
-                .collect();
-            let mut w = Writer::new();
-            ibfabric::encode_fabric(world, &mut w);
-            snapshot = Some(Snapshot {
-                epoch,
-                nprocs: n,
-                clock,
-                fabric_image: w.finish(),
-                rank_blobs,
-            });
-            FenceAction::Stop
-        } else {
-            world.ckpt.released_epoch = epoch;
-            FenceAction::Continue
-        }
-    });
-    match result {
-        Ok(report) => Ok((sim, report, snapshot)),
-        Err(SimError::Deadlock(mut info)) => {
-            let fabric = sim.into_world();
-            for (name, note) in info.parked.iter_mut() {
-                if let Some(i) = name
-                    .strip_prefix("rank")
-                    .and_then(|s| s.parse::<usize>().ok())
-                {
-                    world::append_fabric_diag(note, &fabric, nprocs, i);
-                }
-            }
-            Err(SimError::Deadlock(info).into())
-        }
-        Err(e) => Err(e.into()),
+/// The fence callback of every checkpoint-aware run: release a
+/// barrier-only epoch, or — at the requested epoch — build the
+/// [`Snapshot`] into `snapshot` and stop.
+pub(crate) fn snapshot_or_release(
+    world: &mut Fabric,
+    clock: SimClock,
+    snapshot: &mut Option<Snapshot>,
+) -> FenceAction {
+    // Every live rank is parked at the fence, so every registered CQ
+    // waiter and RDMA watcher is stale; clearing them here (in BOTH
+    // paths) keeps the released run and the restored run identical.
+    world.clear_transient_wakers();
+    let epoch = world.ckpt.pending_epoch;
+    if world.ckpt.snapshot_epoch != Some(epoch) {
+        world.ckpt.released_epoch = epoch;
+        return FenceAction::Continue;
     }
+    let n = world.ckpt.rank_blobs.len();
+    #[expect(
+        clippy::panic,
+        reason = "every rank deposits before stamping the epoch it parks on, so a missing blob is a protocol bug"
+    )]
+    let rank_blobs: Vec<Vec<u8>> = (0..n)
+        .map(|i| {
+            world.ckpt.rank_blobs[i]
+                .take()
+                .unwrap_or_else(|| panic!("rank {i} reached snapshot epoch {epoch} without a blob"))
+        })
+        .collect();
+    let mut w = Writer::new();
+    ibfabric::encode_fabric(world, &mut w);
+    *snapshot = Some(Snapshot {
+        epoch,
+        nprocs: n,
+        clock,
+        fabric_image: w.finish(),
+        rank_blobs,
+    });
+    FenceAction::Stop
+}
+
+/// [`world::launch`] with the checkpoint fence armed: every rank starts
+/// the body from `resumed_epoch`, a restored one after applying its image.
+fn launch_fenced<R, F>(
+    sim: Sim<Fabric>,
+    ranks: Vec<(RankSetup, Option<RankImage>)>,
+    resumed_epoch: u64,
+    body: F,
+) -> Result<CkptRun<R>, MpiRunError>
+where
+    R: 'static,
+    F: AsyncFn(&mut MpiRank, CkptStart) -> R + 'static,
+{
+    let body = Rc::new(body);
+    world::launch(sim, ranks, true, |sim, i, (setup, image), tx| {
+        let body = Rc::clone(&body);
+        sim.spawn(format!("rank{i}"), move |proc| async move {
+            let mut mpi = MpiRank::new(proc, setup);
+            let start = CkptStart {
+                resumed_epoch,
+                app_state: image.map_or_else(Vec::new, |image| mpi.apply_image(image)),
+            };
+            let result = (*body)(&mut mpi, start).await;
+            mpi.finalize().await;
+            let stats = mpi.finish_stats();
+            let _ = tx.send((mpi.rank(), result, stats));
+        });
+    })
 }
 
 impl MpiWorld {
@@ -957,48 +981,17 @@ impl MpiWorld {
         F: AsyncFn(&mut MpiRank, CkptStart) -> R + 'static,
     {
         cfg.validate().map_err(MpiRunError::Config)?;
-        let (mut fabric, mut setups) = world::bootstrap_fabric(nprocs, &cfg, params);
+        let (mut fabric, setups) = world::bootstrap_fabric(nprocs, &cfg, params);
         fabric.ckpt = CkptBus {
             released_epoch: 0,
             pending_epoch: 0,
             snapshot_epoch,
             rank_blobs: vec![None; nprocs],
         };
-        let mut sim = Sim::new(fabric, sim_config);
+        let sim = Sim::new(fabric, sim_config);
         world::connect_all(&sim, nprocs, &cfg);
-        let body = Rc::new(body);
-        let (tx, rx) = std::sync::mpsc::channel::<(usize, R, RankStats)>();
-        for (i, setup) in setups.iter_mut().enumerate() {
-            // simlint: allow(no-panic-in-lib): each setup slot is filled by bootstrap and taken exactly once here
-            let setup = setup.take().expect("setup present");
-            let body = Rc::clone(&body);
-            let tx = tx.clone();
-            sim.spawn(format!("rank{i}"), move |proc| async move {
-                let mut mpi = MpiRank::new(proc, setup);
-                let start = CkptStart {
-                    resumed_epoch: 0,
-                    app_state: Vec::new(),
-                };
-                let result = (*body)(&mut mpi, start).await;
-                mpi.finalize().await;
-                let stats = mpi.finish_stats();
-                let _ = tx.send((mpi.rank(), result, stats));
-            });
-        }
-        drop(tx);
-        let (sim, report, snapshot) = run_fenced(sim, nprocs)?;
-        if report.stopped_at_fence {
-            // simlint: allow(no-panic-in-lib): the fence callback returns Stop only after building the snapshot
-            return Ok(CkptRun::Snapshot(snapshot.expect("stop implies snapshot")));
-        }
-        let (results, stats) = world::collect_results(rx, nprocs);
-        Ok(CkptRun::Completed(Box::new(MpiRunOutput {
-            results,
-            stats,
-            end_time: report.end_time,
-            events: report.events_processed,
-            fabric: sim.into_world(),
-        })))
+        let fresh = setups.into_iter().map(|setup| (setup, None)).collect();
+        launch_fenced(sim, fresh, 0, body)
     }
 
     /// Resumes a [`Snapshot`]: rebuilds the fabric from its image,
@@ -1067,7 +1060,7 @@ impl MpiWorld {
             snapshot_epoch: opts.snapshot_epoch,
             rank_blobs: vec![None; nprocs],
         };
-        let mut sim = Sim::resume(fabric, sim_config, snapshot.clock);
+        let sim = Sim::resume(fabric, sim_config, snapshot.clock);
         if let Some(victim) = opts.replace {
             // Elastic replacement: the victim's connections (both ends) go
             // back through the normal handshake, then the snapshot's
@@ -1093,50 +1086,27 @@ impl MpiWorld {
                 }
             });
         }
-        let body = Rc::new(body);
-        let (tx, rx) = std::sync::mpsc::channel::<(usize, R, RankStats)>();
-        let resumed_epoch = snapshot.epoch;
-        for (i, mut image) in images.into_iter().enumerate() {
-            let setup = RankSetup {
-                rank: i,
-                size: nprocs,
-                node: nodes[i],
-                cq: cqs[i],
-                conns: std::mem::take(&mut image.conns),
-                cfg: cfg.clone(),
-            };
-            let body = Rc::clone(&body);
-            let tx = tx.clone();
-            sim.spawn(format!("rank{i}"), move |proc| async move {
-                let mut mpi = MpiRank::new(proc, setup);
-                let app_state = mpi.apply_image(image);
-                let start = CkptStart {
-                    resumed_epoch,
-                    app_state,
+        let restored = images
+            .into_iter()
+            .enumerate()
+            .map(|(i, mut image)| {
+                let setup = RankSetup {
+                    rank: i,
+                    size: nprocs,
+                    node: nodes[i],
+                    cq: cqs[i],
+                    conns: std::mem::take(&mut image.conns),
+                    cfg: cfg.clone(),
                 };
-                let result = (*body)(&mut mpi, start).await;
-                mpi.finalize().await;
-                let stats = mpi.finish_stats();
-                let _ = tx.send((mpi.rank(), result, stats));
-            });
+                (setup, Some(image))
+            })
+            .collect();
+        let mut run = launch_fenced(sim, restored, snapshot.epoch, body)?;
+        if let CkptRun::Completed(out) = &mut run {
+            out.stats.restores = 1;
+            out.stats.rejoined_ranks = u64::from(opts.replace.is_some());
         }
-        drop(tx);
-        let (sim, report, next_snapshot) = run_fenced(sim, nprocs)?;
-        if report.stopped_at_fence {
-            // simlint: allow(no-panic-in-lib): the fence callback returns Stop only after building the snapshot
-            let snap = next_snapshot.expect("stop implies snapshot");
-            return Ok(CkptRun::Snapshot(snap));
-        }
-        let (results, mut stats) = world::collect_results(rx, nprocs);
-        stats.restores = 1;
-        stats.rejoined_ranks = u64::from(opts.replace.is_some());
-        Ok(CkptRun::Completed(Box::new(MpiRunOutput {
-            results,
-            stats,
-            end_time: report.end_time,
-            events: report.events_processed,
-            fabric: sim.into_world(),
-        })))
+        Ok(run)
     }
 }
 

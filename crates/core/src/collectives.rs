@@ -393,7 +393,10 @@ pub async fn scatter_bytes(
     let me = comm.my_rank(mpi);
     let tag = mpi.coll_tag(comm);
     if me == root {
-        // simlint: allow(no-panic-in-lib): documented API contract — the root rank must pass Some(chunks)
+        #[expect(
+            clippy::expect_used,
+            reason = "documented API contract — the root rank must pass Some(chunks)"
+        )]
         let chunks = chunks.expect("root must supply chunks");
         assert_eq!(chunks.len(), n);
         let mut reqs = Vec::new();

@@ -49,9 +49,12 @@ impl Comm {
     ///
     /// # Panics
     /// Panics if the process is not a member.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panic — calling a collective on a communicator you are not part of is caller error"
+    )]
     pub fn my_rank(&self, mpi: &MpiRank) -> usize {
         self.rank_of(mpi.rank())
-            // simlint: allow(no-panic-in-lib): documented panic — calling a collective on a communicator you are not part of is caller error
             .expect("not a member of this communicator")
     }
 }
@@ -69,10 +72,15 @@ impl MpiRank {
         let mine = [color as i64, key as i64];
         let all = crate::collectives::allgather_scalars(self, parent, &mine).await;
         let ctx = self.next_ctx;
-        self.next_ctx = self
+        #[expect(
+            clippy::expect_used,
+            reason = "checked arithmetic made loud: 65 536 communicator splits in one run is caller error"
+        )]
+        let next_ctx = self
             .next_ctx
             .checked_add(1)
             .expect("communicator contexts exhausted");
+        self.next_ctx = next_ctx;
         if color < 0 {
             return None;
         }

@@ -129,15 +129,10 @@ pub struct MpiConfig {
     /// Hard cap on ring slots per connection under
     /// [`FlowControlScheme::RdmaChannelDyn`].
     pub rdma_ring_max_slots: u32,
-    /// Geometric growth factor per ring update (new = old × factor,
-    /// capped at `rdma_ring_max_slots`).
-    pub rdma_ring_growth_factor: u32,
     /// Ring-full conversions a sender must report (via the header
     /// backlog bit) before the receiver grows the ring — the channel's
     /// analogue of the dynamic scheme's ECM-style feedback threshold.
     pub rdma_ring_growth_threshold: u32,
-    /// Capacity of the pin-down (registration) cache in bytes.
-    pub regcache_capacity: usize,
     /// RNR retry budget programmed into every QP (`None` = retry forever,
     /// the MPI reliability default: a slow receiver is waited out, never
     /// failed).
@@ -169,9 +164,7 @@ impl Default for MpiConfig {
             on_demand_connections: false,
             rdma_ring_slots: 32,
             rdma_ring_max_slots: 256,
-            rdma_ring_growth_factor: 2,
             rdma_ring_growth_threshold: 5,
-            regcache_capacity: 64 << 20,
             rnr_retry: None,
             retry_cnt: None,
             fault_plan: None,
@@ -252,9 +245,6 @@ impl MpiConfig {
                     "rdma_ring_max_slots {} is below the initial ring size {}",
                     self.rdma_ring_max_slots, self.rdma_ring_slots
                 ));
-            }
-            if self.rdma_ring_growth_factor < 2 {
-                return Err("rdma_ring_growth_factor must be at least 2".into());
             }
             if self.rdma_ring_growth_threshold == 0 {
                 return Err("rdma_ring_growth_threshold must be at least 1".into());
@@ -376,11 +366,6 @@ mod tests {
             ..good.clone()
         };
         assert!(cap_below_initial.validate().is_err());
-        let factor_too_small = MpiConfig {
-            rdma_ring_growth_factor: 1,
-            ..good.clone()
-        };
-        assert!(factor_too_small.validate().is_err());
         let zero_threshold = MpiConfig {
             rdma_ring_growth_threshold: 0,
             ..good

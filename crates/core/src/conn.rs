@@ -1,6 +1,10 @@
 //! Per-connection state: credits, the backlog queue, the receive slab,
 //! and the RDMA credit mailbox.
 
+// Protocol state is narrowed with `try_from` (surfacing a typed overflow),
+// never with a truncating `as`.
+#![deny(clippy::cast_possible_truncation)]
+
 use crate::buffers::RecvSlab;
 use crate::requests::ReqId;
 use crate::stats::ConnStats;
@@ -225,7 +229,10 @@ pub(crate) struct Conn {
 }
 
 impl Conn {
-    #[allow(clippy::too_many_arguments)] // world-bootstrap wiring: all six handles come from the deterministic layout
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "world-bootstrap wiring: all six handles come from the deterministic layout"
+    )]
     pub fn new(
         peer: Rank,
         qp: QpId,

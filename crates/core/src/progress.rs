@@ -13,13 +13,20 @@ use std::sync::Arc;
 /// Frames drained from one connection's rings in one progress pass.
 const RING_DRAIN_BURST: u32 = 8;
 
+/// Geometric factor of one ring-growth step (new = old × factor, capped
+/// at `rdma_ring_max_slots`).
+const RING_GROWTH_FACTOR: u32 = 2;
+
 /// Takes the frame at `offset` of `mr` (a slab slot or a ring slot) out of
 /// the region: its decoded header and an owned copy of its payload (which
 /// does not allocate when the payload is empty).
 fn read_frame(world: &ibfabric::Fabric, mr: ibfabric::MrId, offset: usize) -> (MsgHeader, Vec<u8>) {
     let mut head = [0u8; HEADER_LEN];
     world.mr_read_into(mr, offset, &mut head);
-    // simlint: allow(no-panic-in-lib): frames only ever come from MsgHeader::try_encode, and a ring frame is written whole before its validity marker is set, so a decode failure is a simulator bug
+    #[expect(
+        clippy::expect_used,
+        reason = "frames only ever come from MsgHeader::try_encode, and a ring frame is written whole before its validity marker is set, so a decode failure is a simulator bug"
+    )]
     let header = MsgHeader::decode(&head).expect("malformed frame");
     let payload = world.mr_read_vec(mr, offset + HEADER_LEN, header.payload_len as usize);
     (header, payload)
@@ -119,7 +126,10 @@ impl MpiRank {
             (CqeOpcode::RdmaWriteComplete, WrKind::CreditRdma | WrKind::RingWrite) => {
                 self.outstanding_ctrl -= 1;
             }
-            // simlint: allow(no-panic-in-lib): the (opcode, wr-kind) table above is exhaustive for every work request this layer posts; anything else is a simulator bug
+            #[expect(
+                clippy::panic,
+                reason = "the (opcode, wr-kind) table above is exhaustive for every work request this layer posts; anything else is a simulator bug"
+            )]
             (op, k) => panic!("rank {}: unexpected completion {op:?} for {k:?}", self.rank),
         }
     }
@@ -208,7 +218,7 @@ impl MpiRank {
                     r.data = Some(Vec::new());
                     false
                 }
-                _ => false,
+                Request::Send(_) | Request::Recv(_) => false,
             };
             if remove {
                 self.reqs.remove(id);
@@ -441,6 +451,10 @@ impl MpiRank {
         let wr_id = crate::buffers::encode_wrid(WrKind::RndzWrite, req.0 as u64);
         let len = data.len();
         let cost = self.proc.with(|ctx| {
+            #[expect(
+                clippy::expect_used,
+                reason = "the send queue is sized for the request table, so posting the rendezvous write cannot fail"
+            )]
             ibfabric::post_send(
                 ctx,
                 qp,
@@ -455,7 +469,6 @@ impl MpiRank {
                     signaled: true,
                 },
             )
-            // simlint: allow(no-panic-in-lib): the send queue is sized for the request table, so posting the rendezvous write cannot fail
             .expect("rdma write");
             ctx.world.params().sw_post_cost * 2
         });
@@ -472,6 +485,10 @@ impl MpiRank {
     /// Data landed (ordering guarantee) — copy out of staging and complete.
     fn handle_rndz_fin(&mut self, h: &MsgHeader) {
         let req = ReqId(h.peer_req as u32);
+        #[expect(
+            clippy::expect_used,
+            reason = "accept_rndz pins the staging region before the reply that triggers this fin can exist"
+        )]
         let (staging, len) = {
             let r = self.reqs.recv_ref(req);
             if r.failed {
@@ -480,7 +497,6 @@ impl MpiRank {
                 return;
             }
             debug_assert_eq!(r.state, RecvState::RndzInFlight);
-            // simlint: allow(no-panic-in-lib): accept_rndz pins the staging region before the reply that triggers this fin can exist
             (r.staging.expect("staging set"), r.rndz_len)
         };
         let data = self.proc.with(|ctx| ctx.world.mr_read_vec(staging, 0, len));
@@ -530,7 +546,6 @@ impl MpiRank {
             return;
         }
         let max = self.cfg.rdma_ring_max_slots;
-        let factor = self.cfg.rdma_ring_growth_factor;
         let new_slots = {
             let c = self.conn_mut(peer);
             if c.my_ring_slots >= max {
@@ -544,7 +559,7 @@ impl MpiRank {
                 return;
             }
             c.ring_growth_pending = false;
-            c.my_ring_slots.saturating_mul(factor).min(max)
+            c.my_ring_slots.saturating_mul(RING_GROWTH_FACTOR).min(max)
         };
         let len = new_slots as usize * self.cfg.buf_size;
         let node = self.node;
@@ -795,6 +810,10 @@ impl MpiRank {
         let payload: Arc<[u8]> = Arc::from(&image[..if growth { 32 } else { 16 }]);
         let wr_id = crate::buffers::encode_wrid(WrKind::CreditRdma, peer as u64);
         let cost = self.proc.with(|ctx| {
+            #[expect(
+                clippy::expect_used,
+                reason = "mailbox writes target a bootstrap-pinned region on an established QP; failure is a simulator bug"
+            )]
             ibfabric::post_send(
                 ctx,
                 qp,
@@ -808,7 +827,6 @@ impl MpiRank {
                     signaled: true,
                 },
             )
-            // simlint: allow(no-panic-in-lib): mailbox writes target a bootstrap-pinned region on an established QP; failure is a simulator bug
             .expect("credit rdma");
             ctx.world.params().sw_post_cost
         });

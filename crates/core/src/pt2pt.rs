@@ -223,15 +223,21 @@ impl MpiRank {
         }
         match self.reqs.remove(req) {
             Request::Recv(r) => {
-                // simlint: allow(no-panic-in-lib): the wait loop above only exits once the request is Done, which sets both fields
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the wait loop above only exits once the request is Done, which sets both fields"
+                )]
                 let status = r.status.expect("done recv has status");
-                // simlint: allow(no-panic-in-lib): same Done-state invariant as status
+                #[expect(clippy::expect_used, reason = "same Done-state invariant as status")]
                 let data = r.data.expect("done recv has data");
                 // Copy-out cost for eager payloads was charged at match
                 // time; rendezvous is zero-copy.
                 (status, data)
             }
-            // simlint: allow(no-panic-in-lib): passing a send request to wait_recv is caller error with no meaningful recovery
+            #[expect(
+                clippy::panic,
+                reason = "passing a send request to wait_recv is caller error with no meaningful recovery"
+            )]
             Request::Send(_) => panic!("wait_recv on a send request"),
         }
     }
@@ -254,9 +260,12 @@ impl MpiRank {
         }
         match self.reqs.remove(req) {
             Request::Recv(r) => {
-                // simlint: allow(no-panic-in-lib): the wait loop above only exits once the request is Done, which sets both fields
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the wait loop above only exits once the request is Done, which sets both fields"
+                )]
                 let status = r.status.expect("done recv has status");
-                // simlint: allow(no-panic-in-lib): same Done-state invariant as status
+                #[expect(clippy::expect_used, reason = "same Done-state invariant as status")]
                 let data = r.data.expect("done recv has data");
                 if r.failed {
                     let peer = status.source;
@@ -276,7 +285,10 @@ impl MpiRank {
                     Ok((status, data))
                 }
             }
-            // simlint: allow(no-panic-in-lib): passing a send request to wait_recv_result is caller error with no meaningful recovery
+            #[expect(
+                clippy::panic,
+                reason = "passing a send request to wait_recv_result is caller error with no meaningful recovery"
+            )]
             Request::Send(_) => panic!("wait_recv_result on a send request"),
         }
     }
@@ -343,7 +355,10 @@ impl MpiRank {
             let (usrc, utag, ucomm) = u.envelope();
             ucomm == comm && wildcard_match(src, usrc) && wildcard_match(tag, utag)
         }) {
-            // simlint: allow(no-panic-in-lib): `pos` came from `position` on the same queue with no mutation in between
+            #[expect(
+                clippy::expect_used,
+                reason = "`pos` came from `position` on the same queue with no mutation in between"
+            )]
             let u = self.unexpected.remove(pos).expect("position valid");
             match u {
                 Unexpected::Eager { src, tag, data, .. } => {
@@ -583,6 +598,10 @@ impl MpiRank {
                 break;
             }
             if c.credits.held > 0 {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the loop head breaks on an empty backlog before reaching here"
+                )]
                 let req = {
                     let c = self.conn_mut(peer);
                     c.credits.spend();
@@ -603,7 +622,10 @@ impl MpiRank {
                 // guarantee; the deliberately broken NaiveGated mode
                 // omits it (and gates credit messages) to demonstrate
                 // the deadlock the optimistic design avoids.
-                // simlint: allow(no-panic-in-lib): the loop head breaks on an empty backlog before reaching here
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the loop head breaks on an empty backlog before reaching here"
+                )]
                 let req = self.conn_mut(peer).backlog.pop_front().expect("non-empty");
                 self.start_rndz(req, true);
                 any = true;

@@ -3,7 +3,7 @@
 use crate::buffers::{encode_wrid, WrKind};
 use crate::config::MpiConfig;
 use crate::conn::Conn;
-use crate::regcache::RegCache;
+use crate::regcache::{RegCache, REGCACHE_CAPACITY};
 use crate::requests::ReqTable;
 use crate::stats::RankStats;
 use crate::types::{CommCtx, Rank, Tag};
@@ -107,7 +107,7 @@ pub struct MpiRank {
 
 impl MpiRank {
     pub(crate) fn new(proc: ProcCtx<Fabric>, setup: RankSetup) -> Self {
-        let regcache = RegCache::new(setup.node, setup.cfg.regcache_capacity);
+        let regcache = RegCache::new(setup.node, REGCACHE_CAPACITY);
         let rdma_watch = setup
             .conns
             .iter()
@@ -202,13 +202,16 @@ impl MpiRank {
         }
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "only the self slot is None and no code path messages itself; an out-of-range peer is caller error"
+    )]
     pub(crate) fn conn(&self, peer: Rank) -> &Conn {
-        // simlint: allow(no-panic-in-lib): only the self slot is None and no code path messages itself; an out-of-range peer is caller error
         self.conns[peer].as_ref().expect("no connection to self")
     }
 
+    #[expect(clippy::expect_used, reason = "same self-slot invariant as `conn`")]
     pub(crate) fn conn_mut(&mut self, peer: Rank) -> &mut Conn {
-        // simlint: allow(no-panic-in-lib): same self-slot invariant as `conn`
         self.conns[peer].as_mut().expect("no connection to self")
     }
 
@@ -259,6 +262,10 @@ impl MpiRank {
             let peer_slab_mr = self.peer_slab_mr_of(peer);
             self.proc.with(|ctx| {
                 for slot in 0..prepost {
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "the peer's receive queue is empty at connect time and sized for the full prepost"
+                    )]
                     ctx.world
                         .post_recv(
                             peer_qp,
@@ -269,7 +276,6 @@ impl MpiRank {
                                 len: slot_size,
                             },
                         )
-                        // simlint: allow(no-panic-in-lib): the peer's receive queue is empty at connect time and sized for the full prepost
                         .expect("peer prepost");
                 }
             });
@@ -306,7 +312,10 @@ impl MpiRank {
     pub(crate) fn post_one_recv_buffer(&mut self, peer: Rank) {
         let (qp, mr, offset, len, wr_id) = {
             let c = self.conn_mut(peer);
-            // simlint: allow(no-panic-in-lib): the slab is sized to prepost_target and slots recycle through repost_slot, so exhaustion is a bookkeeping bug
+            #[expect(
+                clippy::expect_used,
+                reason = "the slab is sized to prepost_target and slots recycle through repost_slot, so exhaustion is a bookkeeping bug"
+            )]
             let slot = c.slab.take_free().expect("receive slab exhausted");
             (
                 c.qp,
@@ -316,6 +325,10 @@ impl MpiRank {
                 encode_wrid(WrKind::RecvSlot, slot as u64),
             )
         };
+        #[expect(
+            clippy::expect_used,
+            reason = "the receive queue is sized for the pool; a full queue is a bookkeeping bug"
+        )]
         self.proc.with(|ctx| {
             ctx.world
                 .post_recv(
@@ -327,7 +340,6 @@ impl MpiRank {
                         len,
                     },
                 )
-                // simlint: allow(no-panic-in-lib): the receive queue is sized for the pool; a full queue is a bookkeeping bug
                 .expect("post_recv")
         });
         let c = self.conn_mut(peer);
@@ -352,6 +364,10 @@ impl MpiRank {
             )
         };
         let cost = self.proc.with(|ctx| {
+            #[expect(
+                clippy::expect_used,
+                reason = "reposting the slot just drained cannot exceed the receive queue"
+            )]
             ctx.world
                 .post_recv(
                     qp,
@@ -362,7 +378,6 @@ impl MpiRank {
                         len,
                     },
                 )
-                // simlint: allow(no-panic-in-lib): reposting the slot just drained cannot exceed the receive queue
                 .expect("repost");
             ctx.world.params().sw_post_cost
         });
@@ -408,12 +423,19 @@ impl MpiRank {
             c.ring_write_slot = (slot + 1) % slots;
             (c.qp, c.peer_ring, slot as usize * buf_size)
         };
-        // simlint: allow(no-panic-in-lib): src_rank < nprocs <= u16::MAX is asserted at world bootstrap, so framing cannot overflow a field
+        #[expect(
+            clippy::expect_used,
+            reason = "src_rank < nprocs <= u16::MAX is asserted at world bootstrap, so framing cannot overflow a field"
+        )]
         let frame = header.ring_frame(payload).expect("header fields fit");
         let wr_id = encode_wrid(WrKind::RingWrite, peer as u64);
         let cost = self.proc.with(|ctx| {
             let p = ctx.world.params();
             let cost = p.sw_post_cost + p.copy_time(frame.len());
+            #[expect(
+                clippy::expect_used,
+                reason = "ring writes are gated by ring credits, so the send queue cannot be full"
+            )]
             ibfabric::post_send(
                 ctx,
                 qp,
@@ -427,7 +449,6 @@ impl MpiRank {
                     signaled: true,
                 },
             )
-            // simlint: allow(no-panic-in-lib): ring writes are gated by ring credits, so the send queue cannot be full
             .expect("ring write");
             cost
         });
@@ -454,10 +475,17 @@ impl MpiRank {
             return;
         }
         let qp = self.conn(peer).qp;
-        // simlint: allow(no-panic-in-lib): src_rank < nprocs <= u16::MAX is asserted at world bootstrap, so framing cannot overflow a field
+        #[expect(
+            clippy::expect_used,
+            reason = "src_rank < nprocs <= u16::MAX is asserted at world bootstrap, so framing cannot overflow a field"
+        )]
         let bytes = header.frame(payload).expect("header fields fit");
         let wr_id = encode_wrid(wr_kind, peer as u64);
         let cost = self.proc.with(|ctx| {
+            #[expect(
+                clippy::expect_used,
+                reason = "control/eager sends are bounded by credits and the finalize drain, so the send queue cannot be full"
+            )]
             ibfabric::post_send(
                 ctx,
                 qp,
@@ -467,7 +495,6 @@ impl MpiRank {
                     signaled: true,
                 },
             )
-            // simlint: allow(no-panic-in-lib): control/eager sends are bounded by credits and the finalize drain, so the send queue cannot be full
             .expect("post_send");
             ctx.world.params().sw_post_cost
         });

@@ -36,6 +36,9 @@ struct Entry {
     last_use: u64,
 }
 
+/// Pinned bytes every rank's cache may hold (64 MiB).
+pub(crate) const REGCACHE_CAPACITY: usize = 64 << 20;
+
 /// An LRU pin-down cache for one node.
 #[derive(Debug)]
 pub struct RegCache {

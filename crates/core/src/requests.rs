@@ -115,24 +115,30 @@ impl ReqTable {
         }
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "request ids are handed out by insert and invalidated only by remove; a stale id is a protocol-layer bug, not a recoverable condition"
+    )]
     pub fn get(&self, id: ReqId) -> &Request {
         self.slots[id.0 as usize]
             .as_ref()
-            // simlint: allow(no-panic-in-lib): request ids are handed out by insert and invalidated only by remove; a stale id is a protocol-layer bug, not a recoverable condition
             .expect("stale request id")
     }
 
+    #[expect(clippy::expect_used, reason = "same slot-liveness invariant as `get`")]
     pub fn get_mut(&mut self, id: ReqId) -> &mut Request {
         self.slots[id.0 as usize]
             .as_mut()
-            // simlint: allow(no-panic-in-lib): same slot-liveness invariant as `get`
             .expect("stale request id")
     }
 
     pub fn remove(&mut self, id: ReqId) -> Request {
+        #[expect(
+            clippy::expect_used,
+            reason = "a double free means the protocol layer completed one request twice; continuing would corrupt the slab"
+        )]
         let req = self.slots[id.0 as usize]
             .take()
-            // simlint: allow(no-panic-in-lib): a double free means the protocol layer completed one request twice; continuing would corrupt the slab
             .expect("double free of request");
         self.free.push(id.0);
         req
@@ -144,7 +150,10 @@ impl ReqTable {
     pub fn send_ref(&self, id: ReqId) -> &SendReq {
         match self.get(id) {
             Request::Send(s) => s,
-            // simlint: allow(no-panic-in-lib): header role fields guarantee the variant; see method doc
+            #[expect(
+                clippy::panic,
+                reason = "header role fields guarantee the variant; see method doc"
+            )]
             Request::Recv(_) => panic!("request {id:?} is a recv, expected a send"),
         }
     }
@@ -153,7 +162,10 @@ impl ReqTable {
     pub fn send_mut(&mut self, id: ReqId) -> &mut SendReq {
         match self.get_mut(id) {
             Request::Send(s) => s,
-            // simlint: allow(no-panic-in-lib): header role fields guarantee the variant; see send_ref
+            #[expect(
+                clippy::panic,
+                reason = "header role fields guarantee the variant; see send_ref"
+            )]
             Request::Recv(_) => panic!("request {id:?} is a recv, expected a send"),
         }
     }
@@ -162,7 +174,10 @@ impl ReqTable {
     pub fn recv_ref(&self, id: ReqId) -> &RecvReq {
         match self.get(id) {
             Request::Recv(r) => r,
-            // simlint: allow(no-panic-in-lib): header role fields guarantee the variant; see send_ref
+            #[expect(
+                clippy::panic,
+                reason = "header role fields guarantee the variant; see send_ref"
+            )]
             Request::Send(_) => panic!("request {id:?} is a send, expected a recv"),
         }
     }
@@ -171,7 +186,10 @@ impl ReqTable {
     pub fn recv_mut(&mut self, id: ReqId) -> &mut RecvReq {
         match self.get_mut(id) {
             Request::Recv(r) => r,
-            // simlint: allow(no-panic-in-lib): header role fields guarantee the variant; see send_ref
+            #[expect(
+                clippy::panic,
+                reason = "header role fields guarantee the variant; see send_ref"
+            )]
             Request::Send(_) => panic!("request {id:?} is a send, expected a recv"),
         }
     }

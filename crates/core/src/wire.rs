@@ -6,6 +6,10 @@
 //! malformed bytes surface [`WireError::BadKind`] / [`WireError::ShortHeader`]
 //! instead of panicking.
 
+// Protocol state is narrowed with `try_from` (surfacing a typed overflow),
+// never with a truncating `as`.
+#![deny(clippy::cast_possible_truncation)]
+
 use crate::buffers::{RING_MARKER, RING_MARKER_OFFSET};
 use crate::types::{CommCtx, Rank, Tag};
 use std::sync::Arc;
@@ -389,5 +393,46 @@ mod tests {
         assert!(e.to_string().contains("src_rank"));
         assert!(WireError::BadKind(9).to_string().contains("0x09"));
         assert!(WireError::ShortHeader { len: 3 }.to_string().contains("3"));
+    }
+}
+
+/// One deliberate violation per lint that moved from simlint to clippy
+/// and has no audited production site. Each sits under an `#[expect]`:
+/// once the lint stops firing on the shape it exists for — its
+/// `clippy.toml` entry dropped, the lint renamed or narrowed by a new
+/// clippy — the expectation goes unfulfilled, which `-D warnings` turns
+/// into a failure of the `lint` stage. An expectation is fulfilled at any
+/// surrounding level, so that the lints are *denied* here is held
+/// separately, by `tests/lint_levels.rs` (DESIGN.md §8).
+#[cfg(test)]
+mod lint_canary {
+    use super::MsgKind;
+
+    #[test]
+    fn moved_lints_still_bite() {
+        #[expect(
+            clippy::disallowed_types,
+            reason = "canary: clippy.toml still lists the hash-ordered containers"
+        )]
+        let unordered = std::collections::HashMap::<u8, u8>::new();
+        assert!(unordered.is_empty());
+
+        let wide: u32 = 0x1_0002;
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "canary: the lint this file's header denies still fires on a narrowing `as`"
+        )]
+        let narrow = wide as u16;
+        assert_eq!(narrow, 2);
+
+        #[expect(
+            clippy::wildcard_enum_match_arm,
+            reason = "canary: the lint lib.rs denies still fires on a `_` arm over a protocol enum"
+        )]
+        let code = match MsgKind::Credit {
+            MsgKind::Eager => 0,
+            _ => 1,
+        };
+        assert_eq!(code, 1);
     }
 }

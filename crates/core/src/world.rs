@@ -2,6 +2,7 @@
 //! rank coroutines, runs the simulation, and collects results.
 
 use crate::buffers::{encode_wrid, RecvSlab, WrKind};
+use crate::ckpt::{snapshot_or_release, CkptRun, CKPT_FENCE_NOTE};
 use crate::config::MpiConfig;
 use crate::conn::Conn;
 use crate::rank::{MpiRank, RankSetup};
@@ -9,6 +10,7 @@ use crate::stats::{RankStats, WorldStats};
 use ibfabric::{Access, Fabric, FabricParams, MrId, QpAttrs, QpId, RecvWr};
 use ibsim::{Sim, SimConfig, SimError, SimTime};
 use std::rc::Rc;
+use std::sync::mpsc::Sender;
 
 /// Why an MPI run failed.
 #[derive(Debug)]
@@ -111,32 +113,6 @@ pub(crate) fn make_conn(nprocs: usize, cfg: &MpiConfig, i: usize, j: usize) -> C
     )
 }
 
-/// Appends rank `i`'s fabric-level connection state (posted receives,
-/// queued sends, peer in-flight messages) to a deadlock park note. Quiet
-/// connections are skipped so wide worlds stay readable.
-pub(crate) fn append_fabric_diag(note: &mut String, fabric: &Fabric, nprocs: usize, i: usize) {
-    use std::fmt::Write as _;
-    for j in 0..nprocs {
-        if i == j {
-            continue;
-        }
-        let mine = fabric.qp(qp_id_for(nprocs, i, j));
-        let theirs = fabric.qp(qp_id_for(nprocs, j, i));
-        let (rq, sq, peer_sq, peer_inflight) = (
-            mine.posted_recvs(),
-            mine.queued_sends(),
-            theirs.queued_sends(),
-            theirs.inflight_msgs(),
-        );
-        if sq > 0 || peer_sq > 0 || peer_inflight > 0 {
-            let _ = write!(
-                note,
-                " | peer{j}: rq={rq} sq={sq} peer_sq={peer_sq} peer_inflight={peer_inflight}"
-            );
-        }
-    }
-}
-
 impl MpiWorld {
     /// Runs `body` on `nprocs` simulated processes and returns their
     /// results plus statistics. Fully deterministic for a given
@@ -170,18 +146,14 @@ impl MpiWorld {
         F: AsyncFn(&mut MpiRank) -> R + 'static,
     {
         cfg.validate().map_err(MpiRunError::Config)?;
-        let (fabric, mut setups) = bootstrap_fabric(nprocs, &cfg, params);
+        let (fabric, setups) = bootstrap_fabric(nprocs, &cfg, params);
 
-        let mut sim = Sim::new(fabric, sim_config);
+        let sim = Sim::new(fabric, sim_config);
         connect_all(&sim, nprocs, &cfg);
 
         let body = Rc::new(body);
-        let (tx, rx) = std::sync::mpsc::channel::<(usize, R, RankStats)>();
-        for (i, setup) in setups.iter_mut().enumerate() {
-            // simlint: allow(no-panic-in-lib): each setup slot is filled by the loop above and taken exactly once here
-            let setup = setup.take().expect("setup present");
+        let run = launch(sim, setups, false, |sim, i, setup, tx| {
             let body = Rc::clone(&body);
-            let tx = tx.clone();
             sim.spawn(format!("rank{i}"), move |proc| async move {
                 let mut mpi = MpiRank::new(proc, setup);
                 let result = (*body)(&mut mpi).await;
@@ -189,38 +161,108 @@ impl MpiWorld {
                 let stats = mpi.finish_stats();
                 let _ = tx.send((mpi.rank(), result, stats));
             });
-        }
-        drop(tx);
-
-        let report = match sim.run() {
-            Ok(report) => report,
-            Err(SimError::Deadlock(mut info)) => {
-                // Park notes are allocation-free `&'static str`s (hot-path
-                // rule), so the detailed per-connection state that used to
-                // ride in each note is rebuilt here, on the failure path
-                // only, from the torn-down fabric.
-                let fabric = sim.into_world();
-                for (name, note) in info.parked.iter_mut() {
-                    if let Some(i) = name
-                        .strip_prefix("rank")
-                        .and_then(|s| s.parse::<usize>().ok())
-                    {
-                        append_fabric_diag(note, &fabric, nprocs, i);
-                    }
-                }
-                return Err(SimError::Deadlock(info).into());
-            }
-            Err(e) => return Err(e.into()),
-        };
-        let (results, stats) = collect_results(rx, nprocs);
-        Ok(MpiRunOutput {
-            results,
-            stats,
-            end_time: report.end_time,
-            events: report.events_processed,
-            fabric: sim.into_world(),
-        })
+        })?;
+        // No fence is armed, so the run cannot have stopped at one.
+        Ok(run.into_completed())
     }
+}
+
+/// What a rank coroutine sends the launcher when its body returns:
+/// `(rank, body result, final statistics)`.
+pub(crate) type RankDone<R> = (usize, R, RankStats);
+
+/// The part of a run every entry point shares: spawn one coroutine per
+/// element of `seeds` (`spawn_rank(sim, rank, seed, tx)` — the coroutine
+/// itself stays with its entry point, whose body signature it calls), run
+/// the simulation — with the checkpoint fence armed when `fenced` — then
+/// either hand back the snapshot the fence stopped at or collect the
+/// per-rank results in rank order. A deadlock report is enriched with
+/// fabric-level connection state on the way out.
+pub(crate) fn launch<S, R>(
+    mut sim: Sim<Fabric>,
+    seeds: Vec<S>,
+    fenced: bool,
+    mut spawn_rank: impl FnMut(&mut Sim<Fabric>, usize, S, Sender<RankDone<R>>),
+) -> Result<CkptRun<R>, MpiRunError> {
+    let nprocs = seeds.len();
+    let (tx, rx) = std::sync::mpsc::channel();
+    for (i, seed) in seeds.into_iter().enumerate() {
+        spawn_rank(&mut sim, i, seed, tx.clone());
+    }
+    drop(tx);
+
+    let mut snapshot = None;
+    let run = if fenced {
+        sim.run_with_fence(CKPT_FENCE_NOTE, |world, clock| {
+            snapshot_or_release(world, clock, &mut snapshot)
+        })
+    } else {
+        sim.run()
+    };
+    let report = match run {
+        Ok(report) => report,
+        Err(e) => return Err(with_fabric_diag(e, sim, nprocs).into()),
+    };
+    // The fence callback stops the run exactly when it built a snapshot.
+    if let Some(snapshot) = snapshot {
+        return Ok(CkptRun::Snapshot(snapshot));
+    }
+
+    let mut collected: Vec<RankDone<R>> = rx.try_iter().collect();
+    collected.sort_by_key(|(r, _, _)| *r);
+    assert_eq!(collected.len(), nprocs, "missing rank results");
+    let mut results = Vec::with_capacity(nprocs);
+    let mut stats = WorldStats::default();
+    for (_, r, s) in collected {
+        results.push(r);
+        stats.ranks.push(s);
+    }
+    Ok(CkptRun::Completed(Box::new(MpiRunOutput {
+        results,
+        stats,
+        end_time: report.end_time,
+        events: report.events_processed,
+        fabric: sim.into_world(),
+    })))
+}
+
+/// Park notes are allocation-free `&'static str`s (hot-path rule), so the
+/// per-connection state a deadlock report wants — posted receives, queued
+/// sends, peer in-flight messages — is appended to each parked rank's
+/// note here, on the failure path only, from the torn-down fabric. Quiet
+/// connections are skipped so wide worlds stay readable; any other error
+/// passes through untouched.
+fn with_fabric_diag(e: SimError, sim: Sim<Fabric>, nprocs: usize) -> SimError {
+    use std::fmt::Write as _;
+    let SimError::Deadlock(mut info) = e else {
+        return e;
+    };
+    let fabric = sim.into_world();
+    for (name, note) in info.parked.iter_mut() {
+        let Some(i) = name
+            .strip_prefix("rank")
+            .and_then(|s| s.parse::<usize>().ok())
+        else {
+            continue;
+        };
+        for j in (0..nprocs).filter(|&j| j != i) {
+            let mine = fabric.qp(qp_id_for(nprocs, i, j));
+            let theirs = fabric.qp(qp_id_for(nprocs, j, i));
+            let (rq, sq, peer_sq, peer_inflight) = (
+                mine.posted_recvs(),
+                mine.queued_sends(),
+                theirs.queued_sends(),
+                theirs.inflight_msgs(),
+            );
+            if sq > 0 || peer_sq > 0 || peer_inflight > 0 {
+                let _ = write!(
+                    note,
+                    " | peer{j}: rq={rq} sq={sq} peer_sq={peer_sq} peer_inflight={peer_inflight}"
+                );
+            }
+        }
+    }
+    SimError::Deadlock(info)
 }
 
 /// Builds the fabric (nodes, CQs, QPs, slabs, mailboxes, rings — in the
@@ -231,7 +273,7 @@ pub(crate) fn bootstrap_fabric(
     nprocs: usize,
     cfg: &MpiConfig,
     params: FabricParams,
-) -> (Fabric, Vec<Option<RankSetup>>) {
+) -> (Fabric, Vec<RankSetup>) {
     assert!(
         nprocs >= 1 && nprocs <= u16::MAX as usize,
         "unsupported world size"
@@ -296,7 +338,7 @@ pub(crate) fn bootstrap_fabric(
 
     // Build per-rank connection state; pre-post and connect unless
     // on-demand mode defers that to first use.
-    let mut setups: Vec<Option<RankSetup>> = Vec::with_capacity(nprocs);
+    let mut setups: Vec<RankSetup> = Vec::with_capacity(nprocs);
     for i in 0..nprocs {
         let mut conns: Vec<Option<Conn>> = Vec::with_capacity(nprocs);
         for j in 0..nprocs {
@@ -315,8 +357,15 @@ pub(crate) fn bootstrap_fabric(
                 // Pre-post the initial pool (before connect, so the RC
                 // handshake advertises them as initial credits).
                 for _ in 0..cfg.prepost {
-                    // simlint: allow(no-panic-in-lib): cfg.validate() guarantees prepost <= max_prepost, the slab's slot count
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "cfg.validate() guarantees prepost <= max_prepost, the slab's slot count"
+                    )]
                     let slot = conn.slab.take_free().expect("prepost exceeds slab");
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "receive queues are created empty and sized past max_prepost"
+                    )]
                     fabric
                         .post_recv(
                             conn.qp,
@@ -327,7 +376,6 @@ pub(crate) fn bootstrap_fabric(
                                 len: conn.slab.slot_size,
                             },
                         )
-                        // simlint: allow(no-panic-in-lib): receive queues are created empty and sized past max_prepost
                         .expect("prepost");
                 }
                 conn.posted = cfg.prepost;
@@ -337,14 +385,14 @@ pub(crate) fn bootstrap_fabric(
             }
             conns.push(Some(conn));
         }
-        setups.push(Some(RankSetup {
+        setups.push(RankSetup {
             rank: i,
             size: nprocs,
             node: nodes[i],
             cq: cqs[i],
             conns,
             cfg: cfg.clone(),
-        }));
+        });
     }
     (fabric, setups)
 }
@@ -362,25 +410,6 @@ pub(crate) fn connect_all(sim: &Sim<Fabric>, nprocs: usize, cfg: &MpiConfig) {
             }
         }
     });
-}
-
-/// Drains the per-rank result channel into rank-ordered results and world
-/// statistics. Panics when a rank never reported (its coroutine was
-/// dropped mid-run).
-pub(crate) fn collect_results<R>(
-    rx: std::sync::mpsc::Receiver<(usize, R, RankStats)>,
-    nprocs: usize,
-) -> (Vec<R>, WorldStats) {
-    let mut collected: Vec<(usize, R, RankStats)> = rx.try_iter().collect();
-    collected.sort_by_key(|(r, _, _)| *r);
-    assert_eq!(collected.len(), nprocs, "missing rank results");
-    let mut results = Vec::with_capacity(nprocs);
-    let mut stats = WorldStats::default();
-    for (_, r, s) in collected {
-        results.push(r);
-        stats.ranks.push(s);
-    }
-    (results, stats)
 }
 
 #[cfg(test)]

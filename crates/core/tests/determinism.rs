@@ -1,9 +1,9 @@
 //! Determinism regression: two identically-configured runs of the same
 //! SPMD body must produce bit-identical outcomes — event counts, virtual
 //! end time, per-rank results, and every statistics counter. This is the
-//! behavioural backstop for simlint's `no-unordered-iteration` and
-//! `no-ambient-rng` rules: a stray `HashMap` iteration or wall-clock read
-//! anywhere on the hot path shows up here as a run-to-run diff.
+//! behavioural backstop for `clippy.toml`'s `disallowed-types` (DESIGN.md
+//! §8): a stray `HashMap` iteration or wall-clock read anywhere on the
+//! hot path shows up here as a run-to-run diff.
 
 use ibfabric::FabricParams;
 use ibsim::SimDuration;

@@ -49,12 +49,6 @@ impl Net {
         egress_done + params.prop_delay
     }
 
-    /// Egress occupancy horizon for a node (test/diagnostic hook).
-    #[allow(dead_code)]
-    pub fn egress_busy_until(&self, node: NodeId) -> SimTime {
-        self.egress_busy_until[node.index()]
-    }
-
     /// All egress horizons in node order (checkpoint encode).
     pub(crate) fn egress_horizons(&self) -> &[SimTime] {
         &self.egress_busy_until

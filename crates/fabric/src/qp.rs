@@ -1,5 +1,9 @@
 //! Queue pair state: RC sender and receiver state machines (data side).
 
+// Protocol state is narrowed with `try_from` (surfacing a typed overflow),
+// never with a truncating `as`.
+#![deny(clippy::cast_possible_truncation)]
+
 use crate::cq::CqId;
 use crate::fabric::NodeId;
 use crate::stats::QpStats;
@@ -15,7 +19,6 @@ pub struct QpId(pub(crate) u32);
 impl QpId {
     /// Dense index (for diagnostics).
     pub fn index(self) -> usize {
-        // simlint: allow(no-truncating-cast): u32 -> usize widens on every supported target; ids are dense indices well under u32::MAX
         self.0 as usize
     }
 

@@ -164,7 +164,10 @@ fn transmit(
 fn launch(ctx: &mut Ctx<'_, Fabric>, qp_id: QpId) {
     let (msn, body, bytes, dst_qp, src_node, dst_node) = {
         let q = &mut ctx.world.qps[qp_id.index()];
-        // simlint: allow(no-panic-in-lib): pump() only calls launch when the send-queue head exists
+        #[expect(
+            clippy::expect_used,
+            reason = "pump() only calls launch when the send-queue head exists"
+        )]
         let mut wqe = q.sq.pop_front().expect("pump checked head exists");
         wqe.attempts += 1;
         let retransmit = wqe.attempts > 1;
@@ -212,7 +215,10 @@ fn launch(ctx: &mut Ctx<'_, Fabric>, qp_id: QpId) {
         if retransmit {
             q.stats.retransmissions.incr();
         }
-        // simlint: allow(no-panic-in-lib): the QP state machine only enters ReadyToSend through connect(), which sets the peer
+        #[expect(
+            clippy::expect_used,
+            reason = "the QP state machine only enters ReadyToSend through connect(), which sets the peer"
+        )]
         let dst_qp = q.peer.expect("ReadyToSend implies connected");
         let src_node = q.node;
         q.inflight.push_back(InflightMsg { msn, wqe });
@@ -326,7 +332,10 @@ fn handle_ack_timeout(ctx: &mut Ctx<'_, Fabric>, qp_id: QpId) {
     if exhausted {
         let (send_cq, cqe) = {
             let q = &mut ctx.world.qps[qp_id.index()];
-            // simlint: allow(no-panic-in-lib): `exhausted` is only set after inspecting this same queue head
+            #[expect(
+                clippy::expect_used,
+                reason = "`exhausted` is only set after inspecting this same queue head"
+            )]
             let wqe = q.sq.pop_front().expect("head exists");
             let opcode = match &wqe.op {
                 SendOp::Send { .. } => CqeOpcode::SendComplete,
@@ -418,9 +427,12 @@ fn deliver(
                 ctx.schedule_after(delay, move |c| handle_rnr_nak(c, src_qp, msn));
                 return;
             }
+            #[expect(
+                clippy::expect_used,
+                reason = "the RNR branch above already handled the empty receive queue"
+            )]
             let (rwqe, recv_cq) = {
                 let q = &mut ctx.world.qps[dst_qp.index()];
-                // simlint: allow(no-panic-in-lib): the RNR branch above already handled the empty receive queue
                 (q.rq.pop_front().expect("checked non-empty"), q.recv_cq)
             };
             if rwqe.len < payload.len() {
@@ -759,7 +771,10 @@ fn handle_rnr_nak(ctx: &mut Ctx<'_, Fabric>, qp_id: QpId, msn: u64) {
             if back.msn < msn {
                 break;
             }
-            // simlint: allow(no-panic-in-lib): the loop head breaks when inflight is empty before reaching here
+            #[expect(
+                clippy::expect_used,
+                reason = "the loop head breaks when inflight is empty before reaching here"
+            )]
             let m = q.inflight.pop_back().expect("back exists");
             if m.wqe.op.is_send() {
                 q.unacked_sends -= 1;
@@ -780,7 +795,10 @@ fn handle_rnr_nak(ctx: &mut Ctx<'_, Fabric>, qp_id: QpId, msn: u64) {
     if exhausted {
         let (send_cq, cqe) = {
             let q = &mut ctx.world.qps[qp_id.index()];
-            // simlint: allow(no-panic-in-lib): `exhausted` is only set after inspecting this same queue head
+            #[expect(
+                clippy::expect_used,
+                reason = "`exhausted` is only set after inspecting this same queue head"
+            )]
             let wqe = q.sq.pop_front().expect("head exists");
             (
                 q.send_cq,
@@ -808,10 +826,13 @@ fn handle_rnr_nak(ctx: &mut Ctx<'_, Fabric>, qp_id: QpId, msn: u64) {
 /// exit, best-effort delivery (no ACK, no retry, drop when the responder
 /// has no receive WQE).
 pub(crate) fn send_ud(ctx: &mut Ctx<'_, Fabric>, qp_id: QpId, dst_qp: QpId, wr: crate::wr::SendWr) {
+    #[expect(
+        clippy::unreachable,
+        reason = "post_send_ud rejects RDMA ops on UD QPs before queueing"
+    )]
     let payload = match wr.op {
         SendOp::Send { payload } => payload,
         SendOp::RdmaWrite { .. } | SendOp::RdmaRead { .. } => {
-            // simlint: allow(no-panic-in-lib): post_send_ud rejects RDMA ops on UD QPs before queueing
             unreachable!("validated by post_send_ud")
         }
     };
@@ -909,7 +930,10 @@ fn remote_access_error(ctx: &mut Ctx<'_, Fabric>, qp_id: QpId, msn: u64) {
         }
         let pos = q.inflight.iter().position(|m| m.msn == msn);
         pos.map(|i| {
-            // simlint: allow(no-panic-in-lib): `i` came from `position` on the same queue with no mutation in between
+            #[expect(
+                clippy::expect_used,
+                reason = "`i` came from `position` on the same queue with no mutation in between"
+            )]
             let m = q.inflight.remove(i).expect("position valid");
             if m.wqe.op.is_send() {
                 q.unacked_sends -= 1;

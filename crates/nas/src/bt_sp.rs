@@ -253,7 +253,10 @@ async fn solve_z(mpi: &mut MpiRank, f: &mut Field, verify: bool) -> f64 {
 /// Distributed Thomas along one decomposed direction: `lines` independent
 /// systems, each with `nl` local unknowns, neighbours `prev` (upstream)
 /// and `next` (downstream).
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one directional sweep: the field, its shape, both neighbours, the tag, and the accessors that pick the direction"
+)]
 async fn solve_dir(
     mpi: &mut MpiRank,
     f: &mut Field,

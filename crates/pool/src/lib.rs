@@ -22,6 +22,10 @@
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the one crate that owns OS threads and their locks; no simulated process runs on this side of a job boundary"
+)]
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};

@@ -52,6 +52,19 @@
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
+// A panic in this library turns a typed `SimError` report into a crash,
+// and a catch-all arm swallows the next variant a scheme adds: both are
+// denied crate-wide, and each audited exception is an
+// `#[expect(clippy::…, reason = "…")]` on its statement (DESIGN.md §8).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::wildcard_enum_match_arm
+)]
 
 pub mod codec;
 mod engine;

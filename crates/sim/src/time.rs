@@ -1,5 +1,10 @@
 //! Virtual time: instants and durations in integer nanoseconds.
 
+#![expect(
+    clippy::expect_used,
+    reason = "checked arithmetic made loud: an overflowing instant or a negative span is a simulator bug, and wrapping would silently reorder events"
+)]
+
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};

@@ -1,11 +1,10 @@
 //! A lightweight Rust lexer: just enough structure for the lint rules.
 //!
 //! The lexer distinguishes identifiers from punctuation, strips string
-//! and character literals (so `"HashMap"` in a message is not a finding),
-//! strips comments while harvesting `simlint: allow(...)` escapes from
-//! them, and marks the token ranges covered by `#[cfg(test)]` items so
-//! rules can exempt test-only code. It is deliberately *not* a parser:
-//! the rules only need token-sequence matching with line numbers.
+//! and character literals and comments (so a call named in a message is
+//! not a call), and marks the token ranges covered by `#[cfg(test)]`
+//! items so rules can exempt test-only code. It is deliberately *not* a
+//! parser: [`crate::ast`] builds the trees the rules walk.
 
 /// What a token is. Literals are dropped entirely; numbers are skipped
 /// because no rule matches on them.
@@ -25,33 +24,18 @@ pub struct Token {
     pub line: u32,
 }
 
-/// A `// simlint: allow(<rule>)` or `// simlint: allow(<rule>): <why>`
-/// escape found in a comment.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Allow {
-    /// The rule name inside the parentheses.
-    pub rule: String,
-    /// Line the comment sits on (1-based).
-    pub line: u32,
-    /// Whether a non-empty justification follows the closing parenthesis
-    /// (`: <why>`). Unjustified escapes are reported by the audit pass.
-    pub justified: bool,
-}
-
 /// The result of lexing one file.
 #[derive(Debug, Default)]
 pub struct Lexed {
     pub tokens: Vec<Token>,
-    pub allows: Vec<Allow>,
     /// `in_test[i]` is true when `tokens[i]` sits inside a `#[cfg(test)]`
     /// item (typically the inline `mod tests`).
     pub in_test: Vec<bool>,
 }
 
-/// Lexes `src`, returning tokens, allow-escapes, and test-region marks.
+/// Lexes `src`, returning tokens and test-region marks.
 pub fn lex(src: &str) -> Lexed {
     let mut tokens = Vec::new();
-    let mut allows = Vec::new();
     let chars: Vec<char> = src.chars().collect();
     let mut i = 0usize;
     let mut line: u32 = 1;
@@ -63,16 +47,11 @@ pub fn lex(src: &str) -> Lexed {
                 i += 1;
             }
             '/' if i + 1 < chars.len() && chars[i + 1] == '/' => {
-                let start = i;
                 while i < chars.len() && chars[i] != '\n' {
                     i += 1;
                 }
-                let text: String = chars[start..i].iter().collect();
-                parse_allows(&text, line, &mut allows);
             }
             '/' if i + 1 < chars.len() && chars[i + 1] == '*' => {
-                let start = i;
-                let start_line = line;
                 let mut depth = 1;
                 i += 2;
                 while i < chars.len() && depth > 0 {
@@ -89,8 +68,6 @@ pub fn lex(src: &str) -> Lexed {
                         i += 1;
                     }
                 }
-                let text: String = chars[start..i.min(chars.len())].iter().collect();
-                parse_allows(&text, start_line, &mut allows);
             }
             '"' => {
                 i = skip_string(&chars, i, &mut line);
@@ -191,11 +168,7 @@ pub fn lex(src: &str) -> Lexed {
         }
     }
     let in_test = mark_cfg_test_regions(&tokens);
-    Lexed {
-        tokens,
-        allows,
-        in_test,
-    }
+    Lexed { tokens, in_test }
 }
 
 fn starts_raw_or_byte_string(chars: &[char], i: usize) -> bool {
@@ -317,36 +290,6 @@ fn skip_char_or_lifetime(chars: &[char], i: usize, line: &mut u32) -> usize {
             j
         }
         _ => i + 1,
-    }
-}
-
-/// Harvests `simlint: allow(<rule>)` escapes from one comment's text.
-fn parse_allows(comment: &str, first_line: u32, out: &mut Vec<Allow>) {
-    for (off, text) in comment.lines().enumerate() {
-        let mut rest = text;
-        while let Some(pos) = rest.find("simlint: allow(") {
-            let after = &rest[pos + "simlint: allow(".len()..];
-            let Some(close) = after.find(')') else { break };
-            let rule = after[..close].trim().to_string();
-            let tail = after[close + 1..].trim_start();
-            let justified = tail
-                .strip_prefix(':')
-                .is_some_and(|why| !why.trim().is_empty());
-            // Only rule-name-shaped text counts as an escape; prose like
-            // `simlint: allow(<rule>)` in documentation is ignored.
-            let is_rule_name = !rule.is_empty()
-                && rule
-                    .chars()
-                    .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '-' || c == '_');
-            if is_rule_name {
-                out.push(Allow {
-                    rule,
-                    line: first_line + off as u32,
-                    justified,
-                });
-            }
-            rest = &after[close + 1..];
-        }
     }
 }
 
@@ -553,22 +496,6 @@ mod tests {
         let lx = lex("a\nb\n\nc");
         let lines: Vec<u32> = lx.tokens.iter().map(|t| t.line).collect();
         assert_eq!(lines, vec![1, 2, 4]);
-    }
-
-    #[test]
-    fn allow_escapes_parse() {
-        let lx = lex(
-            "// simlint: allow(no-panic-in-lib): slot validity is checked above\n\
-             x.unwrap();\n\
-             // simlint: allow(no-wall-clock)\n",
-        );
-        assert_eq!(lx.allows.len(), 2);
-        assert_eq!(lx.allows[0].rule, "no-panic-in-lib");
-        assert!(lx.allows[0].justified);
-        assert_eq!(lx.allows[0].line, 1);
-        assert_eq!(lx.allows[1].rule, "no-wall-clock");
-        assert!(!lx.allows[1].justified);
-        assert_eq!(lx.allows[1].line, 3);
     }
 
     #[test]

@@ -1,65 +1,35 @@
-//! `simlint` — the in-repo determinism & protocol-safety lint pass.
-//!
-//! The simulation's headline results are pinned byte-for-byte by golden
-//! snapshots, which only holds while the simulation is deterministic *by
-//! construction*. This pass enforces the construction rules statically:
+//! `simlint` — the path-obligation walker: the static form of the
+//! paper's §4.2 rule that every credit consumed reaches a send.
 //!
 //! | rule | what it forbids |
 //! |------|-----------------|
-//! | `no-wall-clock` | `Instant`/`SystemTime` outside `testutil` and bench drivers |
-//! | `no-unordered-iteration` | `HashMap`/`HashSet` in the simulation crates |
-//! | `no-truncating-cast` | `as u8/u16/u32/usize` in `wire.rs`, `qp.rs`, `conn.rs` |
-//! | `no-panic-in-lib` | `unwrap()`/`expect()`/`panic!` in `ibsim`/`ibfabric`/`mpib` library code |
-//! | `no-ambient-rng` | RNG construction outside the `det_rng(seed, stream)` contract |
-//! | `no-blocking-in-async` | `thread::sleep`/`spawn`, blocking `recv`, `.lock()` in async bodies |
 //! | `credit-path-pairing` | a consume-side ledger op whose path can exit without a send/grant |
 //! | `quiesce-pairing` | a `begin_quiesce` whose path can exit without `resume_world`/`abort_quiesce` |
-//! | `exhaustive-protocol-match` | catch-all arms in `match`es over the wire/completion enums |
 //!
-//! The first five are token rules (their idents can appear outside any
-//! function body); the last four run on the AST built by [`ast`] with the
-//! control-flow walks in [`analyses`]. A guard held across an `.await` is
-//! not here: clippy's `await_holding_refcell_ref` and
-//! `await_holding_lock`, which the same lint stage denies, check it on
-//! types rather than method names. Escapes are per-line comments —
-//! `// simlint: allow(<rule>): <why>` — and are audited: an escape with
-//! no justification, or one that suppresses nothing, is itself a
-//! violation, so the allowlist cannot silently grow. `--stats` reports
-//! per-rule counts of findings and audited suppressions. Zero
-//! dependencies; the lexer lives in [`lexer`] and the rules in [`rules`].
+//! Both need to know *which paths through a function* reach which calls,
+//! which no clippy lint expresses; they run on the per-function trees
+//! built by [`ast`] (over [`lexer`]'s tokens) with the one control-flow
+//! walk in [`analyses`]. Every other invariant of the simulation crates —
+//! no wall clock, no hash-ordered containers, no truncating casts, no
+//! panics in library code, no blocking calls, exhaustive matches, audited
+//! suppressions — is clippy configuration (`clippy.toml`, the lint headers
+//! of the three simulation libraries, `[workspace.lints]`) and
+//! `#[expect(clippy::…, reason = "…")]`; DESIGN.md §8 has the table. Zero
+//! dependencies.
 
 pub mod analyses;
 pub mod ast;
 pub mod lexer;
 pub mod rules;
 
-use rules::{FileReport, Finding};
+use rules::Finding;
 use std::path::{Path, PathBuf};
 
 /// Aggregated result of linting a tree.
 #[derive(Debug, Default)]
 pub struct Report {
     pub findings: Vec<Finding>,
-    /// `(rule, file, line)` for every audited (justified + effective)
-    /// suppression.
-    pub suppressions: Vec<(String, String, u32)>,
     pub files_scanned: usize,
-}
-
-impl Report {
-    /// Nothing to fix: no findings at all (suppressions are allowed as
-    /// long as they are audited — unaudited ones surface as findings).
-    pub fn is_clean(&self) -> bool {
-        self.findings.is_empty()
-    }
-
-    fn absorb(&mut self, file_report: FileReport, path: &str) {
-        self.findings.extend(file_report.findings);
-        for (rule, line) in file_report.audited_suppressions {
-            self.suppressions.push((rule, path.to_string(), line));
-        }
-        self.files_scanned += 1;
-    }
 }
 
 /// Paths never scanned: build output, VCS metadata, and the lint's own
@@ -76,11 +46,9 @@ pub fn lint_tree(root: &Path) -> std::io::Result<Report> {
     for rel in files {
         let src = std::fs::read_to_string(root.join(&rel))?;
         let rel_str = rel.to_string_lossy().replace('\\', "/");
-        report.absorb(rules::lint_source(&rel_str, &src), &rel_str);
+        report.findings.extend(rules::lint_source(&rel_str, &src));
+        report.files_scanned += 1;
     }
-    report
-        .findings
-        .sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     Ok(report)
 }
 
@@ -103,11 +71,8 @@ fn collect_rs_files(root: &Path, dir: &Path, out: &mut Vec<PathBuf>) -> std::io:
     Ok(())
 }
 
-// ---------------------------------------------------------------------
-// Rendering.
-// ---------------------------------------------------------------------
-
-/// Human diagnostics: one `file:line: [rule] message` per finding.
+/// Human diagnostics: one `file:line: [rule] message` per finding, then
+/// a summary line.
 pub fn render_human(report: &Report) -> String {
     let mut out = String::new();
     for f in &report.findings {
@@ -117,135 +82,9 @@ pub fn render_human(report: &Report) -> String {
         ));
     }
     out.push_str(&format!(
-        "simlint: {} file(s), {} violation(s), {} audited suppression(s)\n",
+        "simlint: {} file(s), {} violation(s)\n",
         report.files_scanned,
-        report.findings.len(),
-        report.suppressions.len()
+        report.findings.len()
     ));
     out
-}
-
-/// Per-rule counters for `--stats`: findings and audited suppressions,
-/// so escape accumulation is visible in CI logs.
-pub fn render_stats(report: &Report) -> String {
-    let mut out = String::from("rule                        findings  suppressions\n");
-    for rule in rules::RULE_NAMES {
-        let nf = report.findings.iter().filter(|f| f.rule == rule).count();
-        let ns = report.suppressions.iter().filter(|s| s.0 == rule).count();
-        out.push_str(&format!("{rule:<28}{nf:>8}  {ns:>12}\n"));
-    }
-    out
-}
-
-/// Machine-readable `--stats` output: per-rule counters in `RULE_NAMES`
-/// order plus totals. Deterministic byte-for-byte for a given tree, so
-/// the committed baseline in `bench_results/simlint_stats.json` can be
-/// diffed in CI.
-pub fn render_stats_json(report: &Report) -> String {
-    let mut out = String::from("{\n  \"rules\": [");
-    for (i, rule) in rules::RULE_NAMES.iter().enumerate() {
-        let nf = report.findings.iter().filter(|f| f.rule == *rule).count();
-        let ns = report.suppressions.iter().filter(|s| s.0 == *rule).count();
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\"rule\": {}, \"findings\": {nf}, \"suppressions\": {ns}}}",
-            json_str(rule)
-        ));
-    }
-    out.push_str(&format!(
-        "\n  ],\n  \"files_scanned\": {},\n  \"total_findings\": {},\n  \"total_suppressions\": {}\n}}\n",
-        report.files_scanned,
-        report.findings.len(),
-        report.suppressions.len()
-    ));
-    out
-}
-
-/// Machine-readable output: a JSON object with findings and suppressions.
-pub fn render_json(report: &Report) -> String {
-    let mut out = String::from("{\n  \"findings\": [");
-    for (i, f) in report.findings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\"rule\": {}, \"file\": {}, \"line\": {}, \"message\": {}}}",
-            json_str(f.rule),
-            json_str(&f.file),
-            f.line,
-            json_str(&f.message)
-        ));
-    }
-    out.push_str("\n  ],\n  \"suppressions\": [");
-    for (i, (rule, file, line)) in report.suppressions.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\"rule\": {}, \"file\": {}, \"line\": {}}}",
-            json_str(rule),
-            json_str(file),
-            line
-        ));
-    }
-    out.push_str(&format!(
-        "\n  ],\n  \"files_scanned\": {},\n  \"clean\": {}\n}}\n",
-        report.files_scanned,
-        report.is_clean()
-    ));
-    out
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use rules::lint_source;
-
-    #[test]
-    fn json_escapes_specials() {
-        assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-    }
-
-    #[test]
-    fn json_output_is_well_formed_enough() {
-        let mut report = Report::default();
-        report.absorb(
-            lint_source("crates/core/src/x.rs", "fn f() { y.unwrap(); }"),
-            "crates/core/src/x.rs",
-        );
-        let json = render_json(&report);
-        assert!(json.contains("\"rule\": \"no-panic-in-lib\""));
-        assert!(json.contains("\"clean\": false"));
-        // Balanced braces/brackets (cheap well-formedness check).
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-    }
-
-    #[test]
-    fn stats_lists_every_rule() {
-        let report = Report::default();
-        let stats = render_stats(&report);
-        for rule in rules::RULE_NAMES {
-            assert!(stats.contains(rule), "missing {rule}");
-        }
-    }
 }

@@ -1,30 +1,18 @@
-//! CLI driver: `simlint [--json] [--stats] [--stats-json <path>] [--root <path>]`.
+//! CLI driver: `simlint [--root <path>]`.
 //!
-//! Exit status 0 when the tree is clean (zero violations, zero unaudited
-//! or stale suppressions), 1 otherwise, 2 on usage/I-O errors. Run from
-//! anywhere inside the workspace; the root defaults to the nearest
-//! ancestor containing a workspace `Cargo.toml`, falling back to `.`.
+//! Prints one line per finding and exits 0 when there are none, 1
+//! otherwise, 2 on usage/I-O errors. Run from anywhere inside the
+//! workspace; the root defaults to the nearest ancestor containing a
+//! workspace `Cargo.toml`, falling back to `.`.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let mut json = false;
-    let mut stats = false;
-    let mut stats_json: Option<PathBuf> = None;
     let mut root: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--json" => json = true,
-            "--stats" => stats = true,
-            "--stats-json" => match args.next() {
-                Some(p) => stats_json = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("simlint: --stats-json requires a path");
-                    return ExitCode::from(2);
-                }
-            },
             "--root" => match args.next() {
                 Some(p) => root = Some(PathBuf::from(p)),
                 None => {
@@ -34,8 +22,8 @@ fn main() -> ExitCode {
             },
             "--help" | "-h" => {
                 println!(
-                    "simlint: determinism & protocol-safety lint\n\
-                     usage: simlint [--json] [--stats] [--stats-json <path>] [--root <path>]"
+                    "simlint: credit/quiesce path-obligation lint\n\
+                     usage: simlint [--root <path>]"
                 );
                 return ExitCode::SUCCESS;
             }
@@ -53,21 +41,8 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    if json {
-        print!("{}", simlint::render_json(&report));
-    } else {
-        print!("{}", simlint::render_human(&report));
-    }
-    if stats {
-        print!("{}", simlint::render_stats(&report));
-    }
-    if let Some(path) = stats_json {
-        if let Err(e) = std::fs::write(&path, simlint::render_stats_json(&report)) {
-            eprintln!("simlint: failed to write {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-    }
-    if report.is_clean() {
+    print!("{}", simlint::render_human(&report));
+    if report.findings.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

@@ -13,7 +13,6 @@ fn fixture(name: &str) -> String {
 /// `(rule, line)` pairs in reporting order.
 fn hits(name: &str, virtual_path: &str) -> Vec<(String, u32)> {
     lint_source(virtual_path, &fixture(name))
-        .findings
         .into_iter()
         .map(|f| (f.rule.to_string(), f.line))
         .collect()
@@ -21,61 +20,6 @@ fn hits(name: &str, virtual_path: &str) -> Vec<(String, u32)> {
 
 fn expect(rule: &str, lines: &[u32]) -> Vec<(String, u32)> {
     lines.iter().map(|&l| (rule.to_string(), l)).collect()
-}
-
-#[test]
-fn wall_clock_fixture() {
-    assert_eq!(
-        hits("bad_wall_clock.rs", "crates/core/src/progress.rs"),
-        expect(rules::NO_WALL_CLOCK, &[6, 8])
-    );
-}
-
-#[test]
-fn unordered_fixture() {
-    assert_eq!(
-        hits("bad_unordered.rs", "crates/core/src/rank.rs"),
-        expect(rules::NO_UNORDERED_ITERATION, &[5, 5, 8, 9])
-    );
-}
-
-#[test]
-fn casts_fixture() {
-    assert_eq!(
-        hits("bad_casts.rs", "crates/core/src/wire.rs"),
-        expect(rules::NO_TRUNCATING_CAST, &[6, 7, 12])
-    );
-    // The same source outside the protected files is clean.
-    assert!(hits("bad_casts.rs", "crates/core/src/collectives.rs").is_empty());
-}
-
-#[test]
-fn panics_fixture() {
-    assert_eq!(
-        hits("bad_panics.rs", "crates/fabric/src/transport.rs"),
-        expect(rules::NO_PANIC_IN_LIB, &[6, 7, 10, 16])
-    );
-    // The same source in a test target is clean.
-    assert!(hits("bad_panics.rs", "crates/fabric/tests/transport.rs").is_empty());
-}
-
-#[test]
-fn rng_fixture() {
-    assert_eq!(
-        hits("bad_rng.rs", "crates/nas/src/is.rs"),
-        expect(rules::NO_AMBIENT_RNG, &[6, 9])
-    );
-}
-
-#[test]
-fn blocking_in_async_fixture() {
-    assert_eq!(
-        hits("bad_blocking.rs", "crates/core/src/x.rs"),
-        expect(rules::NO_BLOCKING_IN_ASYNC, &[4, 5, 6, 12])
-    );
-    assert!(hits("good_blocking.rs", "crates/core/src/x.rs").is_empty());
-    // Outside the deterministic crates the rule does not apply.
-    assert!(hits("bad_blocking.rs", "crates/fabric/src/x.rs").is_empty());
 }
 
 #[test]
@@ -120,36 +64,6 @@ fn quiesce_pairing_fixture() {
     // Scoped to the engine crate's library code.
     assert!(hits("bad_quiesce.rs", "crates/core/src/world.rs").is_empty());
     assert!(hits("bad_quiesce.rs", "crates/sim/tests/engine.rs").is_empty());
-}
-
-#[test]
-fn protocol_match_fixture() {
-    assert_eq!(
-        hits("bad_protocol_match.rs", "crates/core/src/x.rs"),
-        expect(rules::EXHAUSTIVE_PROTOCOL_MATCH, &[6, 13])
-    );
-    assert!(hits("good_protocol_match.rs", "crates/core/src/x.rs").is_empty());
-    // Outside the simulation crates any match shape is fine.
-    assert!(hits("bad_protocol_match.rs", "crates/nas/src/x.rs").is_empty());
-}
-
-#[test]
-fn escapes_fixture() {
-    let report = lint_source("crates/core/src/rank.rs", &fixture("escapes.rs"));
-    let got: Vec<(String, u32)> = report
-        .findings
-        .iter()
-        .map(|f| (f.rule.to_string(), f.line))
-        .collect();
-    assert_eq!(
-        got,
-        vec![
-            (rules::UNAUDITED_SUPPRESSION.to_string(), 11),
-            (rules::UNUSED_SUPPRESSION.to_string(), 15),
-        ]
-    );
-    assert_eq!(report.audited_suppressions.len(), 1);
-    assert_eq!(report.audited_suppressions[0].1, 6);
 }
 
 #[test]

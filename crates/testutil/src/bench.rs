@@ -11,6 +11,11 @@
 //! without recording; a bare positional argument filters benches by
 //! substring; other flags (e.g. `--bench`) are ignored.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the bench harness exists to measure host wall time; nothing here feeds a simulation result"
+)]
+
 use std::time::Instant;
 
 /// Summary statistics over one bench's samples, in nanoseconds.

@@ -53,11 +53,6 @@ impl Gen {
         self.rng.gen_range(range)
     }
 
-    /// Uniform `f64` in `range`.
-    pub fn f64_in(&mut self, range: Range<f64>) -> f64 {
-        self.rng.gen_range(range)
-    }
-
     /// Fair coin.
     pub fn bool(&mut self) -> bool {
         self.rng.gen_bool(0.5)
@@ -264,18 +259,6 @@ pub mod shrink {
         out
     }
 
-    /// Candidates for an `f64`, moving toward `lo`: the bound itself, the
-    /// midpoint, and the truncation.
-    pub fn f64_toward(v: f64, lo: f64) -> Vec<f64> {
-        if !v.is_finite() || v <= lo {
-            return Vec::new();
-        }
-        let mut out = vec![lo, lo + (v - lo) / 2.0, v.trunc()];
-        out.retain(|&x| x >= lo && x < v);
-        out.dedup();
-        out
-    }
-
     /// `true` shrinks to `false`.
     pub fn bool_toward_false(v: bool) -> Vec<bool> {
         if v {
@@ -440,9 +423,6 @@ mod tests {
         let c = shrink::u32_toward(100, 1);
         assert!(c.contains(&1) && c.contains(&50) && c.contains(&99));
         assert!(c.iter().all(|&x| (1..100).contains(&x)));
-        assert!(shrink::f64_toward(0.5, 0.0)
-            .iter()
-            .all(|&x| (0.0..0.5).contains(&x)));
         assert_eq!(shrink::bool_toward_false(false), Vec::<bool>::new());
         assert_eq!(shrink::bool_toward_false(true), vec![false]);
     }

@@ -1,0 +1,75 @@
+//! The lint levels DESIGN.md §8 relies on are set where it says they are.
+//!
+//! An `#[expect(lint)]` is fulfilled whenever `lint` *would* fire at that
+//! site, whatever level surrounds it. So the audited `#[expect]`s and the
+//! canary in `mpib::wire` vouch for lint names and `clippy.toml` entries
+//! (drop one and `lint` fails on an unfulfilled expectation) — but not
+//! for the `deny` that makes an *unaudited* site an error. That is a line
+//! of text in a crate or module header, and this holds the lines.
+
+fn read(rel: &str) -> String {
+    let path = format!("{}/{rel}", env!("CARGO_MANIFEST_DIR"));
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
+}
+
+/// The lints named by the `#![deny(clippy::…)]` at the head of `rel`.
+fn denied(rel: &str) -> Vec<String> {
+    let src = read(rel);
+    let (_, rest) = src.split_once("#![deny(\n    clippy::").unwrap_or_else(|| {
+        src.split_once("#![deny(clippy::")
+            .unwrap_or_else(|| panic!("{rel} denies no clippy lint"))
+    });
+    let (lints, _) = rest.split_once(")]").expect("attribute is closed");
+    lints
+        .split(',')
+        .map(|l| l.trim().trim_start_matches("clippy::").to_string())
+        .collect()
+}
+
+#[test]
+fn lint_levels_are_set_where_design_says() {
+    for lib in ["sim", "fabric", "core"] {
+        assert_eq!(
+            denied(&format!("crates/{lib}/src/lib.rs")),
+            [
+                "unwrap_used",
+                "expect_used",
+                "panic",
+                "unreachable",
+                "todo",
+                "unimplemented",
+                "wildcard_enum_match_arm"
+            ],
+            "crates/{lib}/src/lib.rs"
+        );
+    }
+    for guarded in ["core/src/wire.rs", "core/src/conn.rs", "fabric/src/qp.rs"] {
+        assert_eq!(
+            denied(&format!("crates/{guarded}")),
+            ["cast_possible_truncation"],
+            "{guarded}"
+        );
+    }
+    // No bare `#[allow]`, no reason-less `#[expect]`: set once for the
+    // workspace and inherited by every package in it.
+    let root = read("Cargo.toml");
+    assert!(root.contains(
+        "[workspace.lints.clippy]\nallow_attributes = \"deny\"\nallow_attributes_without_reason = \"deny\"\n"
+    ));
+    let crates =
+        std::fs::read_dir(concat!(env!("CARGO_MANIFEST_DIR"), "/crates")).expect("crates/");
+    for manifest in crates
+        .map(|e| {
+            format!(
+                "crates/{}/Cargo.toml",
+                e.expect("entry").file_name().to_string_lossy()
+            )
+        })
+        .chain(["Cargo.toml".to_string()])
+    {
+        assert!(
+            read(&manifest).contains("[lints]\nworkspace = true\n"),
+            "{manifest} does not inherit the workspace lints"
+        );
+    }
+}

@@ -36,6 +36,14 @@
 //!   *post-growth* drain rate, expected within 10% of `ring_poll`. The
 //!   tripwire for growth leaving a slow path behind (a residual
 //!   retired-ring scan, quadratic generation checks).
+//! * **rndv_256k messages/sec** — a 2-rank user-static world moving 256 KB
+//!   messages in posted windows of 16 (the benchmark's `rndv_large` shape);
+//!   the rate is rendezvous messages delivered per *host* second, bytes
+//!   checked. The eager channel has `ring_poll`; this is the rendezvous
+//!   path's tripwire: a payload copy creeping back between `isend` and
+//!   `wait_recv` (today: the snapshot and the placement in the landing
+//!   region, which `wait_recv` hands over by a move), or a lane claim
+//!   that scans more than the receives in flight, shows up here first.
 //! * **nas_is key-iterations/sec, nas_mg cell-updates/sec** — one class-W
 //!   run each of the two kernels that were most of the battery's wall
 //!   until their host loops were restructured (DESIGN.md §9, "NAS
@@ -245,6 +253,49 @@ fn ring_grow_rate(msgs: u32) -> (f64, u64) {
     windowed_ring_rate(cfg, msgs)
 }
 
+/// Rendezvous messages per host second: rank 0 pushes `msgs` 256 KB
+/// messages to rank 1 in non-blocking windows of 16 (one 4-byte ack per
+/// window), rank 1 posts the window's receives, takes every payload and
+/// checks the sequence number stamped through it.
+fn rndv_256k_rate(msgs: u32) -> f64 {
+    const WINDOW: u32 = 16;
+    const SIZE: usize = 256 << 10;
+    let rounds = msgs / WINDOW;
+    let cfg = MpiConfig::scheme(FlowControlScheme::UserStatic, 10);
+    let t0 = Instant::now();
+    MpiWorld::run(2, cfg, FabricParams::mt23108(), async move |mpi| {
+        let peer = 1 - mpi.rank();
+        let mut payload = vec![0u8; SIZE];
+        for round in 0..rounds {
+            if mpi.rank() == 0 {
+                let reqs: Vec<_> = (0..WINDOW)
+                    .map(|i| {
+                        payload.fill((round * WINDOW + i) as u8);
+                        mpi.isend(&payload, peer, 7)
+                    })
+                    .collect();
+                mpi.waitall(&reqs).await;
+                let _ = mpi.recv(Some(peer), Some(8)).await;
+            } else {
+                let reqs: Vec<_> = (0..WINDOW)
+                    .map(|_| mpi.irecv(Some(peer), Some(7)))
+                    .collect();
+                for (i, r) in (0..WINDOW).zip(reqs) {
+                    let (_, data) = mpi.wait_recv(r).await;
+                    let seq = (round * WINDOW + i) as u8;
+                    assert!(
+                        data.len() == SIZE && data.iter().all(|&b| b == seq),
+                        "message {i} of window {round} is not what was sent"
+                    );
+                }
+                mpi.send(&[0u8; 4], peer, 8).await;
+            }
+        }
+    })
+    .expect("rndv_256k run");
+    f64::from(rounds * WINDOW) / t0.elapsed().as_secs_f64()
+}
+
 /// Host seconds of one class-W run of `kernel` on the paper's process
 /// count, static scheme at pre-post 100 (median of three).
 fn kernel_wall_s(kernel: Kernel) -> f64 {
@@ -333,6 +384,8 @@ fn main() {
         println!("test engine/deep_queue_scattered ({deep_scattered:.0} events/sec) ... ok");
         println!("test engine/ring_poll ({ring:.0} events/sec) ... ok");
         println!("test engine/ring_grow ({grow:.0} events/sec, {generations} generations) ... ok");
+        let rndv = median3(|| rndv_256k_rate(160));
+        println!("test engine/rndv_256k ({rndv:.0} messages/sec) ... ok");
         let nas = kernel_rates();
         println!(
             "test engine/nas_is ({:.0} key-iterations/sec, {:.1} ms) ... ok",
@@ -402,6 +455,13 @@ fn main() {
             "post-growth polling ({grow:.0}/s) fell to less than half the static \
              ring's rate ({ring:.0}/s); growth left a slow path behind"
         );
+        // Measured 9.9k messages/s (2.6 GB/s of payload through snapshot,
+        // placement and check) on the 2-core host this floor was set on.
+        assert!(
+            rndv > 1_000.0,
+            "256 KB rendezvous regressed: {rndv:.0} messages/sec (< 1,000); did a payload \
+             copy come back between isend and wait_recv?"
+        );
         assert!(
             nas.is_keys_per_s > 20_000_000.0,
             "class-W IS regressed: {:.0} key-iterations/sec",
@@ -456,6 +516,9 @@ fn main() {
             grow_ratio * 100.0
         );
     }
+
+    let rndv = median3(|| rndv_256k_rate(1_600));
+    println!("rndv_256k messages/sec:   {rndv:>14.0}");
 
     let nas = kernel_rates();
     println!(

@@ -34,6 +34,42 @@ impl MicroParams {
     }
 }
 
+/// One period of the bytes message `index` of iteration `it` carries:
+/// byte `i` of the message is `period[i % 256]`. Every message of a run
+/// differs from its neighbours in every byte, so a receive handed another
+/// message's bytes cannot pass [`check_payload`]; virtual time depends on
+/// lengths only, so the figures do not move. (A period, because filling
+/// and comparing by 256-byte blocks runs at `memcpy` speed — byte-at-a-time
+/// arithmetic tripled the host time of Figs 7/8.)
+fn payload_period(it: u32, index: u32) -> [u8; 256] {
+    let base = it.wrapping_mul(61).wrapping_add(index.wrapping_mul(7)) as u8;
+    std::array::from_fn(|i| base.wrapping_add(i as u8))
+}
+
+/// Writes message `index` of iteration `it` into `buf`.
+fn fill_payload(buf: &mut [u8], it: u32, index: u32) {
+    let period = payload_period(it, index);
+    for block in buf.chunks_mut(period.len()) {
+        block.copy_from_slice(&period[..block.len()]);
+    }
+}
+
+/// Panics unless `data` is exactly what [`fill_payload`] wrote for
+/// `(it, index)` at `size` bytes: a figure measured over a wrong delivery
+/// is not a measurement.
+fn check_payload(data: &[u8], size: usize, it: u32, index: u32) {
+    let period = payload_period(it, index);
+    let intact = data.len() == size
+        && data
+            .chunks(period.len())
+            .all(|block| block == &period[..block.len()]);
+    assert!(
+        intact,
+        "iteration {it}, message {index}: {} bytes delivered for a {size}-byte message, or not its payload",
+        data.len()
+    );
+}
+
 /// Ping-pong latency: blocking send/recv of `size` bytes both ways;
 /// returns the average one-way latency in microseconds.
 pub fn latency_test(p: &MicroParams, size: usize, fabric: FabricParams) -> f64 {
@@ -41,10 +77,12 @@ pub fn latency_test(p: &MicroParams, size: usize, fabric: FabricParams) -> f64 {
     let warmup = p.warmup;
     let out = MpiWorld::run(2, p.config(), fabric, async move |mpi| {
         let peer = 1 - mpi.rank();
-        let payload = vec![0x5Au8; size];
+        let mut payload = vec![0u8; size];
         let mut buf = vec![0u8; size];
         let mut measured_ns = 0u64;
         for it in 0..(warmup + iters) {
+            // The ping is message 0 of its iteration, the pong message 1.
+            fill_payload(&mut payload, it, mpi.rank() as u32);
             let t0 = mpi.now();
             if mpi.rank() == 0 {
                 mpi.send(&payload, peer, 1).await;
@@ -53,6 +91,7 @@ pub fn latency_test(p: &MicroParams, size: usize, fabric: FabricParams) -> f64 {
                 mpi.recv_into(&mut buf, Some(peer), Some(1)).await;
                 mpi.send(&payload, peer, 1).await;
             }
+            check_payload(&buf, size, it, peer as u32);
             if it >= warmup {
                 measured_ns += mpi.now().since(t0).as_nanos();
             }
@@ -78,7 +117,8 @@ pub struct BandwidthResult {
 /// them all; repeated `iters` times (paper §6.2.2).
 ///
 /// `blocking` selects `MPI_Send`/`MPI_Recv`; otherwise `MPI_Isend`/
-/// `MPI_Irecv` + waitall on both sides.
+/// `MPI_Irecv` + waitall on both sides (the receiver waits request by
+/// request, which is what `waitall` does, to take and check each payload).
 pub fn bandwidth_test(
     p: &MicroParams,
     size: usize,
@@ -90,30 +130,40 @@ pub fn bandwidth_test(
     let warmup = p.warmup;
     let out = MpiWorld::run(2, p.config(), fabric, async move |mpi| {
         let peer = 1 - mpi.rank();
-        let payload = vec![0xA5u8; size];
+        let mut payload = vec![0u8; size];
         let mut measured_ns = 0u64;
         for it in 0..(warmup + iters) {
             let t0 = mpi.now();
             if mpi.rank() == 0 {
                 if blocking {
-                    for _ in 0..window {
+                    for index in 0..window {
+                        fill_payload(&mut payload, it, index);
                         mpi.send(&payload, peer, 2).await;
                     }
                 } else {
-                    let reqs: Vec<_> = (0..window).map(|_| mpi.isend(&payload, peer, 2)).collect();
+                    let reqs: Vec<_> = (0..window)
+                        .map(|index| {
+                            fill_payload(&mut payload, it, index);
+                            mpi.isend(&payload, peer, 2)
+                        })
+                        .collect();
                     mpi.waitall(&reqs).await;
                 }
                 let (_, _reply) = mpi.recv(Some(peer), Some(3)).await;
             } else {
                 if blocking {
-                    for _ in 0..window {
-                        let _ = mpi.recv(Some(peer), Some(2)).await;
+                    for index in 0..window {
+                        let (_, data) = mpi.recv(Some(peer), Some(2)).await;
+                        check_payload(&data, size, it, index);
                     }
                 } else {
                     let reqs: Vec<_> = (0..window)
                         .map(|_| mpi.irecv(Some(peer), Some(2)))
                         .collect();
-                    mpi.waitall(&reqs).await;
+                    for (index, r) in (0..window).zip(reqs) {
+                        let (_, data) = mpi.wait_recv(r).await;
+                        check_payload(&data, size, it, index);
+                    }
                 }
                 mpi.send(&[0u8; 4], peer, 3).await;
             }

@@ -67,7 +67,7 @@ pub struct PoolMemory {
     /// Resident bytes of the connection that touched the most.
     pub resident_max: usize,
     /// Bytes registered across the whole fabric: the above plus what was
-    /// registered after bootstrap (rendezvous staging, grown rings).
+    /// registered after bootstrap (rendezvous landing regions, grown rings).
     pub fabric_registered: usize,
     /// Bytes resident across the whole fabric.
     pub fabric_resident: usize,

@@ -482,14 +482,17 @@ impl MpiRank {
         self.post_frame(peer, &fin, &[], WrKind::CtrlSend);
     }
 
-    /// Data landed (ordering guarantee) — copy out of staging and complete.
+    /// Data landed (ordering guarantee): the landing region's bytes become
+    /// the receive's payload by a move — the vector `wait_recv` hands the
+    /// application is the allocation the HCA model placed the data in —
+    /// and the receive completes, which frees its lane.
     fn handle_rndz_fin(&mut self, h: &MsgHeader) {
         let req = ReqId(h.peer_req as u32);
         #[expect(
             clippy::expect_used,
-            reason = "accept_rndz pins the staging region before the reply that triggers this fin can exist"
+            reason = "accept_rndz claims the landing region before the reply that triggers this fin can exist"
         )]
-        let (staging, len) = {
+        let (landing, len) = {
             let r = self.reqs.recv_ref(req);
             if r.failed {
                 // Teardown completed this receive while the fin was in the
@@ -497,9 +500,19 @@ impl MpiRank {
                 return;
             }
             debug_assert_eq!(r.state, RecvState::RndzInFlight);
-            (r.staging.expect("staging set"), r.rndz_len)
+            (r.staging.expect("landing region set"), r.rndz_len)
         };
-        let data = self.proc.with(|ctx| ctx.world.mr_read_vec(staging, 0, len));
+        let rank = self.rank;
+        let data = self.proc.with(|ctx| {
+            // Fin rides behind the WRITE on one QP, so the data is placed;
+            // an unmaterialised region would read as a payload of zeros.
+            let landed = ctx.world.mr_bytes(landing).len();
+            assert!(
+                landed >= len,
+                "rank {rank}: fin for a {len}-byte rendezvous, but only {landed} bytes landed in {landing:?}"
+            );
+            ctx.world.mr_take_vec(landing, len)
+        });
         let r = self.reqs.recv_mut(req);
         r.data = Some(data);
         r.state = RecvState::Done;

@@ -80,10 +80,10 @@ impl MpiRank {
         self.wait_recv(req).await
     }
 
-    /// Blocking receive into an existing buffer; rendezvous staging is
-    /// memoized per (source, size class) in the pin-down cache, so
-    /// iterative applications pin once. Returns the status; panics if the
-    /// message is larger than `buf`.
+    /// Blocking receive into an existing buffer; a rendezvous lands in
+    /// lane 0 of its (source, size class), which the pin-down cache
+    /// memoizes, so iterative applications pin once. Returns the status;
+    /// panics if the message is larger than `buf`.
     pub async fn recv_into(
         &mut self,
         buf: &mut [u8],
@@ -637,7 +637,10 @@ impl MpiRank {
     }
 
     /// Matches a rendezvous start with a posted receive: pin the
-    /// destination and send the reply carrying its rkey.
+    /// destination, claim a landing lane for it and send the reply
+    /// carrying that lane's rkey. The lane is this receive's alone until
+    /// it completes, so the bytes fin takes are the bytes this message's
+    /// WRITE placed, however many receives from `src` are in flight.
     pub(crate) fn accept_rndz(
         &mut self,
         req: ReqId,
@@ -660,14 +663,15 @@ impl MpiRank {
             r.data = Some(Vec::new());
             return;
         }
-        // Staging region for the zero-copy write, keyed by a
-        // per-(source, size-class) staging slot — applications and
-        // collectives of this era reuse their receive areas, so
-        // steady-state rendezvous must not pay registration every time.
-        // Like the send side, the key is simulation-visible identity only
-        // (never a host address), keeping virtual time reproducible.
-        let (staging, cost) = {
-            let class_len = data_len.max(1).next_power_of_two();
+        // Pin-down cache, keyed by a per-(source, size-class) slot —
+        // applications and collectives of this era reuse their receive
+        // areas, so steady-state rendezvous must not pay registration
+        // every time. Like the send side, the key is simulation-visible
+        // identity only (never a host address), keeping virtual time
+        // reproducible. One acquire per accept is the whole cost model;
+        // which lane the bytes land in is below it.
+        let class_len = data_len.max(1).next_power_of_two();
+        let (lane0, cost) = {
             let key = BufKey {
                 slot: 0x8000_0000_0000 + (src << 40) + class_len,
                 len: class_len,
@@ -677,9 +681,10 @@ impl MpiRank {
                 .with(|ctx| regcache.acquire(ctx.world, key, class_len))
         };
         self.charge(cost);
+        let landing = self.claim_landing_lane(req, lane0, class_len);
         if let Request::Recv(r) = self.reqs.get_mut(req) {
             r.state = RecvState::RndzInFlight;
-            r.staging = Some(staging);
+            r.staging = Some(landing);
             r.rndz_len = data_len;
             r.status = Some(Status {
                 source: src,
@@ -690,10 +695,54 @@ impl MpiRank {
         let mut h = self.make_header(src, MsgKind::RndzReply);
         h.rndz_id = rndz_id;
         h.peer_req = req.0 as u64;
-        h.rkey = staging.as_raw();
+        h.rkey = landing.as_raw();
         h.remote_offset = 0;
         h.data_len = data_len as u64;
         self.post_frame(src, &h, &[], WrKind::CtrlSend);
+    }
+
+    /// The landing region for the rendezvous `req` just accepted, held by
+    /// no other receive in flight: `lane0` (the pin-down cache's region
+    /// for its source and size class) unless an earlier receive's
+    /// rendezvous is still landing there, else the first free extra lane
+    /// of that size class, else a newly registered one. With at most one
+    /// rendezvous in flight per (source, size class) this is `lane0` every
+    /// time and registers nothing.
+    fn claim_landing_lane(
+        &mut self,
+        req: ReqId,
+        lane0: ibfabric::MrId,
+        class_len: usize,
+    ) -> ibfabric::MrId {
+        if !self.reqs.holds_landing_region(lane0) {
+            return lane0;
+        }
+        let reqs = &self.reqs;
+        let free = self
+            .landing_lanes
+            .iter_mut()
+            .find(|&&mut (class, mr, claimant)| {
+                class == class_len && !reqs.still_lands_in(claimant, mr)
+            });
+        if let Some(lane) = free {
+            lane.2 = req;
+            let mr = lane.1;
+            // An extra lane is judged free by its last claimant alone;
+            // hold that shortcut to what the live receives say, in every
+            // profile: two receives in one region is wrong bytes delivered.
+            assert!(
+                !self.reqs.holds_landing_region(mr),
+                "rank {}: landing region {mr:?} claimed while another receive's rendezvous lands in it",
+                self.rank
+            );
+            return mr;
+        }
+        let node = self.node;
+        let mr = self
+            .proc
+            .with(|ctx| ctx.world.register(node, class_len, ibfabric::Access::FULL));
+        self.landing_lanes.push((class_len, mr, req));
+        mr
     }
 
     /// Suspends the rank until fabric activity can have changed our state.

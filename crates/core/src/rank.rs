@@ -74,6 +74,16 @@ pub struct MpiRank {
     pub(crate) posted_recvs: Vec<crate::requests::ReqId>,
     pub(crate) unexpected: VecDeque<Unexpected>,
     pub(crate) regcache: RegCache,
+    /// Landing regions beyond lane 0, as `(size class, region, last
+    /// claimant)`: what a second and later concurrent rendezvous of one
+    /// (source, size class) lands in while the pin-down cache's region —
+    /// lane 0 — is held (`claim_landing_lane`). A lane is free once its
+    /// last claimant is no longer a receive in flight into it; nothing
+    /// else records occupancy. Host representation of distinct user
+    /// buffers, never charged and not part of a checkpoint: no receive is
+    /// live at a fence, and a restored rank registers lanes again on
+    /// demand.
+    pub(crate) landing_lanes: Vec<(usize, ibfabric::MrId, crate::requests::ReqId)>,
     pub(crate) stats: RankStats,
     /// Control/eager sends posted whose completions are still outstanding.
     pub(crate) outstanding_ctrl: u64,
@@ -136,6 +146,7 @@ impl MpiRank {
             posted_recvs: Vec::new(),
             unexpected: VecDeque::new(),
             regcache,
+            landing_lanes: Vec::new(),
             stats: RankStats::new(setup.size),
             outstanding_ctrl: 0,
             pending_charge: SimDuration::ZERO,

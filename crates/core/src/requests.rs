@@ -68,7 +68,10 @@ pub(crate) struct RecvReq {
     /// Completed payload.
     pub data: Option<Vec<u8>>,
     pub status: Option<Status>,
-    /// Staging memory region used for rendezvous (copied out at fin).
+    /// Landing region of the rendezvous this receive accepted: the RDMA
+    /// WRITE lands in it and fin moves the bytes out into `data`. While
+    /// the state is `RndzInFlight` the region is this receive's alone
+    /// (`ReqTable::holds_landing_region` is how a lane is known busy).
     pub staging: Option<ibfabric::MrId>,
     /// Expected rendezvous length (set when matched).
     pub rndz_len: usize,
@@ -91,6 +94,11 @@ impl Request {
             Request::Recv(r) => r.state == RecvState::Done,
         }
     }
+}
+
+/// True when `r` is a receive whose rendezvous is in flight into `mr`.
+fn lands_in(r: &Request, mr: ibfabric::MrId) -> bool {
+    matches!(r, Request::Recv(r) if r.state == RecvState::RndzInFlight && r.staging == Some(mr))
 }
 
 /// Slab of live requests.
@@ -206,6 +214,24 @@ impl ReqTable {
             .enumerate()
             .filter_map(|(i, s)| s.as_ref().map(|_| ReqId(i as u32)))
             .collect()
+    }
+
+    /// True while a receive whose rendezvous is in flight lands in `mr`.
+    /// Lane occupancy is derived from the live receives and nothing else,
+    /// so a lane is free the moment its receive completes — at fin, on
+    /// failure or on teardown.
+    pub fn holds_landing_region(&self, mr: ibfabric::MrId) -> bool {
+        self.slots.iter().flatten().any(|r| lands_in(r, mr))
+    }
+
+    /// [`ReqTable::holds_landing_region`] for a region whose last claimant
+    /// is known: only `claimant` can still be landing in it, so one slot
+    /// decides (a retired or re-used slot reads as "no").
+    pub fn still_lands_in(&self, claimant: ReqId, mr: ibfabric::MrId) -> bool {
+        self.slots
+            .get(claimant.0 as usize)
+            .and_then(Option::as_ref)
+            .is_some_and(|r| lands_in(r, mr))
     }
 
     /// The table's allocation shape — total slot count plus the free-slot

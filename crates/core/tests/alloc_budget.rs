@@ -20,6 +20,11 @@
 //! registered, so booting 16 ranks allocates bookkeeping and no receive
 //! memory, and a slab's resident extent follows the posted pool.
 //!
+//! The rendezvous path is held to its region budget too: a burst of
+//! posted receives lands in one region per receive, the regions are reused
+//! window after window, and a region whose message was handed to the
+//! application holds nothing.
+//!
 //! One `#[test]` only: a second test on another thread would be counted
 //! too.
 
@@ -75,16 +80,29 @@ static ALLOC: CountingAlloc = CountingAlloc;
 const TAG_DATA: i32 = 7;
 const TAG_ACK: i32 = 8;
 
-/// `(allocations, bytes)` of one whole two-rank run: rank 0 posts `window`
-/// `isend`s of `size` bytes and waits for a 4-byte ack, rank 1 posts
-/// `window` `irecv`s, takes the payloads and acks; `windows` times.
+/// What one whole two-rank run cost the host.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct RunCost {
+    allocs: u64,
+    bytes: u64,
+    /// `(Fabric::mr_count, Fabric::registered_bytes)` at the end.
+    regions: (usize, usize),
+    /// Bytes resident at the end in the regions registered after
+    /// bootstrap (a two-rank world boots with six: slab, mailbox and ring
+    /// each way) — the pinned send source and the landing lanes.
+    landed: usize,
+}
+
+/// The cost of one whole two-rank run: rank 0 posts `window` `isend`s of
+/// `size` bytes and waits for a 4-byte ack, rank 1 posts `window`
+/// `irecv`s, takes the payloads and acks; `windows` times.
 fn run_cost(
     scheme: FlowControlScheme,
     prepost: u32,
     size: usize,
     window: usize,
     windows: usize,
-) -> (u64, u64) {
+) -> RunCost {
     let before = (
         ALLOC_COUNT.load(Ordering::Relaxed),
         ALLOC_BYTES.load(Ordering::Relaxed),
@@ -121,10 +139,14 @@ fn run_cost(
     COUNTING.store(false, Ordering::Relaxed);
     let out = out.expect("clean run");
     assert_eq!(out.results[1], window * windows);
-    (
-        ALLOC_COUNT.load(Ordering::Relaxed) - before.0,
-        ALLOC_BYTES.load(Ordering::Relaxed) - before.1,
-    )
+    RunCost {
+        allocs: ALLOC_COUNT.load(Ordering::Relaxed) - before.0,
+        bytes: ALLOC_BYTES.load(Ordering::Relaxed) - before.1,
+        regions: (out.fabric.mr_count(), out.fabric.registered_bytes()),
+        landed: (6..out.fabric.mr_count() as u32)
+            .map(|mr| out.fabric.mr_bytes(ibfabric::MrId::from_raw(mr)).len())
+            .sum(),
+    }
 }
 
 /// Bytes allocated by a whole empty-body run: world construction (verbs
@@ -186,7 +208,10 @@ fn per_message_milli(
         "allocation counts must repeat exactly"
     );
     let msgs = ((long - short) * window) as u64;
-    ((b.0 - a.0) * 1000 / msgs, (b.1 - a.1) * 1000 / msgs)
+    (
+        (b.allocs - a.allocs) * 1000 / msgs,
+        (b.bytes - a.bytes) * 1000 / msgs,
+    )
 }
 
 #[test]
@@ -265,9 +290,10 @@ fn fast_paths_stay_within_their_allocation_budget() {
     }
 
     // (b) 256 KB rendezvous, window 16, pre-post 10 (the benchmark's
-    // `rndv_large` shape): one snapshot at `isend` and one copy-out at
-    // `wait_recv`, plus small change: 525 095 B per message. The parent
-    // allocated five payloads per message (1 315 284 B).
+    // `rndv_large` shape): one snapshot at `isend` and one placement in
+    // the landing region (whose allocation is what `wait_recv` returns),
+    // plus small change: 525 095 B per message. PR 12 allocated five
+    // payloads per message (1 315 284 B).
     const SIZE: usize = 256 << 10;
     let (_, bytes) = per_message_milli(FlowControlScheme::UserStatic, 10, SIZE, 16, (2, 6));
     assert!(
@@ -275,4 +301,38 @@ fn fast_paths_stay_within_their_allocation_budget() {
         "{} bytes allocated per 256 KB rendezvous message",
         bytes / 1000
     );
+
+    // (c) The same shape, by regions: 16 posted receives take 16 landing
+    // lanes (lane 0 from the pin-down cache and 15 beside it) and every
+    // later window lands in those, so once a window has had all 16 in
+    // flight the region table of a run does not depend on how many windows
+    // follow. Under `Hardware` that is the first window. Under
+    // `UserStatic` the number in flight itself ramps 11, 12 ... 16 over
+    // the first six windows — ten credits plus the one credit-less start,
+    // and each window's credit-less start leaves the sender a credit
+    // richer — and is flat from there. And a lane is resident only between
+    // its WRITE and its fin: once every receive has been waited, no region
+    // registered after bootstrap holds a byte (before landing lanes the
+    // staging region kept a 256 KB payload for ever).
+    //
+    // Regions of a two-rank world: slab, mailbox and ring each way (6),
+    // the sender's pinned source (1), the lanes (16).
+    for (scheme, settled) in [
+        (FlowControlScheme::Hardware, 1),
+        (FlowControlScheme::UserStatic, 6),
+    ] {
+        let first = run_cost(scheme, 10, SIZE, 16, settled);
+        assert_eq!(first.regions.0, 6 + 1 + 16, "{}", scheme.label());
+        assert_eq!(first.landed, 0, "{}", scheme.label());
+        for windows in [settled + 1, settled + 6] {
+            let later = run_cost(scheme, 10, SIZE, 16, windows);
+            assert_eq!(
+                (later.regions, later.landed),
+                (first.regions, 0),
+                "{}: (regions, registered bytes) and landed bytes after {windows} windows \
+                 against {settled}: a lane leaked or kept its payload",
+                scheme.label()
+            );
+        }
+    }
 }

@@ -277,6 +277,15 @@ impl Fabric {
         self.mrs[mr.index()].read_vec(offset, len)
     }
 
+    /// Moves the first `len` bytes out of the region: the returned vector
+    /// is the region's own materialised prefix (cut or zero-extended to
+    /// `len`, bounds rule of [`Fabric::mr_read_vec`]), not a copy of it,
+    /// and the region is left unmaterialised. Only sound for a region the
+    /// caller owns whole — nothing else it holds survives the take.
+    pub fn mr_take_vec(&mut self, mr: MrId, len: usize) -> Vec<u8> {
+        self.mrs[mr.index()].take_prefix(len)
+    }
+
     /// Bytes registered across all regions: what a real HCA would have
     /// pinned.
     pub fn registered_bytes(&self) -> usize {

@@ -195,6 +195,19 @@ impl Mr {
         out.resize(len, 0);
         out
     }
+
+    /// Moves the first `len` bytes out of the region instead of copying
+    /// them: the returned vector *is* the materialised prefix (cut to
+    /// `len`, or zero-extended to it like [`Mr::read_vec`]), and the region
+    /// is left unmaterialised — every byte reads as zero again and the next
+    /// write starts a fresh prefix. For a region one consumer owns whole,
+    /// such as the landing region of one rendezvous receive.
+    pub(crate) fn take_prefix(&mut self, len: usize) -> Vec<u8> {
+        self.end_of(0, len);
+        let mut out = std::mem::take(&mut self.bytes);
+        out.resize(len, 0);
+        out
+    }
 }
 
 #[cfg(test)]
@@ -220,5 +233,66 @@ mod tests {
         assert!(!mr.check_range(usize::MAX, 2));
         assert_eq!(mr.len(), 100);
         assert!(!mr.is_empty());
+    }
+
+    /// A region of 100 registered bytes holding `fill` in its first
+    /// `fill.len()`.
+    fn region_holding(fill: &[u8]) -> Mr {
+        let mut mr = Mr::new(NodeId(0), Access::FULL, 100);
+        mr.write(0, fill);
+        mr
+    }
+
+    /// After a take the region holds nothing, reads as zero over its whole
+    /// registered length, and takes a write like a fresh one.
+    fn assert_fresh(mr: &mut Mr) {
+        assert!(mr.resident().is_empty());
+        assert_eq!(mr.read_vec(0, 100), [0u8; 100]);
+        mr.write(3, &[9, 9]);
+        assert_eq!(mr.resident(), [0, 0, 0, 9, 9]);
+    }
+
+    #[test]
+    fn take_prefix_moves_exactly_what_landed() {
+        let mut mr = region_holding(&[7; 40]);
+        let landed = mr.resident().as_ptr();
+        let got = mr.take_prefix(40);
+        assert_eq!(got, [7u8; 40]);
+        assert_eq!(got.as_ptr(), landed, "a move, not a copy");
+        assert_fresh(&mut mr);
+    }
+
+    #[test]
+    fn take_prefix_cuts_a_longer_stale_prefix() {
+        // An earlier, longer payload left 60 bytes; the current one is 25.
+        let mut mr = region_holding(&[1; 60]);
+        mr.write(0, &[2; 25]);
+        assert_eq!(mr.take_prefix(25), [2u8; 25]);
+        assert_fresh(&mut mr);
+    }
+
+    #[test]
+    fn take_prefix_zero_extends_a_shorter_prefix() {
+        let mut mr = region_holding(&[5; 10]);
+        let got = mr.take_prefix(12);
+        assert_eq!(got[..10], [5u8; 10]);
+        assert_eq!(got[10..], [0, 0]);
+        assert_fresh(&mut mr);
+    }
+
+    #[test]
+    fn take_prefix_of_zero_bytes_is_empty_and_still_drops_the_prefix() {
+        let mut untouched = Mr::new(NodeId(0), Access::FULL, 100);
+        assert!(untouched.take_prefix(0).is_empty());
+        assert_fresh(&mut untouched);
+        let mut stale = region_holding(&[1; 60]);
+        assert!(stale.take_prefix(0).is_empty());
+        assert_fresh(&mut stale);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the 100 registered")]
+    fn take_prefix_past_the_registered_length_panics() {
+        region_holding(&[1; 60]).take_prefix(101);
     }
 }

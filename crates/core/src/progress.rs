@@ -483,9 +483,11 @@ impl MpiRank {
     }
 
     /// Data landed (ordering guarantee): the landing region's bytes become
-    /// the receive's payload by a move — the vector `wait_recv` hands the
-    /// application is the allocation the HCA model placed the data in —
-    /// and the receive completes, which frees its lane.
+    /// the receive's payload by a take, and the receive completes, which
+    /// frees its lane. The WRITE covered the emptied region's whole prefix,
+    /// so the HCA model placed it by reference; the take is then the one
+    /// copy of the payload on this side (a move only when the prefix is
+    /// owned, e.g. after a restore rebuilt it).
     fn handle_rndz_fin(&mut self, h: &MsgHeader) {
         let req = ReqId(h.peer_req as u32);
         #[expect(

@@ -277,11 +277,13 @@ impl Fabric {
         self.mrs[mr.index()].read_vec(offset, len)
     }
 
-    /// Moves the first `len` bytes out of the region: the returned vector
-    /// is the region's own materialised prefix (cut or zero-extended to
-    /// `len`, bounds rule of [`Fabric::mr_read_vec`]), not a copy of it,
-    /// and the region is left unmaterialised. Only sound for a region the
-    /// caller owns whole — nothing else it holds survives the take.
+    /// Takes the first `len` bytes out of the region (cut or zero-extended
+    /// to `len`, bounds rule of [`Fabric::mr_read_vec`]) and leaves it
+    /// unmaterialised. Only sound for a region the caller owns whole —
+    /// nothing else it holds survives the take. The take is a move only
+    /// when the prefix is owned: a prefix the HCA placed by reference is
+    /// still the payload's allocation, and the take copies it out (the one
+    /// copy those bytes get on the receive side).
     pub fn mr_take_vec(&mut self, mr: MrId, len: usize) -> Vec<u8> {
         self.mrs[mr.index()].take_prefix(len)
     }
@@ -294,7 +296,8 @@ impl Fabric {
 
     /// Bytes the host actually holds across all regions (the sum of the
     /// materialised extents): the memory the protocol has touched, which
-    /// is the paper's scalability argument made measurable.
+    /// is the paper's scalability argument made measurable. A payload
+    /// placed by reference counts once per region holding it.
     pub fn resident_bytes(&self) -> usize {
         self.mrs.iter().map(|mr| mr.resident().len()).sum()
     }

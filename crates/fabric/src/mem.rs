@@ -1,6 +1,7 @@
 //! Registered memory regions with access-flag and bounds checking.
 
 use crate::fabric::NodeId;
+use std::sync::Arc;
 
 /// Handle to a registered memory region.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -78,11 +79,21 @@ impl std::ops::BitOr for Access {
     }
 }
 
+/// The materialised prefix of a region: bytes the host owns, or a payload
+/// the HCA placed by reference and still shares with the work request that
+/// carried it (nothing mutates an `Arc<[u8]>` payload, so sharing it is
+/// sound; the first host-side mutation un-shares).
+#[derive(Debug)]
+enum Prefix {
+    Owned(Vec<u8>),
+    Shared(Arc<[u8]>),
+}
+
 /// A registered ("pinned") memory region owned by one node.
 ///
 /// The region is `len` bytes long to every bounds check, but the host only
-/// holds the **materialised prefix**: `bytes.len() <= len`, and every byte
-/// at or past `bytes.len()` is zero and has never been allocated. Writes
+/// holds the **materialised prefix**: its length is at most `len`, and
+/// every byte at or past it is zero and has never been allocated. Writes
 /// grow the prefix to their own end; reads never grow it. Nothing is
 /// reserved up front, so a region costs what the protocol has touched, not
 /// what it registered (DESIGN.md §9, "Registered vs resident memory").
@@ -91,7 +102,7 @@ pub struct Mr {
     pub(crate) node: NodeId,
     pub(crate) access: Access,
     len: usize,
-    bytes: Vec<u8>,
+    prefix: Prefix,
 }
 
 impl Mr {
@@ -101,7 +112,7 @@ impl Mr {
             node,
             access,
             len,
-            bytes: Vec::new(),
+            prefix: Prefix::Owned(Vec::new()),
         }
     }
 
@@ -142,13 +153,34 @@ impl Mr {
 
     /// The materialised prefix.
     pub(crate) fn resident(&self) -> &[u8] {
-        &self.bytes
+        match &self.prefix {
+            Prefix::Owned(bytes) => bytes,
+            Prefix::Shared(bytes) => bytes,
+        }
+    }
+
+    /// The prefix as bytes the host owns, copying a shared one first
+    /// (copy-on-write): every host-side mutation goes through here.
+    fn owned(&mut self) -> &mut Vec<u8> {
+        if let Prefix::Shared(bytes) = &self.prefix {
+            self.prefix = Prefix::Owned(bytes.to_vec());
+        }
+        match &mut self.prefix {
+            Prefix::Owned(bytes) => bytes,
+            #[expect(
+                clippy::unreachable,
+                reason = "a shared prefix was replaced by an owned copy just above"
+            )]
+            Prefix::Shared(_) => unreachable!("un-shared above"),
+        }
     }
 
     /// Materialises the whole region and returns it.
     pub(crate) fn materialise_all(&mut self) -> &mut [u8] {
-        self.bytes.resize(self.len, 0);
-        &mut self.bytes
+        let len = self.len;
+        let bytes = self.owned();
+        bytes.resize(len, 0);
+        bytes
     }
 
     /// Stores `data` at `offset`, growing the prefix to the write's end if
@@ -157,16 +189,32 @@ impl Mr {
     /// A zero-length write materialises nothing.
     pub(crate) fn write(&mut self, offset: usize, data: &[u8]) {
         self.end_of(offset, data.len());
-        let have = self.bytes.len();
+        let bytes = self.owned();
+        let have = bytes.len();
         // What falls on materialised bytes overwrites them; the rest
         // extends the prefix.
         let (over, append) = data.split_at(have.saturating_sub(offset).min(data.len()));
-        self.bytes[offset.min(have)..][..over.len()].copy_from_slice(over);
+        bytes[offset.min(have)..][..over.len()].copy_from_slice(over);
         if !append.is_empty() {
             if offset > have {
-                self.bytes.resize(offset, 0);
+                bytes.resize(offset, 0);
             }
-            self.bytes.extend_from_slice(append);
+            bytes.extend_from_slice(append);
+        }
+    }
+
+    /// The HCA places `payload` at `offset`. A payload that starts at
+    /// offset 0 and is at least as long as the current prefix overwrites
+    /// every materialised byte, so the region adopts it by reference — the
+    /// prefix *becomes* the work request's allocation, and no byte is
+    /// copied. Anything else (a slot in the middle, a short frame over a
+    /// longer prefix, an empty payload) is an ordinary [`Mr::write`].
+    pub(crate) fn place(&mut self, offset: usize, payload: &Arc<[u8]>) {
+        if offset == 0 && !payload.is_empty() && payload.len() >= self.resident().len() {
+            self.end_of(0, payload.len());
+            self.prefix = Prefix::Shared(Arc::clone(payload));
+        } else {
+            self.write(offset, payload);
         }
     }
 
@@ -174,8 +222,9 @@ impl Mr {
     /// short of `len` lies past the prefix and reads as zero.
     fn resident_part(&self, offset: usize, len: usize) -> &[u8] {
         let end = self.end_of(offset, len);
-        let have = self.bytes.len();
-        &self.bytes[offset.min(have)..end.min(have)]
+        let bytes = self.resident();
+        let have = bytes.len();
+        &bytes[offset.min(have)..end.min(have)]
     }
 
     /// Copies `out.len()` bytes at `offset` into `out`.
@@ -196,15 +245,20 @@ impl Mr {
         out
     }
 
-    /// Moves the first `len` bytes out of the region instead of copying
-    /// them: the returned vector *is* the materialised prefix (cut to
-    /// `len`, or zero-extended to it like [`Mr::read_vec`]), and the region
-    /// is left unmaterialised — every byte reads as zero again and the next
-    /// write starts a fresh prefix. For a region one consumer owns whole,
-    /// such as the landing region of one rendezvous receive.
+    /// Takes the first `len` bytes out of the region (cut to `len`, or
+    /// zero-extended to it like [`Mr::read_vec`]) and leaves it
+    /// unmaterialised — every byte reads as zero again and the next write
+    /// starts a fresh prefix. For a region one consumer owns whole, such as
+    /// the landing region of one rendezvous receive. The take is a *move*
+    /// only when the prefix is owned: a prefix the HCA placed by reference
+    /// is still the payload's allocation, and taking it is the one copy of
+    /// those bytes (un-sharing, as any host mutation would).
     pub(crate) fn take_prefix(&mut self, len: usize) -> Vec<u8> {
         self.end_of(0, len);
-        let mut out = std::mem::take(&mut self.bytes);
+        let mut out = match std::mem::replace(&mut self.prefix, Prefix::Owned(Vec::new())) {
+            Prefix::Owned(bytes) => bytes,
+            Prefix::Shared(bytes) => bytes[..len.min(bytes.len())].to_vec(),
+        };
         out.resize(len, 0);
         out
     }
@@ -278,6 +332,89 @@ mod tests {
         assert_eq!(got[..10], [5u8; 10]);
         assert_eq!(got[10..], [0, 0]);
         assert_fresh(&mut mr);
+    }
+
+    fn shared(fill: u8, n: usize) -> Arc<[u8]> {
+        vec![fill; n].into()
+    }
+
+    fn is_shared_with(mr: &Mr, payload: &Arc<[u8]>) -> bool {
+        mr.resident().as_ptr() == payload.as_ptr()
+    }
+
+    #[test]
+    fn place_adopts_a_payload_that_covers_the_whole_prefix() {
+        let mut mr = region_holding(&[1; 30]);
+        let p = shared(7, 30);
+        mr.place(0, &p);
+        assert!(is_shared_with(&mr, &p), "equal length covers the prefix");
+        let longer = shared(8, 50);
+        mr.place(0, &longer);
+        assert!(is_shared_with(&mr, &longer));
+        assert_eq!(
+            mr.read_vec(0, 100)[..51],
+            [[8u8; 50].as_slice(), &[0]].concat()
+        );
+    }
+
+    #[test]
+    fn place_writes_what_does_not_cover_the_prefix() {
+        let short = shared(2, 10);
+        let mut mr = region_holding(&[1; 30]);
+        mr.place(0, &short);
+        assert!(
+            !is_shared_with(&mr, &short),
+            "a short payload leaves bytes behind it"
+        );
+        assert_eq!(mr.resident(), [[2u8; 10].as_slice(), &[1; 20]].concat());
+
+        let mut fresh = Mr::new(NodeId(0), Access::FULL, 100);
+        let p = shared(3, 10);
+        fresh.place(5, &p);
+        assert!(!is_shared_with(&fresh, &p), "only offset 0 is a prefix");
+        assert_eq!(fresh.resident(), [[0u8; 5].as_slice(), &[3; 10]].concat());
+
+        let mut untouched = Mr::new(NodeId(0), Access::FULL, 100);
+        untouched.place(0, &shared(0, 0));
+        assert!(
+            untouched.resident().is_empty(),
+            "an empty payload materialises nothing"
+        );
+    }
+
+    #[test]
+    fn host_mutation_unshares_and_leaves_the_payload_alone() {
+        let p = shared(4, 20);
+        let mut mr = Mr::new(NodeId(0), Access::FULL, 100);
+        mr.place(0, &p);
+        assert!(is_shared_with(&mr, &p));
+        mr.write(18, &[9, 9, 9]);
+        assert!(!is_shared_with(&mr, &p));
+        assert_eq!(mr.resident(), [[4u8; 18].as_slice(), &[9; 3]].concat());
+        assert_eq!(*p, [4u8; 20], "the payload is never written through");
+
+        let q = shared(5, 30);
+        mr.place(0, &q);
+        assert!(is_shared_with(&mr, &q));
+        assert!(mr.materialise_all()[..30].iter().all(|&b| b == 5));
+        assert!(!is_shared_with(&mr, &q));
+        assert_eq!(mr.resident().len(), 100);
+        assert_eq!(*q, [5u8; 30]);
+    }
+
+    #[test]
+    fn take_prefix_of_a_shared_prefix_copies_and_drops_the_reference() {
+        let p = shared(6, 40);
+        let mut mr = Mr::new(NodeId(0), Access::FULL, 100);
+        mr.place(0, &p);
+        assert_eq!(Arc::strong_count(&p), 2);
+        let got = mr.take_prefix(25);
+        assert_eq!(got, [6u8; 25]);
+        assert_ne!(got.as_ptr(), p.as_ptr());
+        assert_eq!(Arc::strong_count(&p), 1, "the region let go of the payload");
+        assert_fresh(&mut mr);
+        mr.place(0, &p);
+        assert_eq!(mr.take_prefix(44)[38..], [6, 6, 0, 0, 0, 0]);
     }
 
     #[test]

@@ -337,17 +337,12 @@ fn handle_ack_timeout(ctx: &mut Ctx<'_, Fabric>, qp_id: QpId) {
                 reason = "`exhausted` is only set after inspecting this same queue head"
             )]
             let wqe = q.sq.pop_front().expect("head exists");
-            let opcode = match &wqe.op {
-                SendOp::Send { .. } => CqeOpcode::SendComplete,
-                SendOp::RdmaWrite { .. } => CqeOpcode::RdmaWriteComplete,
-                SendOp::RdmaRead { .. } => CqeOpcode::RdmaReadComplete,
-            };
             (
                 q.send_cq,
                 Cqe {
                     wr_id: wqe.wr_id,
                     qp: qp_id,
-                    opcode,
+                    opcode: wqe.op.completion_opcode(),
                     status: CqeStatus::TransportRetryExceeded,
                     byte_len: 0,
                 },
@@ -403,7 +398,7 @@ fn deliver(
             // plain ACK cannot complete a READ whose data was lost.
             ctx.world.stats.dup_suppressed.incr();
             if matches!(body, MsgBody::RdmaRead { .. }) {
-                replay_read_response(ctx, src_qp, msn, body, dst_node);
+                replay_read_response(ctx, dst_qp, src_qp, msn, body);
             } else {
                 send_ack(ctx, dst_qp, src_qp, msn);
             }
@@ -461,7 +456,7 @@ fn deliver(
             let rx_done = charge_rx(ctx, dst_node, first_arrival, now, payload.len());
             ctx.schedule_at(rx_done, move |c| {
                 let len = payload.len();
-                c.world.mrs[rwqe.mr.index()].write(rwqe.offset, &payload);
+                c.world.mrs[rwqe.mr.index()].place(rwqe.offset, &payload);
                 let recv_cq = c.world.qps[dst_qp.index()].recv_cq;
                 push_cqe(
                     c,
@@ -507,7 +502,7 @@ fn deliver(
             ctx.world.stats.bytes_delivered.add(payload.len() as u64);
             let rx_done = charge_rx_rdma(ctx, dst_node, first_arrival, now, payload.len());
             ctx.schedule_at(rx_done, move |c| {
-                c.world.mrs[rkey.index()].write(remote_offset, &payload);
+                c.world.mrs[rkey.index()].place(remote_offset, &payload);
                 c.world.nodes[dst_node.index()].rdma_delivered += 1;
                 // The drained list goes back so the next `watch_rdma`
                 // reuses its capacity.
@@ -545,19 +540,21 @@ fn deliver(
                 local_offset,
                 len,
             };
-            send_read_response(ctx, src_qp, msn, &body, dst_node);
+            send_read_response(ctx, dst_qp, src_qp, msn, &body);
         }
     }
 }
 
-/// Puts the response data of a validated RDMA READ on the wire back to the
-/// requester; its arrival carries ACK semantics for everything up to `msn`.
+/// Puts the response data of a validated RDMA READ on the wire from
+/// `responder` back to `src_qp`; its arrival carries ACK semantics for
+/// everything up to `msn`, advertising the responder's posted receives as
+/// sampled then (as [`send_ack`] does).
 fn send_read_response(
     ctx: &mut Ctx<'_, Fabric>,
+    responder: QpId,
     src_qp: QpId,
     msn: u64,
     body: &MsgBody,
-    dst_node: NodeId,
 ) {
     let MsgBody::RdmaRead {
         rkey,
@@ -572,6 +569,7 @@ fn send_read_response(
     let data: Arc<[u8]> = ctx.world.mrs[rkey.index()]
         .read_vec(remote_offset, len)
         .into();
+    let dst_node = ctx.world.qps[responder.index()].node;
     let src_node = ctx.world.qps[src_qp.index()].node;
     let (rfirst, rlast) = transmit(ctx, dst_node, src_node, len);
     // The response crosses the same lossy wire as any request.
@@ -583,9 +581,9 @@ fn send_read_response(
         // Response data has arrived at the requester HCA.
         let rx_done = charge_rx_rdma(c, src_node, rfirst, c.now(), data.len());
         c.schedule_at(rx_done, move |c2| {
-            c2.world.mrs[local_mr.index()].write(local_offset, &data);
+            c2.world.mrs[local_mr.index()].place(local_offset, &data);
             // The read response acknowledges everything up to msn.
-            let credits = c2.world.qps[src_qp.index()].adv_credits; // unchanged by reads
+            let credits = c2.world.qps[responder.index()].rq.len() as u32;
             handle_ack(c2, src_qp, msn, credits, true);
         });
     });
@@ -595,10 +593,10 @@ fn send_read_response(
 /// re-validate and re-send the response data.
 fn replay_read_response(
     ctx: &mut Ctx<'_, Fabric>,
+    responder: QpId,
     src_qp: QpId,
     msn: u64,
     body: MsgBody,
-    dst_node: NodeId,
 ) {
     let MsgBody::RdmaRead {
         rkey,
@@ -609,6 +607,7 @@ fn replay_read_response(
     else {
         return;
     };
+    let dst_node = ctx.world.qps[responder.index()].node;
     let valid = ctx.world.mrs.get(rkey.index()).is_some_and(|mr| {
         mr.node == dst_node
             && mr.access.allows(Access::REMOTE_READ)
@@ -618,7 +617,7 @@ fn replay_read_response(
         return; // the original delivery already reported the access error
     }
     ctx.world.stats.read_replays.incr();
-    send_read_response(ctx, src_qp, msn, &body, dst_node);
+    send_read_response(ctx, responder, src_qp, msn, &body);
 }
 
 /// Charges receiver-side DMA and processing for an arriving message and
@@ -717,15 +716,15 @@ fn handle_ack(
             break;
         };
         retired = true;
-        let (opcode, byte_len) = match &m.wqe.op {
-            SendOp::Send { .. } => {
-                q.unacked_sends -= 1;
-                (CqeOpcode::SendComplete, m.wqe.op.request_bytes())
-            }
-            SendOp::RdmaWrite { .. } => (CqeOpcode::RdmaWriteComplete, m.wqe.op.request_bytes()),
-            SendOp::RdmaRead { len, .. } => (CqeOpcode::RdmaReadComplete, *len),
-        };
+        if m.wqe.op.is_send() {
+            q.unacked_sends -= 1;
+        }
         if m.wqe.signaled {
+            // A READ completes with the bytes it fetched, not the request's.
+            let byte_len = match m.wqe.op {
+                SendOp::RdmaRead { len, .. } => len,
+                SendOp::Send { .. } | SendOp::RdmaWrite { .. } => m.wqe.op.request_bytes(),
+            };
             let send_cq = q.send_cq;
             push_cqe(
                 ctx,
@@ -733,7 +732,7 @@ fn handle_ack(
                 Cqe {
                     wr_id: m.wqe.wr_id,
                     qp: qp_id,
-                    opcode,
+                    opcode: m.wqe.op.completion_opcode(),
                     status: CqeStatus::Success,
                     byte_len,
                 },
@@ -805,7 +804,7 @@ fn handle_rnr_nak(ctx: &mut Ctx<'_, Fabric>, qp_id: QpId, msn: u64) {
                 Cqe {
                     wr_id: wqe.wr_id,
                     qp: qp_id,
-                    opcode: CqeOpcode::SendComplete,
+                    opcode: wqe.op.completion_opcode(),
                     status: CqeStatus::RnrRetryExceeded,
                     byte_len: 0,
                 },
@@ -904,7 +903,7 @@ fn deliver_ud(ctx: &mut Ctx<'_, Fabric>, dst_qp: QpId, payload: Arc<[u8]>, first
     let rx_done = charge_rx(ctx, dst_node, first_arrival, now, payload.len());
     ctx.schedule_at(rx_done, move |c| {
         let len = payload.len();
-        c.world.mrs[rwqe.mr.index()].write(rwqe.offset, &payload);
+        c.world.mrs[rwqe.mr.index()].place(rwqe.offset, &payload);
         let recv_cq = c.world.qps[dst_qp.index()].recv_cq;
         push_cqe(
             c,
@@ -938,17 +937,12 @@ fn remote_access_error(ctx: &mut Ctx<'_, Fabric>, qp_id: QpId, msn: u64) {
             if m.wqe.op.is_send() {
                 q.unacked_sends -= 1;
             }
-            let opcode = match &m.wqe.op {
-                SendOp::Send { .. } => CqeOpcode::SendComplete,
-                SendOp::RdmaWrite { .. } => CqeOpcode::RdmaWriteComplete,
-                SendOp::RdmaRead { .. } => CqeOpcode::RdmaReadComplete,
-            };
             (
                 q.send_cq,
                 Cqe {
                     wr_id: m.wqe.wr_id,
                     qp: qp_id,
-                    opcode,
+                    opcode: m.wqe.op.completion_opcode(),
                     status: CqeStatus::RemoteAccessError,
                     byte_len: 0,
                 },
@@ -974,25 +968,14 @@ fn fail_qp(ctx: &mut Ctx<'_, Fabric>, qp_id: QpId) {
         }
         q.state = QpState::Error;
         q.backoff_until = None;
-        for m in q.inflight.drain(..) {
-            flushed.push((
-                q.send_cq,
-                Cqe {
-                    wr_id: m.wqe.wr_id,
-                    qp: qp_id,
-                    opcode: CqeOpcode::SendComplete,
-                    status: CqeStatus::WorkRequestFlushed,
-                    byte_len: 0,
-                },
-            ));
-        }
-        for w in q.sq.drain(..) {
+        // In-flight work first (it is older), then the send queue.
+        for w in q.inflight.drain(..).map(|m| m.wqe).chain(q.sq.drain(..)) {
             flushed.push((
                 q.send_cq,
                 Cqe {
                     wr_id: w.wr_id,
                     qp: qp_id,
-                    opcode: CqeOpcode::SendComplete,
+                    opcode: w.op.completion_opcode(),
                     status: CqeStatus::WorkRequestFlushed,
                     byte_len: 0,
                 },

@@ -58,6 +58,16 @@ impl SendOp {
     pub fn is_send(&self) -> bool {
         matches!(self, SendOp::Send { .. })
     }
+
+    /// The opcode of the send-queue completion that retires this
+    /// operation, whatever its status — success, an error, or a flush.
+    pub(crate) fn completion_opcode(&self) -> CqeOpcode {
+        match self {
+            SendOp::Send { .. } => CqeOpcode::SendComplete,
+            SendOp::RdmaWrite { .. } => CqeOpcode::RdmaWriteComplete,
+            SendOp::RdmaRead { .. } => CqeOpcode::RdmaReadComplete,
+        }
+    }
 }
 
 /// A send-side work request.

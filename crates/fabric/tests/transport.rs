@@ -855,3 +855,152 @@ fn cumulative_ack_retires_mixed_wqes_in_msn_order() {
     assert_eq!(f.stats.retransmissions.get(), 0);
     assert_eq!(report.events_processed, 29);
 }
+
+/// The ACK a READ response carries advertises the responder's posted
+/// receives, sampled when it fires, like every other ACK. Here a 20 KB
+/// READ is followed by three SENDs into eight posted receives; the SENDs'
+/// own ACKs all arrive while the READ's data is still on the wire. When
+/// the READ completes, the requester may send as many more messages as the
+/// responder has receives posted beyond the SENDs still unacknowledged —
+/// and must launch every one of them at once. (The READ response used to
+/// pass the requester's own credit count back in as the advertisement, so
+/// the in-flight SENDs were subtracted twice and the new SENDs sat in the
+/// send queue waiting for an ACK.)
+#[test]
+fn read_response_advertises_the_responders_posted_receives() {
+    const READ_LEN: usize = 20_000;
+    const READ_FROM: usize = 500_000;
+    let mut p = pair(8);
+    p.sim.with_world(|ctx| {
+        ctx.world.mr_bytes_mut(p.mr_b)[READ_FROM..READ_FROM + READ_LEN].fill(3);
+        post_send(
+            ctx,
+            p.qp_a,
+            SendWr::rdma_read(0, p.mr_b, READ_FROM, p.mr_a, 0, READ_LEN),
+        )
+        .unwrap();
+        for i in 1..=3 {
+            post_send(ctx, p.qp_a, SendWr::inline_send(i, vec![i as u8; 64])).unwrap();
+        }
+    });
+    let seen = std::rc::Rc::new(std::cell::Cell::new(None));
+    let log = std::rc::Rc::clone(&seen);
+    let (qp_a, qp_b, cq_a) = (p.qp_a, p.qp_b, p.cq_a);
+    p.sim.spawn("requester", move |mut proc| async move {
+        loop {
+            let read_done = proc.with(|ctx| {
+                let cqes = ctx.world.poll_cq(cq_a, 16);
+                if !cqes.iter().any(|c| c.opcode == CqeOpcode::RdmaReadComplete) {
+                    return false;
+                }
+                // Every message still in flight is one of the SENDs.
+                let free = ctx.world.qp(qp_b).posted_recvs() - ctx.world.qp(qp_a).inflight_msgs();
+                for i in 0..free as u64 {
+                    post_send(ctx, qp_a, SendWr::inline_send(10 + i, vec![0; 64])).unwrap();
+                }
+                log.set(Some((free, ctx.world.qp(qp_a).queued_sends())));
+                true
+            });
+            if read_done {
+                return;
+            }
+            let w = proc.waker();
+            proc.with(|ctx| ctx.world.req_notify_cq(cq_a, w));
+            proc.park("waiting for the READ").await;
+        }
+    });
+    p.sim.run().unwrap();
+    let mut f = p.sim.into_world();
+    let (free, queued) = seen.get().expect("the READ completed");
+    assert!(free >= 2, "the case needs spare receives: {free}");
+    assert_eq!(
+        queued, 0,
+        "{queued} of {free} covered SENDs waited for a credit update"
+    );
+    assert_eq!(f.qp(p.qp_b).stats.rnr_naks_sent.get(), 0);
+    let sends = f.poll_cq(p.cq_a, 16);
+    assert_eq!(sends.len(), 3 + free);
+    assert!(sends.iter().all(Cqe::is_success));
+}
+
+/// A failed QP flushes each queued work request with the opcode of its own
+/// operation: a SEND that finds no receive and has no RNR budget fails the
+/// QP while the WRITE and READ posted behind it wait in the send queue
+/// (the RNR NAK rolled them back there), and their flushes must read as a
+/// WRITE and a READ — the MPI layer reports the first failed completion's
+/// opcode as the fault.
+#[test]
+fn flushed_work_requests_keep_their_opcodes() {
+    let attrs = QpAttrs {
+        rnr_retry: Some(0),
+        ..Default::default()
+    };
+    let mut p = pair_with(FabricParams::mt23108(), attrs, 0);
+    p.sim.with_world(|ctx| {
+        post_send(ctx, p.qp_a, SendWr::inline_send(1, vec![1; 8])).unwrap();
+        post_send(ctx, p.qp_a, SendWr::rdma_write(2, vec![2; 64], p.mr_b, 0)).unwrap();
+        post_send(ctx, p.qp_a, SendWr::rdma_read(3, p.mr_b, 0, p.mr_a, 0, 64)).unwrap();
+    });
+    p.sim.run().unwrap();
+    let mut f = p.sim.into_world();
+    assert_eq!(f.qp(p.qp_a).state(), QpState::Error);
+    let got: Vec<_> = f
+        .poll_cq(p.cq_a, 8)
+        .iter()
+        .map(|c| (c.wr_id, c.opcode, c.status))
+        .collect();
+    assert_eq!(
+        got,
+        [
+            (1, CqeOpcode::SendComplete, CqeStatus::RnrRetryExceeded),
+            (
+                2,
+                CqeOpcode::RdmaWriteComplete,
+                CqeStatus::WorkRequestFlushed
+            ),
+            (
+                3,
+                CqeOpcode::RdmaReadComplete,
+                CqeStatus::WorkRequestFlushed
+            ),
+        ]
+    );
+    assert!(
+        f.mr_bytes(p.mr_b).is_empty(),
+        "the rolled-back WRITE never landed"
+    );
+}
+
+/// A WRITE whose payload covers the target region's whole materialised
+/// prefix is placed by reference: the region's bytes *are* the work
+/// request's allocation, so the HCA model copies nothing. The first host
+/// store un-shares the region, and the payload itself is never written.
+#[test]
+fn whole_prefix_write_is_placed_by_reference() {
+    let mut p = pair(0);
+    let payload: std::sync::Arc<[u8]> = (0..5000u32).map(|i| (i % 251) as u8).collect();
+    let wr = SendWr {
+        wr_id: 1,
+        op: SendOp::RdmaWrite {
+            payload: std::sync::Arc::clone(&payload),
+            rkey: p.mr_b,
+            remote_offset: 0,
+        },
+        signaled: true,
+    };
+    p.sim.with_world(|ctx| post_send(ctx, p.qp_a, wr).unwrap());
+    p.sim.run().unwrap();
+    let mut f = p.sim.into_world();
+    assert!(f.poll_cq(p.cq_a, 4)[0].is_success());
+    assert_eq!(f.mr_bytes(p.mr_b).as_ptr(), payload.as_ptr());
+    assert_eq!(f.resident_bytes(), payload.len());
+
+    f.mr_write(p.mr_b, 10, &[0xFF]);
+    assert_ne!(f.mr_bytes(p.mr_b).as_ptr(), payload.as_ptr());
+    assert_eq!(f.mr_bytes(p.mr_b)[..10], payload[..10]);
+    assert_eq!(f.mr_bytes(p.mr_b)[10], 0xFF);
+    assert_eq!(
+        payload[10], 10,
+        "the host store went to the region's own copy"
+    );
+}

@@ -69,12 +69,10 @@ stage() {
         ;;
     lint)
         run cargo fmt --check
-        # The two path-obligation rules (credit-path-pairing,
-        # quiesce-pairing); every other enforced invariant is a clippy
-        # lint configured in clippy.toml, the three simulation libraries'
-        # lint headers and [workspace.lints] (DESIGN.md §8). -D warnings
-        # also makes an #[expect] that suppresses nothing an error.
-        run cargo run --release -p simlint --locked --offline
+        # Every enforced invariant is a clippy lint configured in
+        # clippy.toml, the three simulation libraries' lint headers and
+        # [workspace.lints], or a type (DESIGN.md §8). -D warnings also
+        # makes an #[expect] that suppresses nothing an error.
         run cargo clippy --workspace --all-targets --locked --offline -- -D warnings
         # Intra-doc links are checked too, so a link to a deleted item
         # fails here instead of rotting.

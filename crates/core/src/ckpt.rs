@@ -1198,7 +1198,9 @@ mod tests {
         };
         let mut c = world::make_conn(2, &cfg, 0, 1);
         c.credits.grant(8);
-        c.credits.spend();
+        // One unit spent (the window's spend is private to `conn.rs`).
+        c.credits.held -= 1;
+        c.credits.spent_total += 1;
         c.ring.owe(3);
         // A slot out on a posted receive: the bare connection's full free
         // list must be replaced by the record's, not extended.

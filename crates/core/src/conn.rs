@@ -1,16 +1,25 @@
 //! Per-connection state: credits, the backlog queue, the receive slab,
-//! and the RDMA credit mailbox.
+//! and the RDMA credit mailbox — and the three calls that post onto a
+//! connection (`post_frame`, `post_ring_frame`, `send_rdma_credit_update`),
+//! the only code that consumes a credit window. Paper §4.2's rule, that a
+//! credit consumed reaches the peer, is held here by privacy: the consume
+//! operations are private to this module, and each is reached only inside
+//! a call that posts what it took.
 
 // Protocol state is narrowed with `try_from` (surfacing a typed overflow),
 // never with a truncating `as`.
 #![deny(clippy::cast_possible_truncation)]
 
-use crate::buffers::RecvSlab;
+use crate::buffers::{encode_wrid, RecvSlab, WrKind};
+use crate::config::{CreditMsgMode, FlowControlScheme};
+use crate::rank::MpiRank;
 use crate::requests::ReqId;
 use crate::stats::ConnStats;
 use crate::types::Rank;
-use ibfabric::{MrId, QpId};
+use crate::wire::{MsgHeader, MsgKind};
+use ibfabric::{MrId, QpId, SendOp, SendWr};
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// One credit window of a connection, seen from one endpoint: the units
 /// (receive buffers, or eager-ring slots) this endpoint may still consume
@@ -19,7 +28,11 @@ use std::collections::VecDeque;
 /// what is in flight on the wire (see [`CreditWindow::conserved`]).
 ///
 /// Fields are crate-visible for the snapshot codec and diagnostics;
-/// everything else moves them only through the methods below.
+/// everything else moves them only through the methods below. The three
+/// that consume — `spend`, `take_piggyback`, `take_mailbox_return` — are
+/// private to this module: [`Conn::stamp`] and [`Conn::mailbox_image`]
+/// alone reach them, and only the calls that post their result reach
+/// those (`tests/lint_levels.rs` holds the privacy).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub(crate) struct CreditWindow {
     /// Units at the peer this endpoint may still consume.
@@ -55,7 +68,7 @@ impl CreditWindow {
     }
 
     /// Spends one unit.
-    pub fn spend(&mut self) {
+    fn spend(&mut self) {
         debug_assert!(self.held > 0, "spending from an empty credit window");
         self.held -= 1;
         self.spent_total += 1;
@@ -71,7 +84,7 @@ impl CreditWindow {
 
     /// Takes the pending return for piggybacking onto an outgoing header,
     /// clamped to the wire field width; the remainder stays pending.
-    pub fn take_piggyback(&mut self) -> u16 {
+    fn take_piggyback(&mut self) -> u16 {
         let n = u16::try_from(self.pending).unwrap_or(u16::MAX);
         self.pending -= u32::from(n);
         self.returned_total += u64::from(n);
@@ -80,7 +93,7 @@ impl CreditWindow {
 
     /// Takes the whole pending return for a mailbox write and yields the
     /// cumulative count to publish there.
-    pub fn take_mailbox_return(&mut self) -> u64 {
+    fn take_mailbox_return(&mut self) -> u64 {
         self.mailbox_sent_total += u64::from(self.pending);
         self.returned_total += u64::from(self.pending);
         self.pending = 0;
@@ -111,6 +124,33 @@ impl CreditWindow {
         self.spent_total.checked_add(u64::from(self.held)) == Some(self.granted_total)
             && self.returned_total.checked_add(u64::from(self.pending)) == Some(self.consumed_total)
     }
+}
+
+/// Paper §4.2's metering rule, sender half: whether a frame posted as a
+/// send spends one of the sender's buffer credits. Only under a
+/// user-level scheme, and only for the kinds the receiver credits back
+/// ([`earns_return`]) — less the optimistic rendezvous start, which
+/// borrows instead (`no_credit`) — plus the explicit credit message of the
+/// deliberately broken `NaiveGated` mode, which is gated like data. A
+/// ring frame spends a ring slot instead, always.
+pub(crate) fn spends_credit(scheme: FlowControlScheme, mode: CreditMsgMode, h: &MsgHeader) -> bool {
+    scheme.is_user_level()
+        && match h.kind {
+            MsgKind::Eager => true,
+            MsgKind::RndzStart => !h.no_credit,
+            MsgKind::Credit => mode == CreditMsgMode::NaiveGated,
+            MsgKind::RndzReply | MsgKind::RndzFin => false,
+        }
+}
+
+/// The receiver half: whether a frame consumed from the slab earns its
+/// sender a credit return. Optimistic starts count too: they *borrowed* a
+/// credit the sender did not have, and returning it lets a starved
+/// connection recover instead of degrading permanently (at most one loan
+/// is outstanding per connection, so credits exceed the pool only
+/// transiently and the hardware flow control absorbs it).
+pub(crate) fn earns_return(scheme: FlowControlScheme, kind: MsgKind) -> bool {
+    scheme.is_user_level() && matches!(kind, MsgKind::Eager | MsgKind::RndzStart)
 }
 
 /// A ring generation the receiver has replaced but not yet retired: in-
@@ -293,19 +333,18 @@ impl Conn {
     /// ring: bumps the generation, resets the read cursor, and grants the
     /// extra slots to the peer through the ring window (they ride
     /// the same mailbox write that publishes the new ring, so the grant
-    /// and the rkey arrive atomically). Returns the displaced generation,
-    /// which the caller MUST pass to [`Conn::stage_retired_ring`] and then
-    /// publish via the mailbox — in-flight WRITEs against the old rkey
-    /// still land there and would be lost otherwise.
-    #[must_use = "the displaced ring still holds in-flight frames; stage it for draining"]
-    pub fn install_grown_ring(&mut self, mr: MrId, slots: u32) -> RetiredRing {
+    /// and the rkey arrive atomically). The displaced generation goes onto
+    /// `retired_rings`, polled until its tail drains: in-flight WRITEs
+    /// against the old rkey still land there. The caller publishes the
+    /// switch with [`MpiRank::send_rdma_credit_update`].
+    pub fn install_grown_ring(&mut self, mr: MrId, slots: u32) {
         debug_assert!(slots > self.my_ring_slots, "ring growth must grow");
-        let old = RetiredRing {
+        self.retired_rings.push(RetiredRing {
             gen: self.my_ring_gen,
             mr: self.my_ring,
             slots: self.my_ring_slots,
             read_slot: self.ring_read_slot,
-        };
+        });
         let delta = slots - self.my_ring_slots;
         self.my_ring = mr;
         self.my_ring_gen += 1;
@@ -316,14 +355,6 @@ impl Conn {
         self.stats
             .ring_generation
             .observe(u64::from(self.my_ring_gen));
-        old
-    }
-
-    /// Queues the displaced ring generation for tail draining; it retires
-    /// once the peer acknowledges the switch and its markers run dry.
-    pub fn stage_retired_ring(&mut self, old: RetiredRing) {
-        debug_assert!(old.gen < self.my_ring_gen);
-        self.retired_rings.push(old);
     }
 
     /// Panics unless both windows are conserved. The progress engine
@@ -344,11 +375,214 @@ impl Conn {
         );
     }
 
-    /// Stamps and returns the next send sequence number.
-    pub fn next_seq(&mut self) -> u32 {
+    /// Stamps and returns the next send sequence number ([`Conn::stamp`]
+    /// alone takes one: under the ring schemes a number no frame carries
+    /// would stall the peer's in-order delivery gate).
+    fn next_seq(&mut self) -> u32 {
         let s = self.send_seq;
         self.send_seq = self.send_seq.wrapping_add(1);
         s
+    }
+
+    /// Stamps `h` for posting toward the peer and returns it: spends the
+    /// unit the frame consumes there (a ring slot for a ring frame, else a
+    /// buffer credit where [`spends_credit`] says so), piggybacks both
+    /// pending returns, moves the armed ring-backlog bit onto it and stamps
+    /// the next sequence number. Only [`MpiRank::post_frame`] and
+    /// [`MpiRank::post_ring_frame`] call it, so everything it takes leaves
+    /// on the frame they post.
+    fn stamp(
+        &mut self,
+        mut h: MsgHeader,
+        scheme: FlowControlScheme,
+        mode: CreditMsgMode,
+        ring_frame: bool,
+    ) -> MsgHeader {
+        if ring_frame {
+            self.ring.spend();
+        } else if spends_credit(scheme, mode, &h) {
+            self.credits.spend();
+        }
+        if scheme.is_user_level() {
+            h.credits = self.credits.take_piggyback();
+            self.stats.credits_piggybacked.add(u64::from(h.credits));
+            // An optimistic ECM bypasses flow control only to carry returns.
+            debug_assert!(
+                h.kind != MsgKind::Credit || mode != CreditMsgMode::Optimistic || h.credits > 0,
+                "an optimistic credit message carries no credits"
+            );
+        }
+        if scheme.uses_ring() {
+            h.ring_credits = self.ring.take_piggyback();
+        }
+        // The armed ring-backlog bit rides whatever frame leaves next.
+        if scheme.grows_ring() && self.ring_backlog_pending {
+            self.ring_backlog_pending = false;
+            h.ring_backlog = true;
+        }
+        h.seq = self.next_seq();
+        h
+    }
+
+    /// The image of this endpoint's credit mailbox at the peer: takes both
+    /// windows' whole pending returns as cumulative counts and, with ring
+    /// growth (`growth`), adds the growth words — the offered ring
+    /// (generation, rkey, slot count) and the highest peer generation
+    /// adopted (the ack, which this write settles). Only
+    /// [`MpiRank::send_rdma_credit_update`] calls it, and posts the image.
+    fn mailbox_image(&mut self, growth: bool) -> Arc<[u8]> {
+        if growth {
+            self.ring_gen_ack_pending = false;
+        }
+        let mut image = [0u8; 32];
+        image[..8].copy_from_slice(&self.credits.take_mailbox_return().to_le_bytes());
+        image[8..16].copy_from_slice(&self.ring.take_mailbox_return().to_le_bytes());
+        image[16..20].copy_from_slice(&self.my_ring_gen.to_le_bytes());
+        image[20..24].copy_from_slice(&self.my_ring.as_raw().to_le_bytes());
+        image[24..28].copy_from_slice(&self.my_ring_slots.to_le_bytes());
+        image[28..].copy_from_slice(&self.peer_ring_gen.to_le_bytes());
+        Arc::from(&image[..if growth { 32 } else { 16 }])
+    }
+}
+
+impl MpiRank {
+    /// Stamps `header` toward `peer` ([`Conn::stamp`]: the frame's credit,
+    /// both piggybacks, the sequence number) and posts it with `payload`
+    /// as a send.
+    pub(crate) fn post_frame(
+        &mut self,
+        peer: Rank,
+        header: MsgHeader,
+        payload: &[u8],
+        wr_kind: WrKind,
+    ) {
+        let (scheme, mode) = (self.cfg.scheme, self.cfg.credit_msg_mode);
+        let header = self.conn_mut(peer).stamp(header, scheme, mode, false);
+        if self.conn(peer).failed {
+            // Dropped, not queued: the peer is unreachable and the error
+            // QP would reject the post. Callers learn the outcome through
+            // the request's `failed` flag, set by teardown.
+            return;
+        }
+        let qp = self.conn(peer).qp;
+        #[expect(
+            clippy::expect_used,
+            reason = "src_rank < nprocs <= u16::MAX is asserted at world bootstrap, so framing cannot overflow a field"
+        )]
+        let bytes = header.frame(payload).expect("header fields fit");
+        let wr_id = encode_wrid(wr_kind, peer as u64);
+        let cost = self.proc.with(|ctx| {
+            #[expect(
+                clippy::expect_used,
+                reason = "control/eager sends are bounded by credits and the finalize drain, so the send queue cannot be full"
+            )]
+            ibfabric::post_send(
+                ctx,
+                qp,
+                SendWr {
+                    wr_id,
+                    op: SendOp::Send { payload: bytes },
+                    signaled: true,
+                },
+            )
+            .expect("post_send");
+            ctx.world.params().sw_post_cost
+        });
+        self.outstanding_ctrl += 1;
+        self.charge(cost);
+        self.conn_mut(peer).stats.msgs_sent.incr();
+    }
+
+    /// RDMA eager channel: stamps `header` toward `peer` (spending a ring
+    /// slot) and writes it with `payload` into the next slot of the peer's
+    /// ring.
+    pub(crate) fn post_ring_frame(&mut self, peer: Rank, header: MsgHeader, payload: &[u8]) {
+        let (scheme, mode) = (self.cfg.scheme, self.cfg.credit_msg_mode);
+        let header = self.conn_mut(peer).stamp(header, scheme, mode, true);
+        if self.conn(peer).failed {
+            return;
+        }
+        let buf_size = self.cfg.buf_size;
+        let (qp, ring, offset) = {
+            let c = self.conn_mut(peer);
+            // Per-connection slot count: growth re-sizes the peer's ring
+            // at run time, so the config value is only the initial size.
+            let slots = c.peer_ring_slots;
+            let slot = c.ring_write_slot;
+            c.ring_write_slot = (slot + 1) % slots;
+            (c.qp, c.peer_ring, slot as usize * buf_size)
+        };
+        #[expect(
+            clippy::expect_used,
+            reason = "src_rank < nprocs <= u16::MAX is asserted at world bootstrap, so framing cannot overflow a field"
+        )]
+        let frame = header.ring_frame(payload).expect("header fields fit");
+        let wr_id = encode_wrid(WrKind::RingWrite, peer as u64);
+        let cost = self.proc.with(|ctx| {
+            let p = ctx.world.params();
+            let cost = p.sw_post_cost + p.copy_time(frame.len());
+            #[expect(
+                clippy::expect_used,
+                reason = "ring writes are gated by ring credits, so the send queue cannot be full"
+            )]
+            ibfabric::post_send(
+                ctx,
+                qp,
+                SendWr {
+                    wr_id,
+                    op: SendOp::RdmaWrite {
+                        payload: frame,
+                        rkey: ring,
+                        remote_offset: offset,
+                    },
+                    signaled: true,
+                },
+            )
+            .expect("ring write");
+            cost
+        });
+        self.outstanding_ctrl += 1;
+        self.charge(cost);
+        let c = self.conn_mut(peer);
+        c.stats.msgs_sent.incr();
+        c.stats.ring_sent.incr();
+    }
+
+    /// RDMA credit path: writes [`Conn::mailbox_image`] — the cumulative
+    /// returns, plus the growth words under ring growth — into the peer's
+    /// mailbox. Cumulative counters and whole-image words make every write
+    /// idempotent, so a retransmitted or overtaken update is harmless.
+    pub(crate) fn send_rdma_credit_update(&mut self, peer: Rank) {
+        let growth = self.cfg.scheme.grows_ring();
+        let c = self.conn_mut(peer);
+        let (qp, mailbox, payload) = (c.qp, c.peer_mailbox, c.mailbox_image(growth));
+        let wr_id = encode_wrid(WrKind::CreditRdma, peer as u64);
+        let cost = self.proc.with(|ctx| {
+            #[expect(
+                clippy::expect_used,
+                reason = "mailbox writes target a bootstrap-pinned region on an established QP; failure is a simulator bug"
+            )]
+            ibfabric::post_send(
+                ctx,
+                qp,
+                SendWr {
+                    wr_id,
+                    op: SendOp::RdmaWrite {
+                        payload,
+                        rkey: mailbox,
+                        remote_offset: 0,
+                    },
+                    signaled: true,
+                },
+            )
+            .expect("credit rdma");
+            ctx.world.params().sw_post_cost
+        });
+        self.charge(cost);
+        self.outstanding_ctrl += 1;
+        let c = self.conn_mut(peer);
+        c.stats.rdma_credit_updates.incr();
+        c.stats.msgs_sent.incr();
     }
 }
 
@@ -458,6 +692,74 @@ mod tests {
             w.held += 1;
             assert!(!w.conserved());
         });
+    }
+
+    /// Both halves of the metering rule over every frame the protocol can
+    /// post, and what the stamp takes for each: exactly the unit the rule
+    /// names, plus both piggybacks, with both windows conserved.
+    #[test]
+    fn metering_rule_over_every_kind_scheme_and_credit_mode() {
+        use CreditMsgMode as M;
+        use FlowControlScheme as S;
+        use MsgKind as K;
+        for scheme in [
+            S::Hardware,
+            S::UserStatic,
+            S::UserDynamic,
+            S::RdmaChannel,
+            S::RdmaChannelDyn,
+        ] {
+            let user = scheme != S::Hardware;
+            for mode in [M::Optimistic, M::Rdma, M::NaiveGated] {
+                for kind in [K::Eager, K::RndzStart, K::RndzReply, K::RndzFin, K::Credit] {
+                    for no_credit in [false, true] {
+                        let case = format!("{scheme:?} {mode:?} {kind:?} no_credit={no_credit}");
+                        let mut h = MsgHeader::new(kind, 0);
+                        h.no_credit = no_credit;
+                        let spends = spends_credit(scheme, mode, &h);
+                        let earns = earns_return(scheme, kind);
+                        let table = match kind {
+                            K::Eager => true,
+                            K::RndzStart => !no_credit,
+                            K::Credit => mode == M::NaiveGated,
+                            K::RndzReply | K::RndzFin => false,
+                        };
+                        assert_eq!(spends, user && table, "{case}");
+                        assert_eq!(
+                            earns,
+                            user && matches!(kind, K::Eager | K::RndzStart),
+                            "{case}"
+                        );
+                        // A spent credit comes back, except the one the
+                        // deliberately broken gated ECM spends; a return
+                        // without a spend is the optimistic loan.
+                        if spends && !earns {
+                            assert!(kind == K::Credit && mode == M::NaiveGated, "{case}");
+                        }
+                        if earns && !spends {
+                            assert!(kind == K::RndzStart && no_credit, "{case}");
+                        }
+
+                        let mut c = conn();
+                        c.credits.grant(1);
+                        c.credits.owe(2);
+                        c.ring.grant(1);
+                        c.ring.owe(3);
+                        let slab = c.stamp(h, scheme, mode, false);
+                        assert_eq!(c.credits.held, u32::from(!spends), "{case}");
+                        assert_eq!(c.ring.held, 1, "{case}");
+                        assert_eq!(slab.credits, if user { 2 } else { 0 }, "{case}");
+                        assert_eq!(slab.ring_credits, if scheme.uses_ring() { 3 } else { 0 });
+                        c.credits.owe(1);
+                        let ring = c.stamp(h, scheme, mode, true);
+                        assert_eq!(c.ring.held, 0, "a ring frame spends a ring slot: {case}");
+                        assert_eq!(c.credits.held, u32::from(!spends), "{case}");
+                        assert_eq!((slab.seq, ring.seq), (0, 1));
+                        c.assert_conserved();
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -81,6 +81,8 @@
     clippy::wildcard_enum_match_arm
 )]
 
+#[cfg(test)]
+mod analyses;
 mod buffers;
 mod ckpt;
 pub mod collectives;

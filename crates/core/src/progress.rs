@@ -260,17 +260,9 @@ impl MpiRank {
             }
         }
 
-        let user_level = self.cfg.scheme.is_user_level();
-
-        // Credit accounting for the consumed buffer: kinds the sender
-        // gates on credits earn a return (Eager, RndzStart). Optimistic
-        // starts count too: they *borrowed* a credit the sender did not
-        // have, and returning it lets a starved connection recover
-        // instead of degrading permanently (at most one loan is
-        // outstanding per connection, so credits exceed the pool only
-        // transiently and the hardware flow control absorbs it).
-        let consumes_credit = matches!(header.kind, MsgKind::Eager | MsgKind::RndzStart);
-        if user_level && consumes_credit {
+        // Credit accounting for the consumed buffer: the receiver half of
+        // the metering rule (`conn.rs`, beside the sender half).
+        if crate::conn::earns_return(self.cfg.scheme, header.kind) {
             self.conn_mut(peer).credits.owe(1);
         }
 
@@ -476,10 +468,10 @@ impl MpiRank {
         self.stats.rndz_bytes.add(len as u64);
         self.conn_mut(peer).stats.msgs_sent.incr(); // the data message
                                                     // Fin rides behind the data on the same QP.
-        let mut fin = self.make_header(peer, MsgKind::RndzFin);
+        let mut fin = MsgHeader::new(MsgKind::RndzFin, self.rank);
         fin.rndz_id = h.rndz_id;
         fin.peer_req = h.peer_req;
-        self.post_frame(peer, &fin, &[], WrKind::CtrlSend);
+        self.post_frame(peer, fin, &[], WrKind::CtrlSend);
     }
 
     /// Data landed (ordering guarantee): the landing region's bytes become
@@ -583,8 +575,7 @@ impl MpiRank {
             (mr, ctx.world.params().reg_cost(len))
         });
         self.charge(cost);
-        let old = self.conn_mut(peer).install_grown_ring(mr, new_slots);
-        self.conn_mut(peer).stage_retired_ring(old);
+        self.conn_mut(peer).install_grown_ring(mr, new_slots);
         // Publish generation, rkey, size, and the slot-delta grant in one
         // mailbox write so the peer adopts them atomically.
         self.send_rdma_credit_update(peer);
@@ -636,9 +627,8 @@ impl MpiRank {
                 CreditMsgMode::Optimistic => {
                     // Bypass flow control entirely (paper §4.2): always
                     // postable, so no deadlock.
-                    let h = self.make_header(peer, MsgKind::Credit);
-                    debug_assert!(h.credits > 0);
-                    self.post_frame(peer, &h, &[], WrKind::Ecm);
+                    let h = MsgHeader::new(MsgKind::Credit, self.rank);
+                    self.post_frame(peer, h, &[], WrKind::Ecm);
                     self.conn_mut(peer).stats.ecm_sent.incr();
                 }
                 CreditMsgMode::Rdma => {
@@ -646,12 +636,11 @@ impl MpiRank {
                 }
                 CreditMsgMode::NaiveGated => {
                     // The deliberately broken design: an explicit credit
-                    // message may itself only go out when we hold a credit.
-                    let c = self.conn_mut(peer);
-                    if c.credits.held > 0 {
-                        c.credits.spend();
-                        let h = self.make_header(peer, MsgKind::Credit);
-                        self.post_frame(peer, &h, &[], WrKind::Ecm);
+                    // message may itself only go out when we hold a credit,
+                    // and spends it (`conn::spends_credit`).
+                    if self.conn(peer).credits.held > 0 {
+                        let h = MsgHeader::new(MsgKind::Credit, self.rank);
+                        self.post_frame(peer, h, &[], WrKind::Ecm);
                         self.conn_mut(peer).stats.ecm_sent.incr();
                     }
                     // else: starve — this is how the deadlock demo dies.
@@ -790,66 +779,6 @@ impl MpiRank {
             *drained += 1;
         }
         any
-    }
-
-    /// RDMA credit path: bump the cumulative counter in the peer's mailbox.
-    /// With dynamic ring growth the write widens from 16 to 32 bytes and
-    /// additionally carries the full image of the growth words — this
-    /// endpoint's offered ring (generation, rkey, slot count) and the
-    /// highest peer generation it has adopted (the ack). Cumulative
-    /// counters and whole-image words make every write idempotent, so a
-    /// retransmitted or overtaken update is harmless.
-    fn send_rdma_credit_update(&mut self, peer: Rank) {
-        let growth = self.cfg.scheme.grows_ring();
-        let (qp, mailbox, buf_total, ring_total, offer, ack_gen) = {
-            let c = self.conn_mut(peer);
-            if growth {
-                c.ring_gen_ack_pending = false;
-            }
-            (
-                c.qp,
-                c.peer_mailbox,
-                c.credits.take_mailbox_return(),
-                c.ring.take_mailbox_return(),
-                (c.my_ring_gen, c.my_ring.as_raw(), c.my_ring_slots),
-                c.peer_ring_gen,
-            )
-        };
-        let mut image = [0u8; 32];
-        image[..8].copy_from_slice(&buf_total.to_le_bytes());
-        image[8..16].copy_from_slice(&ring_total.to_le_bytes());
-        image[16..20].copy_from_slice(&offer.0.to_le_bytes());
-        image[20..24].copy_from_slice(&offer.1.to_le_bytes());
-        image[24..28].copy_from_slice(&offer.2.to_le_bytes());
-        image[28..].copy_from_slice(&ack_gen.to_le_bytes());
-        let payload: Arc<[u8]> = Arc::from(&image[..if growth { 32 } else { 16 }]);
-        let wr_id = crate::buffers::encode_wrid(WrKind::CreditRdma, peer as u64);
-        let cost = self.proc.with(|ctx| {
-            #[expect(
-                clippy::expect_used,
-                reason = "mailbox writes target a bootstrap-pinned region on an established QP; failure is a simulator bug"
-            )]
-            ibfabric::post_send(
-                ctx,
-                qp,
-                SendWr {
-                    wr_id,
-                    op: SendOp::RdmaWrite {
-                        payload,
-                        rkey: mailbox,
-                        remote_offset: 0,
-                    },
-                    signaled: true,
-                },
-            )
-            .expect("credit rdma");
-            ctx.world.params().sw_post_cost
-        });
-        self.charge(cost);
-        self.outstanding_ctrl += 1;
-        let c = self.conn_mut(peer);
-        c.stats.rdma_credit_updates.incr();
-        c.stats.msgs_sent.incr();
     }
 
     /// Reads the incoming credit mailbox of every watched connection.

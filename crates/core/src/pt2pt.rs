@@ -7,7 +7,7 @@ use crate::regcache::BufKey;
 use crate::requests::{RecvReq, RecvState, ReqId, Request, SendReq, SendState};
 use crate::scalar::{decode_into, encode_slice, Scalar};
 use crate::types::{CommCtx, Rank, Status, Tag, WORLD_CTX};
-use crate::wire::MsgKind;
+use crate::wire::{MsgHeader, MsgKind};
 use std::sync::Arc;
 
 impl MpiRank {
@@ -427,7 +427,6 @@ impl MpiRank {
                 if ring && eager_ok {
                     let c = self.conn(dst);
                     if c.backlog.is_empty() && c.ring.held > 0 {
-                        self.conn_mut(dst).ring.spend();
                         self.send_eager_ring(req);
                         return;
                     }
@@ -447,7 +446,8 @@ impl MpiRank {
                 let eager_wire_ok = eager_ok && !ring;
                 let c = self.conn(dst);
                 if c.backlog.is_empty() && c.credits.held > 0 {
-                    self.conn_mut(dst).credits.spend();
+                    // The frame posted below spends the credit
+                    // (`conn::spends_credit`).
                     if eager_wire_ok {
                         self.send_eager(req);
                     } else {
@@ -504,7 +504,7 @@ impl MpiRank {
             let s = self.reqs.send_ref(req);
             (s.dst, s.tag, s.comm, s.data.len(), s.was_backlogged)
         };
-        let mut h = self.make_header(dst, MsgKind::Eager);
+        let mut h = MsgHeader::new(MsgKind::Eager, self.rank);
         h.tag = tag;
         h.comm = comm;
         h.payload_len = len as u32;
@@ -514,7 +514,7 @@ impl MpiRank {
             .proc
             .with(|ctx| ctx.world.params().copy_time(crate::wire::HEADER_LEN + len));
         self.charge(copy_cost);
-        self.post_frame(dst, &h, &data, WrKind::CtrlSend);
+        self.post_frame(dst, h, &data, WrKind::CtrlSend);
         let c = self.conn_mut(dst);
         c.stats.eager_sent.incr();
         self.stats.eager_bytes.add(len as u64);
@@ -528,12 +528,12 @@ impl MpiRank {
             let s = self.reqs.send_ref(req);
             (s.dst, s.tag, s.comm, s.data.len())
         };
-        let mut h = self.make_header(dst, MsgKind::Eager);
+        let mut h = MsgHeader::new(MsgKind::Eager, self.rank);
         h.tag = tag;
         h.comm = comm;
         h.payload_len = len as u32;
         let data = Arc::clone(&self.reqs.send_ref(req).data);
-        self.post_ring_frame(dst, &h, &data);
+        self.post_ring_frame(dst, h, &data);
         self.stats.eager_bytes.add(len as u64);
         self.reqs.send_mut(req).state = SendState::Done;
     }
@@ -574,14 +574,14 @@ impl MpiRank {
             })
         };
         self.charge(cost);
-        let mut h = self.make_header(dst, MsgKind::RndzStart);
+        let mut h = MsgHeader::new(MsgKind::RndzStart, self.rank);
         h.tag = tag;
         h.comm = comm;
         h.rndz_id = req.0 as u64;
         h.data_len = len as u64;
         h.backlog_flag = flagged;
         h.no_credit = optimistic;
-        self.post_frame(dst, &h, &[], WrKind::CtrlSend);
+        self.post_frame(dst, h, &[], WrKind::CtrlSend);
         self.conn_mut(dst).stats.rndz_sent.incr();
         self.reqs.send_mut(req).state = SendState::StartSent;
     }
@@ -602,13 +602,10 @@ impl MpiRank {
                     clippy::expect_used,
                     reason = "the loop head breaks on an empty backlog before reaching here"
                 )]
-                let req = {
-                    let c = self.conn_mut(peer);
-                    c.credits.spend();
-                    c.backlog.pop_front().expect("non-empty")
-                };
+                let req = self.conn_mut(peer).backlog.pop_front().expect("non-empty");
                 // The protocol was decided at issue time: backlogged
-                // operations are rendezvous, whatever their size.
+                // operations are rendezvous, whatever their size. The
+                // start's frame spends the credit.
                 self.start_rndz(req, false);
                 any = true;
             } else if self.cfg.credit_msg_mode != crate::config::CreditMsgMode::NaiveGated
@@ -692,13 +689,13 @@ impl MpiRank {
                 len: data_len,
             });
         }
-        let mut h = self.make_header(src, MsgKind::RndzReply);
+        let mut h = MsgHeader::new(MsgKind::RndzReply, self.rank);
         h.rndz_id = rndz_id;
         h.peer_req = req.0 as u64;
         h.rkey = landing.as_raw();
         h.remote_offset = 0;
         h.data_len = data_len as u64;
-        self.post_frame(src, &h, &[], WrKind::CtrlSend);
+        self.post_frame(src, h, &[], WrKind::CtrlSend);
     }
 
     /// The landing region for the rendezvous `req` just accepted, held by

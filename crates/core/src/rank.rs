@@ -7,8 +7,7 @@ use crate::regcache::{RegCache, REGCACHE_CAPACITY};
 use crate::requests::ReqTable;
 use crate::stats::RankStats;
 use crate::types::{CommCtx, Rank, Tag};
-use crate::wire::{MsgHeader, MsgKind};
-use ibfabric::{CqId, Fabric, NodeId, QpId, RecvWr, SendOp, SendWr};
+use ibfabric::{CqId, Fabric, NodeId, QpId, RecvWr};
 use ibsim::{ProcCtx, SimDuration};
 use std::collections::{BTreeMap, VecDeque};
 
@@ -393,125 +392,6 @@ impl MpiRank {
             ctx.world.params().sw_post_cost
         });
         self.charge(cost);
-    }
-
-    /// Builds a header toward `peer` with piggybacked credits and the next
-    /// sequence number stamped in.
-    pub(crate) fn make_header(&mut self, peer: Rank, kind: MsgKind) -> MsgHeader {
-        let scheme = self.cfg.scheme;
-        let rank = self.rank;
-        let c = self.conn_mut(peer);
-        let mut h = MsgHeader::new(kind, rank);
-        if scheme.is_user_level() {
-            h.credits = c.credits.take_piggyback();
-            c.stats.credits_piggybacked.add(u64::from(h.credits));
-        }
-        if scheme.uses_ring() {
-            h.ring_credits = c.ring.take_piggyback();
-        }
-        // The armed ring-backlog bit rides whatever frame leaves next.
-        if scheme.grows_ring() && c.ring_backlog_pending {
-            c.ring_backlog_pending = false;
-            h.ring_backlog = true;
-        }
-        h.seq = c.next_seq();
-        h
-    }
-
-    /// RDMA eager channel: writes `header`+`payload` into the next slot of
-    /// the peer's ring. The caller consumed a ring credit.
-    pub(crate) fn post_ring_frame(&mut self, peer: Rank, header: &MsgHeader, payload: &[u8]) {
-        if self.conn(peer).failed {
-            return;
-        }
-        let buf_size = self.cfg.buf_size;
-        let (qp, ring, offset) = {
-            let c = self.conn_mut(peer);
-            // Per-connection slot count: growth re-sizes the peer's ring
-            // at run time, so the config value is only the initial size.
-            let slots = c.peer_ring_slots;
-            let slot = c.ring_write_slot;
-            c.ring_write_slot = (slot + 1) % slots;
-            (c.qp, c.peer_ring, slot as usize * buf_size)
-        };
-        #[expect(
-            clippy::expect_used,
-            reason = "src_rank < nprocs <= u16::MAX is asserted at world bootstrap, so framing cannot overflow a field"
-        )]
-        let frame = header.ring_frame(payload).expect("header fields fit");
-        let wr_id = encode_wrid(WrKind::RingWrite, peer as u64);
-        let cost = self.proc.with(|ctx| {
-            let p = ctx.world.params();
-            let cost = p.sw_post_cost + p.copy_time(frame.len());
-            #[expect(
-                clippy::expect_used,
-                reason = "ring writes are gated by ring credits, so the send queue cannot be full"
-            )]
-            ibfabric::post_send(
-                ctx,
-                qp,
-                SendWr {
-                    wr_id,
-                    op: SendOp::RdmaWrite {
-                        payload: frame,
-                        rkey: ring,
-                        remote_offset: offset,
-                    },
-                    signaled: true,
-                },
-            )
-            .expect("ring write");
-            cost
-        });
-        self.outstanding_ctrl += 1;
-        self.charge(cost);
-        let c = self.conn_mut(peer);
-        c.stats.msgs_sent.incr();
-        c.stats.ring_sent.incr();
-    }
-
-    /// Posts a control/eager frame to `peer` (no user-level credit check —
-    /// callers gate credit-consuming kinds themselves).
-    pub(crate) fn post_frame(
-        &mut self,
-        peer: Rank,
-        header: &MsgHeader,
-        payload: &[u8],
-        wr_kind: WrKind,
-    ) {
-        if self.conn(peer).failed {
-            // Dropped, not queued: the peer is unreachable and the error
-            // QP would reject the post. Callers learn the outcome through
-            // the request's `failed` flag, set by teardown.
-            return;
-        }
-        let qp = self.conn(peer).qp;
-        #[expect(
-            clippy::expect_used,
-            reason = "src_rank < nprocs <= u16::MAX is asserted at world bootstrap, so framing cannot overflow a field"
-        )]
-        let bytes = header.frame(payload).expect("header fields fit");
-        let wr_id = encode_wrid(wr_kind, peer as u64);
-        let cost = self.proc.with(|ctx| {
-            #[expect(
-                clippy::expect_used,
-                reason = "control/eager sends are bounded by credits and the finalize drain, so the send queue cannot be full"
-            )]
-            ibfabric::post_send(
-                ctx,
-                qp,
-                SendWr {
-                    wr_id,
-                    op: ibfabric::SendOp::Send { payload: bytes },
-                    signaled: true,
-                },
-            )
-            .expect("post_send");
-            ctx.world.params().sw_post_cost
-        });
-        self.outstanding_ctrl += 1;
-        self.charge(cost);
-        self.conn_mut(peer).stats.msgs_sent.incr();
     }
 
     /// Sum of currently posted receive buffers across all connections

@@ -396,8 +396,8 @@ mod tests {
     }
 }
 
-/// One deliberate violation per lint that moved from simlint to clippy
-/// and has no audited production site. Each sits under an `#[expect]`:
+/// One deliberate violation per enforced clippy lint that has no audited
+/// production site. Each sits under an `#[expect]`:
 /// once the lint stops firing on the shape it exists for — its
 /// `clippy.toml` entry dropped, the lint renamed or narrowed by a new
 /// clippy — the expectation goes unfulfilled, which `-D warnings` turns

@@ -228,6 +228,38 @@ pub enum FenceAction {
     Stop,
 }
 
+/// An open quiesce window: every live process, parked at a fence, in
+/// process-id order. Only [`Sim::resume_world`] and [`Sim::abort_quiesce`]
+/// close it. Dropped open, it would leave the whole world parked forever,
+/// so its `Drop` panics — in every build, unless the thread is already
+/// unwinding (a fence callback that panicked), where a second panic would
+/// abort the process and bury the first one's message.
+#[must_use = "a quiesce window is closed only by resume_world or abort_quiesce"]
+struct Quiesce {
+    procs: Vec<ProcId>,
+}
+
+impl Quiesce {
+    /// Closes the window, handing back its processes.
+    fn close(mut self) -> Vec<ProcId> {
+        let procs = std::mem::take(&mut self.procs);
+        std::mem::forget(self);
+        procs
+    }
+}
+
+impl Drop for Quiesce {
+    #[expect(
+        clippy::panic,
+        reason = "drop-bomb: the one exit the type system cannot forbid is a guard dropped open, which would park the world forever"
+    )]
+    fn drop(&mut self) {
+        if !std::thread::panicking() {
+            panic!("quiesce window dropped without resume_world or abort_quiesce");
+        }
+    }
+}
+
 /// A process coroutine: the pinned state machine the executor polls.
 type Task = Pin<Box<dyn Future<Output = ()>>>;
 
@@ -405,7 +437,7 @@ impl<W: 'static> Sim<W> {
                             live > 0 && live == fenced
                         };
                         if at_fence {
-                            let procs = self.begin_quiesce();
+                            let window = self.begin_quiesce();
                             let action = {
                                 let mut st = self.shared.lock();
                                 let State { world, sched } = &mut *st;
@@ -418,10 +450,10 @@ impl<W: 'static> Sim<W> {
                             };
                             match action {
                                 FenceAction::Continue => {
-                                    self.resume_world(procs);
+                                    self.resume_world(window);
                                     continue;
                                 }
-                                FenceAction::Stop => return Ok(self.abort_quiesce(procs)),
+                                FenceAction::Stop => return Ok(self.abort_quiesce(window)),
                             }
                         }
                     }
@@ -455,13 +487,13 @@ impl<W: 'static> Sim<W> {
     }
 
     /// Opens a quiesce window at a fence: records every live (parked)
-    /// process, in process-id order. The caller *must* close the window
-    /// on every path — [`Sim::resume_world`] to release the fence, or
-    /// [`Sim::abort_quiesce`] to end the run at it (the `quiesce-pairing`
-    /// lint enforces this).
-    fn begin_quiesce(&mut self) -> Vec<ProcId> {
+    /// process, in process-id order, in a [`Quiesce`] guard that only
+    /// [`Sim::resume_world`] (release the fence) or [`Sim::abort_quiesce`]
+    /// (end the run at it) consumes.
+    fn begin_quiesce(&mut self) -> Quiesce {
         let st = self.shared.lock();
-        st.sched
+        let procs = st
+            .sched
             .procs
             .iter()
             .enumerate()
@@ -473,7 +505,8 @@ impl<W: 'static> Sim<W> {
                 );
                 ProcId(i)
             })
-            .collect()
+            .collect();
+        Quiesce { procs }
     }
 
     /// Releases a quiesce fence: wakes every recorded process at the
@@ -481,17 +514,18 @@ impl<W: 'static> Sim<W> {
     /// sequence numbers — the same numbers `spawn` would consume for the
     /// same processes in a restored run, so released and restored worlds
     /// replay identically.
-    fn resume_world(&mut self, procs: Vec<ProcId>) {
+    fn resume_world(&mut self, window: Quiesce) {
         let mut st = self.shared.lock();
         let now = st.sched.now;
-        for p in procs {
+        for p in window.close() {
             st.sched.wake_at(p, now);
         }
     }
 
     /// Ends the run at a quiesce fence (the checkpoint-and-exit path);
     /// the recorded processes stay parked and drop with the simulation.
-    fn abort_quiesce(&mut self, procs: Vec<ProcId>) -> RunReport {
+    fn abort_quiesce(&mut self, window: Quiesce) -> RunReport {
+        let procs = window.close();
         let st = self.shared.lock();
         debug_assert!(!procs.is_empty());
         RunReport {
@@ -907,6 +941,27 @@ mod tests {
         assert_eq!(report.end_time, clock.now);
         // The stop fires at the second fence: rounds 0 and 1 ran.
         assert_eq!(sim.into_world().trace.len(), 6);
+    }
+
+    #[test]
+    #[should_panic(expected = "quiesce window dropped without resume_world or abort_quiesce")]
+    fn a_quiesce_window_dropped_open_panics() {
+        let mut sim: Sim<FenceWorld> = Sim::new(FenceWorld::default(), SimConfig::default());
+        drop(sim.begin_quiesce());
+    }
+
+    #[test]
+    fn a_panicking_fence_callback_surfaces_its_own_message() {
+        let mut sim: Sim<FenceWorld> = Sim::new(FenceWorld::default(), SimConfig::default());
+        spawn_fence_procs(&mut sim, 0);
+        // The window is open while the callback runs; its guard drops
+        // during the unwind and must not panic a second time, which would
+        // abort the process instead of reporting this message.
+        let payload = catch_unwind(AssertUnwindSafe(|| {
+            sim.run_with_fence(FENCE, |_, _| panic!("fence callback failed"))
+        }))
+        .unwrap_err();
+        assert_eq!(panic_message(&*payload), "fence callback failed");
     }
 
     #[test]

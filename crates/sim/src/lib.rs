@@ -66,6 +66,8 @@
     clippy::wildcard_enum_match_arm
 )]
 
+#[cfg(test)]
+mod analyses;
 pub mod codec;
 mod engine;
 mod error;

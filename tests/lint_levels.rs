@@ -26,6 +26,30 @@ fn denied(rel: &str) -> Vec<String> {
         .collect()
 }
 
+/// Paper §4.2's rule that a credit consumed reaches the peer is held by
+/// privacy (DESIGN.md §8): `CreditWindow`'s three consume operations are
+/// private to `conn.rs`, where only the calls that post what they take
+/// reach them. Declaring one `pub` or `pub(crate)` is how a leak could be
+/// written again, so the declarations are held here as text.
+#[test]
+fn credit_consume_ops_are_private_to_conn() {
+    let src = read("crates/core/src/conn.rs");
+    for op in ["spend", "take_piggyback", "take_mailbox_return"] {
+        let decl = format!("fn {op}(");
+        let decls: Vec<&str> = src
+            .lines()
+            .map(str::trim_start)
+            .filter(|l| l.contains(&decl))
+            .collect();
+        assert_eq!(decls.len(), 1, "conn.rs declares `{op}` once: {decls:?}");
+        assert!(
+            decls[0].starts_with(&decl),
+            "conn.rs must declare `{op}` private, not `{}`",
+            decls[0]
+        );
+    }
+}
+
 #[test]
 fn lint_levels_are_set_where_design_says() {
     for lib in ["sim", "fabric", "core"] {

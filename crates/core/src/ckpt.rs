@@ -981,15 +981,15 @@ impl MpiWorld {
         F: AsyncFn(&mut MpiRank, CkptStart) -> R + 'static,
     {
         cfg.validate().map_err(MpiRunError::Config)?;
-        let (mut fabric, setups) = world::bootstrap_fabric(nprocs, &cfg, params);
-        fabric.ckpt = CkptBus {
-            released_epoch: 0,
-            pending_epoch: 0,
-            snapshot_epoch,
-            rank_blobs: vec![None; nprocs],
-        };
-        let sim = Sim::new(fabric, sim_config);
-        world::connect_all(&sim, nprocs, &cfg);
+        let (sim, setups) = world::boot(nprocs, &cfg, params, sim_config);
+        sim.with_world(|ctx| {
+            ctx.world.ckpt = CkptBus {
+                released_epoch: 0,
+                pending_epoch: 0,
+                snapshot_epoch,
+                rank_blobs: vec![None; nprocs],
+            }
+        });
         let fresh = setups.into_iter().map(|setup| (setup, None)).collect();
         launch_fenced(sim, fresh, 0, body)
     }

@@ -120,8 +120,9 @@ pub struct MpiConfig {
     pub growth: GrowthPolicy,
     /// Hard cap on per-connection pre-posted buffers (slab capacity).
     pub max_prepost: u32,
-    /// Establish connections lazily on first communication instead of
-    /// all-to-all at init (the paper's related-work \[23\] extension).
+    /// Establish each connection at its first use instead of every pair
+    /// at t = 0 (the paper's related-work \[23\] extension). Both take
+    /// the same path; the ring schemes require eager setup.
     pub on_demand_connections: bool,
     /// Ring slots per connection at startup (the ring schemes' credit
     /// window; unused by the send/receive schemes).

@@ -11,7 +11,7 @@
 #![deny(clippy::cast_possible_truncation)]
 
 use crate::buffers::{encode_wrid, RecvSlab, WrKind};
-use crate::config::{CreditMsgMode, FlowControlScheme};
+use crate::config::{CreditMsgMode, FlowControlScheme, MpiConfig};
 use crate::rank::MpiRank;
 use crate::requests::ReqId;
 use crate::stats::ConnStats;
@@ -173,8 +173,8 @@ pub(crate) struct RetiredRing {
 pub(crate) struct Conn {
     pub peer: Rank,
     pub qp: QpId,
-    /// False until the connection handshake ran (on-demand mode starts
-    /// false; eager mode connects everything during init).
+    /// False until [`Conn::establish`] ran: at bootstrap under eager
+    /// setup, at first use under on-demand setup. Nothing clears it.
     pub established: bool,
     /// True once a failed completion tore this connection down: the QP is
     /// in the error state, every bound request has been failed, and no
@@ -316,6 +316,28 @@ impl Conn {
             ring_growth_pending: false,
             stats: ConnStats::default(),
         }
+    }
+
+    /// This endpoint's half of establishing the connection: adopts the
+    /// receive slots `0..prepost` that `world::establish` posted into its
+    /// QP, grants the matching buffer credits, opens the bootstrap ring
+    /// window under the ring schemes, and marks the connection
+    /// established.
+    pub fn establish(&mut self, cfg: &MpiConfig) {
+        for expected in 0..cfg.prepost {
+            let slot = self.slab.take_free();
+            debug_assert_eq!(slot, Some(expected), "the fabric half posts slots in order");
+        }
+        self.posted = cfg.prepost;
+        self.credits.grant(cfg.prepost);
+        self.stats.max_posted.observe(u64::from(cfg.prepost));
+        if cfg.scheme.uses_ring() {
+            self.ring.grant(cfg.rdma_ring_slots);
+            // Generation 0 = the bootstrap ring on both sides.
+            self.my_ring_slots = cfg.rdma_ring_slots;
+            self.peer_ring_slots = cfg.rdma_ring_slots;
+        }
+        self.established = true;
     }
 
     /// Records one ring-full eager→rendezvous conversion; once the count

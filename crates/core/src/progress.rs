@@ -247,18 +247,9 @@ impl MpiRank {
             "frame longer than the completion"
         );
 
-        // On-demand bookkeeping: the peer connected to us first.
-        if !self.conn(peer).established {
-            let prepost = self.cfg.prepost;
-            let c = self.conn_mut(peer);
-            c.established = true;
-            c.posted = prepost;
-            c.credits.grant(prepost);
-            c.stats.max_posted.observe(prepost as u64);
-            for _ in 0..prepost {
-                let _ = c.slab.take_free();
-            }
-        }
+        // Under on-demand setup the first frame from a peer that connected
+        // to us is where this side learns of the connection.
+        self.ensure_established(peer);
 
         // Credit accounting for the consumed buffer: the receiver half of
         // the metering rule (`conn.rs`, beside the sender half).

@@ -38,8 +38,10 @@ impl Unexpected {
     }
 }
 
-/// Everything the world bootstrap prepares for one rank before its thread
-/// starts (see [`crate::MpiWorld`]).
+/// Everything the world bootstrap prepares for one rank before its
+/// coroutine starts (see [`crate::MpiWorld`]): one [`Conn`] per peer,
+/// already established under eager setup and bare under on-demand setup,
+/// or decoded from a checkpoint image on restore.
 pub(crate) struct RankSetup {
     pub rank: Rank,
     pub size: usize,
@@ -63,11 +65,6 @@ pub struct MpiRank {
     pub(crate) cq: CqId,
     /// Per-peer connections (the self slot is `None`).
     pub(crate) conns: Vec<Option<Conn>>,
-    /// Peer behind each of this rank's QPs, indexed by
-    /// `QpId::index() - qp_base`: bootstrap creates a rank's QPs back to
-    /// back (`world::qp_id_for`), so the table is dense.
-    qp_to_peer: Vec<Rank>,
-    qp_base: usize,
     pub(crate) reqs: ReqTable,
     /// Posted receives in matching order.
     pub(crate) posted_recvs: Vec<crate::requests::ReqId>,
@@ -124,21 +121,12 @@ impl MpiRank {
             .filter(|c| c.established)
             .map(|c| c.peer)
             .collect();
-        let conns = || setup.conns.iter().flatten();
-        let qp_base = conns().next().map_or(0, |c| c.qp.index());
-        assert!(
-            conns().zip(qp_base..).all(|(c, qp)| c.qp.index() == qp),
-            "a rank's QPs are consecutive"
-        );
-        let qp_to_peer = conns().map(|c| c.peer).collect();
         MpiRank {
             proc,
             rank: setup.rank,
             size: setup.size,
             node: setup.node,
             cq: setup.cq,
-            qp_to_peer,
-            qp_base,
             conns: setup.conns,
             cfg: setup.cfg,
             reqs: ReqTable::default(),
@@ -159,11 +147,10 @@ impl MpiRank {
         }
     }
 
-    /// The peer whose connection owns `qp`. Every QP is in the table from
-    /// bootstrap, before any completion can name it; a QP of another rank
-    /// is a simulator bug and fails the bounds check.
+    /// The peer whose connection owns `qp` (the inverse of the world
+    /// layout, `world::peer_of`).
     pub(crate) fn peer_of(&self, qp: QpId) -> Rank {
-        self.qp_to_peer[qp.index() - self.qp_base]
+        crate::world::peer_of(self.size, self.rank, qp)
     }
 
     /// Adds `peer` to the RDMA-poll watchlist (idempotent; called when a
@@ -234,87 +221,33 @@ impl MpiRank {
             .is_some_and(|c| c.failed)
     }
 
-    /// Ensures the connection to `peer` is established (no-op unless
-    /// on-demand connections are enabled).
+    /// Establishes the connection to `peer` on first use; a no-op once it
+    /// is. Eager setup establishes every pair at t = 0 (`world::boot`), so
+    /// this only does work under on-demand setup (related work \[23\]):
+    /// the initiator — whose QP is still in `Reset` — pays the handshake
+    /// (`connect_cost`) and establishes both sides on the fabric; the
+    /// passive side arrives here from its first completion from `peer`
+    /// and adopts the pool posted on its behalf. Either way the
+    /// connection's [`Conn::establish`] runs and `peer` joins the RDMA
+    /// watchlist.
     pub(crate) fn ensure_established(&mut self, peer: Rank) {
         if self.conn(peer).established {
             return;
         }
-        if !self.cfg.on_demand_connections {
-            // Eager mode: world bootstrap connected everything.
-            self.conn_mut(peer).established = true;
-            self.watch_peer(peer);
-            return;
+        let (qp, n, me, cfg) = (self.conn(peer).qp, self.size, self.rank, &self.cfg);
+        let connect_cost = self.proc.with(|ctx| {
+            (ctx.world.qp(qp).state() == ibfabric::QpState::Reset).then(|| {
+                crate::world::establish(ctx, n, cfg, me, peer);
+                ctx.world.params().connect_cost
+            })
+        });
+        if let Some(cost) = connect_cost {
+            self.charge(cost);
         }
-        // On-demand connection setup (related work [23]): first message to
-        // this peer pays the handshake cost, the fabric QPs connect, and
-        // both sides' initial buffers get posted.
-        let my_qp = self.conn(peer).qp;
-        let prepost = self.cfg.prepost;
-        let connect_cost = self.proc.with(|ctx| ctx.world.params().connect_cost);
-        self.charge(connect_cost);
-        let needs_fabric_connect = self
-            .proc
-            .with(|ctx| ctx.world.qp(my_qp).state() == ibfabric::QpState::Reset);
-        if needs_fabric_connect {
-            // Find the peer's QP back to us via its peer pointer being
-            // unset: the world bootstrap recorded it pairwise, so derive it
-            // from our setup table.
-            let peer_qp = self.peer_qp_of(peer);
-            self.proc.with(|ctx| ibfabric::connect(ctx, my_qp, peer_qp));
-            // Post both sides' initial buffer pools. Ours through the
-            // normal path; the peer's directly into the fabric (its Conn
-            // bookkeeping catches up when it sees our first message).
-            for _ in 0..prepost {
-                self.post_one_recv_buffer(peer);
-            }
-            let slot_size = self.conn(peer).slab.slot_size;
-            let peer_slab_mr = self.peer_slab_mr_of(peer);
-            self.proc.with(|ctx| {
-                for slot in 0..prepost {
-                    #[expect(
-                        clippy::expect_used,
-                        reason = "the peer's receive queue is empty at connect time and sized for the full prepost"
-                    )]
-                    ctx.world
-                        .post_recv(
-                            peer_qp,
-                            RecvWr {
-                                wr_id: encode_wrid(WrKind::RecvSlot, slot as u64),
-                                mr: peer_slab_mr,
-                                offset: slot as usize * slot_size,
-                                len: slot_size,
-                            },
-                        )
-                        .expect("peer prepost");
-                }
-            });
-            self.conn_mut(peer).credits.grant(prepost);
-        } else {
-            // The peer connected first; our fabric-side buffers were posted
-            // on our behalf. Adopt them.
-            let c = self.conn_mut(peer);
-            c.posted = prepost;
-            c.credits.grant(prepost);
-            c.stats.max_posted.observe(prepost as u64);
-            // Mark the pre-posted slots as taken in the slab.
-            for _ in 0..prepost {
-                let _ = c.slab.take_free();
-            }
+        if let Some(c) = self.conns[peer].as_mut() {
+            c.establish(&self.cfg);
         }
-        self.conn_mut(peer).established = true;
         self.watch_peer(peer);
-    }
-
-    /// The peer's QP for the connection back to this rank. Derived from
-    /// the deterministic world-bootstrap layout (see `world.rs`).
-    pub(crate) fn peer_qp_of(&self, peer: Rank) -> QpId {
-        crate::world::qp_id_for(self.size, peer, self.rank)
-    }
-
-    /// The peer's receive-slab MR for messages from this rank.
-    pub(crate) fn peer_slab_mr_of(&self, peer: Rank) -> ibfabric::MrId {
-        crate::world::slab_mr_for(self.size, peer, self.rank)
     }
 
     /// Posts one receive buffer for the connection from `peer`, updating

@@ -419,3 +419,107 @@ fn always_connected_posts_everything() {
         assert_eq!(posted, 12, "eager mode pre-posts for all 3 peers");
     }
 }
+
+/// The two communication shapes the setup-equivalence test runs. Rank 0
+/// speaks first in both, so under on-demand setup it is the initiator
+/// and rank 1 the passive side.
+#[derive(Clone, Copy, Debug)]
+enum SetupShape {
+    /// Rank 0 posts 32 sends at once; rank 1 receives them as they come.
+    InitiatorBurst,
+    /// Rank 0 sends one message, then receives 60 from rank 1, which
+    /// sends them in bursts of 5 with 50 µs of compute between bursts:
+    /// the passive side's credits come back only through the returns
+    /// rank 0 sends (by ECM or into rank 1's mailbox).
+    PassiveStream,
+}
+
+fn setup_shape_run(cfg: MpiConfig, shape: SetupShape) -> mpib::MpiRunOutput<()> {
+    let params = FabricParams {
+        connect_cost: ibsim::SimDuration::ZERO,
+        ..FabricParams::mt23108()
+    };
+    MpiWorld::run(2, cfg, params, async move |mpi| match (shape, mpi.rank()) {
+        (SetupShape::InitiatorBurst, 0) => {
+            let reqs: Vec<_> = (0..32u32)
+                .map(|i| mpi.isend(&i.to_le_bytes(), 1, 0))
+                .collect();
+            mpi.waitall(&reqs).await;
+        }
+        (SetupShape::InitiatorBurst, _) => {
+            for _ in 0..32 {
+                mpi.recv(Some(0), Some(0)).await;
+            }
+        }
+        (SetupShape::PassiveStream, 0) => {
+            mpi.send(&[0], 1, 0).await;
+            for _ in 0..60 {
+                mpi.recv(Some(1), Some(1)).await;
+            }
+        }
+        (SetupShape::PassiveStream, _) => {
+            mpi.recv(Some(0), Some(0)).await;
+            for burst in 0..12u8 {
+                let reqs: Vec<_> = (0..5u8).map(|k| mpi.isend(&[burst, k], 0, 1)).collect();
+                mpi.waitall(&reqs).await;
+                mpi.compute(ibsim::SimDuration::micros(50)).await;
+            }
+        }
+    })
+    .unwrap()
+}
+
+/// Eager setup is on-demand setup with every pair touched at t = 0: with
+/// a free handshake the two are indistinguishable, down to the event
+/// count and every counter. Both paths post the pool before connecting,
+/// so the handshake advertises it and no first send goes out as a
+/// zero-credit probe; and the passive side watches the initiator's
+/// mailbox from its first completion on, so RDMA credit returns reach it.
+#[test]
+fn on_demand_setup_with_a_free_handshake_is_eager_setup() {
+    for scheme in [
+        FlowControlScheme::Hardware,
+        FlowControlScheme::UserStatic,
+        FlowControlScheme::UserDynamic,
+    ] {
+        for credit_msg_mode in [CreditMsgMode::Optimistic, CreditMsgMode::Rdma] {
+            for shape in [SetupShape::InitiatorBurst, SetupShape::PassiveStream] {
+                let eager = MpiConfig {
+                    credit_msg_mode,
+                    ..MpiConfig::scheme(scheme, 10)
+                };
+                let on_demand = MpiConfig {
+                    on_demand_connections: true,
+                    ..eager.clone()
+                };
+                let (a, b) = (
+                    setup_shape_run(eager, shape),
+                    setup_shape_run(on_demand, shape),
+                );
+                let case = format!("{scheme:?} / {credit_msg_mode:?} / {shape:?}");
+                assert_eq!(a.end_time, b.end_time, "{case}: end time");
+                assert_eq!(a.events, b.events, "{case}: events");
+                assert_eq!(
+                    format!("{:?}", a.stats.ranks),
+                    format!("{:?}", b.stats.ranks),
+                    "{case}: MPI-layer statistics"
+                );
+                assert_eq!(
+                    format!("{:?}", a.fabric.stats),
+                    format!("{:?}", b.fabric.stats),
+                    "{case}: fabric statistics"
+                );
+                // Rank 0's QP toward rank 1, then rank 1's toward rank 0.
+                for qp in [0, 1].map(ibfabric::QpId::from_index_for_tests) {
+                    for (setup, out) in [("eager", &a), ("on-demand", &b)] {
+                        assert_eq!(
+                            out.fabric.qp(qp).stats.zero_credit_probes.get(),
+                            0,
+                            "{case}: {setup} setup probed {qp:?} with zero credits"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}

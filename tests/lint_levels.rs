@@ -1,4 +1,6 @@
-//! The lint levels DESIGN.md §8 relies on are set where it says they are.
+//! The lint levels DESIGN.md §8 relies on are set where it says they are,
+//! and the two source-layout rules held as text (credit privacy, one
+//! connection-establishment path) still hold.
 //!
 //! An `#[expect(lint)]` is fulfilled whenever `lint` *would* fire at that
 //! site, whatever level surrounds it. So the audited `#[expect]`s and the
@@ -48,6 +50,65 @@ fn credit_consume_ops_are_private_to_conn() {
             decls[0]
         );
     }
+}
+
+/// Every `(file, enclosing fn)` of `crates/core/src` with a code line
+/// (not a comment) containing `needle`. The enclosing fn is the last
+/// `fn` item opened above the line — enough for the flat modules there.
+fn core_sites(needle: &str) -> std::collections::BTreeSet<(String, String)> {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/crates/core/src");
+    let mut sites = std::collections::BTreeSet::new();
+    for entry in std::fs::read_dir(dir).expect("crates/core/src") {
+        let file = entry
+            .expect("entry")
+            .file_name()
+            .to_string_lossy()
+            .into_owned();
+        let mut func = String::new();
+        for line in read(&format!("crates/core/src/{file}")).lines() {
+            let code = line.trim_start();
+            if code.starts_with("//") {
+                continue;
+            }
+            let item = ["pub(crate) ", "pub ", "const ", "async "]
+                .iter()
+                .fold(code, |l, q| l.strip_prefix(q).unwrap_or(l));
+            if let Some(rest) = item.strip_prefix("fn ") {
+                func = rest
+                    .split(|c: char| !(c.is_alphanumeric() || c == '_'))
+                    .next()
+                    .unwrap_or_default()
+                    .to_string();
+            }
+            if code.contains(needle) {
+                sites.insert((file.clone(), func.clone()));
+            }
+        }
+    }
+    sites
+}
+
+/// DESIGN.md §3, "Connection establishment": one path establishes a
+/// connection. Its fabric half, `world::establish`, posts the pool before
+/// it runs the handshake (so the handshake advertises the pool as
+/// credits); its `Conn` half, `Conn::establish`, is the one place a
+/// connection becomes established. A second `ibfabric::connect` call — the
+/// checkpoint's elastic replacement excepted, which reconnects QPs whose
+/// receive queues the snapshot restored — or a second site setting the
+/// flag is how the fork this replaced would come back.
+#[test]
+fn connections_are_established_on_one_path() {
+    let site = |file: &str, func: &str| (file.to_string(), func.to_string());
+    assert_eq!(
+        core_sites("ibfabric::connect("),
+        [site("ckpt.rs", "restore"), site("world.rs", "establish")].into(),
+        "`ibfabric::connect(` outside `world::establish` and the replace loop"
+    );
+    assert_eq!(
+        core_sites("established = true"),
+        [site("conn.rs", "establish")].into(),
+        "a connection becomes established outside `Conn::establish`"
+    );
 }
 
 #[test]

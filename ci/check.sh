@@ -35,14 +35,12 @@ stage() {
     case "$1" in
     build-test)
         run cargo build --release --workspace --locked --offline
+        # The release suite also enforces the committed throughput floors
+        # (crates/bench/tests/host_floors.rs, ignored in debug builds):
+        # the 1M events/s event-loop/handoff rates, and the 100k frames/s
+        # ring_poll floor guarding the RDMA channel's O(active) polling
+        # path. tests/ci_parity.rs holds this step's --release.
         run cargo test -q --workspace --release --locked --offline
-        run cargo bench -p ibfabric --bench transport --locked --offline -- --test
-        run cargo bench -p ibflow-bench --bench paper --locked --offline -- --test
-        # The engine bench's --test mode enforces the committed throughput
-        # floors: the 1M events/s event-loop/handoff rates, and the 100k
-        # frames/s ring_poll floor guarding the RDMA channel's O(active)
-        # polling path.
-        run cargo bench -p ibflow-bench --bench engine --locked --offline -- --test
         # Chaos battery at the fixed default seed: same-seed determinism
         # across pool widths plus the golden counter snapshot.
         run cargo test -q --release --locked --offline -p ibflow-bench --test chaos

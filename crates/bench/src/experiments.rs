@@ -5,12 +5,12 @@
 //! `bench_results/experiments.md` with [`render_all`].
 
 use crate::figures::{
-    bandwidth_figure, bandwidth_figure_dyn, bandwidth_table, bandwidth_table_dyn, fig10_table,
-    fig2_latency, fig2_table, fig9_table, nas_battery, resident_memory_sweep,
-    resident_memory_table, table1, table2,
+    bandwidth_figure, bandwidth_table, fig10_table, fig2_latency, fig2_table, fig9_table,
+    nas_battery, resident_memory_sweep, resident_memory_table, table1, table2,
 };
 use crate::nas::NasRun;
-use crate::{ablations, chaos, ckpt};
+use crate::{ablations, chaos, ckpt, DYN_SCHEMES, SCHEMES};
+use mpib::FlowControlScheme;
 use nasbench::NasClass;
 use std::sync::OnceLock;
 
@@ -122,6 +122,11 @@ const fn extra(
     }
 }
 
+/// One bandwidth figure over `schemes`, tabulated.
+fn bandwidth(schemes: &[FlowControlScheme], size: usize, prepost: u32, blocking: bool) -> String {
+    bandwidth_table(schemes, &bandwidth_figure(schemes, size, prepost, blocking))
+}
+
 /// Every experiment the repository runs. The paper rows come first, in
 /// the order `experiments.md` carries them.
 pub const EXPERIMENTS: &[Experiment] = &[
@@ -133,12 +138,12 @@ pub const EXPERIMENTS: &[Experiment] = &[
     paper(
         "fig3",
         "Figure 3 — bandwidth, 4 B, pre-post 100, blocking",
-        |_| bandwidth_table(&bandwidth_figure(4, 100, true)),
+        |_| bandwidth(&SCHEMES, 4, 100, true),
     ),
     paper(
         "fig4",
         "Figure 4 — bandwidth, 4 B, pre-post 100, non-blocking",
-        |_| bandwidth_table(&bandwidth_figure(4, 100, false)),
+        |_| bandwidth(&SCHEMES, 4, 100, false),
     ),
     // Figs 5/6 run the five-way sweep: the window overruns the pre-post
     // depth there, so the dynamically-grown ring rides along as a fifth
@@ -146,22 +151,22 @@ pub const EXPERIMENTS: &[Experiment] = &[
     paper(
         "fig5",
         "Figure 5 — bandwidth, 4 B, pre-post 10, blocking",
-        |_| bandwidth_table_dyn(&bandwidth_figure_dyn(4, 10, true)),
+        |_| bandwidth(&DYN_SCHEMES, 4, 10, true),
     ),
     paper(
         "fig6",
         "Figure 6 — bandwidth, 4 B, pre-post 10, non-blocking",
-        |_| bandwidth_table_dyn(&bandwidth_figure_dyn(4, 10, false)),
+        |_| bandwidth(&DYN_SCHEMES, 4, 10, false),
     ),
     paper(
         "fig7",
         "Figure 7 — bandwidth, 32 KB, pre-post 10, blocking",
-        |_| bandwidth_table(&bandwidth_figure(32768, 10, true)),
+        |_| bandwidth(&SCHEMES, 32768, 10, true),
     ),
     paper(
         "fig8",
         "Figure 8 — bandwidth, 32 KB, pre-post 10, non-blocking",
-        |_| bandwidth_table(&bandwidth_figure(32768, 10, false)),
+        |_| bandwidth(&SCHEMES, 32768, 10, false),
     ),
     paper(
         "fig9",

@@ -64,24 +64,28 @@ pub fn fig2_table(rows: &[Fig2Row]) -> String {
     let data: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
-            vec![
-                r.size.to_string(),
-                format!("{:.2}", r.us[0]),
-                format!("{:.2}", r.us[1]),
-                format!("{:.2}", r.us[2]),
-                format!("{:.2}", r.us[3]),
-            ]
+            let mut row = vec![r.size.to_string()];
+            row.extend(r.us.iter().map(|v| format!("{v:.2}")));
+            row
         })
         .collect();
+    scheme_table("size(B)", &SCHEMES, "us", &data)
+}
+
+/// A table with a `first` column, then one column per scheme headed by
+/// its label and `unit`.
+fn scheme_table(
+    first: &str,
+    schemes: &[FlowControlScheme],
+    unit: &str,
+    data: &[Vec<String>],
+) -> String {
+    let headers: Vec<String> = std::iter::once(first.to_string())
+        .chain(schemes.iter().map(|s| format!("{}({unit})", s.label())))
+        .collect();
     table(
-        &[
-            "size(B)",
-            "hardware(us)",
-            "user-static(us)",
-            "user-dynamic(us)",
-            "rdma-channel(us)",
-        ],
-        &data,
+        &headers.iter().map(String::as_str).collect::<Vec<_>>(),
+        data,
     )
 }
 
@@ -89,18 +93,21 @@ pub fn fig2_table(rows: &[Fig2Row]) -> String {
 pub struct BwRow {
     /// Window size (messages per burst).
     pub window: u32,
-    /// Bandwidth per scheme, in [`SCHEMES`] order, MB/s.
-    pub mbps: [f64; 4],
+    /// Bandwidth per scheme, in the order of the figure's scheme list, MB/s.
+    pub mbps: Vec<f64>,
 }
 
-/// Runs the (window, scheme) bandwidth grid for an arbitrary scheme
-/// list; one pool job per cell, results flat in row-major order.
-fn bandwidth_cells(
+/// Runs one of the bandwidth figures (Figs 3–8 are parameterizations of
+/// this sweep) over `schemes`; one pool job per (window, scheme) cell.
+/// Figs 5/6 pass [`DYN_SCHEMES`]: there the window overruns the pre-post
+/// depth, the static ring (sized to the pre-post depth) starves and the
+/// grown ring is the fix.
+pub fn bandwidth_figure(
     schemes: &[FlowControlScheme],
     size: usize,
     prepost: u32,
     blocking: bool,
-) -> Vec<f64> {
+) -> Vec<BwRow> {
     let jobs: Vec<ibpool::Job<'_, f64>> = BW_WINDOWS
         .iter()
         .flat_map(|&window| {
@@ -119,76 +126,19 @@ fn bandwidth_cells(
             })
         })
         .collect();
-    ibpool::run_batch(jobs)
-}
-
-/// Runs one of the bandwidth figures (Figs 3–8 are parameterizations of
-/// this sweep); one pool job per (window, scheme) cell.
-pub fn bandwidth_figure(size: usize, prepost: u32, blocking: bool) -> Vec<BwRow> {
-    let mbps = bandwidth_cells(&SCHEMES, size, prepost, blocking);
+    let mbps = ibpool::run_batch(jobs);
     BW_WINDOWS
-        .iter()
-        .enumerate()
-        .map(|(r, &window)| BwRow {
+        .into_iter()
+        .zip(mbps.chunks(schemes.len()))
+        .map(|(window, cells)| BwRow {
             window,
-            mbps: std::array::from_fn(|i| mbps[SCHEMES.len() * r + i]),
+            mbps: cells.to_vec(),
         })
         .collect()
 }
 
-/// One five-way bandwidth row: MB/s per scheme at one window size, in
-/// [`DYN_SCHEMES`] order (the four-scheme battery plus the
-/// dynamically-grown ring).
-pub struct BwDynRow {
-    /// Window size (messages per burst).
-    pub window: u32,
-    /// Bandwidth per scheme, in [`DYN_SCHEMES`] order, MB/s.
-    pub mbps: [f64; 5],
-}
-
-/// The five-way variant of [`bandwidth_figure`] used by Figs 5/6, where
-/// the window overruns the pre-post depth: the static ring (sized to the
-/// pre-post depth) starves there and the grown ring is the fix.
-pub fn bandwidth_figure_dyn(size: usize, prepost: u32, blocking: bool) -> Vec<BwDynRow> {
-    let mbps = bandwidth_cells(&DYN_SCHEMES, size, prepost, blocking);
-    BW_WINDOWS
-        .iter()
-        .enumerate()
-        .map(|(r, &window)| BwDynRow {
-            window,
-            mbps: std::array::from_fn(|i| mbps[DYN_SCHEMES.len() * r + i]),
-        })
-        .collect()
-}
-
-/// Formats bandwidth rows.
-pub fn bandwidth_table(rows: &[BwRow]) -> String {
-    let data: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.window.to_string(),
-                format!("{:.3}", r.mbps[0]),
-                format!("{:.3}", r.mbps[1]),
-                format!("{:.3}", r.mbps[2]),
-                format!("{:.3}", r.mbps[3]),
-            ]
-        })
-        .collect();
-    table(
-        &[
-            "window",
-            "hardware(MB/s)",
-            "user-static(MB/s)",
-            "user-dynamic(MB/s)",
-            "rdma-channel(MB/s)",
-        ],
-        &data,
-    )
-}
-
-/// Formats five-way bandwidth rows.
-pub fn bandwidth_table_dyn(rows: &[BwDynRow]) -> String {
+/// Formats bandwidth rows measured over `schemes`.
+pub fn bandwidth_table(schemes: &[FlowControlScheme], rows: &[BwRow]) -> String {
     let data: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
@@ -197,17 +147,7 @@ pub fn bandwidth_table_dyn(rows: &[BwDynRow]) -> String {
             row
         })
         .collect();
-    table(
-        &[
-            "window",
-            "hardware(MB/s)",
-            "user-static(MB/s)",
-            "user-dynamic(MB/s)",
-            "rdma-channel(MB/s)",
-            "rdma-channel-dyn(MB/s)",
-        ],
-        &data,
-    )
+    scheme_table("window", schemes, "MB/s", &data)
 }
 
 /// Fig 9 / Fig 10 / Tables 1–2 all come from the same application runs;
@@ -420,7 +360,7 @@ mod tests {
     #[test]
     fn fig3_fig4_shape_all_comparable_at_pp100() {
         for blocking in [true, false] {
-            let rows = bandwidth_figure(4, 100, blocking);
+            let rows = bandwidth_figure(&SCHEMES, 4, 100, blocking);
             for r in &rows {
                 let max = r.mbps[..3].iter().cloned().fold(0.0, f64::max);
                 let min = r.mbps[..3].iter().cloned().fold(f64::INFINITY, f64::min);
@@ -444,9 +384,11 @@ mod tests {
     #[test]
     fn fig5_fig6_shape_static_worst_beyond_prepost() {
         for blocking in [true, false] {
-            let rows = bandwidth_figure(4, 10, blocking);
+            let rows = bandwidth_figure(&SCHEMES, 4, 10, blocking);
             for r in rows.iter().filter(|r| r.window > 10) {
-                let [hw, stat, dyn_, _rc] = r.mbps;
+                let &[hw, stat, dyn_, _rc] = &r.mbps[..] else {
+                    panic!("four schemes, four columns: {:?}", r.mbps)
+                };
                 assert!(
                     stat < hw && stat < dyn_,
                     "window {} (blocking={blocking}): static ({stat:.2}) must be worst of {:?}",
@@ -478,9 +420,11 @@ mod tests {
     #[test]
     fn fig5_fig6_shape_dyn_ring_closes_the_starvation_cliff() {
         for blocking in [true, false] {
-            let rows = bandwidth_figure_dyn(4, 10, blocking);
+            let rows = bandwidth_figure(&DYN_SCHEMES, 4, 10, blocking);
             for r in rows.iter().filter(|r| r.window > 10) {
-                let [_hw, _stat, _dyn_buf, rc_static, rc_dyn] = r.mbps;
+                let &[_hw, _stat, _dyn_buf, rc_static, rc_dyn] = &r.mbps[..] else {
+                    panic!("five schemes, five columns: {:?}", r.mbps)
+                };
                 // The static ring's starvation cliff stays visible: with
                 // 10 slots, every frame past the ring converts to
                 // rendezvous and bandwidth collapses...
@@ -532,8 +476,8 @@ mod tests {
 
     #[test]
     fn fig7_fig8_shape_rendezvous_insensitive_and_overlap_wins() {
-        let blocking = bandwidth_figure(32 * 1024, 10, true);
-        let nonblocking = bandwidth_figure(32 * 1024, 10, false);
+        let blocking = bandwidth_figure(&SCHEMES, 32 * 1024, 10, true);
+        let nonblocking = bandwidth_figure(&SCHEMES, 32 * 1024, 10, false);
         for (b, nb) in blocking.iter().zip(&nonblocking) {
             // All send/recv schemes comparable in each mode (rendezvous
             // handshakes keep the pattern symmetric)...

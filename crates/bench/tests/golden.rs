@@ -17,8 +17,9 @@
 //! rewrite: this test passing *is* the proof that the two runtimes
 //! produce byte-identical results.
 
-use ibflow_bench::figures::{bandwidth_figure_dyn, fig2_latency};
+use ibflow_bench::figures::{bandwidth_figure, fig2_latency};
 use ibflow_bench::nas::run_nas;
+use ibflow_bench::DYN_SCHEMES;
 use mpib::FlowControlScheme;
 use nasbench::common::Kernel;
 use nasbench::NasClass;
@@ -78,7 +79,7 @@ fn render_fig56_dyn() -> String {
         .enumerate()
     {
         out.push_str(&format!("  \"{key}\": [\n"));
-        let rows = bandwidth_figure_dyn(4, 10, blocking);
+        let rows = bandwidth_figure(&DYN_SCHEMES, 4, 10, blocking);
         for (j, r) in rows.iter().enumerate() {
             out.push_str(&format!(
                 "    {{\"window\": {}, \"hardware\": {:.4}, \"user_static\": {:.4}, \

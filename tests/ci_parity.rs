@@ -1,7 +1,9 @@
 //! CI/script parity: `ci/check.sh` is the gate and
 //! `.github/workflows/ci.yml` only calls it, one job per stage. What is
-//! left to check is that the workflow builds nothing on its own and that
-//! the two files name the same stages.
+//! left to check is that the workflow builds nothing on its own, that
+//! the two files name the same stages, and that `build-test` still runs
+//! the release suite, the one step that holds the host-rate floors
+//! (`crates/bench/tests/host_floors.rs` is ignored in debug builds).
 
 use std::process::Command;
 
@@ -34,6 +36,20 @@ fn check_script_and_workflow_agree() {
         list(&yml, "stage: [", ']').replace(", ", " "),
         list(&sh, "STAGES=(", ')'),
         "ci.yml's stage matrix and ci/check.sh's STAGES differ"
+    );
+    let (_, build_test) = sh
+        .split_once("    build-test)\n")
+        .expect("a build-test stage");
+    let (build_test, _) = build_test.split_once(";;").expect("build-test is closed");
+    assert!(
+        build_test.lines().any(|l| {
+            let l = l.trim();
+            l.starts_with("run cargo test ")
+                && l.contains(" --workspace")
+                && l.contains(" --release")
+        }),
+        "ci/check.sh build-test no longer runs `cargo test --workspace --release`, \
+         so no stage holds the host-rate floors"
     );
 }
 

@@ -1,6 +1,6 @@
 //! The lint levels DESIGN.md §8 relies on are set where it says they are,
-//! and the two source-layout rules held as text (credit privacy, one
-//! connection-establishment path) still hold.
+//! and the source-layout rules held as text (credit privacy, one
+//! connection-establishment path, one host-timing harness) still hold.
 //!
 //! An `#[expect(lint)]` is fulfilled whenever `lint` *would* fire at that
 //! site, whatever level surrounds it. So the audited `#[expect]`s and the
@@ -111,6 +111,88 @@ fn connections_are_established_on_one_path() {
     );
 }
 
+/// Every `.rs` file under `rel` (a directory of the workspace), as paths
+/// relative to the workspace root.
+fn rust_files(rel: &str) -> Vec<String> {
+    let dir = format!("{}/{rel}", env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    for entry in std::fs::read_dir(&dir).unwrap_or_else(|e| panic!("{dir}: {e}")) {
+        let entry = entry.expect("entry");
+        let path = format!("{rel}/{}", entry.file_name().to_string_lossy());
+        if entry.file_type().expect("file type").is_dir() {
+            files.extend(rust_files(&path));
+        } else if path.ends_with(".rs") {
+            files.push(path);
+        }
+    }
+    files
+}
+
+/// Host wall clock guards the simulator's speed and nothing else (the
+/// paper's results are virtual time), and one place measures it: the
+/// `ibflow-bench` binary's "done in" line and the release-only floors
+/// test. The per-layer timing record is the ledger under `benchmark/`.
+/// A second harness would show up here as a new `Instant` site; clippy's
+/// `disallowed_types` lets it through once its module `#[expect]`s the
+/// lint.
+#[test]
+fn one_host_timing_harness() {
+    let mut sites: Vec<String> = ["crates", "src", "tests", "examples"]
+        .into_iter()
+        .flat_map(rust_files)
+        // This file names the type it looks for.
+        .filter(|f| f != file!())
+        .filter(|f| {
+            read(f)
+                .lines()
+                .filter(|l| !l.trim_start().starts_with("//"))
+                .any(|l| {
+                    l.split(|c: char| !(c.is_alphanumeric() || c == '_'))
+                        .any(|word| word == "Instant")
+                })
+        })
+        .collect();
+    sites.sort();
+    assert_eq!(
+        sites,
+        [
+            "crates/bench/src/main.rs",
+            "crates/bench/tests/host_floors.rs"
+        ],
+        "`Instant` outside the two host-timing sites"
+    );
+}
+
+/// No bench target: the host-rate floors are an ordinary test, run by
+/// `cargo test --release`. Cargo would also discover a `benches/`
+/// directory on its own, so none may exist either.
+#[test]
+fn no_workspace_package_declares_a_bench() {
+    for package in packages() {
+        let manifest = format!("{package}/Cargo.toml");
+        assert!(
+            !read(&manifest).contains("[[bench]]"),
+            "{manifest} declares a bench target"
+        );
+        let benches = format!("{}/{package}/benches", env!("CARGO_MANIFEST_DIR"));
+        assert!(
+            !std::path::Path::new(&benches).exists(),
+            "{package}/benches exists"
+        );
+    }
+}
+
+/// The directory of every package in the workspace: the root and each of
+/// `crates/`.
+fn packages() -> Vec<String> {
+    let crates =
+        std::fs::read_dir(concat!(env!("CARGO_MANIFEST_DIR"), "/crates")).expect("crates/");
+    crates
+        .map(|e| format!("crates/{}", e.expect("entry").file_name().to_string_lossy()))
+        .chain([".".to_string()])
+        .collect()
+}
+
 #[test]
 fn lint_levels_are_set_where_design_says() {
     for lib in ["sim", "fabric", "core"] {
@@ -141,17 +223,7 @@ fn lint_levels_are_set_where_design_says() {
     assert!(root.contains(
         "[workspace.lints.clippy]\nallow_attributes = \"deny\"\nallow_attributes_without_reason = \"deny\"\n"
     ));
-    let crates =
-        std::fs::read_dir(concat!(env!("CARGO_MANIFEST_DIR"), "/crates")).expect("crates/");
-    for manifest in crates
-        .map(|e| {
-            format!(
-                "crates/{}/Cargo.toml",
-                e.expect("entry").file_name().to_string_lossy()
-            )
-        })
-        .chain(["Cargo.toml".to_string()])
-    {
+    for manifest in packages().iter().map(|p| format!("{p}/Cargo.toml")) {
         assert!(
             read(&manifest).contains("[lints]\nworkspace = true\n"),
             "{manifest} does not inherit the workspace lints"

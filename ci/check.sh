@@ -39,11 +39,10 @@ stage() {
         # (crates/bench/tests/host_floors.rs, ignored in debug builds):
         # the 1M events/s event-loop/handoff rates, and the 100k frames/s
         # ring_poll floor guarding the RDMA channel's O(active) polling
-        # path. tests/ci_parity.rs holds this step's --release.
+        # path. tests/ci_parity.rs holds this step's --release. The same
+        # run covers the chaos battery (crates/bench/tests/chaos.rs sets
+        # IBFLOW_JOBS itself, so it needs no step of its own).
         run cargo test -q --workspace --release --locked --offline
-        # Chaos battery at the fixed default seed: same-seed determinism
-        # across pool widths plus the golden counter snapshot.
-        run cargo test -q --release --locked --offline -p ibflow-bench --test chaos
         # The benchmark harness pins part of the public surface
         # (benchmark/README.md, "The public surface this harness pins");
         # its quick self-check catches drift before a paired

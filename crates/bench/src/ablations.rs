@@ -287,7 +287,6 @@ pub fn buffer_size() -> String {
             ibpool::job(format!("ablation/buffer_size/{buf}"), move || {
                 let cfg = MpiConfig {
                     buf_size: buf,
-                    eager_threshold: buf - mpib::HEADER_LEN,
                     ..MpiConfig::scheme(FlowControlScheme::UserStatic, 32)
                 };
                 let out = MpiWorld::run(2, cfg, FabricParams::mt23108(), async |mpi| {

@@ -83,7 +83,7 @@ pub const CKPT_FENCE_NOTE: &str = "checkpoint fence";
 
 /// Snapshot container format: magic, version, and section tags.
 const SNAPSHOT_MAGIC: u32 = 0x4942_434B; // "IBCK"
-const SNAPSHOT_VERSION: u32 = 2;
+const SNAPSHOT_VERSION: u32 = 3;
 const TAG_SNAP_META: u32 = 0xCB01;
 const TAG_SNAP_FABRIC: u32 = 0xCB02;
 const TAG_SNAP_RANKS: u32 = 0xCB03;
@@ -1163,16 +1163,16 @@ mod tests {
                 ..
             }
         ));
-        // One format: a future version and the dense v1 this one replaced
-        // are both refused by number, never misread.
-        for version in [99, 1] {
+        // One format: a future version and the two this one replaced are
+        // all refused by number, never misread.
+        for version in [99, 2, 1] {
             let mut bytes = sample().to_bytes();
             bytes[4] = version;
             assert!(matches!(
                 Snapshot::from_bytes(&bytes).unwrap_err(),
                 CodecError::BadTag {
                     context: "snapshot version",
-                    want: 2,
+                    want: 3,
                     ..
                 }
             ));

@@ -106,11 +106,10 @@ pub struct MpiConfig {
     /// Pre-posted receive buffers per connection at startup (the paper's
     /// experiments sweep 1, 10, 100).
     pub prepost: u32,
-    /// Size of each pre-pinned buffer; the paper uses 2 KB.
+    /// Size of each pre-pinned buffer; the paper uses 2 KB. A payload
+    /// goes eager when it fits one buffer behind its header
+    /// ([`MpiConfig::eager_threshold`]).
     pub buf_size: usize,
-    /// Messages with payloads at or below this use the eager protocol.
-    /// Defaults to `buf_size - HEADER_LEN`.
-    pub eager_threshold: usize,
     /// Send an explicit credit message once this many credits accumulate
     /// with no outgoing traffic to carry them (the paper uses 5).
     pub ecm_threshold: u32,
@@ -157,7 +156,6 @@ impl Default for MpiConfig {
             scheme: FlowControlScheme::UserStatic,
             prepost: 100,
             buf_size: 2048,
-            eager_threshold: 2048 - crate::wire::HEADER_LEN,
             ecm_threshold: 5,
             credit_msg_mode: CreditMsgMode::Optimistic,
             growth: GrowthPolicy::Linear(2),
@@ -198,6 +196,12 @@ impl MpiConfig {
         }
     }
 
+    /// Largest payload sent with the eager protocol: what one pre-pinned
+    /// buffer holds behind the frame header.
+    pub fn eager_threshold(&self) -> usize {
+        self.buf_size - crate::wire::HEADER_LEN
+    }
+
     /// Validates internal consistency (called by [`crate::MpiWorld::run`]).
     pub fn validate(&self) -> Result<(), String> {
         if self.buf_size <= crate::wire::HEADER_LEN {
@@ -205,14 +209,6 @@ impl MpiConfig {
                 "buf_size {} must exceed header {}",
                 self.buf_size,
                 crate::wire::HEADER_LEN
-            ));
-        }
-        if self.eager_threshold + crate::wire::HEADER_LEN > self.buf_size {
-            return Err(format!(
-                "eager_threshold {} + header {} exceeds buf_size {}",
-                self.eager_threshold,
-                crate::wire::HEADER_LEN,
-                self.buf_size
             ));
         }
         if self.prepost == 0 {
@@ -285,10 +281,6 @@ mod tests {
             prepost: 10_000,
             ..Default::default()
         };
-        assert!(c.validate().is_err());
-
-        let mut c = MpiConfig::default();
-        c.eager_threshold = c.buf_size; // header no longer fits
         assert!(c.validate().is_err());
 
         let c = MpiConfig {

@@ -40,7 +40,7 @@ impl MpiRank {
     pub async fn bsend(&mut self, data: &[u8], dst: Rank, tag: Tag) {
         let req = self.isend(data, dst, tag);
         // Copy cost for the buffered snapshot of a large payload.
-        if data.len() > self.cfg.eager_threshold {
+        if data.len() > self.cfg.eager_threshold() {
             let cost = self
                 .proc
                 .with(|ctx| ctx.world.params().copy_time(data.len()));
@@ -405,7 +405,7 @@ impl MpiRank {
             s.failed = true;
             return;
         }
-        let eager_ok = !force_rndz && len <= self.cfg.eager_threshold;
+        let eager_ok = !force_rndz && len <= self.cfg.eager_threshold();
         match self.cfg.scheme {
             FlowControlScheme::Hardware => {
                 // No MPI-level accounting: post immediately; the HCA's

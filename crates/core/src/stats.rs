@@ -194,12 +194,11 @@ impl WorldStats {
     pub fn summary_line(&self, fabric: &ibfabric::FabricStats) -> String {
         format!(
             "recovery: retransmissions={} ack_timeouts={} rnr_naks={} dup_suppressed={} \
-             ud_drops={} faults_observed={} restores={} rejoined_ranks={} ledgers_conserved={}",
+             faults_observed={} restores={} rejoined_ranks={} ledgers_conserved={}",
             fabric.retransmissions.get(),
             fabric.ack_timeouts.get(),
             fabric.rnr_naks.get(),
             fabric.dup_suppressed.get(),
-            fabric.ud_drops.get(),
             self.total_faults(),
             self.restores,
             self.rejoined_ranks,

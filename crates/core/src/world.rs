@@ -361,7 +361,6 @@ fn bootstrap_fabric(fabric: &mut Fabric, nprocs: usize, cfg: &MpiConfig) -> Vec<
     let attrs = QpAttrs {
         rnr_retry: cfg.rnr_retry,
         retry_cnt: cfg.retry_cnt,
-        ..Default::default()
     };
     for i in 0..nprocs {
         for j in 0..nprocs {

@@ -326,7 +326,7 @@ fn empty_message() {
 #[test]
 fn exact_eager_threshold_boundary() {
     let cfg = MpiConfig::default();
-    let thr = cfg.eager_threshold;
+    let thr = cfg.eager_threshold();
     let out = MpiWorld::run(2, cfg, FabricParams::mt23108(), async move |mpi| {
         if mpi.rank() == 0 {
             mpi.send(&vec![1u8; thr], 1, 0).await; // exactly eager

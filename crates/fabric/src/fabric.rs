@@ -56,8 +56,6 @@ pub enum VerbsError {
     AccessDenied,
     /// The region belongs to a different node.
     WrongNode,
-    /// A UD datagram exceeded the path MTU.
-    MessageTooLong,
 }
 
 impl std::fmt::Display for VerbsError {
@@ -68,7 +66,6 @@ impl std::fmt::Display for VerbsError {
             VerbsError::OutOfBounds => "offset/length out of bounds",
             VerbsError::AccessDenied => "access denied",
             VerbsError::WrongNode => "memory region owned by another node",
-            VerbsError::MessageTooLong => "datagram exceeds the path MTU",
         };
         f.write_str(s)
     }
@@ -205,12 +202,7 @@ impl Fabric {
             "recv CQ on wrong node"
         );
         let id = QpId(self.qps.len() as u32);
-        let mut qp = Qp::new(id, node, send_cq, recv_cq, attrs);
-        if attrs.qp_type == crate::qp::QpType::UnreliableDatagram {
-            // UD QPs are connectionless: usable as soon as they exist.
-            qp.state = QpState::ReadyToSend;
-        }
-        self.qps.push(qp);
+        self.qps.push(Qp::new(id, node, send_cq, recv_cq, attrs));
         id
     }
 
@@ -443,8 +435,8 @@ pub fn connect(ctx: &mut Ctx<'_, Fabric>, a: QpId, b: QpId) {
     transport::pump(ctx, b);
 }
 
-/// Posts a send-side work request (two-sided send or RDMA) and kicks the
-/// QP's transmit engine.
+/// Posts a send-side work request (two-sided send or RDMA WRITE) and kicks
+/// the QP's transmit engine.
 pub fn post_send(ctx: &mut Ctx<'_, Fabric>, qp: QpId, wr: SendWr) -> Result<(), VerbsError> {
     {
         let f = &mut ctx.world;
@@ -465,41 +457,6 @@ pub fn post_send(ctx: &mut Ctx<'_, Fabric>, qp: QpId, wr: SendWr) -> Result<(), 
         q.peak_sq_depth = q.peak_sq_depth.max(q.sq.len());
     }
     transport::pump(ctx, qp);
-    Ok(())
-}
-
-/// Posts a datagram on an Unreliable Datagram QP, addressed to `dst_qp`
-/// (the address-handle + remote-QPN pair of the verbs API). The payload
-/// must fit in one MTU. Delivery is best-effort: a datagram that finds no
-/// posted receive WQE at the destination is silently dropped, and the
-/// send completes locally as soon as it leaves the wire.
-pub fn post_send_ud(
-    ctx: &mut Ctx<'_, Fabric>,
-    qp: QpId,
-    dst_qp: QpId,
-    wr: SendWr,
-) -> Result<(), VerbsError> {
-    {
-        let f = &ctx.world;
-        let q = &f.qps[qp.index()];
-        if q.state != QpState::ReadyToSend
-            || q.attrs.qp_type != crate::qp::QpType::UnreliableDatagram
-            || f.qps[dst_qp.index()].attrs.qp_type != crate::qp::QpType::UnreliableDatagram
-        {
-            return Err(VerbsError::InvalidQpState);
-        }
-        let payload_len = match &wr.op {
-            crate::wr::SendOp::Send { payload } => payload.len(),
-            // UD is send/recv only: RDMA semantics need a connected QP.
-            crate::wr::SendOp::RdmaWrite { .. } | crate::wr::SendOp::RdmaRead { .. } => {
-                return Err(VerbsError::InvalidQpState);
-            }
-        };
-        if payload_len > f.params.mtu {
-            return Err(VerbsError::MessageTooLong);
-        }
-    }
-    transport::send_ud(ctx, qp, dst_qp, wr);
     Ok(())
 }
 

@@ -22,7 +22,8 @@
 //!   sender gates send-type messages on those advertised credits, probing
 //!   with a single message when it has none.
 //! * **Channel and memory semantics** — two-sided send/receive plus one-sided
-//!   RDMA WRITE and RDMA READ that bypass receive WQEs entirely.
+//!   RDMA WRITE, which bypasses receive WQEs entirely: the two verbs every
+//!   flow control scheme the paper evaluates is built from.
 //! * **Timing model** — per-packet MTU segmentation, link serialization,
 //!   a PCI-X DMA bandwidth bottleneck, switch egress-port occupancy and
 //!   cut-through delay, per-WQE and per-packet HCA processing costs. Packet
@@ -97,11 +98,11 @@ mod transport;
 mod wr;
 
 pub use cq::{Cq, CqId};
-pub use fabric::{connect, post_recv, post_send, post_send_ud, Fabric, NodeId, VerbsError};
+pub use fabric::{connect, post_recv, post_send, Fabric, NodeId, VerbsError};
 pub use fault::{FaultPlan, FlapScope, LinkFaultRates, LinkFlap};
 pub use mem::{Access, Mr, MrId};
 pub use params::FabricParams;
-pub use qp::{QpAttrs, QpId, QpState, QpType};
+pub use qp::{QpAttrs, QpId, QpState};
 pub use snap::{
     apply_qp_transport, encode_fabric, qp_transport, reset_qp_for_reconnect, restore_fabric,
     CkptBus, QpTransport,

@@ -45,10 +45,8 @@ impl Access {
     pub const LOCAL_WRITE: Access = Access(1);
     /// Remote peers may RDMA-write into this region.
     pub const REMOTE_WRITE: Access = Access(2);
-    /// Remote peers may RDMA-read from this region.
-    pub const REMOTE_READ: Access = Access(4);
-    /// Everything: local write + remote read/write.
-    pub const FULL: Access = Access(7);
+    /// Everything: local write + remote write.
+    pub const FULL: Access = Access(3);
 
     /// Combines two flag sets.
     pub fn union(self, other: Access) -> Access {
@@ -273,9 +271,9 @@ mod tests {
         let a = Access::LOCAL_WRITE | Access::REMOTE_WRITE;
         assert!(a.allows(Access::LOCAL_WRITE));
         assert!(a.allows(Access::REMOTE_WRITE));
-        assert!(!a.allows(Access::REMOTE_READ));
         assert!(a.allows(Access::LOCAL_READ));
-        assert!(Access::FULL.allows(a));
+        assert!(!Access::LOCAL_WRITE.allows(Access::REMOTE_WRITE));
+        assert_eq!(Access::FULL, a);
     }
 
     #[test]

@@ -10,7 +10,6 @@ use crate::stats::QpStats;
 use crate::wr::{RecvWr, SendOp};
 use ibsim::SimTime;
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 /// Handle to a queue pair.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -41,26 +40,12 @@ pub enum QpState {
     Error,
 }
 
-/// Transport service type of a queue pair.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum QpType {
-    /// Reliable Connection: connected, acknowledged, in-order,
-    /// RNR-retried — the service the paper's MPI designs build on.
-    ReliableConnection,
-    /// Unreliable Datagram: connectionless sends addressed per-work-
-    /// request; no ACKs, no retries, and arrivals that find no receive
-    /// WQE are silently dropped. Modelled for the paper's future-work
-    /// direction (§8: "flow control issues in using other InfiniBand
-    /// transport services").
-    UnreliableDatagram,
-}
-
 /// Creation-time attributes of a queue pair.
 #[derive(Clone, Copy, Debug)]
 pub struct QpAttrs {
     /// RNR retry budget per message; `None` means retry forever (the
     /// paper's hardware-based scheme sets "retry count to infinite" so the
-    /// MPI layer never sees a drop). Ignored for UD.
+    /// MPI layer never sees a drop).
     pub rnr_retry: Option<u32>,
     /// Transport (ACK-timeout) retry budget per message — the IB-spec
     /// `retry_cnt`, distinct from `rnr_retry`: it bounds retransmissions
@@ -68,8 +53,6 @@ pub struct QpAttrs {
     /// means retry forever. The timeout path only engages under an active
     /// [`crate::FaultPlan`]; a perfect fabric never times out.
     pub retry_cnt: Option<u32>,
-    /// Transport service.
-    pub qp_type: QpType,
 }
 
 impl Default for QpAttrs {
@@ -80,18 +63,6 @@ impl Default for QpAttrs {
         QpAttrs {
             rnr_retry: Some(16),
             retry_cnt: Some(7),
-            qp_type: QpType::ReliableConnection,
-        }
-    }
-}
-
-impl QpAttrs {
-    /// Attributes for an Unreliable Datagram QP.
-    pub fn ud() -> Self {
-        QpAttrs {
-            rnr_retry: None,
-            retry_cnt: None,
-            qp_type: QpType::UnreliableDatagram,
         }
     }
 }
@@ -114,26 +85,6 @@ pub(crate) struct SendWqe {
 pub(crate) struct InflightMsg {
     pub msn: u64,
     pub wqe: SendWqe,
-}
-
-/// The payload a delivery event carries to the receiving HCA.
-#[derive(Debug, Clone)]
-pub(crate) enum MsgBody {
-    Send {
-        payload: Arc<[u8]>,
-    },
-    RdmaWrite {
-        payload: Arc<[u8]>,
-        rkey: crate::mem::MrId,
-        remote_offset: usize,
-    },
-    RdmaRead {
-        rkey: crate::mem::MrId,
-        remote_offset: usize,
-        local_mr: crate::mem::MrId,
-        local_offset: usize,
-        len: usize,
-    },
 }
 
 /// One side of a reliable connection.
@@ -286,6 +237,5 @@ mod tests {
     fn default_attrs_are_finite_retry() {
         assert_eq!(QpAttrs::default().rnr_retry, Some(16));
         assert_eq!(QpAttrs::default().retry_cnt, Some(7));
-        assert_eq!(QpAttrs::ud().retry_cnt, None);
     }
 }

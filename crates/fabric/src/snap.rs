@@ -26,7 +26,7 @@
 use crate::cq::{Cq, CqId};
 use crate::fabric::{Fabric, VerbsError};
 use crate::mem::{Access, Mr, MrId};
-use crate::qp::{QpAttrs, QpId, QpState, QpType};
+use crate::qp::{QpAttrs, QpId, QpState};
 use crate::wr::{Cqe, CqeOpcode, CqeStatus, RecvWr};
 use ibsim::codec::{CodecError, Reader, Writer};
 use ibsim::SimTime;
@@ -174,7 +174,6 @@ fn opcode_tag(o: CqeOpcode) -> u8 {
         CqeOpcode::SendComplete => 0,
         CqeOpcode::RecvComplete => 1,
         CqeOpcode::RdmaWriteComplete => 2,
-        CqeOpcode::RdmaReadComplete => 3,
     }
 }
 
@@ -183,10 +182,9 @@ fn opcode_from_tag(t: u8, context: &'static str) -> Result<CqeOpcode, CodecError
         0 => Ok(CqeOpcode::SendComplete),
         1 => Ok(CqeOpcode::RecvComplete),
         2 => Ok(CqeOpcode::RdmaWriteComplete),
-        3 => Ok(CqeOpcode::RdmaReadComplete),
         got => Err(CodecError::BadTag {
             context,
-            want: 3,
+            want: 2,
             got: u64::from(got),
         }),
     }
@@ -281,10 +279,6 @@ pub fn encode_fabric(f: &Fabric, w: &mut Writer) {
                 w.u8(state_tag(q.state));
                 w.opt_u64(opt_u32(q.attrs.rnr_retry));
                 w.opt_u64(opt_u32(q.attrs.retry_cnt));
-                w.u8(match q.attrs.qp_type {
-                    QpType::ReliableConnection => 0,
-                    QpType::UnreliableDatagram => 1,
-                });
                 w.u64(q.next_msn);
                 w.u32(q.adv_credits);
                 w.u32(q.unacked_sends);
@@ -303,7 +297,6 @@ pub fn encode_fabric(f: &Fabric, w: &mut Writer) {
                 w.usize(q.peak_rq_depth);
                 w.u64(q.stats.sends_launched.get());
                 w.u64(q.stats.rdma_writes.get());
-                w.u64(q.stats.rdma_reads.get());
                 w.u64(q.stats.bytes_launched.get());
                 w.u64(q.stats.retransmissions.get());
                 w.u64(q.stats.rnr_naks_sent.get());
@@ -352,14 +345,12 @@ pub fn encode_fabric(f: &Fabric, w: &mut Writer) {
             w.u64(s.rnr_naks.get());
             w.u64(s.retransmissions.get());
             w.u64(s.cqes.get());
-            w.u64(s.ud_drops.get());
             w.u64(s.msgs_dropped.get());
             w.u64(s.msgs_corrupted.get());
             w.u64(s.flap_drops.get());
             w.u64(s.acks_delayed.get());
             w.u64(s.ack_timeouts.get());
             w.u64(s.dup_suppressed.get());
-            w.u64(s.read_replays.get());
         });
     });
 }
@@ -453,17 +444,6 @@ pub fn restore_fabric(f: &mut Fabric, r: &mut Reader<'_>) -> Result<(), CodecErr
         let state = state_from_tag(qs.u8("qp.state")?, "qp.state")?;
         let rnr_retry = opt_u32_from(qs.opt_u64("qp.rnr_retry")?, "qp.rnr_retry")?;
         let retry_cnt = opt_u32_from(qs.opt_u64("qp.retry_cnt")?, "qp.retry_cnt")?;
-        let qp_type = match qs.u8("qp.type")? {
-            0 => QpType::ReliableConnection,
-            1 => QpType::UnreliableDatagram,
-            got => {
-                return Err(CodecError::BadTag {
-                    context: "qp.type",
-                    want: 1,
-                    got: u64::from(got),
-                })
-            }
-        };
         let id = f.create_qp(
             node,
             send_cq,
@@ -471,7 +451,6 @@ pub fn restore_fabric(f: &mut Fabric, r: &mut Reader<'_>) -> Result<(), CodecErr
             QpAttrs {
                 rnr_retry,
                 retry_cnt,
-                qp_type,
             },
         );
         let next_msn = qs.u64("qp.next_msn")?;
@@ -510,7 +489,6 @@ pub fn restore_fabric(f: &mut Fabric, r: &mut Reader<'_>) -> Result<(), CodecErr
         q.peak_rq_depth = peak_rq_depth;
         q.stats.sends_launched = qs.u64("qp.stats.sends_launched")?.into();
         q.stats.rdma_writes = qs.u64("qp.stats.rdma_writes")?.into();
-        q.stats.rdma_reads = qs.u64("qp.stats.rdma_reads")?.into();
         q.stats.bytes_launched = qs.u64("qp.stats.bytes_launched")?.into();
         q.stats.retransmissions = qs.u64("qp.stats.retransmissions")?.into();
         q.stats.rnr_naks_sent = qs.u64("qp.stats.rnr_naks_sent")?.into();
@@ -632,14 +610,12 @@ pub fn restore_fabric(f: &mut Fabric, r: &mut Reader<'_>) -> Result<(), CodecErr
     f.stats.rnr_naks = ss.u64("stats.rnr_naks")?.into();
     f.stats.retransmissions = ss.u64("stats.retransmissions")?.into();
     f.stats.cqes = ss.u64("stats.cqes")?.into();
-    f.stats.ud_drops = ss.u64("stats.ud_drops")?.into();
     f.stats.msgs_dropped = ss.u64("stats.msgs_dropped")?.into();
     f.stats.msgs_corrupted = ss.u64("stats.msgs_corrupted")?.into();
     f.stats.flap_drops = ss.u64("stats.flap_drops")?.into();
     f.stats.acks_delayed = ss.u64("stats.acks_delayed")?.into();
     f.stats.ack_timeouts = ss.u64("stats.ack_timeouts")?.into();
     f.stats.dup_suppressed = ss.u64("stats.dup_suppressed")?.into();
-    f.stats.read_replays = ss.u64("stats.read_replays")?.into();
     ss.done("fabric.stats")?;
 
     s.done("fabric")?;
@@ -655,9 +631,7 @@ fn rwqe_refused(e: VerbsError, wr: &RecvWr, n_mrs: usize) -> CodecError {
             VerbsError::WrongNode => "rwqe.mr (another node's region)",
             VerbsError::AccessDenied => "rwqe.mr (region not locally writable)",
             VerbsError::OutOfBounds => "rwqe range (outside its region)",
-            VerbsError::InvalidQpState | VerbsError::MessageTooLong => {
-                "rwqe (queue pair in the error state)"
-            }
+            VerbsError::InvalidQpState => "rwqe (queue pair in the error state)",
         },
         value: u64::from(wr.mr.0),
         max: (n_mrs as u64).saturating_sub(1),
@@ -739,7 +713,7 @@ mod tests {
                 SendWr::rdma_write(8, vec![0xAB; 256], mr_b, 1024),
             )
             .unwrap();
-            post_send(ctx, qp_a, SendWr::rdma_read(9, mr_b, 1024, mr_a, 0, 128)).unwrap();
+            post_send(ctx, qp_b, SendWr::rdma_write(9, vec![0xCD; 128], mr_a, 0)).unwrap();
         });
         sim.run().unwrap();
         sim.into_world()
@@ -869,7 +843,7 @@ mod tests {
                     node: g.u32_in(2..u32::MAX),
                 },
                 _ => Lie::AccessBits {
-                    bits: g.u32_in(8..256) as u8,
+                    bits: g.u32_in(4..256) as u8,
                 },
             };
             HostileMrs {
@@ -977,7 +951,7 @@ mod tests {
         // The two counts that sized a queue, by name.
         let cqs = section_body(&good, TAG_CQS);
         let first_cq_entries = cqs.start + 8 + 4 + 8;
-        assert_eq!(u64_at(&good, first_cq_entries), 3, "cq.entries.count");
+        assert_eq!(u64_at(&good, first_cq_entries), 2, "cq.entries.count");
         let qps = section_body(&good, TAG_QPS);
         let rq_count = (qps.start..qps.end - 8)
             .rfind(|&at| {
@@ -1017,7 +991,7 @@ mod tests {
                 f.qps[1].rq.push_back(wqe(1, 0))
             }),
             ("rwqe.mr (region not locally writable)", |f| {
-                f.mrs[0].access = Access::REMOTE_READ
+                f.mrs[0].access = Access::REMOTE_WRITE
             }),
             ("rwqe range (outside its region)", |f| {
                 f.qps[1].rq.push_back(wqe(0, 4096 - 63))

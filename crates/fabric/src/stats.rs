@@ -9,8 +9,6 @@ pub struct QpStats {
     pub sends_launched: Counter,
     /// RDMA write messages launched.
     pub rdma_writes: Counter,
-    /// RDMA read requests launched.
-    pub rdma_reads: Counter,
     /// Payload bytes launched in the request direction (incl. retransmits).
     pub bytes_launched: Counter,
     /// Messages retransmitted after an RNR NAK (go-back-N re-launches).
@@ -43,8 +41,6 @@ pub struct FabricStats {
     pub retransmissions: Counter,
     /// Total completions generated.
     pub cqes: Counter,
-    /// Datagrams dropped at UD responders with no posted receive WQE.
-    pub ud_drops: Counter,
     /// Messages lost to injected packet drops (fault plan).
     pub msgs_dropped: Counter,
     /// Messages lost to injected packet corruption (fault plan).
@@ -60,9 +56,6 @@ pub struct FabricStats {
     /// message whose original already arrived is re-ACKed without
     /// consuming a receive WQE, keeping credit ledgers conserved).
     pub dup_suppressed: Counter,
-    /// RDMA READ responses replayed for duplicate read requests (a lost
-    /// response must be re-sent; a plain re-ACK cannot complete a READ).
-    pub read_replays: Counter,
 }
 
 #[cfg(test)]

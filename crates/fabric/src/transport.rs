@@ -24,18 +24,15 @@
 //!   [`CqeStatus::TransportRetryExceeded`] on exhaustion. Retransmissions
 //!   that race a delayed ACK arrive as duplicates and are suppressed at
 //!   the responder (re-ACK only — no receive WQE is re-consumed, so
-//!   end-to-end credit accounting stays conserved; duplicate RDMA READ
-//!   requests replay the response instead, since a plain ACK cannot
-//!   complete a READ).
+//!   end-to-end credit accounting stays conserved).
 
 use crate::fabric::{Fabric, NodeId};
 use crate::fault::Fate;
 use crate::mem::Access;
 use crate::params::FabricParams;
-use crate::qp::{InflightMsg, MsgBody, QpId, QpState};
+use crate::qp::{InflightMsg, QpId, QpState};
 use crate::wr::{Cqe, CqeOpcode, CqeStatus, SendOp};
 use ibsim::{Ctx, SimDuration, SimTime};
-use std::sync::Arc;
 
 /// Pushes a completion and wakes any CQ waiters. The drained waiter list
 /// goes back to the CQ so the next `req_notify_cq` reuses its capacity.
@@ -174,43 +171,13 @@ fn launch(ctx: &mut Ctx<'_, Fabric>, qp_id: QpId) {
         let msn = q.next_msn;
         q.next_msn += 1;
         let bytes = wqe.op.request_bytes();
-        let body = match &wqe.op {
-            SendOp::Send { payload } => {
-                q.unacked_sends += 1;
-                q.stats.sends_launched.incr();
-                MsgBody::Send {
-                    payload: Arc::clone(payload),
-                }
-            }
-            SendOp::RdmaWrite {
-                payload,
-                rkey,
-                remote_offset,
-            } => {
-                q.stats.rdma_writes.incr();
-                MsgBody::RdmaWrite {
-                    payload: Arc::clone(payload),
-                    rkey: *rkey,
-                    remote_offset: *remote_offset,
-                }
-            }
-            SendOp::RdmaRead {
-                rkey,
-                remote_offset,
-                local_mr,
-                local_offset,
-                len,
-            } => {
-                q.stats.rdma_reads.incr();
-                MsgBody::RdmaRead {
-                    rkey: *rkey,
-                    remote_offset: *remote_offset,
-                    local_mr: *local_mr,
-                    local_offset: *local_offset,
-                    len: *len,
-                }
-            }
-        };
+        if wqe.op.is_send() {
+            q.unacked_sends += 1;
+            q.stats.sends_launched.incr();
+        } else {
+            q.stats.rdma_writes.incr();
+        }
+        let body = wqe.op.clone();
         q.stats.bytes_launched.add(bytes as u64);
         if retransmit {
             q.stats.retransmissions.incr();
@@ -364,7 +331,7 @@ fn send_ack(ctx: &mut Ctx<'_, Fabric>, responder: QpId, requester: QpId, msn: u6
     let delay = ctx.world.params.ack_latency + ctx.world.fault_ack_delay();
     ctx.schedule_after(delay, move |c| {
         let credits = c.world.qps[responder.index()].rq.len() as u32;
-        handle_ack(c, requester, msn, credits, false);
+        handle_ack(c, requester, msn, credits);
     });
 }
 
@@ -373,7 +340,7 @@ fn deliver(
     ctx: &mut Ctx<'_, Fabric>,
     dst_qp: QpId,
     msn: u64,
-    body: MsgBody,
+    body: SendOp,
     first_arrival: SimTime,
 ) {
     let now = ctx.now();
@@ -393,15 +360,9 @@ fn deliver(
             // Duplicate of an already-processed message (a go-back-N
             // retransmission raced the original's ACK). Never re-consume
             // a receive WQE or re-place data — credit accounting depends
-            // on exactly-once consumption. Re-acknowledge instead; for
-            // RDMA READ requests the *response* is replayed, because a
-            // plain ACK cannot complete a READ whose data was lost.
+            // on exactly-once consumption. Re-acknowledge instead.
             ctx.world.stats.dup_suppressed.incr();
-            if matches!(body, MsgBody::RdmaRead { .. }) {
-                replay_read_response(ctx, dst_qp, src_qp, msn, body);
-            } else {
-                send_ack(ctx, dst_qp, src_qp, msn);
-            }
+            send_ack(ctx, dst_qp, src_qp, msn);
         }
         // msn > expected: a message after a go-back-N point; drop silently,
         // the requester retransmits the whole tail.
@@ -409,7 +370,7 @@ fn deliver(
     }
 
     match body {
-        MsgBody::Send { payload } => {
+        SendOp::Send { payload } => {
             let has_buffer = !ctx.world.qps[dst_qp.index()].rq.is_empty();
             if !has_buffer {
                 // Receiver not ready.
@@ -472,7 +433,7 @@ fn deliver(
                 send_ack(c, dst_qp, src_qp, msn);
             });
         }
-        MsgBody::RdmaWrite {
+        SendOp::RdmaWrite {
             payload,
             rkey,
             remote_offset,
@@ -513,111 +474,7 @@ fn deliver(
                 send_ack(c, dst_qp, src_qp, msn);
             });
         }
-        MsgBody::RdmaRead {
-            rkey,
-            remote_offset,
-            local_mr,
-            local_offset,
-            len,
-        } => {
-            let valid = ctx.world.mrs.get(rkey.index()).is_some_and(|mr| {
-                mr.node == dst_node
-                    && mr.access.allows(Access::REMOTE_READ)
-                    && mr.check_range(remote_offset, len)
-            });
-            ctx.world.qps[dst_qp.index()].expected_msn += 1;
-            if !valid {
-                let delay = ctx.world.params.ack_latency;
-                ctx.schedule_after(delay, move |c| remote_access_error(c, src_qp, msn));
-                return;
-            }
-            ctx.world.stats.msgs_delivered.incr();
-            ctx.world.stats.bytes_delivered.add(len as u64);
-            let body = MsgBody::RdmaRead {
-                rkey,
-                remote_offset,
-                local_mr,
-                local_offset,
-                len,
-            };
-            send_read_response(ctx, dst_qp, src_qp, msn, &body);
-        }
     }
-}
-
-/// Puts the response data of a validated RDMA READ on the wire from
-/// `responder` back to `src_qp`; its arrival carries ACK semantics for
-/// everything up to `msn`, advertising the responder's posted receives as
-/// sampled then (as [`send_ack`] does).
-fn send_read_response(
-    ctx: &mut Ctx<'_, Fabric>,
-    responder: QpId,
-    src_qp: QpId,
-    msn: u64,
-    body: &MsgBody,
-) {
-    let MsgBody::RdmaRead {
-        rkey,
-        remote_offset,
-        local_mr,
-        local_offset,
-        len,
-    } = *body
-    else {
-        return;
-    };
-    let data: Arc<[u8]> = ctx.world.mrs[rkey.index()]
-        .read_vec(remote_offset, len)
-        .into();
-    let dst_node = ctx.world.qps[responder.index()].node;
-    let src_node = ctx.world.qps[src_qp.index()].node;
-    let (rfirst, rlast) = transmit(ctx, dst_node, src_node, len);
-    // The response crosses the same lossy wire as any request.
-    let npkts = ctx.world.params.packets_for(len);
-    if ctx.world.fault_fate(ctx.now(), dst_node, src_node, npkts) == Fate::Drop {
-        return; // the requester's ACK timeout re-requests the read
-    }
-    ctx.schedule_at(rlast, move |c| {
-        // Response data has arrived at the requester HCA.
-        let rx_done = charge_rx_rdma(c, src_node, rfirst, c.now(), data.len());
-        c.schedule_at(rx_done, move |c2| {
-            c2.world.mrs[local_mr.index()].place(local_offset, &data);
-            // The read response acknowledges everything up to msn.
-            let credits = c2.world.qps[responder.index()].rq.len() as u32;
-            handle_ack(c2, src_qp, msn, credits, true);
-        });
-    });
-}
-
-/// A duplicate RDMA READ request arrived (its original response was lost):
-/// re-validate and re-send the response data.
-fn replay_read_response(
-    ctx: &mut Ctx<'_, Fabric>,
-    responder: QpId,
-    src_qp: QpId,
-    msn: u64,
-    body: MsgBody,
-) {
-    let MsgBody::RdmaRead {
-        rkey,
-        remote_offset,
-        len,
-        ..
-    } = &body
-    else {
-        return;
-    };
-    let dst_node = ctx.world.qps[responder.index()].node;
-    let valid = ctx.world.mrs.get(rkey.index()).is_some_and(|mr| {
-        mr.node == dst_node
-            && mr.access.allows(Access::REMOTE_READ)
-            && mr.check_range(*remote_offset, *len)
-    });
-    if !valid {
-        return; // the original delivery already reported the access error
-    }
-    ctx.world.stats.read_replays.incr();
-    send_read_response(ctx, responder, src_qp, msn, &body);
 }
 
 /// Charges receiver-side DMA and processing for an arriving message and
@@ -679,18 +536,7 @@ fn charge_rx_kind(
 }
 
 /// Cumulative acknowledgement for all messages up to `msn`.
-///
-/// `from_read_response` marks ACK semantics carried by RDMA READ response
-/// data: only then may in-flight READ entries complete (a plain ACK for a
-/// later send must not complete an earlier READ whose data is still on the
-/// wire — the pop loop stops at the READ instead).
-fn handle_ack(
-    ctx: &mut Ctx<'_, Fabric>,
-    qp_id: QpId,
-    msn: u64,
-    credits: u32,
-    from_read_response: bool,
-) {
+fn handle_ack(ctx: &mut Ctx<'_, Fabric>, qp_id: QpId, msn: u64, credits: u32) {
     let now = ctx.now();
     let ack_timeout = ctx.world.params.ack_timeout;
     {
@@ -705,11 +551,7 @@ fn handle_ack(
     let mut retired = false;
     loop {
         let q = &mut ctx.world.qps[qp_id.index()];
-        let covered = q.inflight.front().is_some_and(|front| {
-            front.msn <= msn
-                && (from_read_response || !matches!(front.wqe.op, SendOp::RdmaRead { .. }))
-        });
-        if !covered {
+        if q.inflight.front().is_none_or(|front| front.msn > msn) {
             break;
         }
         let Some(m) = q.inflight.pop_front() else {
@@ -720,11 +562,6 @@ fn handle_ack(
             q.unacked_sends -= 1;
         }
         if m.wqe.signaled {
-            // A READ completes with the bytes it fetched, not the request's.
-            let byte_len = match m.wqe.op {
-                SendOp::RdmaRead { len, .. } => len,
-                SendOp::Send { .. } | SendOp::RdmaWrite { .. } => m.wqe.op.request_bytes(),
-            };
             let send_cq = q.send_cq;
             push_cqe(
                 ctx,
@@ -734,7 +571,7 @@ fn handle_ack(
                     qp: qp_id,
                     opcode: m.wqe.op.completion_opcode(),
                     status: CqeStatus::Success,
-                    byte_len,
+                    byte_len: m.wqe.op.request_bytes(),
                 },
             );
         }
@@ -819,104 +656,6 @@ fn handle_rnr_nak(ctx: &mut Ctx<'_, Fabric>, qp_id: QpId, msn: u64) {
         q.backoff_until = Some(now + rnr_timer);
     }
     pump(ctx, qp_id); // schedules the retry at the backoff horizon
-}
-
-/// Unreliable Datagram path: one-shot transmit, local completion at wire
-/// exit, best-effort delivery (no ACK, no retry, drop when the responder
-/// has no receive WQE).
-pub(crate) fn send_ud(ctx: &mut Ctx<'_, Fabric>, qp_id: QpId, dst_qp: QpId, wr: crate::wr::SendWr) {
-    #[expect(
-        clippy::unreachable,
-        reason = "post_send_ud rejects RDMA ops on UD QPs before queueing"
-    )]
-    let payload = match wr.op {
-        SendOp::Send { payload } => payload,
-        SendOp::RdmaWrite { .. } | SendOp::RdmaRead { .. } => {
-            unreachable!("validated by post_send_ud")
-        }
-    };
-    let (src_node, dst_node, send_cq) = {
-        let q = &mut ctx.world.qps[qp_id.index()];
-        q.stats.sends_launched.incr();
-        q.stats.bytes_launched.add(payload.len() as u64);
-        (
-            q.node,
-            ctx.world.qps[dst_qp.index()].node,
-            ctx.world.qps[qp_id.index()].send_cq,
-        )
-    };
-    let (first, last) = transmit(ctx, src_node, dst_node, payload.len());
-    // Local completion: the datagram left the HCA; nothing is tracked.
-    // (`first` is the earliest arrival instant, a close upper bound on
-    // the wire-exit time at message granularity.)
-    if wr.signaled {
-        let wr_id = wr.wr_id;
-        let len = payload.len();
-        ctx.schedule_at(first, move |c| {
-            push_cqe(
-                c,
-                send_cq,
-                Cqe {
-                    wr_id,
-                    qp: qp_id,
-                    opcode: CqeOpcode::SendComplete,
-                    status: CqeStatus::Success,
-                    byte_len: len,
-                },
-            );
-        });
-    }
-    // The local completion above stands either way — the datagram left the
-    // HCA; whether the wire then eats it is invisible to the sender.
-    let npkts = ctx.world.params.packets_for(payload.len());
-    if ctx.world.fault_fate(ctx.now(), src_node, dst_node, npkts) == Fate::Drop {
-        return;
-    }
-    ctx.schedule_at(last, move |c| deliver_ud(c, dst_qp, payload, first));
-}
-
-fn deliver_ud(ctx: &mut Ctx<'_, Fabric>, dst_qp: QpId, payload: Arc<[u8]>, first_arrival: SimTime) {
-    let now = ctx.now();
-    let dst_node = ctx.world.qps[dst_qp.index()].node;
-    let Some(rwqe) = ctx.world.qps[dst_qp.index()].rq.pop_front() else {
-        // Unreliable service: no RNR NAK, no retry — the datagram is gone.
-        ctx.world.stats.ud_drops.incr();
-        return;
-    };
-    if rwqe.len < payload.len() {
-        let recv_cq = ctx.world.qps[dst_qp.index()].recv_cq;
-        push_cqe(
-            ctx,
-            recv_cq,
-            Cqe {
-                wr_id: rwqe.wr_id,
-                qp: dst_qp,
-                opcode: CqeOpcode::RecvComplete,
-                status: CqeStatus::LocalLengthError,
-                byte_len: payload.len(),
-            },
-        );
-        return;
-    }
-    ctx.world.stats.msgs_delivered.incr();
-    ctx.world.stats.bytes_delivered.add(payload.len() as u64);
-    let rx_done = charge_rx(ctx, dst_node, first_arrival, now, payload.len());
-    ctx.schedule_at(rx_done, move |c| {
-        let len = payload.len();
-        c.world.mrs[rwqe.mr.index()].place(rwqe.offset, &payload);
-        let recv_cq = c.world.qps[dst_qp.index()].recv_cq;
-        push_cqe(
-            c,
-            recv_cq,
-            Cqe {
-                wr_id: rwqe.wr_id,
-                qp: dst_qp,
-                opcode: CqeOpcode::RecvComplete,
-                status: CqeStatus::Success,
-                byte_len: len,
-            },
-        );
-    });
 }
 
 /// Remote access failure (bad rkey / bounds / permission): complete the

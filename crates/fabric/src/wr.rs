@@ -27,19 +27,6 @@ pub enum SendOp {
         /// Byte offset within the remote region.
         remote_offset: usize,
     },
-    /// One-sided RDMA READ: pulls remote memory into a local region.
-    RdmaRead {
-        /// Remote region to read from (the "rkey").
-        rkey: MrId,
-        /// Byte offset within the remote region.
-        remote_offset: usize,
-        /// Local destination region.
-        local_mr: MrId,
-        /// Byte offset within the local region.
-        local_offset: usize,
-        /// Bytes to read.
-        len: usize,
-    },
 }
 
 impl SendOp {
@@ -47,9 +34,6 @@ impl SendOp {
     pub fn request_bytes(&self) -> usize {
         match self {
             SendOp::Send { payload } | SendOp::RdmaWrite { payload, .. } => payload.len(),
-            // A read request is a small control packet; the data flows back
-            // on the response path.
-            SendOp::RdmaRead { .. } => 16,
         }
     }
 
@@ -65,7 +49,6 @@ impl SendOp {
         match self {
             SendOp::Send { .. } => CqeOpcode::SendComplete,
             SendOp::RdmaWrite { .. } => CqeOpcode::RdmaWriteComplete,
-            SendOp::RdmaRead { .. } => CqeOpcode::RdmaReadComplete,
         }
     }
 }
@@ -106,28 +89,6 @@ impl SendWr {
             signaled: true,
         }
     }
-
-    /// Convenience constructor: a signalled RDMA READ.
-    pub fn rdma_read(
-        wr_id: u64,
-        rkey: MrId,
-        remote_offset: usize,
-        local_mr: MrId,
-        local_offset: usize,
-        len: usize,
-    ) -> SendWr {
-        SendWr {
-            wr_id,
-            op: SendOp::RdmaRead {
-                rkey,
-                remote_offset,
-                local_mr,
-                local_offset,
-                len,
-            },
-            signaled: true,
-        }
-    }
 }
 
 /// A receive-side work request: where to place the next incoming send.
@@ -153,8 +114,6 @@ pub enum CqeOpcode {
     RecvComplete,
     /// An RDMA WRITE was placed and acknowledged.
     RdmaWriteComplete,
-    /// An RDMA READ response arrived in local memory.
-    RdmaReadComplete,
 }
 
 /// Completion status.
@@ -243,10 +202,6 @@ mod tests {
         let write = SendWr::rdma_write(2, vec![0; 5000], MrId(0), 0);
         assert_eq!(write.op.request_bytes(), 5000);
         assert!(!write.op.is_send());
-
-        let read = SendWr::rdma_read(3, MrId(0), 0, MrId(1), 0, 1 << 20);
-        assert_eq!(read.op.request_bytes(), 16);
-        assert!(!read.op.is_send());
     }
 
     #[test]

@@ -5,14 +5,13 @@ use ibfabric::*;
 use ibsim::{Sim, SimConfig, SimDuration, SimTime};
 
 /// Two connected nodes with one QP each sharing a per-node CQ, plus a
-/// scratch MR per node.
+/// registered region on the responder.
 struct Pair {
     sim: Sim<Fabric>,
     cq_a: CqId,
     cq_b: CqId,
     qp_a: QpId,
     qp_b: QpId,
-    mr_a: MrId,
     mr_b: MrId,
 }
 
@@ -24,7 +23,6 @@ fn pair_with(params: FabricParams, attrs: QpAttrs, preposted_b: usize) -> Pair {
     let cq_b = fabric.create_cq(b);
     let qp_a = fabric.create_qp(a, cq_a, cq_a, attrs);
     let qp_b = fabric.create_qp(b, cq_b, cq_b, attrs);
-    let mr_a = fabric.register(a, 1 << 20, Access::FULL);
     let mr_b = fabric.register(b, 1 << 20, Access::FULL);
     for i in 0..preposted_b {
         fabric
@@ -47,7 +45,6 @@ fn pair_with(params: FabricParams, attrs: QpAttrs, preposted_b: usize) -> Pair {
         cq_b,
         qp_a,
         qp_b,
-        mr_a,
         mr_b,
     }
 }
@@ -373,33 +370,6 @@ fn rdma_write_places_data_without_recv_wqe() {
     // No receive completion at the target.
     assert!(f.poll_cq(p.cq_b, 4).is_empty());
     assert_eq!(f.qp(p.qp_b).stats.rnr_naks_sent.get(), 0);
-}
-
-#[test]
-fn rdma_read_pulls_remote_data() {
-    let mut p = pair(0);
-    p.sim.with_world(|ctx| {
-        let src = ctx.world.mr_bytes_mut(p.mr_b);
-        for (i, b) in src[500..1500].iter_mut().enumerate() {
-            *b = (i % 199) as u8;
-        }
-        post_send(
-            ctx,
-            p.qp_a,
-            SendWr::rdma_read(21, p.mr_b, 500, p.mr_a, 0, 1000),
-        )
-        .unwrap();
-    });
-    p.sim.run().unwrap();
-    let mut f = p.sim.into_world();
-    let cqes = f.poll_cq(p.cq_a, 4);
-    assert_eq!(cqes.len(), 1);
-    assert_eq!(cqes[0].opcode, CqeOpcode::RdmaReadComplete);
-    assert!(cqes[0].is_success());
-    assert_eq!(cqes[0].byte_len, 1000);
-    let got = f.mr_bytes(p.mr_a)[..1000].to_vec();
-    let want: Vec<u8> = (0..1000).map(|i| (i % 199) as u8).collect();
-    assert_eq!(got, want);
 }
 
 #[test]
@@ -749,36 +719,28 @@ fn rnr_timer_sets_retry_spacing() {
 
 /// One cumulative ACK retires several signalled WQEs of mixed kinds.
 ///
-/// Seed 28 of the plan delays the ACKs of messages 0, 1, 2 and 7 by
-/// 30 us and no other (`acks_delayed == 4`). So ACK 3 arrives first and
-/// retires SEND, SEND, WRITE, SEND at once; ACKs 5 and 6 arrive while the
-/// 20 KB READ (message 4) is still waiting for its response data and must
-/// stop in front of it; the response retires the READ alone; the late
-/// ACK 7 then retires SEND, WRITE, SEND. Completions must surface in MSN
-/// order with the right opcodes and lengths, and the run must take the
-/// 29 events it took at the commit where `handle_ack` still collected its
-/// completions into a `Vec` before pushing them: a reordered CQE push,
-/// wake or `pump` would change the batches or the count.
+/// Seed 161 of the plan delays the ACKs of messages 0, 1, 2, 5 and 6 by
+/// 30 us and no other (`acks_delayed == 5`). So ACK 3 arrives first and
+/// retires SEND, SEND, WRITE, SEND at once; ACK 4 retires the 20 KB WRITE
+/// alone, ahead of the late ACKs 0–2, which then retire nothing; ACK 7
+/// retires SEND, WRITE, SEND, and the late ACKs 5 and 6 nothing. Completions
+/// must surface in MSN order with the right opcodes and lengths, a WRITE's
+/// only once its data has landed, and the run must take 29 events: a
+/// reordered CQE push, wake or `pump` would change the batches or the count.
 #[test]
 fn cumulative_ack_retires_mixed_wqes_in_msn_order() {
-    const READ_LEN: usize = 20_000;
-    const READ_FROM: usize = 500_000;
+    const BIG_LEN: usize = 20_000;
+    const BIG_AT: usize = 500_000;
     let mut p = pair(8);
     p.sim.with_world(|ctx| {
         ctx.world
-            .set_fault_plan(FaultPlan::new(28).with_ack_delay(0.5, SimDuration::micros(30)));
-        for (i, b) in ctx.world.mr_bytes_mut(p.mr_b)[READ_FROM..READ_FROM + READ_LEN]
-            .iter_mut()
-            .enumerate()
-        {
-            *b = (i % 199) as u8;
-        }
+            .set_fault_plan(FaultPlan::new(161).with_ack_delay(0.5, SimDuration::micros(30)));
         let posts = [
             SendWr::inline_send(0, vec![1; 64]),
             SendWr::inline_send(1, vec![2; 200]),
             SendWr::rdma_write(2, vec![3; 3000], p.mr_b, 100_000),
             SendWr::inline_send(3, vec![4; 16]),
-            SendWr::rdma_read(4, p.mr_b, READ_FROM, p.mr_a, 0, READ_LEN),
+            SendWr::rdma_write(4, vec![9; BIG_LEN], p.mr_b, BIG_AT),
             SendWr::inline_send(5, vec![5; 32]),
             SendWr::rdma_write(6, vec![6; 5000], p.mr_b, 200_000),
             SendWr::inline_send(7, vec![7; 8]),
@@ -790,18 +752,20 @@ fn cumulative_ack_retires_mixed_wqes_in_msn_order() {
     // Observer: every wake drains the CQ, so the completions one ACK
     // pushed show up as one batch.
     let batches = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
-    let (cq_a, mr_a) = (p.cq_a, p.mr_a);
+    let (cq_a, mr_b) = (p.cq_a, p.mr_b);
     let log = std::rc::Rc::clone(&batches);
     p.sim.spawn("observer", move |mut proc| async move {
         let mut seen = 0;
         while seen < 8 {
             let cqes = proc.with(|ctx| {
                 let cqes = ctx.world.poll_cq(cq_a, 16);
-                if cqes.iter().any(|c| c.opcode == CqeOpcode::RdmaReadComplete) {
-                    let got = &ctx.world.mr_bytes(mr_a)[..READ_LEN];
+                if cqes.iter().any(|c| c.wr_id == 4) {
                     assert!(
-                        got.iter().enumerate().all(|(i, &b)| b == (i % 199) as u8),
-                        "READ completed before its data landed"
+                        ctx.world
+                            .mr_read_vec(mr_b, BIG_AT, BIG_LEN)
+                            .iter()
+                            .all(|&b| b == 9),
+                        "WRITE completed before its data landed"
                     );
                 }
                 cqes
@@ -826,13 +790,13 @@ fn cumulative_ack_retires_mixed_wqes_in_msn_order() {
         .collect();
     assert_eq!(ids, [vec![0, 1, 2, 3], vec![4], vec![5, 6, 7]]);
     assert!(batches.windows(2).all(|w| w[0].0 < w[1].0));
-    use CqeOpcode::{RdmaReadComplete as Read, RdmaWriteComplete as Write, SendComplete as Send};
+    use CqeOpcode::{RdmaWriteComplete as Write, SendComplete as Send};
     let want = [
         (Send, 64),
         (Send, 200),
         (Write, 3000),
         (Send, 16),
-        (Read, READ_LEN),
+        (Write, BIG_LEN),
         (Send, 32),
         (Write, 5000),
         (Send, 8),
@@ -846,7 +810,7 @@ fn cumulative_ack_retires_mixed_wqes_in_msn_order() {
         })
         .collect();
     assert_eq!(got, want);
-    assert_eq!(f.stats.acks_delayed.get(), 4);
+    assert_eq!(f.stats.acks_delayed.get(), 5);
     assert_eq!(
         f.stats.ack_timeouts.get(),
         0,
@@ -856,79 +820,12 @@ fn cumulative_ack_retires_mixed_wqes_in_msn_order() {
     assert_eq!(report.events_processed, 29);
 }
 
-/// The ACK a READ response carries advertises the responder's posted
-/// receives, sampled when it fires, like every other ACK. Here a 20 KB
-/// READ is followed by three SENDs into eight posted receives; the SENDs'
-/// own ACKs all arrive while the READ's data is still on the wire. When
-/// the READ completes, the requester may send as many more messages as the
-/// responder has receives posted beyond the SENDs still unacknowledged —
-/// and must launch every one of them at once. (The READ response used to
-/// pass the requester's own credit count back in as the advertisement, so
-/// the in-flight SENDs were subtracted twice and the new SENDs sat in the
-/// send queue waiting for an ACK.)
-#[test]
-fn read_response_advertises_the_responders_posted_receives() {
-    const READ_LEN: usize = 20_000;
-    const READ_FROM: usize = 500_000;
-    let mut p = pair(8);
-    p.sim.with_world(|ctx| {
-        ctx.world.mr_bytes_mut(p.mr_b)[READ_FROM..READ_FROM + READ_LEN].fill(3);
-        post_send(
-            ctx,
-            p.qp_a,
-            SendWr::rdma_read(0, p.mr_b, READ_FROM, p.mr_a, 0, READ_LEN),
-        )
-        .unwrap();
-        for i in 1..=3 {
-            post_send(ctx, p.qp_a, SendWr::inline_send(i, vec![i as u8; 64])).unwrap();
-        }
-    });
-    let seen = std::rc::Rc::new(std::cell::Cell::new(None));
-    let log = std::rc::Rc::clone(&seen);
-    let (qp_a, qp_b, cq_a) = (p.qp_a, p.qp_b, p.cq_a);
-    p.sim.spawn("requester", move |mut proc| async move {
-        loop {
-            let read_done = proc.with(|ctx| {
-                let cqes = ctx.world.poll_cq(cq_a, 16);
-                if !cqes.iter().any(|c| c.opcode == CqeOpcode::RdmaReadComplete) {
-                    return false;
-                }
-                // Every message still in flight is one of the SENDs.
-                let free = ctx.world.qp(qp_b).posted_recvs() - ctx.world.qp(qp_a).inflight_msgs();
-                for i in 0..free as u64 {
-                    post_send(ctx, qp_a, SendWr::inline_send(10 + i, vec![0; 64])).unwrap();
-                }
-                log.set(Some((free, ctx.world.qp(qp_a).queued_sends())));
-                true
-            });
-            if read_done {
-                return;
-            }
-            let w = proc.waker();
-            proc.with(|ctx| ctx.world.req_notify_cq(cq_a, w));
-            proc.park("waiting for the READ").await;
-        }
-    });
-    p.sim.run().unwrap();
-    let mut f = p.sim.into_world();
-    let (free, queued) = seen.get().expect("the READ completed");
-    assert!(free >= 2, "the case needs spare receives: {free}");
-    assert_eq!(
-        queued, 0,
-        "{queued} of {free} covered SENDs waited for a credit update"
-    );
-    assert_eq!(f.qp(p.qp_b).stats.rnr_naks_sent.get(), 0);
-    let sends = f.poll_cq(p.cq_a, 16);
-    assert_eq!(sends.len(), 3 + free);
-    assert!(sends.iter().all(Cqe::is_success));
-}
-
 /// A failed QP flushes each queued work request with the opcode of its own
 /// operation: a SEND that finds no receive and has no RNR budget fails the
-/// QP while the WRITE and READ posted behind it wait in the send queue
-/// (the RNR NAK rolled them back there), and their flushes must read as a
-/// WRITE and a READ — the MPI layer reports the first failed completion's
-/// opcode as the fault.
+/// QP while the WRITE and SEND posted behind it wait in the send queue
+/// (the RNR NAK rolled the WRITE back there; the SEND never had a credit),
+/// and their flushes must read as a WRITE and a SEND — the MPI layer
+/// reports the first failed completion's opcode as the fault.
 #[test]
 fn flushed_work_requests_keep_their_opcodes() {
     let attrs = QpAttrs {
@@ -939,7 +836,7 @@ fn flushed_work_requests_keep_their_opcodes() {
     p.sim.with_world(|ctx| {
         post_send(ctx, p.qp_a, SendWr::inline_send(1, vec![1; 8])).unwrap();
         post_send(ctx, p.qp_a, SendWr::rdma_write(2, vec![2; 64], p.mr_b, 0)).unwrap();
-        post_send(ctx, p.qp_a, SendWr::rdma_read(3, p.mr_b, 0, p.mr_a, 0, 64)).unwrap();
+        post_send(ctx, p.qp_a, SendWr::inline_send(3, vec![3; 8])).unwrap();
     });
     p.sim.run().unwrap();
     let mut f = p.sim.into_world();
@@ -958,11 +855,7 @@ fn flushed_work_requests_keep_their_opcodes() {
                 CqeOpcode::RdmaWriteComplete,
                 CqeStatus::WorkRequestFlushed
             ),
-            (
-                3,
-                CqeOpcode::RdmaReadComplete,
-                CqeStatus::WorkRequestFlushed
-            ),
+            (3, CqeOpcode::SendComplete, CqeStatus::WorkRequestFlushed),
         ]
     );
     assert!(

@@ -1,8 +1,5 @@
-//! Chaos battery: soak runs of all four flow control schemes (the
-//! paper's three plus the RDMA eager channel) under escalating seeded
-//! fault plans, plus a separate dynamic-ring battery
-//! ([`chaos_battery_dyn`]) that soaks ring growth under the same
-//! ladder.
+//! Chaos battery: soak runs of every flow control scheme under
+//! escalating seeded fault plans.
 //!
 //! Each run is a 3-rank ring of `sendrecv` exchanges with pattern-filled,
 //! verified payloads mixing eager and rendezvous sizes, driven over a
@@ -14,10 +11,11 @@
 //! counter report is byte-identical for identical seeds at any
 //! `IBFLOW_JOBS` width. Under the RDMA channel the delayed-ACK levels
 //! additionally force retransmitted RDMA WRITEs into the ring, whose
-//! duplicates the transport's MSN tracking must suppress.
+//! duplicates the transport's MSN tracking must suppress; under the grown
+//! ring they race ring growth and old-generation draining against drops,
+//! duplicated WRITEs, delayed ACKs and the storm's link flap.
 
 use crate::report::table;
-use crate::SCHEMES;
 use ibfabric::{FabricParams, FaultPlan, FlapScope, LinkFlap, NodeId};
 use ibsim::{SimDuration, SimTime};
 use mpib::{FlowControlScheme, MpiConfig, MpiWorld};
@@ -270,29 +268,11 @@ pub fn chaos_battery(seed: u64) -> Vec<ChaosRun> {
     let jobs: Vec<ibpool::Job<'_, ChaosRun>> = LEVELS
         .iter()
         .flat_map(|level| {
-            SCHEMES.into_iter().map(move |scheme| {
+            FlowControlScheme::ALL.into_iter().map(move |scheme| {
                 ibpool::job(
                     format!("chaos/{}/{}", level.name, scheme.label()),
                     move || run_one(level, scheme, seed),
                 )
-            })
-        })
-        .collect();
-    ibpool::run_batch(jobs)
-}
-
-/// Runs the dynamic-ring battery — every level under
-/// [`FlowControlScheme::RdmaChannelDyn`] — fanned out over the pool.
-/// Kept separate from [`chaos_battery`] so the four-scheme battery's
-/// golden snapshot stays byte-identical: these runs exercise ring
-/// growth (and old-generation draining) racing drops, duplicated
-/// WRITEs, delayed ACKs, and the storm's link flap.
-pub fn chaos_battery_dyn(seed: u64) -> Vec<ChaosRun> {
-    let jobs: Vec<ibpool::Job<'_, ChaosRun>> = LEVELS
-        .iter()
-        .map(|level| {
-            ibpool::job(format!("chaos-dyn/{}", level.name), move || {
-                run_one(level, FlowControlScheme::RdmaChannelDyn, seed)
             })
         })
         .collect();
@@ -332,38 +312,6 @@ pub fn chaos_table(runs: &[ChaosRun]) -> String {
 /// field order, fixed float precision, hex checksum.
 pub fn chaos_json(runs: &[ChaosRun]) -> String {
     let mut out = String::from("{\n  \"chaos_battery\": [\n");
-    for (i, r) in runs.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"level\": \"{}\", \"scheme\": \"{}\", \"end_us\": {:.3}, \
-             \"checksum\": \"{:016x}\", \"dropped\": {}, \"corrupted\": {}, \
-             \"flap_drops\": {}, \"ack_timeouts\": {}, \"retransmissions\": {}, \
-             \"rnr_naks\": {}, \"dup_suppressed\": {}, \"acks_delayed\": {}, \
-             \"ledger\": \"{}\"}}{}\n",
-            r.level,
-            r.scheme.label(),
-            r.end_us,
-            r.checksum,
-            r.dropped,
-            r.corrupted,
-            r.flap_drops,
-            r.ack_timeouts,
-            r.retransmissions,
-            r.rnr_naks,
-            r.dup_suppressed,
-            r.acks_delayed,
-            if r.ledger_ok { "ok" } else { "LEAK" },
-            if i + 1 < runs.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Renders the dynamic-ring battery for its golden snapshot: the
-/// [`chaos_json`] fields plus the ring-growth counters that are this
-/// battery's reason to exist.
-pub fn chaos_dyn_json(runs: &[ChaosRun]) -> String {
-    let mut out = String::from("{\n  \"chaos_battery_dyn\": [\n");
     for (i, r) in runs.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"level\": \"{}\", \"scheme\": \"{}\", \"end_us\": {:.3}, \

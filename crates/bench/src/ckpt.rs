@@ -1,5 +1,5 @@
-//! Checkpoint/restart ladder: snapshot → kill → restore across all five
-//! flow control schemes, driving the NAS CG kernel's checkpoint-aware
+//! Checkpoint/restart ladder: snapshot → kill → restore across every
+//! flow control scheme, driving the NAS CG kernel's checkpoint-aware
 //! variant over the fault plane.
 //!
 //! Each scheme runs four legs from one snapshot taken at a configurable
@@ -11,8 +11,8 @@
 //!    resumed: must be *byte-identical* to the golden (virtual end time,
 //!    event count, per-rank results, every statistics counter).
 //! 3. **kill-and-replace** — the fault plane kills one rank after the
-//!    snapshot; a replacement rank rejoins through the normal connection
-//!    path with ledgers re-seeded from the snapshot: still byte-identical.
+//!    snapshot; a replacement rank is restored from the victim's blob, its
+//!    QPs and ledgers re-seeded from the snapshot: still byte-identical.
 //! 4. **chaos soak** — the same snapshot resumed into a lossy fabric
 //!    (drops, corruption, delayed ACKs, infinite retry): the kernel must
 //!    still verify with the golden checksum and conserved ledgers.
@@ -28,7 +28,6 @@
 //! not the registered one.
 
 use crate::report::table;
-use crate::DYN_SCHEMES;
 use ibfabric::{FabricParams, FaultPlan};
 use ibsim::SimDuration;
 use mpib::{
@@ -321,7 +320,7 @@ pub fn run_one(scheme: FlowControlScheme, seed: u64, snap_epoch: u64) -> CkptLad
 /// worker pool. Results come back in submission order, so the report is
 /// byte-identical at any `IBFLOW_JOBS` width.
 pub fn ckpt_ladder(seed: u64, snap_epoch: u64) -> Vec<CkptLadderRun> {
-    let jobs: Vec<ibpool::Job<'_, CkptLadderRun>> = DYN_SCHEMES
+    let jobs: Vec<ibpool::Job<'_, CkptLadderRun>> = FlowControlScheme::ALL
         .into_iter()
         .map(|scheme| {
             ibpool::job(format!("ckpt/{}", scheme.label()), move || {

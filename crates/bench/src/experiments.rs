@@ -9,8 +9,7 @@ use crate::figures::{
     nas_battery, resident_memory_sweep, resident_memory_table, table1, table2,
 };
 use crate::nas::NasRun;
-use crate::{ablations, chaos, ckpt, DYN_SCHEMES, SCHEMES};
-use mpib::FlowControlScheme;
+use crate::{ablations, chaos, ckpt};
 use nasbench::NasClass;
 use std::sync::OnceLock;
 
@@ -122,9 +121,9 @@ const fn extra(
     }
 }
 
-/// One bandwidth figure over `schemes`, tabulated.
-fn bandwidth(schemes: &[FlowControlScheme], size: usize, prepost: u32, blocking: bool) -> String {
-    bandwidth_table(schemes, &bandwidth_figure(schemes, size, prepost, blocking))
+/// One bandwidth figure, tabulated.
+fn bandwidth(size: usize, prepost: u32, blocking: bool) -> String {
+    bandwidth_table(&bandwidth_figure(size, prepost, blocking))
 }
 
 /// Every experiment the repository runs. The paper rows come first, in
@@ -138,35 +137,32 @@ pub const EXPERIMENTS: &[Experiment] = &[
     paper(
         "fig3",
         "Figure 3 — bandwidth, 4 B, pre-post 100, blocking",
-        |_| bandwidth(&SCHEMES, 4, 100, true),
+        |_| bandwidth(4, 100, true),
     ),
     paper(
         "fig4",
         "Figure 4 — bandwidth, 4 B, pre-post 100, non-blocking",
-        |_| bandwidth(&SCHEMES, 4, 100, false),
+        |_| bandwidth(4, 100, false),
     ),
-    // Figs 5/6 run the five-way sweep: the window overruns the pre-post
-    // depth there, so the dynamically-grown ring rides along as a fifth
-    // column next to the static ring it fixes.
     paper(
         "fig5",
         "Figure 5 — bandwidth, 4 B, pre-post 10, blocking",
-        |_| bandwidth(&DYN_SCHEMES, 4, 10, true),
+        |_| bandwidth(4, 10, true),
     ),
     paper(
         "fig6",
         "Figure 6 — bandwidth, 4 B, pre-post 10, non-blocking",
-        |_| bandwidth(&DYN_SCHEMES, 4, 10, false),
+        |_| bandwidth(4, 10, false),
     ),
     paper(
         "fig7",
         "Figure 7 — bandwidth, 32 KB, pre-post 10, blocking",
-        |_| bandwidth(&SCHEMES, 32768, 10, true),
+        |_| bandwidth(32768, 10, true),
     ),
     paper(
         "fig8",
         "Figure 8 — bandwidth, 32 KB, pre-post 10, non-blocking",
-        |_| bandwidth(&SCHEMES, 32768, 10, false),
+        |_| bandwidth(32768, 10, false),
     ),
     paper(
         "fig9",
@@ -206,11 +202,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
     extra(
         "chaos",
         "Chaos battery — 3-rank ring soak under escalating fault plans (seed {seed})",
-        |i| {
-            let mut runs = chaos::chaos_battery(i.seed);
-            runs.extend(chaos::chaos_battery_dyn(i.seed));
-            chaos::chaos_table(&runs)
-        },
+        |i| chaos::chaos_table(&chaos::chaos_battery(i.seed)),
     ),
     extra("ablation-buffer-size", "Eager buffer size sweep", |_| {
         ablations::buffer_size()

@@ -11,7 +11,6 @@
 use crate::micro::{bandwidth_test, latency_test, MicroParams};
 use crate::nas::{pool_memory, run_nas, NasRun, PoolMemory};
 use crate::report::table;
-use crate::{DYN_SCHEMES, SCHEMES};
 use ibfabric::FabricParams;
 use mpib::FlowControlScheme;
 use nasbench::common::Kernel;
@@ -27,8 +26,8 @@ pub const BW_WINDOWS: [u32; 7] = [1, 4, 8, 16, 32, 64, 100];
 pub struct Fig2Row {
     /// Message size in bytes.
     pub size: usize,
-    /// Latency per scheme, in [`SCHEMES`] order.
-    pub us: [f64; 4],
+    /// Latency per scheme, in [`FlowControlScheme::ALL`] order.
+    pub us: [f64; FlowControlScheme::ALL.len()],
 }
 
 /// Runs the Fig 2 sweep (pre-post 100, blocking ping-pong); one pool job
@@ -37,7 +36,7 @@ pub fn fig2_latency() -> Vec<Fig2Row> {
     let jobs: Vec<ibpool::Job<'_, f64>> = FIG2_SIZES
         .iter()
         .flat_map(|&size| {
-            SCHEMES.into_iter().map(move |scheme| {
+            FlowControlScheme::ALL.into_iter().map(move |scheme| {
                 ibpool::job(format!("fig2/size={size}/{}", scheme.label()), move || {
                     latency_test(
                         &MicroParams::new(scheme, 100),
@@ -54,7 +53,7 @@ pub fn fig2_latency() -> Vec<Fig2Row> {
         .enumerate()
         .map(|(r, &size)| Fig2Row {
             size,
-            us: std::array::from_fn(|i| us[SCHEMES.len() * r + i]),
+            us: std::array::from_fn(|i| us[FlowControlScheme::ALL.len() * r + i]),
         })
         .collect()
 }
@@ -69,49 +68,42 @@ pub fn fig2_table(rows: &[Fig2Row]) -> String {
             row
         })
         .collect();
-    scheme_table("size(B)", &SCHEMES, "us", &data)
+    scheme_table(&["size(B)"], "us", &[], &data)
 }
 
-/// A table with a `first` column, then one column per scheme headed by
-/// its label and `unit`.
-fn scheme_table(
-    first: &str,
-    schemes: &[FlowControlScheme],
-    unit: &str,
-    data: &[Vec<String>],
-) -> String {
-    let headers: Vec<String> = std::iter::once(first.to_string())
-        .chain(schemes.iter().map(|s| format!("{}({unit})", s.label())))
+/// A table headed by the `lead` columns, then one column per scheme
+/// headed by its label (with `(unit)` unless `unit` is empty), then the
+/// `trail` columns.
+fn scheme_table(lead: &[&str], unit: &str, trail: &[&str], data: &[Vec<String>]) -> String {
+    let schemes = FlowControlScheme::ALL.map(|s| match unit {
+        "" => s.label().to_string(),
+        _ => format!("{}({unit})", s.label()),
+    });
+    let headers: Vec<&str> = lead
+        .iter()
+        .copied()
+        .chain(schemes.iter().map(String::as_str))
+        .chain(trail.iter().copied())
         .collect();
-    table(
-        &headers.iter().map(String::as_str).collect::<Vec<_>>(),
-        data,
-    )
+    table(&headers, data)
 }
-
 /// One bandwidth-figure row: MB/s per scheme at one window size.
 pub struct BwRow {
     /// Window size (messages per burst).
     pub window: u32,
-    /// Bandwidth per scheme, in the order of the figure's scheme list, MB/s.
+    /// Bandwidth per scheme, in [`FlowControlScheme::ALL`] order, MB/s.
     pub mbps: Vec<f64>,
 }
 
 /// Runs one of the bandwidth figures (Figs 3–8 are parameterizations of
-/// this sweep) over `schemes`; one pool job per (window, scheme) cell.
-/// Figs 5/6 pass [`DYN_SCHEMES`]: there the window overruns the pre-post
-/// depth, the static ring (sized to the pre-post depth) starves and the
-/// grown ring is the fix.
-pub fn bandwidth_figure(
-    schemes: &[FlowControlScheme],
-    size: usize,
-    prepost: u32,
-    blocking: bool,
-) -> Vec<BwRow> {
+/// this sweep); one pool job per (window, scheme) cell. In Figs 5/6 the
+/// window overruns the pre-post depth: the static ring (sized to the
+/// pre-post depth) starves and the grown ring is the fix.
+pub fn bandwidth_figure(size: usize, prepost: u32, blocking: bool) -> Vec<BwRow> {
     let jobs: Vec<ibpool::Job<'_, f64>> = BW_WINDOWS
         .iter()
         .flat_map(|&window| {
-            schemes.iter().map(move |&scheme| {
+            FlowControlScheme::ALL.into_iter().map(move |scheme| {
                 ibpool::job(
                     format!("bw/size={size}/pp={prepost}/w={window}/{}", scheme.label()),
                     move || {
@@ -129,7 +121,7 @@ pub fn bandwidth_figure(
     let mbps = ibpool::run_batch(jobs);
     BW_WINDOWS
         .into_iter()
-        .zip(mbps.chunks(schemes.len()))
+        .zip(mbps.chunks(FlowControlScheme::ALL.len()))
         .map(|(window, cells)| BwRow {
             window,
             mbps: cells.to_vec(),
@@ -137,8 +129,8 @@ pub fn bandwidth_figure(
         .collect()
 }
 
-/// Formats bandwidth rows measured over `schemes`.
-pub fn bandwidth_table(schemes: &[FlowControlScheme], rows: &[BwRow]) -> String {
+/// Formats bandwidth rows.
+pub fn bandwidth_table(rows: &[BwRow]) -> String {
     let data: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
@@ -147,18 +139,17 @@ pub fn bandwidth_table(schemes: &[FlowControlScheme], rows: &[BwRow]) -> String 
             row
         })
         .collect();
-    scheme_table("window", schemes, "MB/s", &data)
+    scheme_table(&["window"], "MB/s", &[], &data)
 }
 
 /// Fig 9 / Fig 10 / Tables 1–2 all come from the same application runs;
-/// this sweep runs every kernel under every scheme — including the
-/// dynamically-grown ring, whose pre-post-1 column is the Fig 10
-/// recovery story — at both pre-post depths.
+/// this sweep runs every kernel under every scheme at both pre-post
+/// depths.
 pub fn nas_battery(class: NasClass) -> Vec<NasRun> {
     let mut jobs: Vec<ibpool::Job<'_, NasRun>> = Vec::new();
     for kernel in Kernel::ALL {
         for prepost in [100u32, 1] {
-            for scheme in DYN_SCHEMES {
+            for scheme in FlowControlScheme::ALL {
                 jobs.push(ibpool::job(
                     format!("nas/{}/{}/pp={prepost}", kernel.name(), scheme.label()),
                     move || run_nas(kernel, class, scheme, prepost),
@@ -176,66 +167,44 @@ pub fn pick(runs: &[NasRun], kernel: Kernel, scheme: FlowControlScheme, prepost:
         .expect("battery is complete")
 }
 
-/// Fig 9 — NAS runtimes at pre-post 100.
+/// Fig 9 — NAS runtimes at pre-post 100, then user-static's overhead
+/// over hardware.
 pub fn fig9_table(runs: &[NasRun]) -> String {
     let data: Vec<Vec<String>> = Kernel::ALL
         .iter()
         .map(|&k| {
-            let hw = pick(runs, k, FlowControlScheme::Hardware, 100).time_ms;
-            let us = pick(runs, k, FlowControlScheme::UserStatic, 100).time_ms;
-            let ud = pick(runs, k, FlowControlScheme::UserDynamic, 100).time_ms;
-            let rc = pick(runs, k, FlowControlScheme::RdmaChannel, 100).time_ms;
-            vec![
-                k.name().to_string(),
-                format!("{}", k.paper_procs()),
-                format!("{hw:.2}"),
-                format!("{us:.2}"),
-                format!("{ud:.2}"),
-                format!("{rc:.2}"),
-                format!("{:+.1}%", (us / hw - 1.0) * 100.0),
-            ]
+            let ms = |scheme| pick(runs, k, scheme, 100).time_ms;
+            let mut row = vec![k.name().to_string(), k.paper_procs().to_string()];
+            row.extend(FlowControlScheme::ALL.map(|s| format!("{:.2}", ms(s))));
+            let (hw, us) = (
+                ms(FlowControlScheme::Hardware),
+                ms(FlowControlScheme::UserStatic),
+            );
+            row.push(format!("{:+.1}%", (us / hw - 1.0) * 100.0));
+            row
         })
         .collect();
-    table(
-        &[
-            "app",
-            "procs",
-            "hardware(ms)",
-            "user-static(ms)",
-            "user-dynamic(ms)",
-            "rdma-channel(ms)",
-            "static vs hw",
-        ],
-        &data,
-    )
+    scheme_table(&["app", "procs"], "ms", &["static vs hw"], &data)
 }
 
-/// Fig 10 — percentage degradation going from pre-post 100 to 1. Five
-/// columns: the rdma-channel column shows the static ring's starvation
-/// at a 1-deep ring, the rdma-channel-dyn column shows ring growth
-/// recovering most of it.
+/// Fig 10 — percentage degradation going from pre-post 100 to 1. The
+/// rdma-channel column shows the static ring's starvation at a 1-deep
+/// ring, the rdma-channel-dyn column shows ring growth recovering most
+/// of it.
 pub fn fig10_table(runs: &[NasRun]) -> String {
-    let mut data = Vec::new();
-    for k in Kernel::ALL {
-        let mut row = vec![k.name().to_string()];
-        for scheme in DYN_SCHEMES {
-            let base = pick(runs, k, scheme, 100).time_ms;
-            let one = pick(runs, k, scheme, 1).time_ms;
-            row.push(format!("{:+.1}%", (one / base - 1.0) * 100.0));
-        }
-        data.push(row);
-    }
-    table(
-        &[
-            "app",
-            "hardware",
-            "user-static",
-            "user-dynamic",
-            "rdma-channel",
-            "rdma-channel-dyn",
-        ],
-        &data,
-    )
+    let data: Vec<Vec<String>> = Kernel::ALL
+        .iter()
+        .map(|&k| {
+            let mut row = vec![k.name().to_string()];
+            row.extend(FlowControlScheme::ALL.map(|scheme| {
+                let base = pick(runs, k, scheme, 100).time_ms;
+                let one = pick(runs, k, scheme, 1).time_ms;
+                format!("{:+.1}%", (one / base - 1.0) * 100.0)
+            }));
+            row
+        })
+        .collect();
+    scheme_table(&["app"], "", &[], &data)
 }
 
 /// Table 1 — explicit credit messages, user-level static at pre-post 100.
@@ -275,12 +244,12 @@ pub fn table2(runs: &[NasRun]) -> String {
     table(&["app", "max posted buffers"], &data)
 }
 
-/// [`pool_memory`] of SP on its 16 ranks under the five schemes at both
+/// [`pool_memory`] of SP on its 16 ranks under every scheme at both
 /// pre-post depths: the rows of [`resident_memory_table`].
 pub fn resident_memory_sweep(class: NasClass) -> Vec<(FlowControlScheme, u32, PoolMemory)> {
     let mut rows = Vec::new();
     for prepost in [100u32, 1] {
-        for scheme in DYN_SCHEMES {
+        for scheme in FlowControlScheme::ALL {
             rows.push((
                 scheme,
                 prepost,
@@ -352,7 +321,7 @@ mod tests {
             assert!(
                 rc <= sr * 0.95,
                 "4 B: rdma-channel ({rc:.3} us) must beat {} ({sr:.3} us) by >=5%",
-                SCHEMES[i].label()
+                FlowControlScheme::ALL[i].label()
             );
         }
     }
@@ -360,7 +329,7 @@ mod tests {
     #[test]
     fn fig3_fig4_shape_all_comparable_at_pp100() {
         for blocking in [true, false] {
-            let rows = bandwidth_figure(&SCHEMES, 4, 100, blocking);
+            let rows = bandwidth_figure(4, 100, blocking);
             for r in &rows {
                 let max = r.mbps[..3].iter().cloned().fold(0.0, f64::max);
                 let min = r.mbps[..3].iter().cloned().fold(f64::INFINITY, f64::min);
@@ -384,10 +353,10 @@ mod tests {
     #[test]
     fn fig5_fig6_shape_static_worst_beyond_prepost() {
         for blocking in [true, false] {
-            let rows = bandwidth_figure(&SCHEMES, 4, 10, blocking);
+            let rows = bandwidth_figure(4, 10, blocking);
             for r in rows.iter().filter(|r| r.window > 10) {
-                let &[hw, stat, dyn_, _rc] = &r.mbps[..] else {
-                    panic!("four schemes, four columns: {:?}", r.mbps)
+                let &[hw, stat, dyn_, _rc, _rc_dyn] = &r.mbps[..] else {
+                    panic!("five schemes, five columns: {:?}", r.mbps)
                 };
                 assert!(
                     stat < hw && stat < dyn_,
@@ -420,7 +389,7 @@ mod tests {
     #[test]
     fn fig5_fig6_shape_dyn_ring_closes_the_starvation_cliff() {
         for blocking in [true, false] {
-            let rows = bandwidth_figure(&DYN_SCHEMES, 4, 10, blocking);
+            let rows = bandwidth_figure(4, 10, blocking);
             for r in rows.iter().filter(|r| r.window > 10) {
                 let &[_hw, _stat, _dyn_buf, rc_static, rc_dyn] = &r.mbps[..] else {
                     panic!("five schemes, five columns: {:?}", r.mbps)
@@ -476,8 +445,8 @@ mod tests {
 
     #[test]
     fn fig7_fig8_shape_rendezvous_insensitive_and_overlap_wins() {
-        let blocking = bandwidth_figure(&SCHEMES, 32 * 1024, 10, true);
-        let nonblocking = bandwidth_figure(&SCHEMES, 32 * 1024, 10, false);
+        let blocking = bandwidth_figure(32 * 1024, 10, true);
+        let nonblocking = bandwidth_figure(32 * 1024, 10, false);
         for (b, nb) in blocking.iter().zip(&nonblocking) {
             // All send/recv schemes comparable in each mode (rendezvous
             // handshakes keep the pattern symmetric)...

@@ -26,7 +26,6 @@ pub mod report;
 pub use experiments::EXPERIMENTS;
 pub use micro::{bandwidth_test, latency_test, BandwidthResult, MicroParams};
 
-use mpib::FlowControlScheme;
 use nasbench::NasClass;
 
 /// Parses a NAS class name (`test`, `w`, or `a`, case-insensitive).
@@ -55,36 +54,6 @@ pub fn nas_class_from_env() -> NasClass {
     nas_class_from_str(&raw)
         .unwrap_or_else(|| panic!("unrecognized IBFLOW_CLASS={raw:?}: expected one of test, w, a"))
 }
-
-/// The battery's schemes: the paper's three in presentation order, then
-/// the RDMA eager-channel companion design \[13\] as a fourth column.
-pub const SCHEMES: [FlowControlScheme; 4] = [
-    FlowControlScheme::Hardware,
-    FlowControlScheme::UserStatic,
-    FlowControlScheme::UserDynamic,
-    FlowControlScheme::RdmaChannel,
-];
-
-/// The extended battery: [`SCHEMES`] plus the dynamically-grown RDMA
-/// eager channel as a fifth column. Used by the figures where the static
-/// ring's starvation cliff is the point (Figs 5/6 and the Fig 10
-/// degradation table) so the growth protocol's recovery shows up next to
-/// the scheme it fixes.
-pub const DYN_SCHEMES: [FlowControlScheme; 5] = [
-    FlowControlScheme::Hardware,
-    FlowControlScheme::UserStatic,
-    FlowControlScheme::UserDynamic,
-    FlowControlScheme::RdmaChannel,
-    FlowControlScheme::RdmaChannelDyn,
-];
-
-/// The paper's original three send/recv schemes (used by comparisons that
-/// exclude the RDMA channel's different transport).
-pub const SEND_RECV_SCHEMES: [FlowControlScheme; 3] = [
-    FlowControlScheme::Hardware,
-    FlowControlScheme::UserStatic,
-    FlowControlScheme::UserDynamic,
-];
 
 #[cfg(test)]
 mod tests {

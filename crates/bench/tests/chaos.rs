@@ -3,9 +3,8 @@
 //! from the sim-owned RNG, never from host state), and the default-seed
 //! battery is pinned by a golden counter snapshot.
 //!
-//! The snapshots live at `bench_results/golden/chaos.json` (four-scheme
-//! battery) and `chaos_dyn.json` (dynamic-ring battery). After an
-//! *intentional* behaviour change, regenerate them with
+//! The snapshot lives at `bench_results/golden/chaos.json`. After an
+//! *intentional* behaviour change, regenerate it with
 //!
 //! ```sh
 //! IBFLOW_UPDATE_GOLDEN=1 cargo test -p ibflow-bench --test chaos
@@ -13,18 +12,10 @@
 //!
 //! and commit the diff alongside the change that explains it.
 
-use ibflow_bench::chaos::{
-    chaos_battery, chaos_battery_dyn, chaos_dyn_json, chaos_json, DEFAULT_SEED,
-};
-use std::path::PathBuf;
+mod common;
 
-fn golden_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../bench_results/golden/chaos.json")
-}
-
-fn dyn_golden_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../bench_results/golden/chaos_dyn.json")
-}
+use ibflow_bench::chaos::{chaos_battery, chaos_json, ChaosRun, DEFAULT_SEED};
+use mpib::FlowControlScheme;
 
 /// One test fn (not several) so the `IBFLOW_JOBS` writes can't race
 /// within this test binary.
@@ -33,12 +24,9 @@ fn chaos_battery_is_deterministic_and_matches_golden() {
     std::env::set_var(ibpool::JOBS_ENV, "1");
     let runs = chaos_battery(DEFAULT_SEED);
     let serial = chaos_json(&runs);
-    let dyn_runs = chaos_battery_dyn(DEFAULT_SEED);
-    let dyn_serial = chaos_dyn_json(&dyn_runs);
     std::env::set_var(ibpool::JOBS_ENV, "4");
     let parallel = chaos_json(&chaos_battery(DEFAULT_SEED));
     let parallel_again = chaos_json(&chaos_battery(DEFAULT_SEED));
-    let dyn_parallel = chaos_dyn_json(&chaos_battery_dyn(DEFAULT_SEED));
     std::env::remove_var(ibpool::JOBS_ENV);
 
     assert_eq!(
@@ -49,14 +37,10 @@ fn chaos_battery_is_deterministic_and_matches_golden() {
         parallel, parallel_again,
         "chaos battery differs between two identical IBFLOW_JOBS=4 runs"
     );
-    assert_eq!(
-        dyn_serial, dyn_parallel,
-        "dynamic-ring chaos battery differs between IBFLOW_JOBS=1 and =4"
-    );
 
     // The battery must actually exercise the recovery machinery: a quiet
     // report would mean the fault plans silently stopped firing.
-    let sum = |f: fn(&ibflow_bench::chaos::ChaosRun) -> u64| runs.iter().map(f).sum::<u64>();
+    let sum = |f: fn(&ChaosRun) -> u64| runs.iter().map(f).sum::<u64>();
     assert!(sum(|r| r.dropped) > 0, "no packet ever dropped");
     assert!(sum(|r| r.flap_drops) > 0, "flap window never fired");
     assert!(
@@ -68,16 +52,18 @@ fn chaos_battery_is_deterministic_and_matches_golden() {
     assert!(sum(|r| r.dup_suppressed) > 0, "no duplicate was suppressed");
     assert!(runs.iter().all(|r| r.ledger_ok), "a credit ledger leaked");
 
+    let rows_of = |scheme: FlowControlScheme| -> Vec<&ChaosRun> {
+        let rows: Vec<_> = runs.iter().filter(|r| r.scheme == scheme).collect();
+        assert_eq!(rows.len(), 3, "one {} run per chaos level", scheme.label());
+        rows
+    };
+
     // The RDMA-channel rows must exercise their own recovery story:
     // retransmitted RDMA WRITEs into the ring get duplicate-suppressed
     // (the storm level's delayed ACKs guarantee spurious retransmits),
-    // and ring-slot conservation held on every run (ledger_ok above now
+    // and ring-slot conservation held on every run (ledger_ok above
     // covers the ring ledger too).
-    let rc: Vec<_> = runs
-        .iter()
-        .filter(|r| r.scheme == mpib::FlowControlScheme::RdmaChannel)
-        .collect();
-    assert_eq!(rc.len(), 3, "one rdma-channel run per chaos level");
+    let rc = rows_of(FlowControlScheme::RdmaChannel);
     assert!(
         rc.iter().map(|r| r.retransmissions).sum::<u64>() > 0,
         "rdma-channel rows never retransmitted"
@@ -89,48 +75,29 @@ fn chaos_battery_is_deterministic_and_matches_golden() {
 
     // The dynamic-ring rows must actually exercise growth under fire:
     // every level grows at least once, displaced generations drain and
-    // retire, and the ledger check above already covered the ring slots.
+    // retire, and no other scheme ever grows a ring.
+    let dyn_rows = rows_of(FlowControlScheme::RdmaChannelDyn);
     assert!(
-        dyn_runs.iter().all(|r| r.ring_growth > 0),
+        dyn_rows.iter().all(|r| r.ring_growth > 0),
         "every dynamic-ring chaos level must trigger ring growth"
     );
     assert!(
-        dyn_runs.iter().map(|r| r.rings_retired).sum::<u64>() > 0,
+        dyn_rows.iter().map(|r| r.rings_retired).sum::<u64>() > 0,
         "no displaced ring generation ever retired under chaos"
     );
-    // Every level retransmits into the growing ring (the four-scheme
-    // battery's rdma-channel rows pin duplicate *suppression*; whether a
-    // dyn-row retransmission also races its own ACK into a duplicate is
-    // seed-dependent).
     assert!(
-        dyn_runs.iter().all(|r| r.retransmissions > 0),
+        runs.iter()
+            .filter(|r| !r.scheme.grows_ring())
+            .all(|r| r.ring_growth == 0 && r.rings_retired == 0),
+        "a scheme without ring growth grew a ring"
+    );
+    // Every level retransmits into the growing ring (the rdma-channel
+    // rows pin duplicate *suppression*; whether a dyn-row retransmission
+    // also races its own ACK into a duplicate is seed-dependent).
+    assert!(
+        dyn_rows.iter().all(|r| r.retransmissions > 0),
         "a dynamic-ring chaos level never retransmitted"
     );
-    assert!(dyn_runs.iter().all(|r| r.ledger_ok));
 
-    for (path, got, label) in [
-        (golden_path(), &serial, "chaos"),
-        (dyn_golden_path(), &dyn_serial, "chaos_dyn"),
-    ] {
-        if std::env::var("IBFLOW_UPDATE_GOLDEN").is_ok() {
-            std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-            std::fs::write(&path, got).unwrap();
-            eprintln!("{label} golden snapshot updated: {}", path.display());
-            continue;
-        }
-        let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            panic!(
-                "missing golden snapshot {} ({e}); generate it with \
-                 IBFLOW_UPDATE_GOLDEN=1 cargo test -p ibflow-bench --test chaos",
-                path.display()
-            )
-        });
-        assert!(
-            *got == want,
-            "{label} battery drifted from the golden snapshot.\n\
-             If this change is intentional, regenerate with\n\
-             IBFLOW_UPDATE_GOLDEN=1 cargo test -p ibflow-bench --test chaos\n\
-             --- got ---\n{got}\n--- want ---\n{want}"
-        );
-    }
+    common::check_golden("chaos", &serial);
 }

@@ -13,13 +13,10 @@
 //!
 //! and commit the diff alongside the change that explains it.
 
+mod common;
+
 use ibflow_bench::chaos::DEFAULT_SEED;
 use ibflow_bench::ckpt::{ckpt_json, ckpt_ladder, ckpt_scaling, SNAP_EPOCH};
-use std::path::PathBuf;
-
-fn golden_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../bench_results/golden/ckpt.json")
-}
 
 /// One test fn (not several) so the `IBFLOW_JOBS` writes can't race
 /// within this test binary.
@@ -95,25 +92,5 @@ fn ckpt_ladder_is_deterministic_and_matches_golden() {
         );
     }
 
-    let path = golden_path();
-    if std::env::var("IBFLOW_UPDATE_GOLDEN").is_ok() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, &serial).unwrap();
-        eprintln!("ckpt golden snapshot updated: {}", path.display());
-        return;
-    }
-    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden snapshot {} ({e}); generate it with \
-             IBFLOW_UPDATE_GOLDEN=1 cargo test -p ibflow-bench --test ckpt",
-            path.display()
-        )
-    });
-    assert!(
-        serial == want,
-        "ckpt ladder drifted from the golden snapshot.\n\
-         If this change is intentional, regenerate with\n\
-         IBFLOW_UPDATE_GOLDEN=1 cargo test -p ibflow-bench --test ckpt\n\
-         --- got ---\n{serial}\n--- want ---\n{want}"
-    );
+    common::check_golden("ckpt", &serial);
 }

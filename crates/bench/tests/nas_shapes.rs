@@ -41,11 +41,7 @@ fn fig9_shape_schemes_comparable_at_pp100() {
 fn fig10_shape_insensitive_kernels() {
     // Paper: IS, FT, SP and BT degrade at most ~2% going to one buffer.
     for kernel in [Kernel::Ft, Kernel::Bt] {
-        for scheme in [
-            FlowControlScheme::Hardware,
-            FlowControlScheme::UserStatic,
-            FlowControlScheme::UserDynamic,
-        ] {
+        for scheme in FlowControlScheme::ALL {
             let base = run(kernel, scheme, 100).time_ms;
             let one = run(kernel, scheme, 1).time_ms;
             let drop = one / base - 1.0;

@@ -48,13 +48,13 @@
 //! # Elastic replacement
 //!
 //! [`RestoreOptions::replace`] models a node killed by the fault plane and
-//! hot-swapped: the victim's QPs (both ends) are reset and re-established
-//! through the normal [`ibfabric::connect`] path, the transport counters
-//! captured from the snapshot are re-applied, and the replacement rank is
-//! spawned from the victim's own blob — re-registering its regions (the
-//! fabric image recreates them at their original indices) and re-seeding
-//! its credit and ring ledgers. Reconnecting a quiescent QP schedules no
-//! events, so the replacement run stays byte-identical to the golden.
+//! hot-swapped. At a quiesce fence a replacement is a restore: every rank,
+//! the victim included, is spawned from its own blob, and the fabric image
+//! recreates the victim's QPs in their connected state and its regions at
+//! their original indices, so the replacement re-seeds its credit and ring
+//! ledgers and needs no new handshake. The option marks the world as
+//! having rejoined one rank ([`crate::WorldStats::rejoined_ranks`]); the
+//! run stays byte-identical to the golden.
 //!
 //! What is **not** in a snapshot: configuration. [`MpiConfig`],
 //! [`FabricParams`] and any [`ibfabric::FaultPlan`] are supplied again at
@@ -274,9 +274,8 @@ impl<R> CkptRun<R> {
 /// How to resume a [`Snapshot`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RestoreOptions {
-    /// Hot-swap this rank: its QPs are torn to Reset and re-established
-    /// through the normal connection path, its transport counters
-    /// re-applied, and its coroutine respawned from its own blob — the
+    /// Hot-swap this rank: its coroutine is respawned from its own blob
+    /// like every other rank's, and the run reports it as rejoined — the
     /// elastic-replacement model for a node the fault plane killed.
     pub replace: Option<Rank>,
     /// Stop again at this (strictly later) checkpoint epoch, producing a
@@ -579,7 +578,7 @@ fn encode_conn(c: &Conn, w: &mut Writer) {
     w.bool(c.ring_gen_ack_pending);
     w.bool(c.ring_growth_pending);
     // Run-filled statistics only: the ledger-snapshot fields stay zero
-    // until `finish_stats` and are recomputed there from the live ledger.
+    // here; `MpiRank::stats` fills them from the live ledger.
     w.u64(c.stats.msgs_sent.get());
     w.u64(c.stats.eager_sent.get());
     w.u64(c.stats.ring_sent.get());
@@ -1061,31 +1060,6 @@ impl MpiWorld {
             rank_blobs: vec![None; nprocs],
         };
         let sim = Sim::resume(fabric, sim_config, snapshot.clock);
-        if let Some(victim) = opts.replace {
-            // Elastic replacement: the victim's connections (both ends) go
-            // back through the normal handshake, then the snapshot's
-            // transport counters are re-applied. The re-registration of
-            // the victim's regions is modeled by the fabric image having
-            // recreated them at their original indices. Reconnecting a
-            // quiescent QP launches nothing, so no event sequence numbers
-            // are consumed and byte-identity with the golden holds.
-            sim.with_world(|ctx| {
-                for j in 0..nprocs {
-                    if j == victim {
-                        continue;
-                    }
-                    let mine = world::qp_id_for(nprocs, victim, j);
-                    let theirs = world::qp_id_for(nprocs, j, victim);
-                    let tm = ibfabric::qp_transport(ctx.world, mine);
-                    let tt = ibfabric::qp_transport(ctx.world, theirs);
-                    ibfabric::reset_qp_for_reconnect(ctx.world, mine);
-                    ibfabric::reset_qp_for_reconnect(ctx.world, theirs);
-                    ibfabric::connect(ctx, mine, theirs);
-                    ibfabric::apply_qp_transport(ctx.world, mine, tm);
-                    ibfabric::apply_qp_transport(ctx.world, theirs, tt);
-                }
-            });
-        }
         let restored = images
             .into_iter()
             .enumerate()

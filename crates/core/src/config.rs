@@ -31,6 +31,17 @@ pub enum FlowControlScheme {
 }
 
 impl FlowControlScheme {
+    /// Every scheme, in presentation order: the paper's three, then the
+    /// RDMA eager channel and its grown ring. The one place the list is
+    /// written; a sweep that wants fewer filters it by a predicate.
+    pub const ALL: [FlowControlScheme; 5] = [
+        FlowControlScheme::Hardware,
+        FlowControlScheme::UserStatic,
+        FlowControlScheme::UserDynamic,
+        FlowControlScheme::RdmaChannel,
+        FlowControlScheme::RdmaChannelDyn,
+    ];
+
     /// True for the schemes with MPI-level credit accounting (everything
     /// except the hardware scheme).
     pub const fn is_user_level(self) -> bool {

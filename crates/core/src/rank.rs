@@ -134,7 +134,7 @@ impl MpiRank {
             unexpected: VecDeque::new(),
             regcache,
             landing_lanes: Vec::new(),
-            stats: RankStats::new(setup.size),
+            stats: RankStats::default(),
             outstanding_ctrl: 0,
             pending_charge: SimDuration::ZERO,
             next_ctx: 1,
@@ -339,9 +339,36 @@ impl MpiRank {
         self.conn(peer).credits.held
     }
 
-    /// Snapshot of this rank's statistics.
-    pub fn stats(&self) -> &RankStats {
-        &self.stats
+    /// Snapshot of this rank's statistics: the rank-wide counters, each
+    /// connection's live counters with both credit windows' ledger, and
+    /// the pin-down cache counters.
+    pub fn stats(&self) -> RankStats {
+        let conn_stats = |c: &Conn| {
+            let mut cs = c.stats.clone();
+            let (w, r) = (&c.credits, &c.ring);
+            cs.credits_granted.add(w.granted_total);
+            cs.credits_spent.add(w.spent_total);
+            cs.credits_held.add(u64::from(w.held));
+            cs.credits_consumed.add(w.consumed_total);
+            cs.credits_returned.add(w.returned_total);
+            cs.credits_pending.add(u64::from(w.pending));
+            cs.ring_granted.add(r.granted_total);
+            cs.ring_spent.add(r.spent_total);
+            cs.ring_held.add(u64::from(r.held));
+            cs.ring_consumed.add(r.consumed_total);
+            cs.ring_returned.add(r.returned_total);
+            cs.ring_pending.add(u64::from(r.pending));
+            cs
+        };
+        let mut stats = self.stats.clone();
+        stats.conns = self
+            .conns
+            .iter()
+            .map(|conn| conn.as_ref().map(conn_stats).unwrap_or_default())
+            .collect();
+        stats.regcache_hits.add(self.regcache.hits.get());
+        stats.regcache_misses.add(self.regcache.misses.get());
+        stats
     }
 
     /// Fabric failures this rank has observed so far (empty on clean
@@ -350,34 +377,14 @@ impl MpiRank {
         &self.stats.faults
     }
 
-    pub(crate) fn finish_stats(&mut self) -> RankStats {
-        // Fold per-conn stats, the final snapshot of both credit windows,
-        // and regcache counters into the report. Conservation is asserted
-        // here in every build profile (the per-sweep check is debug-only),
-        // so a release run cannot leak a credit silently.
-        for (peer, conn) in self.conns.iter().enumerate() {
-            if let Some(c) = conn {
-                c.assert_conserved();
-                let mut cs = c.stats.clone();
-                let (w, r) = (&c.credits, &c.ring);
-                cs.credits_granted.add(w.granted_total);
-                cs.credits_spent.add(w.spent_total);
-                cs.credits_held.add(u64::from(w.held));
-                cs.credits_consumed.add(w.consumed_total);
-                cs.credits_returned.add(w.returned_total);
-                cs.credits_pending.add(u64::from(w.pending));
-                cs.ring_granted.add(r.granted_total);
-                cs.ring_spent.add(r.spent_total);
-                cs.ring_held.add(u64::from(r.held));
-                cs.ring_consumed.add(r.consumed_total);
-                cs.ring_returned.add(r.returned_total);
-                cs.ring_pending.add(u64::from(r.pending));
-                self.stats.conns[peer] = cs;
-            }
+    /// The final [`MpiRank::stats`]. Conservation is asserted here in
+    /// every build profile (the per-sweep check is debug-only), so a
+    /// release run cannot leak a credit silently.
+    pub(crate) fn finish_stats(&self) -> RankStats {
+        for c in self.conns.iter().flatten() {
+            c.assert_conserved();
         }
-        self.stats.regcache_hits.add(self.regcache.hits.get());
-        self.stats.regcache_misses.add(self.regcache.misses.get());
-        self.stats.clone()
+        self.stats()
     }
 
     /// Finalize: drain all outstanding traffic, synchronize with every

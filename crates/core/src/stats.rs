@@ -105,13 +105,6 @@ pub struct RankStats {
 }
 
 impl RankStats {
-    pub(crate) fn new(size: usize) -> Self {
-        RankStats {
-            conns: vec![ConnStats::default(); size],
-            ..Default::default()
-        }
-    }
-
     /// Total explicit credit messages sent by this rank.
     pub fn total_ecm(&self) -> u64 {
         self.conns.iter().map(|c| c.ecm_sent.get()).sum()
@@ -214,7 +207,13 @@ mod tests {
     #[test]
     fn table_extractors() {
         let mut ws = WorldStats {
-            ranks: vec![RankStats::new(2), RankStats::new(2)],
+            ranks: vec![
+                RankStats {
+                    conns: vec![ConnStats::default(); 2],
+                    ..Default::default()
+                };
+                2
+            ],
             ..Default::default()
         };
         ws.ranks[0].conns[1].ecm_sent.add(4);

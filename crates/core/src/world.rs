@@ -441,13 +441,8 @@ mod tests {
         // second), from the one before a barrier frame in slot 0. The
         // RDMA channel lands the same frames in ring slots instead.
         let resident = 4 * ((BUF + HEADER_LEN) + HEADER_LEN);
-        for (scheme, ring_slots) in [
-            (FlowControlScheme::Hardware, 32),
-            (FlowControlScheme::UserStatic, 32),
-            (FlowControlScheme::UserDynamic, 32),
-            (FlowControlScheme::RdmaChannel, 4),
-            (FlowControlScheme::RdmaChannelDyn, 4),
-        ] {
+        for scheme in FlowControlScheme::ALL {
+            let ring_slots = if scheme.uses_ring() { 4 } else { 32 };
             let out = MpiWorld::run(
                 4,
                 MpiConfig::scheme(scheme, 4),

@@ -14,14 +14,6 @@ use mpib::{
 const EPOCHS: u64 = 3;
 const NPROCS: usize = 4;
 
-const SCHEMES: [FlowControlScheme; 5] = [
-    FlowControlScheme::Hardware,
-    FlowControlScheme::UserStatic,
-    FlowControlScheme::UserDynamic,
-    FlowControlScheme::RdmaChannel,
-    FlowControlScheme::RdmaChannelDyn,
-];
-
 /// A checkpoint-aware SPMD body: each epoch runs an eager burst plus one
 /// rendezvous-sized hop around the ring, then takes a coordinated
 /// checkpoint carrying the running checksum as application state. On
@@ -121,7 +113,7 @@ fn assert_matches_golden(scheme: FlowControlScheme, g: &MpiRunOutput<u64>, r: &M
 /// a serialization round trip before the restore.
 #[test]
 fn restore_and_resume_is_byte_identical_across_schemes() {
-    for scheme in SCHEMES {
+    for scheme in FlowControlScheme::ALL {
         let g = golden(cfg_for(scheme));
         assert_eq!(g.stats.restores, 0);
         for epoch in 1..EPOCHS {

@@ -15,14 +15,6 @@ use mpib::{
 };
 use testutil::prop::{check, shrink, Case, Gen};
 
-const SCHEMES: [FlowControlScheme; 5] = [
-    FlowControlScheme::Hardware,
-    FlowControlScheme::UserStatic,
-    FlowControlScheme::UserDynamic,
-    FlowControlScheme::RdmaChannel,
-    FlowControlScheme::RdmaChannelDyn,
-];
-
 const NPROCS: usize = 3;
 const EPOCHS: u64 = 3;
 
@@ -101,7 +93,7 @@ impl CkptCase {
     fn cfg(&self) -> MpiConfig {
         MpiConfig {
             fault_plan: Some(self.plan()),
-            ..MpiConfig::scheme(SCHEMES[self.scheme_idx], 4)
+            ..MpiConfig::scheme(FlowControlScheme::ALL[self.scheme_idx], 4)
         }
     }
 }
@@ -109,7 +101,7 @@ impl CkptCase {
 impl Case for CkptCase {
     fn generate(g: &mut Gen) -> Self {
         CkptCase {
-            scheme_idx: g.index(SCHEMES.len()),
+            scheme_idx: g.index(FlowControlScheme::ALL.len()),
             snap_epoch: u64::from(g.u32_in(1..EPOCHS as u32)),
             drop_milli: g.u32_in(0..26),
             corrupt_milli: g.u32_in(0..11),

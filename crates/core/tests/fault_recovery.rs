@@ -7,12 +7,6 @@ use ibfabric::{CqeStatus, FabricParams, FaultPlan};
 use mpib::{FlowControlScheme, MpiConfig, MpiWorld};
 use testutil::prop::{check, shrink, Case, Gen};
 
-const SCHEMES: [FlowControlScheme; 3] = [
-    FlowControlScheme::Hardware,
-    FlowControlScheme::UserStatic,
-    FlowControlScheme::UserDynamic,
-];
-
 /// Every packet dropped and a finite retry budget: the transport gives
 /// up, the progress engine tears the connection down, and both ranks
 /// finish with typed faults instead of panicking or hanging.
@@ -137,7 +131,7 @@ fn inert_plan_is_transparent_at_mpi_level() {
 /// arrives intact, no faults are recorded, and the ledgers balance.
 #[test]
 fn lossy_fabric_with_infinite_retry_delivers_everything() {
-    for scheme in SCHEMES {
+    for scheme in FlowControlScheme::ALL {
         let cfg = MpiConfig {
             fault_plan: Some(FaultPlan::new(0xBEEF).with_drop(0.05).with_corrupt(0.02)),
             ..MpiConfig::scheme(scheme, 3)
@@ -186,7 +180,7 @@ struct StormCase {
 impl Case for StormCase {
     fn generate(g: &mut Gen) -> Self {
         StormCase {
-            scheme_idx: g.index(SCHEMES.len()),
+            scheme_idx: g.index(FlowControlScheme::ALL.len()),
             prepost: g.u32_in(1..4),
             nmsgs: g.usize_in(4..24),
             max_size: g.usize_in(16..6000),
@@ -230,7 +224,7 @@ fn credit_ledger_conserved_under_rnr_storms_and_loss() {
     check::<StormCase>("fault::ledger_conservation", 20, |c| {
         let cfg = MpiConfig {
             fault_plan: Some(FaultPlan::new(c.seed).with_drop(f64::from(c.drop_milli) / 1000.0)),
-            ..MpiConfig::scheme(SCHEMES[c.scheme_idx], c.prepost)
+            ..MpiConfig::scheme(FlowControlScheme::ALL[c.scheme_idx], c.prepost)
         };
         let nmsgs = c.nmsgs;
         let max_size = c.max_size;
@@ -259,7 +253,7 @@ fn credit_ledger_conserved_under_rnr_storms_and_loss() {
         assert!(
             out.stats.all_ledgers_conserved(),
             "credit ledger leaked under scheme {:?}",
-            SCHEMES[c.scheme_idx]
+            FlowControlScheme::ALL[c.scheme_idx]
         );
     });
 }

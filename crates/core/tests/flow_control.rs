@@ -1,4 +1,4 @@
-//! Behavioural tests of the three flow control schemes: credit accounting,
+//! Behavioural tests of the flow control schemes: credit accounting,
 //! backlog, explicit credit messages, dynamic growth, the optimistic /
 //! RDMA / naive-gated credit paths, and hardware RNR behaviour.
 
@@ -314,14 +314,37 @@ fn small_sends_are_buffered_but_large_sends_are_synchronous() {
 #[test]
 fn prepost_one_works_under_all_schemes() {
     // The paper's extreme case (Fig. 10): a single pre-posted buffer.
-    for scheme in [
-        FlowControlScheme::Hardware,
-        FlowControlScheme::UserStatic,
-        FlowControlScheme::UserDynamic,
-    ] {
+    for scheme in FlowControlScheme::ALL {
         let cfg = MpiConfig::scheme(scheme, 1);
         let out = burst_run(cfg, 25);
         assert_eq!(out.results[1], (0..25).sum::<u32>() as u64, "{scheme:?}");
+    }
+}
+
+/// `MpiRank::stats` read inside the body is the live report: the
+/// per-connection counters and ledger are already there, not zeros
+/// waiting for the final report.
+#[test]
+fn stats_read_in_the_body_are_live() {
+    let cfg = MpiConfig::scheme(FlowControlScheme::UserStatic, 2);
+    let out = MpiWorld::run(2, cfg, FabricParams::mt23108(), async |mpi| {
+        for i in 0..20u32 {
+            if mpi.rank() == 0 {
+                mpi.send(&i.to_le_bytes(), 1, 0).await;
+            } else {
+                mpi.recv(Some(0), Some(0)).await;
+            }
+        }
+        let s = mpi.stats();
+        let conserved = s.conns.iter().all(|c| c.ledger_conserved());
+        (s.total_msgs_sent(), s.max_posted_any_conn(), conserved)
+    })
+    .unwrap();
+    for (live, last) in out.results.iter().zip(&out.stats.ranks) {
+        let &(sent, posted, conserved) = live;
+        assert!(sent > 0 && sent <= last.total_msgs_sent(), "{live:?}");
+        assert_eq!(posted, 2, "{live:?}");
+        assert!(conserved, "{live:?}");
     }
 }
 
@@ -477,11 +500,11 @@ fn setup_shape_run(cfg: MpiConfig, shape: SetupShape) -> mpib::MpiRunOutput<()> 
 /// mailbox from its first completion on, so RDMA credit returns reach it.
 #[test]
 fn on_demand_setup_with_a_free_handshake_is_eager_setup() {
-    for scheme in [
-        FlowControlScheme::Hardware,
-        FlowControlScheme::UserStatic,
-        FlowControlScheme::UserDynamic,
-    ] {
+    // `validate` rejects on-demand setup under the ring schemes.
+    for scheme in FlowControlScheme::ALL
+        .into_iter()
+        .filter(|s| !s.uses_ring())
+    {
         for credit_msg_mode in [CreditMsgMode::Optimistic, CreditMsgMode::Rdma] {
             for shape in [SetupShape::InitiatorBurst, SetupShape::PassiveStream] {
                 let eager = MpiConfig {

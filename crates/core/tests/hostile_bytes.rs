@@ -94,14 +94,6 @@ static ALLOC: PeakAlloc = PeakAlloc;
 /// near the 2^31 and up that a flipped high bit claims.
 const LARGEST_ALLOWED: usize = 16 << 20;
 
-const SCHEMES: [FlowControlScheme; 5] = [
-    FlowControlScheme::Hardware,
-    FlowControlScheme::UserStatic,
-    FlowControlScheme::UserDynamic,
-    FlowControlScheme::RdmaChannel,
-    FlowControlScheme::RdmaChannelDyn,
-];
-
 const NPROCS: usize = 3;
 const RAN: &str = "hostile_bytes: a rank ran";
 
@@ -264,7 +256,7 @@ impl Case for HostileContainer {
             Damage::Flips(g.vec(1..5, |g| g.u64_in(0..u64::MAX)))
         };
         HostileContainer {
-            scheme_idx: g.index(SCHEMES.len()),
+            scheme_idx: g.index(FlowControlScheme::ALL.len()),
             damage,
         }
     }
@@ -299,12 +291,15 @@ fn silence_started_ranks() {
 #[test]
 fn damaged_container_is_refused_or_decodes() {
     silence_started_ranks();
-    let honest: Vec<Vec<u8>> = SCHEMES.iter().map(|&s| container(s)).collect();
-    for (bytes, &scheme) in honest.iter().zip(&SCHEMES) {
+    let honest: Vec<Vec<u8>> = FlowControlScheme::ALL
+        .iter()
+        .map(|&s| container(s))
+        .collect();
+    for (bytes, &scheme) in honest.iter().zip(&FlowControlScheme::ALL) {
         assert!(decodes(scheme, bytes), "{scheme:?}: the honest container");
     }
     check::<HostileContainer>("ckpt::hostile_container", 400, |c| {
-        let scheme = SCHEMES[c.scheme_idx];
+        let scheme = FlowControlScheme::ALL[c.scheme_idx];
         let bytes = &honest[c.scheme_idx];
         match &c.damage {
             Damage::Flips(flips) => {

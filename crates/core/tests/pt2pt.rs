@@ -1,17 +1,11 @@
-//! Point-to-point semantics across all three flow control schemes.
+//! Point-to-point semantics across every flow control scheme.
 
 use ibfabric::FabricParams;
 use mpib::{FlowControlScheme, MpiConfig, MpiWorld};
 
-const SCHEMES: [FlowControlScheme; 3] = [
-    FlowControlScheme::Hardware,
-    FlowControlScheme::UserStatic,
-    FlowControlScheme::UserDynamic,
-];
-
 #[test]
 fn eager_roundtrip_all_schemes() {
-    for scheme in SCHEMES {
+    for scheme in FlowControlScheme::ALL {
         let cfg = MpiConfig::scheme(scheme, 10);
         let out = MpiWorld::run(2, cfg, FabricParams::mt23108(), async move |mpi| {
             if mpi.rank() == 0 {
@@ -35,7 +29,7 @@ fn eager_roundtrip_all_schemes() {
 
 #[test]
 fn rendezvous_large_message_all_schemes() {
-    for scheme in SCHEMES {
+    for scheme in FlowControlScheme::ALL {
         let cfg = MpiConfig::scheme(scheme, 10);
         let n = 300_000usize;
         let out = MpiWorld::run(2, cfg, FabricParams::mt23108(), async move |mpi| {

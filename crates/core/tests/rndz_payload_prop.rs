@@ -21,14 +21,6 @@ use ibsim::{SimDuration, SimTime};
 use mpib::{FlowControlScheme, MpiConfig, MpiWorld};
 use testutil::prop::{check, shrink, Case, Gen};
 
-const SCHEMES: [FlowControlScheme; 5] = [
-    FlowControlScheme::Hardware,
-    FlowControlScheme::UserStatic,
-    FlowControlScheme::UserDynamic,
-    FlowControlScheme::RdmaChannel,
-    FlowControlScheme::RdmaChannelDyn,
-];
-
 /// Message sizes: 4 B and 1984 B are eager (1984 is the threshold; under
 /// a starved pool or a full ring they convert to rendezvous in classes 4
 /// and 2048), 1985 B and 2048 B are the smallest rendezvous (class 2048),
@@ -240,7 +232,7 @@ impl LaneCase {
 
     /// The property: under every scheme, every message arrives as sent.
     fn check_all_schemes(&self) {
-        for scheme in SCHEMES {
+        for scheme in FlowControlScheme::ALL {
             let out = self.run(scheme);
             let bad = &out.results[0];
             assert!(
@@ -303,7 +295,7 @@ fn starved_bursts_convert_and_grow_the_ring_mid_burst() {
             mixed: false,
         }],
     };
-    for scheme in SCHEMES {
+    for scheme in FlowControlScheme::ALL {
         let out = case.run(scheme);
         assert_eq!(out.results[0], Vec::<String>::new(), "{}", scheme.label());
         let to_receiver = &out.stats.ranks[1].conns[0];
@@ -406,7 +398,7 @@ fn lanes_of_a_dead_peer_are_reusable() {
         assert!(out.stats.all_ledgers_conserved(), "{}", scheme.label());
         (out.fabric.mr_count(), out.fabric.registered_bytes())
     };
-    for scheme in SCHEMES {
+    for scheme in FlowControlScheme::ALL {
         assert_eq!(
             regions_after(scheme, true),
             regions_after(scheme, false),

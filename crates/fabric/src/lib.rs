@@ -103,9 +103,6 @@ pub use fault::{FaultPlan, FlapScope, LinkFaultRates, LinkFlap};
 pub use mem::{Access, Mr, MrId};
 pub use params::FabricParams;
 pub use qp::{QpAttrs, QpId, QpState};
-pub use snap::{
-    apply_qp_transport, encode_fabric, qp_transport, reset_qp_for_reconnect, restore_fabric,
-    CkptBus, QpTransport,
-};
+pub use snap::{encode_fabric, restore_fabric, CkptBus};
 pub use stats::{FabricStats, QpStats};
 pub use wr::{Cqe, CqeOpcode, CqeStatus, RecvWr, SendOp, SendWr};

@@ -69,85 +69,6 @@ pub struct CkptBus {
     pub rank_blobs: Vec<Option<Vec<u8>>>,
 }
 
-/// The transport-level counters of one QP that survive an elastic
-/// reconnect: after [`reset_qp_for_reconnect`] and a fresh
-/// [`crate::connect`], re-applying these makes the rebuilt connection
-/// indistinguishable from one that was never torn down — which is what
-/// lets a kill-and-replace run stay byte-identical to the uninterrupted
-/// golden.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct QpTransport {
-    /// Next message sequence number the requester will assign.
-    pub next_msn: u64,
-    /// Credits the peer advertised, minus optimistic decrements.
-    pub adv_credits: u32,
-    /// Send-type messages in flight (zero at any fence).
-    pub unacked_sends: u32,
-    /// Next message sequence number expected from the peer.
-    pub expected_msn: u64,
-    /// Consecutive unproductive ACK timeouts (backoff ladder position).
-    pub timeout_streak: u32,
-    /// RNR backoff horizon (stale at a fence, but part of the image).
-    pub backoff_until: Option<SimTime>,
-    /// ACK-timeout horizon of the oldest unacknowledged message. Stale at
-    /// a fence — the next launch rebases it — but carried so a reconnected
-    /// QP serializes byte-for-byte like an untouched one.
-    pub retry_deadline: SimTime,
-}
-
-/// Reads the reconnect-surviving transport counters of `qp`.
-pub fn qp_transport(f: &Fabric, qp: QpId) -> QpTransport {
-    let q = &f.qps[qp.index()];
-    QpTransport {
-        next_msn: q.next_msn,
-        adv_credits: q.adv_credits,
-        unacked_sends: q.unacked_sends,
-        expected_msn: q.expected_msn,
-        timeout_streak: q.timeout_streak,
-        backoff_until: q.backoff_until,
-        retry_deadline: q.retry_deadline,
-    }
-}
-
-/// Re-applies transport counters captured by [`qp_transport`] onto a QP
-/// that has been reset and reconnected.
-pub fn apply_qp_transport(f: &mut Fabric, qp: QpId, t: QpTransport) {
-    let q = &mut f.qps[qp.index()];
-    q.next_msn = t.next_msn;
-    q.adv_credits = t.adv_credits;
-    q.unacked_sends = t.unacked_sends;
-    q.expected_msn = t.expected_msn;
-    q.timeout_streak = t.timeout_streak;
-    q.backoff_until = t.backoff_until;
-    q.retry_deadline = t.retry_deadline;
-}
-
-/// Returns a quiescent QP to the [`QpState::Reset`] state so it can go
-/// through [`crate::connect`] again — the elastic-replacement path, where
-/// a hot-swapped rank re-establishes its connections through the normal
-/// handshake. Posted receive WQEs are deliberately *kept*: the replacement
-/// re-advertises them as initial credits during connect, exactly as a
-/// fresh rank that pre-posted its slab would.
-pub fn reset_qp_for_reconnect(f: &mut Fabric, qp: QpId) {
-    let q = &mut f.qps[qp.index()];
-    assert!(
-        q.sq.is_empty() && q.inflight.is_empty(),
-        "resetting a QP with live work (qp {}): reconnect is only legal at a quiesce fence",
-        qp.index()
-    );
-    q.peer = None;
-    q.state = QpState::Reset;
-    q.next_msn = 0;
-    q.adv_credits = 0;
-    q.unacked_sends = 0;
-    q.backoff_until = None;
-    q.pump_scheduled = false;
-    q.retry_armed = false;
-    q.retry_deadline = SimTime::ZERO;
-    q.timeout_streak = 0;
-    q.expected_msn = 0;
-}
-
 fn state_tag(s: QpState) -> u8 {
     match s {
         QpState::Reset => 0,
@@ -1108,34 +1029,5 @@ mod tests {
             restore_fabric(&mut fresh, &mut Reader::new(&[0u8; 16])).unwrap_err()
         };
         assert!(matches!(err2, CodecError::BadTag { .. }), "{err2}");
-    }
-
-    #[test]
-    fn reset_and_reconnect_restores_transport_numbers() {
-        let f = exercised_fabric(None);
-        let bytes = image(&f);
-        let mut restored = Fabric::new(FabricParams::mt23108());
-        restore_fabric(&mut restored, &mut Reader::new(&bytes)).unwrap();
-        let ta = qp_transport(&restored, QpId(0));
-        let tb = qp_transport(&restored, QpId(1));
-        reset_qp_for_reconnect(&mut restored, QpId(0));
-        reset_qp_for_reconnect(&mut restored, QpId(1));
-        assert_eq!(restored.qp(QpId(0)).state(), QpState::Reset);
-        let rq_before = restored.qp(QpId(1)).posted_recvs();
-        let sim = Sim::new(restored, SimConfig::default());
-        sim.with_world(|ctx| {
-            connect(ctx, QpId(0), QpId(1));
-            apply_qp_transport(ctx.world, QpId(0), ta);
-            apply_qp_transport(ctx.world, QpId(1), tb);
-        });
-        let rebuilt = sim.into_world();
-        assert_eq!(rebuilt.qp(QpId(0)).state(), QpState::ReadyToSend);
-        assert_eq!(rebuilt.qp(QpId(0)).peer(), Some(QpId(1)));
-        assert_eq!(rebuilt.qp(QpId(1)).posted_recvs(), rq_before);
-        assert_eq!(qp_transport(&rebuilt, QpId(0)), ta);
-        assert_eq!(qp_transport(&rebuilt, QpId(1)), tb);
-        // The reconnected fabric serializes identically to the plain
-        // restore, which is the property the kill-and-replace e2e needs.
-        assert_eq!(image(&rebuilt), bytes);
     }
 }

@@ -28,15 +28,11 @@ fn main() {
         kernel.name()
     );
     println!(
-        "{:>13} {:>10} {:>9} {:>10} {:>8} {:>8} {:>6}",
+        "{:>16} {:>10} {:>9} {:>10} {:>8} {:>8} {:>6}",
         "scheme", "time (ms)", "verified", "ECM/conn", "maxbuf", "RNR", "retx"
     );
 
-    for scheme in [
-        FlowControlScheme::Hardware,
-        FlowControlScheme::UserStatic,
-        FlowControlScheme::UserDynamic,
-    ] {
+    for scheme in FlowControlScheme::ALL {
         let cfg = MpiConfig::scheme(scheme, prepost);
         let out = MpiWorld::run(procs, cfg, FabricParams::mt23108(), async move |mpi| {
             run_kernel(mpi, kernel, NasClass::W).await
@@ -44,7 +40,7 @@ fn main() {
         .expect("kernel run");
         let k = &out.results[0];
         println!(
-            "{:>13} {:>10.2} {:>9} {:>10.1} {:>8} {:>8} {:>6}",
+            "{:>16} {:>10.2} {:>9} {:>10.1} {:>8} {:>8} {:>6}",
             scheme.label(),
             out.results
                 .iter()

@@ -26,11 +26,7 @@ fn umbrella_reexports_compose() {
 fn every_kernel_under_every_scheme_at_test_class() {
     for kernel in Kernel::ALL {
         let procs = if kernel.needs_square_procs() { 4 } else { 8 };
-        for scheme in [
-            FlowControlScheme::Hardware,
-            FlowControlScheme::UserStatic,
-            FlowControlScheme::UserDynamic,
-        ] {
+        for scheme in FlowControlScheme::ALL {
             let cfg = MpiConfig::scheme(scheme, 4);
             let out = MpiWorld::run(procs, cfg, FabricParams::mt23108(), async move |mpi| {
                 run_kernel(mpi, kernel, NasClass::Test).await

@@ -1,6 +1,7 @@
 //! The lint levels DESIGN.md §8 relies on are set where it says they are,
 //! and the source-layout rules held as text (credit privacy, one
-//! connection-establishment path, one host-timing harness) still hold.
+//! connection-establishment path, one host-timing harness, one scheme
+//! list) still hold.
 //!
 //! An `#[expect(lint)]` is fulfilled whenever `lint` *would* fire at that
 //! site, whatever level surrounds it. So the audited `#[expect]`s and the
@@ -92,17 +93,17 @@ fn core_sites(needle: &str) -> std::collections::BTreeSet<(String, String)> {
 /// connection. Its fabric half, `world::establish`, posts the pool before
 /// it runs the handshake (so the handshake advertises the pool as
 /// credits); its `Conn` half, `Conn::establish`, is the one place a
-/// connection becomes established. A second `ibfabric::connect` call — the
-/// checkpoint's elastic replacement excepted, which reconnects QPs whose
-/// receive queues the snapshot restored — or a second site setting the
-/// flag is how the fork this replaced would come back.
+/// connection becomes established. A second `ibfabric::connect` call or a
+/// second site setting the flag is how the fork this replaced would come
+/// back. (A checkpoint restore, elastic replacement included, connects
+/// nothing: the fabric image carries every QP in its connected state.)
 #[test]
 fn connections_are_established_on_one_path() {
     let site = |file: &str, func: &str| (file.to_string(), func.to_string());
     assert_eq!(
         core_sites("ibfabric::connect("),
-        [site("ckpt.rs", "restore"), site("world.rs", "establish")].into(),
-        "`ibfabric::connect(` outside `world::establish` and the replace loop"
+        [site("world.rs", "establish")].into(),
+        "`ibfabric::connect(` outside `world::establish`"
     );
     assert_eq!(
         core_sites("established = true"),
@@ -160,6 +161,63 @@ fn one_host_timing_harness() {
             "crates/bench/tests/host_floors.rs"
         ],
         "`Instant` outside the two host-timing sites"
+    );
+}
+
+/// Whether `line` is one element of a hand-written scheme list: a
+/// `FlowControlScheme` variant (a CamelCase name, so not `ALL`), alone or
+/// heading a tuple, ending in a comma — not a match arm or pattern.
+fn lists_one_scheme(line: &str) -> bool {
+    let Some(element) = line.trim().strip_suffix(',') else {
+        return false;
+    };
+    let element = element.strip_prefix('(').unwrap_or(element);
+    let Some((path, rest)) = element.split_once("FlowControlScheme::") else {
+        return false;
+    };
+    let variant: String = rest
+        .chars()
+        .take_while(|c| c.is_alphanumeric() || *c == '_')
+        .collect();
+    path.chars()
+        .all(|c| c.is_alphanumeric() || c == '_' || c == ':')
+        && variant.starts_with(|c: char| c.is_ascii_uppercase())
+        && variant.contains(|c: char| c.is_ascii_lowercase())
+        && !rest.contains("=>")
+        && !rest.contains('|')
+}
+
+/// `FlowControlScheme::ALL` is the one place the scheme list is written:
+/// every battery, figure and test iterates it or filters it by a
+/// predicate. Three or more consecutive lines that each list one variant
+/// are a second list, and a second list is how a fork of the battery
+/// would come back.
+#[test]
+fn one_scheme_list() {
+    let mut lists = Vec::new();
+    for file in ["crates", "src", "tests", "examples"]
+        .into_iter()
+        .flat_map(rust_files)
+        .filter(|f| f != file!())
+    {
+        let src = read(&file);
+        let lines: Vec<&str> = src.lines().collect();
+        let mut start = 0;
+        for (i, line) in lines.iter().enumerate() {
+            if !lists_one_scheme(line) {
+                start = i + 1;
+                continue;
+            }
+            let is_all = start > 0 && lines[start - 1].contains("const ALL: [FlowControlScheme;");
+            let run_ends = !lines.get(i + 1).is_some_and(|l| lists_one_scheme(l));
+            if run_ends && i + 1 - start >= 3 && !is_all {
+                lists.push(format!("{file}:{}", start + 1));
+            }
+        }
+    }
+    assert!(
+        lists.is_empty(),
+        "scheme lists outside `FlowControlScheme::ALL`: {lists:?}"
     );
 }
 

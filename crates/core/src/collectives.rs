@@ -9,6 +9,7 @@ use crate::comm::Comm;
 use crate::rank::MpiRank;
 use crate::scalar::{decode_extend, decode_slice, encode_slice, ReduceOp, Scalar};
 use crate::types::Tag;
+use ibfabric::Bytes;
 
 /// Collective calls reserve the tag space above this bit.
 const COLL_TAG_BASE: Tag = 0x4000_0000;
@@ -26,7 +27,7 @@ impl MpiRank {
         self.wait(req).await;
     }
 
-    async fn crecv(&mut self, src_world: usize, tag: Tag, comm: &Comm) -> Vec<u8> {
+    async fn crecv(&mut self, src_world: usize, tag: Tag, comm: &Comm) -> Bytes {
         let req = self.irecv_ctx(Some(src_world), Some(tag), comm.ctx);
         let (_status, data) = self.wait_recv(req).await;
         data
@@ -69,7 +70,10 @@ pub async fn bcast_bytes(mpi: &mut MpiRank, comm: &Comm, root: usize, data: Vec<
     if vrank != 0 {
         let mask = 1 << (usize::BITS - 1 - vrank.leading_zeros());
         let parent = (vrank - mask + root) % n;
-        data = mpi.crecv(comm.world_rank(parent), tag, comm).await;
+        data = mpi
+            .crecv(comm.world_rank(parent), tag, comm)
+            .await
+            .into_vec();
     }
     // Send phase: children are vrank + 2^k for 2^k > vrank's high bit.
     let mut mask = if vrank == 0 {
@@ -253,7 +257,7 @@ pub async fn allgather_bytes(mpi: &mut MpiRank, comm: &Comm, mine: &[u8]) -> Vec
         mpi.wait(sreq).await;
         let (_s, data) = mpi.wait_recv(rreq).await;
         let recv_idx = (me + n - step - 1) % n;
-        chunks[recv_idx] = data;
+        chunks[recv_idx] = data.into_vec();
     }
     chunks
 }
@@ -285,7 +289,7 @@ pub async fn alltoallv_bytes(mpi: &mut MpiRank, comm: &Comm, chunks: &[Vec<u8>])
         let rreq = mpi.irecv_ctx(Some(comm.world_rank(recv_from)), Some(tag), comm.ctx);
         mpi.wait(sreq).await;
         let (_s, data) = mpi.wait_recv(rreq).await;
-        out[recv_from] = data;
+        out[recv_from] = data.into_vec();
     }
     out
 }
@@ -372,7 +376,7 @@ pub async fn gather_bytes(
         out[me] = mine.to_vec();
         for (r, slot) in out.iter_mut().enumerate() {
             if r != root {
-                *slot = mpi.crecv(comm.world_rank(r), tag, comm).await;
+                *slot = mpi.crecv(comm.world_rank(r), tag, comm).await.into_vec();
             }
         }
         Some(out)
@@ -410,6 +414,6 @@ pub async fn scatter_bytes(
         }
         chunks[me].clone()
     } else {
-        mpi.crecv(comm.world_rank(root), tag, comm).await
+        mpi.crecv(comm.world_rank(root), tag, comm).await.into_vec()
     }
 }

@@ -64,7 +64,7 @@
 //!         String::new()
 //!     } else {
 //!         let (_, data) = mpi.recv(Some(0), Some(99)).await;
-//!         String::from_utf8(data).unwrap()
+//!         String::from_utf8(data.into_vec()).unwrap()
 //!     }
 //! }).unwrap();
 //! assert_eq!(out.results[1], "hello");
@@ -110,6 +110,7 @@ pub use ckpt::{chaos_context, CkptRun, CkptStart, RestoreOptions, Snapshot, CKPT
 pub use comm::Comm;
 pub use config::{CreditMsgMode, FlowControlScheme, GrowthPolicy, MpiConfig};
 pub use fault::FabricFault;
+pub use ibfabric::Bytes;
 pub use rank::MpiRank;
 pub use requests::ReqId;
 pub use scalar::{decode_extend, decode_into, decode_slice, encode_slice, ReduceOp, Scalar};

@@ -215,7 +215,7 @@ impl MpiRank {
                         tag: r.tag.unwrap_or(0),
                         len: 0,
                     });
-                    r.data = Some(Vec::new());
+                    r.data = Some(ibfabric::Bytes::default());
                     false
                 }
                 Request::Send(_) | Request::Recv(_) => false,
@@ -402,7 +402,7 @@ impl MpiRank {
             tag,
             len: data.len(),
         });
-        r.data = Some(data);
+        r.data = Some(data.into());
         r.state = RecvState::Done;
     }
 
@@ -468,9 +468,9 @@ impl MpiRank {
     /// Data landed (ordering guarantee): the landing region's bytes become
     /// the receive's payload by a take, and the receive completes, which
     /// frees its lane. The WRITE covered the emptied region's whole prefix,
-    /// so the HCA model placed it by reference; the take is then the one
-    /// copy of the payload on this side (a move only when the prefix is
-    /// owned, e.g. after a restore rebuilt it).
+    /// so the HCA model placed it by reference, and the take hands that
+    /// allocation to the receive: no host copy on this side (an owned
+    /// prefix, e.g. one a restore rebuilt, moves instead).
     fn handle_rndz_fin(&mut self, h: &MsgHeader) {
         let req = ReqId(h.peer_req as u32);
         #[expect(
@@ -496,7 +496,7 @@ impl MpiRank {
                 landed >= len,
                 "rank {rank}: fin for a {len}-byte rendezvous, but only {landed} bytes landed in {landing:?}"
             );
-            ctx.world.mr_take_vec(landing, len)
+            ctx.world.mr_take(landing, len)
         });
         let r = self.reqs.recv_mut(req);
         r.data = Some(data);

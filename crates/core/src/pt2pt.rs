@@ -8,6 +8,7 @@ use crate::requests::{RecvReq, RecvState, ReqId, Request, SendReq, SendState};
 use crate::scalar::{decode_into, encode_slice, Scalar};
 use crate::types::{CommCtx, Rank, Status, Tag, WORLD_CTX};
 use crate::wire::{MsgHeader, MsgKind};
+use ibfabric::Bytes;
 use std::sync::Arc;
 
 impl MpiRank {
@@ -75,7 +76,7 @@ impl MpiRank {
     }
 
     /// Blocking receive returning the status and payload.
-    pub async fn recv(&mut self, src: Option<Rank>, tag: Option<Tag>) -> (Status, Vec<u8>) {
+    pub async fn recv(&mut self, src: Option<Rank>, tag: Option<Tag>) -> (Status, Bytes) {
         let req = self.irecv(src, tag);
         self.wait_recv(req).await
     }
@@ -135,7 +136,7 @@ impl MpiRank {
         send_tag: Tag,
         src: Option<Rank>,
         recv_tag: Option<Tag>,
-    ) -> (Status, Vec<u8>) {
+    ) -> (Status, Bytes) {
         let rreq = self.irecv(src, recv_tag);
         let sreq = self.isend(data, dst, send_tag);
         self.wait(sreq).await;
@@ -197,10 +198,8 @@ impl MpiRank {
             // Re-polling completed requests is cheap; order is irrelevant.
             match self.reqs.get(r) {
                 Request::Send(_) => self.wait(r).await,
+                // Waitall discards receive payloads.
                 Request::Recv(_) => {
-                    // Keep recv requests alive for wait_recv? No: waitall
-                    // discards payloads, callers use it for sends or
-                    // recv_into-style flows.
                     let (_s, _d) = self.wait_recv(r).await;
                 }
             }
@@ -208,7 +207,44 @@ impl MpiRank {
     }
 
     /// Blocks until the receive completes and returns `(status, payload)`.
-    pub async fn wait_recv(&mut self, req: ReqId) -> (Status, Vec<u8>) {
+    /// A rendezvous payload is the allocation the sender's RDMA WRITE
+    /// placed, handed over by reference; an eager one is the bytes copied
+    /// out of the eager buffer at match time.
+    pub async fn wait_recv(&mut self, req: ReqId) -> (Status, Bytes) {
+        let (status, data, _failed) = self.complete_recv(req).await;
+        (status, data)
+    }
+
+    /// Like [`MpiRank::wait_recv`], but a receive completed by connection
+    /// teardown surfaces as a typed [`crate::FabricFault`] instead of an
+    /// empty payload. This is the fault-aware receive path: applications
+    /// that opt into finite retry budgets use it to distinguish "peer sent
+    /// nothing" from "the fabric gave up".
+    pub async fn wait_recv_result(
+        &mut self,
+        req: ReqId,
+    ) -> Result<(Status, Bytes), crate::fault::FabricFault> {
+        let (status, data, failed) = self.complete_recv(req).await;
+        if !failed {
+            return Ok((status, data));
+        }
+        let peer = status.source;
+        Err(self
+            .stats
+            .faults
+            .iter()
+            .find(|f| f.peer == peer)
+            .copied()
+            .unwrap_or(crate::fault::FabricFault {
+                peer,
+                opcode: ibfabric::CqeOpcode::RecvComplete,
+                status: ibfabric::CqeStatus::WorkRequestFlushed,
+            }))
+    }
+
+    /// Waits for the receive `req`, releases it and returns its status,
+    /// payload and whether teardown failed it.
+    async fn complete_recv(&mut self, req: ReqId) -> (Status, Bytes, bool) {
         loop {
             self.progress();
             if self.reqs.get(req).is_done() {
@@ -230,66 +266,13 @@ impl MpiRank {
                 let status = r.status.expect("done recv has status");
                 #[expect(clippy::expect_used, reason = "same Done-state invariant as status")]
                 let data = r.data.expect("done recv has data");
-                // Copy-out cost for eager payloads was charged at match
-                // time; rendezvous is zero-copy.
-                (status, data)
+                (status, data, r.failed)
             }
             #[expect(
                 clippy::panic,
-                reason = "passing a send request to wait_recv is caller error with no meaningful recovery"
+                reason = "passing a send request to a receive wait is caller error with no meaningful recovery"
             )]
-            Request::Send(_) => panic!("wait_recv on a send request"),
-        }
-    }
-
-    /// Like [`MpiRank::wait_recv`], but a receive completed by connection
-    /// teardown surfaces as a typed [`crate::FabricFault`] instead of an
-    /// empty payload. This is the fault-aware receive path: applications
-    /// that opt into finite retry budgets use it to distinguish "peer sent
-    /// nothing" from "the fabric gave up".
-    pub async fn wait_recv_result(
-        &mut self,
-        req: ReqId,
-    ) -> Result<(Status, Vec<u8>), crate::fault::FabricFault> {
-        loop {
-            self.progress();
-            if self.reqs.get(req).is_done() {
-                break;
-            }
-            self.block_for_progress("MPI_Wait(recv)").await;
-        }
-        match self.reqs.remove(req) {
-            Request::Recv(r) => {
-                #[expect(
-                    clippy::expect_used,
-                    reason = "the wait loop above only exits once the request is Done, which sets both fields"
-                )]
-                let status = r.status.expect("done recv has status");
-                #[expect(clippy::expect_used, reason = "same Done-state invariant as status")]
-                let data = r.data.expect("done recv has data");
-                if r.failed {
-                    let peer = status.source;
-                    let fault = self
-                        .stats
-                        .faults
-                        .iter()
-                        .find(|f| f.peer == peer)
-                        .copied()
-                        .unwrap_or(crate::fault::FabricFault {
-                            peer,
-                            opcode: ibfabric::CqeOpcode::RecvComplete,
-                            status: ibfabric::CqeStatus::WorkRequestFlushed,
-                        });
-                    Err(fault)
-                } else {
-                    Ok((status, data))
-                }
-            }
-            #[expect(
-                clippy::panic,
-                reason = "passing a send request to wait_recv_result is caller error with no meaningful recovery"
-            )]
-            Request::Send(_) => panic!("wait_recv_result on a send request"),
+            Request::Send(_) => panic!("waiting for a receive on a send request"),
         }
     }
 
@@ -385,7 +368,7 @@ impl MpiRank {
                 tag: tag.unwrap_or(0),
                 len: 0,
             });
-            r.data = Some(Vec::new());
+            r.data = Some(Bytes::default());
         } else {
             self.posted_recvs.push(req);
         }
@@ -657,7 +640,7 @@ impl MpiRank {
                 tag,
                 len: 0,
             });
-            r.data = Some(Vec::new());
+            r.data = Some(Bytes::default());
             return;
         }
         // Pin-down cache, keyed by a per-(source, size-class) slot —

@@ -66,11 +66,11 @@ pub(crate) struct RecvReq {
     pub comm: CommCtx,
     pub state: RecvState,
     /// Completed payload.
-    pub data: Option<Vec<u8>>,
+    pub data: Option<ibfabric::Bytes>,
     pub status: Option<Status>,
     /// Landing region of the rendezvous this receive accepted: the RDMA
-    /// WRITE lands in it and fin moves the bytes out into `data`. While
-    /// the state is `RndzInFlight` the region is this receive's alone
+    /// WRITE lands in it and fin hands the placed bytes over into `data`.
+    /// While the state is `RndzInFlight` the region is this receive's alone
     /// (`ReqTable::holds_landing_region` is how a lane is known busy).
     pub staging: Option<ibfabric::MrId>,
     /// Expected rendezvous length (set when matched).

@@ -4,8 +4,9 @@
 //! A message's bytes exist once on the host between `isend` and the wire
 //! (the `Arc<[u8]>` snapshot in the request table, shared by the frame
 //! builder, the RDMA WRITE work request and the delivery event — and,
-//! once a rendezvous lands, by the landing region that adopted it), and the
-//! RC transport keeps its per-work-request bookkeeping off the heap. This
+//! once a rendezvous lands, by the landing region that adopted it and then
+//! by the payload `wait_recv` returns), and the RC transport keeps its
+//! per-work-request bookkeeping off the heap. This
 //! test holds that in place with exact counts from a counting global
 //! allocator: the same technique as `benchmark/`'s traced reps, in an
 //! integration test because the libraries deny `unsafe`.
@@ -292,13 +293,14 @@ fn fast_paths_stay_within_their_allocation_budget() {
 
     // (b) 256 KB rendezvous, window 16, pre-post 10 (the benchmark's
     // `rndv_large` shape): one snapshot at `isend`, placed in the landing
-    // region by reference, and one copy at fin's take (the allocation
-    // `wait_recv` returns), plus small change: 525 095 B per message. PR
-    // 12 allocated five payloads per message (1 315 284 B).
+    // region by reference and handed over by fin's take, so the payload
+    // `wait_recv` returns is that snapshot, plus small change: 262 919 B per
+    // message. A take that copies the prefix out instead allocates exactly
+    // one payload more (525 063 B).
     const SIZE: usize = 256 << 10;
     let (_, bytes) = per_message_milli(FlowControlScheme::UserStatic, 10, SIZE, 16, (2, 6));
     assert!(
-        bytes <= (2 * SIZE as u64 + (8 << 10)) * 1000,
+        bytes <= (SIZE as u64 + (8 << 10)) * 1000,
         "{} bytes allocated per 256 KB rendezvous message",
         bytes / 1000
     );

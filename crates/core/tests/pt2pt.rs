@@ -96,7 +96,7 @@ fn tag_matching_out_of_order() {
             // Receive tag 2 before tag 1: needs the unexpected queue.
             let (_, second) = mpi.recv(Some(0), Some(2)).await;
             let (_, first) = mpi.recv(Some(0), Some(1)).await;
-            vec![first, second]
+            vec![first.into_vec(), second.into_vec()]
         }
     })
     .unwrap();
@@ -112,7 +112,7 @@ fn wildcard_source_and_tag() {
                 let mut froms = Vec::new();
                 for _ in 0..2 {
                     let (st, data) = mpi.recv(None, None).await;
-                    froms.push((st.source, st.tag, data));
+                    froms.push((st.source, st.tag, data.into_vec()));
                 }
                 froms.sort();
                 froms
@@ -423,7 +423,7 @@ fn rsend_delivers_like_send() {
     let out = MpiWorld::run(2, cfg, FabricParams::mt23108(), async |mpi| {
         if mpi.rank() == 0 {
             let (_, d) = mpi.recv(Some(1), Some(9)).await;
-            d
+            d.into_vec()
         } else {
             mpi.rsend(b"ready", 0, 9).await;
             Vec::new()

@@ -2,7 +2,7 @@
 
 use crate::cq::{Cq, CqId};
 use crate::fault::{Fate, FaultPlan};
-use crate::mem::{Access, Mr, MrId};
+use crate::mem::{Access, Bytes, Mr, MrId};
 use crate::net::Net;
 use crate::params::FabricParams;
 use crate::qp::{Qp, QpAttrs, QpId, QpState, SendWqe};
@@ -272,11 +272,12 @@ impl Fabric {
     /// Takes the first `len` bytes out of the region (cut or zero-extended
     /// to `len`, bounds rule of [`Fabric::mr_read_vec`]) and leaves it
     /// unmaterialised. Only sound for a region the caller owns whole —
-    /// nothing else it holds survives the take. The take is a move only
-    /// when the prefix is owned: a prefix the HCA placed by reference is
-    /// still the payload's allocation, and the take copies it out (the one
-    /// copy those bytes get on the receive side).
-    pub fn mr_take_vec(&mut self, mr: MrId, len: usize) -> Vec<u8> {
+    /// nothing else it holds survives the take. The prefix is handed over:
+    /// an owned one moves, and one the HCA placed by reference that is
+    /// exactly `len` bytes long comes back as the payload's own allocation,
+    /// so a whole RDMA WRITE reaches the taker with no host copy. Only a
+    /// prefix of another length is copied.
+    pub fn mr_take(&mut self, mr: MrId, len: usize) -> Bytes {
         self.mrs[mr.index()].take_prefix(len)
     }
 

@@ -100,7 +100,7 @@ mod wr;
 pub use cq::{Cq, CqId};
 pub use fabric::{connect, post_recv, post_send, Fabric, NodeId, VerbsError};
 pub use fault::{FaultPlan, FlapScope, LinkFaultRates, LinkFlap};
-pub use mem::{Access, Mr, MrId};
+pub use mem::{Access, Bytes, Mr, MrId};
 pub use params::FabricParams;
 pub use qp::{QpAttrs, QpId, QpState};
 pub use snap::{encode_fabric, restore_fabric, CkptBus};

@@ -77,14 +77,86 @@ impl std::ops::BitOr for Access {
     }
 }
 
-/// The materialised prefix of a region: bytes the host owns, or a payload
-/// the HCA placed by reference and still shares with the work request that
-/// carried it (nothing mutates an `Arc<[u8]>` payload, so sharing it is
-/// sound; the first host-side mutation un-shares).
+/// Bytes the holder owns, or bytes it shares by reference with the
+/// allocation the HCA placed them from. A rendezvous payload reaches the
+/// application this way: the receive hands back the RDMA WRITE's own
+/// allocation, not a copy of it. Nothing mutates a shared allocation, so
+/// sharing it is sound; [`Bytes::into_vec`] is where a copy happens, and
+/// only when the bytes are shared.
+///
+/// # Example
+///
+/// ```
+/// use ibfabric::Bytes;
+///
+/// let msg = Bytes::from(b"ping".to_vec());
+/// assert_eq!(msg, *b"ping");
+/// assert_eq!(msg.len(), 4); // reads like the `[u8]` it derefs to
+/// assert_eq!(&msg[1..], b"ing");
+/// assert_eq!(msg.into_vec(), b"ping"); // a move: these bytes were owned
+/// assert!(Bytes::default().is_empty());
+/// ```
+#[derive(Debug, Default)]
+pub struct Bytes(Repr);
+
 #[derive(Debug)]
-enum Prefix {
+enum Repr {
     Owned(Vec<u8>),
     Shared(Arc<[u8]>),
+}
+
+impl Default for Repr {
+    fn default() -> Repr {
+        Repr::Owned(Vec::new())
+    }
+}
+
+impl Bytes {
+    /// The bytes as a `Vec`: a move when they are owned, a copy when they
+    /// are shared.
+    pub fn into_vec(self) -> Vec<u8> {
+        match self.0 {
+            Repr::Owned(bytes) => bytes,
+            Repr::Shared(bytes) => bytes.to_vec(),
+        }
+    }
+}
+
+impl std::ops::Deref for Bytes {
+    type Target = [u8];
+    fn deref(&self) -> &[u8] {
+        match &self.0 {
+            Repr::Owned(bytes) => bytes,
+            Repr::Shared(bytes) => bytes,
+        }
+    }
+}
+
+impl From<Vec<u8>> for Bytes {
+    fn from(bytes: Vec<u8>) -> Bytes {
+        Bytes(Repr::Owned(bytes))
+    }
+}
+
+impl<const N: usize> PartialEq<[u8; N]> for Bytes {
+    fn eq(&self, other: &[u8; N]) -> bool {
+        **self == *other
+    }
+}
+
+impl<const N: usize> PartialEq<&[u8; N]> for Bytes {
+    fn eq(&self, other: &&[u8; N]) -> bool {
+        **self == **other
+    }
+}
+
+/// Exactly `N` bytes as an array, as from a `Vec<u8>`; bytes of another
+/// length come back as the error.
+impl<const N: usize> TryFrom<Bytes> for [u8; N] {
+    type Error = Bytes;
+    fn try_from(bytes: Bytes) -> Result<[u8; N], Bytes> {
+        <[u8; N]>::try_from(&*bytes).map_err(|_| bytes)
+    }
 }
 
 /// A registered ("pinned") memory region owned by one node.
@@ -100,7 +172,10 @@ pub struct Mr {
     pub(crate) node: NodeId,
     pub(crate) access: Access,
     len: usize,
-    prefix: Prefix,
+    /// The materialised prefix: bytes the host owns, or a payload the HCA
+    /// placed by reference and still shares with the work request that
+    /// carried it (the first host-side mutation un-shares).
+    prefix: Bytes,
 }
 
 impl Mr {
@@ -110,7 +185,7 @@ impl Mr {
             node,
             access,
             len,
-            prefix: Prefix::Owned(Vec::new()),
+            prefix: Bytes::default(),
         }
     }
 
@@ -151,25 +226,22 @@ impl Mr {
 
     /// The materialised prefix.
     pub(crate) fn resident(&self) -> &[u8] {
-        match &self.prefix {
-            Prefix::Owned(bytes) => bytes,
-            Prefix::Shared(bytes) => bytes,
-        }
+        &self.prefix
     }
 
     /// The prefix as bytes the host owns, copying a shared one first
     /// (copy-on-write): every host-side mutation goes through here.
     fn owned(&mut self) -> &mut Vec<u8> {
-        if let Prefix::Shared(bytes) = &self.prefix {
-            self.prefix = Prefix::Owned(bytes.to_vec());
+        if let Repr::Shared(bytes) = &self.prefix.0 {
+            self.prefix = Bytes(Repr::Owned(bytes.to_vec()));
         }
-        match &mut self.prefix {
-            Prefix::Owned(bytes) => bytes,
+        match &mut self.prefix.0 {
+            Repr::Owned(bytes) => bytes,
             #[expect(
                 clippy::unreachable,
                 reason = "a shared prefix was replaced by an owned copy just above"
             )]
-            Prefix::Shared(_) => unreachable!("un-shared above"),
+            Repr::Shared(_) => unreachable!("un-shared above"),
         }
     }
 
@@ -210,7 +282,7 @@ impl Mr {
     pub(crate) fn place(&mut self, offset: usize, payload: &Arc<[u8]>) {
         if offset == 0 && !payload.is_empty() && payload.len() >= self.resident().len() {
             self.end_of(0, payload.len());
-            self.prefix = Prefix::Shared(Arc::clone(payload));
+            self.prefix = Bytes(Repr::Shared(Arc::clone(payload)));
         } else {
             self.write(offset, payload);
         }
@@ -247,18 +319,20 @@ impl Mr {
     /// zero-extended to it like [`Mr::read_vec`]) and leaves it
     /// unmaterialised — every byte reads as zero again and the next write
     /// starts a fresh prefix. For a region one consumer owns whole, such as
-    /// the landing region of one rendezvous receive. The take is a *move*
-    /// only when the prefix is owned: a prefix the HCA placed by reference
-    /// is still the payload's allocation, and taking it is the one copy of
-    /// those bytes (un-sharing, as any host mutation would).
-    pub(crate) fn take_prefix(&mut self, len: usize) -> Vec<u8> {
+    /// the landing region of one rendezvous receive. The prefix is handed
+    /// over, not copied: an owned one moves, and one the HCA placed by
+    /// reference that is exactly `len` bytes long comes back as the
+    /// payload's own allocation. Only a prefix of another length is copied
+    /// (cut or zero-extended).
+    pub(crate) fn take_prefix(&mut self, len: usize) -> Bytes {
         self.end_of(0, len);
-        let mut out = match std::mem::replace(&mut self.prefix, Prefix::Owned(Vec::new())) {
-            Prefix::Owned(bytes) => bytes,
-            Prefix::Shared(bytes) => bytes[..len.min(bytes.len())].to_vec(),
+        let mut out = match std::mem::take(&mut self.prefix).0 {
+            Repr::Shared(bytes) if bytes.len() == len => return Bytes(Repr::Shared(bytes)),
+            Repr::Shared(bytes) => bytes[..len.min(bytes.len())].to_vec(),
+            Repr::Owned(bytes) => bytes,
         };
         out.resize(len, 0);
-        out
+        out.into()
     }
 }
 
@@ -401,18 +475,33 @@ mod tests {
     }
 
     #[test]
-    fn take_prefix_of_a_shared_prefix_copies_and_drops_the_reference() {
+    fn take_prefix_hands_over_a_shared_prefix_of_exactly_its_length() {
         let p = shared(6, 40);
         let mut mr = Mr::new(NodeId(0), Access::FULL, 100);
         mr.place(0, &p);
-        assert_eq!(Arc::strong_count(&p), 2);
+        let got = mr.take_prefix(40);
+        assert_eq!(got.as_ptr(), p.as_ptr(), "handed over, not copied");
+        assert_eq!(Arc::strong_count(&p), 2, "the taker holds it now");
+        assert_fresh(&mut mr);
+        drop(got);
+        assert_eq!(Arc::strong_count(&p), 1);
+    }
+
+    #[test]
+    fn take_prefix_of_another_length_copies_and_drops_the_reference() {
+        let p = shared(6, 40);
+        let mut mr = Mr::new(NodeId(0), Access::FULL, 100);
+        mr.place(0, &p);
         let got = mr.take_prefix(25);
         assert_eq!(got, [6u8; 25]);
         assert_ne!(got.as_ptr(), p.as_ptr());
         assert_eq!(Arc::strong_count(&p), 1, "the region let go of the payload");
         assert_fresh(&mut mr);
         mr.place(0, &p);
-        assert_eq!(mr.take_prefix(44)[38..], [6, 6, 0, 0, 0, 0]);
+        let longer = mr.take_prefix(44);
+        assert_ne!(longer.as_ptr(), p.as_ptr());
+        assert_eq!(longer[38..], [6, 6, 0, 0, 0, 0]);
+        assert_eq!(Arc::strong_count(&p), 1);
     }
 
     #[test]

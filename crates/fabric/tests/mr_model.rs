@@ -88,9 +88,10 @@ enum Step {
         at: Anchor,
         n: usize,
     },
-    /// `Fabric::mr_take_vec` of the first `n` bytes.
+    /// `Fabric::mr_take` of the first `n` bytes, or of exactly the
+    /// materialised prefix when `n` is `None` (what a rendezvous fin takes).
     Take {
-        n: usize,
+        n: Option<usize>,
     },
     /// One byte stored through the whole-region mutable view.
     Poke {
@@ -147,7 +148,9 @@ impl Case for MrCase {
                     at: Anchor::generate(g),
                     n,
                 },
-                10 => Step::Take { n },
+                10 => Step::Take {
+                    n: g.bool().then_some(n),
+                },
                 11 => Step::Poke {
                     permille: g.usize_in(0..1000),
                     value: g.index(256) as u8,
@@ -290,7 +293,10 @@ struct Coverage {
     adopted: Cell<u32>,
     written: Cell<u32>,
     read: Cell<u32>,
+    /// Shared prefix taken at another length: cut or zero-extended, a copy.
     taken: Cell<u32>,
+    /// Shared prefix taken whole: handed over by reference.
+    handed_over: Cell<u32>,
     round_tripped: Cell<u32>,
 }
 
@@ -376,13 +382,19 @@ fn run_case(c: &MrCase, seen: &Coverage) {
                 assert_eq!(f.mr_bytes(mr).len(), prefix, "a read materialised memory");
             }
             Step::Take { n } => {
-                let lazy = catch_unwind(AssertUnwindSafe(|| f.mr_take_vec(mr, n)));
+                let n = n.unwrap_or(prefix);
+                let landed = f.mr_bytes(mr).as_ptr();
+                let lazy = catch_unwind(AssertUnwindSafe(|| f.mr_take(mr, n)));
                 match model_range(&model, 0, n) {
                     Some(r) => {
-                        assert_eq!(lazy.expect("in-range take refused"), &model[r]);
+                        let got = lazy.expect("in-range take refused");
+                        assert_eq!(*got, model[r]);
                         model.fill(0);
                         assert!(f.mr_bytes(mr).is_empty(), "a take left bytes behind");
-                        if shared {
+                        if shared && n == prefix {
+                            assert_eq!(got.as_ptr(), landed, "a whole shared prefix was copied");
+                            bump(&seen.handed_over);
+                        } else if shared {
                             bump(&seen.taken);
                         }
                     }
@@ -438,7 +450,8 @@ fn lazy_region_matches_the_eager_model() {
         ("adopt", &seen.adopted),
         ("write", &seen.written),
         ("read", &seen.read),
-        ("take", &seen.taken),
+        ("cut or extended take", &seen.taken),
+        ("whole take", &seen.handed_over),
         ("round trip", &seen.round_tripped),
     ] {
         assert!(
@@ -451,7 +464,8 @@ fn lazy_region_matches_the_eager_model() {
 /// The path a rendezvous landing region takes, spelled out: a payload
 /// adopted by reference, a host store into it, a read, the take at fin and
 /// a snapshot round trip of the emptied region — then a shared prefix read,
-/// snapshotted, adopted over and taken.
+/// snapshotted, adopted over and taken at another length (a copy), and
+/// last a shared prefix taken whole (handed over by reference).
 #[test]
 fn adopt_write_read_take_round_trip() {
     let place_whole = |fill| Step::Place {
@@ -472,7 +486,7 @@ fn adopt_write_read_take_round_trip() {
                 at: Anchor::Start,
                 n: 1000,
             },
-            Step::Take { n: 600 },
+            Step::Take { n: Some(600) },
             Step::RoundTrip,
             place_whole(8),
             Step::Read {
@@ -481,7 +495,9 @@ fn adopt_write_read_take_round_trip() {
             },
             Step::RoundTrip,
             place_whole(9),
-            Step::Take { n: 650 },
+            Step::Take { n: Some(650) },
+            place_whole(10),
+            Step::Take { n: None },
         ],
     };
     let seen = Coverage::default();
@@ -492,9 +508,10 @@ fn adopt_write_read_take_round_trip() {
             seen.written.get(),
             seen.read.get(),
             seen.taken.get(),
+            seen.handed_over.get(),
             seen.round_tripped.get()
         ),
-        (3, 1, 1, 1, 1),
+        (4, 1, 1, 1, 1, 1),
         "{seen:?}"
     );
 }

@@ -257,7 +257,7 @@ fn scheme_invariance() {
                         let mut h = 0u64;
                         for _ in &sizes {
                             let (_, d) = mpi.recv(Some(0), Some(0)).await;
-                            for v in d {
+                            for &v in d.iter() {
                                 h = h.wrapping_mul(131).wrapping_add(v as u64);
                             }
                         }

@@ -15,6 +15,7 @@
 //! ring they race ring growth and old-generation draining against drops,
 //! duplicated WRITEs, delayed ACKs and the storm's link flap.
 
+use crate::ckpt::{fnv_bytes, fnv_u64, FNV_OFFSET};
 use crate::report::table;
 use ibfabric::{FabricParams, FaultPlan, FlapScope, LinkFlap, NodeId};
 use ibsim::{SimDuration, SimTime};
@@ -144,20 +145,6 @@ pub struct ChaosRun {
     pub ledger_ok: bool,
 }
 
-/// FNV-1a step, the workspace's standard order-sensitive digest.
-fn fnv(h: u64, byte: u8) -> u64 {
-    (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01B3)
-}
-
-fn fnv_u64(mut h: u64, v: u64) -> u64 {
-    for b in v.to_le_bytes() {
-        h = fnv(h, b);
-    }
-    h
-}
-
-const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
-
 /// Runs one (level, scheme) soak and asserts the robustness contract.
 ///
 /// # Panics
@@ -200,7 +187,7 @@ pub fn run_one(level: &ChaosLevel, scheme: FlowControlScheme, seed: u64) -> Chao
             );
             digest = fnv_u64(digest, status.source as u64);
             digest = fnv_u64(digest, len as u64);
-            digest = fnv(digest, expect_fill);
+            digest = fnv_bytes(digest, &[expect_fill]);
             // Every fourth exchange, burst past the 2-deep receive pool so
             // the hardware scheme takes RNR NAKs and the user-level
             // schemes exercise backlog/credit starvation under loss.

@@ -92,17 +92,18 @@ pub struct CkptLadderRun {
     pub ledger_ok: bool,
 }
 
-/// FNV-1a over bytes, the workspace's standard order-sensitive digest.
-const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
+/// FNV-1a over bytes, the workspace's standard order-sensitive digest
+/// (the chaos soak's too).
+pub(crate) const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 
-fn fnv_bytes(mut h: u64, bytes: &[u8]) -> u64 {
+pub(crate) fn fnv_bytes(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
     }
     h
 }
 
-fn fnv_u64(h: u64, v: u64) -> u64 {
+pub(crate) fn fnv_u64(h: u64, v: u64) -> u64 {
     fnv_bytes(h, &v.to_le_bytes())
 }
 

@@ -170,7 +170,7 @@ mod tests {
             // Grow rank 1's receive ring the way the progress engine does.
             let (old_mr, old_slots, owed) = {
                 let c = mpi.conn(0);
-                (c.my_ring, c.my_ring_slots, c.ring.pending)
+                (c.live_ring().mr, c.live_ring().slots, c.ring.pending)
             };
             let slots = old_slots * 2;
             let (node, len) = (mpi.node, slots as usize * mpi.cfg.buf_size);
@@ -179,15 +179,10 @@ mod tests {
                 .with(|ctx| ctx.world.register(node, len, ibfabric::Access::FULL));
             mpi.conn_mut(0).install_grown_ring(mr, slots);
             let c = mpi.conn(0);
-            // The install staged the displaced generation itself: frames
+            // The install kept the displaced generation polled: frames
             // still in flight against the old rkey land and drain there.
-            let staged: Vec<_> = c
-                .retired_rings
-                .iter()
-                .map(|r| (r.gen, r.mr, r.slots))
-                .collect();
-            assert_eq!(staged, [(0, old_mr, old_slots)]);
-            assert_eq!((c.my_ring_gen, c.my_ring, c.my_ring_slots), (1, mr, slots));
+            let staged: Vec<_> = c.rings.iter().map(|r| (r.gen, r.mr, r.slots)).collect();
+            assert_eq!(staged, [(0, old_mr, old_slots), (1, mr, slots)]);
             assert_eq!(c.ring.pending, owed + slots - old_slots);
 
             // Publishing carries the slot grant with the new ring.

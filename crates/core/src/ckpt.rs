@@ -65,7 +65,7 @@
 use crate::collectives;
 use crate::comm::Comm;
 use crate::config::MpiConfig;
-use crate::conn::{Conn, RetiredRing};
+use crate::conn::{Conn, RxRing};
 use crate::rank::{MpiRank, RankSetup, Unexpected};
 use crate::regcache::{RegCache, REGCACHE_CAPACITY};
 use crate::types::{CommCtx, Rank, Tag};
@@ -557,17 +557,20 @@ fn encode_conn(c: &Conn, w: &mut Writer) {
         w.bytes(&hb);
         w.bytes(payload);
     }
-    w.u32(c.my_ring.as_raw());
-    w.u32(c.ring_read_slot);
+    // The live ring generation, then the older ones still draining.
+    let (older, live) = c.rings.split_at(c.rings.len() - 1);
+    let live = &live[0];
+    w.u32(live.mr.as_raw());
+    w.u32(live.read_slot);
     w.u32(c.peer_ring.as_raw());
     w.u32(c.ring_write_slot);
-    w.u32(c.my_ring_gen);
-    w.u32(c.my_ring_slots);
+    w.u32(live.gen);
+    w.u32(live.slots);
     w.u32(c.peer_ring_gen);
     w.u32(c.peer_ring_slots);
     w.u32(c.peer_acked_gen);
-    w.usize(c.retired_rings.len());
-    for r in &c.retired_rings {
+    w.usize(older.len());
+    for r in older {
         w.u32(r.gen);
         w.u32(r.mr.as_raw());
         w.u32(r.slots);
@@ -615,9 +618,10 @@ pub(crate) fn mr_id(raw: u32, n_mrs: usize, context: &'static str) -> Result<MrI
 fn decode_conn(
     r: &mut Reader<'_>,
     c: &mut Conn,
-    max_prepost: u32,
-    n_mrs: usize,
+    cfg: &MpiConfig,
+    fabric: &Fabric,
 ) -> Result<(), CodecError> {
+    let (max_prepost, n_mrs) = (cfg.max_prepost, fabric.mr_count());
     c.established = r.bool("conn.established")?;
     c.credits.held = r.u32("conn.credits.held")?;
     c.send_seq = r.u32("conn.send_seq")?;
@@ -676,25 +680,32 @@ fn decode_conn(
         let payload = r.bytes("conn.reorder.payload")?;
         c.reorder.insert(seq, (h, payload));
     }
-    c.my_ring = mr_id(r.u32("conn.my_ring")?, n_mrs, "conn.my_ring")?;
-    c.ring_read_slot = r.u32("conn.ring_read_slot")?;
+    let live_mr = mr_id(r.u32("conn.my_ring")?, n_mrs, "conn.my_ring")?;
+    let live_read_slot = r.u32("conn.ring_read_slot")?;
     c.peer_ring = mr_id(r.u32("conn.peer_ring")?, n_mrs, "conn.peer_ring")?;
     c.ring_write_slot = r.u32("conn.ring_write_slot")?;
-    c.my_ring_gen = r.u32("conn.my_ring_gen")?;
-    c.my_ring_slots = r.u32("conn.my_ring_slots")?;
+    let live_gen = r.u32("conn.my_ring_gen")?;
+    let live_slots = r.u32("conn.my_ring_slots")?;
     c.peer_ring_gen = r.u32("conn.peer_ring_gen")?;
     c.peer_ring_slots = r.u32("conn.peer_ring_slots")?;
     c.peer_acked_gen = r.u32("conn.peer_acked_gen")?;
-    let n_retired = r.count("conn.retired.count", 4 * 4)?;
-    c.retired_rings.clear();
-    for _ in 0..n_retired {
-        c.retired_rings.push(RetiredRing {
+    let n_older = r.count("conn.retired.count", 4 * 4)?;
+    c.rings.clear();
+    for _ in 0..n_older {
+        c.rings.push(RxRing {
             gen: r.u32("conn.retired.gen")?,
             mr: mr_id(r.u32("conn.retired.mr")?, n_mrs, "conn.retired.mr")?,
             slots: r.u32("conn.retired.slots")?,
             read_slot: r.u32("conn.retired.read_slot")?,
         });
     }
+    c.rings.push(RxRing {
+        gen: live_gen,
+        mr: live_mr,
+        slots: live_slots,
+        read_slot: live_read_slot,
+    });
+    check_ring_geometry(c, cfg, fabric)?;
     c.ring_full_since_update = r.u32("conn.ring_full_since_update")?;
     c.ring_backlog_pending = r.bool("conn.ring_backlog_pending")?;
     c.ring_gen_ack_pending = r.bool("conn.ring_gen_ack_pending")?;
@@ -714,6 +725,39 @@ fn decode_conn(
     st.rings_retired = r.u64("conn.stats")?.into();
     st.ring_generation = r.u64("conn.stats")?.into();
     Ok(())
+}
+
+/// Refuses ring geometry the first ring poll or post would trip over (a
+/// cursor read outside its region, a `% 0`). A ring in use — a ring
+/// scheme on an established connection — has each cursor below its slot
+/// count and room for its slots in its region, generations increasing,
+/// and older generations only under ring growth; an unused ring keeps the
+/// bare connection's empty geometry.
+fn check_ring_geometry(c: &Conn, cfg: &MpiConfig, fabric: &Fabric) -> Result<(), CodecError> {
+    let in_use = cfg.scheme.uses_ring() && c.established;
+    let fits = |mr: MrId, slots: u32, cursor: u32| {
+        if in_use {
+            cursor < slots
+                && (slots as usize)
+                    .checked_mul(cfg.buf_size)
+                    .is_some_and(|len| len <= fabric.mr_len(mr))
+        } else {
+            (slots, cursor) == (0, 0)
+        }
+    };
+    let ok = c.rings.iter().all(|g| fits(g.mr, g.slots, g.read_slot))
+        && fits(c.peer_ring, c.peer_ring_slots, c.ring_write_slot)
+        && c.rings.windows(2).all(|w| w[0].gen < w[1].gen)
+        && (c.rings.len() == 1 || (in_use && cfg.scheme.grows_ring()));
+    if ok {
+        Ok(())
+    } else {
+        Err(CodecError::BadTag {
+            context: "conn ring geometry",
+            want: 0,
+            got: 1,
+        })
+    }
 }
 
 /// Fully decoded image of one rank's blob, validated before any coroutine
@@ -857,11 +901,23 @@ fn decode_rank_blob(
             // Bare connection: the record overwrites every dynamic field,
             // so no preposting or credit seeding here.
             let mut c = world::make_conn(size, cfg, rank, peer);
-            decode_conn(&mut cs, &mut c, cfg.max_prepost, fabric.mr_count())?;
+            decode_conn(&mut cs, &mut c, cfg, fabric)?;
             Some(c)
         });
     }
     cs.done("rank blob conns")?;
+    // Only an established connection is polled: its ring geometry is the
+    // one `check_ring_geometry` held to a ring in use.
+    if rdma_watch
+        .iter()
+        .any(|&p| !conns[p].as_ref().is_some_and(|c| c.established))
+    {
+        return Err(CodecError::BadTag {
+            context: "rank blob rdma_watch.peer (not established)",
+            want: 1,
+            got: 0,
+        });
+    }
 
     let mut aps = r.section(TAG_APP, "rank blob app")?;
     let app_state = aps.bytes("rank blob app state")?;
@@ -1160,16 +1216,27 @@ mod tests {
         assert!(Snapshot::from_bytes(&bytes).is_err());
     }
 
+    /// The fabric of a bootstrapped 2-rank world under `cfg`.
+    fn two_rank_fabric(cfg: &MpiConfig) -> Fabric {
+        let mut fabric = Fabric::new(FabricParams::mt23108());
+        world::bootstrap_fabric(&mut fabric, 2, cfg);
+        fabric
+    }
+
+    /// Rank 0's connection record of `c`, decoded into a bare connection.
+    fn conn_roundtrip(c: &Conn, cfg: &MpiConfig, fabric: &Fabric) -> Result<Conn, CodecError> {
+        let mut w = Writer::new();
+        encode_conn(c, &mut w);
+        let bytes = w.finish();
+        let mut back = world::make_conn(2, cfg, 0, 1);
+        decode_conn(&mut Reader::new(&bytes), &mut back, cfg, fabric).map(|()| back)
+    }
+
     #[test]
     fn conn_record_roundtrips_and_rejects_a_leaking_window() {
         let cfg = MpiConfig::scheme(crate::FlowControlScheme::RdmaChannel, 8);
-        let decoded = |c: &Conn| {
-            let mut w = Writer::new();
-            encode_conn(c, &mut w);
-            let bytes = w.finish();
-            let mut back = world::make_conn(2, &cfg, 0, 1);
-            decode_conn(&mut Reader::new(&bytes), &mut back, cfg.max_prepost, 16).map(|()| back)
-        };
+        let fabric = two_rank_fabric(&cfg);
+        let decoded = |c: &Conn| conn_roundtrip(c, &cfg, &fabric);
         let mut c = world::make_conn(2, &cfg, 0, 1);
         c.credits.grant(8);
         // One unit spent (the window's spend is private to `conn.rs`).
@@ -1186,6 +1253,112 @@ mod tests {
         // conservation panic at finalize.
         c.ring.held += 1;
         assert!(matches!(decoded(&c), Err(CodecError::BadTag { .. })));
+    }
+
+    /// Ring geometry the first poll or post would trip over — a cursor
+    /// outside its region, a `% 0` — is refused at decode, on the live
+    /// ring, an older generation and the peer's ring alike.
+    #[test]
+    fn restored_ring_geometry_is_checked() {
+        use crate::FlowControlScheme as S;
+        let cfg = MpiConfig::scheme(S::RdmaChannelDyn, 8);
+        let mut fabric = two_rank_fabric(&cfg);
+        let slots = cfg.rdma_ring_slots;
+        let grown_len = 2 * slots as usize * cfg.buf_size;
+        let grown = fabric.register(fabric.node_by_index(0), grown_len, ibfabric::Access::FULL);
+        // Established, then grown once: generation 0 still drains.
+        let honest = || {
+            let mut c = world::make_conn(2, &cfg, 0, 1);
+            c.establish(&cfg);
+            c.rings[0].read_slot = slots - 1;
+            c.install_grown_ring(grown, 2 * slots);
+            c
+        };
+        let geometry = |c: &Conn| -> Vec<_> {
+            c.rings
+                .iter()
+                .map(|g| (g.gen, g.mr, g.slots, g.read_slot))
+                .collect()
+        };
+        let c = honest();
+        let back = conn_roundtrip(&c, &cfg, &fabric).expect("honest geometry decodes");
+        assert_eq!(geometry(&back), geometry(&c));
+
+        type Lie = fn(&mut Conn);
+        let lies: [(&str, Lie); 8] = [
+            ("live cursor at its slot count", |c| {
+                c.rings[1].read_slot = 2 * c.rings[1].slots
+            }),
+            ("older cursor at its slot count", |c| {
+                c.rings[0].read_slot = c.rings[0].slots
+            }),
+            ("zero slots", |c| {
+                (c.rings[1].slots, c.rings[1].read_slot) = (0, 0)
+            }),
+            ("more slots than the region holds", |c| {
+                c.rings[1].slots *= 2
+            }),
+            ("peer cursor at its slot count", |c| {
+                c.ring_write_slot = c.peer_ring_slots
+            }),
+            ("more peer slots than the region holds", |c| {
+                c.peer_ring_slots *= 2
+            }),
+            ("generations out of order", |c| {
+                c.rings[0].gen = c.rings[1].gen
+            }),
+            ("an unestablished ring with slots", |c| {
+                c.established = false
+            }),
+        ];
+        for (lie, apply) in lies {
+            let mut c = honest();
+            apply(&mut c);
+            let err = conn_roundtrip(&c, &cfg, &fabric).err();
+            assert!(
+                matches!(
+                    err,
+                    Some(CodecError::BadTag {
+                        context: "conn ring geometry",
+                        ..
+                    })
+                ),
+                "{lie}: {err:?}"
+            );
+        }
+        // Only ring growth leaves an older generation behind.
+        let fixed = MpiConfig::scheme(S::RdmaChannel, 8);
+        assert!(conn_roundtrip(&honest(), &fixed, &fabric).is_err());
+
+        // A watched peer whose connection is not established — here the
+        // rank itself, which has none — is refused before any poll.
+        let snap = snapshot_after_exchange(&cfg, 16);
+        let mut fabric = Fabric::new(FabricParams::mt23108());
+        ibfabric::restore_fabric(&mut fabric, &mut Reader::new(&snap.fabric_image)).unwrap();
+        let node = fabric.node_by_index(0);
+        let mut blob = snap.rank_blobs[0].clone();
+        // Past the version, the section frame, rank, size, epoch and
+        // `next_ctx`: the `coll_seq` count and entries, `rdma_seen`,
+        // `ring_residual`, then the watchlist count and its first peer.
+        let at = 4 + 12 + 3 * 8 + 2;
+        let n_coll = u64::from_le_bytes(blob[at..at + 8].try_into().unwrap()) as usize;
+        let watch = at + 8 + n_coll * 6 + 8 + 1;
+        assert_eq!(
+            blob[watch..watch + 16],
+            [[1, 0, 0, 0, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0, 0, 0]].concat()
+        );
+        blob[watch + 8] = 0;
+        let err = decode_rank_blob(&blob, 0, 2, node, &cfg, &fabric).err();
+        assert!(
+            matches!(
+                err,
+                Some(CodecError::BadTag {
+                    context: "rank blob rdma_watch.peer (not established)",
+                    ..
+                })
+            ),
+            "{err:?}"
+        );
     }
 
     /// A 2-rank snapshot taken after each rank sent the other `len` bytes.
@@ -1254,13 +1427,8 @@ mod tests {
         encode_conn(&bare, &mut w);
         let mut bad = w.finish();
         bad[1 + 4 + 4..][..8].copy_from_slice(&(1u64 << 40).to_le_bytes());
-        let err = decode_conn(
-            &mut Reader::new(&bad),
-            &mut bare,
-            cfg.max_prepost,
-            fabric.mr_count(),
-        )
-        .expect_err("refused");
+        let err =
+            decode_conn(&mut Reader::new(&bad), &mut bare, &cfg, &fabric).expect_err("refused");
         assert!(
             matches!(
                 err,

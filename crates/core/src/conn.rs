@@ -153,18 +153,21 @@ pub(crate) fn earns_return(scheme: FlowControlScheme, kind: MsgKind) -> bool {
     scheme.is_user_level() && matches!(kind, MsgKind::Eager | MsgKind::RndzStart)
 }
 
-/// A ring generation the receiver has replaced but not yet retired: in-
-/// flight WRITEs against the old rkey still land here and are drained in
-/// arrival order until the sender acknowledges the switch.
+/// One generation of the receive ring the peer RDMA-writes frames into.
+/// A replaced generation stays polled: in-flight WRITEs against its rkey
+/// still land there and are drained in arrival order until the sender
+/// acknowledges the switch.
 #[derive(Debug)]
-pub(crate) struct RetiredRing {
-    /// Generation number of the retired ring (always < `my_ring_gen`).
+pub(crate) struct RxRing {
+    /// Generation 0 is the bootstrap ring laid out by `world.rs`; each
+    /// growth registers a fresh region one generation higher.
     pub gen: u32,
-    /// The old ring's region (still registered; WRITEs must land).
+    /// The ring's region (WRITEs against its rkey land here).
     pub mr: MrId,
-    /// Slot count of the retired ring.
+    /// Slot count (replaces `cfg.rdma_ring_slots` once growth is
+    /// possible).
     pub slots: u32,
-    /// Next slot to read while the tail drains.
+    /// Next slot to read.
     pub read_slot: u32,
 }
 
@@ -223,23 +226,17 @@ pub(crate) struct Conn {
     pub next_deliver_seq: u32,
     /// Frames that arrived ahead of `next_deliver_seq`.
     pub reorder: std::collections::BTreeMap<u32, (crate::wire::MsgHeader, Vec<u8>)>,
-    /// Ring this endpoint polls for frames the peer RDMA-writes.
-    pub my_ring: MrId,
-    /// Next ring slot to read.
-    pub ring_read_slot: u32,
+    /// The generations of the ring this endpoint polls for frames the
+    /// peer RDMA-writes, oldest first; the last is the live ring. Growth
+    /// is deferred while an older generation remains, so this holds at
+    /// most two.
+    pub rings: Vec<RxRing>,
     /// The peer's ring this endpoint writes into.
     pub peer_ring: MrId,
     /// Next slot to write at the peer.
     pub ring_write_slot: u32,
 
     // ---- dynamic ring growth (RdmaChannelDyn) ----
-    /// Generation of `my_ring`. Generation 0 is the bootstrap ring laid
-    /// out by `world.rs`; each growth registers a fresh region and bumps
-    /// this.
-    pub my_ring_gen: u32,
-    /// Slot count of `my_ring` (replaces `cfg.rdma_ring_slots` once
-    /// growth is possible).
-    pub my_ring_slots: u32,
     /// Generation of `peer_ring` as adopted from the mailbox.
     pub peer_ring_gen: u32,
     /// Slot count of `peer_ring`.
@@ -248,9 +245,6 @@ pub(crate) struct Conn {
     /// from the mailbox ack word). Old rings retire only once this
     /// passes their generation.
     pub peer_acked_gen: u32,
-    /// Replaced-but-not-drained ring generations, oldest first. Growth is
-    /// deferred while non-empty, so this holds at most one entry.
-    pub retired_rings: Vec<RetiredRing>,
     /// Ring-full eager→rendezvous conversions since the last growth
     /// signal left this endpoint (the sender-side trigger counter).
     pub ring_full_since_update: u32,
@@ -300,16 +294,17 @@ impl Conn {
             peer_mailbox,
             next_deliver_seq: 0,
             reorder: std::collections::BTreeMap::new(),
-            my_ring,
-            ring_read_slot: 0,
+            rings: vec![RxRing {
+                gen: 0,
+                mr: my_ring,
+                slots: 0,
+                read_slot: 0,
+            }],
             peer_ring,
             ring_write_slot: 0,
-            my_ring_gen: 0,
-            my_ring_slots: 0,
             peer_ring_gen: 0,
             peer_ring_slots: 0,
             peer_acked_gen: 0,
-            retired_rings: Vec::new(),
             ring_full_since_update: 0,
             ring_backlog_pending: false,
             ring_gen_ack_pending: false,
@@ -334,7 +329,7 @@ impl Conn {
         if cfg.scheme.uses_ring() {
             self.ring.grant(cfg.rdma_ring_slots);
             // Generation 0 = the bootstrap ring on both sides.
-            self.my_ring_slots = cfg.rdma_ring_slots;
+            self.rings[0].slots = cfg.rdma_ring_slots;
             self.peer_ring_slots = cfg.rdma_ring_slots;
         }
         self.established = true;
@@ -351,32 +346,35 @@ impl Conn {
         }
     }
 
-    /// Swaps a freshly registered, larger region in as the live receive
-    /// ring: bumps the generation, resets the read cursor, and grants the
-    /// extra slots to the peer through the ring window (they ride
-    /// the same mailbox write that publishes the new ring, so the grant
-    /// and the rkey arrive atomically). The displaced generation goes onto
-    /// `retired_rings`, polled until its tail drains: in-flight WRITEs
-    /// against the old rkey still land there. The caller publishes the
+    /// The ring generation the peer is currently told to write into.
+    pub fn live_ring(&self) -> &RxRing {
+        #[expect(
+            clippy::expect_used,
+            reason = "`rings` starts with the bootstrap ring and only ever retires older generations"
+        )]
+        self.rings.last().expect("a live ring")
+    }
+
+    /// Pushes a freshly registered, larger region as the live receive
+    /// ring, one generation up with its read cursor at slot 0, and grants
+    /// the extra slots to the peer through the ring window (they ride the
+    /// same mailbox write that publishes the new ring, so the grant and
+    /// the rkey arrive atomically). The displaced generation stays in
+    /// `rings`, polled until its tail drains. The caller publishes the
     /// switch with [`MpiRank::send_rdma_credit_update`].
     pub fn install_grown_ring(&mut self, mr: MrId, slots: u32) {
-        debug_assert!(slots > self.my_ring_slots, "ring growth must grow");
-        self.retired_rings.push(RetiredRing {
-            gen: self.my_ring_gen,
-            mr: self.my_ring,
-            slots: self.my_ring_slots,
-            read_slot: self.ring_read_slot,
+        let live = self.live_ring();
+        debug_assert!(slots > live.slots, "ring growth must grow");
+        let (gen, delta) = (live.gen + 1, slots - live.slots);
+        self.rings.push(RxRing {
+            gen,
+            mr,
+            slots,
+            read_slot: 0,
         });
-        let delta = slots - self.my_ring_slots;
-        self.my_ring = mr;
-        self.my_ring_gen += 1;
-        self.my_ring_slots = slots;
-        self.ring_read_slot = 0;
         self.ring.owe(delta);
         self.stats.ring_growth_events.incr();
-        self.stats
-            .ring_generation
-            .observe(u64::from(self.my_ring_gen));
+        self.stats.ring_generation.observe(u64::from(gen));
     }
 
     /// Panics unless both windows are conserved. The progress engine
@@ -459,9 +457,10 @@ impl Conn {
         let mut image = [0u8; 32];
         image[..8].copy_from_slice(&self.credits.take_mailbox_return().to_le_bytes());
         image[8..16].copy_from_slice(&self.ring.take_mailbox_return().to_le_bytes());
-        image[16..20].copy_from_slice(&self.my_ring_gen.to_le_bytes());
-        image[20..24].copy_from_slice(&self.my_ring.as_raw().to_le_bytes());
-        image[24..28].copy_from_slice(&self.my_ring_slots.to_le_bytes());
+        let live = self.live_ring();
+        image[16..20].copy_from_slice(&live.gen.to_le_bytes());
+        image[20..24].copy_from_slice(&live.mr.as_raw().to_le_bytes());
+        image[24..28].copy_from_slice(&live.slots.to_le_bytes());
         image[28..].copy_from_slice(&self.peer_ring_gen.to_le_bytes());
         Arc::from(&image[..if growth { 32 } else { 16 }])
     }
@@ -724,13 +723,7 @@ mod tests {
         use CreditMsgMode as M;
         use FlowControlScheme as S;
         use MsgKind as K;
-        for scheme in [
-            S::Hardware,
-            S::UserStatic,
-            S::UserDynamic,
-            S::RdmaChannel,
-            S::RdmaChannelDyn,
-        ] {
+        for scheme in S::ALL {
             let user = scheme != S::Hardware;
             for mode in [M::Optimistic, M::Rdma, M::NaiveGated] {
                 for kind in [K::Eager, K::RndzStart, K::RndzReply, K::RndzFin, K::Credit] {

@@ -148,15 +148,8 @@ impl MpiRank {
             }
             WrKind::RndzWrite => {
                 let req = ReqId(value as u32);
-                let (dst, detached) = {
-                    let s = self.reqs.send_mut(req);
-                    s.state = SendState::Done;
-                    s.failed = true;
-                    (s.dst, s.detached)
-                };
-                if detached {
-                    self.reqs.remove(req);
-                }
+                let dst = self.reqs.send_ref(req).dst;
+                self.reqs.fail_send(req);
                 dst
             }
             WrKind::RecvSlot => {
@@ -190,38 +183,17 @@ impl MpiRank {
         self.rdma_watch.retain(|&p| p != peer);
         let backlog: Vec<ReqId> = self.conn_mut(peer).backlog.drain(..).collect();
         for req in backlog {
-            let detached = {
-                let s = self.reqs.send_mut(req);
-                s.state = SendState::Done;
-                s.failed = true;
-                s.detached
-            };
-            if detached {
-                self.reqs.remove(req);
-            }
+            self.reqs.fail_send(req);
         }
         for id in self.reqs.live_ids() {
-            let remove = match self.reqs.get_mut(id) {
+            match self.reqs.get_mut(id) {
                 Request::Send(s) if s.dst == peer && s.state != SendState::Done => {
-                    s.state = SendState::Done;
-                    s.failed = true;
-                    s.detached
+                    self.reqs.fail_send(id);
                 }
                 Request::Recv(r) if r.src == Some(peer) && r.state != RecvState::Done => {
-                    r.state = RecvState::Done;
-                    r.failed = true;
-                    r.status = Some(crate::types::Status {
-                        source: peer,
-                        tag: r.tag.unwrap_or(0),
-                        len: 0,
-                    });
-                    r.data = Some(ibfabric::Bytes::default());
-                    false
+                    r.fail(peer, r.tag.unwrap_or(0));
                 }
-                Request::Send(_) | Request::Recv(_) => false,
-            };
-            if remove {
-                self.reqs.remove(id);
+                Request::Send(_) | Request::Recv(_) => {}
             }
         }
         // Failed receives no longer participate in matching.
@@ -546,18 +518,19 @@ impl MpiRank {
         let max = self.cfg.rdma_ring_max_slots;
         let new_slots = {
             let c = self.conn_mut(peer);
-            if c.my_ring_slots >= max {
+            let (gen, slots) = (c.live_ring().gen, c.live_ring().slots);
+            if slots >= max {
                 // Capped: from here on the connection behaves like a
                 // large static ring.
                 c.ring_growth_pending = false;
                 return;
             }
-            if c.peer_acked_gen < c.my_ring_gen || !c.retired_rings.is_empty() {
+            if c.peer_acked_gen < gen || c.rings.len() > 1 {
                 c.ring_growth_pending = true;
                 return;
             }
             c.ring_growth_pending = false;
-            c.my_ring_slots.saturating_mul(RING_GROWTH_FACTOR).min(max)
+            slots.saturating_mul(RING_GROWTH_FACTOR).min(max)
         };
         let len = new_slots as usize * self.cfg.buf_size;
         let node = self.node;
@@ -603,7 +576,7 @@ impl MpiRank {
             // bootstrap-sized cadence would send a mailbox WRITE every
             // couple of drained frames forever.
             let ring_owed =
-                self.cfg.scheme.uses_ring() && c.ring.pending >= threshold.min(c.my_ring_slots);
+                self.cfg.scheme.uses_ring() && c.ring.pending >= threshold.min(c.live_ring().slots);
             // An adopted-but-unacknowledged ring generation forces an
             // update out: the peer cannot retire the old ring until the
             // ack word lands in its mailbox.
@@ -641,10 +614,18 @@ impl MpiRank {
     }
 
     /// Polls the incoming RDMA eager-channel ring of every *watched*
-    /// connection (established peers only — the O(active) watchlist).
-    /// Each ring drains at most `RING_DRAIN_BURST` frames per pass so a
-    /// hot ring cannot starve CQ progress or the other rings; leftovers
-    /// set `ring_residual`, which forces the next pass to scan again.
+    /// connection (established peers only — the O(active) watchlist),
+    /// each connection's ring generations oldest first: a replaced
+    /// generation's frames predate the switch (the sequence gate reorders
+    /// across regions either way, but draining the tail early is what lets
+    /// the old registration retire). A replaced generation retires once
+    /// its markers run dry *and* the peer has acknowledged a later one —
+    /// the ack rides the same in-order QP as the ring WRITEs, so once it
+    /// has landed no further frame can reach the old region — and a
+    /// retirement unblocks a deferred growth retry. Each connection drains
+    /// at most `RING_DRAIN_BURST` frames per pass so a hot ring cannot
+    /// starve CQ progress or the other rings; leftovers set
+    /// `ring_residual`, which forces the next pass to scan again.
     fn poll_rings(&mut self) -> bool {
         let mut any = false;
         let buf_size = self.cfg.buf_size;
@@ -654,37 +635,53 @@ impl MpiRank {
             let peer = self.rdma_watch[i];
             i += 1;
             let mut drained = 0;
-            // Replaced-but-undrained ring generations first: their frames
-            // predate the switch (the sequence gate reorders across the
-            // two regions either way, but draining the tail early is what
-            // lets the old registration retire).
-            if self.cfg.scheme.grows_ring() && !self.conn(peer).retired_rings.is_empty() {
-                any |= self.drain_retired_rings(peer, &mut drained);
-            }
+            let mut g = 0;
             loop {
                 if drained >= RING_DRAIN_BURST {
                     self.ring_residual = true;
                     break;
                 }
-                let (mr, slot) = {
+                let (mr, slot, gen, live) = {
                     let c = self.conn(peer);
-                    (c.my_ring, c.ring_read_slot)
+                    let Some(r) = c.rings.get(g) else {
+                        break;
+                    };
+                    (r.mr, r.read_slot, r.gen, g + 1 == c.rings.len())
                 };
                 let Some((header, payload)) = self.take_ring_frame(mr, slot as usize * buf_size)
                 else {
-                    break;
+                    if !live && self.conn(peer).peer_acked_gen > gen {
+                        let retry = {
+                            let c = self.conn_mut(peer);
+                            c.rings.remove(g);
+                            c.stats.rings_retired.incr();
+                            c.ring_growth_pending
+                        };
+                        any = true;
+                        if retry {
+                            self.grow_ring(peer);
+                        }
+                    } else {
+                        g += 1;
+                    }
+                    continue;
                 };
                 {
                     let c = self.conn_mut(peer);
-                    // Per-connection slot count: growth re-sizes the ring
-                    // at run time.
-                    c.ring_read_slot = (slot + 1) % c.my_ring_slots;
+                    let r = &mut c.rings[g];
+                    r.read_slot = (slot + 1) % r.slots;
                     c.ring.owe(1);
                 }
                 self.stats.msgs_received.incr();
                 self.gate_and_dispatch(peer, header, payload);
                 any = true;
                 drained += 1;
+                if live {
+                    // The frame's ring-backlog bit may have grown the ring:
+                    // go on at slot 0 of the new generation and leave the
+                    // displaced one's remaining frames to the next pass.
+                    g = self.conn(peer).rings.len() - 1;
+                }
             }
         }
         any
@@ -718,58 +715,6 @@ impl MpiRank {
         // of the RDMA channel's latency advantage.
         self.charge(copy_cost + ibsim::SimDuration::nanos(100));
         Some((header, payload))
-    }
-
-    /// Drains the tail of the replaced ring generation(s) for `peer`,
-    /// sharing the caller's per-pass burst budget, and retires each
-    /// generation once its markers run dry *and* the peer has
-    /// acknowledged the switch — the ack rides the same in-order QP as
-    /// the ring WRITEs, so once it has landed no further frame can reach
-    /// the old region. A retirement unblocks a deferred growth retry.
-    fn drain_retired_rings(&mut self, peer: Rank, drained: &mut u32) -> bool {
-        let buf_size = self.cfg.buf_size;
-        let mut any = false;
-        while let Some((mr, slot, slots, gen)) = self
-            .conn(peer)
-            .retired_rings
-            .first()
-            .map(|r| (r.mr, r.read_slot, r.slots, r.gen))
-        {
-            if *drained >= RING_DRAIN_BURST {
-                self.ring_residual = true;
-                break;
-            }
-            let Some((header, payload)) = self.take_ring_frame(mr, slot as usize * buf_size) else {
-                // Tail is dry. Retire only once the ack proves no
-                // further WRITE can land against the old rkey.
-                if self.conn(peer).peer_acked_gen > gen {
-                    let retry = {
-                        let c = self.conn_mut(peer);
-                        c.retired_rings.remove(0);
-                        c.stats.rings_retired.incr();
-                        c.ring_growth_pending
-                    };
-                    any = true;
-                    if retry {
-                        self.grow_ring(peer);
-                    }
-                    continue;
-                }
-                break;
-            };
-            {
-                let c = self.conn_mut(peer);
-                if let Some(r) = c.retired_rings.first_mut() {
-                    r.read_slot = (slot + 1) % slots;
-                }
-                c.ring.owe(1);
-            }
-            self.stats.msgs_received.incr();
-            self.gate_and_dispatch(peer, header, payload);
-            any = true;
-            *drained += 1;
-        }
-        any
     }
 
     /// Reads the incoming credit mailbox of every watched connection.

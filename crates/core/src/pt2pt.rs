@@ -167,13 +167,8 @@ impl MpiRank {
     /// receives this *discards* the payload — use [`MpiRank::wait_recv`]
     /// to take it.
     pub async fn wait(&mut self, req: ReqId) {
-        loop {
-            self.progress();
-            if self.reqs.get(req).is_done() {
-                break;
-            }
-            self.block_for_progress("MPI_Wait").await;
-        }
+        self.wait_until(|m| m.reqs.get(req).is_done(), "MPI_Wait")
+            .await;
         match self.reqs.get_mut(req) {
             Request::Send(s) if s.state == SendState::Done => {
                 self.reqs.remove(req);
@@ -245,23 +240,18 @@ impl MpiRank {
     /// Waits for the receive `req`, releases it and returns its status,
     /// payload and whether teardown failed it.
     async fn complete_recv(&mut self, req: ReqId) -> (Status, Bytes, bool) {
-        loop {
-            self.progress();
-            if self.reqs.get(req).is_done() {
-                break;
-            }
-            // Park notes are static: this is the hottest park site in the
-            // whole stack, so no diagnostic string is built per iteration.
-            // On deadlock, `MpiWorld::run` reconstructs the fabric-level
-            // state (posted recvs, queued sends, in-flight messages per
-            // connection) from the torn-down world instead.
-            self.block_for_progress("MPI_Wait(recv)").await;
-        }
+        // Park notes are static: this is the hottest park site in the
+        // whole stack, so no diagnostic string is built per iteration. On
+        // deadlock, `MpiWorld::run` reconstructs the fabric-level state
+        // (posted recvs, queued sends, in-flight messages per connection)
+        // from the torn-down world instead.
+        self.wait_until(|m| m.reqs.get(req).is_done(), "MPI_Wait(recv)")
+            .await;
         match self.reqs.remove(req) {
             Request::Recv(r) => {
                 #[expect(
                     clippy::expect_used,
-                    reason = "the wait loop above only exits once the request is Done, which sets both fields"
+                    reason = "the wait above only returns once the request is Done, which sets both fields"
                 )]
                 let status = r.status.expect("done recv has status");
                 #[expect(clippy::expect_used, reason = "same Done-state invariant as status")]
@@ -360,15 +350,9 @@ impl MpiRank {
             // nothing ever will. Complete as failed so the caller's wait
             // unblocks (wildcard receives stay posted — another peer may
             // still match them).
-            let r = self.reqs.recv_mut(req);
-            r.state = RecvState::Done;
-            r.failed = true;
-            r.status = Some(Status {
-                source: src.unwrap_or(0),
-                tag: tag.unwrap_or(0),
-                len: 0,
-            });
-            r.data = Some(Bytes::default());
+            self.reqs
+                .recv_mut(req)
+                .fail(src.unwrap_or(0), tag.unwrap_or(0));
         } else {
             self.posted_recvs.push(req);
         }
@@ -383,9 +367,7 @@ impl MpiRank {
         };
         self.ensure_established(dst);
         if self.conn(dst).failed {
-            let s = self.reqs.send_mut(req);
-            s.state = SendState::Done;
-            s.failed = true;
+            self.reqs.fail_send(req);
             return;
         }
         let eager_ok = !force_rndz && len <= self.cfg.eager_threshold();
@@ -632,15 +614,7 @@ impl MpiRank {
         if self.conn(src).failed {
             // The start arrived, but the connection died before the
             // reply could go out: the handshake can never finish.
-            let r = self.reqs.recv_mut(req);
-            r.state = RecvState::Done;
-            r.failed = true;
-            r.status = Some(Status {
-                source: src,
-                tag,
-                len: 0,
-            });
-            r.data = Some(Bytes::default());
+            self.reqs.recv_mut(req).fail(src, tag);
             return;
         }
         // Pin-down cache, keyed by a per-(source, size-class) slot —

@@ -80,6 +80,22 @@ pub(crate) struct RecvReq {
     pub failed: bool,
 }
 
+impl RecvReq {
+    /// Completes this receive as failed: a zero-length status from
+    /// `source` and an empty payload, so a waiting caller unblocks
+    /// ([`crate::MpiRank::wait_recv_result`] surfaces the typed error).
+    pub fn fail(&mut self, source: Rank, tag: Tag) {
+        self.state = RecvState::Done;
+        self.failed = true;
+        self.status = Some(Status {
+            source,
+            tag,
+            len: 0,
+        });
+        self.data = Some(ibfabric::Bytes::default());
+    }
+}
+
 #[derive(Debug)]
 pub(crate) enum Request {
     Send(SendReq),
@@ -175,6 +191,17 @@ impl ReqTable {
                 reason = "header role fields guarantee the variant; see send_ref"
             )]
             Request::Recv(_) => panic!("request {id:?} is a recv, expected a send"),
+        }
+    }
+
+    /// Completes the send `id` as failed, releasing it if its owner
+    /// already let go of it (a detached buffered send).
+    pub fn fail_send(&mut self, id: ReqId) {
+        let s = self.send_mut(id);
+        s.state = SendState::Done;
+        s.failed = true;
+        if s.detached {
+            self.remove(id);
         }
     }
 

@@ -346,7 +346,11 @@ fn with_fabric_diag(e: SimError, sim: Sim<Fabric>, nprocs: usize) -> SimError {
 /// setup with a bare [`Conn`] per peer. Nothing is posted or connected
 /// here: that is [`establish`], which [`boot`] runs for every pair under
 /// eager setup.
-fn bootstrap_fabric(fabric: &mut Fabric, nprocs: usize, cfg: &MpiConfig) -> Vec<RankSetup> {
+pub(crate) fn bootstrap_fabric(
+    fabric: &mut Fabric,
+    nprocs: usize,
+    cfg: &MpiConfig,
+) -> Vec<RankSetup> {
     assert!(
         nprocs >= 1 && nprocs <= u16::MAX as usize,
         "unsupported world size"

@@ -30,7 +30,7 @@ use crate::fabric::{Fabric, NodeId};
 use crate::fault::Fate;
 use crate::mem::Access;
 use crate::params::FabricParams;
-use crate::qp::{InflightMsg, QpId, QpState};
+use crate::qp::{InflightMsg, Qp, QpId, QpState, SendWqe};
 use crate::wr::{Cqe, CqeOpcode, CqeStatus, SendOp};
 use ibsim::{Ctx, SimDuration, SimTime};
 
@@ -273,53 +273,67 @@ fn handle_ack_timeout(ctx: &mut Ctx<'_, Fabric>, qp_id: QpId) {
         let q = &mut ctx.world.qps[qp_id.index()];
         q.stats.ack_timeouts.incr();
         q.timeout_streak += 1;
-        // Go-back-N: every unacknowledged message returns to the send
-        // queue (oldest at the head) and the MSN clock rewinds to it.
-        let oldest = match q.inflight.front() {
-            Some(m) => m.msn,
-            None => return,
+        let Some(oldest) = q.inflight.front().map(|m| m.msn) else {
+            return;
         };
-        while let Some(m) = q.inflight.pop_back() {
-            if m.wqe.op.is_send() {
-                q.unacked_sends -= 1;
-            }
-            q.sq.push_front(m.wqe);
-        }
-        q.next_msn = oldest;
-        // Burn one transport retry unit on the timed-out head message.
-        match q.sq.front_mut().and_then(|w| w.retry_budget.as_mut()) {
-            Some(b) if *b == 0 => true,
-            Some(b) => {
-                *b -= 1;
-                false
-            }
-            None => false, // infinite retry
-        }
+        go_back_n(q, oldest, |w| &mut w.retry_budget)
     };
     if exhausted {
-        let (send_cq, cqe) = {
-            let q = &mut ctx.world.qps[qp_id.index()];
-            #[expect(
-                clippy::expect_used,
-                reason = "`exhausted` is only set after inspecting this same queue head"
-            )]
-            let wqe = q.sq.pop_front().expect("head exists");
-            (
-                q.send_cq,
-                Cqe {
-                    wr_id: wqe.wr_id,
-                    qp: qp_id,
-                    opcode: wqe.op.completion_opcode(),
-                    status: CqeStatus::TransportRetryExceeded,
-                    byte_len: 0,
-                },
-            )
-        };
-        push_cqe(ctx, send_cq, cqe);
-        fail_qp(ctx, qp_id);
+        fail_head(ctx, qp_id, CqeStatus::TransportRetryExceeded);
         return;
     }
     pump(ctx, qp_id);
+}
+
+/// Go-back-N rollback, shared by the ACK-timeout and RNR NAK paths: every
+/// in-flight message at or after `from` returns to the send queue (oldest
+/// at the head) and the MSN clock rewinds to `from`. Then one unit of the
+/// head's `budget` is burned; returns whether it was already exhausted
+/// (a budget of `None` retries forever).
+fn go_back_n(q: &mut Qp, from: u64, budget: fn(&mut SendWqe) -> &mut Option<u32>) -> bool {
+    while q.inflight.back().is_some_and(|m| m.msn >= from) {
+        let Some(m) = q.inflight.pop_back() else {
+            break;
+        };
+        if m.wqe.op.is_send() {
+            q.unacked_sends -= 1;
+        }
+        q.sq.push_front(m.wqe);
+    }
+    q.next_msn = from;
+    match q.sq.front_mut().and_then(|w| budget(w).as_mut()) {
+        Some(b) if *b == 0 => true,
+        Some(b) => {
+            *b -= 1;
+            false
+        }
+        None => false,
+    }
+}
+
+/// A retry budget ran out: the head WQE completes with `status` and the
+/// QP fails, flushing the rest.
+fn fail_head(ctx: &mut Ctx<'_, Fabric>, qp_id: QpId, status: CqeStatus) {
+    let (send_cq, cqe) = {
+        let q = &mut ctx.world.qps[qp_id.index()];
+        #[expect(
+            clippy::expect_used,
+            reason = "a budget is only found exhausted on an existing queue head"
+        )]
+        let wqe = q.sq.pop_front().expect("head exists");
+        (
+            q.send_cq,
+            Cqe {
+                wr_id: wqe.wr_id,
+                qp: qp_id,
+                opcode: wqe.op.completion_opcode(),
+                status,
+                byte_len: 0,
+            },
+        )
+    };
+    push_cqe(ctx, send_cq, cqe);
+    fail_qp(ctx, qp_id);
 }
 
 /// Schedules `handle_ack` at the requester after the control-channel
@@ -414,7 +428,7 @@ fn deliver(
             ctx.world.qps[dst_qp.index()].expected_msn += 1;
             ctx.world.stats.msgs_delivered.incr();
             ctx.world.stats.bytes_delivered.add(payload.len() as u64);
-            let rx_done = charge_rx(ctx, dst_node, first_arrival, now, payload.len());
+            let rx_done = charge_rx_kind(ctx, dst_node, first_arrival, now, payload.len(), false);
             ctx.schedule_at(rx_done, move |c| {
                 let len = payload.len();
                 c.world.mrs[rwqe.mr.index()].place(rwqe.offset, &payload);
@@ -461,7 +475,7 @@ fn deliver(
             }
             ctx.world.stats.msgs_delivered.incr();
             ctx.world.stats.bytes_delivered.add(payload.len() as u64);
-            let rx_done = charge_rx_rdma(ctx, dst_node, first_arrival, now, payload.len());
+            let rx_done = charge_rx_kind(ctx, dst_node, first_arrival, now, payload.len(), true);
             ctx.schedule_at(rx_done, move |c| {
                 c.world.mrs[rkey.index()].place(remote_offset, &payload);
                 c.world.nodes[dst_node.index()].rdma_delivered += 1;
@@ -478,29 +492,8 @@ fn deliver(
 }
 
 /// Charges receiver-side DMA and processing for an arriving message and
-/// returns the instant software may observe it.
-fn charge_rx(
-    ctx: &mut Ctx<'_, Fabric>,
-    node: NodeId,
-    first_arrival: SimTime,
-    now: SimTime,
-    bytes: usize,
-) -> SimTime {
-    charge_rx_kind(ctx, node, first_arrival, now, bytes, false)
-}
-
-/// Like [`charge_rx`] for one-sided RDMA arrivals, which skip the receive
-/// WQE and completion machinery.
-fn charge_rx_rdma(
-    ctx: &mut Ctx<'_, Fabric>,
-    node: NodeId,
-    first_arrival: SimTime,
-    now: SimTime,
-    bytes: usize,
-) -> SimTime {
-    charge_rx_kind(ctx, node, first_arrival, now, bytes, true)
-}
-
+/// returns the instant software may observe it. One-sided RDMA arrivals
+/// (`rdma`) skip the receive WQE and completion machinery.
 fn charge_rx_kind(
     ctx: &mut Ctx<'_, Fabric>,
     node: NodeId,
@@ -602,59 +595,13 @@ fn handle_rnr_nak(ctx: &mut Ctx<'_, Fabric>, qp_id: QpId, msn: u64) {
         }
         q.stats.rnr_naks_received.incr();
         q.adv_credits = 0;
-        // Roll back every in-flight message at or after the NAKed one.
-        while let Some(back) = q.inflight.back() {
-            if back.msn < msn {
-                break;
-            }
-            #[expect(
-                clippy::expect_used,
-                reason = "the loop head breaks when inflight is empty before reaching here"
-            )]
-            let m = q.inflight.pop_back().expect("back exists");
-            if m.wqe.op.is_send() {
-                q.unacked_sends -= 1;
-            }
-            q.sq.push_front(m.wqe);
-        }
-        q.next_msn = msn;
-        // Burn one retry unit on the NAKed (now head) message.
-        match q.sq.front_mut().and_then(|w| w.rnr_budget.as_mut()) {
-            Some(b) if *b == 0 => true,
-            Some(b) => {
-                *b -= 1;
-                false
-            }
-            None => false, // infinite retry
-        }
+        go_back_n(q, msn, |w| &mut w.rnr_budget)
     };
     if exhausted {
-        let (send_cq, cqe) = {
-            let q = &mut ctx.world.qps[qp_id.index()];
-            #[expect(
-                clippy::expect_used,
-                reason = "`exhausted` is only set after inspecting this same queue head"
-            )]
-            let wqe = q.sq.pop_front().expect("head exists");
-            (
-                q.send_cq,
-                Cqe {
-                    wr_id: wqe.wr_id,
-                    qp: qp_id,
-                    opcode: wqe.op.completion_opcode(),
-                    status: CqeStatus::RnrRetryExceeded,
-                    byte_len: 0,
-                },
-            )
-        };
-        push_cqe(ctx, send_cq, cqe);
-        fail_qp(ctx, qp_id);
+        fail_head(ctx, qp_id, CqeStatus::RnrRetryExceeded);
         return;
     }
-    {
-        let q = &mut ctx.world.qps[qp_id.index()];
-        q.backoff_until = Some(now + rnr_timer);
-    }
+    ctx.world.qps[qp_id.index()].backoff_until = Some(now + rnr_timer);
     pump(ctx, qp_id); // schedules the retry at the backoff horizon
 }
 

@@ -116,6 +116,50 @@ async fn gather_full(mpi: &mut MpiRank, world: &Comm, mine: &[f64], n: usize) ->
     full
 }
 
+/// One outer power-method iteration on this rank's block `x`: solves
+/// `A z = x` approximately with `cfg.inner` CG steps, then sets
+/// `x = z / ||z||`. Returns the final residual norm and
+/// `zeta = shift + 1 / (x . z)`.
+async fn power_step(
+    mpi: &mut MpiRank,
+    world: &Comm,
+    cfg: &CgConfig,
+    a: &RowBlock,
+    x: &mut [f64],
+) -> (f64, f64) {
+    let rows = x.len();
+    let mut z = vec![0.0f64; rows];
+    let mut r = x.to_vec();
+    let mut pvec = r.clone();
+    let mut rho = ddot(mpi, world, &r, &r).await;
+    for _ in 0..cfg.inner {
+        let pfull = gather_full(mpi, world, &pvec, cfg.n).await;
+        let mut q = vec![0.0f64; rows];
+        spmv(mpi, a, &pfull, &mut q).await;
+        let alpha = rho / ddot(mpi, world, &pvec, &q).await;
+        for i in 0..rows {
+            z[i] += alpha * pvec[i];
+            r[i] -= alpha * q[i];
+        }
+        charge_flops(mpi, rows as f64 * 4.0).await;
+        let rho_new = ddot(mpi, world, &r, &r).await;
+        let beta = rho_new / rho;
+        rho = rho_new;
+        for i in 0..rows {
+            pvec[i] = r[i] + beta * pvec[i];
+        }
+        charge_flops(mpi, rows as f64 * 2.0).await;
+    }
+    let xz = ddot(mpi, world, x, &z).await;
+    let zeta = 20.0 + 1.0 / xz;
+    let znorm = ddot(mpi, world, &z, &z).await.sqrt();
+    for (xi, &zi) in x.iter_mut().zip(&z) {
+        *xi = zi / znorm;
+    }
+    charge_flops(mpi, rows as f64 * 2.0).await;
+    (rho.sqrt(), zeta)
+}
+
 /// Runs CG over the world communicator. The outer loop mirrors the NPB
 /// power-method structure: solve `A z = x` approximately with `inner` CG
 /// steps, then normalize.
@@ -133,38 +177,7 @@ pub async fn run(mpi: &mut MpiRank, class: NasClass) -> KernelOutput {
 
     let (_, time) = timed(mpi, &world, async |mpi| {
         for _ in 0..cfg.outer {
-            // CG solve A z = x.
-            let mut z = vec![0.0f64; rows];
-            let mut r = x.clone();
-            let mut pvec = r.clone();
-            let mut rho = ddot(mpi, &world, &r, &r).await;
-            for _ in 0..cfg.inner {
-                let pfull = gather_full(mpi, &world, &pvec, cfg.n).await;
-                let mut q = vec![0.0f64; rows];
-                spmv(mpi, &a, &pfull, &mut q).await;
-                let alpha = rho / ddot(mpi, &world, &pvec, &q).await;
-                for i in 0..rows {
-                    z[i] += alpha * pvec[i];
-                    r[i] -= alpha * q[i];
-                }
-                charge_flops(mpi, rows as f64 * 4.0).await;
-                let rho_new = ddot(mpi, &world, &r, &r).await;
-                let beta = rho_new / rho;
-                rho = rho_new;
-                for i in 0..rows {
-                    pvec[i] = r[i] + beta * pvec[i];
-                }
-                charge_flops(mpi, rows as f64 * 2.0).await;
-            }
-            final_rnorm = rho.sqrt();
-            // zeta = shift + 1 / (x . z); then x = z / ||z||.
-            let xz = ddot(mpi, &world, &x, &z).await;
-            zeta = 20.0 + 1.0 / xz;
-            let znorm = ddot(mpi, &world, &z, &z).await.sqrt();
-            for i in 0..rows {
-                x[i] = z[i] / znorm;
-            }
-            charge_flops(mpi, rows as f64 * 2.0).await;
+            (final_rnorm, zeta) = power_step(mpi, &world, &cfg, &a, &mut x).await;
         }
     })
     .await;
@@ -271,38 +284,7 @@ pub async fn run_with_ckpt(mpi: &mut MpiRank, class: NasClass, start: CkptStart)
         // accumulated span excludes the checkpoint machinery itself.
         barrier(mpi, &world).await;
         let t0 = mpi.now();
-
-        let mut z = vec![0.0f64; rows];
-        let mut r = st.x.clone();
-        let mut pvec = r.clone();
-        let mut rho = ddot(mpi, &world, &r, &r).await;
-        for _ in 0..cfg.inner {
-            let pfull = gather_full(mpi, &world, &pvec, cfg.n).await;
-            let mut q = vec![0.0f64; rows];
-            spmv(mpi, &a, &pfull, &mut q).await;
-            let alpha = rho / ddot(mpi, &world, &pvec, &q).await;
-            for i in 0..rows {
-                z[i] += alpha * pvec[i];
-                r[i] -= alpha * q[i];
-            }
-            charge_flops(mpi, rows as f64 * 4.0).await;
-            let rho_new = ddot(mpi, &world, &r, &r).await;
-            let beta = rho_new / rho;
-            rho = rho_new;
-            for i in 0..rows {
-                pvec[i] = r[i] + beta * pvec[i];
-            }
-            charge_flops(mpi, rows as f64 * 2.0).await;
-        }
-        st.rnorm = rho.sqrt();
-        let xz = ddot(mpi, &world, &st.x, &z).await;
-        st.zeta = 20.0 + 1.0 / xz;
-        let znorm = ddot(mpi, &world, &z, &z).await.sqrt();
-        for (xi, &zi) in st.x.iter_mut().zip(&z) {
-            *xi = zi / znorm;
-        }
-        charge_flops(mpi, rows as f64 * 2.0).await;
-
+        (st.rnorm, st.zeta) = power_step(mpi, &world, &cfg, &a, &mut st.x).await;
         st.elapsed += mpi.now().since(t0);
         st.done += 1;
         let stamped = mpi.checkpoint(&encode_cg_state(&st)).await;

@@ -1,4 +1,4 @@
-//! Runs a NAS kernel under all three flow control schemes and prints the
+//! Runs a NAS kernel under every flow control scheme and prints the
 //! paper-style comparison: runtime, explicit credit messages, dynamic
 //! buffer growth, and fabric-level RNR activity.
 //!

@@ -4,16 +4,24 @@
 //!
 //! This crate re-exports the workspace's public surface:
 //!
-//! * [`ibsim`] — deterministic discrete-event engine with thread processes.
+//! * [`ibsim`] — deterministic discrete-event engine whose simulated
+//!   processes are stackless coroutines.
 //! * [`ibfabric`] — packet-level InfiniBand fabric model with a Verbs-like
 //!   API (QPs, CQs, RC transport, RNR NAK, end-to-end credits, RDMA).
-//! * [`mpib`] — the MPI library implementing the paper's three flow control
-//!   schemes (hardware-based, user-level static, user-level dynamic).
+//! * [`mpib`] — the MPI library implementing the five flow control schemes
+//!   of `FlowControlScheme::ALL`: the paper's three (hardware-based,
+//!   user-level static, user-level dynamic) and the companion RDMA eager
+//!   channel with a static and a growable ring.
 //! * [`nasbench`] — communication-faithful NAS Parallel Benchmark kernels
 //!   used for the application-level evaluation.
 //!
 //! See `README.md` for a quickstart and `DESIGN.md`/`EXPERIMENTS.md` for the
 //! system inventory and the per-figure reproduction index.
+
+/// README.md's code samples, compiled and run as doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;
 
 pub use ibfabric;
 pub use ibsim;

@@ -10,6 +10,8 @@
 //! for the `deny` that makes an *unaudited* site an error. That is a line
 //! of text in a crate or module header, and this holds the lines.
 
+use mpib::FlowControlScheme;
+
 fn read(rel: &str) -> String {
     let path = format!("{}/{rel}", env!("CARGO_MANIFEST_DIR"));
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
@@ -165,24 +167,30 @@ fn one_host_timing_harness() {
 }
 
 /// Whether `line` is one element of a hand-written scheme list: a
-/// `FlowControlScheme` variant (a CamelCase name, so not `ALL`), alone or
-/// heading a tuple, ending in a comma — not a match arm or pattern.
+/// `FlowControlScheme` variant — by its path or through a one-segment
+/// alias such as `S::Hardware` — alone or heading a tuple, ending in a
+/// comma; not a match arm or pattern.
 fn lists_one_scheme(line: &str) -> bool {
     let Some(element) = line.trim().strip_suffix(',') else {
         return false;
     };
     let element = element.strip_prefix('(').unwrap_or(element);
-    let Some((path, rest)) = element.split_once("FlowControlScheme::") else {
+    let ident = |c: char| c.is_alphanumeric() || c == '_';
+    let Some((_, rest)) = element
+        .split_once("FlowControlScheme::")
+        .filter(|(path, _)| path.chars().all(|c| ident(c) || c == ':'))
+        .or_else(|| {
+            element
+                .split_once("::")
+                .filter(|(alias, _)| !alias.is_empty() && alias.chars().all(ident))
+        })
+    else {
         return false;
     };
-    let variant: String = rest
-        .chars()
-        .take_while(|c| c.is_alphanumeric() || *c == '_')
-        .collect();
-    path.chars()
-        .all(|c| c.is_alphanumeric() || c == '_' || c == ':')
-        && variant.starts_with(|c: char| c.is_ascii_uppercase())
-        && variant.contains(|c: char| c.is_ascii_lowercase())
+    let variant: String = rest.chars().take_while(|&c| ident(c)).collect();
+    FlowControlScheme::ALL
+        .iter()
+        .any(|s| format!("{s:?}") == variant)
         && !rest.contains("=>")
         && !rest.contains('|')
 }

@@ -731,7 +731,8 @@ fn decode_conn(
 /// cursor read outside its region, a `% 0`). A ring in use — a ring
 /// scheme on an established connection — has each cursor below its slot
 /// count and room for its slots in its region, generations increasing,
-/// and older generations only under ring growth; an unused ring keeps the
+/// and older generations only where the ring's cap lies above the
+/// bootstrap ring (a ring that may grow); an unused ring keeps the
 /// bare connection's empty geometry.
 fn check_ring_geometry(c: &Conn, cfg: &MpiConfig, fabric: &Fabric) -> Result<(), CodecError> {
     let in_use = cfg.scheme.uses_ring() && c.established;
@@ -748,7 +749,7 @@ fn check_ring_geometry(c: &Conn, cfg: &MpiConfig, fabric: &Fabric) -> Result<(),
     let ok = c.rings.iter().all(|g| fits(g.mr, g.slots, g.read_slot))
         && fits(c.peer_ring, c.peer_ring_slots, c.ring_write_slot)
         && c.rings.windows(2).all(|w| w[0].gen < w[1].gen)
-        && (c.rings.len() == 1 || (in_use && cfg.scheme.grows_ring()));
+        && (c.rings.len() == 1 || (in_use && cfg.ring_cap() > cfg.rdma_ring_slots));
     if ok {
         Ok(())
     } else {

@@ -55,8 +55,10 @@ pub async fn barrier(mpi: &mut MpiRank, comm: &Comm) {
 }
 
 /// Binomial-tree broadcast of a byte buffer from `root` (communicator
-/// rank). Non-roots receive into the returned vector.
-pub async fn bcast_bytes(mpi: &mut MpiRank, comm: &Comm, root: usize, data: Vec<u8>) -> Vec<u8> {
+/// rank). The root gets its `data` back; a non-root gets the payload it
+/// received, as received (no copy).
+pub async fn bcast_bytes(mpi: &mut MpiRank, comm: &Comm, root: usize, data: Vec<u8>) -> Bytes {
+    let mut data = Bytes::from(data);
     let n = comm.size();
     if n <= 1 {
         return data;
@@ -65,15 +67,11 @@ pub async fn bcast_bytes(mpi: &mut MpiRank, comm: &Comm, root: usize, data: Vec<
     let tag = mpi.coll_tag(comm);
     // Rotate so the root is virtual rank 0.
     let vrank = (me + n - root) % n;
-    let mut data = data;
     // Receive phase: find the highest set bit of vrank.
     if vrank != 0 {
         let mask = 1 << (usize::BITS - 1 - vrank.leading_zeros());
         let parent = (vrank - mask + root) % n;
-        data = mpi
-            .crecv(comm.world_rank(parent), tag, comm)
-            .await
-            .into_vec();
+        data = mpi.crecv(comm.world_rank(parent), tag, comm).await;
     }
     // Send phase: children are vrank + 2^k for 2^k > vrank's high bit.
     let mut mask = if vrank == 0 {
@@ -207,13 +205,16 @@ pub async fn allgather_scalars<T: Scalar>(mpi: &mut MpiRank, comm: &Comm, mine: 
 ///
 /// Power-of-two groups use recursive doubling — symmetric pairwise
 /// exchanges, as the MPICH lineage did, which also keeps per-connection
-/// credit flow bidirectional. Other sizes fall back to a ring.
-pub async fn allgather_bytes(mpi: &mut MpiRank, comm: &Comm, mine: &[u8]) -> Vec<Vec<u8>> {
+/// credit flow bidirectional. Other sizes fall back to a ring, which
+/// hands back each chunk as received (no copy). Recursive doubling frames
+/// several chunks into one message, so it copies each chunk out of the
+/// message that carried it.
+pub async fn allgather_bytes(mpi: &mut MpiRank, comm: &Comm, mine: &[u8]) -> Vec<Bytes> {
     let n = comm.size();
     let me = comm.my_rank(mpi);
     let tag = mpi.coll_tag(comm);
-    let mut chunks: Vec<Vec<u8>> = vec![Vec::new(); n];
-    chunks[me] = mine.to_vec();
+    let mut chunks: Vec<Bytes> = std::iter::repeat_with(Bytes::default).take(n).collect();
+    chunks[me] = mine.to_vec().into();
     if n == 1 {
         return chunks;
     }
@@ -240,7 +241,7 @@ pub async fn allgather_bytes(mpi: &mut MpiRank, comm: &Comm, mine: &[u8]) -> Vec
             while off < data.len() {
                 let idx = crate::wire::u32_at(&data, off) as usize;
                 let len = crate::wire::u32_at(&data, off + 4) as usize;
-                chunks[idx] = data[off + 8..off + 8 + len].to_vec();
+                chunks[idx] = data[off + 8..off + 8 + len].to_vec().into();
                 off += 8 + len;
             }
             mask <<= 1;
@@ -257,21 +258,22 @@ pub async fn allgather_bytes(mpi: &mut MpiRank, comm: &Comm, mine: &[u8]) -> Vec
         mpi.wait(sreq).await;
         let (_s, data) = mpi.wait_recv(rreq).await;
         let recv_idx = (me + n - step - 1) % n;
-        chunks[recv_idx] = data.into_vec();
+        chunks[recv_idx] = data;
     }
     chunks
 }
 
 /// Pairwise-exchange all-to-all: `chunks[i]` goes to communicator rank
-/// `i`; returns what everyone sent to this process (indexed by source).
-/// Handles unequal sizes, so this is also `alltoallv`.
-pub async fn alltoallv_bytes(mpi: &mut MpiRank, comm: &Comm, chunks: &[Vec<u8>]) -> Vec<Vec<u8>> {
+/// `i`; returns what everyone sent to this process (indexed by source),
+/// each chunk as received (no copy). Handles unequal sizes, so this is
+/// also `alltoallv`.
+pub async fn alltoallv_bytes(mpi: &mut MpiRank, comm: &Comm, chunks: &[Vec<u8>]) -> Vec<Bytes> {
     let n = comm.size();
     assert_eq!(chunks.len(), n, "need one chunk per member");
     let me = comm.my_rank(mpi);
     let tag = mpi.coll_tag(comm);
-    let mut out: Vec<Vec<u8>> = vec![Vec::new(); n];
-    out[me] = chunks[me].clone();
+    let mut out: Vec<Bytes> = std::iter::repeat_with(Bytes::default).take(n).collect();
+    out[me] = chunks[me].clone().into();
     for step in 1..n {
         // For power-of-two sizes this is the XOR schedule; otherwise a
         // rotation — both pair every process exactly once per step.
@@ -289,7 +291,7 @@ pub async fn alltoallv_bytes(mpi: &mut MpiRank, comm: &Comm, chunks: &[Vec<u8>])
         let rreq = mpi.irecv_ctx(Some(comm.world_rank(recv_from)), Some(tag), comm.ctx);
         mpi.wait(sreq).await;
         let (_s, data) = mpi.wait_recv(rreq).await;
-        out[recv_from] = data.into_vec();
+        out[recv_from] = data;
     }
     out
 }
@@ -360,23 +362,23 @@ pub async fn scan_scalars<T: Scalar>(
     acc
 }
 
-/// Gather byte buffers to `root` (communicator rank order); `None` on
-/// non-roots.
+/// Gather byte buffers to `root` (communicator rank order), each as
+/// received (no copy); `None` on non-roots.
 pub async fn gather_bytes(
     mpi: &mut MpiRank,
     comm: &Comm,
     root: usize,
     mine: &[u8],
-) -> Option<Vec<Vec<u8>>> {
+) -> Option<Vec<Bytes>> {
     let n = comm.size();
     let me = comm.my_rank(mpi);
     let tag = mpi.coll_tag(comm);
     if me == root {
-        let mut out: Vec<Vec<u8>> = vec![Vec::new(); n];
-        out[me] = mine.to_vec();
+        let mut out: Vec<Bytes> = std::iter::repeat_with(Bytes::default).take(n).collect();
+        out[me] = mine.to_vec().into();
         for (r, slot) in out.iter_mut().enumerate() {
             if r != root {
-                *slot = mpi.crecv(comm.world_rank(r), tag, comm).await.into_vec();
+                *slot = mpi.crecv(comm.world_rank(r), tag, comm).await;
             }
         }
         Some(out)
@@ -386,13 +388,14 @@ pub async fn gather_bytes(
     }
 }
 
-/// Scatter byte buffers from `root`; each member receives its chunk.
+/// Scatter byte buffers from `root`; each member receives its chunk, as
+/// received (no copy).
 pub async fn scatter_bytes(
     mpi: &mut MpiRank,
     comm: &Comm,
     root: usize,
     chunks: Option<&[Vec<u8>]>,
-) -> Vec<u8> {
+) -> Bytes {
     let n = comm.size();
     let me = comm.my_rank(mpi);
     let tag = mpi.coll_tag(comm);
@@ -412,8 +415,8 @@ pub async fn scatter_bytes(
         for r in reqs {
             mpi.wait(r).await;
         }
-        chunks[me].clone()
+        chunks[me].clone().into()
     } else {
-        mpi.crecv(comm.world_rank(root), tag, comm).await.into_vec()
+        mpi.crecv(comm.world_rank(root), tag, comm).await
     }
 }

@@ -4,28 +4,37 @@
 /// plus the RDMA eager channel of its companion design (reference
 /// \[13\]), promoted to a first-class scheme because the ring *is* a
 /// credit window.
+///
+/// Two predicates pick the mechanism ([`FlowControlScheme::is_user_level`],
+/// [`FlowControlScheme::uses_ring`]). Growth is one path for every
+/// user-level scheme, so each variant is a preset of the two caps it stops
+/// at ([`MpiConfig::pool_cap`], [`MpiConfig::ring_cap`]): a static scheme
+/// is its dynamic twin held at its starting size.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FlowControlScheme {
     /// No MPI-level accounting; InfiniBand end-to-end flow control and RNR
     /// NAK/retry (infinite retry) protect the receiver (paper §4.1).
     Hardware,
-    /// Credit-based with a fixed pre-posted buffer count (paper §4.2).
+    /// Credit-based with a fixed pre-posted buffer count (paper §4.2):
+    /// the pool's cap is its starting size, `prepost`.
     UserStatic,
     /// Credit-based, starting small and growing the pre-posted pool on
-    /// backlog feedback (paper §4.3).
+    /// backlog feedback (paper §4.3), up to `max_prepost`.
     UserDynamic,
     /// Static credits plus the RDMA-written eager ring (companion design
     /// \[13\]): small frames bypass receive WQEs and the CQ entirely, and
-    /// the ring slots form a second, static credit window returned via
-    /// the RDMA credit mailbox. Dynamic growth over RDMA channels is the
-    /// future work the paper's §7 flags as "more complicated".
+    /// the ring slots form a second credit window returned via the RDMA
+    /// credit mailbox. The ring's cap is the bootstrap ring
+    /// (`rdma_ring_slots`), so it never grows. Dynamic growth over RDMA
+    /// channels is the future work the paper's §7 flags as "more
+    /// complicated".
     RdmaChannel,
     /// The RDMA eager channel with backlog-driven ring growth — the
     /// paper's §7 future work made concrete. Same transport as
-    /// [`FlowControlScheme::RdmaChannel`], but when the sender's
-    /// ring-full conversions cross the ECM-style threshold the receiver
-    /// registers a geometrically larger ring (capped at
-    /// `rdma_ring_max_slots`) and publishes it through the credit
+    /// [`FlowControlScheme::RdmaChannel`] with the ring's cap raised to
+    /// `rdma_ring_max_slots`: when the sender's ring-full conversions
+    /// cross the ECM-style threshold the receiver registers a
+    /// geometrically larger ring and publishes it through the credit
     /// mailbox as a versioned ring update.
     RdmaChannelDyn,
 }
@@ -55,16 +64,6 @@ impl FlowControlScheme {
             self,
             FlowControlScheme::RdmaChannel | FlowControlScheme::RdmaChannelDyn
         )
-    }
-
-    /// True when backlog feedback grows the pre-posted buffer pool.
-    pub const fn grows_pool(self) -> bool {
-        matches!(self, FlowControlScheme::UserDynamic)
-    }
-
-    /// True when ring-full feedback grows the eager ring.
-    pub const fn grows_ring(self) -> bool {
-        matches!(self, FlowControlScheme::RdmaChannelDyn)
     }
 
     /// Short label for reports.
@@ -128,7 +127,9 @@ pub struct MpiConfig {
     pub credit_msg_mode: CreditMsgMode,
     /// Growth policy for the dynamic scheme.
     pub growth: GrowthPolicy,
-    /// Hard cap on per-connection pre-posted buffers (slab capacity).
+    /// Hard cap on per-connection pre-posted buffers (slab capacity), and
+    /// the pool's growth cap under [`FlowControlScheme::UserDynamic`]
+    /// ([`MpiConfig::pool_cap`]).
     pub max_prepost: u32,
     /// Establish each connection at its first use instead of every pair
     /// at t = 0 (the paper's related-work \[23\] extension). Both take
@@ -138,7 +139,7 @@ pub struct MpiConfig {
     /// window; unused by the send/receive schemes).
     pub rdma_ring_slots: u32,
     /// Hard cap on ring slots per connection under
-    /// [`FlowControlScheme::RdmaChannelDyn`].
+    /// [`FlowControlScheme::RdmaChannelDyn`] ([`MpiConfig::ring_cap`]).
     pub rdma_ring_max_slots: u32,
     /// Ring-full conversions a sender must report (via the header
     /// backlog bit) before the receiver grows the ring — the channel's
@@ -207,6 +208,32 @@ impl MpiConfig {
         }
     }
 
+    /// The largest pre-posted pool per connection that backlog feedback
+    /// grows to: `max_prepost` under [`FlowControlScheme::UserDynamic`],
+    /// the starting pool `prepost` under every other scheme.
+    pub fn pool_cap(&self) -> u32 {
+        if self.scheme == FlowControlScheme::UserDynamic {
+            self.max_prepost
+        } else {
+            self.prepost
+        }
+    }
+
+    /// The most ring slots per connection that ring-full feedback grows
+    /// the eager ring to: `rdma_ring_max_slots` under
+    /// [`FlowControlScheme::RdmaChannelDyn`], the bootstrap ring
+    /// `rdma_ring_slots` under every other scheme. A ring that may grow
+    /// (`ring_cap() > rdma_ring_slots`) is one whose sender counts
+    /// ring-full conversions and whose mailbox image carries the growth
+    /// words.
+    pub fn ring_cap(&self) -> u32 {
+        if self.scheme == FlowControlScheme::RdmaChannelDyn {
+            self.rdma_ring_max_slots
+        } else {
+            self.rdma_ring_slots
+        }
+    }
+
     /// Largest payload sent with the eager protocol: what one pre-pinned
     /// buffer holds behind the frame header.
     pub fn eager_threshold(&self) -> usize {
@@ -247,7 +274,7 @@ impl MpiConfig {
                 return Err("the RDMA eager channel requires eager connection setup".into());
             }
         }
-        if self.scheme.grows_ring() {
+        if self.scheme == FlowControlScheme::RdmaChannelDyn {
             if self.rdma_ring_max_slots < self.rdma_ring_slots {
                 return Err(format!(
                     "rdma_ring_max_slots {} is below the initial ring size {}",
@@ -302,11 +329,13 @@ mod tests {
     }
 
     /// Every scheme at every depth builds a valid config, and each scheme
-    /// answers the four mechanism questions as DESIGN.md §3 tabulates.
+    /// answers the two mechanism questions and sets the two caps as
+    /// DESIGN.md §3 tabulates.
     #[test]
     fn every_scheme_constructs_valid_at_every_depth() {
         use FlowControlScheme::*;
-        // (scheme, credit accounting, ring, pool growth, ring growth)
+        // (scheme, credit accounting, ring, pool capped at max_prepost,
+        // ring capped at rdma_ring_max_slots)
         let rows = [
             (Hardware, false, false, false, false),
             (UserStatic, true, false, false, false),
@@ -316,19 +345,21 @@ mod tests {
         ];
         for (s, accounting, ring, pool_growth, ring_growth) in rows {
             assert_eq!(
-                (
-                    s.is_user_level(),
-                    s.uses_ring(),
-                    s.grows_pool(),
-                    s.grows_ring()
-                ),
-                (accounting, ring, pool_growth, ring_growth),
+                (s.is_user_level(), s.uses_ring()),
+                (accounting, ring),
                 "{s:?}"
             );
             for prepost in [1, 2, 10, 100, 256, 257, 512] {
                 let c = MpiConfig::scheme(s, prepost);
                 assert_eq!(c.validate(), Ok(()), "{s:?} at prepost {prepost}");
                 assert_eq!((c.scheme, c.prepost), (s, prepost));
+                let pool_cap = if pool_growth { c.max_prepost } else { prepost };
+                let ring_cap = if ring_growth {
+                    c.rdma_ring_max_slots
+                } else {
+                    c.rdma_ring_slots
+                };
+                assert_eq!((c.pool_cap(), c.ring_cap()), (pool_cap, ring_cap), "{s:?}");
                 if ring {
                     // Ring slots are the credit window: sized to the
                     // depth, floored at the 2-slot minimum, under the cap.

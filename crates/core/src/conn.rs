@@ -436,7 +436,7 @@ impl Conn {
             h.ring_credits = self.ring.take_piggyback();
         }
         // The armed ring-backlog bit rides whatever frame leaves next.
-        if scheme.grows_ring() && self.ring_backlog_pending {
+        if self.ring_backlog_pending {
             self.ring_backlog_pending = false;
             h.ring_backlog = true;
         }
@@ -445,8 +445,8 @@ impl Conn {
     }
 
     /// The image of this endpoint's credit mailbox at the peer: takes both
-    /// windows' whole pending returns as cumulative counts and, with ring
-    /// growth (`growth`), adds the growth words — the offered ring
+    /// windows' whole pending returns as cumulative counts and, for a ring
+    /// that may grow (`growth`), adds the growth words — the offered ring
     /// (generation, rkey, slot count) and the highest peer generation
     /// adopted (the ack, which this write settles). Only
     /// [`MpiRank::send_rdma_credit_update`] calls it, and posts the image.
@@ -570,11 +570,11 @@ impl MpiRank {
     }
 
     /// RDMA credit path: writes [`Conn::mailbox_image`] — the cumulative
-    /// returns, plus the growth words under ring growth — into the peer's
-    /// mailbox. Cumulative counters and whole-image words make every write
-    /// idempotent, so a retransmitted or overtaken update is harmless.
+    /// returns, plus the growth words when the ring may grow — into the
+    /// peer's mailbox. Cumulative counters and whole-image words make every
+    /// write idempotent, so a retransmitted or overtaken update is harmless.
     pub(crate) fn send_rdma_credit_update(&mut self, peer: Rank) {
-        let growth = self.cfg.scheme.grows_ring();
+        let growth = self.cfg.ring_cap() > self.cfg.rdma_ring_slots;
         let c = self.conn_mut(peer);
         let (qp, mailbox, payload) = (c.qp, c.peer_mailbox, c.mailbox_image(growth));
         let wr_id = encode_wrid(WrKind::CreditRdma, peer as u64);

@@ -14,7 +14,7 @@ use std::sync::Arc;
 const RING_DRAIN_BURST: u32 = 8;
 
 /// Geometric factor of one ring-growth step (new = old × factor, capped
-/// at `rdma_ring_max_slots`).
+/// at [`crate::MpiConfig::ring_cap`]).
 const RING_GROWTH_FACTOR: u32 = 2;
 
 /// Takes the frame at `offset` of `mr` (a slab slot or a ring slot) out of
@@ -288,11 +288,12 @@ impl MpiRank {
                 .grant(u32::from(header.ring_credits));
         }
 
-        // 2. Dynamic growth feedback.
-        if scheme.grows_pool() && header.backlog_flag {
+        // 2. Growth feedback (a no-op where the scheme caps the pool or
+        // the ring at its starting size).
+        if header.backlog_flag {
             self.grow_pool(peer);
         }
-        if scheme.grows_ring() && header.ring_backlog {
+        if header.ring_backlog {
             self.grow_ring(peer);
         }
 
@@ -475,39 +476,38 @@ impl MpiRank {
         r.state = RecvState::Done;
     }
 
-    /// Dynamic scheme: the peer's sends waited in its backlog; grow the
-    /// pool of buffers we post for it (paper §4.3).
+    /// The peer's sends waited in its backlog; grow the pool of buffers we
+    /// post for it (paper §4.3), up to [`crate::MpiConfig::pool_cap`] — a
+    /// no-op under every scheme but the dynamic one, whose cap is the
+    /// starting pool.
     fn grow_pool(&mut self, peer: Rank) {
         if self.conn(peer).failed {
             return;
         }
-        let max = self.cfg.max_prepost;
-        let growth = self.cfg.growth;
-        let (old, new) = {
-            let c = self.conn_mut(peer);
-            let old = c.prepost_target;
-            let new = match growth {
-                GrowthPolicy::Linear(k) => old.saturating_add(k).min(max),
-                GrowthPolicy::Exponential => old.saturating_mul(2).min(max),
-            };
-            c.prepost_target = new;
-            (old, new)
-        };
-        if new > old {
-            self.conn_mut(peer).stats.growth_events.incr();
-            for _ in 0..(new - old) {
-                self.post_one_recv_buffer(peer);
-            }
-            // Newly posted buffers are fresh credits for the peer.
-            self.conn_mut(peer).credits.owe(new - old);
+        let old = self.conn(peer).prepost_target;
+        let new = match self.cfg.growth {
+            GrowthPolicy::Linear(k) => old.saturating_add(k),
+            GrowthPolicy::Exponential => old.saturating_mul(2),
         }
+        .min(self.cfg.pool_cap());
+        if new <= old {
+            return;
+        }
+        let c = self.conn_mut(peer);
+        c.prepost_target = new;
+        c.stats.growth_events.incr();
+        for _ in 0..(new - old) {
+            self.post_one_recv_buffer(peer);
+        }
+        // Newly posted buffers are fresh credits for the peer.
+        self.conn_mut(peer).credits.owe(new - old);
     }
 
-    /// Dynamic ring growth (the paper's §7 future work, applied to the
-    /// RDMA eager channel): the peer's ring-full conversions crossed the
-    /// threshold, so register a geometrically larger ring, publish its
-    /// generation/rkey/size through the credit mailbox (together with the
-    /// slot-delta grant), and keep the displaced generation polled until
+    /// Ring growth (the paper's §7 future work, applied to the RDMA eager
+    /// channel): the peer's ring-full conversions crossed the threshold,
+    /// so register a geometrically larger ring (up to
+    /// [`crate::MpiConfig::ring_cap`]), publish its generation/rkey/size
+    /// through the credit mailbox (together with the slot-delta grant), and keep the displaced generation polled until
     /// its tail drains. At most one generation switch is in flight per
     /// connection; a trigger arriving mid-switch is remembered and
     /// retried once the acknowledgement lands and the old tail retires.
@@ -515,7 +515,7 @@ impl MpiRank {
         if self.conn(peer).failed {
             return;
         }
-        let max = self.cfg.rdma_ring_max_slots;
+        let max = self.cfg.ring_cap();
         let new_slots = {
             let c = self.conn_mut(peer);
             let (gen, slots) = (c.live_ring().gen, c.live_ring().slots);
@@ -580,7 +580,7 @@ impl MpiRank {
             // An adopted-but-unacknowledged ring generation forces an
             // update out: the peer cannot retire the old ring until the
             // ack word lands in its mailbox.
-            let ack_owed = self.cfg.scheme.grows_ring() && c.ring_gen_ack_pending;
+            let ack_owed = c.ring_gen_ack_pending;
             if c.failed
                 || !c.established
                 || (c.credits.pending < threshold && !ring_owed && !ack_owed)
@@ -733,9 +733,7 @@ impl MpiRank {
             let c = self.conn_mut(peer);
             any |= c.credits.apply_mailbox(buf_total);
             any |= c.ring.apply_mailbox(ring_total);
-            if self.cfg.scheme.grows_ring() {
-                any |= self.poll_ring_growth_words(peer, mailbox);
-            }
+            any |= self.poll_ring_growth_words(peer, mailbox);
         }
         any
     }
@@ -743,9 +741,10 @@ impl MpiRank {
     /// Reads the growth words of one incoming mailbox: adopts a newly
     /// offered peer ring (higher generation than the one currently
     /// written to) and applies the peer's acknowledgement of our own
-    /// offers. Generation 0 is the bootstrap ring, so a zeroed mailbox is
-    /// never adopted; offers are whole-image and monotone, making a
-    /// duplicated or overtaken write a no-op.
+    /// offers. Generation 0 is the bootstrap ring, so a zeroed mailbox —
+    /// all a peer whose ring may not grow ever writes there — is never
+    /// adopted; offers are whole-image and monotone, making a duplicated
+    /// or overtaken write a no-op.
     fn poll_ring_growth_words(&mut self, peer: Rank, mailbox: ibfabric::MrId) -> bool {
         let (offer_gen, offer_rkey, offer_slots, ack_gen) = self.proc.with(|ctx| {
             let mut b = [0u8; 16];

@@ -1,7 +1,6 @@
 //! Point-to-point operations: eager/rendezvous issue, matching, waiting.
 
 use crate::buffers::WrKind;
-use crate::config::FlowControlScheme;
 use crate::rank::{MpiRank, Unexpected};
 use crate::regcache::BufKey;
 use crate::requests::{RecvReq, RecvState, ReqId, Request, SendReq, SendState};
@@ -371,95 +370,83 @@ impl MpiRank {
             return;
         }
         let eager_ok = !force_rndz && len <= self.cfg.eager_threshold();
-        match self.cfg.scheme {
-            FlowControlScheme::Hardware => {
-                // No MPI-level accounting: post immediately; the HCA's
-                // end-to-end flow control and RNR retries do the rest.
+        if !self.cfg.scheme.is_user_level() {
+            // No MPI-level accounting: post immediately; the HCA's
+            // end-to-end flow control and RNR retries do the rest.
+            if eager_ok {
+                self.send_eager(req);
+            } else {
+                self.start_rndz(req, false);
+            }
+            return;
+        }
+        // RDMA eager channel: small frames go through the ring while slots
+        // last; a full ring converts the message to rendezvous exactly like
+        // credit starvation does.
+        let ring = self.cfg.scheme.uses_ring();
+        if ring && eager_ok {
+            let c = self.conn(dst);
+            if c.backlog.is_empty() && c.ring.held > 0 {
+                self.send_eager_ring(req);
+                return;
+            }
+            // A starved ring that may grow is the growth signal: count the
+            // conversion, and once the count crosses the threshold the next
+            // outgoing header carries the ring-backlog bit to the receiver.
+            if self.cfg.ring_cap() > self.cfg.rdma_ring_slots && c.ring.held == 0 {
+                let threshold = self.cfg.rdma_ring_growth_threshold;
+                self.conn_mut(dst).note_ring_full_conversion(threshold);
+            }
+        }
+        // Under the channel, eager-size frames never travel as slab sends:
+        // a full ring converts to rendezvous. The *buffering* decision below
+        // still follows the size — only the wire protocol changes.
+        let eager_wire_ok = eager_ok && !ring;
+        let c = self.conn(dst);
+        if c.backlog.is_empty() && c.credits.held > 0 {
+            // The frame posted below spends the credit (`conn::spends_credit`).
+            if eager_wire_ok {
+                self.send_eager(req);
+            } else {
                 if eager_ok {
-                    self.send_eager(req);
-                } else {
-                    self.start_rndz(req, false);
-                }
-            }
-            FlowControlScheme::UserStatic
-            | FlowControlScheme::UserDynamic
-            | FlowControlScheme::RdmaChannel
-            | FlowControlScheme::RdmaChannelDyn => {
-                // RDMA eager channel: small frames go through the ring
-                // while slots last; a full ring converts the message to
-                // rendezvous exactly like credit starvation does.
-                let ring = self.cfg.scheme.uses_ring();
-                if ring && eager_ok {
-                    let c = self.conn(dst);
-                    if c.backlog.is_empty() && c.ring.held > 0 {
-                        self.send_eager_ring(req);
-                        return;
-                    }
-                    // A starved ring is the dynamic scheme's growth
-                    // signal: count the conversion, and once the count
-                    // crosses the threshold the next outgoing header
-                    // carries the ring-backlog bit to the receiver.
-                    if self.cfg.scheme.grows_ring() && c.ring.held == 0 {
-                        let threshold = self.cfg.rdma_ring_growth_threshold;
-                        self.conn_mut(dst).note_ring_full_conversion(threshold);
-                    }
-                }
-                // Under the channel, eager-size frames never travel as
-                // slab sends: a full ring converts to rendezvous. The
-                // *buffering* decision below still follows the size —
-                // only the wire protocol changes.
-                let eager_wire_ok = eager_ok && !ring;
-                let c = self.conn(dst);
-                if c.backlog.is_empty() && c.credits.held > 0 {
-                    // The frame posted below spends the credit
-                    // (`conn::spends_credit`).
-                    if eager_wire_ok {
-                        self.send_eager(req);
-                    } else {
-                        if eager_ok {
-                            // Channel, ring full, buffer credit in hand:
-                            // the transport converts to rendezvous but the
-                            // user-visible send stays buffered-eager —
-                            // three ranks all bursting sends before their
-                            // receives would otherwise deadlock on each
-                            // other's handshakes.
-                            let copy_cost = self.proc.with(|ctx| {
-                                ctx.world.params().copy_time(crate::wire::HEADER_LEN + len)
-                            });
-                            self.charge(copy_cost);
-                            if let Request::Send(s) = self.reqs.get_mut(req) {
-                                s.buffered = true;
-                            }
-                        }
-                        self.start_rndz(req, false);
-                    }
-                } else {
-                    // No credits (or older sends already queued — MPI
-                    // ordering): the operation switches to the rendezvous
-                    // protocol regardless of size (paper §4.2: "when there
-                    // are no credits, only Rendezvous protocol is used")
-                    // and joins the backlog. Eager-size payloads are still
-                    // copied into pre-pinned buffers at post time, so the
-                    // *user-visible* operation completes immediately
-                    // (MPICH-lineage eager semantics); only the transport
-                    // pays the conversion.
-                    let buffered = eager_ok;
-                    if buffered {
-                        let copy_cost = self.proc.with(|ctx| {
-                            ctx.world.params().copy_time(crate::wire::HEADER_LEN + len)
-                        });
-                        self.charge(copy_cost);
-                    }
+                    // Channel, ring full, buffer credit in hand: the
+                    // transport converts to rendezvous but the user-visible
+                    // send stays buffered-eager — three ranks all bursting
+                    // sends before their receives would otherwise deadlock
+                    // on each other's handshakes.
+                    let copy_cost = self
+                        .proc
+                        .with(|ctx| ctx.world.params().copy_time(crate::wire::HEADER_LEN + len));
+                    self.charge(copy_cost);
                     if let Request::Send(s) = self.reqs.get_mut(req) {
-                        s.state = SendState::Backlogged;
-                        s.was_backlogged = true;
-                        s.buffered = buffered;
+                        s.buffered = true;
                     }
-                    self.conn_mut(dst).backlog.push_back(req);
-                    self.conn_mut(dst).stats.backlogged.incr();
-                    self.drain_backlog_for(dst);
                 }
+                self.start_rndz(req, false);
             }
+        } else {
+            // No credits (or older sends already queued — MPI ordering): the
+            // operation switches to the rendezvous protocol regardless of
+            // size (paper §4.2: "when there are no credits, only Rendezvous
+            // protocol is used") and joins the backlog. Eager-size payloads
+            // are still copied into pre-pinned buffers at post time, so the
+            // *user-visible* operation completes immediately (MPICH-lineage
+            // eager semantics); only the transport pays the conversion.
+            let buffered = eager_ok;
+            if buffered {
+                let copy_cost = self
+                    .proc
+                    .with(|ctx| ctx.world.params().copy_time(crate::wire::HEADER_LEN + len));
+                self.charge(copy_cost);
+            }
+            if let Request::Send(s) = self.reqs.get_mut(req) {
+                s.state = SendState::Backlogged;
+                s.was_backlogged = true;
+                s.buffered = buffered;
+            }
+            self.conn_mut(dst).backlog.push_back(req);
+            self.conn_mut(dst).stats.backlogged.incr();
+            self.drain_backlog_for(dst);
         }
     }
 

@@ -390,8 +390,8 @@ pub(crate) fn bootstrap_fabric(
                 // 32 bytes: [0..8] buffer-credit counter, [8..16]
                 // ring-slot counter (RDMA eager channel), [16..28]
                 // offered ring generation/rkey/slots and [28..32]
-                // acknowledged generation (dynamic ring growth; the
-                // growth words stay zero when growth is disabled —
+                // acknowledged generation (ring growth; the growth
+                // words stay zero when the writer's ring may not grow —
                 // only the payload the writer sends differs).
                 let mr = fabric.register(node, 32, Access::FULL);
                 debug_assert_eq!(mr, mailbox_mr_for(nprocs, i, j));

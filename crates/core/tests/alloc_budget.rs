@@ -25,7 +25,8 @@
 //! The rendezvous path is held to its region budget too: a burst of
 //! posted receives lands in one region per receive, the regions are reused
 //! window after window, and a region whose message was handed to the
-//! application holds nothing.
+//! application holds nothing. A byte collective built on it hands back
+//! the payloads it received without copying them.
 //!
 //! One `#[test]` only: a second test on another thread would be counted
 //! too.
@@ -192,6 +193,29 @@ fn slab_extent_after(n: usize, prepost: u32) -> usize {
     out.fabric.mr_bytes(ibfabric::MrId::from_raw(1)).len()
 }
 
+/// Bytes allocated by a whole four-rank run of `reps` `alltoallv_bytes`
+/// calls, each rank sending a `chunk`-byte chunk to every member.
+fn alltoallv_bytes_cost(chunk: usize, reps: usize) -> u64 {
+    let before = ALLOC_BYTES.load(Ordering::Relaxed);
+    COUNTING.store(true, Ordering::Relaxed);
+    let out = MpiWorld::run(
+        4,
+        MpiConfig::scheme(FlowControlScheme::UserStatic, 10),
+        FabricParams::mt23108(),
+        async move |mpi| {
+            let world = mpib::Comm::world(mpi);
+            let chunks = vec![vec![0xA5u8; chunk]; 4];
+            for _ in 0..reps {
+                let got = mpib::collectives::alltoallv_bytes(mpi, &world, &chunks).await;
+                assert!(got.iter().all(|c| c.len() == chunk));
+            }
+        },
+    );
+    COUNTING.store(false, Ordering::Relaxed);
+    out.expect("clean run");
+    ALLOC_BYTES.load(Ordering::Relaxed) - before
+}
+
 /// Steady-state `(allocations, bytes)` per received message, in
 /// thousandths (exact integers: the counts repeat, and a window's ack is
 /// spread over its messages).
@@ -338,4 +362,20 @@ fn fast_paths_stay_within_their_allocation_budget() {
             );
         }
     }
+
+    // (d) A byte collective hands back what it received: a four-rank
+    // `alltoallv_bytes` of 64 KiB chunks (rendezvous-sized, like FT's
+    // transposes at class W) allocates one payload per chunk it returns —
+    // the `isend` snapshot of each of the 12 messages and each rank's copy
+    // of its own chunk, 16 per call — plus small change: 72 274 B per
+    // returned chunk. Copying each received chunk out of its `Bytes` adds
+    // three quarters of a payload (121 426 B).
+    const CHUNK: usize = 64 << 10;
+    let (short, long) = (2, 6);
+    let per_chunk = (alltoallv_bytes_cost(CHUNK, long) - alltoallv_bytes_cost(CHUNK, short))
+        / ((long - short) * 16) as u64;
+    assert!(
+        per_chunk <= CHUNK as u64 + (12 << 10),
+        "{per_chunk} bytes allocated per 64 KiB chunk an all-to-all returns"
+    );
 }

@@ -168,7 +168,7 @@ fn gather_and_scatter_roundtrip() {
         if me == 2 {
             let g = gathered.unwrap();
             for (src, chunk) in g.iter().enumerate() {
-                assert_eq!(chunk, &vec![src as u8; 3]);
+                assert_eq!(chunk, &[src as u8; 3]);
             }
         }
         // Scatter back doubled values.
@@ -177,7 +177,7 @@ fn gather_and_scatter_roundtrip() {
         scatter_bytes(mpi, &world, 2, chunks.as_deref()).await
     });
     for (me, r) in results.iter().enumerate() {
-        assert_eq!(r, &vec![me as u8 * 2; 2]);
+        assert_eq!(r, &[me as u8 * 2; 2]);
     }
 }
 

@@ -546,3 +546,86 @@ fn on_demand_setup_with_a_free_handshake_is_eager_setup() {
         }
     }
 }
+
+/// Every rank `isend`s 40 messages round a ring of `nprocs` ranks, then
+/// receives its neighbour's 40 after a pause. Every seventh message is 8×
+/// the others — past the eager threshold, so it goes as a rendezvous.
+fn twin_run(cfg: MpiConfig, nprocs: usize) -> mpib::MpiRunOutput<usize> {
+    const SMALL: usize = 300;
+    MpiWorld::run(nprocs, cfg, FabricParams::mt23108(), async move |mpi| {
+        let n = mpi.size();
+        let (next, prev) = ((mpi.rank() + 1) % n, (mpi.rank() + n - 1) % n);
+        let len = |i: u8| if i % 7 == 6 { 8 * SMALL } else { SMALL };
+        let reqs: Vec<_> = (0..40u8)
+            .map(|i| mpi.isend(&vec![i; len(i)], next, 0))
+            .collect();
+        mpi.compute(ibsim::SimDuration::micros(30)).await;
+        let mut received = 0;
+        for i in 0..40u8 {
+            let (_, d) = mpi.recv(Some(prev), Some(0)).await;
+            assert!(d.len() == len(i) && d.iter().all(|&b| b == i));
+            received += d.len();
+        }
+        mpi.waitall(&reqs).await;
+        received
+    })
+    .unwrap()
+}
+
+/// A static scheme is its dynamic twin with the growth cap at the
+/// starting size: the static ring is the growable ring capped at the
+/// bootstrap ring, the static pool the growable pool capped at `prepost`.
+/// The twins run the same protocol down to the event count, the virtual
+/// end time and every counter of both layers.
+#[test]
+fn static_schemes_are_their_dynamic_twins_at_the_cap() {
+    use FlowControlScheme::*;
+    for nprocs in [2, 3, 4] {
+        for prepost in [2, 5, 16] {
+            let ring = MpiConfig::scheme(RdmaChannel, prepost);
+            let pool = MpiConfig {
+                max_prepost: prepost,
+                ..MpiConfig::scheme(UserStatic, prepost)
+            };
+            let pairs = [
+                (
+                    ring.clone(),
+                    MpiConfig {
+                        rdma_ring_max_slots: ring.rdma_ring_slots,
+                        ..MpiConfig::scheme(RdmaChannelDyn, prepost)
+                    },
+                ),
+                (
+                    pool.clone(),
+                    MpiConfig {
+                        scheme: UserDynamic,
+                        ..pool
+                    },
+                ),
+            ];
+            for (fixed, capped) in pairs {
+                let case = format!("{:?} at {nprocs} ranks, pre-post {prepost}", capped.scheme);
+                let (a, b) = (twin_run(fixed, nprocs), twin_run(capped, nprocs));
+                // Not vacuous: the window starves, so small messages
+                // convert to rendezvous (five of the 40 are large) and the
+                // growth feedback fires — at the cap, to no effect.
+                let to_next = &b.stats.ranks[0].conns[1];
+                assert!(to_next.rndz_sent.get() > 5, "{case}: nothing converted");
+                assert!(to_next.backlogged.get() > 0, "{case}: nothing backlogged");
+                assert_eq!(a.results, b.results, "{case}: bytes received");
+                assert_eq!(a.end_time, b.end_time, "{case}: end time");
+                assert_eq!(a.events, b.events, "{case}: events");
+                assert_eq!(
+                    format!("{:?}", a.stats.ranks),
+                    format!("{:?}", b.stats.ranks),
+                    "{case}: MPI-layer statistics"
+                );
+                assert_eq!(
+                    format!("{:?}", a.fabric.stats),
+                    format!("{:?}", b.fabric.stats),
+                    "{case}: fabric statistics"
+                );
+            }
+        }
+    }
+}

@@ -33,7 +33,7 @@
 use crate::common::{charge_flops, global_checksum, timed, Kernel, KernelOutput, NasClass};
 use ibsim::rng::det_rng;
 use mpib::collectives::{allreduce_scalars, alltoallv_bytes};
-use mpib::{decode_extend, decode_slice, encode_slice, Comm, MpiRank, ReduceOp};
+use mpib::{decode_extend, decode_slice, encode_slice, Bytes, Comm, MpiRank, ReduceOp};
 
 /// Problem shape for one class.
 #[derive(Clone, Copy, Debug)]
@@ -165,7 +165,7 @@ pub async fn run(mpi: &mut MpiRank, class: NasClass) -> KernelOutput {
 
     let (verified, time) = timed(mpi, &world, async |mpi| {
         let mut bufs = wire_buffers(keys.len(), p);
-        let mut got: Vec<Vec<u8>> = Vec::new();
+        let mut got: Vec<Bytes> = Vec::new();
         let mut owned_len = 0;
         for it in 0..cfg.iters {
             // NPB IS perturbs two keys per iteration.
@@ -185,7 +185,7 @@ pub async fn run(mpi: &mut MpiRank, class: NasClass) -> KernelOutput {
             // Key exchange. Ranking only needs how many keys arrived; the
             // keys themselves are read once, after the last exchange.
             got = alltoallv_bytes(mpi, &world, &bufs).await;
-            owned_len = got.iter().map(Vec::len).sum::<usize>() / 4;
+            owned_len = got.iter().map(|c| c.len()).sum::<usize>() / 4;
             charge_flops(mpi, owned_len as f64 * 2.0).await;
         }
         let mut owned: Vec<u32> = Vec::with_capacity(owned_len);

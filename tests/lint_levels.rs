@@ -1,7 +1,7 @@
 //! The lint levels DESIGN.md §8 relies on are set where it says they are,
 //! and the source-layout rules held as text (credit privacy, one
 //! connection-establishment path, one host-timing harness, one scheme
-//! list) still hold.
+//! list, scheme variants named only in config) still hold.
 //!
 //! An `#[expect(lint)]` is fulfilled whenever `lint` *would* fire at that
 //! site, whatever level surrounds it. So the audited `#[expect]`s and the
@@ -226,6 +226,37 @@ fn one_scheme_list() {
     assert!(
         lists.is_empty(),
         "scheme lists outside `FlowControlScheme::ALL`: {lists:?}"
+    );
+}
+
+/// A scheme is a preset of the two growth caps (DESIGN.md §3): outside
+/// `config.rs`, where `pool_cap`/`ring_cap` set the presets, the library
+/// asks the mechanism predicates and the caps, never which scheme runs. A
+/// variant named in library code is how a per-scheme fork would come
+/// back. Comments and test code — the lines from a file's `#[cfg(test)]`
+/// or `mod tests {` on — may name one.
+#[test]
+fn schemes_are_named_only_in_config() {
+    let mut sites = Vec::new();
+    for file in rust_files("crates/core/src") {
+        if file.ends_with("/config.rs") {
+            continue;
+        }
+        let src = read(&file);
+        let library = src
+            .lines()
+            .take_while(|l| !matches!(l.trim(), "#[cfg(test)]" | "mod tests {"));
+        for (i, line) in library.enumerate() {
+            let code = line.trim_start();
+            let names = |s: &FlowControlScheme| code.contains(&format!("FlowControlScheme::{s:?}"));
+            if !code.starts_with("//") && FlowControlScheme::ALL.iter().any(names) {
+                sites.push(format!("{file}:{}", i + 1));
+            }
+        }
+    }
+    assert!(
+        sites.is_empty(),
+        "scheme variants named outside config.rs: {sites:?}"
     );
 }
 

@@ -30,13 +30,17 @@
 # Last, three facts about the harness that can sink a PR whose code is
 # innocent (each only for the workloads the run covers):
 #   * peak_rss_mb of `fabric_raw` and `sim_raw` over seeds 1-10, 1 s each,
-#     on both trees. `fabric_raw` has two heap-layout states, 15.4 MB and
-#     19.4 MB (+26%, past BENCHMARK.json's 20% bound): whether `write4m`'s
-#     4 MiB region re-uses the 4 MiB block the harness freed just before or
-#     lands on fresh top-of-heap depends on whether some small allocation
-#     made in between split that block, and which seeds flip moves with any
-#     change to what the libraries allocate while events run. A seed whose
-#     two sides differ by more than 10% fails the run.
+#     on both trees. `fabric_raw` reads 11.4 MB or 15.4 MB (+35%, past
+#     BENCHMARK.json's 20% bound) by how the harness binary is compiled,
+#     not by what the libraries allocate: `wl_fabric.rs`'s `write4m` leg
+#     builds its two 4 MiB payloads as `vec![b; WRITE_BYTES].into()`, and
+#     whether LLVM folds each `Vec` temporary into the `Arc` it is copied
+#     into depends on inlining decisions that library code the leg never
+#     runs can move. Traced with a malloc-counting LD_PRELOAD shim, a
+#     15.4 MB binary makes two 4 194 304 B allocations per world the leg
+#     builds (16 in a 1 s run) that an 11.4 MB binary does not make at
+#     all. A seed on which this tree reads more than 10% above the parent
+#     fails the run; reading lower passes.
 #   * peak_rss_mb of `ckpt_ladder` over the same seeds in the two forms a
 #     worker is started in: as BENCHMARK.json's command starts it, and as a
 #     full run's orchestrator does, with `--out <relative path>`. While a
@@ -70,7 +74,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 usage() {
-    sed -n '2,68s/^# \{0,1\}//p' "$0" >&2
+    sed -n '2,72s/^# \{0,1\}//p' "$0" >&2
     exit 2
 }
 
@@ -246,8 +250,8 @@ for w in fabric_raw sim_raw; do
     for seed in $(seq 1 10); do
         a=$(one_run "$parent" "$w" "$seed" | metric peak_rss_mb)
         b=$(one_run "$change" "$w" "$seed" | metric peak_rss_mb)
-        if awk -v a="$a" -v b="$b" 'BEGIN { exit !(a > 1.1 * b || b > 1.1 * a) }'; then
-            echo "seed $seed: $a MB, $b MB  DIFFER by more than 10%"
+        if awk -v a="$a" -v b="$b" 'BEGIN { exit !(b > 1.1 * a) }'; then
+            echo "seed $seed: $a MB, $b MB  this tree more than 10% above the parent"
             status=1
         else
             echo "seed $seed: $a MB, $b MB"

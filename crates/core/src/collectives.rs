@@ -4,12 +4,21 @@
 //! dissemination barrier, binomial broadcast/reduce, recursive-doubling
 //! allreduce (with a pre/post fold for non-powers of two), ring allgather,
 //! and pairwise-exchange all-to-all.
+//!
+//! The byte collectives take what they send by value, as anything that
+//! becomes an `Arc<[u8]>`: a buffer the caller built that way (typed
+//! collectives encode with [`crate::encode_shared`]) is what the wire
+//! carries, with no copy, while borrowed bytes or a `Vec` are copied into
+//! one. A rank's own chunk comes back as a copy, since a [`Bytes`] cannot
+//! adopt an `Arc`; everything received comes back as received.
 
 use crate::comm::Comm;
+use crate::pt2pt::Payload;
 use crate::rank::MpiRank;
-use crate::scalar::{decode_extend, decode_slice, encode_slice, ReduceOp, Scalar};
+use crate::scalar::{decode_extend, decode_slice, encode_shared, ReduceOp, Scalar};
 use crate::types::Tag;
 use ibfabric::Bytes;
+use std::sync::Arc;
 
 /// Collective calls reserve the tag space above this bit.
 const COLL_TAG_BASE: Tag = 0x4000_0000;
@@ -22,7 +31,13 @@ impl MpiRank {
         tag
     }
 
-    async fn cwait_send(&mut self, data: &[u8], dst_world: usize, tag: Tag, comm: &Comm) {
+    async fn cwait_send<'a>(
+        &mut self,
+        data: impl Into<Payload<'a>>,
+        dst_world: usize,
+        tag: Tag,
+        comm: &Comm,
+    ) {
         let req = self.isend_ctx(data, dst_world, tag, comm.ctx);
         self.wait(req).await;
     }
@@ -46,7 +61,7 @@ pub async fn barrier(mpi: &mut MpiRank, comm: &Comm) {
     while dist < n {
         let to = comm.world_rank((me + dist) % n);
         let from = comm.world_rank((me + n - dist) % n);
-        let sreq = mpi.isend_ctx(&[], to, tag, comm.ctx);
+        let sreq = mpi.isend_ctx(Payload::Borrowed(&[]), to, tag, comm.ctx);
         let rreq = mpi.irecv_ctx(Some(from), Some(tag), comm.ctx);
         mpi.wait(sreq).await;
         let _ = mpi.wait_recv(rreq).await;
@@ -55,24 +70,32 @@ pub async fn barrier(mpi: &mut MpiRank, comm: &Comm) {
 }
 
 /// Binomial-tree broadcast of a byte buffer from `root` (communicator
-/// rank). The root gets its `data` back; a non-root gets the payload it
-/// received, as received (no copy).
-pub async fn bcast_bytes(mpi: &mut MpiRank, comm: &Comm, root: usize, data: Vec<u8>) -> Bytes {
-    let mut data = Bytes::from(data);
+/// rank). The root hands `data` itself to each child and gets a copy of
+/// it back; a non-root's `data` is dropped, and it gets the payload it
+/// received, as received (no copy), which it forwards to its children.
+pub async fn bcast_bytes(
+    mpi: &mut MpiRank,
+    comm: &Comm,
+    root: usize,
+    data: impl Into<Arc<[u8]>>,
+) -> Bytes {
+    let data: Arc<[u8]> = data.into();
     let n = comm.size();
     if n <= 1 {
-        return data;
+        return data.to_vec().into();
     }
     let me = comm.my_rank(mpi);
     let tag = mpi.coll_tag(comm);
     // Rotate so the root is virtual rank 0.
     let vrank = (me + n - root) % n;
     // Receive phase: find the highest set bit of vrank.
-    if vrank != 0 {
+    let received = if vrank != 0 {
         let mask = 1 << (usize::BITS - 1 - vrank.leading_zeros());
         let parent = (vrank - mask + root) % n;
-        data = mpi.crecv(comm.world_rank(parent), tag, comm).await;
-    }
+        Some(mpi.crecv(comm.world_rank(parent), tag, comm).await)
+    } else {
+        None
+    };
     // Send phase: children are vrank + 2^k for 2^k > vrank's high bit.
     let mut mask = if vrank == 0 {
         1
@@ -80,20 +103,22 @@ pub async fn bcast_bytes(mpi: &mut MpiRank, comm: &Comm, root: usize, data: Vec<
         1 << (usize::BITS - vrank.leading_zeros())
     };
     while vrank + mask < n {
-        let child = (vrank + mask + root) % n;
-        mpi.cwait_send(&data, comm.world_rank(child), tag, comm)
-            .await;
+        let child = comm.world_rank((vrank + mask + root) % n);
+        match &received {
+            None => mpi.cwait_send(Arc::clone(&data), child, tag, comm).await,
+            Some(got) => mpi.cwait_send(&got[..], child, tag, comm).await,
+        }
         mask <<= 1;
     }
-    data
+    received.unwrap_or_else(|| data.to_vec().into())
 }
 
 /// Broadcast of typed scalars.
 pub async fn bcast_scalars<T: Scalar>(mpi: &mut MpiRank, comm: &Comm, root: usize, data: &mut [T]) {
     let bytes = if comm.my_rank(mpi) == root {
-        encode_slice(data)
+        encode_shared(data)
     } else {
-        Vec::new()
+        Arc::default()
     };
     let out = bcast_bytes(mpi, comm, root, bytes).await;
     if comm.my_rank(mpi) != root {
@@ -119,7 +144,7 @@ pub async fn reduce_scalars<T: Scalar>(
         while mask < n {
             if vrank & mask != 0 {
                 let parent = (vrank - mask + root) % n;
-                mpi.cwait_send(&encode_slice(&acc), comm.world_rank(parent), tag, comm)
+                mpi.cwait_send(encode_shared(&acc), comm.world_rank(parent), tag, comm)
                     .await;
                 break;
             } else if vrank + mask < n {
@@ -156,7 +181,7 @@ pub async fn allreduce_scalars<T: Scalar>(
     let rem = n - pof2;
     // Phase 1: ranks >= pof2 send their data to (me - pof2).
     if me >= pof2 {
-        mpi.cwait_send(&encode_slice(&acc), comm.world_rank(me - pof2), tag, comm)
+        mpi.cwait_send(encode_shared(&acc), comm.world_rank(me - pof2), tag, comm)
             .await;
     } else if me < rem {
         let bytes = mpi.crecv(comm.world_rank(me + pof2), tag, comm).await;
@@ -169,7 +194,7 @@ pub async fn allreduce_scalars<T: Scalar>(
         let mut mask = 1usize;
         while mask < pof2 {
             let partner = me ^ mask;
-            let sreq = mpi.isend_ctx(&encode_slice(&acc), comm.world_rank(partner), tag, comm.ctx);
+            let sreq = mpi.isend_ctx(encode_shared(&acc), comm.world_rank(partner), tag, comm.ctx);
             let rreq = mpi.irecv_ctx(Some(comm.world_rank(partner)), Some(tag), comm.ctx);
             mpi.wait(sreq).await;
             let (_s, bytes) = mpi.wait_recv(rreq).await;
@@ -181,7 +206,7 @@ pub async fn allreduce_scalars<T: Scalar>(
     }
     // Phase 3: send results back to the folded-in ranks.
     if me < rem {
-        mpi.cwait_send(&encode_slice(&acc), comm.world_rank(me + pof2), tag, comm)
+        mpi.cwait_send(encode_shared(&acc), comm.world_rank(me + pof2), tag, comm)
             .await;
     } else if me >= pof2 {
         let bytes = mpi.crecv(comm.world_rank(me - pof2), tag, comm).await;
@@ -193,7 +218,7 @@ pub async fn allreduce_scalars<T: Scalar>(
 /// Ring allgather of equally-typed contributions; result is the
 /// concatenation in communicator-rank order.
 pub async fn allgather_scalars<T: Scalar>(mpi: &mut MpiRank, comm: &Comm, mine: &[T]) -> Vec<T> {
-    let chunks = allgather_bytes(mpi, comm, &encode_slice(mine)).await;
+    let chunks = allgather_bytes(mpi, comm, encode_shared(mine)).await;
     let mut out = Vec::with_capacity(mine.len() * comm.size());
     for c in &chunks {
         decode_extend(c, &mut out);
@@ -201,15 +226,22 @@ pub async fn allgather_scalars<T: Scalar>(mpi: &mut MpiRank, comm: &Comm, mine: 
     out
 }
 
-/// Allgather of byte buffers (possibly different sizes).
+/// Allgather of byte buffers (possibly different sizes); `mine` comes
+/// back as a copy in this rank's slot.
 ///
 /// Power-of-two groups use recursive doubling — symmetric pairwise
 /// exchanges, as the MPICH lineage did, which also keeps per-connection
-/// credit flow bidirectional. Other sizes fall back to a ring, which
-/// hands back each chunk as received (no copy). Recursive doubling frames
-/// several chunks into one message, so it copies each chunk out of the
-/// message that carried it.
-pub async fn allgather_bytes(mpi: &mut MpiRank, comm: &Comm, mine: &[u8]) -> Vec<Bytes> {
+/// credit flow bidirectional. Other sizes fall back to a ring, which sends
+/// `mine` itself, forwards the rest as received and hands back each chunk
+/// as received (no copy). Recursive doubling frames several chunks into
+/// one message, built in one allocation, so it copies each chunk into and
+/// out of the message that carried it.
+pub async fn allgather_bytes(
+    mpi: &mut MpiRank,
+    comm: &Comm,
+    mine: impl Into<Arc<[u8]>>,
+) -> Vec<Bytes> {
+    let mine: Arc<[u8]> = mine.into();
     let n = comm.size();
     let me = comm.my_rank(mpi);
     let tag = mpi.coll_tag(comm);
@@ -226,14 +258,19 @@ pub async fn allgather_bytes(mpi: &mut MpiRank, comm: &Comm, mine: &[u8]) -> Vec
         while mask < n {
             let partner = me ^ mask;
             let group0 = me & !(mask - 1); // base of my current block
-            let held: Vec<usize> = (group0..group0 + mask).collect();
-            let mut payload = Vec::new();
-            for &idx in &held {
-                payload.extend_from_slice(&(idx as u32).to_le_bytes());
-                payload.extend_from_slice(&(chunks[idx].len() as u32).to_le_bytes());
-                payload.extend_from_slice(&chunks[idx]);
+            let held = group0..group0 + mask;
+            let total = held.clone().map(|idx| 8 + chunks[idx].len()).sum();
+            let mut payload: Arc<[u8]> = std::iter::repeat_n(0, total).collect();
+            // Freshly built, so unique: `make_mut` hands out the buffer in place.
+            let mut rest = &mut Arc::make_mut(&mut payload)[..];
+            for idx in held {
+                let (frame, tail) = rest.split_at_mut(8 + chunks[idx].len());
+                frame[..4].copy_from_slice(&(idx as u32).to_le_bytes());
+                frame[4..8].copy_from_slice(&(chunks[idx].len() as u32).to_le_bytes());
+                frame[8..].copy_from_slice(&chunks[idx]);
+                rest = tail;
             }
-            let sreq = mpi.isend_ctx(&payload, comm.world_rank(partner), tag, comm.ctx);
+            let sreq = mpi.isend_ctx(payload, comm.world_rank(partner), tag, comm.ctx);
             let rreq = mpi.irecv_ctx(Some(comm.world_rank(partner)), Some(tag), comm.ctx);
             mpi.wait(sreq).await;
             let (_s, data) = mpi.wait_recv(rreq).await;
@@ -253,7 +290,11 @@ pub async fn allgather_bytes(mpi: &mut MpiRank, comm: &Comm, mine: &[u8]) -> Vec
     // Ring fallback: pass chunk (me - step) to the right each round.
     for step in 0..n - 1 {
         let send_idx = (me + n - step) % n;
-        let sreq = mpi.isend_ctx(&chunks[send_idx], right, tag, comm.ctx);
+        let sreq = if send_idx == me {
+            mpi.isend_ctx(Arc::clone(&mine), right, tag, comm.ctx)
+        } else {
+            mpi.isend_ctx(&chunks[send_idx][..], right, tag, comm.ctx)
+        };
         let rreq = mpi.irecv_ctx(Some(left), Some(tag), comm.ctx);
         mpi.wait(sreq).await;
         let (_s, data) = mpi.wait_recv(rreq).await;
@@ -264,16 +305,22 @@ pub async fn allgather_bytes(mpi: &mut MpiRank, comm: &Comm, mine: &[u8]) -> Vec
 }
 
 /// Pairwise-exchange all-to-all: `chunks[i]` goes to communicator rank
-/// `i`; returns what everyone sent to this process (indexed by source),
-/// each chunk as received (no copy). Handles unequal sizes, so this is
-/// also `alltoallv`.
-pub async fn alltoallv_bytes(mpi: &mut MpiRank, comm: &Comm, chunks: &[Vec<u8>]) -> Vec<Bytes> {
+/// `i`, each handed to its send as it is; returns what everyone sent to
+/// this process (indexed by source), each chunk as received (no copy), and
+/// this rank's own chunk as a copy. Handles unequal sizes, so this is also
+/// `alltoallv`.
+pub async fn alltoallv_bytes<C: Into<Arc<[u8]>>>(
+    mpi: &mut MpiRank,
+    comm: &Comm,
+    chunks: Vec<C>,
+) -> Vec<Bytes> {
     let n = comm.size();
     assert_eq!(chunks.len(), n, "need one chunk per member");
+    let mut chunks: Vec<Arc<[u8]>> = chunks.into_iter().map(Into::into).collect();
     let me = comm.my_rank(mpi);
     let tag = mpi.coll_tag(comm);
     let mut out: Vec<Bytes> = std::iter::repeat_with(Bytes::default).take(n).collect();
-    out[me] = chunks[me].clone().into();
+    out[me] = std::mem::take(&mut chunks[me]).to_vec().into();
     for step in 1..n {
         // For power-of-two sizes this is the XOR schedule; otherwise a
         // rotation — both pair every process exactly once per step.
@@ -287,7 +334,8 @@ pub async fn alltoallv_bytes(mpi: &mut MpiRank, comm: &Comm, chunks: &[Vec<u8>])
         } else {
             (me + n - step) % n
         };
-        let sreq = mpi.isend_ctx(&chunks[partner], comm.world_rank(partner), tag, comm.ctx);
+        let chunk = std::mem::take(&mut chunks[partner]);
+        let sreq = mpi.isend_ctx(chunk, comm.world_rank(partner), tag, comm.ctx);
         let rreq = mpi.irecv_ctx(Some(comm.world_rank(recv_from)), Some(tag), comm.ctx);
         mpi.wait(sreq).await;
         let (_s, data) = mpi.wait_recv(rreq).await;
@@ -301,10 +349,10 @@ pub async fn alltoall_scalars<T: Scalar>(mpi: &mut MpiRank, comm: &Comm, data: &
     let n = comm.size();
     assert_eq!(data.len() % n, 0, "data must divide evenly");
     let per = data.len() / n;
-    let chunks: Vec<Vec<u8>> = (0..n)
-        .map(|i| encode_slice(&data[i * per..(i + 1) * per]))
+    let chunks: Vec<Arc<[u8]>> = (0..n)
+        .map(|i| encode_shared(&data[i * per..(i + 1) * per]))
         .collect();
-    let got = alltoallv_bytes(mpi, comm, &chunks).await;
+    let got = alltoallv_bytes(mpi, comm, chunks).await;
     let mut out = Vec::with_capacity(data.len());
     for c in &got {
         decode_extend(c, &mut out);
@@ -324,15 +372,13 @@ pub async fn reduce_scatter_scalars<T: Scalar>(
     let n = comm.size();
     assert_eq!(data.len() % n, 0, "data must divide evenly over members");
     let per = data.len() / n;
-    let me = comm.my_rank(mpi);
     let reduced = reduce_scalars(mpi, comm, 0, op, data).await;
-    let chunks: Option<Vec<Vec<u8>>> = reduced.map(|full| {
+    let chunks: Option<Vec<Arc<[u8]>>> = reduced.map(|full| {
         (0..n)
-            .map(|i| encode_slice(&full[i * per..(i + 1) * per]))
+            .map(|i| encode_shared(&full[i * per..(i + 1) * per]))
             .collect()
     });
-    let mine = scatter_bytes(mpi, comm, 0, chunks.as_deref()).await;
-    let _ = me;
+    let mine = scatter_bytes(mpi, comm, 0, chunks).await;
     decode_slice(&mine)
 }
 
@@ -356,20 +402,22 @@ pub async fn scan_scalars<T: Scalar>(
         }
     }
     if me + 1 < n {
-        mpi.cwait_send(&encode_slice(&acc), comm.world_rank(me + 1), tag, comm)
+        mpi.cwait_send(encode_shared(&acc), comm.world_rank(me + 1), tag, comm)
             .await;
     }
     acc
 }
 
 /// Gather byte buffers to `root` (communicator rank order), each as
-/// received (no copy); `None` on non-roots.
+/// received (no copy) and the root's own as a copy; `None` on non-roots,
+/// which hand `mine` itself to the send.
 pub async fn gather_bytes(
     mpi: &mut MpiRank,
     comm: &Comm,
     root: usize,
-    mine: &[u8],
+    mine: impl Into<Arc<[u8]>>,
 ) -> Option<Vec<Bytes>> {
+    let mine: Arc<[u8]> = mine.into();
     let n = comm.size();
     let me = comm.my_rank(mpi);
     let tag = mpi.coll_tag(comm);
@@ -388,13 +436,14 @@ pub async fn gather_bytes(
     }
 }
 
-/// Scatter byte buffers from `root`; each member receives its chunk, as
-/// received (no copy).
-pub async fn scatter_bytes(
+/// Scatter byte buffers from `root`, each handed to its send as it is;
+/// each member receives its chunk, as received (no copy), and the root
+/// gets a copy of its own.
+pub async fn scatter_bytes<C: Into<Arc<[u8]>>>(
     mpi: &mut MpiRank,
     comm: &Comm,
     root: usize,
-    chunks: Option<&[Vec<u8>]>,
+    chunks: Option<Vec<C>>,
 ) -> Bytes {
     let n = comm.size();
     let me = comm.my_rank(mpi);
@@ -406,16 +455,20 @@ pub async fn scatter_bytes(
         )]
         let chunks = chunks.expect("root must supply chunks");
         assert_eq!(chunks.len(), n);
+        let mut own = Bytes::default();
         let mut reqs = Vec::new();
-        for (r, chunk) in chunks.iter().enumerate() {
-            if r != root {
+        for (r, chunk) in chunks.into_iter().enumerate() {
+            let chunk: Arc<[u8]> = chunk.into();
+            if r == root {
+                own = chunk.to_vec().into();
+            } else {
                 reqs.push(mpi.isend_ctx(chunk, comm.world_rank(r), tag, comm.ctx));
             }
         }
         for r in reqs {
             mpi.wait(r).await;
         }
-        chunks[me].clone().into()
+        own
     } else {
         mpi.crecv(comm.world_rank(root), tag, comm).await
     }

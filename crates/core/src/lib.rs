@@ -113,7 +113,9 @@ pub use fault::FabricFault;
 pub use ibfabric::Bytes;
 pub use rank::MpiRank;
 pub use requests::ReqId;
-pub use scalar::{decode_extend, decode_into, decode_slice, encode_slice, ReduceOp, Scalar};
+pub use scalar::{
+    decode_extend, decode_into, decode_slice, encode_shared, encode_slice, ReduceOp, Scalar,
+};
 pub use stats::{ConnStats, RankStats, WorldStats};
 pub use types::{Rank, Status, Tag};
 pub use wire::{MsgHeader, MsgKind, WireError, HEADER_LEN};

@@ -8,7 +8,6 @@ use crate::requests::{RecvState, ReqId, Request, SendState};
 use crate::types::Rank;
 use crate::wire::{MsgHeader, MsgKind, HEADER_LEN};
 use ibfabric::{CqeOpcode, CqeStatus, SendOp, SendWr};
-use std::sync::Arc;
 
 /// Frames drained from one connection's rings in one progress pass.
 const RING_DRAIN_BURST: u32 = 8;
@@ -399,7 +398,9 @@ impl MpiRank {
             let s = self.reqs.send_mut(req);
             debug_assert_eq!(s.state, SendState::StartSent);
             s.state = SendState::Writing;
-            Arc::clone(&s.data)
+            // The WRITE takes the payload: the request needs none of it
+            // after this.
+            std::mem::take(&mut s.data)
         };
         let qp = self.conn(peer).qp;
         let rkey = ibfabric::MrId::from_raw(h.rkey);
@@ -417,7 +418,7 @@ impl MpiRank {
                 SendWr {
                     wr_id,
                     op: SendOp::RdmaWrite {
-                        // The request's snapshot itself: zero host copies.
+                        // The request's payload itself: zero host copies.
                         payload: data,
                         rkey,
                         remote_offset,

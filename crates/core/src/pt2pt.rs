@@ -16,8 +16,18 @@ impl MpiRank {
     // ------------------------------------------------------------------
 
     /// Non-blocking send of `data` to `dst` with `tag` on the world
-    /// communicator.
+    /// communicator. An eager send that posts at once frames `data`
+    /// directly; one that must outlive the call (rendezvous, backlogged or
+    /// buffered) copies it once into the buffer the wire carries.
     pub fn isend(&mut self, data: &[u8], dst: Rank, tag: Tag) -> ReqId {
+        self.isend_ctx(data, dst, tag, WORLD_CTX)
+    }
+
+    /// [`MpiRank::isend`] of a buffer the caller built and gives up: the
+    /// wire carries `data` itself, with no copy (an eager frame still
+    /// copies it in beside its header, as into the pre-pinned buffer the
+    /// eager protocol models).
+    pub fn isend_owned(&mut self, data: Arc<[u8]>, dst: Rank, tag: Tag) -> ReqId {
         self.isend_ctx(data, dst, tag, WORLD_CTX)
     }
 
@@ -28,7 +38,7 @@ impl MpiRank {
     pub async fn ssend(&mut self, data: &[u8], dst: Rank, tag: Tag) {
         // Rendezvous unconditionally: the reply proves the receiver
         // matched, which is the synchronous-mode guarantee.
-        let req = self.start_send(data, dst, tag, WORLD_CTX, true);
+        let req = self.start_send(data.into(), dst, tag, WORLD_CTX, true);
         self.wait(req).await;
     }
 
@@ -84,6 +94,11 @@ impl MpiRank {
     /// lane 0 of its (source, size class), which the pin-down cache
     /// memoizes, so iterative applications pin once. Returns the status;
     /// panics if the message is larger than `buf`.
+    ///
+    /// The copy into `buf` is this call's contract: the payload arrives as
+    /// [`Bytes`] (for a rendezvous, the allocation the WRITE placed), and
+    /// a caller that wants it in a buffer of its own pays one copy. A
+    /// caller that can read it where it landed uses [`MpiRank::recv`].
     pub async fn recv_into(
         &mut self,
         buf: &mut [u8],
@@ -104,17 +119,22 @@ impl MpiRank {
 
     /// Typed send of a scalar slice.
     pub async fn send_scalars<T: Scalar>(&mut self, data: &[T], dst: Rank, tag: Tag) {
-        let bytes = encode_slice(data);
-        self.send(&bytes, dst, tag).await;
+        let req = self.isend_scalars(data, dst, tag);
+        self.wait(req).await;
     }
 
-    /// Typed non-blocking send of a scalar slice.
+    /// Typed non-blocking send of a scalar slice, encoded into a `Vec` and
+    /// sent borrowed: an eager send frames it directly, a rendezvous copies
+    /// it once. A caller that encodes with [`crate::encode_shared`] and
+    /// sends with [`MpiRank::isend_owned`] saves that copy.
     pub fn isend_scalars<T: Scalar>(&mut self, data: &[T], dst: Rank, tag: Tag) -> ReqId {
         let bytes = encode_slice(data);
         self.isend(&bytes, dst, tag)
     }
 
-    /// Typed blocking receive into an existing slice (exact length).
+    /// Typed blocking receive into an existing slice (exact length). The
+    /// decode reads the received [`Bytes`] where they landed and is the
+    /// only pass over them.
     pub async fn recv_scalars_into<T: Scalar>(
         &mut self,
         out: &mut [T],
@@ -269,16 +289,22 @@ impl MpiRank {
     // Communicator-aware internals (used by Comm and collectives).
     // ------------------------------------------------------------------
 
-    pub(crate) fn isend_ctx(&mut self, data: &[u8], dst: Rank, tag: Tag, comm: CommCtx) -> ReqId {
-        self.start_send(data, dst, tag, comm, false)
+    pub(crate) fn isend_ctx<'a>(
+        &mut self,
+        data: impl Into<Payload<'a>>,
+        dst: Rank,
+        tag: Tag,
+        comm: CommCtx,
+    ) -> ReqId {
+        self.start_send(data.into(), dst, tag, comm, false)
     }
 
     /// Creates a send request and routes it through the flow control
     /// scheme; `force_rndz` selects the rendezvous protocol whatever the
-    /// size (synchronous mode).
+    /// size (synchronous mode). Every send, borrowed or owned, enters here.
     fn start_send(
         &mut self,
-        data: &[u8],
+        data: Payload<'_>,
         dst: Rank,
         tag: Tag,
         comm: CommCtx,
@@ -294,13 +320,13 @@ impl MpiRank {
             tag,
             comm,
             state: SendState::Done, // set properly by issue_send
-            data: data.into(),
+            data: Arc::default(),
             was_backlogged: false,
             buffered: false,
             detached: false,
             failed: false,
         }));
-        self.issue_send(req, force_rndz);
+        self.issue_send(req, data, force_rndz);
         req
     }
 
@@ -358,12 +384,12 @@ impl MpiRank {
         req
     }
 
-    /// Routes a send request through the active flow control scheme.
-    fn issue_send(&mut self, req: ReqId, force_rndz: bool) {
-        let (dst, len) = {
-            let s = self.reqs.send_ref(req);
-            (s.dst, s.data.len())
-        };
+    /// Routes a send request through the active flow control scheme. An
+    /// eager frame posted here copies `data` and the request keeps none of
+    /// it; every other path outlives this call, so the request keeps
+    /// `data` as the buffer the wire will carry.
+    fn issue_send(&mut self, req: ReqId, data: Payload<'_>, force_rndz: bool) {
+        let (dst, len) = (self.reqs.send_ref(req).dst, data.len());
         self.ensure_established(dst);
         if self.conn(dst).failed {
             self.reqs.fail_send(req);
@@ -374,8 +400,9 @@ impl MpiRank {
             // No MPI-level accounting: post immediately; the HCA's
             // end-to-end flow control and RNR retries do the rest.
             if eager_ok {
-                self.send_eager(req);
+                self.send_eager(req, &data);
             } else {
+                self.reqs.send_mut(req).data = data.into_shared();
                 self.start_rndz(req, false);
             }
             return;
@@ -387,7 +414,7 @@ impl MpiRank {
         if ring && eager_ok {
             let c = self.conn(dst);
             if c.backlog.is_empty() && c.ring.held > 0 {
-                self.send_eager_ring(req);
+                self.send_eager_ring(req, &data);
                 return;
             }
             // A starved ring that may grow is the growth signal: count the
@@ -403,27 +430,30 @@ impl MpiRank {
         // still follows the size — only the wire protocol changes.
         let eager_wire_ok = eager_ok && !ring;
         let c = self.conn(dst);
-        if c.backlog.is_empty() && c.credits.held > 0 {
+        let credit = c.backlog.is_empty() && c.credits.held > 0;
+        if credit && eager_wire_ok {
             // The frame posted below spends the credit (`conn::spends_credit`).
-            if eager_wire_ok {
-                self.send_eager(req);
-            } else {
-                if eager_ok {
-                    // Channel, ring full, buffer credit in hand: the
-                    // transport converts to rendezvous but the user-visible
-                    // send stays buffered-eager — three ranks all bursting
-                    // sends before their receives would otherwise deadlock
-                    // on each other's handshakes.
-                    let copy_cost = self
-                        .proc
-                        .with(|ctx| ctx.world.params().copy_time(crate::wire::HEADER_LEN + len));
-                    self.charge(copy_cost);
-                    if let Request::Send(s) = self.reqs.get_mut(req) {
-                        s.buffered = true;
-                    }
+            self.send_eager(req, &data);
+            return;
+        }
+        self.reqs.send_mut(req).data = data.into_shared();
+        if credit {
+            // The start's frame spends the credit.
+            if eager_ok {
+                // Channel, ring full, buffer credit in hand: the transport
+                // converts to rendezvous but the user-visible send stays
+                // buffered-eager — three ranks all bursting sends before
+                // their receives would otherwise deadlock on each other's
+                // handshakes.
+                let copy_cost = self
+                    .proc
+                    .with(|ctx| ctx.world.params().copy_time(crate::wire::HEADER_LEN + len));
+                self.charge(copy_cost);
+                if let Request::Send(s) = self.reqs.get_mut(req) {
+                    s.buffered = true;
                 }
-                self.start_rndz(req, false);
             }
+            self.start_rndz(req, false);
         } else {
             // No credits (or older sends already queued — MPI ordering): the
             // operation switches to the rendezvous protocol regardless of
@@ -450,23 +480,24 @@ impl MpiRank {
         }
     }
 
-    /// Eager path: header + payload in one pre-pinned buffer send.
-    pub(crate) fn send_eager(&mut self, req: ReqId) {
-        let (dst, tag, comm, len, flagged) = {
+    /// Eager path: header + payload in one pre-pinned buffer send, framed
+    /// from `payload` directly.
+    fn send_eager(&mut self, req: ReqId, payload: &[u8]) {
+        let (dst, tag, comm, flagged) = {
             let s = self.reqs.send_ref(req);
-            (s.dst, s.tag, s.comm, s.data.len(), s.was_backlogged)
+            (s.dst, s.tag, s.comm, s.was_backlogged)
         };
+        let len = payload.len();
         let mut h = MsgHeader::new(MsgKind::Eager, self.rank);
         h.tag = tag;
         h.comm = comm;
         h.payload_len = len as u32;
         h.backlog_flag = flagged;
-        let data = Arc::clone(&self.reqs.send_ref(req).data);
         let copy_cost = self
             .proc
             .with(|ctx| ctx.world.params().copy_time(crate::wire::HEADER_LEN + len));
         self.charge(copy_cost);
-        self.post_frame(dst, h, &data, WrKind::CtrlSend);
+        self.post_frame(dst, h, payload, WrKind::CtrlSend);
         let c = self.conn_mut(dst);
         c.stats.eager_sent.incr();
         self.stats.eager_bytes.add(len as u64);
@@ -475,17 +506,17 @@ impl MpiRank {
 
     /// RDMA eager channel variant of the eager path: the frame is
     /// RDMA-written into the peer's ring instead of posted as a send.
-    fn send_eager_ring(&mut self, req: ReqId) {
-        let (dst, tag, comm, len) = {
+    fn send_eager_ring(&mut self, req: ReqId, payload: &[u8]) {
+        let (dst, tag, comm) = {
             let s = self.reqs.send_ref(req);
-            (s.dst, s.tag, s.comm, s.data.len())
+            (s.dst, s.tag, s.comm)
         };
+        let len = payload.len();
         let mut h = MsgHeader::new(MsgKind::Eager, self.rank);
         h.tag = tag;
         h.comm = comm;
         h.payload_len = len as u32;
-        let data = Arc::clone(&self.reqs.send_ref(req).data);
-        self.post_ring_frame(dst, h, &data);
+        self.post_ring_frame(dst, h, payload);
         self.stats.eager_bytes.add(len as u64);
         self.reqs.send_mut(req).state = SendState::Done;
     }
@@ -719,6 +750,47 @@ impl MpiRank {
             }
             self.block_for_progress(what).await;
         }
+    }
+}
+
+/// A send's payload as the caller hands it in: borrowed bytes, copied
+/// once if the send must outlive the call, or a buffer the caller gave up,
+/// which the wire carries as it is.
+pub(crate) enum Payload<'a> {
+    Borrowed(&'a [u8]),
+    Owned(Arc<[u8]>),
+}
+
+impl Payload<'_> {
+    /// The buffer the wire carries: the owned one itself, or the one copy
+    /// of borrowed bytes.
+    fn into_shared(self) -> Arc<[u8]> {
+        match self {
+            Payload::Borrowed(bytes) => Arc::from(bytes),
+            Payload::Owned(bytes) => bytes,
+        }
+    }
+}
+
+impl std::ops::Deref for Payload<'_> {
+    type Target = [u8];
+    fn deref(&self) -> &[u8] {
+        match self {
+            Payload::Borrowed(bytes) => bytes,
+            Payload::Owned(bytes) => bytes,
+        }
+    }
+}
+
+impl<'a> From<&'a [u8]> for Payload<'a> {
+    fn from(bytes: &'a [u8]) -> Payload<'a> {
+        Payload::Borrowed(bytes)
+    }
+}
+
+impl From<Arc<[u8]>> for Payload<'_> {
+    fn from(bytes: Arc<[u8]>) -> Self {
+        Payload::Owned(bytes)
     }
 }
 

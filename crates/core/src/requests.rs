@@ -27,10 +27,15 @@ pub(crate) struct SendReq {
     pub tag: Tag,
     pub comm: CommCtx,
     pub state: SendState,
-    /// Payload: the one snapshot of the caller's buffer, taken at post
-    /// time (the simulator's stand-in for the pinned user buffer). Every
-    /// later holder — frame builder, RDMA WRITE work request, in-flight
-    /// entry, delivery event — shares this allocation; nothing mutates it.
+    /// Payload of a send that outlives its call — rendezvous, backlogged
+    /// or buffered: the `Arc<[u8]>` the caller handed over, or the one
+    /// snapshot of a borrowed buffer (the simulator's stand-in for the
+    /// pinned user buffer). The rendezvous WRITE takes it, and every later
+    /// holder — in-flight entry, delivery event, landing region, the
+    /// receiver's payload — shares that allocation; nothing mutates it.
+    /// Empty (`Arc::default`, no allocation) for an eager send that posted
+    /// at once, whose frame copied the caller's bytes, and once the WRITE
+    /// has taken it.
     pub data: Arc<[u8]>,
     /// Whether this operation passed through the backlog (sets the
     /// feedback flag on its rendezvous start).
@@ -304,7 +309,7 @@ mod tests {
             tag: 0,
             comm: 0,
             state: SendState::Done,
-            data: Arc::from([]),
+            data: Arc::default(),
             was_backlogged: false,
             buffered: false,
             detached: false,

@@ -1,5 +1,7 @@
 //! Plain-old-data scalars moved through MPI messages, plus reduction ops.
 
+use std::sync::Arc;
+
 /// A fixed-width scalar with little-endian wire conversion.
 pub trait Scalar: Copy + PartialEq + std::fmt::Debug + Send + 'static {
     /// Width on the wire, in bytes.
@@ -71,6 +73,24 @@ pub fn encode_slice<T: Scalar>(xs: &[T]) -> Vec<u8> {
     out
 }
 
+/// Encodes a slice of scalars straight into the shared buffer a send
+/// hands to the wire ([`crate::MpiRank::isend_owned`], the byte
+/// collectives): one allocation, no `Vec` to copy out of.
+pub fn encode_shared<T: Scalar>(xs: &[T]) -> Arc<[u8]> {
+    // Zero-filled, then written element by element: collecting the bytes
+    // straight into the `Arc` is one allocation too, but writes them one
+    // at a time, some twenty times slower.
+    let mut out: Arc<[u8]> = std::iter::repeat_n(0, xs.len() * T::BYTES).collect();
+    // Freshly built, so unique: `make_mut` hands out the buffer in place.
+    let buf = Arc::make_mut(&mut out);
+    for (slot, x) in buf.chunks_exact_mut(T::BYTES).zip(xs) {
+        for (b, v) in slot.iter_mut().zip(x.to_le()) {
+            *b = v;
+        }
+    }
+    out
+}
+
 /// Decodes bytes into a fresh vector of scalars.
 ///
 /// # Panics
@@ -126,6 +146,13 @@ mod tests {
             decode_slice::<u64>(&encode_slice(&[u64::MAX])),
             vec![u64::MAX]
         );
+    }
+
+    #[test]
+    fn encode_shared_is_encode_slice() {
+        let xs = [1.5f64, -2.25, f64::MAX];
+        assert_eq!(*encode_shared(&xs), *encode_slice(&xs));
+        assert!(encode_shared::<u32>(&[]).is_empty());
     }
 
     #[test]

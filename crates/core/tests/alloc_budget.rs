@@ -1,15 +1,17 @@
 //! Allocation budget of the point-to-point fast paths and of world
 //! construction.
 //!
-//! A message's bytes exist once on the host between `isend` and the wire
-//! (the `Arc<[u8]>` snapshot in the request table, shared by the frame
-//! builder, the RDMA WRITE work request and the delivery event — and,
-//! once a rendezvous lands, by the landing region that adopted it and then
-//! by the payload `wait_recv` returns), and the RC transport keeps its
-//! per-work-request bookkeeping off the heap. This
-//! test holds that in place with exact counts from a counting global
-//! allocator: the same technique as `benchmark/`'s traced reps, in an
-//! integration test because the libraries deny `unsafe`.
+//! A message's bytes exist once on the host between the sender and the
+//! wire. An eager send that posts at once is framed straight from the
+//! caller's slice and keeps nothing. A rendezvous carries one `Arc<[u8]>`
+//! from producer to consumer: the buffer an owned send handed over (or
+//! the one copy a borrowed send made), which the RDMA WRITE work
+//! request, the in-flight entry and the delivery event share, which the
+//! landing region adopts, and which `wait_recv` returns. The RC transport
+//! keeps its per-work-request bookkeeping off the heap. This test holds
+//! that in place with exact counts from a counting global allocator: the
+//! same technique as `benchmark/`'s traced reps, in an integration test
+//! because the libraries deny `unsafe`.
 //!
 //! Steady state is measured as a difference: the same body runs for a
 //! short and a long number of windows, and the extra allocations of the
@@ -25,8 +27,9 @@
 //! The rendezvous path is held to its region budget too: a burst of
 //! posted receives lands in one region per receive, the regions are reused
 //! window after window, and a region whose message was handed to the
-//! application holds nothing. A byte collective built on it hands back
-//! the payloads it received without copying them.
+//! application holds nothing. A byte collective built on it sends the
+//! chunks it is handed and hands back the payloads it received, copying
+//! neither, and a typed receive decodes in place.
 //!
 //! One `#[test]` only: a second test on another thread would be counted
 //! too.
@@ -35,6 +38,7 @@ use ibfabric::FabricParams;
 use mpib::{FlowControlScheme, MpiConfig, MpiWorld};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 
 struct CountingAlloc;
 
@@ -194,7 +198,8 @@ fn slab_extent_after(n: usize, prepost: u32) -> usize {
 }
 
 /// Bytes allocated by a whole four-rank run of `reps` `alltoallv_bytes`
-/// calls, each rank sending a `chunk`-byte chunk to every member.
+/// calls, each rank building a `chunk`-byte `Arc<[u8]>` for every member
+/// and handing them over by value.
 fn alltoallv_bytes_cost(chunk: usize, reps: usize) -> u64 {
     let before = ALLOC_BYTES.load(Ordering::Relaxed);
     COUNTING.store(true, Ordering::Relaxed);
@@ -204,10 +209,42 @@ fn alltoallv_bytes_cost(chunk: usize, reps: usize) -> u64 {
         FabricParams::mt23108(),
         async move |mpi| {
             let world = mpib::Comm::world(mpi);
-            let chunks = vec![vec![0xA5u8; chunk]; 4];
             for _ in 0..reps {
-                let got = mpib::collectives::alltoallv_bytes(mpi, &world, &chunks).await;
+                let chunks: Vec<Arc<[u8]>> = (0..4)
+                    .map(|_| std::iter::repeat_n(0xA5, chunk).collect())
+                    .collect();
+                let got = mpib::collectives::alltoallv_bytes(mpi, &world, chunks).await;
                 assert!(got.iter().all(|c| c.len() == chunk));
+            }
+        },
+    );
+    COUNTING.store(false, Ordering::Relaxed);
+    out.expect("clean run");
+    ALLOC_BYTES.load(Ordering::Relaxed) - before
+}
+
+/// Bytes allocated by a whole two-rank run in which rank 0 sends `msgs`
+/// messages of `len` `f64`s, each encoded with `encode_shared` and handed
+/// to `isend_owned`, and rank 1 takes each with `recv_scalars_into`.
+fn typed_pt2pt_cost(len: usize, msgs: usize) -> u64 {
+    let before = ALLOC_BYTES.load(Ordering::Relaxed);
+    COUNTING.store(true, Ordering::Relaxed);
+    let out = MpiWorld::run(
+        2,
+        MpiConfig::scheme(FlowControlScheme::UserStatic, 10),
+        FabricParams::mt23108(),
+        async move |mpi| {
+            let mut xs: Vec<f64> = (0..len).map(|i| i as f64).collect();
+            for m in 0..msgs {
+                if mpi.rank() == 0 {
+                    xs[0] = m as f64;
+                    let req = mpi.isend_owned(mpib::encode_shared(&xs), 1, TAG_DATA);
+                    mpi.wait(req).await;
+                } else {
+                    mpi.recv_scalars_into(&mut xs, Some(0), Some(TAG_DATA))
+                        .await;
+                    assert_eq!((xs[0], xs[len - 1]), (m as f64, (len - 1) as f64));
+                }
             }
         },
     );
@@ -291,21 +328,22 @@ fn fast_paths_stay_within_their_allocation_budget() {
     // with this body (the benchmark's own harness, whose body allocates
     // a little itself, read 15.19 before):
     //
-    //   scheme        parent (PR 12)   this change
-    //   UserStatic    16.062           6.843
-    //   RdmaChannel   14.828           6.843
+    //   scheme        PR 12    PR 13    eager sends keep no snapshot
+    //   UserStatic    16.062   6.843    5.828
+    //   RdmaChannel   14.828   6.843    5.828
     //
-    // What is left: the snapshot, the frame, three boxed simulator events
-    // (delivery, DMA placement, ACK), the copy-out, and a window's ack
-    // spread over its 64 messages. The short run is 120 windows because
+    // What is left: the frame (built straight from the caller's slice;
+    // the send posts at once, so its request keeps nothing), three boxed
+    // simulator events (delivery, DMA placement, ACK), the copy-out, and a
+    // window's ack spread over its 64 messages. The short run is 120 windows because
     // warm-up now includes the receive slab materialising out to its
     // posted pool: slots are consumed in posting order, so under
     // RdmaChannel (where little traffic takes the slab) the hundredth slot
     // is first touched some hundred windows in, and each doubling of the
     // region's prefix on the way there is one reallocation.
     for (scheme, budget_milli) in [
-        (FlowControlScheme::UserStatic, 6843),
-        (FlowControlScheme::RdmaChannel, 6843),
+        (FlowControlScheme::UserStatic, 5828),
+        (FlowControlScheme::RdmaChannel, 5828),
     ] {
         let (count, _) = per_message_milli(scheme, 100, 4, 64, (120, 220));
         assert!(
@@ -363,19 +401,46 @@ fn fast_paths_stay_within_their_allocation_budget() {
         }
     }
 
-    // (d) A byte collective hands back what it received: a four-rank
+    // (d) A byte collective takes its chunks by value: a four-rank
     // `alltoallv_bytes` of 64 KiB chunks (rendezvous-sized, like FT's
-    // transposes at class W) allocates one payload per chunk it returns —
-    // the `isend` snapshot of each of the 12 messages and each rank's copy
-    // of its own chunk, 16 per call — plus small change: 72 274 B per
-    // returned chunk. Copying each received chunk out of its `Bytes` adds
-    // three quarters of a payload (121 426 B).
+    // transposes at class W), each an `Arc<[u8]>` the body builds, costs
+    // per call and rank the four chunks built — each sent chunk travels as
+    // built and reaches its receiver as the allocation the WRITE placed —
+    // plus one copy of the rank's own chunk (a `Bytes` cannot adopt an
+    // `Arc`), so a quarter payload per returned chunk, plus bookkeeping:
+    // 82 534 B per returned chunk, about 0.8 KB and 16 allocations per
+    // message. A send that snapshots its chunk, or a receive that copies
+    // its payload out, adds three quarters of a payload.
+    //
+    // The window starts at the fourth call: in the second and third, each
+    // connection's receive slab materialises out to its posted pool (one
+    // reallocation of its doubling prefix per call, 16 then 32 KiB per
+    // message), which a window starting at the second call spread as
+    // 9 KB of "bookkeeping" per message over the next four.
     const CHUNK: usize = 64 << 10;
-    let (short, long) = (2, 6);
+    let (short, long) = (4, 8);
     let per_chunk = (alltoallv_bytes_cost(CHUNK, long) - alltoallv_bytes_cost(CHUNK, short))
         / ((long - short) * 16) as u64;
     assert!(
-        per_chunk <= CHUNK as u64 + (12 << 10),
+        per_chunk <= (CHUNK + CHUNK / 4) as u64 + (1 << 10),
         "{per_chunk} bytes allocated per 64 KiB chunk an all-to-all returns"
+    );
+
+    // (e) Scalars encoded straight into the buffer the wire carries are
+    // decoded straight from the payload the receive is handed: 256 KB of
+    // `f64`s encoded with `encode_shared`, sent with `isend_owned` and
+    // taken with `recv_scalars_into` cost one payload per message (the
+    // encode, which the WRITE carries, the landing region adopts and the
+    // decode reads) plus bookkeeping: 262 904 B. Copying the payload before
+    // decoding it, or snapshotting the encoding, adds a payload. The
+    // window starts once the receive slabs have materialised out to their
+    // ten posted slots (three control frames per message land in them).
+    const LEN: usize = 32 << 10;
+    let (short, long) = (12, 24);
+    let per_message =
+        (typed_pt2pt_cost(LEN, long) - typed_pt2pt_cost(LEN, short)) / (long - short) as u64;
+    assert!(
+        per_message <= (LEN * 8) as u64 + (1 << 10),
+        "{per_message} bytes allocated per 256 KB typed message"
     );
 }

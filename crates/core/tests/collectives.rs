@@ -3,7 +3,8 @@
 
 use ibfabric::FabricParams;
 use mpib::collectives::*;
-use mpib::{Comm, FlowControlScheme, MpiConfig, MpiWorld, ReduceOp};
+use mpib::{Bytes, Comm, FlowControlScheme, MpiConfig, MpiWorld, ReduceOp};
+use std::sync::Arc;
 
 fn run<R: 'static>(n: usize, body: impl AsyncFn(&mut mpib::MpiRank) -> R + 'static) -> Vec<R> {
     let cfg = MpiConfig::scheme(FlowControlScheme::UserDynamic, 8);
@@ -148,7 +149,7 @@ fn alltoallv_ragged_sizes() {
         let chunks: Vec<Vec<u8>> = (0..n)
             .map(|dst| vec![(me * 16 + dst) as u8; me + dst])
             .collect();
-        alltoallv_bytes(mpi, &world, &chunks).await
+        alltoallv_bytes(mpi, &world, chunks).await
     });
     for (me, got) in results.iter().enumerate() {
         for (src, chunk) in got.iter().enumerate() {
@@ -164,7 +165,7 @@ fn gather_and_scatter_roundtrip() {
     let results = run(n, async move |mpi| {
         let world = Comm::world(mpi);
         let me = world.my_rank(mpi);
-        let gathered = gather_bytes(mpi, &world, 2, &[me as u8; 3]).await;
+        let gathered = gather_bytes(mpi, &world, 2, &[me as u8; 3][..]).await;
         if me == 2 {
             let g = gathered.unwrap();
             for (src, chunk) in g.iter().enumerate() {
@@ -174,7 +175,7 @@ fn gather_and_scatter_roundtrip() {
         // Scatter back doubled values.
         let chunks: Option<Vec<Vec<u8>>> =
             (me == 2).then(|| (0..n).map(|r| vec![r as u8 * 2; 2]).collect());
-        scatter_bytes(mpi, &world, 2, chunks.as_deref()).await
+        scatter_bytes(mpi, &world, 2, chunks).await
     });
     for (me, r) in results.iter().enumerate() {
         assert_eq!(r, &[me as u8 * 2; 2]);
@@ -321,5 +322,125 @@ fn collectives_over_split_comms_stay_isolated() {
             4.0 + 5.0 + 6.0 + 7.0
         };
         assert_eq!(s, expect, "rank {me}");
+    }
+}
+
+/// Every byte collective once, then a ring of point-to-point sends, with
+/// each payload handed over by value (`owned`) or borrowed. Chunk `i` of
+/// rank `r` is eager-sized or rendezvous-sized by the parity of `r + i`
+/// and its bytes name `(r, i)`. Returns every byte received, in order.
+async fn every_byte_path(mpi: &mut mpib::MpiRank, owned: bool) -> Vec<Vec<u8>> {
+    let world = Comm::world(mpi);
+    let (me, n) = (world.my_rank(mpi), world.size());
+    let chunk = |r: usize, i: usize| vec![(r * 16 + i) as u8; [64, 20 << 10][(r + i) % 2]];
+    let shared = |c: &Vec<u8>| Arc::<[u8]>::from(&c[..]);
+    let chunks: Vec<Vec<u8>> = (0..n).map(|i| chunk(me, i)).collect();
+    let mut got: Vec<Bytes> = Vec::new();
+    got.extend(if owned {
+        alltoallv_bytes(mpi, &world, chunks.iter().map(shared).collect()).await
+    } else {
+        alltoallv_bytes(mpi, &world, chunks.iter().map(Vec::as_slice).collect()).await
+    });
+    got.extend(if owned {
+        allgather_bytes(mpi, &world, shared(&chunks[0])).await
+    } else {
+        allgather_bytes(mpi, &world, &chunks[0][..]).await
+    });
+    let root = 1;
+    let mine = if me == root { chunk(me, 1) } else { Vec::new() };
+    got.push(if owned {
+        bcast_bytes(mpi, &world, root, shared(&mine)).await
+    } else {
+        bcast_bytes(mpi, &world, root, &mine[..]).await
+    });
+    got.extend(
+        if owned {
+            gather_bytes(mpi, &world, root, shared(&chunks[1])).await
+        } else {
+            gather_bytes(mpi, &world, root, &chunks[1][..]).await
+        }
+        .into_iter()
+        .flatten(),
+    );
+    let to_scatter = (me == root).then_some(&chunks);
+    got.push(if owned {
+        scatter_bytes(
+            mpi,
+            &world,
+            root,
+            to_scatter.map(|c| c.iter().map(shared).collect()),
+        )
+        .await
+    } else {
+        let borrowed = to_scatter.map(|c| c.iter().map(Vec::as_slice).collect());
+        scatter_bytes::<&[u8]>(mpi, &world, root, borrowed).await
+    });
+    let (next, prev) = ((me + 1) % n, (me + n - 1) % n);
+    // A burst past the two credits of pre-post 2, so some sends backlog.
+    let recvs: Vec<_> = (0..8).map(|_| mpi.irecv(Some(prev), Some(9))).collect();
+    let sends: Vec<_> = (0..8)
+        .map(|i| {
+            if owned {
+                mpi.isend_owned(shared(&chunk(me, i)), next, 9)
+            } else {
+                mpi.isend(&chunk(me, i), next, 9)
+            }
+        })
+        .collect();
+    mpi.waitall(&sends).await;
+    for r in recvs {
+        got.push(mpi.wait_recv(r).await.1);
+    }
+    got.iter().map(|b| b.to_vec()).collect()
+}
+
+#[test]
+fn byte_collectives_by_value_and_borrowed_are_one_behaviour() {
+    for n in [4, 5] {
+        for scheme in [
+            FlowControlScheme::UserStatic,
+            FlowControlScheme::RdmaChannel,
+        ] {
+            let case = format!("{n} ranks, {}", scheme.label());
+            let [borrowed, owned] = [false, true].map(|owned| {
+                let cfg = MpiConfig::scheme(scheme, 2);
+                MpiWorld::run(n, cfg, FabricParams::mt23108(), async move |mpi| {
+                    every_byte_path(mpi, owned).await
+                })
+                .unwrap()
+            });
+            let ranks = &owned.stats.ranks;
+            assert!(
+                ranks.iter().all(|r| r.eager_bytes.get() > 0),
+                "{case}: nothing eager"
+            );
+            assert!(
+                ranks
+                    .iter()
+                    .flat_map(|r| &r.conns)
+                    .any(|c| c.backlogged.get() > 0),
+                "{case}: nothing backlogged"
+            );
+            let rank1 = &owned.results[1];
+            assert_eq!(
+                rank1[0],
+                vec![1u8; 20 << 10],
+                "{case}: alltoallv from rank 0"
+            );
+            assert_eq!(rank1[1], vec![17u8; 64], "{case}: own alltoallv chunk");
+            assert_eq!(borrowed.results, owned.results, "{case}: bytes received");
+            assert_eq!(borrowed.end_time, owned.end_time, "{case}: end time");
+            assert_eq!(borrowed.events, owned.events, "{case}: events");
+            assert_eq!(
+                format!("{:?}", borrowed.stats.ranks),
+                format!("{:?}", owned.stats.ranks),
+                "{case}: MPI stats"
+            );
+            assert_eq!(
+                format!("{:?}", borrowed.fabric.stats),
+                format!("{:?}", owned.fabric.stats),
+                "{case}: fabric stats"
+            );
+        }
     }
 }

@@ -16,7 +16,7 @@ use ibsim::codec::{Reader, Writer};
 use ibsim::rng::det_rng;
 use ibsim::SimDuration;
 use mpib::collectives::{allgather_bytes, allreduce_scalars, barrier};
-use mpib::{decode_extend, encode_slice, CkptStart, Comm, MpiRank, ReduceOp};
+use mpib::{decode_extend, encode_shared, CkptStart, Comm, MpiRank, ReduceOp};
 
 /// Problem shape for one class.
 #[derive(Clone, Copy, Debug)]
@@ -107,7 +107,7 @@ async fn ddot(mpi: &mut MpiRank, world: &Comm, a: &[f64], b: &[f64]) -> f64 {
 
 /// Gathers the block-distributed vector into a full copy.
 async fn gather_full(mpi: &mut MpiRank, world: &Comm, mine: &[f64], n: usize) -> Vec<f64> {
-    let chunks = allgather_bytes(mpi, world, &encode_slice(mine)).await;
+    let chunks = allgather_bytes(mpi, world, encode_shared(mine)).await;
     let mut full = Vec::with_capacity(n);
     for c in &chunks {
         decode_extend(c, &mut full);

@@ -11,7 +11,8 @@
 use crate::common::{charge_flops, global_checksum, timed, Kernel, KernelOutput, NasClass};
 use ibsim::rng::det_rng;
 use mpib::collectives::alltoallv_bytes;
-use mpib::{decode_slice, encode_slice, Comm, MpiRank};
+use mpib::{decode_slice, encode_shared, Comm, MpiRank};
+use std::sync::Arc;
 
 pub mod fft {
     //! Minimal iterative radix-2 complex FFT.
@@ -284,10 +285,11 @@ async fn transpose_z_to_x(
     let nx_l = nx / p;
     // Build the P outgoing chunks: chunk d carries (x in d's range, all y,
     // my z planes), as interleaved (re, im) pairs in (x_l, y, z) order.
-    let mut chunks: Vec<Vec<u8>> = Vec::with_capacity(p);
+    let mut chunks: Vec<Arc<[u8]>> = Vec::with_capacity(p);
+    let mut flat = Vec::with_capacity(nx_l * ny * nz_l * 2);
     for d in 0..p {
         let x0 = d * nx_l;
-        let mut flat = Vec::with_capacity(nx_l * ny * nz_l * 2);
+        flat.clear();
         for xl in 0..nx_l {
             for y in 0..ny {
                 for zl in 0..nz_l {
@@ -297,10 +299,10 @@ async fn transpose_z_to_x(
                 }
             }
         }
-        chunks.push(encode_slice(&flat));
+        chunks.push(encode_shared(&flat));
     }
     charge_flops(mpi, (nx * ny * nz_l) as f64 * 2.0).await;
-    let got = alltoallv_bytes(mpi, world, &chunks).await;
+    let got = alltoallv_bytes(mpi, world, chunks).await;
     // Reassemble: from src rank r we got (my x range, all y, r's z range).
     let nz = nz_l * p;
     let mut out = Slab {
@@ -339,10 +341,11 @@ async fn transpose_x_to_z(
     let p = world.size();
     let nx_l = nx / p;
     let nz_l = nz / p;
-    let mut chunks: Vec<Vec<u8>> = Vec::with_capacity(p);
+    let mut chunks: Vec<Arc<[u8]>> = Vec::with_capacity(p);
+    let mut flat = Vec::with_capacity(nx_l * ny * nz_l * 2);
     for d in 0..p {
         let z0 = d * nz_l;
-        let mut flat = Vec::with_capacity(nx_l * ny * nz_l * 2);
+        flat.clear();
         for zl in 0..nz_l {
             for y in 0..ny {
                 for xl in 0..nx_l {
@@ -352,10 +355,10 @@ async fn transpose_x_to_z(
                 }
             }
         }
-        chunks.push(encode_slice(&flat));
+        chunks.push(encode_shared(&flat));
     }
     charge_flops(mpi, (nx_l * ny * nz) as f64 * 2.0).await;
-    let got = alltoallv_bytes(mpi, world, &chunks).await;
+    let got = alltoallv_bytes(mpi, world, chunks).await;
     let mut out = Slab {
         re: vec![0.0; nx * ny * nz_l],
         im: vec![0.0; nx * ny * nz_l],

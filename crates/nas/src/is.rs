@@ -17,15 +17,20 @@
 //! a fresh vector every iteration, a comparison sort at the end — was
 //! over 40% of the whole NAS battery's wall. Here instead:
 //!
-//! * keys are bucketed in one pass straight into the per-destination
-//!   wire buffers, which persist across iterations; the bucket index is a
+//! * keys are bucketed in one pass straight into one wire chunk per
+//!   destination, an `Arc<[u8]>` sized exactly by the bucket counts, which
+//!   the key exchange hands to the wire as it is; the bucket index is a
 //!   multiply and a shift proved equal to `key / range` (`BucketIndex`);
-//! * bucket counts are the buffer lengths;
+//! * the bucket counts are counted once and then follow the two keys an
+//!   iteration perturbs, so they cost no pass of their own;
 //! * an iteration reads nothing of what it receives but the chunk
-//!   lengths; the keys are decoded once, after the last exchange;
-//! * the final sort counts over the rank's own key range, which is also
-//!   the "every key is mine" check — a foreign key makes the run
-//!   unverified instead of indexing out of range.
+//!   lengths, and lets go of the previous exchange's chunks before the
+//!   next; the keys are decoded once, after the last exchange;
+//! * the final sort counts straight from the received chunks over the
+//!   rank's own key range, which is also the "every key is mine" check — a
+//!   foreign key makes the run unverified instead of indexing out of
+//!   range — and leaves the sorted keys implicit in the counts: the
+//!   boundary check needs only the smallest and largest.
 //!
 //! Payload bytes, counts and every `charge_flops` argument are those of
 //! the naive form, which the tests keep as the reference.
@@ -33,7 +38,8 @@
 use crate::common::{charge_flops, global_checksum, timed, Kernel, KernelOutput, NasClass};
 use ibsim::rng::det_rng;
 use mpib::collectives::{allreduce_scalars, alltoallv_bytes};
-use mpib::{decode_extend, decode_slice, encode_slice, Bytes, Comm, MpiRank, ReduceOp};
+use mpib::{decode_slice, encode_slice, Bytes, Comm, MpiRank, ReduceOp};
+use std::sync::Arc;
 
 /// Problem shape for one class.
 #[derive(Clone, Copy, Debug)]
@@ -102,48 +108,67 @@ impl BucketIndex {
     }
 }
 
-/// One empty wire buffer per destination. Uniform keys give every
-/// destination `keys / p` of them; the slack covers the spread, and a
-/// skewed input only reallocates.
-fn wire_buffers(keys: usize, p: usize) -> Vec<Vec<u8>> {
-    let share = keys / p;
-    (0..p)
-        .map(|_| Vec::with_capacity((share + share / 8 + 16) * 4))
-        .collect()
+/// How many of `keys` go to each of the `p` destinations.
+fn bucket_counts(keys: &[u32], index: &BucketIndex, p: usize) -> Vec<u64> {
+    let mut counts = vec![0u64; p];
+    for &k in keys {
+        counts[index.of(k)] += 1;
+    }
+    counts
 }
 
-/// Buckets `keys` by destination straight into the wire buffers: each
-/// key's little-endian bytes are appended to `bufs[key / range]`, in key
-/// order — the bytes `encode_slice` would make of a `Vec<u32>` per
-/// destination, without the vectors or the second pass. Buffers keep
-/// their capacity from one iteration to the next.
-fn bucket_into(keys: &[u32], index: &BucketIndex, bufs: &mut [Vec<u8>]) {
-    for b in bufs.iter_mut() {
-        b.clear();
+/// NPB IS's perturbation of iteration `it`: two keys change, and `counts`
+/// (the keys' [`bucket_counts`]) follows them.
+fn perturb(keys: &mut [u32], it: usize, max_key: u32, index: &BucketIndex, counts: &mut [u64]) {
+    let n = keys.len();
+    for (i, flip) in [(it % n, 0x5A5A), ((it * 31 + 7) % n, 0x0F0F)] {
+        counts[index.of(keys[i])] -= 1;
+        keys[i] = (keys[i] ^ flip) % max_key;
+        counts[index.of(keys[i])] += 1;
     }
+}
+
+/// Buckets `keys` by destination straight into one wire chunk per
+/// destination, sized exactly by `counts` (their [`bucket_counts`]): each
+/// key's little-endian bytes go to chunk `key / range`, in key order — the
+/// bytes `encode_slice` would make of a `Vec<u32>` per destination, in
+/// the one allocation the key exchange hands to the wire.
+fn bucket(keys: &[u32], index: &BucketIndex, counts: &[u64]) -> Vec<Arc<[u8]>> {
+    let mut chunks: Vec<Arc<[u8]>> = counts
+        .iter()
+        .map(|&c| std::iter::repeat_n(0, c as usize * 4).collect())
+        .collect();
+    // Freshly built, so unique: `make_mut` hands out each buffer in place.
+    let mut slots: Vec<_> = chunks
+        .iter_mut()
+        .map(|c| Arc::make_mut(c).as_chunks_mut::<4>().0.iter_mut())
+        .collect();
     for &k in keys {
-        bufs[index.of(k)].extend_from_slice(&k.to_le_bytes());
+        *slots[index.of(k)].next().expect("counts cover every key") = k.to_le_bytes();
     }
+    assert!(slots.iter().all(|s| s.len() == 0), "counts match the keys");
+    chunks
 }
 
 /// Sorts `keys` by counting over `[lo, lo + range)`, the range this rank
-/// owns. A key outside it (a neighbour's, after a misrouted exchange) is
-/// reported as `false` and `keys` left unsorted, never used as an index.
-fn counting_sort(keys: &mut [u32], lo: u32, range: u32) -> bool {
+/// owns, and leaves the sorted keys implicit: `counts[i]` of them equal
+/// `lo + i`, so in order they are each `lo + i` repeated `counts[i]` times.
+/// A key outside the range (a neighbour's, after a misrouted exchange)
+/// makes it `None`, never an index.
+fn counting_sort(keys: impl IntoIterator<Item = u32>, lo: u32, range: u32) -> Option<Vec<u32>> {
     let mut counts = vec![0u32; range as usize];
-    for &k in keys.iter() {
-        match counts.get_mut(k.wrapping_sub(lo) as usize) {
-            Some(c) => *c += 1,
-            None => return false,
-        }
+    for k in keys {
+        *counts.get_mut(k.wrapping_sub(lo) as usize)? += 1;
     }
-    let mut rest = keys;
-    for (key, &c) in (lo..).zip(&counts) {
-        let (run, tail) = rest.split_at_mut(c as usize);
-        run.fill(key);
-        rest = tail;
-    }
-    true
+    Some(counts)
+}
+
+/// The smallest and largest of the keys [`counting_sort`] counted into
+/// `counts` from `lo`, if there were any.
+fn key_span(counts: &[u32], lo: u32) -> Option<(u32, u32)> {
+    let first = counts.iter().position(|&c| c > 0)?;
+    let last = counts.iter().rposition(|&c| c > 0)?;
+    Some((lo + first as u32, lo + last as u32))
 }
 
 /// Runs IS over the world communicator.
@@ -164,46 +189,48 @@ pub async fn run(mpi: &mut MpiRank, class: NasClass) -> KernelOutput {
         .collect();
 
     let (verified, time) = timed(mpi, &world, async |mpi| {
-        let mut bufs = wire_buffers(keys.len(), p);
+        let mut counts = bucket_counts(&keys, &index, p);
         let mut got: Vec<Bytes> = Vec::new();
         let mut owned_len = 0;
         for it in 0..cfg.iters {
-            // NPB IS perturbs two keys per iteration.
-            let i1 = it % keys.len();
-            let i2 = (it * 31 + 7) % keys.len();
-            keys[i1] = (keys[i1] ^ 0x5A5A) % max_key;
-            keys[i2] = (keys[i2] ^ 0x0F0F) % max_key;
+            perturb(&mut keys, it, max_key, &index, &mut counts);
 
             // Bucket by destination rank.
-            bucket_into(&keys, &index, &mut bufs);
+            let chunks = bucket(&keys, &index, &counts);
             charge_flops(mpi, keys.len() as f64 * 4.0).await;
 
             // Bucket-size exchange (alltoall of counts), as in NPB IS.
-            let counts: Vec<u64> = bufs.iter().map(|b| (b.len() / 4) as u64).collect();
             let _total_counts = allreduce_scalars(mpi, &world, ReduceOp::Sum, &counts).await;
 
             // Key exchange. Ranking only needs how many keys arrived; the
-            // keys themselves are read once, after the last exchange.
-            got = alltoallv_bytes(mpi, &world, &bufs).await;
+            // keys themselves are read once, after the last exchange, so
+            // the previous exchange's are let go before this one lands.
+            got.clear();
+            got = alltoallv_bytes(mpi, &world, chunks).await;
             owned_len = got.iter().map(|c| c.len()).sum::<usize>() / 4;
             charge_flops(mpi, owned_len as f64 * 2.0).await;
         }
-        let mut owned: Vec<u32> = Vec::with_capacity(owned_len);
-        for c in &got {
-            decode_extend(c, &mut owned);
-        }
 
-        // Final: full local sort and distributed order verification.
+        // Final: full local sort and distributed order verification, read
+        // straight from the received chunks.
         // 1. Every owned key is in my range (the sort checks as it counts).
-        let in_range = counting_sort(&mut owned, me as u32 * range, range);
+        let lo = me as u32 * range;
+        let received = got.iter().flat_map(|c| {
+            let (keys, rest) = c.as_chunks::<4>();
+            assert!(rest.is_empty(), "a key chunk holds whole keys");
+            keys.iter().map(|k| u32::from_le_bytes(*k))
+        });
+        let sorted = counting_sort(received, lo, range);
+        let in_range = sorted.is_some();
         charge_flops(
             mpi,
-            owned.len() as f64 * (owned.len().max(2) as f64).log2() * 2.0,
+            owned_len as f64 * (owned_len.max(2) as f64).log2() * 2.0,
         )
         .await;
 
         // 2. Boundary order with neighbours.
-        let my_max = *owned.last().unwrap_or(&0);
+        let span = sorted.and_then(|counts| key_span(&counts, lo));
+        let my_max = span.map_or(0, |(_, max)| max);
         let boundary_ok = if p > 1 {
             let right = world.world_rank((me + 1) % p);
             let left = world.world_rank((me + p - 1) % p);
@@ -212,12 +239,12 @@ pub async fn run(mpi: &mut MpiRank, class: NasClass) -> KernelOutput {
                 .await;
             let left_max = decode_slice::<u32>(&data)[0];
             // Wrap-around pair (last -> first) is exempt.
-            me == 0 || owned.first().is_none_or(|&min| left_max <= min)
+            me == 0 || span.is_none_or(|(min, _)| left_max <= min)
         } else {
             true
         };
         // 3. Global key conservation.
-        let total = allreduce_scalars(mpi, &world, ReduceOp::Sum, &[owned.len() as u64]).await[0];
+        let total = allreduce_scalars(mpi, &world, ReduceOp::Sum, &[owned_len as u64]).await[0];
         let conserved = total as usize == cfg.keys_per_rank * p;
         in_range && boundary_ok && conserved
     })
@@ -361,26 +388,32 @@ mod tests {
 
     #[test]
     fn bucketing_into_wire_buffers_matches_the_naive_form() {
-        check("is bucket_into", 300, |c: &Keys| {
+        check("is bucket", 300, |c: &Keys| {
             let (range, max_key, p) = c.shape();
             let index = BucketIndex::new(range, max_key);
-            let mut bufs = wire_buffers(c.len, p);
-            let guess = bufs[0].capacity();
-            // Twice through the same buffers, as the iterations do.
-            for stream in 0..2 {
-                let keys = c.draw(stream);
-                bucket_into(&keys, &index, &mut bufs);
-                assert_eq!(bufs, bucket_naive(&keys, range, p));
-                let total: usize = bufs.iter().map(Vec::len).sum();
-                assert_eq!(total, keys.len() * 4);
-            }
-            if c.skewed && p > 1 && c.len > 100 {
-                assert!(
-                    bufs.iter().any(|b| b.len() > guess),
-                    "a skewed key set must outgrow the uniform guess"
-                );
+            let mut keys = c.draw(0);
+            let mut counts = bucket_counts(&keys, &index, p);
+            // Through the perturbations of a run: the counts that follow
+            // them size the chunks exactly, as a recount would.
+            for it in 0..3 {
+                if !keys.is_empty() {
+                    perturb(&mut keys, it, max_key, &index, &mut counts);
+                }
+                assert_eq!(counts, bucket_counts(&keys, &index, p));
+                let chunks: Vec<Vec<u8>> = bucket(&keys, &index, &counts)
+                    .iter()
+                    .map(|c| c.to_vec())
+                    .collect();
+                assert_eq!(chunks, bucket_naive(&keys, range, p));
             }
         });
+    }
+
+    #[test]
+    #[should_panic(expected = "counts cover every key")]
+    fn bucketing_refuses_counts_that_miss_a_key() {
+        let index = BucketIndex::new(8, 16);
+        let _ = bucket(&[1, 9, 2], &index, &[1, 1]);
     }
 
     #[test]
@@ -393,10 +426,15 @@ mod tests {
             };
             let mut keys = skewed.draw(0);
             let lo = keys.first().map_or(0, |k| k / range * range);
-            let mut expect = keys.clone();
-            expect.sort_unstable();
-            assert!(counting_sort(&mut keys, lo, range));
-            assert_eq!(keys, expect);
+            let counts = counting_sort(keys.iter().copied(), lo, range).expect("keys in range");
+            keys.sort_unstable();
+            let sorted: Vec<u32> = (lo..)
+                .zip(&counts)
+                .flat_map(|(key, &c)| std::iter::repeat_n(key, c as usize))
+                .collect();
+            assert_eq!(sorted, keys);
+            let ends = keys.first().zip(keys.last());
+            assert_eq!(key_span(&counts, lo), ends.map(|(&a, &b)| (a, b)));
         });
     }
 
@@ -408,14 +446,13 @@ mod tests {
             for at in [0, 250, 500] {
                 let mut keys = own.clone();
                 keys.insert(at, foreign);
-                let before = keys.clone();
-                assert!(!counting_sort(&mut keys, lo, range), "key {foreign}");
-                assert_eq!(keys, before, "a refused sort leaves the keys alone");
+                assert_eq!(counting_sort(keys, lo, range), None, "key {foreign}");
             }
         }
-        let mut keys = own;
-        assert!(counting_sort(&mut keys, lo, range));
-        assert!(keys.is_sorted());
-        assert!(counting_sort(&mut [], lo, range));
+        let counts = counting_sort(own, lo, range).expect("every key is mine");
+        assert_eq!(counts.iter().sum::<u32>(), 500);
+        assert_eq!(key_span(&counts, lo), Some((lo, lo + range - 1)));
+        let none = counting_sort([], lo, range).expect("no key is foreign");
+        assert_eq!(key_span(&none, lo), None);
     }
 }

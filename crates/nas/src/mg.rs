@@ -31,7 +31,7 @@
 
 use crate::common::{charge_flops, global_checksum, timed, Kernel, KernelOutput, NasClass};
 use mpib::collectives::{allgather_bytes, allreduce_scalars};
-use mpib::{decode_extend, decode_into, encode_slice, Comm, MpiRank, ReduceOp};
+use mpib::{decode_extend, decode_into, encode_shared, Comm, MpiRank, ReduceOp};
 
 /// Problem shape for one class.
 #[derive(Clone, Copy, Debug)]
@@ -295,10 +295,10 @@ async fn halo_exchange(mpi: &mut MpiRank, world: &Comm, lvl: &mut Level, tag: i3
     // is what exposes small pre-post pools at the coarse levels.
     let r_lower = mpi.irecv(Some(down), Some(tag));
     let r_upper = mpi.irecv(Some(up), Some(tag + 1));
-    let top = encode_slice(lvl.plane(last));
-    let bottom = encode_slice(lvl.plane(0));
-    let s_up = mpi.isend(&top, up, tag);
-    let s_down = mpi.isend(&bottom, down, tag + 1);
+    let top = encode_shared(lvl.plane(last));
+    let bottom = encode_shared(lvl.plane(0));
+    let s_up = mpi.isend_owned(top, up, tag);
+    let s_down = mpi.isend_owned(bottom, down, tag + 1);
     mpi.wait(s_up).await;
     mpi.wait(s_down).await;
     let (_, lower) = mpi.wait_recv(r_lower).await;
@@ -442,7 +442,7 @@ async fn gather_field(
     nz_l: usize,
 ) -> Vec<f64> {
     debug_assert_eq!(mine.len(), nz_l * n * n);
-    let chunks = allgather_bytes(mpi, world, &encode_slice(mine)).await;
+    let chunks = allgather_bytes(mpi, world, encode_shared(mine)).await;
     let mut full = Vec::with_capacity(n * n * world.size() * nz_l);
     for c in &chunks {
         decode_extend(c, &mut full);

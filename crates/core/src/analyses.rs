@@ -1,10 +1,10 @@
 //! Every path a caller takes through a credit obligation, walked in a live
 //! two-rank world. Paper §4.2's rule — a credit consumed reaches the peer
 //! — is held by `conn.rs`: a window's consume operations are reached only
-//! inside the calls that post what they took (`post_frame`,
-//! `post_ring_frame`, `send_rdma_credit_update`). These tests watch those
-//! calls from outside, one synchronous call at a time, so what a call
-//! took and what it posted are read with nothing in between.
+//! inside the two calls that post what they took (`post_frame`, on the
+//! slab or the ring lane, and `send_rdma_credit_update`). These tests
+//! watch those calls from outside, one synchronous call at a time, so
+//! what a call took and what it posted are read with nothing in between.
 
 mod tests {
     use crate::{CreditMsgMode, FlowControlScheme, MpiConfig, MpiRank, MpiWorld, WorldStats};

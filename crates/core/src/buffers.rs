@@ -1,6 +1,6 @@
 //! Work-request id encoding and the per-connection receive buffer slab.
 
-use ibfabric::MrId;
+use ibfabric::{MrId, RecvWr};
 
 /// Byte offset (within a ring frame) of the validity marker the RDMA
 /// eager channel's poller checks; sits in the header's reserved region.
@@ -55,6 +55,17 @@ pub(crate) fn decode_wrid(wr_id: u64) -> (WrKind, u64) {
         other => panic!("corrupt wr_id kind {other}"),
     };
     (kind, wr_id & ((1u64 << 56) - 1))
+}
+
+/// The receive work request for slot `slot` of a slab of `slot_size`-byte
+/// slots in region `mr`: the one shape every receive `mpib` posts takes.
+pub(crate) fn slot_recv_wr(mr: MrId, slot_size: usize, slot: u32) -> RecvWr {
+    RecvWr {
+        wr_id: encode_wrid(WrKind::RecvSlot, u64::from(slot)),
+        mr,
+        offset: slot as usize * slot_size,
+        len: slot_size,
+    }
 }
 
 /// The pre-pinned receive buffer slab for one connection: `slot_count`

@@ -62,8 +62,6 @@
 //! by seed, so resuming under the same plan continues its fault stream
 //! while a fresh plan (the kill-and-replace scenario) starts its own.
 
-use crate::collectives;
-use crate::comm::Comm;
 use crate::config::MpiConfig;
 use crate::conn::{Conn, RxRing};
 use crate::rank::{MpiRank, RankSetup, Unexpected};
@@ -284,12 +282,12 @@ pub struct RestoreOptions {
 }
 
 impl MpiRank {
-    /// Takes a coordinated checkpoint: drains this rank to a stable point,
-    /// synchronizes with the world, and parks at the checkpoint fence
-    /// until the driver releases it (or stops the run with a snapshot).
-    /// Returns the completed epoch. `app_state` is this rank's opaque
-    /// application payload; it comes back through
-    /// [`CkptStart::app_state`] on resume.
+    /// Takes a coordinated checkpoint: drains this rank to a stable point
+    /// and synchronizes with the world (the quiesce `finalize` runs too),
+    /// then parks at the checkpoint fence until the driver releases it (or
+    /// stops the run with a snapshot). Returns the completed epoch.
+    /// `app_state` is this rank's opaque application payload; it comes back
+    /// through [`CkptStart::app_state`] on resume.
     ///
     /// Requirements at the call site (asserted): every non-blocking
     /// request waited on, no posted receives outstanding, and no unmatched
@@ -302,42 +300,14 @@ impl MpiRank {
     /// [`CKPT_FENCE_NOTE`].
     pub async fn checkpoint(&mut self, app_state: &[u8]) -> u64 {
         let epoch = self.ckpt_epoch + 1;
-        // Phase 1: drain this rank's own traffic (mirrors `finalize`).
-        self.wait_until(
-            |r| {
-                r.conns.iter().flatten().all(|c| c.backlog.is_empty())
-                    && !r.reqs.has_pending_transport()
-            },
-            "checkpoint: draining backlog",
-        )
-        .await;
-        assert_eq!(
-            self.reqs.live_count(),
-            0,
-            "rank {} entered checkpoint epoch {epoch} with outstanding requests ({})",
-            self.rank,
-            chaos_context(&self.cfg),
-        );
         assert!(
             self.posted_recvs.is_empty(),
             "rank {} entered checkpoint epoch {epoch} with posted receives ({})",
             self.rank,
             chaos_context(&self.cfg),
         );
-        // Phase 2: world barrier — no peer still needs our progress.
-        let world = Comm::world_internal(self.size);
-        collectives::barrier(self, &world).await;
-        // Phase 3: drain what the barrier itself generated.
-        self.wait_until(
-            |r| {
-                r.outstanding_ctrl == 0
-                    && !r.reqs.has_pending_transport()
-                    && r.conns.iter().flatten().all(|c| c.backlog.is_empty())
-            },
-            "checkpoint: draining sends",
-        )
-        .await;
-        self.flush_charge().await;
+        self.quiesce(["checkpoint: draining backlog", "checkpoint: draining sends"])
+            .await;
         // No awaits from here to the park: deposit and stamp atomically
         // with respect to the simulation.
         self.ckpt_epoch = epoch;

@@ -9,8 +9,8 @@
 //! becomes an `Arc<[u8]>`: a buffer the caller built that way (typed
 //! collectives encode with [`crate::encode_shared`]) is what the wire
 //! carries, with no copy, while borrowed bytes or a `Vec` are copied into
-//! one. A rank's own chunk comes back as a copy, since a [`Bytes`] cannot
-//! adopt an `Arc`; everything received comes back as received.
+//! one. A rank's own chunk comes back as the same allocation (a [`Bytes`]
+//! adopts the `Arc`), and everything received comes back as received.
 
 use crate::comm::Comm;
 use crate::pt2pt::Payload;
@@ -70,8 +70,8 @@ pub async fn barrier(mpi: &mut MpiRank, comm: &Comm) {
 }
 
 /// Binomial-tree broadcast of a byte buffer from `root` (communicator
-/// rank). The root hands `data` itself to each child and gets a copy of
-/// it back; a non-root's `data` is dropped, and it gets the payload it
+/// rank). The root hands `data` itself to each child and gets it back
+/// (no copy); a non-root's `data` is dropped, and it gets the payload it
 /// received, as received (no copy), which it forwards to its children.
 pub async fn bcast_bytes(
     mpi: &mut MpiRank,
@@ -82,7 +82,7 @@ pub async fn bcast_bytes(
     let data: Arc<[u8]> = data.into();
     let n = comm.size();
     if n <= 1 {
-        return data.to_vec().into();
+        return data.into();
     }
     let me = comm.my_rank(mpi);
     let tag = mpi.coll_tag(comm);
@@ -110,7 +110,7 @@ pub async fn bcast_bytes(
         }
         mask <<= 1;
     }
-    received.unwrap_or_else(|| data.to_vec().into())
+    received.unwrap_or_else(|| data.into())
 }
 
 /// Broadcast of typed scalars.
@@ -227,7 +227,7 @@ pub async fn allgather_scalars<T: Scalar>(mpi: &mut MpiRank, comm: &Comm, mine: 
 }
 
 /// Allgather of byte buffers (possibly different sizes); `mine` comes
-/// back as a copy in this rank's slot.
+/// back itself (no copy) in this rank's slot.
 ///
 /// Power-of-two groups use recursive doubling — symmetric pairwise
 /// exchanges, as the MPICH lineage did, which also keeps per-connection
@@ -246,7 +246,7 @@ pub async fn allgather_bytes(
     let me = comm.my_rank(mpi);
     let tag = mpi.coll_tag(comm);
     let mut chunks: Vec<Bytes> = std::iter::repeat_with(Bytes::default).take(n).collect();
-    chunks[me] = mine.to_vec().into();
+    chunks[me] = Arc::clone(&mine).into();
     if n == 1 {
         return chunks;
     }
@@ -307,8 +307,8 @@ pub async fn allgather_bytes(
 /// Pairwise-exchange all-to-all: `chunks[i]` goes to communicator rank
 /// `i`, each handed to its send as it is; returns what everyone sent to
 /// this process (indexed by source), each chunk as received (no copy), and
-/// this rank's own chunk as a copy. Handles unequal sizes, so this is also
-/// `alltoallv`.
+/// this rank's own chunk itself (no copy). Handles unequal sizes, so this
+/// is also `alltoallv`.
 pub async fn alltoallv_bytes<C: Into<Arc<[u8]>>>(
     mpi: &mut MpiRank,
     comm: &Comm,
@@ -320,7 +320,7 @@ pub async fn alltoallv_bytes<C: Into<Arc<[u8]>>>(
     let me = comm.my_rank(mpi);
     let tag = mpi.coll_tag(comm);
     let mut out: Vec<Bytes> = std::iter::repeat_with(Bytes::default).take(n).collect();
-    out[me] = std::mem::take(&mut chunks[me]).to_vec().into();
+    out[me] = std::mem::take(&mut chunks[me]).into();
     for step in 1..n {
         // For power-of-two sizes this is the XOR schedule; otherwise a
         // rotation — both pair every process exactly once per step.
@@ -409,8 +409,8 @@ pub async fn scan_scalars<T: Scalar>(
 }
 
 /// Gather byte buffers to `root` (communicator rank order), each as
-/// received (no copy) and the root's own as a copy; `None` on non-roots,
-/// which hand `mine` itself to the send.
+/// received and the root's own itself (no copy either way); `None` on
+/// non-roots, which hand `mine` itself to the send.
 pub async fn gather_bytes(
     mpi: &mut MpiRank,
     comm: &Comm,
@@ -423,7 +423,7 @@ pub async fn gather_bytes(
     let tag = mpi.coll_tag(comm);
     if me == root {
         let mut out: Vec<Bytes> = std::iter::repeat_with(Bytes::default).take(n).collect();
-        out[me] = mine.to_vec().into();
+        out[me] = mine.into();
         for (r, slot) in out.iter_mut().enumerate() {
             if r != root {
                 *slot = mpi.crecv(comm.world_rank(r), tag, comm).await;
@@ -438,7 +438,7 @@ pub async fn gather_bytes(
 
 /// Scatter byte buffers from `root`, each handed to its send as it is;
 /// each member receives its chunk, as received (no copy), and the root
-/// gets a copy of its own.
+/// gets its own back itself (no copy).
 pub async fn scatter_bytes<C: Into<Arc<[u8]>>>(
     mpi: &mut MpiRank,
     comm: &Comm,
@@ -460,7 +460,7 @@ pub async fn scatter_bytes<C: Into<Arc<[u8]>>>(
         for (r, chunk) in chunks.into_iter().enumerate() {
             let chunk: Arc<[u8]> = chunk.into();
             if r == root {
-                own = chunk.to_vec().into();
+                own = chunk.into();
             } else {
                 reqs.push(mpi.isend_ctx(chunk, comm.world_rank(r), tag, comm.ctx));
             }

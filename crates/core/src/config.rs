@@ -145,10 +145,6 @@ pub struct MpiConfig {
     /// backlog bit) before the receiver grows the ring — the channel's
     /// analogue of the dynamic scheme's ECM-style feedback threshold.
     pub rdma_ring_growth_threshold: u32,
-    /// RNR retry budget programmed into every QP (`None` = retry forever,
-    /// the MPI reliability default: a slow receiver is waited out, never
-    /// failed).
-    pub rnr_retry: Option<u32>,
     /// Transport retry budget (`retry_cnt`) programmed into every QP:
     /// how many ACK timeouts a message may suffer before the QP fails
     /// with [`ibfabric::CqeStatus::TransportRetryExceeded`]. `None`
@@ -176,7 +172,6 @@ impl Default for MpiConfig {
             rdma_ring_slots: 32,
             rdma_ring_max_slots: 256,
             rdma_ring_growth_threshold: 5,
-            rnr_retry: None,
             retry_cnt: None,
             fault_plan: None,
         }

@@ -1,10 +1,12 @@
 //! Per-connection state: credits, the backlog queue, the receive slab,
-//! and the RDMA credit mailbox — and the three calls that post onto a
-//! connection (`post_frame`, `post_ring_frame`, `send_rdma_credit_update`),
-//! the only code that consumes a credit window. Paper §4.2's rule, that a
-//! credit consumed reaches the peer, is held here by privacy: the consume
-//! operations are private to this module, and each is reached only inside
-//! a call that posts what it took.
+//! and the RDMA credit mailbox — and the two calls that post onto a
+//! connection (`post_frame`, on the slab or the ring lane, and
+//! `send_rdma_credit_update`), the only code that consumes a credit
+//! window. Paper §4.2's rule, that a credit consumed reaches the peer, is
+//! held here by privacy: the consume operations are private to this
+//! module, and each is reached only inside a call that posts what it took.
+//! Both post through `post_send_wr`, the one place `mpib` posts a send
+//! work request.
 
 // Protocol state is narrowed with `try_from` (surfacing a typed overflow),
 // never with a truncating `as`.
@@ -408,9 +410,8 @@ impl Conn {
     /// unit the frame consumes there (a ring slot for a ring frame, else a
     /// buffer credit where [`spends_credit`] says so), piggybacks both
     /// pending returns, moves the armed ring-backlog bit onto it and stamps
-    /// the next sequence number. Only [`MpiRank::post_frame`] and
-    /// [`MpiRank::post_ring_frame`] call it, so everything it takes leaves
-    /// on the frame they post.
+    /// the next sequence number. Only [`MpiRank::post_frame`] calls it, so
+    /// everything it takes leaves on the frame it posts.
     fn stamp(
         &mut self,
         mut h: MsgHeader,
@@ -467,106 +468,54 @@ impl Conn {
 }
 
 impl MpiRank {
-    /// Stamps `header` toward `peer` ([`Conn::stamp`]: the frame's credit,
-    /// both piggybacks, the sequence number) and posts it with `payload`
-    /// as a send.
+    /// Stamps `header` toward `peer` ([`Conn::stamp`]: the unit the frame
+    /// consumes, both piggybacks, the sequence number) and posts it with
+    /// `payload` on `lane`: as a send into the peer's receive slab, its
+    /// completion tagged `lane`, or — for [`WrKind::RingWrite`] — as an
+    /// RDMA WRITE into the next slot of the peer's eager ring.
     pub(crate) fn post_frame(
         &mut self,
         peer: Rank,
         header: MsgHeader,
         payload: &[u8],
-        wr_kind: WrKind,
+        lane: WrKind,
     ) {
+        let ring = lane == WrKind::RingWrite;
         let (scheme, mode) = (self.cfg.scheme, self.cfg.credit_msg_mode);
-        let header = self.conn_mut(peer).stamp(header, scheme, mode, false);
+        let header = self.conn_mut(peer).stamp(header, scheme, mode, ring);
         if self.conn(peer).failed {
             // Dropped, not queued: the peer is unreachable and the error
             // QP would reject the post. Callers learn the outcome through
             // the request's `failed` flag, set by teardown.
             return;
         }
-        let qp = self.conn(peer).qp;
         #[expect(
             clippy::expect_used,
             reason = "src_rank < nprocs <= u16::MAX is asserted at world bootstrap, so framing cannot overflow a field"
         )]
-        let bytes = header.frame(payload).expect("header fields fit");
-        let wr_id = encode_wrid(wr_kind, peer as u64);
-        let cost = self.proc.with(|ctx| {
-            #[expect(
-                clippy::expect_used,
-                reason = "control/eager sends are bounded by credits and the finalize drain, so the send queue cannot be full"
-            )]
-            ibfabric::post_send(
-                ctx,
-                qp,
-                SendWr {
-                    wr_id,
-                    op: SendOp::Send { payload: bytes },
-                    signaled: true,
-                },
-            )
-            .expect("post_send");
-            ctx.world.params().sw_post_cost
-        });
-        self.outstanding_ctrl += 1;
-        self.charge(cost);
-        self.conn_mut(peer).stats.msgs_sent.incr();
-    }
-
-    /// RDMA eager channel: stamps `header` toward `peer` (spending a ring
-    /// slot) and writes it with `payload` into the next slot of the peer's
-    /// ring.
-    pub(crate) fn post_ring_frame(&mut self, peer: Rank, header: MsgHeader, payload: &[u8]) {
-        let (scheme, mode) = (self.cfg.scheme, self.cfg.credit_msg_mode);
-        let header = self.conn_mut(peer).stamp(header, scheme, mode, true);
-        if self.conn(peer).failed {
-            return;
+        let frame = if ring {
+            header.ring_frame(payload)
+        } else {
+            header.frame(payload)
         }
-        let buf_size = self.cfg.buf_size;
-        let (qp, ring, offset) = {
+        .expect("header fields fit");
+        let op = if ring {
+            let buf_size = self.cfg.buf_size;
             let c = self.conn_mut(peer);
             // Per-connection slot count: growth re-sizes the peer's ring
             // at run time, so the config value is only the initial size.
-            let slots = c.peer_ring_slots;
             let slot = c.ring_write_slot;
-            c.ring_write_slot = (slot + 1) % slots;
-            (c.qp, c.peer_ring, slot as usize * buf_size)
+            c.ring_write_slot = (slot + 1) % c.peer_ring_slots;
+            SendOp::RdmaWrite {
+                payload: frame,
+                rkey: c.peer_ring,
+                remote_offset: slot as usize * buf_size,
+            }
+        } else {
+            SendOp::Send { payload: frame }
         };
-        #[expect(
-            clippy::expect_used,
-            reason = "src_rank < nprocs <= u16::MAX is asserted at world bootstrap, so framing cannot overflow a field"
-        )]
-        let frame = header.ring_frame(payload).expect("header fields fit");
-        let wr_id = encode_wrid(WrKind::RingWrite, peer as u64);
-        let cost = self.proc.with(|ctx| {
-            let p = ctx.world.params();
-            let cost = p.sw_post_cost + p.copy_time(frame.len());
-            #[expect(
-                clippy::expect_used,
-                reason = "ring writes are gated by ring credits, so the send queue cannot be full"
-            )]
-            ibfabric::post_send(
-                ctx,
-                qp,
-                SendWr {
-                    wr_id,
-                    op: SendOp::RdmaWrite {
-                        payload: frame,
-                        rkey: ring,
-                        remote_offset: offset,
-                    },
-                    signaled: true,
-                },
-            )
-            .expect("ring write");
-            cost
-        });
+        self.post_send_wr(peer, encode_wrid(lane, peer as u64), op, 1);
         self.outstanding_ctrl += 1;
-        self.charge(cost);
-        let c = self.conn_mut(peer);
-        c.stats.msgs_sent.incr();
-        c.stats.ring_sent.incr();
     }
 
     /// RDMA credit path: writes [`Conn::mailbox_image`] — the cumulative
@@ -576,34 +525,41 @@ impl MpiRank {
     pub(crate) fn send_rdma_credit_update(&mut self, peer: Rank) {
         let growth = self.cfg.ring_cap() > self.cfg.rdma_ring_slots;
         let c = self.conn_mut(peer);
-        let (qp, mailbox, payload) = (c.qp, c.peer_mailbox, c.mailbox_image(growth));
-        let wr_id = encode_wrid(WrKind::CreditRdma, peer as u64);
+        let op = SendOp::RdmaWrite {
+            payload: c.mailbox_image(growth),
+            rkey: c.peer_mailbox,
+            remote_offset: 0,
+        };
+        c.stats.rdma_credit_updates.incr();
+        self.post_send_wr(peer, encode_wrid(WrKind::CreditRdma, peer as u64), op, 1);
+        self.outstanding_ctrl += 1;
+    }
+
+    /// Posts `op` toward `peer` as one signaled send work request tagged
+    /// `wr_id`, charges `posts` software post costs (a rendezvous WRITE
+    /// charges two) and counts the message sent: the one post of a send
+    /// work request in `mpib`.
+    pub(crate) fn post_send_wr(&mut self, peer: Rank, wr_id: u64, op: SendOp, posts: u64) {
+        let qp = self.conn(peer).qp;
         let cost = self.proc.with(|ctx| {
             #[expect(
                 clippy::expect_used,
-                reason = "mailbox writes target a bootstrap-pinned region on an established QP; failure is a simulator bug"
+                reason = "callers post only on a healthy established QP, and credits, ring slots, the request table and the finalize drain bound its send queue, so a rejected post is a simulator bug"
             )]
             ibfabric::post_send(
                 ctx,
                 qp,
                 SendWr {
                     wr_id,
-                    op: SendOp::RdmaWrite {
-                        payload,
-                        rkey: mailbox,
-                        remote_offset: 0,
-                    },
+                    op,
                     signaled: true,
                 },
             )
-            .expect("credit rdma");
-            ctx.world.params().sw_post_cost
+            .expect("post_send");
+            ctx.world.params().sw_post_cost * posts
         });
         self.charge(cost);
-        self.outstanding_ctrl += 1;
-        let c = self.conn_mut(peer);
-        c.stats.rdma_credit_updates.incr();
-        c.stats.msgs_sent.incr();
+        self.conn_mut(peer).stats.msgs_sent.incr();
     }
 }
 

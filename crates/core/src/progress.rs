@@ -7,7 +7,7 @@ use crate::rank::{MpiRank, Unexpected};
 use crate::requests::{RecvState, ReqId, Request, SendState};
 use crate::types::Rank;
 use crate::wire::{MsgHeader, MsgKind, HEADER_LEN};
-use ibfabric::{CqeOpcode, CqeStatus, SendOp, SendWr};
+use ibfabric::{CqeOpcode, CqeStatus, SendOp};
 
 /// Frames drained from one connection's rings in one progress pass.
 const RING_DRAIN_BURST: u32 = 8;
@@ -104,7 +104,7 @@ impl MpiRank {
         }
         match (cqe.opcode, kind) {
             (CqeOpcode::RecvComplete, WrKind::RecvSlot) => {
-                self.handle_incoming(self.peer_of(cqe.qp), value, cqe.byte_len);
+                self.handle_incoming(self.peer_of(cqe.qp), value as u32, cqe.byte_len);
             }
             (CqeOpcode::SendComplete, WrKind::CtrlSend | WrKind::Ecm) => {
                 self.outstanding_ctrl -= 1;
@@ -202,13 +202,13 @@ impl MpiRank {
     }
 
     /// A message landed in slot `slot` of the connection from `peer`.
-    fn handle_incoming(&mut self, peer: Rank, slot: u64, byte_len: usize) {
+    fn handle_incoming(&mut self, peer: Rank, slot: u32, byte_len: usize) {
         self.stats.msgs_received.incr();
         // Read the frame out of the slab.
         let (header, payload) = {
             let (mr, offset) = {
                 let c = self.conn(peer);
-                (c.slab.mr, c.slab.byte_offset(slot as u32))
+                (c.slab.mr, c.slab.byte_offset(slot))
             };
             self.proc.with(|ctx| read_frame(ctx.world, mr, offset))
         };
@@ -402,37 +402,18 @@ impl MpiRank {
             // after this.
             std::mem::take(&mut s.data)
         };
-        let qp = self.conn(peer).qp;
-        let rkey = ibfabric::MrId::from_raw(h.rkey);
-        let remote_offset = h.remote_offset as usize;
-        let wr_id = crate::buffers::encode_wrid(WrKind::RndzWrite, req.0 as u64);
         let len = data.len();
-        let cost = self.proc.with(|ctx| {
-            #[expect(
-                clippy::expect_used,
-                reason = "the send queue is sized for the request table, so posting the rendezvous write cannot fail"
-            )]
-            ibfabric::post_send(
-                ctx,
-                qp,
-                SendWr {
-                    wr_id,
-                    op: SendOp::RdmaWrite {
-                        // The request's payload itself: zero host copies.
-                        payload: data,
-                        rkey,
-                        remote_offset,
-                    },
-                    signaled: true,
-                },
-            )
-            .expect("rdma write");
-            ctx.world.params().sw_post_cost * 2
-        });
-        self.charge(cost);
+        let op = SendOp::RdmaWrite {
+            // The request's payload itself: zero host copies.
+            payload: data,
+            rkey: ibfabric::MrId::from_raw(h.rkey),
+            remote_offset: h.remote_offset as usize,
+        };
+        // Its completion is tracked by the request, not `outstanding_ctrl`.
+        let wr_id = crate::buffers::encode_wrid(WrKind::RndzWrite, req.0 as u64);
+        self.post_send_wr(peer, wr_id, op, 2);
         self.stats.rndz_bytes.add(len as u64);
-        self.conn_mut(peer).stats.msgs_sent.incr(); // the data message
-                                                    // Fin rides behind the data on the same QP.
+        // Fin rides behind the data on the same QP.
         let mut fin = MsgHeader::new(MsgKind::RndzFin, self.rank);
         fin.rndz_id = h.rndz_id;
         fin.peer_req = h.peer_req;
@@ -588,28 +569,18 @@ impl MpiRank {
             {
                 continue;
             }
-            match self.cfg.credit_msg_mode {
-                CreditMsgMode::Optimistic => {
-                    // Bypass flow control entirely (paper §4.2): always
-                    // postable, so no deadlock.
-                    let h = MsgHeader::new(MsgKind::Credit, self.rank);
-                    self.post_frame(peer, h, &[], WrKind::Ecm);
-                    self.conn_mut(peer).stats.ecm_sent.incr();
-                }
-                CreditMsgMode::Rdma => {
-                    self.send_rdma_credit_update(peer);
-                }
-                CreditMsgMode::NaiveGated => {
-                    // The deliberately broken design: an explicit credit
-                    // message may itself only go out when we hold a credit,
-                    // and spends it (`conn::spends_credit`).
-                    if self.conn(peer).credits.held > 0 {
-                        let h = MsgHeader::new(MsgKind::Credit, self.rank);
-                        self.post_frame(peer, h, &[], WrKind::Ecm);
-                        self.conn_mut(peer).stats.ecm_sent.incr();
-                    }
-                    // else: starve — this is how the deadlock demo dies.
-                }
+            let mode = self.cfg.credit_msg_mode;
+            if mode == CreditMsgMode::Rdma {
+                self.send_rdma_credit_update(peer);
+            } else if mode != CreditMsgMode::NaiveGated || self.conn(peer).credits.held > 0 {
+                // An optimistic ECM bypasses flow control entirely (paper
+                // §4.2): always postable, so no deadlock. The deliberately
+                // broken naive-gated one may only go out on a held credit,
+                // and spends it (`conn::spends_credit`); without one it
+                // starves — this is how the deadlock demo dies.
+                let h = MsgHeader::new(MsgKind::Credit, self.rank);
+                self.post_frame(peer, h, &[], WrKind::Ecm);
+                self.conn_mut(peer).stats.ecm_sent.incr();
             }
         }
     }

@@ -400,7 +400,7 @@ impl MpiRank {
             // No MPI-level accounting: post immediately; the HCA's
             // end-to-end flow control and RNR retries do the rest.
             if eager_ok {
-                self.send_eager(req, &data);
+                self.send_eager(req, &data, WrKind::CtrlSend);
             } else {
                 self.reqs.send_mut(req).data = data.into_shared();
                 self.start_rndz(req, false);
@@ -414,7 +414,7 @@ impl MpiRank {
         if ring && eager_ok {
             let c = self.conn(dst);
             if c.backlog.is_empty() && c.ring.held > 0 {
-                self.send_eager_ring(req, &data);
+                self.send_eager(req, &data, WrKind::RingWrite);
                 return;
             }
             // A starved ring that may grow is the growth signal: count the
@@ -433,80 +433,45 @@ impl MpiRank {
         let credit = c.backlog.is_empty() && c.credits.held > 0;
         if credit && eager_wire_ok {
             // The frame posted below spends the credit (`conn::spends_credit`).
-            self.send_eager(req, &data);
+            self.send_eager(req, &data, WrKind::CtrlSend);
             return;
         }
         self.reqs.send_mut(req).data = data.into_shared();
+        if eager_ok {
+            // Eager-size payloads are copied into pre-pinned buffers at
+            // post time, so the *user-visible* send stays buffered-eager
+            // (MPICH-lineage eager semantics) whichever protocol the
+            // transport converts it to: three ranks all bursting sends
+            // before their receives would otherwise deadlock on each
+            // other's handshakes.
+            let copy_cost = self
+                .proc
+                .with(|ctx| ctx.world.params().copy_time(crate::wire::HEADER_LEN + len));
+            self.charge(copy_cost);
+            self.reqs.send_mut(req).buffered = true;
+        }
         if credit {
             // The start's frame spends the credit.
-            if eager_ok {
-                // Channel, ring full, buffer credit in hand: the transport
-                // converts to rendezvous but the user-visible send stays
-                // buffered-eager — three ranks all bursting sends before
-                // their receives would otherwise deadlock on each other's
-                // handshakes.
-                let copy_cost = self
-                    .proc
-                    .with(|ctx| ctx.world.params().copy_time(crate::wire::HEADER_LEN + len));
-                self.charge(copy_cost);
-                if let Request::Send(s) = self.reqs.get_mut(req) {
-                    s.buffered = true;
-                }
-            }
             self.start_rndz(req, false);
         } else {
             // No credits (or older sends already queued — MPI ordering): the
             // operation switches to the rendezvous protocol regardless of
             // size (paper §4.2: "when there are no credits, only Rendezvous
-            // protocol is used") and joins the backlog. Eager-size payloads
-            // are still copied into pre-pinned buffers at post time, so the
-            // *user-visible* operation completes immediately (MPICH-lineage
-            // eager semantics); only the transport pays the conversion.
-            let buffered = eager_ok;
-            if buffered {
-                let copy_cost = self
-                    .proc
-                    .with(|ctx| ctx.world.params().copy_time(crate::wire::HEADER_LEN + len));
-                self.charge(copy_cost);
-            }
-            if let Request::Send(s) = self.reqs.get_mut(req) {
-                s.state = SendState::Backlogged;
-                s.was_backlogged = true;
-                s.buffered = buffered;
-            }
+            // protocol is used") and joins the backlog.
+            let s = self.reqs.send_mut(req);
+            s.state = SendState::Backlogged;
+            s.was_backlogged = true;
             self.conn_mut(dst).backlog.push_back(req);
             self.conn_mut(dst).stats.backlogged.incr();
             self.drain_backlog_for(dst);
         }
     }
 
-    /// Eager path: header + payload in one pre-pinned buffer send, framed
-    /// from `payload` directly.
-    fn send_eager(&mut self, req: ReqId, payload: &[u8]) {
-        let (dst, tag, comm, flagged) = {
-            let s = self.reqs.send_ref(req);
-            (s.dst, s.tag, s.comm, s.was_backlogged)
-        };
-        let len = payload.len();
-        let mut h = MsgHeader::new(MsgKind::Eager, self.rank);
-        h.tag = tag;
-        h.comm = comm;
-        h.payload_len = len as u32;
-        h.backlog_flag = flagged;
-        let copy_cost = self
-            .proc
-            .with(|ctx| ctx.world.params().copy_time(crate::wire::HEADER_LEN + len));
-        self.charge(copy_cost);
-        self.post_frame(dst, h, payload, WrKind::CtrlSend);
-        let c = self.conn_mut(dst);
-        c.stats.eager_sent.incr();
-        self.stats.eager_bytes.add(len as u64);
-        self.reqs.send_mut(req).state = SendState::Done;
-    }
-
-    /// RDMA eager channel variant of the eager path: the frame is
-    /// RDMA-written into the peer's ring instead of posted as a send.
-    fn send_eager_ring(&mut self, req: ReqId, payload: &[u8]) {
+    /// Eager path: header + payload in one pre-pinned buffer, framed from
+    /// `payload` directly and posted on `lane` — a send into the peer's
+    /// slab, or an RDMA WRITE into its eager ring for
+    /// [`WrKind::RingWrite`] (the RDMA eager channel).
+    fn send_eager(&mut self, req: ReqId, payload: &[u8], lane: WrKind) {
         let (dst, tag, comm) = {
             let s = self.reqs.send_ref(req);
             (s.dst, s.tag, s.comm)
@@ -516,7 +481,17 @@ impl MpiRank {
         h.tag = tag;
         h.comm = comm;
         h.payload_len = len as u32;
-        self.post_ring_frame(dst, h, payload);
+        let copy_cost = self
+            .proc
+            .with(|ctx| ctx.world.params().copy_time(crate::wire::HEADER_LEN + len));
+        self.charge(copy_cost);
+        self.post_frame(dst, h, payload, lane);
+        let stats = &mut self.conn_mut(dst).stats;
+        if lane == WrKind::RingWrite {
+            stats.ring_sent.incr();
+        } else {
+            stats.eager_sent.incr();
+        }
         self.stats.eager_bytes.add(len as u64);
         self.reqs.send_mut(req).state = SendState::Done;
     }

@@ -1,13 +1,13 @@
 //! The per-process MPI endpoint: state, construction, and shared helpers.
 
-use crate::buffers::{encode_wrid, WrKind};
+use crate::buffers::slot_recv_wr;
 use crate::config::MpiConfig;
 use crate::conn::Conn;
 use crate::regcache::{RegCache, REGCACHE_CAPACITY};
 use crate::requests::ReqTable;
 use crate::stats::RankStats;
 use crate::types::{CommCtx, Rank, Tag};
-use ibfabric::{CqId, Fabric, NodeId, QpId, RecvWr};
+use ibfabric::{CqId, Fabric, NodeId, QpId};
 use ibsim::{ProcCtx, SimDuration};
 use std::collections::{BTreeMap, VecDeque};
 
@@ -83,7 +83,6 @@ pub struct MpiRank {
     pub(crate) stats: RankStats,
     /// Control/eager sends posted whose completions are still outstanding.
     pub(crate) outstanding_ctrl: u64,
-    /// Map rndz_id -> live send request (sanity: rndz_id IS the req id).
     /// Accumulated software cost, charged as process time at the next
     /// blocking point.
     pub(crate) pending_charge: SimDuration,
@@ -253,78 +252,47 @@ impl MpiRank {
     /// Posts one receive buffer for the connection from `peer`, updating
     /// the posted count and Table 2 peak.
     pub(crate) fn post_one_recv_buffer(&mut self, peer: Rank) {
-        let (qp, mr, offset, len, wr_id) = {
-            let c = self.conn_mut(peer);
-            #[expect(
-                clippy::expect_used,
-                reason = "the slab is sized to prepost_target and slots recycle through repost_slot, so exhaustion is a bookkeeping bug"
-            )]
-            let slot = c.slab.take_free().expect("receive slab exhausted");
-            (
-                c.qp,
-                c.slab.mr,
-                c.slab.byte_offset(slot),
-                c.slab.slot_size,
-                encode_wrid(WrKind::RecvSlot, slot as u64),
-            )
-        };
         #[expect(
             clippy::expect_used,
-            reason = "the receive queue is sized for the pool; a full queue is a bookkeeping bug"
+            reason = "the slab is sized to prepost_target and slots recycle through repost_slot, so exhaustion is a bookkeeping bug"
         )]
-        self.proc.with(|ctx| {
-            ctx.world
-                .post_recv(
-                    qp,
-                    RecvWr {
-                        wr_id,
-                        mr,
-                        offset,
-                        len,
-                    },
-                )
-                .expect("post_recv")
-        });
+        let slot = self
+            .conn_mut(peer)
+            .slab
+            .take_free()
+            .expect("receive slab exhausted");
+        self.post_recv_slot(peer, slot);
         let c = self.conn_mut(peer);
         c.posted += 1;
         c.stats.max_posted.observe(c.posted as u64);
     }
 
     /// Reposts a consumed slot (same slot index).
-    pub(crate) fn repost_slot(&mut self, peer: Rank, slot: u64) {
+    pub(crate) fn repost_slot(&mut self, peer: Rank, slot: u32) {
         if self.conn(peer).failed {
             // The QP is in the error state; a post would be rejected and
             // the buffer can never be consumed again anyway.
             return;
         }
-        let (qp, mr, offset, len) = {
-            let c = self.conn(peer);
-            (
-                c.qp,
-                c.slab.mr,
-                c.slab.byte_offset(slot as u32),
-                c.slab.slot_size,
-            )
-        };
-        let cost = self.proc.with(|ctx| {
+        let cost = self.post_recv_slot(peer, slot);
+        self.charge(cost);
+    }
+
+    /// Posts slab slot `slot` of the connection from `peer` as a receive
+    /// and returns the software post cost, which only a repost charges:
+    /// the one post of a receive work request after bootstrap
+    /// (`world::establish` posts the bootstrap pool).
+    fn post_recv_slot(&mut self, peer: Rank, slot: u32) -> SimDuration {
+        let c = self.conn(peer);
+        let (qp, wr) = (c.qp, slot_recv_wr(c.slab.mr, c.slab.slot_size, slot));
+        self.proc.with(|ctx| {
             #[expect(
                 clippy::expect_used,
-                reason = "reposting the slot just drained cannot exceed the receive queue"
+                reason = "the receive queue is sized for the slab and a slot is posted only while free, so a full queue is a bookkeeping bug"
             )]
-            ctx.world
-                .post_recv(
-                    qp,
-                    RecvWr {
-                        wr_id: encode_wrid(WrKind::RecvSlot, slot),
-                        mr,
-                        offset,
-                        len,
-                    },
-                )
-                .expect("repost");
+            ctx.world.post_recv(qp, wr).expect("post_recv");
             ctx.world.params().sw_post_cost
-        });
-        self.charge(cost);
+        })
     }
 
     /// Sum of currently posted receive buffers across all connections
@@ -395,36 +363,46 @@ impl MpiRank {
             self.finalize_after_fault().await;
             return;
         }
-        // 1. Drain backlogs and every in-flight send transport (buffered
-        //    operations may still be on the wire).
+        self.quiesce(["finalize: draining backlog", "finalize: draining sends"])
+            .await;
+    }
+
+    /// Brings this rank to a quiet point, parking at `notes[0]` and then
+    /// `notes[1]`: drains backlogs and every in-flight send transport
+    /// (buffered operations may still be on the wire), asserts that no
+    /// request is live, crosses a world barrier so no peer still needs
+    /// this rank's progress engine, drains everything the barrier itself
+    /// generated, and pays the pending charge. The barrier's sends may
+    /// have been credit-converted to rendezvous whose handshakes are still
+    /// in flight (a detached request), and abandoning one would leave the
+    /// peer waiting for data that never comes. [`MpiRank::finalize`] and
+    /// [`MpiRank::checkpoint`] share it.
+    pub(crate) async fn quiesce(&mut self, notes: [&'static str; 2]) {
         self.wait_until(
             |r| {
                 r.conns.iter().flatten().all(|c| c.backlog.is_empty())
                     && !r.reqs.has_pending_transport()
             },
-            "finalize: draining backlog",
+            notes[0],
         )
         .await;
         assert_eq!(
             self.reqs.live_count(),
             0,
-            "rank {} finalized with outstanding requests",
-            self.rank
+            "rank {} passed `{}` with outstanding requests ({})",
+            self.rank,
+            notes[0],
+            crate::ckpt::chaos_context(&self.cfg),
         );
-        // 2. World barrier so no peer still needs our progress engine.
         let world = crate::comm::Comm::world_internal(self.size);
         crate::collectives::barrier(self, &world).await;
-        // 3. Drain everything the barrier itself generated: its sends may
-        //    have been credit-converted to rendezvous whose handshakes are
-        //    still in flight (a detached request), and abandoning one
-        //    would leave the peer waiting for data that never comes.
         self.wait_until(
             |r| {
                 r.outstanding_ctrl == 0
                     && !r.reqs.has_pending_transport()
                     && r.conns.iter().flatten().all(|c| c.backlog.is_empty())
             },
-            "finalize: draining sends",
+            notes[1],
         )
         .await;
         self.flush_charge().await;

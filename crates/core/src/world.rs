@@ -1,13 +1,13 @@
 //! World bootstrap: builds the fabric, wires every process pair, spawns
 //! rank coroutines, runs the simulation, and collects results.
 
-use crate::buffers::{encode_wrid, RecvSlab, WrKind};
+use crate::buffers::{slot_recv_wr, RecvSlab};
 use crate::ckpt::{snapshot_or_release, CkptRun, CKPT_FENCE_NOTE};
 use crate::config::MpiConfig;
 use crate::conn::Conn;
 use crate::rank::{MpiRank, RankSetup};
 use crate::stats::{RankStats, WorldStats};
-use ibfabric::{Access, Fabric, FabricParams, MrId, QpAttrs, QpId, RecvWr};
+use ibfabric::{Access, Fabric, FabricParams, MrId, QpAttrs, QpId};
 use ibsim::{Ctx, Sim, SimConfig, SimError, SimTime};
 use std::rc::Rc;
 use std::sync::mpsc::Sender;
@@ -136,12 +136,7 @@ pub(crate) fn establish(ctx: &mut Ctx<'_, Fabric>, n: usize, cfg: &MpiConfig, i:
     for (a, b) in [(i, j), (j, i)] {
         let (qp, mr) = (qp_id_for(n, a, b), slab_mr_for(n, a, b));
         for slot in 0..cfg.prepost {
-            let wr = RecvWr {
-                wr_id: encode_wrid(WrKind::RecvSlot, u64::from(slot)),
-                mr,
-                offset: slot as usize * cfg.buf_size,
-                len: cfg.buf_size,
-            };
+            let wr = slot_recv_wr(mr, cfg.buf_size, slot);
             #[expect(
                 clippy::expect_used,
                 reason = "cfg.validate() keeps prepost within the slab, and an unconnected QP's receive queue is empty"
@@ -359,11 +354,13 @@ pub(crate) fn bootstrap_fabric(
     let nodes: Vec<_> = (0..nprocs).map(|_| fabric.add_node()).collect();
     let cqs: Vec<_> = nodes.iter().map(|&n| fabric.create_cq(n)).collect();
 
-    // QPs in the deterministic pair order. The default budgets retry
-    // forever (MPI reliability: a lossy fabric is waited out); finite
-    // budgets surface exhaustion as typed faults (see `fault.rs`).
+    // QPs in the deterministic pair order. RNR retries are unbounded (MPI
+    // reliability: a slow receiver is waited out, never failed), and so
+    // are transport retries by default (a lossy fabric is waited out); a
+    // finite `retry_cnt` surfaces exhaustion as a typed fault (see
+    // `fault.rs`).
     let attrs = QpAttrs {
-        rnr_retry: cfg.rnr_retry,
+        rnr_retry: None,
         retry_cnt: cfg.retry_cnt,
     };
     for i in 0..nprocs {

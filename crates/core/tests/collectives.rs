@@ -56,6 +56,36 @@ fn bcast_from_each_root() {
     }
 }
 
+/// Typed broadcast from a non-zero root, at an eager size (8 `f64`) and
+/// at a rendezvous size (1 024 `f64`, 8 KiB, over the 1 984 B eager
+/// threshold): every rank ends with the root's values.
+#[test]
+fn bcast_scalars_delivers_the_roots_values() {
+    for n in [3, 4] {
+        for len in [8, 1024] {
+            let root = n - 2;
+            let values = move || {
+                (0..len)
+                    .map(|i| i as f64 * 0.5 + root as f64)
+                    .collect::<Vec<f64>>()
+            };
+            let results = run(n, async move |mpi| {
+                let world = Comm::world(mpi);
+                let mut data = if world.my_rank(mpi) == root {
+                    values()
+                } else {
+                    vec![-1.0; len]
+                };
+                bcast_scalars(mpi, &world, root, &mut data).await;
+                data
+            });
+            for (rank, got) in results.iter().enumerate() {
+                assert_eq!(got, &values(), "n={n} len={len} rank={rank}");
+            }
+        }
+    }
+}
+
 #[test]
 fn reduce_sum_matches_reference() {
     for n in [2, 3, 6, 8] {

@@ -77,10 +77,10 @@ impl std::ops::BitOr for Access {
     }
 }
 
-/// Bytes the holder owns, or bytes it shares by reference with the
-/// allocation the HCA placed them from. A rendezvous payload reaches the
-/// application this way: the receive hands back the RDMA WRITE's own
-/// allocation, not a copy of it. Nothing mutates a shared allocation, so
+/// Bytes the holder owns, or bytes it shares by reference: with the
+/// allocation the HCA placed them from, or with an `Arc<[u8]>` it was
+/// built from. A rendezvous payload reaches the application this way: the
+/// receive hands back the RDMA WRITE's own allocation, not a copy of it. Nothing mutates a shared allocation, so
 /// sharing it is sound; [`Bytes::into_vec`] is where a copy happens, and
 /// only when the bytes are shared.
 ///
@@ -95,6 +95,10 @@ impl std::ops::BitOr for Access {
 /// assert_eq!(&msg[1..], b"ing");
 /// assert_eq!(msg.into_vec(), b"ping"); // a move: these bytes were owned
 /// assert!(Bytes::default().is_empty());
+///
+/// let built: std::sync::Arc<[u8]> = b"pong".as_slice().into();
+/// let shared = Bytes::from(std::sync::Arc::clone(&built));
+/// assert_eq!(shared.as_ptr(), built.as_ptr()); // adopted, not copied
 /// ```
 #[derive(Debug, Default)]
 pub struct Bytes(Repr);
@@ -135,6 +139,13 @@ impl std::ops::Deref for Bytes {
 impl From<Vec<u8>> for Bytes {
     fn from(bytes: Vec<u8>) -> Bytes {
         Bytes(Repr::Owned(bytes))
+    }
+}
+
+/// Adopts the allocation, shared by reference: no copy.
+impl From<Arc<[u8]>> for Bytes {
+    fn from(bytes: Arc<[u8]>) -> Bytes {
+        Bytes(Repr::Shared(bytes))
     }
 }
 

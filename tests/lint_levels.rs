@@ -1,7 +1,8 @@
 //! The lint levels DESIGN.md §8 relies on are set where it says they are,
 //! and the source-layout rules held as text (credit privacy, one
-//! connection-establishment path, one host-timing harness, one scheme
-//! list, scheme variants named only in config) still hold.
+//! connection-establishment path, one post site per verb, one host-timing
+//! harness, one scheme list, scheme variants named only in config) still
+//! hold.
 //!
 //! An `#[expect(lint)]` is fulfilled whenever `lint` *would* fire at that
 //! site, whatever level surrounds it. So the audited `#[expect]`s and the
@@ -111,6 +112,32 @@ fn connections_are_established_on_one_path() {
         core_sites("established = true"),
         [site("conn.rs", "establish")].into(),
         "a connection becomes established outside `Conn::establish`"
+    );
+}
+
+/// Paper §4.1–4.3's schemes differ only in when a frame may be posted and
+/// which window it spends, so `mpib` posts each verb from one site: every
+/// send work request through `MpiRank::post_send_wr` (`conn.rs`), every
+/// receive through `world::establish` (the bootstrap pool) or
+/// `MpiRank::post_recv_slot` (`rank.rs`: pool growth and reposts). A
+/// second site is how a hand-copied post, with its own cost or counter,
+/// would come back.
+#[test]
+fn work_requests_are_posted_on_one_path() {
+    let site = |file: &str, func: &str| (file.to_string(), func.to_string());
+    assert_eq!(
+        core_sites("ibfabric::post_send("),
+        [site("conn.rs", "post_send_wr")].into(),
+        "`ibfabric::post_send(` outside `MpiRank::post_send_wr`"
+    );
+    assert_eq!(
+        core_sites(".post_recv("),
+        [
+            site("rank.rs", "post_recv_slot"),
+            site("world.rs", "establish")
+        ]
+        .into(),
+        "`.post_recv(` outside `world::establish` and `MpiRank::post_recv_slot`"
     );
 }
 

@@ -52,16 +52,17 @@ fn ckpt_ladder_is_deterministic_and_matches_golden() {
         runs.iter().all(|r| r.snapshot_bytes > 0),
         "an empty snapshot serialized"
     );
-    // The size sweep: every world resumed, and a snapshot is the bytes the
-    // world held resident plus a bounded record per connection — it does
-    // not follow registered memory, which any dense encoding would exceed.
+    // The size sweep: every world resumed, and a snapshot is a bounded
+    // record per directed connection — its queue pair's and its
+    // endpoint's state, plus the few live bytes a fence leaves. It follows
+    // neither the memory the world held resident (dead at a fence) nor
+    // the memory it registered, which any dense encoding would exceed.
     assert_eq!(scaling.len(), 10, "five world sizes under two schemes");
     for r in &scaling {
         assert!(r.resume_identical, "{}x{}", r.scheme.label(), r.nprocs);
         let connections = r.nprocs * (r.nprocs - 1);
         assert!(
-            r.snapshot_bytes < r.resident_bytes + 4096 * connections
-                && r.snapshot_bytes < r.registered_bytes / 32,
+            r.snapshot_bytes < 2048 * connections && r.snapshot_bytes < r.registered_bytes / 32,
             "{}x{}: {} snapshot bytes, {} resident, {} registered",
             r.scheme.label(),
             r.nprocs,

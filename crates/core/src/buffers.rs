@@ -1,4 +1,5 @@
-//! Work-request id encoding and the per-connection receive buffer slab.
+//! Work-request id encoding and the receive work requests of a
+//! connection's buffer slab.
 
 use ibfabric::{MrId, RecvWr};
 
@@ -59,58 +60,16 @@ pub(crate) fn decode_wrid(wr_id: u64) -> (WrKind, u64) {
 
 /// The receive work request for slot `slot` of a slab of `slot_size`-byte
 /// slots in region `mr`: the one shape every receive `mpib` posts takes.
+/// A connection posts its slots in order — `0..prepost` at establishment,
+/// the next ones as its pool grows — and reposts a consumed slot as
+/// itself, so the slots it has posted are `0..prepost_target` and the
+/// next free one is `prepost_target`.
 pub(crate) fn slot_recv_wr(mr: MrId, slot_size: usize, slot: u32) -> RecvWr {
     RecvWr {
         wr_id: encode_wrid(WrKind::RecvSlot, u64::from(slot)),
         mr,
         offset: slot as usize * slot_size,
         len: slot_size,
-    }
-}
-
-/// The pre-pinned receive buffer slab for one connection: `slot_count`
-/// fixed-size slots inside one registered region. Slots are posted as
-/// receive WQEs and reposted after the progress engine copies them out.
-#[derive(Debug)]
-pub(crate) struct RecvSlab {
-    pub mr: MrId,
-    pub slot_size: usize,
-    pub slot_count: u32,
-    /// Slots currently *not* posted.
-    free: Vec<u32>,
-}
-
-impl RecvSlab {
-    pub fn new(mr: MrId, slot_size: usize, slot_count: u32) -> Self {
-        RecvSlab {
-            mr,
-            slot_size,
-            slot_count,
-            free: (0..slot_count).rev().collect(),
-        }
-    }
-
-    pub fn byte_offset(&self, slot: u32) -> usize {
-        debug_assert!(slot < self.slot_count);
-        slot as usize * self.slot_size
-    }
-
-    /// Takes a free slot for posting.
-    pub fn take_free(&mut self) -> Option<u32> {
-        self.free.pop()
-    }
-
-    /// The free-slot stack, bottom to top (checkpoint encode).
-    pub fn free_slots(&self) -> &[u32] {
-        &self.free
-    }
-
-    /// Restores the free-slot stack captured by [`RecvSlab::free_slots`].
-    /// Order matters: `take_free` pops, so the stack order decides which
-    /// slot the next post uses — part of byte-identical resume.
-    pub fn restore_free(&mut self, free: Vec<u32>) {
-        debug_assert!(free.iter().all(|&s| s < self.slot_count));
-        self.free = free;
     }
 }
 
@@ -142,10 +101,8 @@ mod tests {
 
     #[test]
     fn slab_slots() {
-        let mut slab = RecvSlab::new(MrId::from_index_for_tests(0), 2048, 4);
-        assert_eq!(slab.free_slots().len(), 4);
-        assert_eq!(slab.take_free(), Some(0), "slots hand out in order");
-        assert_eq!(slab.free_slots().len(), 3);
-        assert_eq!(slab.byte_offset(3), 3 * 2048);
+        let wr = slot_recv_wr(MrId::from_index_for_tests(0), 2048, 3);
+        assert_eq!((wr.offset, wr.len), (3 * 2048, 2048));
+        assert_eq!(decode_wrid(wr.wr_id), (WrKind::RecvSlot, 3));
     }
 }

@@ -33,28 +33,35 @@
 //! CQ waiter and RDMA watcher is stale), the engine's release wakes ranks
 //! in process-id order consuming the same event sequence numbers `spawn`
 //! consumes in a restored run, and the snapshot carries the scheduler
-//! clock, the full fabric image, and each rank's protocol state. A run
+//! clock, the fabric's state and each rank's protocol state. A run
 //! driven through [`crate::MpiWorld::run_with_checkpoints`] with
 //! `snapshot_epoch: None` therefore serves as the uninterrupted golden a
 //! snapshot → [`crate::MpiWorld::restore`] → resume run is compared
 //! against, byte for byte.
 //!
-//! Traffic that lands *after* a rank encoded its blob but *before* the
-//! fence fires (a peer's phase-3 credit return, say) is consistent by
-//! construction: the bytes sit in fabric memory — captured by the fabric
-//! image — and the parked rank's blob predates them, so both the released
-//! and the restored run process them identically after the fence.
+//! # What the image holds
+//!
+//! [`MpiWorld::restore`] builds the world with `world::bootstrap_fabric`,
+//! as a run does, so every verbs object, bootstrap region and bare
+//! connection keeps its id. The image holds what that cannot know: later
+//! registrations (replayed in order), the dynamic state, and the bytes a
+//! resumed run reads — the credit mailboxes, and a slab whose RECV
+//! completion is still queued (a peer's phase-3 credit message that
+//! landed after this rank's blob, which the released and the restored run
+//! then process alike). Other region bytes are dead at a fence (DESIGN.md
+//! §12).
 //!
 //! # Elastic replacement
 //!
 //! [`RestoreOptions::replace`] models a node killed by the fault plane and
 //! hot-swapped. At a quiesce fence a replacement is a restore: every rank,
-//! the victim included, is spawned from its own blob, and the fabric image
-//! recreates the victim's QPs in their connected state and its regions at
-//! their original indices, so the replacement re-seeds its credit and ring
-//! ledgers and needs no new handshake. The option marks the world as
-//! having rejoined one rank ([`crate::WorldStats::rejoined_ranks`]); the
-//! run stays byte-identical to the golden.
+//! the victim included, is spawned from its own blob onto the rebuilt
+//! world, whose QPs the image patches back into their connected state and
+//! whose regions keep their indices, so the replacement re-seeds its
+//! credit and ring ledgers and needs no new handshake. The option marks
+//! the world as having rejoined one rank
+//! ([`crate::WorldStats::rejoined_ranks`]); the run stays byte-identical
+//! to the golden.
 //!
 //! What is **not** in a snapshot: configuration. [`MpiConfig`],
 //! [`FabricParams`] and any [`ibfabric::FaultPlan`] are supplied again at
@@ -62,14 +69,16 @@
 //! by seed, so resuming under the same plan continues its fault stream
 //! while a fresh plan (the kill-and-replace scenario) starts its own.
 
+use crate::buffers::{RING_MARKER, RING_MARKER_OFFSET};
 use crate::config::MpiConfig;
 use crate::conn::{Conn, RxRing};
 use crate::rank::{MpiRank, RankSetup, Unexpected};
 use crate::regcache::{RegCache, REGCACHE_CAPACITY};
+use crate::requests::ReqId;
 use crate::types::{CommCtx, Rank, Tag};
 use crate::wire::MsgHeader;
 use crate::world::{self, MpiRunError, MpiRunOutput, MpiWorld};
-use ibfabric::{CkptBus, Fabric, FabricParams, MrId, NodeId};
+use ibfabric::{CkptBus, CqeOpcode, Fabric, FabricParams, MrId, NodeId};
 use ibsim::codec::{CodecError, Reader, Writer};
 use ibsim::{FenceAction, Sim, SimClock, SimConfig, SimDuration, SimTime};
 use std::rc::Rc;
@@ -81,19 +90,25 @@ pub const CKPT_FENCE_NOTE: &str = "checkpoint fence";
 
 /// Snapshot container format: magic, version, and section tags.
 const SNAPSHOT_MAGIC: u32 = 0x4942_434B; // "IBCK"
-const SNAPSHOT_VERSION: u32 = 3;
+const SNAPSHOT_VERSION: u32 = 4;
 const TAG_SNAP_META: u32 = 0xCB01;
 const TAG_SNAP_FABRIC: u32 = 0xCB02;
 const TAG_SNAP_RANKS: u32 = 0xCB03;
 
 /// Rank blob format: version and section tags.
-const RANK_BLOB_VERSION: u32 = 1;
+const RANK_BLOB_VERSION: u32 = 2;
 const TAG_RANK: u32 = 0xC4A1;
 const TAG_UNEXPECTED: u32 = 0xC4A2;
 const TAG_REGCACHE: u32 = 0xC4A3;
 const TAG_RANK_STATS: u32 = 0xC4A4;
 const TAG_CONNS: u32 = 0xC4A5;
 const TAG_APP: u32 = 0xC4A6;
+const TAG_LANES: u32 = 0xC4A7;
+
+/// Encoded size of a connection record with an empty reorder map and no
+/// older ring generation: the least a rank blob holds per peer.
+const CONN_RECORD_BYTES: usize =
+    1 + 4 * 5 + 8 * 6 + 4 * 2 + 8 * 6 + 4 + 8 + 4 * 9 + 8 + 4 + 3 + 8 * 13;
 
 /// The scheme and effective chaos seed, for assertion messages: when a
 /// checkpoint invariant trips under the chaos battery, the report carries
@@ -200,7 +215,9 @@ impl Snapshot {
         let fabric_image = fs.bytes("snapshot fabric image")?;
         fs.done("snapshot fabric")?;
         let mut rs = r.section(TAG_SNAP_RANKS, "snapshot ranks")?;
-        let n = rs.count("snapshot rank count", 8)?;
+        // A restore builds a world of `n` ranks, so each blob must hold a
+        // record per peer: the rebuild stays the size of the input.
+        let n = rs.count("snapshot rank count", 8 + (nprocs - 1) * CONN_RECORD_BYTES)?;
         if n != nprocs {
             return Err(CodecError::Overflow {
                 context: "snapshot rank count",
@@ -421,6 +438,14 @@ impl MpiRank {
             }
         });
         w.section(TAG_REGCACHE, |w| self.regcache.encode(w));
+        w.section(TAG_LANES, |w| {
+            w.usize(self.landing_lanes.len());
+            for &(class_len, mr, claimant) in &self.landing_lanes {
+                w.usize(class_len);
+                w.u32(mr.as_raw());
+                w.u32(claimant.0);
+            }
+        });
         w.section(TAG_RANK_STATS, |w| {
             w.u64(self.stats.msgs_received.get());
             w.u64(self.stats.eager_bytes.get());
@@ -443,11 +468,35 @@ impl MpiRank {
                     c.peer,
                     ctx(),
                 );
+                self.assert_rings_consumed(c);
                 encode_conn(c, w);
             }
         });
         w.section(TAG_APP, |w| w.bytes(app_state));
         w.finish()
+    }
+
+    /// Panics if a ring of `c` holds a frame its poller has not consumed:
+    /// the image carries no ring bytes, so the restored run would never
+    /// see it.
+    fn assert_rings_consumed(&self, c: &Conn) {
+        let marked = |bytes: &[u8], slot: u32| {
+            let at = slot as usize * self.cfg.buf_size + RING_MARKER_OFFSET;
+            bytes.get(at) == Some(&RING_MARKER)
+        };
+        let unread = self.proc.with(|ctx| {
+            let bytes = |g: &RxRing| ctx.world.mr_bytes(g.mr);
+            c.rings
+                .iter()
+                .any(|g| (0..g.slots).any(|slot| marked(bytes(g), slot)))
+        });
+        assert!(
+            !unread,
+            "rank {}: unconsumed ring frame from rank {} at a checkpoint fence ({})",
+            self.rank,
+            c.peer,
+            chaos_context(&self.cfg),
+        );
     }
 
     /// Overwrites this (freshly constructed) rank's dynamic state with a
@@ -456,8 +505,6 @@ impl MpiRank {
     /// was validated by [`decode_rank_blob`] before any coroutine was
     /// spawned.
     pub(crate) fn apply_image(&mut self, img: RankImage) -> Vec<u8> {
-        debug_assert_eq!(self.rank, img.rank);
-        debug_assert_eq!(self.size, img.size);
         self.ckpt_epoch = img.ckpt_epoch;
         self.next_ctx = img.next_ctx;
         self.coll_seq = img.coll_seq.into_iter().collect();
@@ -476,6 +523,7 @@ impl MpiRank {
             })
             .collect();
         self.regcache = img.regcache;
+        self.landing_lanes = img.landing_lanes;
         self.stats.msgs_received = img.msgs_received.into();
         self.stats.eager_bytes = img.eager_bytes.into();
         self.stats.rndz_bytes = img.rndz_bytes.into();
@@ -493,11 +541,6 @@ fn encode_conn(c: &Conn, w: &mut Writer) {
     w.bool(c.established);
     w.u32(cw.held);
     w.u32(c.send_seq);
-    let free = c.slab.free_slots();
-    w.usize(free.len());
-    for &s in free {
-        w.u32(s);
-    }
     w.u32(c.prepost_target);
     w.u32(c.posted);
     w.u32(cw.pending);
@@ -581,36 +624,75 @@ pub(crate) fn mr_id(raw: u32, n_mrs: usize, context: &'static str) -> Result<MrI
     }
 }
 
-/// Fills the dynamic state of `c` — the bare connection
-/// [`world::make_conn`] builds — from its record (mirror of
-/// [`encode_conn`]). Sequences replace what the bare connection holds:
-/// its slab starts with every slot free.
+/// What [`node_region`] calls a landing lane it refuses.
+const LANE_REFUSALS: [&str; 3] = [
+    "landing lane mr",
+    "landing lane mr (another node's region)",
+    "landing lane len",
+];
+
+/// A serialized handle to a region `node` lands `len` bytes of
+/// rendezvous data in (a pin-down cache entry or a landing lane): a region
+/// of the restored fabric, on `node`, at least `len` long. `contexts` name
+/// the refusals: no such region, another node's, too short.
+pub(crate) fn node_region(
+    fabric: &Fabric,
+    node: NodeId,
+    raw: u32,
+    len: usize,
+    contexts: [&'static str; 3],
+) -> Result<MrId, CodecError> {
+    let mr = mr_id(raw, fabric.mr_count(), contexts[0])?;
+    let owner = fabric.mr_node(mr);
+    if owner != node {
+        return Err(CodecError::BadTag {
+            context: contexts[1],
+            want: node.index() as u64,
+            got: owner.index() as u64,
+        });
+    }
+    if len > fabric.mr_len(mr) {
+        return Err(CodecError::Overflow {
+            context: contexts[2],
+            value: len as u64,
+            max: fabric.mr_len(mr) as u64,
+        });
+    }
+    Ok(mr)
+}
+
+/// Fills the dynamic state of `c` — a bare connection as
+/// `world::bootstrap_fabric` builds it — from its record (mirror of
+/// [`encode_conn`]). Sequences replace what the bare connection holds.
 fn decode_conn(
     r: &mut Reader<'_>,
     c: &mut Conn,
     cfg: &MpiConfig,
     fabric: &Fabric,
 ) -> Result<(), CodecError> {
-    let (max_prepost, n_mrs) = (cfg.max_prepost, fabric.mr_count());
+    let n_mrs = fabric.mr_count();
     c.established = r.bool("conn.established")?;
     c.credits.held = r.u32("conn.credits.held")?;
     c.send_seq = r.u32("conn.send_seq")?;
-    let n_free = r.count("conn.slab_free.count", 4)?;
-    let mut slab_free = Vec::with_capacity(n_free);
-    for _ in 0..n_free {
-        let s = r.u32("conn.slab_free.slot")?;
-        if s >= max_prepost {
-            return Err(CodecError::Overflow {
-                context: "conn.slab_free.slot",
-                value: u64::from(s),
-                max: u64::from(max_prepost).saturating_sub(1),
-            });
-        }
-        slab_free.push(s);
-    }
-    c.slab.restore_free(slab_free);
+    // The pool's slots are `0..prepost_target` and the next free one is
+    // `prepost_target`: a pool past the slab would post outside it, and
+    // more buffers posted than the pool holds is a slot posted twice.
     c.prepost_target = r.u32("conn.prepost_target")?;
+    if c.prepost_target > cfg.pool_cap() {
+        return Err(CodecError::Overflow {
+            context: "conn.prepost_target",
+            value: u64::from(c.prepost_target),
+            max: u64::from(cfg.pool_cap()),
+        });
+    }
     c.posted = r.u32("conn.posted")?;
+    if c.posted > c.prepost_target {
+        return Err(CodecError::Overflow {
+            context: "conn.posted",
+            value: u64::from(c.posted),
+            max: u64::from(c.prepost_target),
+        });
+    }
     let (credits, ring) = (&mut c.credits, &mut c.ring);
     credits.pending = r.u32("conn.credits.pending")?;
     credits.granted_total = r.u64("conn.credits.granted_total")?;
@@ -735,8 +817,6 @@ fn check_ring_geometry(c: &Conn, cfg: &MpiConfig, fabric: &Fabric) -> Result<(),
 /// is spawned so a corrupt snapshot surfaces as
 /// [`MpiRunError::Snapshot`], never a panic inside the simulation.
 pub(crate) struct RankImage {
-    rank: Rank,
-    size: usize,
     ckpt_epoch: u64,
     next_ctx: CommCtx,
     coll_seq: Vec<(CommCtx, u32)>,
@@ -747,24 +827,22 @@ pub(crate) struct RankImage {
     req_free: Vec<u32>,
     unexpected: Vec<(Rank, Tag, CommCtx, Vec<u8>)>,
     regcache: RegCache,
+    landing_lanes: Vec<(usize, MrId, ReqId)>,
     msgs_received: u64,
     eager_bytes: u64,
     rndz_bytes: u64,
     unexpected_msgs: u64,
-    /// The rank's connections, built bare and filled from their records:
-    /// what [`RankSetup`] takes.
-    conns: Vec<Option<Conn>>,
     app_state: Vec<u8>,
 }
 
+/// Decodes the blob of the rank `setup` bootstraps, filling the bare
+/// connections of `setup` from their records in place.
 fn decode_rank_blob(
     blob: &[u8],
-    rank: Rank,
-    size: usize,
-    node: NodeId,
-    cfg: &MpiConfig,
+    setup: &mut RankSetup,
     fabric: &Fabric,
 ) -> Result<RankImage, CodecError> {
+    let (rank, size, node, cfg) = (setup.rank, setup.size, setup.node, &setup.cfg);
     let mut r = Reader::new(blob);
     let version = r.u32("rank blob version")?;
     if version != RANK_BLOB_VERSION {
@@ -856,6 +934,20 @@ fn decode_rank_blob(
     regcache.restore(&mut gs, fabric)?;
     gs.done("rank blob regcache")?;
 
+    let mut ls = r.section(TAG_LANES, "rank blob landing lanes")?;
+    let n_lanes = ls.count("landing lane count", 8 + 4 + 4)?;
+    let mut landing_lanes = Vec::with_capacity(n_lanes);
+    for _ in 0..n_lanes {
+        let class_len = ls.usize("landing lane len")?;
+        let raw = ls.u32("landing lane mr")?;
+        let mr = node_region(fabric, node, raw, class_len, LANE_REFUSALS)?;
+        // A claimant is only looked up, so any value is safe: one the
+        // table does not hold reads as a free lane.
+        let claimant = ReqId(ls.u32("landing lane claimant")?);
+        landing_lanes.push((class_len, mr, claimant));
+    }
+    ls.done("rank blob landing lanes")?;
+
     let mut ss = r.section(TAG_RANK_STATS, "rank blob stats")?;
     let msgs_received = ss.u64("stats.msgs_received")?;
     let eager_bytes = ss.u64("stats.eager_bytes")?;
@@ -864,24 +956,15 @@ fn decode_rank_blob(
     ss.done("rank blob stats")?;
 
     let mut cs = r.section(TAG_CONNS, "rank blob conns")?;
-    let mut conns: Vec<Option<Conn>> = Vec::with_capacity(size);
-    for peer in 0..size {
-        conns.push(if peer == rank {
-            None
-        } else {
-            // Bare connection: the record overwrites every dynamic field,
-            // so no preposting or credit seeding here.
-            let mut c = world::make_conn(size, cfg, rank, peer);
-            decode_conn(&mut cs, &mut c, cfg, fabric)?;
-            Some(c)
-        });
+    for c in setup.conns.iter_mut().flatten() {
+        decode_conn(&mut cs, c, cfg, fabric)?;
     }
     cs.done("rank blob conns")?;
     // Only an established connection is polled: its ring geometry is the
     // one `check_ring_geometry` held to a ring in use.
     if rdma_watch
         .iter()
-        .any(|&p| !conns[p].as_ref().is_some_and(|c| c.established))
+        .any(|&p| !setup.conns[p].as_ref().is_some_and(|c| c.established))
     {
         return Err(CodecError::BadTag {
             context: "rank blob rdma_watch.peer (not established)",
@@ -896,8 +979,6 @@ fn decode_rank_blob(
     r.done("rank blob")?;
 
     Ok(RankImage {
-        rank,
-        size,
         ckpt_epoch,
         next_ctx,
         coll_seq,
@@ -908,11 +989,11 @@ fn decode_rank_blob(
         req_free,
         unexpected,
         regcache,
+        landing_lanes,
         msgs_received,
         eager_bytes,
         rndz_bytes,
         unexpected_msgs,
-        conns,
         app_state,
     })
 }
@@ -946,8 +1027,16 @@ pub(crate) fn snapshot_or_release(
                 .unwrap_or_else(|| panic!("rank {i} reached snapshot epoch {epoch} without a blob"))
         })
         .collect();
+    // The regions the resumed run reads: every credit mailbox, and the
+    // slab of a connection whose RECV completion is still queued.
+    let read_slabs: Vec<MrId> = world
+        .queued_completions()
+        .filter(|e| e.opcode == CqeOpcode::RecvComplete)
+        .map(|e| world::slab_mr_of(e.qp))
+        .collect();
+    let live = |mr: MrId| world::is_mailbox(n, mr) || read_slabs.contains(&mr);
     let mut w = Writer::new();
-    ibfabric::encode_fabric(world, &mut w);
+    ibfabric::encode_fabric(world, world::bootstrap_mr_count(n), live, &mut w);
     *snapshot = Some(Snapshot {
         epoch,
         nprocs: n,
@@ -958,11 +1047,14 @@ pub(crate) fn snapshot_or_release(
     FenceAction::Stop
 }
 
+/// Each rank's setup, and its decoded image when it is restored.
+type Ranks = Vec<(RankSetup, Option<RankImage>)>;
+
 /// [`world::launch`] with the checkpoint fence armed: every rank starts
 /// the body from `resumed_epoch`, a restored one after applying its image.
 fn launch_fenced<R, F>(
     sim: Sim<Fabric>,
-    ranks: Vec<(RankSetup, Option<RankImage>)>,
+    ranks: Ranks,
     resumed_epoch: u64,
     body: F,
 ) -> Result<CkptRun<R>, MpiRunError>
@@ -985,6 +1077,50 @@ where
             let _ = tx.send((mpi.rank(), result, stats));
         });
     })
+}
+
+/// The non-generic half of [`MpiWorld::restore`]: the rebuilt world,
+/// its image patched on, and every rank's decoded blob, checked before
+/// anything is spawned.
+fn rebuild(
+    snapshot: &Snapshot,
+    cfg: &MpiConfig,
+    params: FabricParams,
+    sim_config: SimConfig,
+    opts: RestoreOptions,
+) -> Result<(Sim<Fabric>, Ranks), MpiRunError> {
+    cfg.validate().map_err(MpiRunError::Config)?;
+    let nprocs = snapshot.rank_blobs.len();
+    if let Some(v) = opts.replace {
+        assert!(v < nprocs, "replacement rank {v} out of range");
+    }
+    if let Some(e) = opts.snapshot_epoch {
+        assert!(
+            e > snapshot.epoch,
+            "next snapshot epoch {e} must exceed the resumed epoch {}",
+            snapshot.epoch
+        );
+    }
+    let mut fabric = Fabric::new(params);
+    if let Some(plan) = cfg.fault_plan.clone() {
+        fabric.set_fault_plan(plan);
+    }
+    let mut setups = world::bootstrap_fabric(&mut fabric, nprocs, cfg);
+    ibfabric::restore_fabric(&mut fabric, &mut Reader::new(&snapshot.fabric_image))?;
+    // Decode everything before spawning anything: a corrupt blob is a
+    // typed error, never a panic inside a half-built simulation.
+    let mut images = Vec::with_capacity(nprocs);
+    for (setup, blob) in setups.iter_mut().zip(&snapshot.rank_blobs) {
+        images.push(Some(decode_rank_blob(blob, setup, &fabric)?));
+    }
+    fabric.ckpt = CkptBus {
+        released_epoch: snapshot.epoch,
+        pending_epoch: snapshot.epoch,
+        snapshot_epoch: opts.snapshot_epoch,
+        rank_blobs: vec![None; nprocs],
+    };
+    let sim = Sim::resume(fabric, sim_config, snapshot.clock);
+    Ok((sim, setups.into_iter().zip(images).collect()))
 }
 
 impl MpiWorld {
@@ -1020,9 +1156,11 @@ impl MpiWorld {
         launch_fenced(sim, fresh, 0, body)
     }
 
-    /// Resumes a [`Snapshot`]: rebuilds the fabric from its image,
-    /// re-decodes every rank blob (typed [`MpiRunError::Snapshot`] errors
-    /// on corruption), optionally hot-swaps a killed rank
+    /// Resumes a [`Snapshot`]: builds the world the way a run does
+    /// (`world::bootstrap_fabric`), patches the fabric image's state onto
+    /// it, decodes every rank blob into the rebuilt connections (typed
+    /// [`MpiRunError::Snapshot`] errors on corruption or on a snapshot of
+    /// another world), optionally hot-swaps a killed rank
     /// ([`RestoreOptions::replace`]), and continues the run on the
     /// snapshot's scheduler clock. `cfg` and `params` must match the
     /// original run's; `cfg.fault_plan` may differ (e.g. a kill plan for
@@ -1040,68 +1178,7 @@ impl MpiWorld {
         R: 'static,
         F: AsyncFn(&mut MpiRank, CkptStart) -> R + 'static,
     {
-        cfg.validate().map_err(MpiRunError::Config)?;
-        let nprocs = snapshot.nprocs;
-        if let Some(v) = opts.replace {
-            assert!(v < nprocs, "replacement rank {v} out of range");
-        }
-        if let Some(e) = opts.snapshot_epoch {
-            assert!(
-                e > snapshot.epoch,
-                "next snapshot epoch {e} must exceed the resumed epoch {}",
-                snapshot.epoch
-            );
-        }
-        let mut fabric = Fabric::new(params);
-        if let Some(plan) = cfg.fault_plan.clone() {
-            fabric.set_fault_plan(plan);
-        }
-        ibfabric::restore_fabric(&mut fabric, &mut Reader::new(&snapshot.fabric_image))?;
-        if fabric.node_count() != nprocs {
-            return Err(CodecError::Overflow {
-                context: "snapshot fabric node count",
-                value: fabric.node_count() as u64,
-                max: nprocs as u64,
-            }
-            .into());
-        }
-        // Decode everything before spawning anything: a corrupt blob is a
-        // typed error, never a panic inside a half-built simulation.
-        let mut images = Vec::with_capacity(nprocs);
-        for (i, blob) in snapshot.rank_blobs.iter().enumerate() {
-            images.push(decode_rank_blob(
-                blob,
-                i,
-                nprocs,
-                fabric.node_by_index(i),
-                &cfg,
-                &fabric,
-            )?);
-        }
-        let nodes: Vec<NodeId> = (0..nprocs).map(|i| fabric.node_by_index(i)).collect();
-        let cqs: Vec<_> = (0..nprocs).map(|i| fabric.cq_by_index(i)).collect();
-        fabric.ckpt = CkptBus {
-            released_epoch: snapshot.epoch,
-            pending_epoch: snapshot.epoch,
-            snapshot_epoch: opts.snapshot_epoch,
-            rank_blobs: vec![None; nprocs],
-        };
-        let sim = Sim::resume(fabric, sim_config, snapshot.clock);
-        let restored = images
-            .into_iter()
-            .enumerate()
-            .map(|(i, mut image)| {
-                let setup = RankSetup {
-                    rank: i,
-                    size: nprocs,
-                    node: nodes[i],
-                    cq: cqs[i],
-                    conns: std::mem::take(&mut image.conns),
-                    cfg: cfg.clone(),
-                };
-                (setup, Some(image))
-            })
-            .collect();
+        let (sim, restored) = rebuild(snapshot, &cfg, params, sim_config, opts)?;
         let mut run = launch_fenced(sim, restored, snapshot.epoch, body)?;
         if let CkptRun::Completed(out) = &mut run {
             out.stats.restores = 1;
@@ -1125,7 +1202,7 @@ mod tests {
                 events_processed: 910,
             },
             fabric_image: vec![1, 2, 3, 4],
-            rank_blobs: vec![vec![5], vec![6, 7]],
+            rank_blobs: vec![vec![5; CONN_RECORD_BYTES], vec![6; CONN_RECORD_BYTES + 1]],
         }
     }
 
@@ -1164,20 +1241,50 @@ mod tests {
                 ..
             }
         ));
-        // One format: a future version and the two this one replaced are
-        // all refused by number, never misread.
-        for version in [99, 2, 1] {
+        // One format: a future version and the three this one replaced
+        // are all refused by number, never misread.
+        for version in [99, 3, 2, 1] {
             let mut bytes = sample().to_bytes();
             bytes[4] = version;
             assert!(matches!(
                 Snapshot::from_bytes(&bytes).unwrap_err(),
                 CodecError::BadTag {
                     context: "snapshot version",
-                    want: 3,
+                    want: 4,
                     ..
                 }
             ));
         }
+    }
+
+    /// A restore builds a world of as many ranks as the container holds
+    /// blobs, so blobs too short for a connection record per peer are
+    /// refused before anything is built: the rebuild stays the size of the
+    /// input, whatever the container claims.
+    #[test]
+    fn a_world_its_blobs_cannot_hold_is_refused() {
+        let mut s = sample();
+        s.rank_blobs[1].truncate(CONN_RECORD_BYTES - 1);
+        let err = Snapshot::from_bytes(&s.to_bytes()).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                CodecError::Truncated {
+                    context: "snapshot rank count",
+                    ..
+                }
+            ),
+            "{err}"
+        );
+        // 1 000 empty blobs: a container of 8 kB that would build 999 000
+        // connections.
+        let wide = Snapshot {
+            nprocs: 1000,
+            rank_blobs: vec![Vec::new(); 1000],
+            ..sample()
+        };
+        let err = Snapshot::from_bytes(&wide.to_bytes()).unwrap_err();
+        assert!(matches!(err, CodecError::Truncated { .. }), "{err}");
     }
 
     #[test]
@@ -1199,7 +1306,7 @@ mod tests {
         let mut w = Writer::new();
         encode_conn(c, &mut w);
         let bytes = w.finish();
-        let mut back = world::make_conn(2, cfg, 0, 1);
+        let mut back = Conn::new(2, cfg, 0, 1);
         decode_conn(&mut Reader::new(&bytes), &mut back, cfg, fabric).map(|()| back)
     }
 
@@ -1208,22 +1315,65 @@ mod tests {
         let cfg = MpiConfig::scheme(crate::FlowControlScheme::RdmaChannel, 8);
         let fabric = two_rank_fabric(&cfg);
         let decoded = |c: &Conn| conn_roundtrip(c, &cfg, &fabric);
-        let mut c = world::make_conn(2, &cfg, 0, 1);
+        let mut c = Conn::new(2, &cfg, 0, 1);
+        // The least a record can be: what a restore holds each blob to.
+        let mut w = Writer::new();
+        encode_conn(&c, &mut w);
+        assert_eq!(w.finish().len(), CONN_RECORD_BYTES);
         c.credits.grant(8);
         // One unit spent (the window's spend is private to `conn.rs`).
         c.credits.held -= 1;
         c.credits.spent_total += 1;
         c.ring.owe(3);
-        // A slot out on a posted receive: the bare connection's full free
-        // list must be replaced by the record's, not extended.
-        let _ = c.slab.take_free();
+        c.posted = 7;
         let back = decoded(&c).unwrap();
         assert_eq!((back.credits, back.ring), (c.credits, c.ring));
-        assert_eq!(back.slab.free_slots(), c.slab.free_slots());
+        assert_eq!((back.prepost_target, back.posted), (8, 7));
         // One slot the ledger never saw: a typed error at decode, not a
         // conservation panic at finalize.
         c.ring.held += 1;
         assert!(matches!(decoded(&c), Err(CodecError::BadTag { .. })));
+    }
+
+    /// The next slot a pool posts is `prepost_target`, so a record whose
+    /// pool reaches past the pool's cap, or that posts more buffers than
+    /// its pool holds, is refused at decode.
+    #[test]
+    fn restored_pool_is_held_to_its_cap() {
+        use crate::FlowControlScheme as S;
+        for (scheme, cap) in [(S::UserStatic, 8), (S::UserDynamic, 512)] {
+            let cfg = MpiConfig::scheme(scheme, 8);
+            let fabric = two_rank_fabric(&cfg);
+            let mut c = Conn::new(2, &cfg, 0, 1);
+            c.establish(&cfg);
+            c.prepost_target = cap;
+            c.posted = cap;
+            conn_roundtrip(&c, &cfg, &fabric).expect("a full pool decodes");
+            c.posted = cap + 1;
+            let err = conn_roundtrip(&c, &cfg, &fabric).err();
+            assert!(
+                matches!(
+                    err,
+                    Some(CodecError::Overflow {
+                        context: "conn.posted",
+                        ..
+                    })
+                ),
+                "{scheme:?}: {err:?}"
+            );
+            c.prepost_target = cap + 1;
+            let err = conn_roundtrip(&c, &cfg, &fabric).err();
+            assert!(
+                matches!(
+                    err,
+                    Some(CodecError::Overflow {
+                        context: "conn.prepost_target",
+                        ..
+                    })
+                ),
+                "{scheme:?}: {err:?}"
+            );
+        }
     }
 
     /// Ring geometry the first poll or post would trip over — a cursor
@@ -1236,10 +1386,10 @@ mod tests {
         let mut fabric = two_rank_fabric(&cfg);
         let slots = cfg.rdma_ring_slots;
         let grown_len = 2 * slots as usize * cfg.buf_size;
-        let grown = fabric.register(fabric.node_by_index(0), grown_len, ibfabric::Access::FULL);
+        let grown = fabric.register(NodeId::from_index(0), grown_len, ibfabric::Access::FULL);
         // Established, then grown once: generation 0 still drains.
         let honest = || {
-            let mut c = world::make_conn(2, &cfg, 0, 1);
+            let mut c = Conn::new(2, &cfg, 0, 1);
             c.establish(&cfg);
             c.rings[0].read_slot = slots - 1;
             c.install_grown_ring(grown, 2 * slots);
@@ -1304,9 +1454,7 @@ mod tests {
         // A watched peer whose connection is not established — here the
         // rank itself, which has none — is refused before any poll.
         let snap = snapshot_after_exchange(&cfg, 16);
-        let mut fabric = Fabric::new(FabricParams::mt23108());
-        ibfabric::restore_fabric(&mut fabric, &mut Reader::new(&snap.fabric_image)).unwrap();
-        let node = fabric.node_by_index(0);
+        let (fabric, mut setups) = rebuilt(&snap, &cfg);
         let mut blob = snap.rank_blobs[0].clone();
         // Past the version, the section frame, rank, size, epoch and
         // `next_ctx`: the `coll_seq` count and entries, `rdma_seen`,
@@ -1319,7 +1467,7 @@ mod tests {
             [[1, 0, 0, 0, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0, 0, 0]].concat()
         );
         blob[watch + 8] = 0;
-        let err = decode_rank_blob(&blob, 0, 2, node, &cfg, &fabric).err();
+        let err = decode_rank_blob(&blob, &mut setups[0], &fabric).err();
         assert!(
             matches!(
                 err,
@@ -1330,6 +1478,15 @@ mod tests {
             ),
             "{err:?}"
         );
+    }
+
+    /// The world a restore of `snap` builds: the bootstrap, with the
+    /// fabric image patched on.
+    fn rebuilt(snap: &Snapshot, cfg: &MpiConfig) -> (Fabric, Vec<RankSetup>) {
+        let mut fabric = Fabric::new(FabricParams::mt23108());
+        let setups = world::bootstrap_fabric(&mut fabric, snap.nprocs, cfg);
+        ibfabric::restore_fabric(&mut fabric, &mut Reader::new(&snap.fabric_image)).unwrap();
+        (fabric, setups)
     }
 
     /// A 2-rank snapshot taken after each rank sent the other `len` bytes.
@@ -1361,28 +1518,36 @@ mod tests {
     fn hostile_counts_are_refused_before_anything_is_sized() {
         let cfg = MpiConfig::scheme(crate::FlowControlScheme::RdmaChannelDyn, 4);
         let snap = snapshot_after_exchange(&cfg, 16);
-        let mut fabric = Fabric::new(FabricParams::mt23108());
-        ibfabric::restore_fabric(&mut fabric, &mut Reader::new(&snap.fabric_image)).unwrap();
-        let node = fabric.node_by_index(0);
+        let (fabric, setups) = rebuilt(&snap, &cfg);
+        let decode = |blob: &[u8]| {
+            let mut setup = RankSetup {
+                conns: setups[0]
+                    .conns
+                    .iter()
+                    .map(|c| c.as_ref().map(|c| Conn::new(2, &cfg, 0, c.peer)))
+                    .collect(),
+                cfg: cfg.clone(),
+                ..setups[0]
+            };
+            decode_rank_blob(blob, &mut setup, &fabric)
+        };
         let blob = &snap.rank_blobs[0];
-        decode_rank_blob(blob, 0, 2, node, &cfg, &fabric).expect("the honest blob decodes");
+        decode(blob).expect("the honest blob decodes");
 
         for claim in [1u64 << 40, u64::MAX] {
             for at in 0..blob.len() - 8 {
                 let mut bad = blob.clone();
                 bad[at..at + 8].copy_from_slice(&claim.to_le_bytes());
-                let _ = decode_rank_blob(&bad, 0, 2, node, &cfg, &fabric);
+                let _ = decode(&bad);
             }
         }
         // By name: the first count of the blob (`coll_seq`, after the
         // version, the section frame, rank, size, epoch and `next_ctx`) and
-        // of a connection record (`slab_free`, after `established`,
-        // `credits.held` and `send_seq`).
+        // of a connection record (`reorder`, after the fields before it:
+        // `CONN_RECORD_BYTES` less its tail).
         let mut bad = blob.clone();
         bad[4 + 12 + 3 * 8 + 2..][..8].copy_from_slice(&(1u64 << 40).to_le_bytes());
-        let err = decode_rank_blob(&bad, 0, 2, node, &cfg, &fabric)
-            .err()
-            .expect("refused");
+        let err = decode(&bad).err().expect("refused");
         assert!(
             matches!(
                 err,
@@ -1393,18 +1558,19 @@ mod tests {
             ),
             "{err}"
         );
-        let mut bare = world::make_conn(2, &cfg, 0, 1);
+        let mut bare = Conn::new(2, &cfg, 0, 1);
         let mut w = Writer::new();
         encode_conn(&bare, &mut w);
         let mut bad = w.finish();
-        bad[1 + 4 + 4..][..8].copy_from_slice(&(1u64 << 40).to_le_bytes());
+        let reorder_count = CONN_RECORD_BYTES - (4 * 9 + 8 + 4 + 3 + 8 * 13) - 8;
+        bad[reorder_count..][..8].copy_from_slice(&(1u64 << 40).to_le_bytes());
         let err =
             decode_conn(&mut Reader::new(&bad), &mut bare, &cfg, &fabric).expect_err("refused");
         assert!(
             matches!(
                 err,
                 CodecError::Truncated {
-                    context: "conn.slab_free.count",
+                    context: "conn.reorder.count",
                     ..
                 }
             ),

@@ -12,13 +12,14 @@
 // never with a truncating `as`.
 #![deny(clippy::cast_possible_truncation)]
 
-use crate::buffers::{encode_wrid, RecvSlab, WrKind};
+use crate::buffers::{encode_wrid, WrKind};
 use crate::config::{CreditMsgMode, FlowControlScheme, MpiConfig};
 use crate::rank::MpiRank;
 use crate::requests::ReqId;
 use crate::stats::ConnStats;
 use crate::types::Rank;
 use crate::wire::{MsgHeader, MsgKind};
+use crate::world::{mailbox_mr_for, qp_id_for, ring_mr_for, slab_mr_for};
 use ibfabric::{MrId, QpId, SendOp, SendWr};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -207,8 +208,9 @@ pub(crate) struct Conn {
     pub send_seq: u32,
 
     // ---- receiving from the peer ----
-    /// The pre-pinned buffer slab.
-    pub slab: RecvSlab,
+    /// The pre-pinned buffer slab: `max_prepost` slots of `buf_size`
+    /// bytes (see `buffers::slot_recv_wr`).
+    pub slab: MrId,
     /// How many buffers should currently be posted (the dynamic scheme
     /// grows this; static/hardware keep it at `prepost`).
     pub prepost_target: u32,
@@ -265,23 +267,15 @@ pub(crate) struct Conn {
 }
 
 impl Conn {
-    #[expect(
-        clippy::too_many_arguments,
-        reason = "world-bootstrap wiring: all six handles come from the deterministic layout"
-    )]
-    pub fn new(
-        peer: Rank,
-        qp: QpId,
-        slab: RecvSlab,
-        prepost: u32,
-        my_mailbox: MrId,
-        peer_mailbox: MrId,
-        my_ring: MrId,
-        peer_ring: MrId,
-    ) -> Self {
+    /// The bare connection of rank `i` toward rank `j` in an `n`-rank
+    /// world: its verbs handles from the deterministic layout
+    /// (`world.rs`), every dynamic counter zeroed. [`Conn::establish`]
+    /// layers the posted pool and the credits on top; a checkpoint restore
+    /// overwrites the dynamic fields from the rank's blob instead.
+    pub fn new(n: usize, cfg: &MpiConfig, i: Rank, j: Rank) -> Self {
         Conn {
-            peer,
-            qp,
+            peer: j,
+            qp: qp_id_for(n, i, j),
             established: false,
             failed: false,
             credits: CreditWindow::default(),
@@ -289,20 +283,20 @@ impl Conn {
             backlog: VecDeque::new(),
             optimistic_req: None,
             send_seq: 0,
-            slab,
-            prepost_target: prepost,
+            slab: slab_mr_for(n, i, j),
+            prepost_target: cfg.prepost,
             posted: 0,
-            my_mailbox,
-            peer_mailbox,
+            my_mailbox: mailbox_mr_for(n, i, j),
+            peer_mailbox: mailbox_mr_for(n, j, i),
             next_deliver_seq: 0,
             reorder: std::collections::BTreeMap::new(),
             rings: vec![RxRing {
                 gen: 0,
-                mr: my_ring,
+                mr: ring_mr_for(n, i, j),
                 slots: 0,
                 read_slot: 0,
             }],
-            peer_ring,
+            peer_ring: ring_mr_for(n, j, i),
             ring_write_slot: 0,
             peer_ring_gen: 0,
             peer_ring_slots: 0,
@@ -321,10 +315,6 @@ impl Conn {
     /// window under the ring schemes, and marks the connection
     /// established.
     pub fn establish(&mut self, cfg: &MpiConfig) {
-        for expected in 0..cfg.prepost {
-            let slot = self.slab.take_free();
-            debug_assert_eq!(slot, Some(expected), "the fabric half posts slots in order");
-        }
         self.posted = cfg.prepost;
         self.credits.grant(cfg.prepost);
         self.stats.max_posted.observe(u64::from(cfg.prepost));
@@ -566,19 +556,14 @@ impl MpiRank {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ibfabric::QpId;
     use testutil::prop::{check, shrink, Case, Gen};
 
     fn conn() -> Conn {
         Conn::new(
+            2,
+            &MpiConfig::scheme(FlowControlScheme::UserStatic, 4),
+            0,
             1,
-            QpId::from_index_for_tests(0),
-            RecvSlab::new(MrId::from_index_for_tests(0), 2048, 8),
-            4,
-            MrId::from_index_for_tests(1),
-            MrId::from_index_for_tests(2),
-            MrId::from_index_for_tests(3),
-            MrId::from_index_for_tests(4),
         )
     }
 

@@ -206,10 +206,7 @@ impl MpiRank {
         self.stats.msgs_received.incr();
         // Read the frame out of the slab.
         let (header, payload) = {
-            let (mr, offset) = {
-                let c = self.conn(peer);
-                (c.slab.mr, c.slab.byte_offset(slot))
-            };
+            let (mr, offset) = (self.conn(peer).slab, slot as usize * self.cfg.buf_size);
             self.proc.with(|ctx| read_frame(ctx.world, mr, offset))
         };
         debug_assert_eq!(header.src_rank, peer, "message arrived on wrong connection");
@@ -478,11 +475,15 @@ impl MpiRank {
         let c = self.conn_mut(peer);
         c.prepost_target = new;
         c.stats.growth_events.incr();
-        for _ in 0..(new - old) {
-            self.post_one_recv_buffer(peer);
+        // The slab's free slots are the ones past the old target.
+        for slot in old..new {
+            self.post_recv_slot(peer, slot);
         }
+        let c = self.conn_mut(peer);
+        c.posted += new - old;
+        c.stats.max_posted.observe(u64::from(c.posted));
         // Newly posted buffers are fresh credits for the peer.
-        self.conn_mut(peer).credits.owe(new - old);
+        c.credits.owe(new - old);
     }
 
     /// Ring growth (the paper's §7 future work, applied to the RDMA eager

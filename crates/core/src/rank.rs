@@ -249,24 +249,6 @@ impl MpiRank {
         self.watch_peer(peer);
     }
 
-    /// Posts one receive buffer for the connection from `peer`, updating
-    /// the posted count and Table 2 peak.
-    pub(crate) fn post_one_recv_buffer(&mut self, peer: Rank) {
-        #[expect(
-            clippy::expect_used,
-            reason = "the slab is sized to prepost_target and slots recycle through repost_slot, so exhaustion is a bookkeeping bug"
-        )]
-        let slot = self
-            .conn_mut(peer)
-            .slab
-            .take_free()
-            .expect("receive slab exhausted");
-        self.post_recv_slot(peer, slot);
-        let c = self.conn_mut(peer);
-        c.posted += 1;
-        c.stats.max_posted.observe(c.posted as u64);
-    }
-
     /// Reposts a consumed slot (same slot index).
     pub(crate) fn repost_slot(&mut self, peer: Rank, slot: u32) {
         if self.conn(peer).failed {
@@ -282,9 +264,9 @@ impl MpiRank {
     /// and returns the software post cost, which only a repost charges:
     /// the one post of a receive work request after bootstrap
     /// (`world::establish` posts the bootstrap pool).
-    fn post_recv_slot(&mut self, peer: Rank, slot: u32) -> SimDuration {
+    pub(crate) fn post_recv_slot(&mut self, peer: Rank, slot: u32) -> SimDuration {
         let c = self.conn(peer);
-        let (qp, wr) = (c.qp, slot_recv_wr(c.slab.mr, c.slab.slot_size, slot));
+        let (qp, wr) = (c.qp, slot_recv_wr(c.slab, self.cfg.buf_size, slot));
         self.proc.with(|ctx| {
             #[expect(
                 clippy::expect_used,

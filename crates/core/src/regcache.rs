@@ -36,6 +36,13 @@ struct Entry {
     last_use: u64,
 }
 
+/// What a restore calls a cache entry it refuses (`ckpt::node_region`).
+const REFUSALS: [&str; 3] = [
+    "regcache entry mr",
+    "regcache entry mr (another node's region)",
+    "regcache entry len",
+];
+
 /// Pinned bytes every rank's cache may hold (64 MiB).
 pub(crate) const REGCACHE_CAPACITY: usize = 64 << 20;
 
@@ -111,8 +118,9 @@ impl RegCache {
     /// Serializes the cache's dynamic state (entries, LRU clock,
     /// counters) for a checkpoint. The node and capacity are
     /// configuration the restoring caller supplies again via
-    /// [`RegCache::new`]; the cached [`MrId`]s stay valid because a fabric
-    /// restore recreates every region at its original index.
+    /// [`RegCache::new`]; the cached [`MrId`]s stay valid because a
+    /// restore replays every registration made after bootstrap, evicted
+    /// entries' included, in its original order.
     pub fn encode(&self, w: &mut Writer) {
         w.u64(self.used_bytes as u64);
         w.u64(self.tick);
@@ -150,23 +158,8 @@ impl RegCache {
                 len: r.usize("regcache key len")?,
             };
             let raw = r.u32("regcache entry mr")?;
-            let mr = crate::ckpt::mr_id(raw, fabric.mr_count(), "regcache entry mr")?;
-            let owner = fabric.mr_node(mr);
-            if owner != self.node {
-                return Err(CodecError::BadTag {
-                    context: "regcache entry mr (another node's region)",
-                    want: self.node.index() as u64,
-                    got: owner.index() as u64,
-                });
-            }
             let len = r.usize("regcache entry len")?;
-            if len > fabric.mr_len(mr) {
-                return Err(CodecError::Overflow {
-                    context: "regcache entry len",
-                    value: len as u64,
-                    max: fabric.mr_len(mr) as u64,
-                });
-            }
+            let mr = crate::ckpt::node_region(fabric, self.node, raw, len, REFUSALS)?;
             sum = sum.saturating_add(len);
             let last_use = r.u64("regcache entry last_use")?;
             self.entries.insert(key, Entry { mr, len, last_use });

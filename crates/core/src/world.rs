@@ -1,7 +1,7 @@
 //! World bootstrap: builds the fabric, wires every process pair, spawns
 //! rank coroutines, runs the simulation, and collects results.
 
-use crate::buffers::{slot_recv_wr, RecvSlab};
+use crate::buffers::slot_recv_wr;
 use crate::ckpt::{snapshot_or_release, CkptRun, CKPT_FENCE_NOTE};
 use crate::config::MpiConfig;
 use crate::conn::Conn;
@@ -107,23 +107,21 @@ pub(crate) fn ring_mr_for(n: usize, i: usize, j: usize) -> MrId {
     MrId::from_raw((2 * n * (n - 1) + pair_index(n, i, j)) as u32)
 }
 
-/// Builds the bare connection object of rank `i` toward rank `j` from the
-/// deterministic layout: receive slab and verbs handles, every dynamic
-/// counter zeroed. [`Conn::establish`] layers the posted pool and the
-/// credits on top of this; a checkpoint restore instead overwrites the
-/// dynamic fields from the rank's serialized blob.
-pub(crate) fn make_conn(nprocs: usize, cfg: &MpiConfig, i: usize, j: usize) -> Conn {
-    let slab = RecvSlab::new(slab_mr_for(nprocs, i, j), cfg.buf_size, cfg.max_prepost);
-    Conn::new(
-        j,
-        qp_id_for(nprocs, i, j),
-        slab,
-        cfg.prepost,
-        mailbox_mr_for(nprocs, i, j),
-        mailbox_mr_for(nprocs, j, i),
-        ring_mr_for(nprocs, i, j),
-        ring_mr_for(nprocs, j, i),
-    )
+/// Regions [`bootstrap_fabric`] registers: a receive slab, a credit
+/// mailbox and a ring per directed connection.
+pub(crate) fn bootstrap_mr_count(n: usize) -> usize {
+    3 * n * (n - 1)
+}
+
+/// Whether `mr` is a credit mailbox of the layout.
+pub(crate) fn is_mailbox(n: usize, mr: MrId) -> bool {
+    (n * (n - 1)..2 * n * (n - 1)).contains(&(mr.as_raw() as usize))
+}
+
+/// The receive slab a RECV on `qp` lands in: slabs and QPs share the
+/// pair index.
+pub(crate) fn slab_mr_of(qp: QpId) -> MrId {
+    MrId::from_raw(qp.index() as u32)
 }
 
 /// The fabric half of establishing the connection between ranks `i` and
@@ -412,7 +410,7 @@ pub(crate) fn bootstrap_fabric(
             node: nodes[i],
             cq: cqs[i],
             conns: (0..nprocs)
-                .map(|j| (i != j).then(|| make_conn(nprocs, cfg, i, j)))
+                .map(|j| (i != j).then(|| Conn::new(nprocs, cfg, i, j)))
                 .collect(),
             cfg: cfg.clone(),
         })

@@ -89,8 +89,14 @@ fn snapshot_at(cfg: MpiConfig, epoch: u64) -> Snapshot {
     }
 }
 
-/// Byte-identity: everything except the restore provenance counters.
-fn assert_matches_golden(scheme: FlowControlScheme, g: &MpiRunOutput<u64>, r: &MpiRunOutput<u64>) {
+/// Byte-identity: everything except the restore provenance counters —
+/// down to the regions the run registered, which no timing shows when
+/// a registration is not charged.
+fn assert_matches_golden<R: PartialEq + std::fmt::Debug>(
+    scheme: FlowControlScheme,
+    g: &MpiRunOutput<R>,
+    r: &MpiRunOutput<R>,
+) {
     let tag = scheme.label();
     assert_eq!(g.end_time, r.end_time, "{tag}: virtual end times diverged");
     assert_eq!(g.events, r.events, "{tag}: event counts diverged");
@@ -105,19 +111,39 @@ fn assert_matches_golden(scheme: FlowControlScheme, g: &MpiRunOutput<u64>, r: &M
         format!("{:?}", r.fabric.stats),
         "{tag}: fabric statistics diverged"
     );
+    assert_eq!(
+        (g.fabric.mr_count(), g.fabric.registered_bytes()),
+        (r.fabric.mr_count(), r.fabric.registered_bytes()),
+        "{tag}: registered regions diverged"
+    );
     assert!(r.stats.all_ledgers_conserved(), "{tag}: ledger leaked");
 }
 
 /// Snapshot at every epoch, restore, resume: byte-identical to the
-/// uninterrupted golden for all five schemes. The snapshot also survives
-/// a serialization round trip before the restore.
+/// uninterrupted golden for all five schemes, and for the three send/recv
+/// schemes under on-demand connection setup too — where the rebuilt world
+/// differs most from the fence, since its bootstrap leaves every QP in
+/// Reset. (The ring schemes reject on-demand setup.) The snapshot also
+/// survives a serialization round trip before the restore.
 #[test]
 fn restore_and_resume_is_byte_identical_across_schemes() {
-    for scheme in FlowControlScheme::ALL {
-        let g = golden(cfg_for(scheme));
+    let on_demand = FlowControlScheme::ALL
+        .into_iter()
+        .filter(|s| !s.uses_ring())
+        .map(|scheme| MpiConfig {
+            on_demand_connections: true,
+            ..cfg_for(scheme)
+        });
+    for cfg in FlowControlScheme::ALL
+        .map(cfg_for)
+        .into_iter()
+        .chain(on_demand)
+    {
+        let scheme = cfg.scheme;
+        let g = golden(cfg.clone());
         assert_eq!(g.stats.restores, 0);
         for epoch in 1..EPOCHS {
-            let snap = snapshot_at(cfg_for(scheme), epoch);
+            let snap = snapshot_at(cfg.clone(), epoch);
             assert_eq!(snap.epoch, epoch);
             assert!(snap.time() > ibsim::SimTime::ZERO);
             let bytes = snap.to_bytes();
@@ -133,7 +159,7 @@ fn restore_and_resume_is_byte_identical_across_schemes() {
             let snap = Snapshot::from_bytes(&bytes).expect("snapshot round trip");
             let out = MpiWorld::restore(
                 &snap,
-                cfg_for(scheme),
+                cfg.clone(),
                 FabricParams::mt23108(),
                 Default::default(),
                 RestoreOptions::default(),
@@ -146,6 +172,74 @@ fn restore_and_resume_is_byte_identical_across_schemes() {
             assert_matches_golden(scheme, &g, &out);
         }
     }
+}
+
+/// Two rendezvous of one size class in flight from one source at once:
+/// the second lands in a landing lane past the pin-down cache's region.
+/// Rank 0 sends a pair before the checkpoint and another after it, so the
+/// restored rank must remember the lane it registered before the fence —
+/// registering another would leave the run's timing alone (a lane's
+/// registration is not charged) and its registered memory one region up.
+#[test]
+fn restored_rank_reuses_its_landing_lanes() {
+    let pairs = async |mpi: &mut MpiRank, start: CkptStart| -> u64 {
+        let mut sum = match start.app_state.try_into() {
+            Ok(bytes) => u64::from_le_bytes(bytes),
+            Err(_) => 0,
+        };
+        for epoch in start.resumed_epoch..2 {
+            let tags = [10 * epoch as i32, 10 * epoch as i32 + 1];
+            if mpi.rank() == 0 {
+                let reqs = tags.map(|t| mpi.isend(&vec![t as u8 + 1; 48 * 1024], 1, t));
+                mpi.waitall(&reqs).await;
+            } else {
+                let reqs = tags.map(|t| mpi.irecv(Some(0), Some(t)));
+                for r in reqs {
+                    sum += mpi
+                        .wait_recv(r)
+                        .await
+                        .1
+                        .iter()
+                        .map(|&b| u64::from(b))
+                        .sum::<u64>();
+                }
+            }
+            if epoch == 0 {
+                mpi.checkpoint(&sum.to_le_bytes()).await;
+            }
+        }
+        sum
+    };
+    let scheme = FlowControlScheme::UserStatic;
+    let run = |epoch| {
+        MpiWorld::run_with_checkpoints(
+            2,
+            cfg_for(scheme),
+            FabricParams::mt23108(),
+            Default::default(),
+            epoch,
+            pairs,
+        )
+        .expect("landing-lane run")
+    };
+    let CkptRun::Completed(g) = run(None) else {
+        unreachable!("no snapshot requested")
+    };
+    let CkptRun::Snapshot(snap) = run(Some(1)) else {
+        panic!("run completed before the snapshot epoch")
+    };
+    let out = MpiWorld::restore(
+        &snap,
+        cfg_for(scheme),
+        FabricParams::mt23108(),
+        Default::default(),
+        RestoreOptions::default(),
+        pairs,
+    )
+    .expect("landing-lane restore")
+    .into_completed();
+    assert_eq!(g.results[1], 48 * 1024 * (1 + 2 + 11 + 12));
+    assert_matches_golden(scheme, &g, &out);
 }
 
 /// Elastic replacement: the fault plane kills a node after the snapshot;

@@ -1,4 +1,4 @@
-//! Hostile bytes finish: a whole IBCK v2 container with seeded bit flips
+//! Hostile bytes finish: a whole IBCK container with seeded bit flips
 //! or two of its sections swapped, and a framed wire header with bits
 //! flipped or its tail cut off, either decodes to something valid or is
 //! refused with a typed error — never a panic, never an allocation sized

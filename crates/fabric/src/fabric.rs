@@ -301,18 +301,10 @@ impl Fabric {
         self.mrs.len()
     }
 
-    /// The node handle for dense index `i` (restore drivers rebuilding a
-    /// per-rank setup from a fabric image). Panics when out of range.
-    pub fn node_by_index(&self, i: usize) -> NodeId {
-        assert!(i < self.nodes.len(), "node index {i} out of range");
-        NodeId(i as u32)
-    }
-
-    /// The CQ handle for dense index `i` (restore drivers). Panics when
-    /// out of range.
-    pub fn cq_by_index(&self, i: usize) -> CqId {
-        assert!(i < self.cqs.len(), "cq index {i} out of range");
-        CqId(i as u32)
+    /// Every completion queued across the fabric, queue by queue (what a
+    /// checkpoint fence finds still unpolled).
+    pub fn queued_completions(&self) -> impl Iterator<Item = &Cqe> {
+        self.cqs.iter().flat_map(Cq::entries)
     }
 
     /// Immutable access to a QP (diagnostics and tests).

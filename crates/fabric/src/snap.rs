@@ -4,16 +4,27 @@
 //! drained its outstanding work and parked, the event queue is empty, and
 //! therefore the fabric is totally silent — no send queue holds a WQE, no
 //! message is in flight, no retransmit timer or backoff pump event is
-//! armed. Those invariants are asserted here; everything that remains
-//! (busy horizons, credit counters, sequence numbers, posted receive WQEs,
-//! queued completions, memory contents, fault-RNG position, statistics) is
-//! written through the checked [`ibsim::codec`] so a restored fabric is
-//! field-for-field identical to the snapshotted one.
+//! armed. Those invariants are asserted here.
 //!
-//! A memory region is written the way [`crate::mem::Mr`] holds it: its
-//! registered length, then the materialised prefix, cut at its last
-//! non-zero byte. An image therefore costs what the protocol touched, and
-//! equal memory is equal bytes whether a zero was stored or never written.
+//! The image holds what a rebuild cannot recreate. The verbs objects
+//! themselves — nodes, completion queues, queue pairs with their node,
+//! queues and attributes, and the regions the bootstrap registers — are
+//! built again by whoever restores, the way the run first built them, and
+//! [`restore_fabric`] checks that the image's counts equal that shape.
+//! What the image carries is the state on top, written through the
+//! checked [`ibsim::codec`]: busy horizons, queued completions, each
+//! queue pair's peer, state, sequence and credit words, posted receive
+//! WQEs and statistics, the registrations made after the bootstrap (as
+//! `(node, access, len)`, replayed in order so every [`MrId`] matches),
+//! the bytes of the regions the caller names live, egress horizons, the
+//! fault-RNG position and the fabric statistics.
+//!
+//! A live region is written the way [`crate::mem::Mr`] holds it: the
+//! materialised prefix, cut at its last non-zero byte, and nothing at all
+//! when that prefix is empty. Equal memory is equal bytes whether a zero
+//! was stored or never written. A region the caller does not name live is
+//! restored empty: its bytes are dead at the fence, because the layer
+//! above reads them only after an event that cannot be pending there.
 //!
 //! What is *not* in the image: configuration. [`crate::FabricParams`] and
 //! the [`crate::FaultPlan`] structure (rates, flap windows) are inputs the
@@ -23,10 +34,9 @@
 //! *different* plan (e.g. a kill-and-replace scenario) starts that plan's
 //! own stream untouched.
 
-use crate::cq::{Cq, CqId};
-use crate::fabric::{Fabric, VerbsError};
-use crate::mem::{Access, Mr, MrId};
-use crate::qp::{QpAttrs, QpId, QpState};
+use crate::fabric::{Fabric, NodeId, VerbsError};
+use crate::mem::{Access, MrId};
+use crate::qp::{QpId, QpState};
 use crate::wr::{Cqe, CqeOpcode, CqeStatus, RecvWr};
 use ibsim::codec::{CodecError, Reader, Writer};
 use ibsim::SimTime;
@@ -42,10 +52,13 @@ const TAG_NET: u32 = 0xFAB5;
 const TAG_FAULT: u32 = 0xFAB6;
 const TAG_STATS: u32 = 0xFAB7;
 
-/// Encoded size of one queued completion and of one posted receive WQE:
-/// what a record count in the image is held against.
+/// Encoded size of one queued completion, one posted receive WQE, one
+/// replayed registration and one live region's head: what a record count
+/// in the image is held against.
 const CQE_BYTES: usize = 8 + 4 + 1 + 4 + 8;
 const RWQE_BYTES: usize = 8 + 4 + 8 + 8;
+const REG_BYTES: usize = 4 + 1 + 8;
+const LIVE_BYTES: usize = 4 + 8;
 
 /// Checkpoint coordination state shared by the MPI ranks and the engine's
 /// fence callback. Lives on the [`Fabric`] because that is the world type
@@ -127,31 +140,27 @@ fn status_from_code(c: u32, context: &'static str) -> Result<CqeStatus, CodecErr
     }
 }
 
-fn opt_u32(v: Option<u32>) -> Option<u64> {
-    v.map(u64::from)
-}
-
-fn opt_u32_from(v: Option<u64>, context: &'static str) -> Result<Option<u32>, CodecError> {
-    match v {
-        None => Ok(None),
-        Some(x) => u32::try_from(x)
-            .map(Some)
-            .map_err(|_| CodecError::Overflow {
-                context,
-                value: x,
-                max: u64::from(u32::MAX),
-            }),
-    }
-}
-
-/// Serializes a quiesced fabric into `w` as one tagged section.
+/// Serializes a quiesced fabric into `w` as one tagged section. The
+/// first `bootstrap_mrs` regions are the ones a restore's rebuild
+/// registers again, so only the registrations past them are recorded;
+/// `live` names the regions whose bytes the resumed run can read.
 ///
 /// # Panics
 /// Asserts the quiesce invariants: no queued or in-flight send work, no
 /// armed retry timer or scheduled backoff pump, no registered wakers.
 /// Violations mean the caller snapshotted a world that was not at a fence
 /// — a protocol bug, not a data error.
-pub fn encode_fabric(f: &Fabric, w: &mut Writer) {
+pub fn encode_fabric(
+    f: &Fabric,
+    bootstrap_mrs: usize,
+    live: impl Fn(MrId) -> bool,
+    w: &mut Writer,
+) {
+    assert!(
+        bootstrap_mrs <= f.mrs.len(),
+        "{bootstrap_mrs} bootstrap regions, but the fabric holds {}",
+        f.mrs.len()
+    );
     w.section(TAG_FABRIC, |w| {
         w.section(TAG_NODES, |w| {
             w.usize(f.nodes.len());
@@ -168,7 +177,6 @@ pub fn encode_fabric(f: &Fabric, w: &mut Writer) {
         w.section(TAG_CQS, |w| {
             w.usize(f.cqs.len());
             for cq in &f.cqs {
-                w.u32(cq.node.0);
                 w.usize(cq.peak_depth);
                 w.usize(cq.entries().len());
                 for e in cq.entries() {
@@ -193,13 +201,8 @@ pub fn encode_fabric(f: &Fabric, w: &mut Writer) {
                     "qp {}: timer event alive across a quiesce fence",
                     q.id.index()
                 );
-                w.u32(q.node.0);
                 w.opt_u64(q.peer.map(|p| u64::from(p.0)));
-                w.u32(q.send_cq.0);
-                w.u32(q.recv_cq.0);
                 w.u8(state_tag(q.state));
-                w.opt_u64(opt_u32(q.attrs.rnr_retry));
-                w.opt_u64(opt_u32(q.attrs.retry_cnt));
                 w.u64(q.next_msn);
                 w.u32(q.adv_credits);
                 w.u32(q.unacked_sends);
@@ -229,17 +232,30 @@ pub fn encode_fabric(f: &Fabric, w: &mut Writer) {
             }
         });
         w.section(TAG_MRS, |w| {
-            w.usize(f.mrs.len());
-            for mr in &f.mrs {
+            w.usize(bootstrap_mrs);
+            let replayed = &f.mrs[bootstrap_mrs..];
+            w.usize(replayed.len());
+            for mr in replayed {
                 w.u32(mr.node.0);
                 w.u8(mr.access.bits());
                 w.usize(mr.len());
-                // Canonical form: the prefix ends at the last non-zero
-                // byte, so a zero that was stored and a byte that was
-                // never touched are the same image.
-                let resident = mr.resident();
-                let used = resident.iter().rposition(|&b| b != 0).map_or(0, |i| i + 1);
-                w.bytes(&resident[..used]);
+            }
+            // Canonical form: the prefix ends at the last non-zero byte,
+            // so a zero that was stored and a byte that was never touched
+            // are the same image, and an all-zero region is no record.
+            let carried: Vec<(MrId, &[u8])> = (0..f.mrs.len())
+                .map(|i| MrId(i as u32))
+                .filter(|&id| live(id))
+                .filter_map(|id| {
+                    let resident = f.mrs[id.index()].resident();
+                    let used = resident.iter().rposition(|&b| b != 0)? + 1;
+                    Some((id, &resident[..used]))
+                })
+                .collect();
+            w.usize(carried.len());
+            for (id, bytes) in carried {
+                w.u32(id.0);
+                w.bytes(bytes);
             }
         });
         w.section(TAG_NET, |w| {
@@ -276,47 +292,47 @@ pub fn encode_fabric(f: &Fabric, w: &mut Writer) {
     });
 }
 
-/// Rebuilds a fabric from an image produced by [`encode_fabric`].
+/// Patches the state of an image produced by [`encode_fabric`] onto `f`.
 ///
-/// `f` must be freshly constructed with the *same* [`crate::FabricParams`]
-/// as the snapshotted fabric, with no nodes yet; if a [`crate::FaultPlan`]
-/// should govern the resumed run, install it first — when its seed matches
-/// the snapshotted plan's, its RNG position is restored so the fault draw
-/// stream continues seamlessly, and otherwise the installed plan's fresh
-/// stream is left untouched.
+/// `f` must be freshly rebuilt the way the snapshotted fabric was first
+/// built — the same [`crate::FabricParams`], the same nodes, completion
+/// queues and queue pairs, the same bootstrap regions, nothing posted and
+/// nothing connected. The image's object counts must equal that shape, or
+/// the image is refused. If a [`crate::FaultPlan`] should govern the
+/// resumed run, install it first — when its seed matches the snapshotted
+/// plan's, its RNG position is restored so the fault draw stream
+/// continues seamlessly, and otherwise the installed plan's fresh stream
+/// is left untouched.
 ///
 /// Every count and length of the image is held against the input that
 /// remains before anything is sized by it, and every reference from one
 /// section into another is checked, so arbitrary bytes decode to `Ok` or
-/// to a typed [`CodecError`]; after an `Err`, `f` is partly built and must
-/// be discarded.
+/// to a typed [`CodecError`]; after an `Err`, `f` is partly patched and
+/// must be discarded.
 pub fn restore_fabric(f: &mut Fabric, r: &mut Reader<'_>) -> Result<(), CodecError> {
-    assert!(
-        f.nodes.is_empty() && f.qps.is_empty() && f.cqs.is_empty() && f.mrs.is_empty(),
-        "restore target must be a freshly constructed fabric"
-    );
     let mut s = r.section(TAG_FABRIC, "fabric")?;
 
     let mut ns = s.section(TAG_NODES, "fabric.nodes")?;
-    let n_nodes = ns.usize("fabric.nodes.count")?;
-    for _ in 0..n_nodes {
-        let id = f.add_node();
-        let tx = SimTime::from_nanos(ns.u64("node.tx_busy")?);
-        let rx = SimTime::from_nanos(ns.u64("node.rx_busy")?);
-        let delivered = ns.u64("node.rdma_delivered")?;
-        let n = &mut f.nodes[id.index()];
-        n.tx_busy_until = tx;
-        n.rx_busy_until = rx;
-        n.rdma_delivered = delivered;
+    let n_nodes = same_shape(
+        ns.usize("fabric.nodes.count")?,
+        f.nodes.len(),
+        "fabric shape: node count",
+    )?;
+    for n in &mut f.nodes {
+        n.tx_busy_until = SimTime::from_nanos(ns.u64("node.tx_busy")?);
+        n.rx_busy_until = SimTime::from_nanos(ns.u64("node.rx_busy")?);
+        n.rdma_delivered = ns.u64("node.rdma_delivered")?;
     }
     ns.done("fabric.nodes")?;
 
     let mut cs = s.section(TAG_CQS, "fabric.cqs")?;
-    let n_cqs = cs.usize("fabric.cqs.count")?;
-    for _ in 0..n_cqs {
-        let node = node_id(cs.u32("cq.node")?, n_nodes, "cq.node")?;
-        let id = f.create_cq(node);
-        let peak_depth = cs.usize("cq.peak_depth")?;
+    same_shape(
+        cs.usize("fabric.cqs.count")?,
+        f.cqs.len(),
+        "fabric shape: completion queue count",
+    )?;
+    for cq in &mut f.cqs {
+        cq.peak_depth = cs.usize("cq.peak_depth")?;
         let n_entries = cs.count("cq.entries.count", CQE_BYTES)?;
         let mut entries = VecDeque::with_capacity(n_entries);
         for _ in 0..n_entries {
@@ -328,18 +344,19 @@ pub fn restore_fabric(f: &mut Fabric, r: &mut Reader<'_>) -> Result<(), CodecErr
                 byte_len: cs.usize("cqe.byte_len")?,
             });
         }
-        let cq = &mut f.cqs[id.index()];
-        cq.peak_depth = peak_depth;
         cq.restore_entries(entries);
     }
     cs.done("fabric.cqs")?;
 
     let mut qs = s.section(TAG_QPS, "fabric.qps")?;
-    let n_qps = qs.usize("fabric.qps.count")?;
+    let n_qps = same_shape(
+        qs.usize("fabric.qps.count")?,
+        f.qps.len(),
+        "fabric shape: queue pair count",
+    )?;
     let mut rq = Vec::new();
-    for _ in 0..n_qps {
-        let node = node_id(qs.u32("qp.node")?, n_nodes, "qp.node")?;
-        let peer = match qs.opt_u64("qp.peer")? {
+    for q in &mut f.qps {
+        q.peer = match qs.opt_u64("qp.peer")? {
             None => None,
             Some(p) if (p as usize) < n_qps => Some(QpId(p as u32)),
             Some(p) => {
@@ -350,42 +367,20 @@ pub fn restore_fabric(f: &mut Fabric, r: &mut Reader<'_>) -> Result<(), CodecErr
                 })
             }
         };
-        let send_cq = cq_id(qs.u32("qp.send_cq")?, n_cqs, "qp.send_cq")?;
-        let recv_cq = cq_id(qs.u32("qp.recv_cq")?, n_cqs, "qp.recv_cq")?;
-        for cq in [send_cq, recv_cq] {
-            let cq_node = f.cqs[cq.index()].node;
-            if cq_node != node {
-                return Err(CodecError::BadTag {
-                    context: "qp completion queue (another node's)",
-                    want: u64::from(node.0),
-                    got: u64::from(cq_node.0),
-                });
-            }
-        }
-        let state = state_from_tag(qs.u8("qp.state")?, "qp.state")?;
-        let rnr_retry = opt_u32_from(qs.opt_u64("qp.rnr_retry")?, "qp.rnr_retry")?;
-        let retry_cnt = opt_u32_from(qs.opt_u64("qp.retry_cnt")?, "qp.retry_cnt")?;
-        let id = f.create_qp(
-            node,
-            send_cq,
-            recv_cq,
-            QpAttrs {
-                rnr_retry,
-                retry_cnt,
-            },
-        );
-        let next_msn = qs.u64("qp.next_msn")?;
-        let adv_credits = qs.u32("qp.adv_credits")?;
-        let unacked_sends = qs.u32("qp.unacked_sends")?;
-        let backoff_until = qs.opt_u64("qp.backoff_until")?.map(SimTime::from_nanos);
-        let retry_deadline = SimTime::from_nanos(qs.u64("qp.retry_deadline")?);
-        let timeout_streak = qs.u32("qp.timeout_streak")?;
-        let expected_msn = qs.u64("qp.expected_msn")?;
-        // Receive WQEs name memory regions, which the image carries
-        // further on: they are held here and posted once those exist.
+        q.state = state_from_tag(qs.u8("qp.state")?, "qp.state")?;
+        q.next_msn = qs.u64("qp.next_msn")?;
+        q.adv_credits = qs.u32("qp.adv_credits")?;
+        q.unacked_sends = qs.u32("qp.unacked_sends")?;
+        q.backoff_until = qs.opt_u64("qp.backoff_until")?.map(SimTime::from_nanos);
+        q.retry_deadline = SimTime::from_nanos(qs.u64("qp.retry_deadline")?);
+        q.timeout_streak = qs.u32("qp.timeout_streak")?;
+        q.expected_msn = qs.u64("qp.expected_msn")?;
+        // Receive WQEs name memory regions, some of which the image
+        // replays further on: they are held here and posted once those
+        // exist.
         for _ in 0..qs.count("qp.rq.count", RWQE_BYTES)? {
             rq.push((
-                id,
+                q.id,
                 RecvWr {
                     wr_id: qs.u64("rwqe.wr_id")?,
                     mr: MrId(qs.u32("rwqe.mr")?),
@@ -394,20 +389,8 @@ pub fn restore_fabric(f: &mut Fabric, r: &mut Reader<'_>) -> Result<(), CodecErr
                 },
             ));
         }
-        let peak_sq_depth = qs.usize("qp.peak_sq_depth")?;
-        let peak_rq_depth = qs.usize("qp.peak_rq_depth")?;
-        let q = &mut f.qps[id.index()];
-        q.peer = peer;
-        q.state = state;
-        q.next_msn = next_msn;
-        q.adv_credits = adv_credits;
-        q.unacked_sends = unacked_sends;
-        q.backoff_until = backoff_until;
-        q.retry_deadline = retry_deadline;
-        q.timeout_streak = timeout_streak;
-        q.expected_msn = expected_msn;
-        q.peak_sq_depth = peak_sq_depth;
-        q.peak_rq_depth = peak_rq_depth;
+        q.peak_sq_depth = qs.usize("qp.peak_sq_depth")?;
+        q.peak_rq_depth = qs.usize("qp.peak_rq_depth")?;
         q.stats.sends_launched = qs.u64("qp.stats.sends_launched")?.into();
         q.stats.rdma_writes = qs.u64("qp.stats.rdma_writes")?.into();
         q.stats.bytes_launched = qs.u64("qp.stats.bytes_launched")?.into();
@@ -422,10 +405,21 @@ pub fn restore_fabric(f: &mut Fabric, r: &mut Reader<'_>) -> Result<(), CodecErr
     qs.done("fabric.qps")?;
 
     let mut ms = s.section(TAG_MRS, "fabric.mrs")?;
-    let n_mrs = ms.usize("fabric.mrs.count")?;
-    let mut registered = 0usize;
-    for _ in 0..n_mrs {
-        let node = node_id(ms.u32("mr.node")?, n_nodes, "mr.node")?;
+    same_shape(
+        ms.usize("fabric.mrs.bootstrap")?,
+        f.mrs.len(),
+        "fabric shape: bootstrap region count",
+    )?;
+    let mut registered = f.registered_bytes();
+    for _ in 0..ms.count("fabric.mrs.replayed", REG_BYTES)? {
+        let node = ms.u32("mr.node")?;
+        if node as usize >= n_nodes {
+            return Err(CodecError::Overflow {
+                context: "mr.node",
+                value: u64::from(node),
+                max: (n_nodes as u64).saturating_sub(1),
+            });
+        }
         let bits = ms.u8("mr.access")?;
         if bits > Access::FULL.bits() {
             return Err(CodecError::Overflow {
@@ -442,19 +436,39 @@ pub fn restore_fabric(f: &mut Fabric, r: &mut Reader<'_>) -> Result<(), CodecErr
             value: len as u64,
             max: (usize::MAX - registered) as u64,
         })?;
+        f.register(NodeId(node), len, Access::from_bits(bits));
+    }
+    let n_mrs = f.mrs.len();
+    let mut next = 0;
+    for _ in 0..ms.count("fabric.mrs.live", LIVE_BYTES)? {
+        let raw = ms.u32("mr.id")?;
+        if raw as usize >= n_mrs {
+            return Err(CodecError::Overflow {
+                context: "mr.id",
+                value: u64::from(raw),
+                max: (n_mrs as u64).saturating_sub(1),
+            });
+        }
+        if raw < next {
+            return Err(CodecError::BadTag {
+                context: "mr.id (not ascending)",
+                want: u64::from(next),
+                got: u64::from(raw),
+            });
+        }
+        next = raw + 1;
+        let mr = &mut f.mrs[raw as usize];
         // Borrowed from the input: the prefix is as long as it claims
         // before a byte of it is copied.
         let prefix = ms.bytes_ref("mr.prefix")?;
-        if prefix.len() > len {
+        if prefix.len() > mr.len() {
             return Err(CodecError::Overflow {
                 context: "mr.prefix",
                 value: prefix.len() as u64,
-                max: len as u64,
+                max: mr.len() as u64,
             });
         }
-        let mut mr = Mr::new(node, Access::from_bits(bits), len);
         mr.write(0, prefix);
-        f.mrs.push(mr);
     }
     ms.done("fabric.mrs")?;
 
@@ -467,7 +481,7 @@ pub fn restore_fabric(f: &mut Fabric, r: &mut Reader<'_>) -> Result<(), CodecErr
         f.post_recv(qp, wr)
             .map_err(|e| rwqe_refused(e, &wr, n_mrs))?;
     }
-    for e in f.cqs.iter().flat_map(Cq::entries) {
+    for e in f.queued_completions() {
         if e.qp.index() >= n_qps {
             return Err(CodecError::Overflow {
                 context: "cqe.qp",
@@ -479,13 +493,7 @@ pub fn restore_fabric(f: &mut Fabric, r: &mut Reader<'_>) -> Result<(), CodecErr
 
     let mut es = s.section(TAG_NET, "fabric.net")?;
     let n_egress = es.count("fabric.net.count", 8)?;
-    if n_egress != n_nodes {
-        return Err(CodecError::Overflow {
-            context: "fabric.net.count",
-            value: n_egress as u64,
-            max: n_nodes as u64,
-        });
-    }
+    same_shape(n_egress, n_nodes, "fabric shape: egress port count")?;
     let mut horizons = Vec::with_capacity(n_egress);
     for _ in 0..n_egress {
         horizons.push(SimTime::from_nanos(es.u64("net.egress_busy")?));
@@ -543,6 +551,20 @@ pub fn restore_fabric(f: &mut Fabric, r: &mut Reader<'_>) -> Result<(), CodecErr
     Ok(())
 }
 
+/// An object count of the image, held to the rebuilt fabric's: an image
+/// of another world, or of another configuration of this one, is refused.
+fn same_shape(image: usize, rebuilt: usize, context: &'static str) -> Result<usize, CodecError> {
+    if image == rebuilt {
+        Ok(rebuilt)
+    } else {
+        Err(CodecError::BadTag {
+            context,
+            want: rebuilt as u64,
+            got: image as u64,
+        })
+    }
+}
+
 /// The typed error for a receive WQE of the image that
 /// [`Fabric::post_recv`] would not have accepted.
 fn rwqe_refused(e: VerbsError, wr: &RecvWr, n_mrs: usize) -> CodecError {
@@ -559,46 +581,23 @@ fn rwqe_refused(e: VerbsError, wr: &RecvWr, n_mrs: usize) -> CodecError {
     }
 }
 
-fn node_id(
-    raw: u32,
-    count: usize,
-    context: &'static str,
-) -> Result<crate::fabric::NodeId, CodecError> {
-    if (raw as usize) < count {
-        Ok(crate::fabric::NodeId(raw))
-    } else {
-        Err(CodecError::Overflow {
-            context,
-            value: u64::from(raw),
-            max: (count as u64).saturating_sub(1),
-        })
-    }
-}
-
-fn cq_id(raw: u32, count: usize, context: &'static str) -> Result<CqId, CodecError> {
-    if (raw as usize) < count {
-        Ok(CqId(raw))
-    } else {
-        Err(CodecError::Overflow {
-            context,
-            value: u64::from(raw),
-            max: (count as u64).saturating_sub(1),
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cq::CqId;
     use crate::fabric::{connect, post_send};
     use crate::params::FabricParams;
+    use crate::qp::QpAttrs;
     use crate::wr::SendWr;
     use crate::FaultPlan;
     use ibsim::{Sim, SimConfig};
 
-    /// Builds a two-node fabric, runs a little traffic to completion, and
-    /// returns the (quiescent) world with one un-polled CQE left queued.
-    fn exercised_fabric(plan: Option<FaultPlan>) -> Fabric {
+    /// Regions the test rig's bootstrap registers: region 0, on node b.
+    const BOOTSTRAP_MRS: usize = 1;
+
+    /// The rig's bootstrap: two nodes with a completion queue and a queue
+    /// pair each, and region 0 on node b — what a restore rebuilds.
+    fn bootstrapped(plan: Option<FaultPlan>) -> Fabric {
         let mut fabric = Fabric::new(FabricParams::mt23108());
         if let Some(p) = plan {
             fabric.set_fault_plan(p);
@@ -607,10 +606,19 @@ mod tests {
         let b = fabric.add_node();
         let cq_a = fabric.create_cq(a);
         let cq_b = fabric.create_cq(b);
-        let qp_a = fabric.create_qp(a, cq_a, cq_a, QpAttrs::default());
-        let qp_b = fabric.create_qp(b, cq_b, cq_b, QpAttrs::default());
-        let mr_b = fabric.register(b, 4096, Access::FULL);
-        let mr_a = fabric.register(a, 4096, Access::FULL);
+        fabric.create_qp(a, cq_a, cq_a, QpAttrs::default());
+        fabric.create_qp(b, cq_b, cq_b, QpAttrs::default());
+        fabric.register(b, 4096, Access::FULL);
+        fabric
+    }
+
+    /// The rig after its bootstrap registers region 1 on node a, connects
+    /// its queue pairs and runs a little traffic to completion: the
+    /// (quiescent) world with un-polled CQEs left queued.
+    fn exercised_fabric(plan: Option<FaultPlan>) -> Fabric {
+        let mut fabric = bootstrapped(plan);
+        let (qp_a, qp_b, mr_b) = (QpId(0), QpId(1), MrId(0));
+        let mr_a = fabric.register(NodeId(0), 4096, Access::FULL);
         let mut sim = Sim::new(fabric, SimConfig::default());
         sim.with_world(|ctx| {
             for i in 0..4 {
@@ -640,22 +648,32 @@ mod tests {
         sim.into_world()
     }
 
+    /// The image with every region live.
     fn image(f: &Fabric) -> Vec<u8> {
         let mut w = Writer::new();
-        encode_fabric(f, &mut w);
+        encode_fabric(f, BOOTSTRAP_MRS, |_| true, &mut w);
         w.finish()
+    }
+
+    /// `bytes` patched onto a freshly bootstrapped rig.
+    fn restored(bytes: &[u8]) -> Result<Fabric, CodecError> {
+        let mut fresh = bootstrapped(None);
+        restore_fabric(&mut fresh, &mut Reader::new(bytes)).map(|()| fresh)
     }
 
     #[test]
     fn roundtrip_is_byte_identical() {
         let f = exercised_fabric(None);
         let bytes = image(&f);
-        let mut restored = Fabric::new(FabricParams::mt23108());
-        restore_fabric(&mut restored, &mut Reader::new(&bytes)).unwrap();
+        let restored = restored(&bytes).unwrap();
         assert_eq!(image(&restored), bytes);
         // Spot-check restored contents against the source.
         assert_eq!(restored.node_count(), 2);
-        assert_eq!(restored.mr_bytes(MrId(0)), f.mr_bytes(MrId(0)));
+        assert_eq!(restored.mr_count(), 2, "the registration is replayed");
+        assert_eq!(restored.mr_node(MrId(1)), NodeId(0));
+        for mr in [MrId(0), MrId(1)] {
+            assert_eq!(restored.mr_bytes(mr), f.mr_bytes(mr));
+        }
         assert_eq!(
             restored.stats.msgs_delivered.get(),
             f.stats.msgs_delivered.get()
@@ -663,6 +681,7 @@ mod tests {
         let q = restored.qp(QpId(0));
         assert_eq!(q.state(), QpState::ReadyToSend);
         assert_eq!(q.peer(), Some(QpId(1)));
+        assert_eq!(restored.qp(QpId(1)).posted_recvs(), 3);
     }
 
     /// Canonical form: the image is a function of the memory's contents,
@@ -678,8 +697,7 @@ mod tests {
         f.mr_write(mr_b, 3000, &[0; 96]);
         assert_eq!(f.mr_bytes(mr_b).len(), 3096);
         assert_eq!(image(&f), bytes, "a stored zero changed the image");
-        let mut restored = Fabric::new(FabricParams::mt23108());
-        restore_fabric(&mut restored, &mut Reader::new(&bytes)).unwrap();
+        let restored = restored(&bytes).unwrap();
         assert_eq!(image(&restored), bytes, "IBCK bytes survive the round trip");
         assert_eq!(restored.registered_bytes(), f.registered_bytes());
         assert_eq!(restored.mr_len(mr_b), 4096);
@@ -690,6 +708,69 @@ mod tests {
             bytes.len() < 4096,
             "{} bytes for 1408 resident",
             bytes.len()
+        );
+    }
+
+    /// A region the caller does not name live costs no byte of the image
+    /// and comes back registered but empty.
+    #[test]
+    fn dead_regions_are_restored_empty() {
+        let f = exercised_fabric(None);
+        let (all, mut w) = (image(&f), Writer::new());
+        encode_fabric(&f, BOOTSTRAP_MRS, |mr| mr != MrId(0), &mut w);
+        let some = w.finish();
+        assert_eq!(all.len() - some.len(), 4 + 8 + 1280);
+        let restored = restored(&some).unwrap();
+        assert_eq!(restored.registered_bytes(), f.registered_bytes());
+        assert!(restored.mr_bytes(MrId(0)).is_empty());
+        assert_eq!(restored.mr_bytes(MrId(1)), f.mr_bytes(MrId(1)));
+        assert_eq!(image(&restored), some);
+    }
+
+    /// An image is patched only onto the world it was taken of: a
+    /// rebuilt fabric with one object more or less of any kind refuses it
+    /// by name, whichever way the counts differ.
+    #[test]
+    fn image_of_another_shape_is_a_typed_error() {
+        let bytes = image(&exercised_fabric(None));
+        type Reshape = fn(&mut Fabric);
+        let cases: [(&str, Reshape); 4] = [
+            ("fabric shape: node count", |f| {
+                f.add_node();
+            }),
+            ("fabric shape: completion queue count", |f| {
+                f.create_cq(NodeId(0));
+            }),
+            ("fabric shape: queue pair count", |f| {
+                let cq = CqId(0);
+                f.create_qp(NodeId(0), cq, cq, QpAttrs::default());
+            }),
+            ("fabric shape: bootstrap region count", |f| {
+                f.register(NodeId(0), 64, Access::FULL);
+            }),
+        ];
+        for (context, reshape) in cases {
+            let mut other = bootstrapped(None);
+            reshape(&mut other);
+            let err = restore_fabric(&mut other, &mut Reader::new(&bytes)).unwrap_err();
+            assert!(
+                matches!(err, CodecError::BadTag { context: c, .. } if c == context),
+                "{context}: {err}"
+            );
+        }
+        // Fewer objects than the image: no fabric at all.
+        let mut empty = Fabric::new(FabricParams::mt23108());
+        let err = restore_fabric(&mut empty, &mut Reader::new(&bytes)).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                CodecError::BadTag {
+                    context: "fabric shape: node count",
+                    want: 0,
+                    got: 2
+                }
+            ),
+            "{err}"
         );
     }
 
@@ -707,19 +788,19 @@ mod tests {
         }
     }
 
-    /// Bytes of a region record before its prefix:
-    /// `node u32 | access u8 | registered len u64 | prefix len u64`.
-    const MR_HEAD: usize = 4 + 1 + 8 + 8;
-
     fn u64_at(bytes: &[u8], at: usize) -> u64 {
         u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())
     }
 
-    /// Offset, within the `TAG_MRS` body, of region `k`'s record.
-    fn mr_record(body: &[u8], k: usize) -> usize {
-        let mut pos = 8;
+    /// Offsets within the `TAG_MRS` body of the rig's image: its one
+    /// replayed registration (`node u32 | access u8 | len u64`, after the
+    /// bootstrap and registration counts), and the live region records
+    /// (`id u32 | prefix len u64 | prefix`, after their count).
+    const REG: usize = 16;
+    fn live_record(body: &[u8], k: usize) -> usize {
+        let mut pos = REG + REG_BYTES + 8;
         for _ in 0..k {
-            pos += MR_HEAD + u64_at(body, pos + 13) as usize;
+            pos += LIVE_BYTES + u64_at(body, pos + 4) as usize;
         }
         pos
     }
@@ -728,32 +809,36 @@ mod tests {
     /// image.
     #[derive(Clone, Debug)]
     enum Lie {
-        /// Registered length raised to 16 TiB, or to `u64::MAX`, over the
-        /// region's honest prefix.
+        /// The replayed region's length raised to 16 TiB, or to
+        /// `u64::MAX`, over its honest prefix.
         Registered { max: bool },
-        /// Registered length one byte short of the prefix that follows.
+        /// The replayed region's length one byte short of its prefix.
         PrefixPastLen,
-        /// Prefix length raised to more than the section holds — by one
+        /// A prefix length raised to more than the section holds — by one
         /// byte, or to a size no allocator would grant.
         PrefixLen { huge: bool },
-        /// The section ends part-way through the region's prefix (frame
+        /// The section ends part-way through a region's prefix (frame
         /// lengths patched to match, so only the region is short).
         CutPrefix { cut: usize },
-        /// `mr.node` names a node the image does not have.
+        /// The replayed registration names a node the fabric lacks.
         Node { node: u32 },
         /// Access bits above `Access::FULL`.
         AccessBits { bits: u8 },
+        /// A live record names a region the fabric lacks.
+        Id { id: u32 },
+        /// The second live record repeats the first one's region.
+        Repeat,
     }
 
     #[derive(Clone, Debug)]
     struct HostileMrs {
-        region: usize,
+        record: usize,
         lie: Lie,
     }
 
     impl testutil::prop::Case for HostileMrs {
         fn generate(g: &mut testutil::prop::Gen) -> Self {
-            let lie = match g.index(6) {
+            let lie = match g.index(8) {
                 0 => Lie::Registered { max: g.bool() },
                 1 => Lie::PrefixPastLen,
                 2 => Lie::PrefixLen { huge: g.bool() },
@@ -763,12 +848,16 @@ mod tests {
                 4 => Lie::Node {
                     node: g.u32_in(2..u32::MAX),
                 },
-                _ => Lie::AccessBits {
+                5 => Lie::AccessBits {
                     bits: g.u32_in(4..256) as u8,
                 },
+                6 => Lie::Id {
+                    id: g.u32_in(2..u32::MAX),
+                },
+                _ => Lie::Repeat,
             };
             HostileMrs {
-                region: g.index(2),
+                record: g.index(2),
                 lie,
             }
         }
@@ -780,22 +869,27 @@ mod tests {
         Accepted,
         Overflow,
         Truncated,
+        BadTag,
     }
 
     #[test]
     fn hostile_region_images_are_typed_errors() {
         let good = image(&exercised_fabric(None));
         let body = section_body(&good, TAG_MRS);
-        testutil::prop::check("hostile_region_images", 96, |c: &HostileMrs| {
+        let at = |off: usize| body.start + off;
+        testutil::prop::check("hostile_region_images", 128, |c: &HostileMrs| {
             let mut bad = good.clone();
-            let rec = body.start + mr_record(&good[body.clone()], c.region);
-            let prefix_len = u64_at(&good, rec + 13);
+            let rec = at(live_record(&good[body.clone()], c.record));
+            let prefix_len = u64_at(&good, rec + 4);
+            // Region 1, the replayed one, is the second live record.
+            let replayed_prefix = u64_at(&good, at(live_record(&good[body.clone()], 1)) + 4);
+            let reg = at(REG);
             let want = match c.lie {
                 Lie::Registered { max } => {
                     let claim = if max { u64::MAX } else { 1 << 44 };
-                    bad[rec + 5..rec + 13].copy_from_slice(&claim.to_le_bytes());
+                    bad[reg + 5..reg + 13].copy_from_slice(&claim.to_le_bytes());
                     // 16 TiB is a region like any other; `u64::MAX` plus
-                    // the other region's 4096 is not a total.
+                    // the bootstrap region's 4096 is not a total.
                     if max {
                         Want::Overflow
                     } else {
@@ -803,19 +897,19 @@ mod tests {
                     }
                 }
                 Lie::PrefixPastLen => {
-                    bad[rec + 5..rec + 13].copy_from_slice(&(prefix_len - 1).to_le_bytes());
+                    bad[reg + 5..reg + 13].copy_from_slice(&(replayed_prefix - 1).to_le_bytes());
                     Want::Overflow
                 }
                 Lie::PrefixLen { huge } => {
-                    let left = (body.end - (rec + MR_HEAD)) as u64;
+                    let left = (body.end - (rec + LIVE_BYTES)) as u64;
                     let claim = if huge { 1 << 44 } else { left + 1 };
-                    bad[rec + 13..rec + 21].copy_from_slice(&claim.to_le_bytes());
+                    bad[rec + 4..rec + 12].copy_from_slice(&claim.to_le_bytes());
                     Want::Truncated
                 }
                 Lie::CutPrefix { cut } => {
                     // Drop the rest of the section part-way through this
                     // region's prefix and shorten both frames.
-                    let keep = rec + MR_HEAD + cut % prefix_len as usize;
+                    let keep = rec + LIVE_BYTES + cut % prefix_len as usize;
                     let dropped = body.end - keep;
                     bad.drain(keep..body.end);
                     for (at, old) in [(4, good.len() - 12), (body.start - 8, body.len())] {
@@ -825,29 +919,38 @@ mod tests {
                     Want::Truncated
                 }
                 Lie::Node { node } => {
-                    bad[rec..rec + 4].copy_from_slice(&node.to_le_bytes());
+                    bad[reg..reg + 4].copy_from_slice(&node.to_le_bytes());
                     Want::Overflow
                 }
                 Lie::AccessBits { bits } => {
-                    bad[rec + 4] = bits;
+                    bad[reg + 4] = bits;
                     Want::Overflow
                 }
+                Lie::Id { id } => {
+                    bad[rec..rec + 4].copy_from_slice(&id.to_le_bytes());
+                    Want::Overflow
+                }
+                Lie::Repeat => {
+                    let second = at(live_record(&good[body.clone()], 1));
+                    bad[second..second + 4].copy_from_slice(&0u32.to_le_bytes());
+                    Want::BadTag
+                }
             };
-            let mut fresh = Fabric::new(FabricParams::mt23108());
             // Nothing is sized by a number the image merely claims: the
             // prefix is borrowed from the input and the registered length
             // is bookkeeping, so the 16 TiB claims return, they do not
             // abort.
+            let mut fresh = bootstrapped(None);
             let got = match restore_fabric(&mut fresh, &mut Reader::new(&bad)) {
                 Ok(()) => Want::Accepted,
                 Err(CodecError::Overflow { .. }) => Want::Overflow,
                 Err(CodecError::Truncated { .. }) => Want::Truncated,
-                Err(e @ CodecError::BadTag { .. }) => panic!("{c:?}: {e}"),
+                Err(CodecError::BadTag { .. }) => Want::BadTag,
             };
             assert_eq!(got, want, "{c:?}");
             assert!(fresh.resident_bytes() <= bad.len(), "{c:?}");
             if got == Want::Accepted {
-                assert_eq!(fresh.mr_len(MrId(c.region as u32)), 1 << 44);
+                assert_eq!(fresh.mr_len(MrId(1)), 1 << 44);
                 assert_eq!(image(&fresh), bad, "{c:?}: accepted image re-encodes");
             }
         });
@@ -864,14 +967,14 @@ mod tests {
             for at in 0..good.len() - 8 {
                 let mut bad = good.clone();
                 bad[at..at + 8].copy_from_slice(&claim.to_le_bytes());
-                let mut fresh = Fabric::new(FabricParams::mt23108());
+                let mut fresh = bootstrapped(None);
                 let _ = restore_fabric(&mut fresh, &mut Reader::new(&bad));
                 assert!(fresh.resident_bytes() <= bad.len());
             }
         }
-        // The two counts that sized a queue, by name.
+        // The four counts that size a queue or a table, by name.
         let cqs = section_body(&good, TAG_CQS);
-        let first_cq_entries = cqs.start + 8 + 4 + 8;
+        let first_cq_entries = cqs.start + 8 + 8;
         assert_eq!(u64_at(&good, first_cq_entries), 2, "cq.entries.count");
         let qps = section_body(&good, TAG_QPS);
         let rq_count = (qps.start..qps.end - 8)
@@ -881,11 +984,13 @@ mod tests {
                 u64_at(&good, at) == 3 && u64_at(&good, at + 8) == 101
             })
             .expect("qp.rq.count of the receiving queue pair");
-        for at in [first_cq_entries, rq_count] {
+        let mrs = section_body(&good, TAG_MRS);
+        let (replayed, live) = (mrs.start + 8, mrs.start + REG + REG_BYTES);
+        assert_eq!((u64_at(&good, replayed), u64_at(&good, live)), (1, 2));
+        for at in [first_cq_entries, rq_count, replayed, live] {
             let mut bad = good.clone();
             bad[at..at + 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
-            let mut fresh = Fabric::new(FabricParams::mt23108());
-            let err = restore_fabric(&mut fresh, &mut Reader::new(&bad)).unwrap_err();
+            let err = restored(&bad).expect_err("refused");
             assert!(matches!(err, CodecError::Truncated { .. }), "{err}");
         }
     }
@@ -912,7 +1017,10 @@ mod tests {
                 f.qps[1].rq.push_back(wqe(1, 0))
             }),
             ("rwqe.mr (region not locally writable)", |f| {
-                f.mrs[0].access = Access::REMOTE_WRITE
+                // The replayed region, registered on node 1 remote-only.
+                f.mrs[1].node = NodeId(1);
+                f.mrs[1].access = Access::REMOTE_WRITE;
+                f.qps[1].rq.push_back(wqe(1, 0))
             }),
             ("rwqe range (outside its region)", |f| {
                 f.qps[1].rq.push_back(wqe(0, 4096 - 63))
@@ -933,61 +1041,12 @@ mod tests {
         for (context, corrupt) in cases {
             let mut f = exercised_fabric(None);
             corrupt(&mut f);
-            let bad = image(&f);
-            let mut fresh = Fabric::new(FabricParams::mt23108());
-            let err = restore_fabric(&mut fresh, &mut Reader::new(&bad)).unwrap_err();
+            let err = restored(&image(&f)).expect_err("refused");
             assert!(
                 matches!(err, CodecError::Overflow { context: c, .. } if c == context),
                 "{context}: {err}"
             );
         }
-        // A queue pair completing into another node's queue.
-        let mut f = exercised_fabric(None);
-        f.qps[1].recv_cq = CqId(0);
-        let mut fresh = Fabric::new(FabricParams::mt23108());
-        let err = restore_fabric(&mut fresh, &mut Reader::new(&image(&f))).unwrap_err();
-        assert!(matches!(err, CodecError::BadTag { .. }), "{err}");
-    }
-
-    /// An id checked against an empty table reports `max: 0`; building the
-    /// error must not compute `0 - 1`.
-    #[test]
-    fn ids_into_empty_tables_are_typed_errors() {
-        // A completion queue on node 0 of a fabric with no nodes.
-        let mut f = Fabric::new(FabricParams::mt23108());
-        f.cqs.push(Cq::new(crate::fabric::NodeId(0)));
-        let mut fresh = Fabric::new(FabricParams::mt23108());
-        let err = restore_fabric(&mut fresh, &mut Reader::new(&image(&f))).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                CodecError::Overflow {
-                    context: "cq.node",
-                    max: 0,
-                    ..
-                }
-            ),
-            "{err}"
-        );
-        // A queue pair completing into queue 0 of a fabric with no queues.
-        let mut f = Fabric::new(FabricParams::mt23108());
-        let node = f.add_node();
-        let (id, cq) = (QpId(0), CqId(0));
-        f.qps
-            .push(crate::qp::Qp::new(id, node, cq, cq, QpAttrs::default()));
-        let mut fresh = Fabric::new(FabricParams::mt23108());
-        let err = restore_fabric(&mut fresh, &mut Reader::new(&image(&f))).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                CodecError::Overflow {
-                    context: "qp.send_cq",
-                    max: 0,
-                    ..
-                }
-            ),
-            "{err}"
-        );
     }
 
     #[test]
@@ -1001,13 +1060,11 @@ mod tests {
             "traffic under a 20% drop plan must have consumed fault draws"
         );
         let bytes = image(&f);
-        let mut restored = Fabric::new(FabricParams::mt23108());
-        restored.set_fault_plan(FaultPlan::new(99).with_drop(0.2));
+        let mut restored = bootstrapped(Some(FaultPlan::new(99).with_drop(0.2)));
         restore_fabric(&mut restored, &mut Reader::new(&bytes)).unwrap();
         assert_eq!(restored.fault_plan().unwrap().rng_state(), before);
         // A different-seed plan keeps its own fresh stream.
-        let mut other = Fabric::new(FabricParams::mt23108());
-        other.set_fault_plan(FaultPlan::new(7).with_drop(0.2));
+        let mut other = bootstrapped(Some(FaultPlan::new(7).with_drop(0.2)));
         restore_fabric(&mut other, &mut Reader::new(&bytes)).unwrap();
         assert_eq!(
             other.fault_plan().unwrap().rng_state(),
@@ -1017,17 +1074,10 @@ mod tests {
 
     #[test]
     fn truncated_image_is_a_typed_error() {
-        let f = exercised_fabric(None);
-        let bytes = image(&f);
-        let err = {
-            let mut fresh = Fabric::new(FabricParams::mt23108());
-            restore_fabric(&mut fresh, &mut Reader::new(&bytes[..bytes.len() / 2])).unwrap_err()
-        };
+        let bytes = image(&exercised_fabric(None));
+        let err = restored(&bytes[..bytes.len() / 2]).expect_err("refused");
         assert!(matches!(err, CodecError::Truncated { .. }), "{err}");
-        let err2 = {
-            let mut fresh = Fabric::new(FabricParams::mt23108());
-            restore_fabric(&mut fresh, &mut Reader::new(&[0u8; 16])).unwrap_err()
-        };
+        let err2 = restored(&[0u8; 16]).expect_err("refused");
         assert!(matches!(err2, CodecError::BadTag { .. }), "{err2}");
     }
 }

@@ -98,8 +98,9 @@ enum Step {
         permille: usize,
         value: u8,
     },
-    /// `encode_fabric` → `restore_fabric`; later steps run on the restored
-    /// fabric, whose prefix has been trimmed to its last non-zero byte.
+    /// `encode_fabric` → `restore_fabric` onto a freshly built rig; later
+    /// steps run on the restored fabric, whose prefix has been trimmed to
+    /// its last non-zero byte.
     RoundTrip,
 }
 
@@ -193,27 +194,35 @@ fn model_range(model: &[u8], offset: usize, n: usize) -> Option<std::ops::Range<
     (end <= model.len()).then_some(offset..end)
 }
 
+/// The image with the rig's region, its one bootstrap region, live.
 fn image(f: &Fabric) -> Vec<u8> {
     let mut w = Writer::new();
-    encode_fabric(f, &mut w);
+    encode_fabric(f, 1, |_| true, &mut w);
     w.finish()
 }
 
-/// The region's IBCK v2 record — node, access bits, registered length,
-/// then the model cut at its last non-zero byte as a length-prefixed
-/// string — must appear in the fabric image exactly as the dense model
-/// dictates: the image is a function of the logical contents alone.
+/// The image's region section — tag `0xFAB4`, body length, then one
+/// bootstrap region, no replayed registration and the live records: the
+/// region's, the model cut at its last non-zero byte as a length-prefixed
+/// string, or none when that is empty — must appear exactly as the dense
+/// model dictates: the image is a function of the logical contents alone.
 fn assert_image_is_canonical(img: &[u8], model: &[u8]) {
     let used = model.iter().rposition(|&b| b != 0).map_or(0, |i| i + 1);
-    let mut record = Vec::new();
-    record.extend_from_slice(&0u32.to_le_bytes());
-    record.push(Access::FULL.bits());
-    record.extend_from_slice(&(model.len() as u64).to_le_bytes());
-    record.extend_from_slice(&(used as u64).to_le_bytes());
-    record.extend_from_slice(&model[..used]);
+    let mut body = Vec::new();
+    body.extend_from_slice(&1u64.to_le_bytes());
+    body.extend_from_slice(&0u64.to_le_bytes());
+    body.extend_from_slice(&u64::from(used > 0).to_le_bytes());
+    if used > 0 {
+        body.extend_from_slice(&0u32.to_le_bytes());
+        body.extend_from_slice(&(used as u64).to_le_bytes());
+        body.extend_from_slice(&model[..used]);
+    }
+    let mut record = 0xFAB4u32.to_le_bytes().to_vec();
+    record.extend_from_slice(&(body.len() as u64).to_le_bytes());
+    record.extend_from_slice(&body);
     assert!(
         img.windows(record.len()).any(|w| w == record),
-        "image does not carry the canonical region record"
+        "image does not carry the canonical region section"
     );
     // Two nodes, two CQs and the connected QP pair, all quiescent, are
     // the rest of the image.
@@ -416,7 +425,7 @@ fn run_case(c: &MrCase, seen: &Coverage) {
             }
             Step::RoundTrip => {
                 let img = image(&f);
-                let mut restored = Fabric::new(FabricParams::mt23108());
+                let (mut restored, _) = build(c.len);
                 restore_fabric(&mut restored, &mut Reader::new(&img)).unwrap();
                 assert_eq!(image(&restored), img, "re-snapshot differs");
                 assert!(restored.resident_bytes() <= f.resident_bytes());

@@ -1,8 +1,8 @@
 //! The lint levels DESIGN.md §8 relies on are set where it says they are,
 //! and the source-layout rules held as text (credit privacy, one
-//! connection-establishment path, one post site per verb, one host-timing
-//! harness, one scheme list, scheme variants named only in config) still
-//! hold.
+//! connection-establishment path, one creation path for verbs objects, one
+//! post site per verb, one host-timing harness, one scheme list, scheme
+//! variants named only in config) still hold.
 //!
 //! An `#[expect(lint)]` is fulfilled whenever `lint` *would* fire at that
 //! site, whatever level surrounds it. So the audited `#[expect]`s and the
@@ -57,20 +57,30 @@ fn credit_consume_ops_are_private_to_conn() {
 }
 
 /// Every `(file, enclosing fn)` of `crates/core/src` with a code line
-/// (not a comment) containing `needle`. The enclosing fn is the last
-/// `fn` item opened above the line — enough for the flat modules there.
+/// (not a comment) containing `needle`.
 fn core_sites(needle: &str) -> std::collections::BTreeSet<(String, String)> {
-    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/crates/core/src");
+    sites(&rust_files("crates/core/src"), needle, false)
+}
+
+/// Every `(file name, enclosing fn)` of `files` (paths relative to the
+/// workspace root) with a code line (not a comment) containing `needle`,
+/// up to each file's `#[cfg(test)]` when `non_test`. The enclosing fn is
+/// the last `fn` item opened above the line — enough for the flat modules
+/// these rules read.
+fn sites(
+    files: &[String],
+    needle: &str,
+    non_test: bool,
+) -> std::collections::BTreeSet<(String, String)> {
     let mut sites = std::collections::BTreeSet::new();
-    for entry in std::fs::read_dir(dir).expect("crates/core/src") {
-        let file = entry
-            .expect("entry")
-            .file_name()
-            .to_string_lossy()
-            .into_owned();
+    for path in files {
+        let file = path.rsplit('/').next().unwrap_or(path).to_string();
         let mut func = String::new();
-        for line in read(&format!("crates/core/src/{file}")).lines() {
+        for line in read(path).lines() {
             let code = line.trim_start();
+            if non_test && code.starts_with("#[cfg(test)]") {
+                break;
+            }
             if code.starts_with("//") {
                 continue;
             }
@@ -99,7 +109,8 @@ fn core_sites(needle: &str) -> std::collections::BTreeSet<(String, String)> {
 /// connection becomes established. A second `ibfabric::connect` call or a
 /// second site setting the flag is how the fork this replaced would come
 /// back. (A checkpoint restore, elastic replacement included, connects
-/// nothing: the fabric image carries every QP in its connected state.)
+/// nothing: it rebuilds the QPs through the bootstrap every run uses and
+/// patches each one's connected state on from the fabric image.)
 #[test]
 fn connections_are_established_on_one_path() {
     let site = |file: &str, func: &str| (file.to_string(), func.to_string());
@@ -113,6 +124,26 @@ fn connections_are_established_on_one_path() {
         [site("conn.rs", "establish")].into(),
         "a connection becomes established outside `Conn::establish`"
     );
+}
+
+/// A restore builds the world the way a run does, so the verbs objects
+/// are created on one path: `world::bootstrap_fabric`, which a fresh run
+/// and `MpiWorld::restore` both call. A second site creating nodes,
+/// completion queues or queue pairs — a decoder rebuilding them from an
+/// image, say — is a second constructor that must agree with the first
+/// on every id. Test code builds what rigs it likes.
+#[test]
+fn verbs_objects_are_created_on_one_path() {
+    let mut files = rust_files("crates/core/src");
+    files.push("crates/fabric/src/snap.rs".to_string());
+    let site = |file: &str, func: &str| (file.to_string(), func.to_string());
+    for needle in [".add_node()", ".create_cq(", ".create_qp("] {
+        assert_eq!(
+            sites(&files, needle, true),
+            [site("world.rs", "bootstrap_fabric")].into(),
+            "`{needle}` outside `world::bootstrap_fabric`"
+        );
+    }
 }
 
 /// Paper §4.1–4.3's schemes differ only in when a frame may be posted and

@@ -42,11 +42,11 @@
 //! # What the image holds
 //!
 //! [`MpiWorld::restore`] builds the world with `world::bootstrap_fabric`,
-//! as a run does, so every verbs object, bootstrap region and bare
-//! connection keeps its id. The image holds what that cannot know: later
-//! registrations (replayed in order), the dynamic state, and the bytes a
-//! resumed run reads — the credit mailboxes, and a slab whose RECV
-//! completion is still queued (a peer's phase-3 credit message that
+//! as a run does, so every verbs object and bootstrap region keeps its id.
+//! The image holds what that cannot know: later registrations (replayed in
+//! order), which connections are established and their dynamic state, and
+//! the bytes a resumed run reads — the credit mailboxes, and a slab whose
+//! RECV completion is still queued (a peer's phase-3 credit message that
 //! landed after this rank's blob, which the released and the restored run
 //! then process alike). Other region bytes are dead at a fence (DESIGN.md
 //! §12).
@@ -96,7 +96,7 @@ const TAG_SNAP_FABRIC: u32 = 0xCB02;
 const TAG_SNAP_RANKS: u32 = 0xCB03;
 
 /// Rank blob format: version and section tags.
-const RANK_BLOB_VERSION: u32 = 2;
+const RANK_BLOB_VERSION: u32 = 3;
 const TAG_RANK: u32 = 0xC4A1;
 const TAG_UNEXPECTED: u32 = 0xC4A2;
 const TAG_REGCACHE: u32 = 0xC4A3;
@@ -104,11 +104,6 @@ const TAG_RANK_STATS: u32 = 0xC4A4;
 const TAG_CONNS: u32 = 0xC4A5;
 const TAG_APP: u32 = 0xC4A6;
 const TAG_LANES: u32 = 0xC4A7;
-
-/// Encoded size of a connection record with an empty reorder map and no
-/// older ring generation: the least a rank blob holds per peer.
-const CONN_RECORD_BYTES: usize =
-    1 + 4 * 5 + 8 * 6 + 4 * 2 + 8 * 6 + 4 + 8 + 4 * 9 + 8 + 4 + 3 + 8 * 13;
 
 /// The scheme and effective chaos seed, for assertion messages: when a
 /// checkpoint invariant trips under the chaos battery, the report carries
@@ -214,10 +209,19 @@ impl Snapshot {
         let mut fs = r.section(TAG_SNAP_FABRIC, "snapshot fabric")?;
         let fabric_image = fs.bytes("snapshot fabric image")?;
         fs.done("snapshot fabric")?;
+        // A restore builds a queue pair per directed connection, and the
+        // fabric image holds a record per queue pair: an image too short for
+        // the world it claims is refused before anything is built.
+        let needed = (nprocs * (nprocs - 1)).saturating_mul(ibfabric::snap::QP_RECORD_BYTES);
+        if fabric_image.len() < needed {
+            return Err(CodecError::Truncated {
+                context: "snapshot fabric image (a queue pair record per connection)",
+                needed,
+                have: fabric_image.len(),
+            });
+        }
         let mut rs = r.section(TAG_SNAP_RANKS, "snapshot ranks")?;
-        // A restore builds a world of `n` ranks, so each blob must hold a
-        // record per peer: the rebuild stays the size of the input.
-        let n = rs.count("snapshot rank count", 8 + (nprocs - 1) * CONN_RECORD_BYTES)?;
+        let n = rs.count("snapshot rank count", 8)?;
         if n != nprocs {
             return Err(CodecError::Overflow {
                 context: "snapshot rank count",
@@ -452,8 +456,14 @@ impl MpiRank {
             w.u64(self.stats.rndz_bytes.get());
             w.u64(self.stats.unexpected_msgs.get());
         });
+        // A presence byte per peer, each established connection's record
+        // after its byte: an unreached peer costs one byte.
         w.section(TAG_CONNS, |w| {
-            for c in self.conns.iter().flatten() {
+            for peer in (0..self.size).filter(|&p| p != self.rank) {
+                w.bool(self.conns[peer].is_some());
+                let Some(c) = &self.conns[peer] else {
+                    continue;
+                };
                 assert!(
                     c.backlog.is_empty() && c.optimistic_req.is_none(),
                     "rank {}: connection to {} not drained at a checkpoint fence ({})",
@@ -538,7 +548,6 @@ fn encode_conn(c: &Conn, w: &mut Writer) {
     // IBCK v1 interleaves the two credit windows with the fields around
     // them, each in its own order; the order below is the format.
     let (cw, rw) = (&c.credits, &c.ring);
-    w.bool(c.established);
     w.u32(cw.held);
     w.u32(c.send_seq);
     w.u32(c.prepost_target);
@@ -661,9 +670,8 @@ pub(crate) fn node_region(
     Ok(mr)
 }
 
-/// Fills the dynamic state of `c` — a bare connection as
-/// `world::bootstrap_fabric` builds it — from its record (mirror of
-/// [`encode_conn`]). Sequences replace what the bare connection holds.
+/// Fills the dynamic state of `c`, as [`Conn::establish`] built it, from
+/// its record (mirror of [`encode_conn`]), overwriting every field.
 fn decode_conn(
     r: &mut Reader<'_>,
     c: &mut Conn,
@@ -671,7 +679,6 @@ fn decode_conn(
     fabric: &Fabric,
 ) -> Result<(), CodecError> {
     let n_mrs = fabric.mr_count();
-    c.established = r.bool("conn.established")?;
     c.credits.held = r.u32("conn.credits.held")?;
     c.send_seq = r.u32("conn.send_seq")?;
     // The pool's slots are `0..prepost_target` and the next free one is
@@ -780,14 +787,14 @@ fn decode_conn(
 }
 
 /// Refuses ring geometry the first ring poll or post would trip over (a
-/// cursor read outside its region, a `% 0`). A ring in use — a ring
-/// scheme on an established connection — has each cursor below its slot
-/// count and room for its slots in its region, generations increasing,
-/// and older generations only where the ring's cap lies above the
-/// bootstrap ring (a ring that may grow); an unused ring keeps the
-/// bare connection's empty geometry.
+/// cursor read outside its region, a `% 0`). A ring in use — under a ring
+/// scheme — has each cursor below its slot count and room for its slots
+/// in its region, generations increasing, and older generations only
+/// where the ring's cap lies above the bootstrap ring (a ring that may
+/// grow); an unused ring keeps the empty geometry [`Conn::establish`]
+/// gives it.
 fn check_ring_geometry(c: &Conn, cfg: &MpiConfig, fabric: &Fabric) -> Result<(), CodecError> {
-    let in_use = cfg.scheme.uses_ring() && c.established;
+    let in_use = cfg.scheme.uses_ring();
     let fits = |mr: MrId, slots: u32, cursor: u32| {
         if in_use {
             cursor < slots
@@ -835,8 +842,8 @@ pub(crate) struct RankImage {
     app_state: Vec<u8>,
 }
 
-/// Decodes the blob of the rank `setup` bootstraps, filling the bare
-/// connections of `setup` from their records in place.
+/// Decodes the blob of the rank `setup` bootstraps, building in `setup`
+/// each connection the blob records.
 fn decode_rank_blob(
     blob: &[u8],
     setup: &mut RankSetup,
@@ -956,18 +963,21 @@ fn decode_rank_blob(
     ss.done("rank blob stats")?;
 
     let mut cs = r.section(TAG_CONNS, "rank blob conns")?;
-    for c in setup.conns.iter_mut().flatten() {
-        decode_conn(&mut cs, c, cfg, fabric)?;
+    for peer in (0..size).filter(|&p| p != rank) {
+        setup.conns[peer] = if cs.bool("conn.present")? {
+            let mut c = Conn::establish(size, cfg, rank, peer);
+            decode_conn(&mut cs, &mut c, cfg, fabric)?;
+            Some(Box::new(c))
+        } else {
+            None
+        };
     }
     cs.done("rank blob conns")?;
-    // Only an established connection is polled: its ring geometry is the
-    // one `check_ring_geometry` held to a ring in use.
-    if rdma_watch
-        .iter()
-        .any(|&p| !setup.conns[p].as_ref().is_some_and(|c| c.established))
-    {
+    // Only a connection is polled: its ring geometry is the one
+    // `check_ring_geometry` held to a ring in use.
+    if rdma_watch.iter().any(|&p| setup.conns[p].is_none()) {
         return Err(CodecError::BadTag {
-            context: "rank blob rdma_watch.peer (not established)",
+            context: "rank blob rdma_watch.peer (no connection)",
             want: 1,
             got: 0,
         });
@@ -1201,8 +1211,9 @@ mod tests {
                 seq: 678,
                 events_processed: 910,
             },
-            fabric_image: vec![1, 2, 3, 4],
-            rank_blobs: vec![vec![5; CONN_RECORD_BYTES], vec![6; CONN_RECORD_BYTES + 1]],
+            // The least image a 2-rank world can have: two queue pairs.
+            fabric_image: vec![1; 2 * ibfabric::snap::QP_RECORD_BYTES],
+            rank_blobs: vec![vec![5; 4], vec![6; 5]],
         }
     }
 
@@ -1257,25 +1268,26 @@ mod tests {
         }
     }
 
-    /// A restore builds a world of as many ranks as the container holds
-    /// blobs, so blobs too short for a connection record per peer are
-    /// refused before anything is built: the rebuild stays the size of the
-    /// input, whatever the container claims.
+    /// A restore builds a queue pair per directed connection of the world
+    /// the container claims, so a fabric image too short for a queue pair
+    /// record each is refused before anything is built: the rebuild stays
+    /// within a constant factor of the input, whatever the container
+    /// claims.
     #[test]
-    fn a_world_its_blobs_cannot_hold_is_refused() {
-        let mut s = sample();
-        s.rank_blobs[1].truncate(CONN_RECORD_BYTES - 1);
-        let err = Snapshot::from_bytes(&s.to_bytes()).unwrap_err();
-        assert!(
+    fn a_world_its_fabric_image_cannot_hold_is_refused() {
+        let truncated = |err: &CodecError| {
             matches!(
                 err,
                 CodecError::Truncated {
-                    context: "snapshot rank count",
+                    context: "snapshot fabric image (a queue pair record per connection)",
                     ..
                 }
-            ),
-            "{err}"
-        );
+            )
+        };
+        let mut s = sample();
+        s.fabric_image.pop();
+        let err = Snapshot::from_bytes(&s.to_bytes()).unwrap_err();
+        assert!(truncated(&err), "{err}");
         // 1 000 empty blobs: a container of 8 kB that would build 999 000
         // connections.
         let wide = Snapshot {
@@ -1284,7 +1296,7 @@ mod tests {
             ..sample()
         };
         let err = Snapshot::from_bytes(&wide.to_bytes()).unwrap_err();
-        assert!(matches!(err, CodecError::Truncated { .. }), "{err}");
+        assert!(truncated(&err), "{err}");
     }
 
     #[test]
@@ -1301,12 +1313,12 @@ mod tests {
         fabric
     }
 
-    /// Rank 0's connection record of `c`, decoded into a bare connection.
+    /// Rank 0's connection record of `c`, decoded into a new connection.
     fn conn_roundtrip(c: &Conn, cfg: &MpiConfig, fabric: &Fabric) -> Result<Conn, CodecError> {
         let mut w = Writer::new();
         encode_conn(c, &mut w);
         let bytes = w.finish();
-        let mut back = Conn::new(2, cfg, 0, 1);
+        let mut back = Conn::establish(2, cfg, 0, 1);
         decode_conn(&mut Reader::new(&bytes), &mut back, cfg, fabric).map(|()| back)
     }
 
@@ -1315,12 +1327,7 @@ mod tests {
         let cfg = MpiConfig::scheme(crate::FlowControlScheme::RdmaChannel, 8);
         let fabric = two_rank_fabric(&cfg);
         let decoded = |c: &Conn| conn_roundtrip(c, &cfg, &fabric);
-        let mut c = Conn::new(2, &cfg, 0, 1);
-        // The least a record can be: what a restore holds each blob to.
-        let mut w = Writer::new();
-        encode_conn(&c, &mut w);
-        assert_eq!(w.finish().len(), CONN_RECORD_BYTES);
-        c.credits.grant(8);
+        let mut c = Conn::establish(2, &cfg, 0, 1);
         // One unit spent (the window's spend is private to `conn.rs`).
         c.credits.held -= 1;
         c.credits.spent_total += 1;
@@ -1344,8 +1351,7 @@ mod tests {
         for (scheme, cap) in [(S::UserStatic, 8), (S::UserDynamic, 512)] {
             let cfg = MpiConfig::scheme(scheme, 8);
             let fabric = two_rank_fabric(&cfg);
-            let mut c = Conn::new(2, &cfg, 0, 1);
-            c.establish(&cfg);
+            let mut c = Conn::establish(2, &cfg, 0, 1);
             c.prepost_target = cap;
             c.posted = cap;
             conn_roundtrip(&c, &cfg, &fabric).expect("a full pool decodes");
@@ -1389,8 +1395,7 @@ mod tests {
         let grown = fabric.register(NodeId::from_index(0), grown_len, ibfabric::Access::FULL);
         // Established, then grown once: generation 0 still drains.
         let honest = || {
-            let mut c = Conn::new(2, &cfg, 0, 1);
-            c.establish(&cfg);
+            let mut c = Conn::establish(2, &cfg, 0, 1);
             c.rings[0].read_slot = slots - 1;
             c.install_grown_ring(grown, 2 * slots);
             c
@@ -1406,7 +1411,7 @@ mod tests {
         assert_eq!(geometry(&back), geometry(&c));
 
         type Lie = fn(&mut Conn);
-        let lies: [(&str, Lie); 8] = [
+        let lies: [(&str, Lie); 7] = [
             ("live cursor at its slot count", |c| {
                 c.rings[1].read_slot = 2 * c.rings[1].slots
             }),
@@ -1428,9 +1433,6 @@ mod tests {
             ("generations out of order", |c| {
                 c.rings[0].gen = c.rings[1].gen
             }),
-            ("an unestablished ring with slots", |c| {
-                c.established = false
-            }),
         ];
         for (lie, apply) in lies {
             let mut c = honest();
@@ -1451,8 +1453,8 @@ mod tests {
         let fixed = MpiConfig::scheme(S::RdmaChannel, 8);
         assert!(conn_roundtrip(&honest(), &fixed, &fabric).is_err());
 
-        // A watched peer whose connection is not established — here the
-        // rank itself, which has none — is refused before any poll.
+        // A watched peer with no connection — here the rank itself — is
+        // refused before any poll.
         let snap = snapshot_after_exchange(&cfg, 16);
         let (fabric, mut setups) = rebuilt(&snap, &cfg);
         let mut blob = snap.rank_blobs[0].clone();
@@ -1472,7 +1474,7 @@ mod tests {
             matches!(
                 err,
                 Some(CodecError::BadTag {
-                    context: "rank blob rdma_watch.peer (not established)",
+                    context: "rank blob rdma_watch.peer (no connection)",
                     ..
                 })
             ),
@@ -1521,11 +1523,7 @@ mod tests {
         let (fabric, setups) = rebuilt(&snap, &cfg);
         let decode = |blob: &[u8]| {
             let mut setup = RankSetup {
-                conns: setups[0]
-                    .conns
-                    .iter()
-                    .map(|c| c.as_ref().map(|c| Conn::new(2, &cfg, 0, c.peer)))
-                    .collect(),
+                conns: vec![None, None],
                 cfg: cfg.clone(),
                 ..setups[0]
             };
@@ -1543,8 +1541,8 @@ mod tests {
         }
         // By name: the first count of the blob (`coll_seq`, after the
         // version, the section frame, rank, size, epoch and `next_ctx`) and
-        // of a connection record (`reorder`, after the fields before it:
-        // `CONN_RECORD_BYTES` less its tail).
+        // of a connection record (`reorder`, after both credit windows,
+        // the sequence words and the pool).
         let mut bad = blob.clone();
         bad[4 + 12 + 3 * 8 + 2..][..8].copy_from_slice(&(1u64 << 40).to_le_bytes());
         let err = decode(&bad).err().expect("refused");
@@ -1558,14 +1556,13 @@ mod tests {
             ),
             "{err}"
         );
-        let mut bare = Conn::new(2, &cfg, 0, 1);
+        let mut c = Conn::establish(2, &cfg, 0, 1);
         let mut w = Writer::new();
-        encode_conn(&bare, &mut w);
+        encode_conn(&c, &mut w);
         let mut bad = w.finish();
-        let reorder_count = CONN_RECORD_BYTES - (4 * 9 + 8 + 4 + 3 + 8 * 13) - 8;
+        let reorder_count = 4 * 5 + 8 * 6 + 4 * 2 + 8 * 6 + 4;
         bad[reorder_count..][..8].copy_from_slice(&(1u64 << 40).to_le_bytes());
-        let err =
-            decode_conn(&mut Reader::new(&bad), &mut bare, &cfg, &fabric).expect_err("refused");
+        let err = decode_conn(&mut Reader::new(&bad), &mut c, &cfg, &fabric).expect_err("refused");
         assert!(
             matches!(
                 err,

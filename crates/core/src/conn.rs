@@ -174,14 +174,13 @@ pub(crate) struct RxRing {
     pub read_slot: u32,
 }
 
-/// One endpoint's state for its connection to a single peer.
+/// One endpoint's state for its connection to a single peer. It exists
+/// once the connection is established ([`Conn::establish`]); until then
+/// the rank holds no `Conn` for that peer at all.
 #[derive(Debug)]
 pub(crate) struct Conn {
     pub peer: Rank,
     pub qp: QpId,
-    /// False until [`Conn::establish`] ran: at bootstrap under eager
-    /// setup, at first use under on-demand setup. Nothing clears it.
-    pub established: bool,
     /// True once a failed completion tore this connection down: the QP is
     /// in the error state, every bound request has been failed, and no
     /// further work may be posted (see `progress.rs::teardown_conn`).
@@ -267,16 +266,18 @@ pub(crate) struct Conn {
 }
 
 impl Conn {
-    /// The bare connection of rank `i` toward rank `j` in an `n`-rank
-    /// world: its verbs handles from the deterministic layout
-    /// (`world.rs`), every dynamic counter zeroed. [`Conn::establish`]
-    /// layers the posted pool and the credits on top; a checkpoint restore
-    /// overwrites the dynamic fields from the rank's blob instead.
-    pub fn new(n: usize, cfg: &MpiConfig, i: Rank, j: Rank) -> Self {
-        Conn {
+    /// The connection of rank `i` toward rank `j` in an `n`-rank world,
+    /// established: its verbs handles from the deterministic layout
+    /// (`world.rs`), the receive slots `0..prepost` that `world::establish`
+    /// posted into its QP adopted, the matching buffer credits granted and,
+    /// under the ring schemes, the bootstrap ring window open on both
+    /// sides (generation 0). The one constructor: no connection exists
+    /// before it is established. A checkpoint restore overwrites the
+    /// dynamic fields from the rank's blob.
+    pub fn establish(n: usize, cfg: &MpiConfig, i: Rank, j: Rank) -> Self {
+        let mut c = Conn {
             peer: j,
             qp: qp_id_for(n, i, j),
-            established: false,
             failed: false,
             credits: CreditWindow::default(),
             ring: CreditWindow::default(),
@@ -285,7 +286,7 @@ impl Conn {
             send_seq: 0,
             slab: slab_mr_for(n, i, j),
             prepost_target: cfg.prepost,
-            posted: 0,
+            posted: cfg.prepost,
             my_mailbox: mailbox_mr_for(n, i, j),
             peer_mailbox: mailbox_mr_for(n, j, i),
             next_deliver_seq: 0,
@@ -306,25 +307,15 @@ impl Conn {
             ring_gen_ack_pending: false,
             ring_growth_pending: false,
             stats: ConnStats::default(),
-        }
-    }
-
-    /// This endpoint's half of establishing the connection: adopts the
-    /// receive slots `0..prepost` that `world::establish` posted into its
-    /// QP, grants the matching buffer credits, opens the bootstrap ring
-    /// window under the ring schemes, and marks the connection
-    /// established.
-    pub fn establish(&mut self, cfg: &MpiConfig) {
-        self.posted = cfg.prepost;
-        self.credits.grant(cfg.prepost);
-        self.stats.max_posted.observe(u64::from(cfg.prepost));
+        };
+        c.credits.grant(cfg.prepost);
+        c.stats.max_posted.observe(u64::from(cfg.prepost));
         if cfg.scheme.uses_ring() {
-            self.ring.grant(cfg.rdma_ring_slots);
-            // Generation 0 = the bootstrap ring on both sides.
-            self.rings[0].slots = cfg.rdma_ring_slots;
-            self.peer_ring_slots = cfg.rdma_ring_slots;
+            c.ring.grant(cfg.rdma_ring_slots);
+            c.rings[0].slots = cfg.rdma_ring_slots;
+            c.peer_ring_slots = cfg.rdma_ring_slots;
         }
-        self.established = true;
+        c
     }
 
     /// Records one ring-full eager→rendezvous conversion; once the count
@@ -558,13 +549,13 @@ mod tests {
     use super::*;
     use testutil::prop::{check, shrink, Case, Gen};
 
+    /// A user-static connection with its initial grant taken back, so
+    /// each test starts from empty windows.
     fn conn() -> Conn {
-        Conn::new(
-            2,
-            &MpiConfig::scheme(FlowControlScheme::UserStatic, 4),
-            0,
-            1,
-        )
+        let cfg = MpiConfig::scheme(FlowControlScheme::UserStatic, 4);
+        let mut c = Conn::establish(2, &cfg, 0, 1);
+        c.credits = CreditWindow::default();
+        c
     }
 
     #[derive(Clone, Copy, Debug)]

@@ -23,13 +23,13 @@
 //! Two extensions from the paper's related-work section are included:
 //! on-demand connection setup ([`MpiConfig::on_demand_connections`], ref
 //! \[23\]), which establishes a connection at its first use through the
-//! same path eager setup runs for every pair at t = 0 — both post the
+//! same path eager setup runs for every pair at t = 0 (both post the
 //! receive pool before the handshake, so it advertises the pool as
-//! credits — and the RDMA-based eager channel
-//! ([`FlowControlScheme::RdmaChannel`], ref \[13\]), which RDMA-writes small
-//! frames into persistent per-connection rings the receiver polls —
-//! dropping small-message latency from ~7.5 µs to ~6.6 µs here (the
-//! companion paper reports 6.8). The channel needs eager setup: the
+//! credits; a peer a rank never reaches costs it no connection), and the
+//! RDMA-based eager channel ([`FlowControlScheme::RdmaChannel`], ref
+//! \[13\]), which RDMA-writes small frames into persistent per-connection
+//! rings the receiver polls — dropping small-message latency from ~7.5 µs
+//! to ~6.6 µs here (the companion paper reports 6.8). The channel needs eager setup: the
 //! passive side of an on-demand connection learns of it from its first
 //! completion, and ring frames raise none.
 //!

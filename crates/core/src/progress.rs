@@ -98,6 +98,12 @@ impl MpiRank {
 
     fn dispatch_cqe(&mut self, cqe: ibfabric::Cqe) {
         let (kind, value) = decode_wrid(cqe.wr_id);
+        if kind == WrKind::RecvSlot {
+            // Under on-demand setup a peer's first completion here —
+            // delivered or flushed — is where this side learns that the
+            // peer connected to it.
+            self.ensure_established(self.peer_of(cqe.qp));
+        }
         if cqe.status != CqeStatus::Success {
             self.handle_failed_cqe(cqe, kind, value);
             return;
@@ -214,10 +220,6 @@ impl MpiRank {
             HEADER_LEN + payload.len() <= byte_len,
             "frame longer than the completion"
         );
-
-        // Under on-demand setup the first frame from a peer that connected
-        // to us is where this side learns of the connection.
-        self.ensure_established(peer);
 
         // Credit accounting for the consumed buffer: the receiver half of
         // the metering rule (`conn.rs`, beside the sender half).
@@ -533,7 +535,7 @@ impl MpiRank {
     fn drain_backlogs(&mut self) -> bool {
         let mut any = false;
         for peer in 0..self.size {
-            if peer != self.rank && self.conns[peer].is_some() {
+            if self.conns[peer].is_some() {
                 any |= self.drain_backlog_for(peer);
             }
         }
@@ -548,9 +550,6 @@ impl MpiRank {
     fn emit_credit_updates(&mut self) {
         let threshold = self.cfg.ecm_threshold.max(1);
         for peer in 0..self.size {
-            if peer == self.rank {
-                continue;
-            }
             let Some(c) = self.conns[peer].as_ref() else {
                 continue;
             };
@@ -564,10 +563,7 @@ impl MpiRank {
             // update out: the peer cannot retire the old ring until the
             // ack word lands in its mailbox.
             let ack_owed = c.ring_gen_ack_pending;
-            if c.failed
-                || !c.established
-                || (c.credits.pending < threshold && !ring_owed && !ack_owed)
-            {
+            if c.failed || (c.credits.pending < threshold && !ring_owed && !ack_owed) {
                 continue;
             }
             let mode = self.cfg.credit_msg_mode;

@@ -39,15 +39,15 @@ impl Unexpected {
 }
 
 /// Everything the world bootstrap prepares for one rank before its
-/// coroutine starts (see [`crate::MpiWorld`]): one [`Conn`] per peer,
-/// already established under eager setup and bare under on-demand setup,
-/// or decoded from a checkpoint image on restore.
+/// coroutine starts (see [`crate::MpiWorld`]): the [`Conn`] toward each peer
+/// it is established with — every peer under eager setup, none on demand,
+/// the ones a checkpoint image records on restore.
 pub(crate) struct RankSetup {
     pub rank: Rank,
     pub size: usize,
     pub node: NodeId,
     pub cq: CqId,
-    pub conns: Vec<Option<Conn>>,
+    pub conns: Vec<Option<Box<Conn>>>,
     pub cfg: MpiConfig,
 }
 
@@ -63,8 +63,9 @@ pub struct MpiRank {
     pub(crate) cfg: MpiConfig,
     pub(crate) node: NodeId,
     pub(crate) cq: CqId,
-    /// Per-peer connections (the self slot is `None`).
-    pub(crate) conns: Vec<Option<Conn>>,
+    /// Per-peer connections, indexed by rank: `None` for the self slot and
+    /// for every peer whose connection is not established yet.
+    pub(crate) conns: Vec<Option<Box<Conn>>>,
     pub(crate) reqs: ReqTable,
     /// Posted receives in matching order.
     pub(crate) posted_recvs: Vec<crate::requests::ReqId>,
@@ -76,9 +77,10 @@ pub struct MpiRank {
     /// lane 0 — is held (`claim_landing_lane`). A lane is free once its
     /// last claimant is no longer a receive in flight into it; nothing
     /// else records occupancy. Host representation of distinct user
-    /// buffers, never charged and not part of a checkpoint: no receive is
-    /// live at a fence, and a restored rank registers lanes again on
-    /// demand.
+    /// buffers and never charged, but part of a checkpoint (the rank
+    /// blob's lanes section): no receive is live at a fence, so every lane
+    /// is free there, and a restored rank reuses the lanes it registered
+    /// instead of registering new ones.
     pub(crate) landing_lanes: Vec<(usize, ibfabric::MrId, crate::requests::ReqId)>,
     pub(crate) stats: RankStats,
     /// Control/eager sends posted whose completions are still outstanding.
@@ -113,13 +115,7 @@ pub struct MpiRank {
 impl MpiRank {
     pub(crate) fn new(proc: ProcCtx<Fabric>, setup: RankSetup) -> Self {
         let regcache = RegCache::new(setup.node, REGCACHE_CAPACITY);
-        let rdma_watch = setup
-            .conns
-            .iter()
-            .flatten()
-            .filter(|c| c.established)
-            .map(|c| c.peer)
-            .collect();
+        let rdma_watch = setup.conns.iter().flatten().map(|c| c.peer).collect();
         MpiRank {
             proc,
             rank: setup.rank,
@@ -150,14 +146,6 @@ impl MpiRank {
     /// layout, `world::peer_of`).
     pub(crate) fn peer_of(&self, qp: QpId) -> Rank {
         crate::world::peer_of(self.size, self.rank, qp)
-    }
-
-    /// Adds `peer` to the RDMA-poll watchlist (idempotent; called when a
-    /// connection becomes established after bootstrap).
-    pub(crate) fn watch_peer(&mut self, peer: Rank) {
-        if !self.rdma_watch.contains(&peer) {
-            self.rdma_watch.push(peer);
-        }
     }
 
     /// This process's rank in the world.
@@ -200,19 +188,20 @@ impl MpiRank {
 
     #[expect(
         clippy::expect_used,
-        reason = "only the self slot is None and no code path messages itself; an out-of-range peer is caller error"
+        reason = "a send establishes its connection first (`issue_send`), and every completion or frame from a peer comes after `ensure_established`; no code path messages itself, and an out-of-range peer is caller error"
     )]
     pub(crate) fn conn(&self, peer: Rank) -> &Conn {
-        self.conns[peer].as_ref().expect("no connection to self")
+        self.conns[peer].as_ref().expect("connection established")
     }
 
-    #[expect(clippy::expect_used, reason = "same self-slot invariant as `conn`")]
+    #[expect(clippy::expect_used, reason = "same establishment invariant as `conn`")]
     pub(crate) fn conn_mut(&mut self, peer: Rank) -> &mut Conn {
-        self.conns[peer].as_mut().expect("no connection to self")
+        self.conns[peer].as_mut().expect("connection established")
     }
 
     /// True when the connection to `peer` exists and has been torn down
-    /// (safe to call with the self rank, unlike [`MpiRank::conn`]).
+    /// (safe to call with the self rank or an unreached peer, unlike
+    /// [`MpiRank::conn`]).
     pub(crate) fn conn_failed(&self, peer: Rank) -> bool {
         self.conns
             .get(peer)
@@ -226,14 +215,16 @@ impl MpiRank {
     /// the initiator — whose QP is still in `Reset` — pays the handshake
     /// (`connect_cost`) and establishes both sides on the fabric; the
     /// passive side arrives here from its first completion from `peer`
-    /// and adopts the pool posted on its behalf. Either way the
-    /// connection's [`Conn::establish`] runs and `peer` joins the RDMA
-    /// watchlist.
+    /// and adopts the pool posted on its behalf — whether that completion
+    /// delivered a frame or was flushed by a failed connection. Either way
+    /// [`Conn::establish`] builds this side's connection and `peer` joins
+    /// the RDMA watchlist.
     pub(crate) fn ensure_established(&mut self, peer: Rank) {
-        if self.conn(peer).established {
+        if self.conns[peer].is_some() {
             return;
         }
-        let (qp, n, me, cfg) = (self.conn(peer).qp, self.size, self.rank, &self.cfg);
+        let (n, me, cfg) = (self.size, self.rank, &self.cfg);
+        let qp = crate::world::qp_id_for(n, me, peer);
         let connect_cost = self.proc.with(|ctx| {
             (ctx.world.qp(qp).state() == ibfabric::QpState::Reset).then(|| {
                 crate::world::establish(ctx, n, cfg, me, peer);
@@ -243,10 +234,10 @@ impl MpiRank {
         if let Some(cost) = connect_cost {
             self.charge(cost);
         }
-        if let Some(c) = self.conns[peer].as_mut() {
-            c.establish(&self.cfg);
-        }
-        self.watch_peer(peer);
+        self.conns[peer] = Some(Box::new(Conn::establish(n, &self.cfg, me, peer)));
+        // A peer is watched exactly while it has a live connection, so a
+        // new one cannot be on the list yet.
+        self.rdma_watch.push(peer);
     }
 
     /// Reposts a consumed slot (same slot index).
@@ -284,9 +275,10 @@ impl MpiRank {
     }
 
     /// Send credits currently held toward `peer` (user-level schemes;
-    /// always zero under the hardware scheme). Diagnostic.
+    /// always zero under the hardware scheme, and toward a peer with no
+    /// established connection). Diagnostic.
     pub fn credits_toward(&self, peer: Rank) -> u32 {
-        self.conn(peer).credits.held
+        self.conns[peer].as_ref().map_or(0, |c| c.credits.held)
     }
 
     /// Snapshot of this rank's statistics: the rank-wide counters, each
@@ -314,7 +306,7 @@ impl MpiRank {
         stats.conns = self
             .conns
             .iter()
-            .map(|conn| conn.as_ref().map(conn_stats).unwrap_or_default())
+            .map(|conn| conn.as_deref().map(conn_stats).unwrap_or_default())
             .collect();
         stats.regcache_hits.add(self.regcache.hits.get());
         stats.regcache_misses.add(self.regcache.misses.get());
@@ -435,5 +427,24 @@ mod tests {
             data_len: 10,
         };
         assert_eq!(u.envelope(), (2, -1, 0));
+    }
+
+    /// Under on-demand setup a rank holds a connection to each peer it has
+    /// reached and to no other: round a 4-rank ring, each rank's two
+    /// neighbours, and no connection to the rank opposite.
+    #[test]
+    fn unreached_peers_hold_no_connection() {
+        use crate::{FlowControlScheme, MpiWorld};
+        let cfg = MpiConfig {
+            on_demand_connections: true,
+            ..MpiConfig::scheme(FlowControlScheme::UserStatic, 4)
+        };
+        let out = MpiWorld::run(4, cfg, ibfabric::FabricParams::mt23108(), async |mpi| {
+            let (next, prev) = ((mpi.rank() + 1) % 4, (mpi.rank() + 3) % 4);
+            mpi.sendrecv(&[1], next, 0, Some(prev), Some(0)).await;
+            mpi.conns.iter().flatten().count()
+        })
+        .unwrap();
+        assert_eq!(out.results, [2; 4]);
     }
 }

@@ -147,7 +147,7 @@ pub(crate) fn establish(ctx: &mut Ctx<'_, Fabric>, n: usize, cfg: &MpiConfig, i:
 
 /// Builds a world ready to spawn ranks into: the simulation, the fabric
 /// objects ([`bootstrap_fabric`]), and — under eager connection setup —
-/// every pair `i < j` established at t = 0 on the fabric and in both
+/// every pair `i < j` established at t = 0, on the fabric and as both
 /// endpoints' [`Conn`]s. On-demand setup leaves every connection to its
 /// first use (`MpiRank::ensure_established`). Shared by the plain run
 /// path and the checkpoint driver.
@@ -175,10 +175,10 @@ pub(crate) fn boot(
             for i in 0..nprocs {
                 for j in (i + 1)..nprocs {
                     establish(ctx, nprocs, cfg, i, j);
+                    for (a, b) in [(i, j), (j, i)] {
+                        setups[a].conns[b] = Some(Box::new(Conn::establish(nprocs, cfg, a, b)));
+                    }
                 }
-            }
-            for conn in setups.iter_mut().flat_map(|s| s.conns.iter_mut().flatten()) {
-                conn.establish(cfg);
             }
         }
         setups
@@ -336,9 +336,9 @@ fn with_fabric_diag(e: SimError, sim: Sim<Fabric>, nprocs: usize) -> SimError {
 
 /// Creates the fabric objects (nodes, CQs, QPs, slabs, mailboxes, rings —
 /// in the deterministic layout order) and returns each rank's bootstrap
-/// setup with a bare [`Conn`] per peer. Nothing is posted or connected
+/// setup with no connection in any slot. Nothing is posted or connected
 /// here: that is [`establish`], which [`boot`] runs for every pair under
-/// eager setup.
+/// eager setup, building both endpoints' [`Conn`]s beside it.
 pub(crate) fn bootstrap_fabric(
     fabric: &mut Fabric,
     nprocs: usize,
@@ -409,9 +409,7 @@ pub(crate) fn bootstrap_fabric(
             size: nprocs,
             node: nodes[i],
             cq: cqs[i],
-            conns: (0..nprocs)
-                .map(|j| (i != j).then(|| Conn::new(nprocs, cfg, i, j)))
-                .collect(),
+            conns: (0..nprocs).map(|_| None).collect(),
             cfg: cfg.clone(),
         })
         .collect()

@@ -174,6 +174,86 @@ fn restore_and_resume_is_byte_identical_across_schemes() {
     }
 }
 
+/// A ring halo with one checkpoint between its two exchanges: each rank
+/// trades a byte with its right neighbour, checkpoints, then trades one
+/// with its left neighbour.
+async fn halo(mpi: &mut MpiRank, start: CkptStart) -> u64 {
+    let (n, me) = (mpi.size(), mpi.rank());
+    let (next, prev) = ((me + 1) % n, (me + n - 1) % n);
+    let acc = if start.resumed_epoch == 0 {
+        let (_, d) = mpi
+            .sendrecv(&[me as u8], next, 0, Some(prev), Some(0))
+            .await;
+        let acc = u64::from(d[0]);
+        mpi.checkpoint(&acc.to_le_bytes()).await;
+        acc
+    } else {
+        u64::from_le_bytes(start.app_state.as_slice().try_into().unwrap())
+    };
+    let (_, d) = mpi
+        .sendrecv(&[me as u8], prev, 1, Some(next), Some(1))
+        .await;
+    acc * 256 + u64::from(d[0])
+}
+
+/// The bytes of a container's rank blobs: the body of its last section
+/// (a rank count, then a length-prefixed blob per rank) less that framing.
+fn rank_blob_bytes(container: &[u8], nprocs: usize) -> usize {
+    let frame_len = |at: usize| u64::from_le_bytes(container[at + 4..at + 12].try_into().unwrap());
+    // Magic and version, then the meta, fabric and ranks sections.
+    let mut at = 8;
+    for _ in 0..2 {
+        at += 12 + frame_len(at) as usize;
+    }
+    assert_eq!(at + 12 + frame_len(at) as usize, container.len());
+    frame_len(at) as usize - 8 - 8 * nprocs
+}
+
+/// A wide on-demand world checkpoints and restores byte-identically, and
+/// its image records only the connections that exist. Round a ring of 256
+/// ranks each rank reaches its two neighbours and, through the
+/// checkpoint's dissemination barrier, the ranks a power of two away: 15
+/// of its 255 peers. An unreached peer costs its rank blob one byte, so
+/// the blobs stay far below a connection record (≈290 B) per peer.
+#[test]
+fn wide_on_demand_world_restores_and_its_image_skips_unreached_peers() {
+    const N: usize = 256;
+    let cfg = MpiConfig {
+        on_demand_connections: true,
+        ..cfg_for(FlowControlScheme::UserDynamic)
+    };
+    let run = |snapshot_epoch| {
+        MpiWorld::run_with_checkpoints(
+            N,
+            cfg.clone(),
+            FabricParams::mt23108(),
+            Default::default(),
+            snapshot_epoch,
+            halo,
+        )
+        .expect("on-demand run")
+    };
+    let g = run(None).into_completed();
+    let bytes = run(Some(1)).into_snapshot().to_bytes();
+    let blobs = rank_blob_bytes(&bytes, N);
+    assert!(
+        blobs < 32 * N * (N - 1),
+        "{blobs} bytes of rank blobs for {N} ranks"
+    );
+    let snap = Snapshot::from_bytes(&bytes).expect("snapshot round trip");
+    let out = MpiWorld::restore(
+        &snap,
+        cfg,
+        FabricParams::mt23108(),
+        Default::default(),
+        RestoreOptions::default(),
+        halo,
+    )
+    .expect("restore")
+    .into_completed();
+    assert_matches_golden(FlowControlScheme::UserDynamic, &g, &out);
+}
+
 /// Two rendezvous of one size class in flight from one source at once:
 /// the second lands in a landing lane past the pin-down cache's region.
 /// Rank 0 sends a pair before the checkpoint and another after it, so the

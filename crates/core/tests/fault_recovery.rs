@@ -9,14 +9,23 @@ use testutil::prop::{check, shrink, Case, Gen};
 
 /// Every packet dropped and a finite retry budget: the transport gives
 /// up, the progress engine tears the connection down, and both ranks
-/// finish with typed faults instead of panicking or hanging.
+/// finish with typed faults instead of panicking or hanging — under eager
+/// and on-demand setup alike. On demand, the passive side's first
+/// completions from its peer are the flushed receives, so that side's
+/// connection is built from a flush.
 #[test]
 fn retry_exhaustion_surfaces_typed_faults_without_panicking() {
-    let cfg = MpiConfig {
-        retry_cnt: Some(1),
-        fault_plan: Some(FaultPlan::new(42).with_drop(1.0)),
-        ..MpiConfig::scheme(FlowControlScheme::UserStatic, 4)
-    };
+    for on_demand_connections in [false, true] {
+        retry_exhaustion(MpiConfig {
+            retry_cnt: Some(1),
+            fault_plan: Some(FaultPlan::new(42).with_drop(1.0)),
+            on_demand_connections,
+            ..MpiConfig::scheme(FlowControlScheme::UserStatic, 4)
+        });
+    }
+}
+
+fn retry_exhaustion(cfg: MpiConfig) {
     let out = MpiWorld::run(2, cfg, FabricParams::mt23108(), async |mpi| {
         if mpi.rank() == 0 {
             mpi.send(b"doomed", 1, 7).await;

@@ -60,6 +60,10 @@ const RWQE_BYTES: usize = 8 + 4 + 8 + 8;
 const REG_BYTES: usize = 4 + 1 + 8;
 const LIVE_BYTES: usize = 4 + 8;
 
+/// Encoded size of a queue pair record with no peer, backoff or posted
+/// receive: the least an image holds per queue pair.
+pub const QP_RECORD_BYTES: usize = 1 + 1 + 8 + 4 + 4 + 1 + 8 + 4 + 8 + 8 + 8 + 8 + 8 * 10;
+
 /// Checkpoint coordination state shared by the MPI ranks and the engine's
 /// fence callback. Lives on the [`Fabric`] because that is the world type
 /// every rank can reach, but it is *not* serialized: the driver of a
@@ -682,6 +686,14 @@ mod tests {
         assert_eq!(q.state(), QpState::ReadyToSend);
         assert_eq!(q.peer(), Some(QpId(1)));
         assert_eq!(restored.qp(QpId(1)).posted_recvs(), 3);
+    }
+
+    /// The rig's queue pairs are bare (never connected, nothing posted):
+    /// each is the least record [`QP_RECORD_BYTES`] promises.
+    #[test]
+    fn a_bare_queue_pair_record_is_qp_record_bytes() {
+        let body = section_body(&image(&bootstrapped(None)), TAG_QPS);
+        assert_eq!(body.len(), 8 + 2 * QP_RECORD_BYTES);
     }
 
     /// Canonical form: the image is a function of the memory's contents,

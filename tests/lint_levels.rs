@@ -72,6 +72,15 @@ fn sites(
     needle: &str,
     non_test: bool,
 ) -> std::collections::BTreeSet<(String, String)> {
+    sites_where(files, non_test, |code| code.contains(needle))
+}
+
+/// [`sites`] for the code lines `holds` accepts.
+fn sites_where(
+    files: &[String],
+    non_test: bool,
+    holds: impl Fn(&str) -> bool,
+) -> std::collections::BTreeSet<(String, String)> {
     let mut sites = std::collections::BTreeSet::new();
     for path in files {
         let file = path.rsplit('/').next().unwrap_or(path).to_string();
@@ -94,7 +103,7 @@ fn sites(
                     .unwrap_or_default()
                     .to_string();
             }
-            if code.contains(needle) {
+            if holds(code) {
                 sites.insert((file.clone(), func.clone()));
             }
         }
@@ -105,12 +114,15 @@ fn sites(
 /// DESIGN.md §3, "Connection establishment": one path establishes a
 /// connection. Its fabric half, `world::establish`, posts the pool before
 /// it runs the handshake (so the handshake advertises the pool as
-/// credits); its `Conn` half, `Conn::establish`, is the one place a
-/// connection becomes established. A second `ibfabric::connect` call or a
-/// second site setting the flag is how the fork this replaced would come
-/// back. (A checkpoint restore, elastic replacement included, connects
-/// nothing: it rebuilds the QPs through the bootstrap every run uses and
-/// patches each one's connected state on from the fabric image.)
+/// credits); its `Conn` half, `Conn::establish`, is the one constructor
+/// of a connection, and builds it established. A second
+/// `ibfabric::connect` call, or a `Conn { … }` literal in library code
+/// outside `Conn::establish` — a bare connection, established later — is
+/// how the fork this replaced would come back. (A checkpoint restore,
+/// elastic replacement included, connects nothing: it rebuilds the QPs
+/// through the bootstrap every run uses and patches each one's connected
+/// state on from the fabric image, and builds each connection its image
+/// records through `Conn::establish`.)
 #[test]
 fn connections_are_established_on_one_path() {
     let site = |file: &str, func: &str| (file.to_string(), func.to_string());
@@ -120,10 +132,25 @@ fn connections_are_established_on_one_path() {
         "`ibfabric::connect(` outside `world::establish`"
     );
     assert_eq!(
-        core_sites("established = true"),
+        sites_where(&rust_files("crates/core/src"), true, builds_a_conn),
         [site("conn.rs", "establish")].into(),
-        "a connection becomes established outside `Conn::establish`"
+        "a `Conn {{ … }}` literal outside `Conn::establish`"
     );
+}
+
+/// Whether the code line `code` holds a `Conn { … }` struct literal:
+/// `Conn {` as a whole type name that does not close a declaration
+/// (`struct Conn {`, `impl Conn {`, `impl … for Conn {`) or a signature
+/// (`-> Conn {`, `-> &mut Conn {`).
+fn builds_a_conn(code: &str) -> bool {
+    code.match_indices("Conn {").any(|(at, _)| {
+        let before = &code[..at];
+        let head = before.trim_end();
+        !before.ends_with(|c: char| c.is_alphanumeric() || c == '_')
+            && !["struct", "impl", "for", "->", "&", "mut"]
+                .iter()
+                .any(|t| head.ends_with(t))
+    })
 }
 
 /// A restore builds the world the way a run does, so the verbs objects

@@ -19,13 +19,15 @@
 #
 # A change that is *meant* to alter what a workload's simulation produces
 # declares it: `--rebaseline W` accepts compare.sh's exit 1 on a seed when,
-# and only when, no row reads REGRESSION, the one `DIFFER` line is W's and
-# names exactly `sim_digest, counts`, and between the two sides' records of
-# W exactly one count differs and it fell (it is printed with both values:
-# for `ckpt_ladder` under a sparser snapshot format, `ckpt.snapshot_bytes`,
-# which the harness also folds into the digest). A second workload that
-# differs, a `sim_time_ms` or op count that moves, a second count, or a
-# count that rose still fails the run.
+# and only when, no row reads REGRESSION, the one `DIFFER` line is W's, and
+# either it names `sim_digest` alone and no count of W differs (a change of
+# what the digest hashes and nothing else, e.g. a snapshot format version),
+# or it names exactly `sim_digest, counts` and between the two sides'
+# records of W exactly one count differs and it fell (it is printed with
+# both values: for `ckpt_ladder` under a sparser snapshot format,
+# `ckpt.snapshot_bytes`, which the harness also folds into the digest). A
+# second workload that differs, a `sim_time_ms` or op count that moves, a
+# second count, or a count that rose still fails the run.
 #
 # Last, three facts about the harness that can sink a PR whose code is
 # innocent (each only for the workloads the run covers):
@@ -175,9 +177,13 @@ counts_of() {
 # (this tree), its output in $1, is the re-baseline `--rebaseline` declared
 # and nothing more.
 declared_rebaseline() {
-    local verdict=$1 moved
+    local verdict=$1 differ moved
     if grep -q REGRESSION "$verdict"; then return 1; fi
-    [ "$(grep DIFFER "$verdict" | tr -s ' ')" = "$rebaseline DIFFER: sim_digest, counts" ] || return 1
+    differ=$(grep DIFFER "$verdict" | tr -s ' ')
+    case $differ in
+        "$rebaseline DIFFER: sim_digest" | "$rebaseline DIFFER: sim_digest, counts") ;;
+        *) return 1 ;;
+    esac
     moved=$(awk '
         NR == FNR { a[$1] = $2; next }
         { b[$1] = $2 }
@@ -187,7 +193,11 @@ declared_rebaseline() {
         }' <(counts_of "$2" "$rebaseline") <(counts_of "$3" "$rebaseline"))
     echo "$rebaseline counts that differ (parent -> this tree):"
     echo "${moved:-none found}"
-    [ "$(grep -c . <<<"$moved")" -eq 1 ] && awk '{ exit !($4 < $2) }' <<<"$moved"
+    if [ "$differ" = "$rebaseline DIFFER: sim_digest" ]; then
+        [ -z "$moved" ]
+    else
+        [ "$(grep -c . <<<"$moved")" -eq 1 ] && awk '{ exit !($4 < $2) }' <<<"$moved"
+    fi
 }
 
 status=0

@@ -226,10 +226,11 @@ pub fn rdma_channel() -> String {
 }
 
 /// On-demand connection management (related work \[23\]) on a sparse
-/// (ring) communication pattern. On-demand setup posts buffers only for
-/// the connections a rank uses; the fabric still registers every slab,
-/// mailbox and ring at bootstrap under both policies, so registered
-/// memory does not move.
+/// (ring) communication pattern. On-demand setup establishes only the
+/// connections a rank uses — the ring halo's and the finalize barrier's —
+/// and a connection's slab, mailbox and ring are registered when it is
+/// established, so both the posted buffers and the registered memory
+/// follow the connections in use.
 pub fn on_demand(ranks: usize) -> String {
     let jobs: Vec<ibpool::Job<'_, Vec<String>>> =
         [("all-to-all setup", false), ("on-demand setup", true)]

@@ -3,7 +3,7 @@
 //! credit message counts (Table 1) and dynamic buffer peaks (Table 2).
 
 use ibfabric::{FabricParams, MrId};
-use mpib::{FlowControlScheme, MpiConfig, MpiRunOutput, MpiWorld};
+use mpib::{Endpoint, FlowControlScheme, MpiConfig, MpiRunOutput, MpiWorld};
 use nasbench::common::{Kernel, KernelOutput};
 use nasbench::{run_kernel, NasClass};
 
@@ -50,7 +50,7 @@ fn run_world(
     .unwrap_or_else(|e| panic!("{kernel:?}/{scheme:?}/prepost={prepost} failed: {e}"))
 }
 
-/// Receive memory that world bootstrap pins per directed connection —
+/// Receive memory that establishment pins per directed connection —
 /// the slab of `max_prepost` buffers, the credit mailbox and the eager
 /// ring — as registered and as actually resident when the run ended.
 /// Registered is what the HCA would have pinned whatever the traffic;
@@ -58,7 +58,7 @@ fn run_world(
 /// scheme argues a connection should cost.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PoolMemory {
-    /// Directed connections (`n (n - 1)`).
+    /// Directed connections established (`n (n - 1)` under eager setup).
     pub connections: usize,
     /// Bytes registered per connection (identical for all of them).
     pub registered: usize,
@@ -67,14 +67,15 @@ pub struct PoolMemory {
     /// Resident bytes of the connection that touched the most.
     pub resident_max: usize,
     /// Bytes registered across the whole fabric: the above plus what was
-    /// registered after bootstrap (rendezvous landing regions, grown rings).
+    /// registered after establishment (rendezvous landing regions, grown
+    /// rings).
     pub fabric_registered: usize,
     /// Bytes resident across the whole fabric.
     pub fabric_resident: usize,
 }
 
-/// Runs `kernel` like [`run_nas`] and measures the bootstrap-pinned
-/// receive memory afterwards.
+/// Runs `kernel` like [`run_nas`] and measures the receive memory each
+/// connection pinned at establishment afterwards.
 pub fn pool_memory(
     kernel: Kernel,
     class: NasClass,
@@ -82,16 +83,17 @@ pub fn pool_memory(
     prepost: u32,
 ) -> PoolMemory {
     let fabric = run_world(kernel, class, scheme, prepost).fabric;
-    // Bootstrap registers every slab, then every mailbox, then every
-    // ring, each block in the same connection order.
-    let connections = kernel.paper_procs() * (kernel.paper_procs() - 1);
-    let pool = |c: usize| (0..3).map(move |block| MrId::from_raw((block * connections + c) as u32));
-    let resident: Vec<usize> = (0..connections)
-        .map(|c| pool(c).map(|mr| fabric.mr_bytes(mr).len()).sum())
+    // Each connection's endpoint on each side: its slab, mailbox and ring.
+    let pools: Vec<[MrId; 3]> = Endpoint::all(&fabric)
+        .map(|e| [e.slab, e.mailbox, e.ring])
+        .collect();
+    let resident: Vec<usize> = pools
+        .iter()
+        .map(|pool| pool.iter().map(|&mr| fabric.mr_bytes(mr).len()).sum())
         .collect();
     PoolMemory {
-        connections,
-        registered: pool(0).map(|mr| fabric.mr_len(mr)).sum(),
+        connections: pools.len(),
+        registered: pools[0].iter().map(|&mr| fabric.mr_len(mr)).sum(),
         resident_total: resident.iter().sum(),
         resident_max: resident.iter().copied().max().unwrap_or(0),
         fabric_registered: fabric.registered_bytes(),

@@ -1,6 +1,7 @@
 //! Work-request id encoding and the receive work requests of a
 //! connection's buffer slab.
 
+use crate::types::Rank;
 use ibfabric::{MrId, RecvWr};
 
 /// Byte offset (within a ring frame) of the validity marker the RDMA
@@ -14,7 +15,8 @@ pub(crate) const RING_MARKER: u8 = 0xAB;
 /// What a completed work request was (encoded in the wr_id's top byte).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum WrKind {
-    /// A pre-posted receive buffer; value = slot index.
+    /// A pre-posted receive buffer; value = the sending peer and the
+    /// slot index ([`recv_slot_of`]).
     RecvSlot,
     /// An eager/control send; value = destination rank.
     CtrlSend,
@@ -59,18 +61,26 @@ pub(crate) fn decode_wrid(wr_id: u64) -> (WrKind, u64) {
 }
 
 /// The receive work request for slot `slot` of a slab of `slot_size`-byte
-/// slots in region `mr`: the one shape every receive `mpib` posts takes.
-/// A connection posts its slots in order — `0..prepost` at establishment,
-/// the next ones as its pool grows — and reposts a consumed slot as
-/// itself, so the slots it has posted are `0..prepost_target` and the
-/// next free one is `prepost_target`.
-pub(crate) fn slot_recv_wr(mr: MrId, slot_size: usize, slot: u32) -> RecvWr {
+/// slots in region `mr`, into which `peer` sends: the one shape every
+/// receive `mpib` posts takes. Its wr_id names the peer, as every send's
+/// names its destination, so a completion says whose connection it
+/// belongs to. A connection posts its slots in order — `0..prepost` at
+/// establishment, the next ones as its pool grows — and reposts a
+/// consumed slot as itself, so the slots it has posted are
+/// `0..prepost_target` and the next free one is `prepost_target`.
+pub(crate) fn slot_recv_wr(mr: MrId, slot_size: usize, peer: Rank, slot: u32) -> RecvWr {
     RecvWr {
-        wr_id: encode_wrid(WrKind::RecvSlot, u64::from(slot)),
+        wr_id: encode_wrid(WrKind::RecvSlot, (peer as u64) << 32 | u64::from(slot)),
         mr,
         offset: slot as usize * slot_size,
         len: slot_size,
     }
+}
+
+/// The peer and slot a [`WrKind::RecvSlot`] wr_id value names (inverse of
+/// [`slot_recv_wr`]).
+pub(crate) fn recv_slot_of(value: u64) -> (Rank, u32) {
+    ((value >> 32) as Rank, value as u32)
 }
 
 #[cfg(test)]
@@ -101,8 +111,9 @@ mod tests {
 
     #[test]
     fn slab_slots() {
-        let wr = slot_recv_wr(MrId::from_index_for_tests(0), 2048, 3);
+        let wr = slot_recv_wr(MrId::from_index_for_tests(0), 2048, 65_534, 3);
         assert_eq!((wr.offset, wr.len), (3 * 2048, 2048));
-        assert_eq!(decode_wrid(wr.wr_id), (WrKind::RecvSlot, 3));
+        let (kind, value) = decode_wrid(wr.wr_id);
+        assert_eq!((kind, recv_slot_of(value)), (WrKind::RecvSlot, (65_534, 3)));
     }
 }

@@ -41,23 +41,24 @@
 //!
 //! # What the image holds
 //!
-//! [`MpiWorld::restore`] builds the world with `world::bootstrap_fabric`,
-//! as a run does, so every verbs object and bootstrap region keeps its id.
-//! The image holds what that cannot know: later registrations (replayed in
-//! order), which connections are established and their dynamic state, and
-//! the bytes a resumed run reads — the credit mailboxes, and a slab whose
-//! RECV completion is still queued (a peer's phase-3 credit message that
-//! landed after this rank's blob, which the released and the restored run
-//! then process alike). Other region bytes are dead at a fence (DESIGN.md
-//! §12).
+//! [`MpiWorld::restore`] builds the nodes and completion queues with
+//! `world::bootstrap_fabric`, as a run does. The image holds what that
+//! cannot know: every queue pair and region made after it — a
+//! connection's endpoints at establishment, the rest at run time —
+//! replayed in id order, which connections are established and their
+//! dynamic state, and the bytes a resumed run reads — the credit
+//! mailboxes, and a slab whose RECV completion is still queued (a peer's
+//! phase-3 credit message that landed after this rank's blob, which the
+//! released and the restored run then process alike). Other region bytes
+//! are dead at a fence (DESIGN.md §12).
 //!
 //! # Elastic replacement
 //!
 //! [`RestoreOptions::replace`] models a node killed by the fault plane and
 //! hot-swapped. At a quiesce fence a replacement is a restore: every rank,
 //! the victim included, is spawned from its own blob onto the rebuilt
-//! world, whose QPs the image patches back into their connected state and
-//! whose regions keep their indices, so the replacement re-seeds its
+//! world, whose QPs the image replays in their connected state and whose
+//! regions keep their indices, so the replacement re-seeds its
 //! credit and ring ledgers and needs no new handshake. The option marks
 //! the world as having rejoined one rank
 //! ([`crate::WorldStats::rejoined_ranks`]); the run stays byte-identical
@@ -77,7 +78,7 @@ use crate::regcache::{RegCache, REGCACHE_CAPACITY};
 use crate::requests::ReqId;
 use crate::types::{CommCtx, Rank, Tag};
 use crate::wire::MsgHeader;
-use crate::world::{self, MpiRunError, MpiRunOutput, MpiWorld};
+use crate::world::{self, Endpoint, MpiRunError, MpiRunOutput, MpiWorld, MAILBOX_BYTES};
 use ibfabric::{CkptBus, CqeOpcode, Fabric, FabricParams, MrId, NodeId};
 use ibsim::codec::{CodecError, Reader, Writer};
 use ibsim::{FenceAction, Sim, SimClock, SimConfig, SimDuration, SimTime};
@@ -90,7 +91,7 @@ pub const CKPT_FENCE_NOTE: &str = "checkpoint fence";
 
 /// Snapshot container format: magic, version, and section tags.
 const SNAPSHOT_MAGIC: u32 = 0x4942_434B; // "IBCK"
-const SNAPSHOT_VERSION: u32 = 4;
+const SNAPSHOT_VERSION: u32 = 5;
 const TAG_SNAP_META: u32 = 0xCB01;
 const TAG_SNAP_FABRIC: u32 = 0xCB02;
 const TAG_SNAP_RANKS: u32 = 0xCB03;
@@ -209,19 +210,11 @@ impl Snapshot {
         let mut fs = r.section(TAG_SNAP_FABRIC, "snapshot fabric")?;
         let fabric_image = fs.bytes("snapshot fabric image")?;
         fs.done("snapshot fabric")?;
-        // A restore builds a queue pair per directed connection, and the
-        // fabric image holds a record per queue pair: an image too short for
-        // the world it claims is refused before anything is built.
-        let needed = (nprocs * (nprocs - 1)).saturating_mul(ibfabric::snap::QP_RECORD_BYTES);
-        if fabric_image.len() < needed {
-            return Err(CodecError::Truncated {
-                context: "snapshot fabric image (a queue pair record per connection)",
-                needed,
-                have: fabric_image.len(),
-            });
-        }
+        // A restore builds a connection slot per peer of every rank, and
+        // each blob holds a presence byte per peer: a container too short
+        // for the world it claims is refused before anything is built.
         let mut rs = r.section(TAG_SNAP_RANKS, "snapshot ranks")?;
-        let n = rs.count("snapshot rank count", 8)?;
+        let n = rs.count("snapshot rank count", 8 + (nprocs - 1))?;
         if n != nprocs {
             return Err(CodecError::Overflow {
                 context: "snapshot rank count",
@@ -842,8 +835,42 @@ pub(crate) struct RankImage {
     app_state: Vec<u8>,
 }
 
+/// What [`restored_connection`] calls a region it refuses.
+const ENDPOINT_REFUSALS: [&str; 3] = [
+    "conn endpoint region",
+    "conn endpoint region (another node's region)",
+    "conn endpoint region len",
+];
+
+/// The endpoints of the connection between ranks `pair` on a restored
+/// fabric — the first rank's, then the second's — with the first's slab
+/// and both mailboxes on their owners' nodes and as long as the
+/// connection uses them (the rings are checked with their geometry).
+fn restored_connection(
+    fabric: &Fabric,
+    cfg: &MpiConfig,
+    pair: [Rank; 2],
+) -> Result<[Endpoint; 2], CodecError> {
+    let ends = world::connection(fabric, pair).ok_or(CodecError::BadTag {
+        context: "conn (no connected endpoint on the fabric)",
+        want: 1,
+        got: 0,
+    })?;
+    let slab = cfg.pool_cap() as usize * cfg.buf_size;
+    for (rank, mr, len) in [
+        (pair[0], ends[0].slab, slab),
+        (pair[0], ends[0].mailbox, MAILBOX_BYTES),
+        (pair[1], ends[1].mailbox, MAILBOX_BYTES),
+    ] {
+        let node = world::node_of(rank);
+        node_region(fabric, node, mr.as_raw(), len, ENDPOINT_REFUSALS)?;
+    }
+    Ok(ends)
+}
+
 /// Decodes the blob of the rank `setup` bootstraps, building in `setup`
-/// each connection the blob records.
+/// each connection the blob records onto the endpoints the restored
+/// fabric holds for it.
 fn decode_rank_blob(
     blob: &[u8],
     setup: &mut RankSetup,
@@ -965,7 +992,8 @@ fn decode_rank_blob(
     let mut cs = r.section(TAG_CONNS, "rank blob conns")?;
     for peer in (0..size).filter(|&p| p != rank) {
         setup.conns[peer] = if cs.bool("conn.present")? {
-            let mut c = Conn::establish(size, cfg, rank, peer);
+            let [mine, theirs] = restored_connection(fabric, cfg, [rank, peer])?;
+            let mut c = Conn::establish(cfg, peer, &mine, &theirs);
             decode_conn(&mut cs, &mut c, cfg, fabric)?;
             Some(Box::new(c))
         } else {
@@ -1039,14 +1067,18 @@ pub(crate) fn snapshot_or_release(
         .collect();
     // The regions the resumed run reads: every credit mailbox, and the
     // slab of a connection whose RECV completion is still queued.
-    let read_slabs: Vec<MrId> = world
+    let mut live = vec![false; world.mr_count()];
+    for end in Endpoint::all(world) {
+        live[end.mailbox.index()] = true;
+    }
+    let recvs = world
         .queued_completions()
-        .filter(|e| e.opcode == CqeOpcode::RecvComplete)
-        .map(|e| world::slab_mr_of(e.qp))
-        .collect();
-    let live = |mr: MrId| world::is_mailbox(n, mr) || read_slabs.contains(&mr);
+        .filter(|e| e.opcode == CqeOpcode::RecvComplete);
+    for end in recvs.filter_map(|e| Endpoint::of(world, e.qp)) {
+        live[end.slab.index()] = true;
+    }
     let mut w = Writer::new();
-    ibfabric::encode_fabric(world, world::bootstrap_mr_count(n), live, &mut w);
+    ibfabric::encode_fabric(world, |mr| live[mr.index()], &mut w);
     *snapshot = Some(Snapshot {
         epoch,
         nprocs: n,
@@ -1090,8 +1122,8 @@ where
 }
 
 /// The non-generic half of [`MpiWorld::restore`]: the rebuilt world,
-/// its image patched on, and every rank's decoded blob, checked before
-/// anything is spawned.
+/// its image replayed and patched on, and every rank's decoded blob,
+/// checked before anything is spawned.
 fn rebuild(
     snapshot: &Snapshot,
     cfg: &MpiConfig,
@@ -1167,8 +1199,9 @@ impl MpiWorld {
     }
 
     /// Resumes a [`Snapshot`]: builds the world the way a run does
-    /// (`world::bootstrap_fabric`), patches the fabric image's state onto
-    /// it, decodes every rank blob into the rebuilt connections (typed
+    /// (`world::bootstrap_fabric`), replays the fabric image's queue pairs
+    /// and regions and patches their state on, decodes every rank blob
+    /// into connections on the restored endpoints (typed
     /// [`MpiRunError::Snapshot`] errors on corruption or on a snapshot of
     /// another world), optionally hot-swaps a killed rank
     /// ([`RestoreOptions::replace`]), and continues the run on the
@@ -1211,8 +1244,7 @@ mod tests {
                 seq: 678,
                 events_processed: 910,
             },
-            // The least image a 2-rank world can have: two queue pairs.
-            fabric_image: vec![1; 2 * ibfabric::snap::QP_RECORD_BYTES],
+            fabric_image: vec![1; 16],
             rank_blobs: vec![vec![5; 4], vec![6; 5]],
         }
     }
@@ -1252,51 +1284,59 @@ mod tests {
                 ..
             }
         ));
-        // One format: a future version and the three this one replaced
+        // One format: a future version and the four this one replaced
         // are all refused by number, never misread.
-        for version in [99, 3, 2, 1] {
+        for version in [99, 4, 3, 2, 1] {
             let mut bytes = sample().to_bytes();
             bytes[4] = version;
             assert!(matches!(
                 Snapshot::from_bytes(&bytes).unwrap_err(),
                 CodecError::BadTag {
                     context: "snapshot version",
-                    want: 4,
+                    want: 5,
                     ..
                 }
             ));
         }
     }
 
-    /// A restore builds a queue pair per directed connection of the world
-    /// the container claims, so a fabric image too short for a queue pair
-    /// record each is refused before anything is built: the rebuild stays
-    /// within a constant factor of the input, whatever the container
-    /// claims.
+    /// A restore builds a connection slot per peer of every rank of the
+    /// world the container claims, so a container whose blobs are too
+    /// short for a presence byte per peer each is refused before anything
+    /// is built: the rebuild stays within a constant factor of the input,
+    /// whatever the container claims.
     #[test]
-    fn a_world_its_fabric_image_cannot_hold_is_refused() {
-        let truncated = |err: &CodecError| {
-            matches!(
-                err,
-                CodecError::Truncated {
-                    context: "snapshot fabric image (a queue pair record per connection)",
-                    ..
-                }
-            )
+    fn a_world_its_rank_blobs_cannot_hold_is_refused() {
+        let refused = |s: &Snapshot| {
+            let err = Snapshot::from_bytes(&s.to_bytes()).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    CodecError::Truncated {
+                        context: "snapshot rank count",
+                        ..
+                    }
+                ),
+                "{err}"
+            );
         };
-        let mut s = sample();
-        s.fabric_image.pop();
-        let err = Snapshot::from_bytes(&s.to_bytes()).unwrap_err();
-        assert!(truncated(&err), "{err}");
-        // 1 000 empty blobs: a container of 8 kB that would build 999 000
-        // connections.
-        let wide = Snapshot {
+        // Two ranks: a presence byte each is the least a blob holds.
+        let least = Snapshot {
+            rank_blobs: vec![vec![0]; 2],
+            ..sample()
+        };
+        assert_eq!(Snapshot::from_bytes(&least.to_bytes()).unwrap(), least);
+        refused(&Snapshot {
+            rank_blobs: vec![vec![0], Vec::new()],
+            ..sample()
+        });
+        // 1 000 empty blobs: a container of 8 kB that would build a million
+        // connection slots.
+        refused(&Snapshot {
             nprocs: 1000,
             rank_blobs: vec![Vec::new(); 1000],
             ..sample()
-        };
-        let err = Snapshot::from_bytes(&wide.to_bytes()).unwrap_err();
-        assert!(truncated(&err), "{err}");
+        });
     }
 
     #[test]
@@ -1306,28 +1346,35 @@ mod tests {
         assert!(Snapshot::from_bytes(&bytes).is_err());
     }
 
-    /// The fabric of a bootstrapped 2-rank world under `cfg`.
-    fn two_rank_fabric(cfg: &MpiConfig) -> Fabric {
-        let mut fabric = Fabric::new(FabricParams::mt23108());
-        world::bootstrap_fabric(&mut fabric, 2, cfg);
-        fabric
+    /// The fabric of a 2-rank world under `cfg`, its one connection
+    /// established, and rank 0's endpoint and rank 1's.
+    fn two_rank_world(cfg: &MpiConfig) -> (Fabric, [Endpoint; 2]) {
+        let (sim, _) = world::boot(2, cfg, FabricParams::mt23108(), SimConfig::default());
+        let fabric = sim.into_world();
+        let ends = world::connection(&fabric, [0, 1]);
+        (fabric, ends.expect("eager setup establishes the pair"))
     }
 
     /// Rank 0's connection record of `c`, decoded into a new connection.
-    fn conn_roundtrip(c: &Conn, cfg: &MpiConfig, fabric: &Fabric) -> Result<Conn, CodecError> {
+    fn conn_roundtrip(
+        c: &Conn,
+        cfg: &MpiConfig,
+        (fabric, ends): &(Fabric, [Endpoint; 2]),
+    ) -> Result<Conn, CodecError> {
         let mut w = Writer::new();
         encode_conn(c, &mut w);
         let bytes = w.finish();
-        let mut back = Conn::establish(2, cfg, 0, 1);
+        let mut back = Conn::establish(cfg, 1, &ends[0], &ends[1]);
         decode_conn(&mut Reader::new(&bytes), &mut back, cfg, fabric).map(|()| back)
     }
 
     #[test]
     fn conn_record_roundtrips_and_rejects_a_leaking_window() {
         let cfg = MpiConfig::scheme(crate::FlowControlScheme::RdmaChannel, 8);
-        let fabric = two_rank_fabric(&cfg);
-        let decoded = |c: &Conn| conn_roundtrip(c, &cfg, &fabric);
-        let mut c = Conn::establish(2, &cfg, 0, 1);
+        let world = two_rank_world(&cfg);
+        let decoded = |c: &Conn| conn_roundtrip(c, &cfg, &world);
+        let ends = &world.1;
+        let mut c = Conn::establish(&cfg, 1, &ends[0], &ends[1]);
         // One unit spent (the window's spend is private to `conn.rs`).
         c.credits.held -= 1;
         c.credits.spent_total += 1;
@@ -1350,13 +1397,14 @@ mod tests {
         use crate::FlowControlScheme as S;
         for (scheme, cap) in [(S::UserStatic, 8), (S::UserDynamic, 512)] {
             let cfg = MpiConfig::scheme(scheme, 8);
-            let fabric = two_rank_fabric(&cfg);
-            let mut c = Conn::establish(2, &cfg, 0, 1);
+            let world = two_rank_world(&cfg);
+            let ends = &world.1;
+            let mut c = Conn::establish(&cfg, 1, &ends[0], &ends[1]);
             c.prepost_target = cap;
             c.posted = cap;
-            conn_roundtrip(&c, &cfg, &fabric).expect("a full pool decodes");
+            conn_roundtrip(&c, &cfg, &world).expect("a full pool decodes");
             c.posted = cap + 1;
-            let err = conn_roundtrip(&c, &cfg, &fabric).err();
+            let err = conn_roundtrip(&c, &cfg, &world).err();
             assert!(
                 matches!(
                     err,
@@ -1368,7 +1416,7 @@ mod tests {
                 "{scheme:?}: {err:?}"
             );
             c.prepost_target = cap + 1;
-            let err = conn_roundtrip(&c, &cfg, &fabric).err();
+            let err = conn_roundtrip(&c, &cfg, &world).err();
             assert!(
                 matches!(
                     err,
@@ -1389,13 +1437,16 @@ mod tests {
     fn restored_ring_geometry_is_checked() {
         use crate::FlowControlScheme as S;
         let cfg = MpiConfig::scheme(S::RdmaChannelDyn, 8);
-        let mut fabric = two_rank_fabric(&cfg);
+        let mut world = two_rank_world(&cfg);
         let slots = cfg.rdma_ring_slots;
         let grown_len = 2 * slots as usize * cfg.buf_size;
-        let grown = fabric.register(NodeId::from_index(0), grown_len, ibfabric::Access::FULL);
+        let grown = world
+            .0
+            .register(NodeId::from_index(0), grown_len, ibfabric::Access::FULL);
+        let ends = world.1;
         // Established, then grown once: generation 0 still drains.
         let honest = || {
-            let mut c = Conn::establish(2, &cfg, 0, 1);
+            let mut c = Conn::establish(&cfg, 1, &ends[0], &ends[1]);
             c.rings[0].read_slot = slots - 1;
             c.install_grown_ring(grown, 2 * slots);
             c
@@ -1407,7 +1458,7 @@ mod tests {
                 .collect()
         };
         let c = honest();
-        let back = conn_roundtrip(&c, &cfg, &fabric).expect("honest geometry decodes");
+        let back = conn_roundtrip(&c, &cfg, &world).expect("honest geometry decodes");
         assert_eq!(geometry(&back), geometry(&c));
 
         type Lie = fn(&mut Conn);
@@ -1437,7 +1488,7 @@ mod tests {
         for (lie, apply) in lies {
             let mut c = honest();
             apply(&mut c);
-            let err = conn_roundtrip(&c, &cfg, &fabric).err();
+            let err = conn_roundtrip(&c, &cfg, &world).err();
             assert!(
                 matches!(
                     err,
@@ -1451,7 +1502,7 @@ mod tests {
         }
         // Only ring growth leaves an older generation behind.
         let fixed = MpiConfig::scheme(S::RdmaChannel, 8);
-        assert!(conn_roundtrip(&honest(), &fixed, &fabric).is_err());
+        assert!(conn_roundtrip(&honest(), &fixed, &world).is_err());
 
         // A watched peer with no connection — here the rank itself — is
         // refused before any poll.
@@ -1556,7 +1607,9 @@ mod tests {
             ),
             "{err}"
         );
-        let mut c = Conn::establish(2, &cfg, 0, 1);
+        let [mine, theirs] =
+            world::connection(&fabric, [0, 1]).expect("the snapshot's pair is established");
+        let mut c = Conn::establish(&cfg, 1, &mine, &theirs);
         let mut w = Writer::new();
         encode_conn(&c, &mut w);
         let mut bad = w.finish();
@@ -1579,11 +1632,13 @@ mod tests {
     /// caches hold entries) with `lie` applied to rank 0's `TAG_REGCACHE`
     /// section — `used_bytes`, tick and three counters, the entry count at
     /// byte 40, then 36-byte entries: key slot, key len, region id at +16,
-    /// length at +20, last use — and returns the refusal. No rank may run:
-    /// every lie must be caught before anything is spawned.
-    fn restore_with_regcache_lie(lie: impl FnOnce(&mut [u8])) -> String {
+    /// length at +20, last use — and returns the refusal. `lie` also sees
+    /// the world the restore rebuilds. No rank may run: every lie must be
+    /// caught before anything is spawned.
+    fn restore_with_regcache_lie(lie: impl FnOnce(&mut [u8], &Fabric)) -> String {
         let cfg = MpiConfig::scheme(crate::FlowControlScheme::UserDynamic, 4);
         let mut snap = snapshot_after_exchange(&cfg, 64 * 1024);
+        let (fabric, _) = rebuilt(&snap, &cfg);
         let blob = &mut snap.rank_blobs[0];
         let mut at = 4; // past the blob version; then tag u32 | len u64 | body
         let section = loop {
@@ -1595,7 +1650,7 @@ mod tests {
             at += 12 + len;
         };
         assert_ne!(section[40..48], [0; 8], "the cache holds entries");
-        lie(section);
+        lie(section, &fabric);
         let refused = MpiWorld::restore(
             &snap,
             cfg,
@@ -1613,7 +1668,7 @@ mod tests {
 
     #[test]
     fn regcache_entry_naming_a_region_the_fabric_lacks_is_refused() {
-        let err = restore_with_regcache_lie(|s| s[64..68].copy_from_slice(&77u32.to_le_bytes()));
+        let err = restore_with_regcache_lie(|s, _| s[64..68].copy_from_slice(&77u32.to_le_bytes()));
         assert!(
             err.starts_with("regcache entry mr: value 77 exceeds"),
             "{err}"
@@ -1623,8 +1678,10 @@ mod tests {
     #[test]
     fn regcache_entry_naming_a_peers_region_is_refused() {
         // Rank 1's receive slab: a real region, on the wrong node.
-        let theirs = world::slab_mr_for(2, 1, 0).as_raw().to_le_bytes();
-        let err = restore_with_regcache_lie(|s| s[64..68].copy_from_slice(&theirs));
+        let err = restore_with_regcache_lie(|s, fabric| {
+            let [_, theirs] = world::connection(fabric, [0, 1]).expect("the pair is established");
+            s[64..68].copy_from_slice(&theirs.slab.as_raw().to_le_bytes())
+        });
         assert!(
             err.starts_with("regcache entry mr (another node's region)"),
             "{err}"
@@ -1633,23 +1690,59 @@ mod tests {
 
     #[test]
     fn regcache_entry_longer_than_its_region_is_refused() {
-        let err =
-            restore_with_regcache_lie(|s| s[68..76].copy_from_slice(&(1u64 << 40).to_le_bytes()));
+        let err = restore_with_regcache_lie(|s, _| {
+            s[68..76].copy_from_slice(&(1u64 << 40).to_le_bytes())
+        });
         assert!(err.starts_with("regcache entry len: value"), "{err}");
     }
 
     #[test]
     fn regcache_used_bytes_off_the_sum_of_its_entries_is_refused() {
         // One byte off: eviction's `used_bytes -= len` can underflow.
-        let err = restore_with_regcache_lie(|s| s[0] ^= 1);
+        let err = restore_with_regcache_lie(|s, _| s[0] ^= 1);
         assert!(err.starts_with("regcache used_bytes (not the sum"), "{err}");
     }
 
     #[test]
     fn regcache_entry_count_no_input_could_back_is_refused() {
-        let err =
-            restore_with_regcache_lie(|s| s[40..48].copy_from_slice(&(1u64 << 40).to_le_bytes()));
+        let err = restore_with_regcache_lie(|s, _| {
+            s[40..48].copy_from_slice(&(1u64 << 40).to_le_bytes())
+        });
         assert!(err.starts_with("regcache entry count: truncated"), "{err}");
+    }
+
+    /// A connection's endpoints come back from the fabric image, so a
+    /// slab that holds the posted slots but not the pool they may grow to
+    /// is refused at decode, not found by the first post past its end.
+    #[test]
+    fn restored_endpoint_regions_are_checked() {
+        let cfg = MpiConfig::scheme(crate::FlowControlScheme::UserDynamic, 4);
+        let mut snap = snapshot_after_exchange(&cfg, 16);
+        // Rank 0's slab record: node 0, locally writable, its length.
+        let len = (cfg.max_prepost as usize * cfg.buf_size) as u64;
+        let access = [ibfabric::Access::LOCAL_WRITE.bits()];
+        let record = [&[0; 4][..], &access, &len.to_le_bytes()].concat();
+        let image = &mut snap.fabric_image;
+        let at = (image.windows(record.len()))
+            .position(|w| w == record)
+            .expect("rank 0's slab record");
+        let posted = (cfg.prepost as usize * cfg.buf_size) as u64;
+        image[at + 5..at + 13].copy_from_slice(&posted.to_le_bytes());
+        let refused = MpiWorld::restore(
+            &snap,
+            cfg,
+            FabricParams::mt23108(),
+            SimConfig::default(),
+            RestoreOptions::default(),
+            async |_: &mut MpiRank, _: CkptStart| panic!("a rank ran on a refused snapshot"),
+        );
+        match refused {
+            Err(MpiRunError::Snapshot(e)) => {
+                assert!(e.to_string().starts_with("conn endpoint region len"), "{e}")
+            }
+            Err(e) => panic!("refused, but not as a bad image: {e}"),
+            Ok(_) => panic!("a slab shorter than its pool was restored"),
+        }
     }
 
     #[test]

@@ -19,7 +19,7 @@ use crate::requests::ReqId;
 use crate::stats::ConnStats;
 use crate::types::Rank;
 use crate::wire::{MsgHeader, MsgKind};
-use crate::world::{mailbox_mr_for, qp_id_for, ring_mr_for, slab_mr_for};
+use crate::world::Endpoint;
 use ibfabric::{MrId, QpId, SendOp, SendWr};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -162,7 +162,7 @@ pub(crate) fn earns_return(scheme: FlowControlScheme, kind: MsgKind) -> bool {
 /// acknowledges the switch.
 #[derive(Debug)]
 pub(crate) struct RxRing {
-    /// Generation 0 is the bootstrap ring laid out by `world.rs`; each
+    /// Generation 0 is the ring `world::establish` registered; each
     /// growth registers a fresh region one generation higher.
     pub gen: u32,
     /// The ring's region (WRITEs against its rkey land here).
@@ -266,38 +266,38 @@ pub(crate) struct Conn {
 }
 
 impl Conn {
-    /// The connection of rank `i` toward rank `j` in an `n`-rank world,
-    /// established: its verbs handles from the deterministic layout
-    /// (`world.rs`), the receive slots `0..prepost` that `world::establish`
-    /// posted into its QP adopted, the matching buffer credits granted and,
-    /// under the ring schemes, the bootstrap ring window open on both
-    /// sides (generation 0). The one constructor: no connection exists
-    /// before it is established. A checkpoint restore overwrites the
-    /// dynamic fields from the rank's blob.
-    pub fn establish(n: usize, cfg: &MpiConfig, i: Rank, j: Rank) -> Self {
+    /// The connection toward `peer`, established: its verbs handles from
+    /// this side's endpoint `mine` and the peer's `theirs` (what
+    /// `world::establish` created), the receive slots `0..prepost` that
+    /// `world::establish` posted into its QP adopted, the matching buffer
+    /// credits granted and, under the ring schemes, the first ring window
+    /// open on both sides (generation 0). The one constructor: no
+    /// connection exists before it is established. A checkpoint restore
+    /// overwrites the dynamic fields from the rank's blob.
+    pub fn establish(cfg: &MpiConfig, peer: Rank, mine: &Endpoint, theirs: &Endpoint) -> Self {
         let mut c = Conn {
-            peer: j,
-            qp: qp_id_for(n, i, j),
+            peer,
+            qp: mine.qp,
             failed: false,
             credits: CreditWindow::default(),
             ring: CreditWindow::default(),
             backlog: VecDeque::new(),
             optimistic_req: None,
             send_seq: 0,
-            slab: slab_mr_for(n, i, j),
+            slab: mine.slab,
             prepost_target: cfg.prepost,
             posted: cfg.prepost,
-            my_mailbox: mailbox_mr_for(n, i, j),
-            peer_mailbox: mailbox_mr_for(n, j, i),
+            my_mailbox: mine.mailbox,
+            peer_mailbox: theirs.mailbox,
             next_deliver_seq: 0,
             reorder: std::collections::BTreeMap::new(),
             rings: vec![RxRing {
                 gen: 0,
-                mr: ring_mr_for(n, i, j),
+                mr: mine.ring,
                 slots: 0,
                 read_slot: 0,
             }],
-            peer_ring: ring_mr_for(n, j, i),
+            peer_ring: theirs.ring,
             ring_write_slot: 0,
             peer_ring_gen: 0,
             peer_ring_slots: 0,
@@ -333,7 +333,7 @@ impl Conn {
     pub fn live_ring(&self) -> &RxRing {
         #[expect(
             clippy::expect_used,
-            reason = "`rings` starts with the bootstrap ring and only ever retires older generations"
+            reason = "`rings` starts with the ring `world::establish` registered and only ever retires older generations"
         )]
         self.rings.last().expect("a live ring")
     }
@@ -553,7 +553,13 @@ mod tests {
     /// each test starts from empty windows.
     fn conn() -> Conn {
         let cfg = MpiConfig::scheme(FlowControlScheme::UserStatic, 4);
-        let mut c = Conn::establish(2, &cfg, 0, 1);
+        let end = Endpoint {
+            qp: ibfabric::QpId::from_index_for_tests(0),
+            slab: MrId::from_index_for_tests(0),
+            mailbox: MrId::from_index_for_tests(1),
+            ring: MrId::from_index_for_tests(2),
+        };
+        let mut c = Conn::establish(&cfg, 1, &end, &end);
         c.credits = CreditWindow::default();
         c
     }

@@ -119,4 +119,4 @@ pub use scalar::{
 pub use stats::{ConnStats, RankStats, WorldStats};
 pub use types::{Rank, Status, Tag};
 pub use wire::{MsgHeader, MsgKind, WireError, HEADER_LEN};
-pub use world::{MpiRunError, MpiRunOutput, MpiWorld};
+pub use world::{Endpoint, MpiRunError, MpiRunOutput, MpiWorld};

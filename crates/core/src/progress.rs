@@ -1,7 +1,7 @@
 //! The progress engine: completion dispatch, credit accounting, backlog
 //! draining, explicit credit returns, and dynamic pool growth.
 
-use crate::buffers::{decode_wrid, WrKind};
+use crate::buffers::{decode_wrid, recv_slot_of, WrKind};
 use crate::config::{CreditMsgMode, GrowthPolicy};
 use crate::rank::{MpiRank, Unexpected};
 use crate::requests::{RecvState, ReqId, Request, SendState};
@@ -102,7 +102,7 @@ impl MpiRank {
             // Under on-demand setup a peer's first completion here —
             // delivered or flushed — is where this side learns that the
             // peer connected to it.
-            self.ensure_established(self.peer_of(cqe.qp));
+            self.ensure_established(recv_slot_of(value).0);
         }
         if cqe.status != CqeStatus::Success {
             self.handle_failed_cqe(cqe, kind, value);
@@ -110,7 +110,8 @@ impl MpiRank {
         }
         match (cqe.opcode, kind) {
             (CqeOpcode::RecvComplete, WrKind::RecvSlot) => {
-                self.handle_incoming(self.peer_of(cqe.qp), value as u32, cqe.byte_len);
+                let (peer, slot) = recv_slot_of(value);
+                self.handle_incoming(peer, slot, cqe.byte_len);
             }
             (CqeOpcode::SendComplete, WrKind::CtrlSend | WrKind::Ecm) => {
                 self.outstanding_ctrl -= 1;
@@ -158,7 +159,7 @@ impl MpiRank {
                 dst
             }
             WrKind::RecvSlot => {
-                let peer = self.peer_of(cqe.qp);
+                let (peer, _) = recv_slot_of(value);
                 // The flushed WQE consumed a posted buffer.
                 let c = self.conn_mut(peer);
                 c.posted = c.posted.saturating_sub(1);
@@ -710,7 +711,7 @@ impl MpiRank {
     /// Reads the growth words of one incoming mailbox: adopts a newly
     /// offered peer ring (higher generation than the one currently
     /// written to) and applies the peer's acknowledgement of our own
-    /// offers. Generation 0 is the bootstrap ring, so a zeroed mailbox —
+    /// offers. Generation 0 is the first ring, so a zeroed mailbox —
     /// all a peer whose ring may not grow ever writes there — is never
     /// adopted; offers are whole-image and monotone, making a duplicated
     /// or overtaken write a no-op.

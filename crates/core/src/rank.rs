@@ -7,7 +7,8 @@ use crate::regcache::{RegCache, REGCACHE_CAPACITY};
 use crate::requests::ReqTable;
 use crate::stats::RankStats;
 use crate::types::{CommCtx, Rank, Tag};
-use ibfabric::{CqId, Fabric, NodeId, QpId};
+use crate::world;
+use ibfabric::{CqId, Fabric, NodeId};
 use ibsim::{ProcCtx, SimDuration};
 use std::collections::{BTreeMap, VecDeque};
 
@@ -142,12 +143,6 @@ impl MpiRank {
         }
     }
 
-    /// The peer whose connection owns `qp` (the inverse of the world
-    /// layout, `world::peer_of`).
-    pub(crate) fn peer_of(&self, qp: QpId) -> Rank {
-        crate::world::peer_of(self.size, self.rank, qp)
-    }
-
     /// This process's rank in the world.
     pub fn rank(&self) -> Rank {
         self.rank
@@ -212,29 +207,33 @@ impl MpiRank {
     /// Establishes the connection to `peer` on first use; a no-op once it
     /// is. Eager setup establishes every pair at t = 0 (`world::boot`), so
     /// this only does work under on-demand setup (related work \[23\]):
-    /// the initiator — whose QP is still in `Reset` — pays the handshake
-    /// (`connect_cost`) and establishes both sides on the fabric; the
-    /// passive side arrives here from its first completion from `peer`
-    /// and adopts the pool posted on its behalf — whether that completion
-    /// delivered a frame or was flushed by a failed connection. Either way
-    /// [`Conn::establish`] builds this side's connection and `peer` joins
-    /// the RDMA watchlist.
+    /// the initiator — which finds no queue pair toward `peer` on the
+    /// fabric — pays the handshake (`connect_cost`) and establishes both
+    /// sides on the fabric; the passive side — from its first completion
+    /// from `peer`, delivered or flushed by a failed connection, or from a
+    /// send of its own that comes first — reads both endpoints back from
+    /// the fabric, as a connection manager's reply carries them, and adopts
+    /// the pool posted on its behalf. Either way [`Conn::establish`] builds
+    /// this side's connection and `peer` joins the RDMA watchlist.
     pub(crate) fn ensure_established(&mut self, peer: Rank) {
         if self.conns[peer].is_some() {
             return;
         }
-        let (n, me, cfg) = (self.size, self.rank, &self.cfg);
-        let qp = crate::world::qp_id_for(n, me, peer);
-        let connect_cost = self.proc.with(|ctx| {
-            (ctx.world.qp(qp).state() == ibfabric::QpState::Reset).then(|| {
-                crate::world::establish(ctx, n, cfg, me, peer);
-                ctx.world.params().connect_cost
-            })
-        });
+        let (cfg, pair) = (&self.cfg, [self.rank, peer]);
+        let (ends, connect_cost) = self
+            .proc
+            .with(|ctx| match world::connection(ctx.world, pair) {
+                Some(ends) => (ends, None),
+                None => (
+                    world::establish(ctx, cfg, pair),
+                    Some(ctx.world.params().connect_cost),
+                ),
+            });
         if let Some(cost) = connect_cost {
             self.charge(cost);
         }
-        self.conns[peer] = Some(Box::new(Conn::establish(n, &self.cfg, me, peer)));
+        let [mine, theirs] = ends;
+        self.conns[peer] = Some(Box::new(Conn::establish(&self.cfg, peer, &mine, &theirs)));
         // A peer is watched exactly while it has a live connection, so a
         // new one cannot be on the list yet.
         self.rdma_watch.push(peer);
@@ -253,11 +252,11 @@ impl MpiRank {
 
     /// Posts slab slot `slot` of the connection from `peer` as a receive
     /// and returns the software post cost, which only a repost charges:
-    /// the one post of a receive work request after bootstrap
-    /// (`world::establish` posts the bootstrap pool).
+    /// the one post of a receive work request after establishment
+    /// (`world::establish` posts the initial pool).
     pub(crate) fn post_recv_slot(&mut self, peer: Rank, slot: u32) -> SimDuration {
         let c = self.conn(peer);
-        let (qp, wr) = (c.qp, slot_recv_wr(c.slab, self.cfg.buf_size, slot));
+        let (qp, wr) = (c.qp, slot_recv_wr(c.slab, self.cfg.buf_size, peer, slot));
         self.proc.with(|ctx| {
             #[expect(
                 clippy::expect_used,

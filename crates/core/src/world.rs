@@ -7,7 +7,8 @@ use crate::config::MpiConfig;
 use crate::conn::Conn;
 use crate::rank::{MpiRank, RankSetup};
 use crate::stats::{RankStats, WorldStats};
-use ibfabric::{Access, Fabric, FabricParams, MrId, QpAttrs, QpId};
+use crate::types::Rank;
+use ibfabric::{Access, Fabric, FabricParams, MrId, NodeId, QpAttrs, QpId};
 use ibsim::{Ctx, Sim, SimConfig, SimError, SimTime};
 use std::rc::Rc;
 use std::sync::mpsc::Sender;
@@ -65,90 +66,134 @@ pub struct MpiRunOutput<R> {
 /// Entry point: run an SPMD body over a simulated cluster.
 pub struct MpiWorld;
 
-/// Deterministic object layout (world bootstrap creates verbs objects in a
-/// fixed order so both endpoints of a connection can derive each other's
-/// handles without a side channel — the role the real implementation's
-/// out-of-band bootstrap plays).
-fn pair_index(n: usize, i: usize, j: usize) -> usize {
-    debug_assert!(i != j && i < n && j < n);
-    i * (n - 1) + if j < i { j } else { j - 1 }
+/// Bytes of a credit mailbox: [0..8] buffer-credit counter, [8..16]
+/// ring-slot counter (RDMA eager channel), [16..28] offered ring
+/// generation/rkey/slots and [28..32] acknowledged generation (ring
+/// growth; the growth words stay zero when the writer's ring may not grow
+/// — only the payload the writer sends differs).
+pub(crate) const MAILBOX_BYTES: usize = 32;
+
+/// One side of an established connection on the fabric: its queue pair
+/// and the three regions `world::establish` registered for
+/// it — the receive slab its queue pair's receives land in, the credit
+/// mailbox and the eager-channel ring the peer RDMA-writes. The regions
+/// are the queue pair's context, so either side reads both endpoints
+/// back from the fabric ([`Endpoint::of`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Endpoint {
+    /// The side's queue pair.
+    pub qp: QpId,
+    /// Receive slab: `max_prepost` slots of `buf_size` bytes.
+    pub slab: MrId,
+    /// Credit mailbox the peer writes.
+    pub mailbox: MrId,
+    /// Eager-channel ring the peer writes (generation 0).
+    pub ring: MrId,
 }
 
-/// QP of rank `i` for its connection to rank `j`.
-pub(crate) fn qp_id_for(n: usize, i: usize, j: usize) -> QpId {
-    QpId::from_index_for_tests(pair_index(n, i, j) as u32)
-}
+impl Endpoint {
+    /// The endpoint whose queue pair is `qp`, from the regions its context
+    /// names; `None` for a queue pair no connection made.
+    pub fn of(fabric: &Fabric, qp: QpId) -> Option<Endpoint> {
+        let &[slab, mailbox, ring] = fabric.qp(qp).context() else {
+            return None;
+        };
+        Some(Endpoint {
+            qp,
+            slab,
+            mailbox,
+            ring,
+        })
+    }
 
-/// Inverse of [`qp_id_for`] for rank `i`: the peer behind its QP `qp`.
-/// `qp` must be one of rank `i`'s own QPs — the only ones its completion
-/// queue reports.
-pub(crate) fn peer_of(n: usize, i: usize, qp: QpId) -> usize {
-    let k = qp.index() - i * (n - 1);
-    debug_assert!(k < n - 1, "{qp:?} is not a QP of rank {i}");
-    if k < i {
-        k
-    } else {
-        k + 1
+    /// Every endpoint of the fabric — two per established connection — in
+    /// the order their queue pairs were created.
+    pub fn all(fabric: &Fabric) -> impl Iterator<Item = Endpoint> + '_ {
+        fabric.qps().filter_map(|q| Endpoint::of(fabric, q.id()))
     }
 }
 
-/// Receive-slab MR of rank `i` for messages from rank `j`.
-pub(crate) fn slab_mr_for(n: usize, i: usize, j: usize) -> MrId {
-    MrId::from_raw(pair_index(n, i, j) as u32)
+/// The node of rank `rank`: bootstrap creates one per rank, in rank order.
+pub(crate) fn node_of(rank: Rank) -> NodeId {
+    NodeId::from_index(rank)
 }
 
-/// Credit mailbox MR on rank `i` written by rank `j`.
-pub(crate) fn mailbox_mr_for(n: usize, i: usize, j: usize) -> MrId {
-    MrId::from_raw((n * (n - 1) + pair_index(n, i, j)) as u32)
+/// The connection between ranks `pair` as the fabric holds it: the first
+/// rank's endpoint, then the second's. `None` until it is established.
+pub(crate) fn connection(fabric: &Fabric, pair: [Rank; 2]) -> Option<[Endpoint; 2]> {
+    let qp = fabric.qp_toward(node_of(pair[0]), node_of(pair[1]))?;
+    let peer = fabric.qp(qp).peer()?;
+    Some([Endpoint::of(fabric, qp)?, Endpoint::of(fabric, peer)?])
 }
 
-/// RDMA eager-channel ring MR on rank `i` written by rank `j`.
-pub(crate) fn ring_mr_for(n: usize, i: usize, j: usize) -> MrId {
-    MrId::from_raw((2 * n * (n - 1) + pair_index(n, i, j)) as u32)
-}
-
-/// Regions [`bootstrap_fabric`] registers: a receive slab, a credit
-/// mailbox and a ring per directed connection.
-pub(crate) fn bootstrap_mr_count(n: usize) -> usize {
-    3 * n * (n - 1)
-}
-
-/// Whether `mr` is a credit mailbox of the layout.
-pub(crate) fn is_mailbox(n: usize, mr: MrId) -> bool {
-    (n * (n - 1)..2 * n * (n - 1)).contains(&(mr.as_raw() as usize))
-}
-
-/// The receive slab a RECV on `qp` lands in: slabs and QPs share the
-/// pair index.
-pub(crate) fn slab_mr_of(qp: QpId) -> MrId {
-    MrId::from_raw(qp.index() as u32)
-}
-
-/// The fabric half of establishing the connection between ranks `i` and
-/// `j`: posts slots `0..prepost` of both sides' receive slabs into both
-/// QPs, *then* runs the RC handshake, so the handshake advertises the
-/// whole pool as initial end-to-end credits (paper §4.1). Each side's
-/// [`Conn::establish`] adopts the slots posted here. Connecting QPs with
-/// empty send queues schedules nothing.
-pub(crate) fn establish(ctx: &mut Ctx<'_, Fabric>, n: usize, cfg: &MpiConfig, i: usize, j: usize) {
-    for (a, b) in [(i, j), (j, i)] {
-        let (qp, mr) = (qp_id_for(n, a, b), slab_mr_for(n, a, b));
+/// Establishes the connection between ranks `pair` on the fabric: creates
+/// each side's queue pair, reporting to its rank's completion queue, and
+/// its slab, mailbox and ring (its [`Endpoint`]), posts slots `0..prepost`
+/// of both slabs into both queue pairs, *then* runs the RC handshake, so
+/// the handshake advertises the whole pool as initial end-to-end credits
+/// (paper §4.1). Each side's [`Conn::establish`] adopts the slots posted
+/// here. Connecting QPs with empty send queues schedules nothing. Returns
+/// the endpoints in `pair` order.
+///
+/// RNR retries are unbounded (MPI reliability: a slow receiver is waited
+/// out, never failed), and so are transport retries by default (a lossy
+/// fabric is waited out); a finite `retry_cnt` surfaces exhaustion as a
+/// typed fault (see `fault.rs`).
+pub(crate) fn establish(
+    ctx: &mut Ctx<'_, Fabric>,
+    cfg: &MpiConfig,
+    pair: [Rank; 2],
+) -> [Endpoint; 2] {
+    let attrs = QpAttrs {
+        rnr_retry: None,
+        retry_cnt: cfg.retry_cnt,
+    };
+    let f = &mut *ctx.world;
+    let ends = pair.map(|rank| {
+        let node = node_of(rank);
+        #[expect(
+            clippy::expect_used,
+            reason = "bootstrap creates a completion queue on every rank's node"
+        )]
+        let cq = f.node_cq(node).expect("a rank's completion queue");
+        let qp = f.create_qp(node, cq, cq, attrs);
+        let slab = f.register(
+            node,
+            cfg.max_prepost as usize * cfg.buf_size,
+            Access::LOCAL_WRITE,
+        );
+        let mailbox = f.register(node, MAILBOX_BYTES, Access::FULL);
+        let ring = f.register(
+            node,
+            cfg.rdma_ring_slots as usize * cfg.buf_size,
+            Access::FULL,
+        );
+        f.set_qp_context(qp, &[slab, mailbox, ring]);
+        Endpoint {
+            qp,
+            slab,
+            mailbox,
+            ring,
+        }
+    });
+    for (end, from) in ends.iter().zip([pair[1], pair[0]]) {
         for slot in 0..cfg.prepost {
-            let wr = slot_recv_wr(mr, cfg.buf_size, slot);
+            let wr = slot_recv_wr(end.slab, cfg.buf_size, from, slot);
             #[expect(
                 clippy::expect_used,
-                reason = "cfg.validate() keeps prepost within the slab, and an unconnected QP's receive queue is empty"
+                reason = "cfg.validate() keeps prepost within the slab, and a new QP's receive queue is empty"
             )]
-            ctx.world.post_recv(qp, wr).expect("prepost");
+            f.post_recv(end.qp, wr).expect("prepost");
         }
     }
-    ibfabric::connect(ctx, qp_id_for(n, i, j), qp_id_for(n, j, i));
+    ibfabric::connect(ctx, ends[0].qp, ends[1].qp);
+    ends
 }
 
-/// Builds a world ready to spawn ranks into: the simulation, the fabric
-/// objects ([`bootstrap_fabric`]), and — under eager connection setup —
-/// every pair `i < j` established at t = 0, on the fabric and as both
-/// endpoints' [`Conn`]s. On-demand setup leaves every connection to its
+/// Builds a world ready to spawn ranks into: the simulation, the nodes and
+/// completion queues ([`bootstrap_fabric`]), and — under eager connection
+/// setup — every pair `i < j` established at t = 0, on the fabric and as
+/// both endpoints' [`Conn`]s. On-demand setup leaves every connection to its
 /// first use (`MpiRank::ensure_established`). Shared by the plain run
 /// path and the checkpoint driver.
 ///
@@ -174,10 +219,9 @@ pub(crate) fn boot(
         if !cfg.on_demand_connections {
             for i in 0..nprocs {
                 for j in (i + 1)..nprocs {
-                    establish(ctx, nprocs, cfg, i, j);
-                    for (a, b) in [(i, j), (j, i)] {
-                        setups[a].conns[b] = Some(Box::new(Conn::establish(nprocs, cfg, a, b)));
-                    }
+                    let [a, b] = establish(ctx, cfg, [i, j]);
+                    setups[i].conns[j] = Some(Box::new(Conn::establish(cfg, j, &a, &b)));
+                    setups[j].conns[i] = Some(Box::new(Conn::establish(cfg, i, &b, &a)));
                 }
             }
         }
@@ -315,8 +359,13 @@ fn with_fabric_diag(e: SimError, sim: Sim<Fabric>, nprocs: usize) -> SimError {
             continue;
         };
         for j in (0..nprocs).filter(|&j| j != i) {
-            let mine = fabric.qp(qp_id_for(nprocs, i, j));
-            let theirs = fabric.qp(qp_id_for(nprocs, j, i));
+            let Some(qp) = fabric.qp_toward(node_of(i), node_of(j)) else {
+                continue;
+            };
+            let mine = fabric.qp(qp);
+            let Some(theirs) = mine.peer().map(|p| fabric.qp(p)) else {
+                continue;
+            };
             let (rq, sq, peer_sq, peer_inflight) = (
                 mine.posted_recvs(),
                 mine.queued_sends(),
@@ -334,11 +383,11 @@ fn with_fabric_diag(e: SimError, sim: Sim<Fabric>, nprocs: usize) -> SimError {
     SimError::Deadlock(info)
 }
 
-/// Creates the fabric objects (nodes, CQs, QPs, slabs, mailboxes, rings —
-/// in the deterministic layout order) and returns each rank's bootstrap
-/// setup with no connection in any slot. Nothing is posted or connected
-/// here: that is [`establish`], which [`boot`] runs for every pair under
-/// eager setup, building both endpoints' [`Conn`]s beside it.
+/// Creates the nodes and completion queues, one of each per rank, and
+/// returns each rank's bootstrap setup with no connection in any slot.
+/// Nothing else exists until a connection is established: that is
+/// [`establish`], which [`boot`] runs for every pair under eager setup,
+/// building both endpoints' [`Conn`]s beside it.
 pub(crate) fn bootstrap_fabric(
     fabric: &mut Fabric,
     nprocs: usize,
@@ -348,67 +397,14 @@ pub(crate) fn bootstrap_fabric(
         nprocs >= 1 && nprocs <= u16::MAX as usize,
         "unsupported world size"
     );
-
     let nodes: Vec<_> = (0..nprocs).map(|_| fabric.add_node()).collect();
     let cqs: Vec<_> = nodes.iter().map(|&n| fabric.create_cq(n)).collect();
-
-    // QPs in the deterministic pair order. RNR retries are unbounded (MPI
-    // reliability: a slow receiver is waited out, never failed), and so
-    // are transport retries by default (a lossy fabric is waited out); a
-    // finite `retry_cnt` surfaces exhaustion as a typed fault (see
-    // `fault.rs`).
-    let attrs = QpAttrs {
-        rnr_retry: None,
-        retry_cnt: cfg.retry_cnt,
-    };
-    for i in 0..nprocs {
-        for j in 0..nprocs {
-            if i != j {
-                let qp = fabric.create_qp(nodes[i], cqs[i], cqs[i], attrs);
-                debug_assert_eq!(qp, qp_id_for(nprocs, i, j));
-            }
-        }
-    }
-    // Receive slabs, then mailboxes (order must match the layout fns).
-    let slab_bytes = cfg.max_prepost as usize * cfg.buf_size;
-    for (i, &node) in nodes.iter().enumerate() {
-        for j in 0..nprocs {
-            if i != j {
-                let mr = fabric.register(node, slab_bytes, Access::LOCAL_WRITE);
-                debug_assert_eq!(mr, slab_mr_for(nprocs, i, j));
-            }
-        }
-    }
-    for (i, &node) in nodes.iter().enumerate() {
-        for j in 0..nprocs {
-            if i != j {
-                // 32 bytes: [0..8] buffer-credit counter, [8..16]
-                // ring-slot counter (RDMA eager channel), [16..28]
-                // offered ring generation/rkey/slots and [28..32]
-                // acknowledged generation (ring growth; the growth
-                // words stay zero when the writer's ring may not grow —
-                // only the payload the writer sends differs).
-                let mr = fabric.register(node, 32, Access::FULL);
-                debug_assert_eq!(mr, mailbox_mr_for(nprocs, i, j));
-            }
-        }
-    }
-    let ring_bytes = cfg.rdma_ring_slots as usize * cfg.buf_size;
-    for (i, &node) in nodes.iter().enumerate() {
-        for j in 0..nprocs {
-            if i != j {
-                let mr = fabric.register(node, ring_bytes, Access::FULL);
-                debug_assert_eq!(mr, ring_mr_for(nprocs, i, j));
-            }
-        }
-    }
-
     (0..nprocs)
-        .map(|i| RankSetup {
-            rank: i,
+        .map(|rank| RankSetup {
+            rank,
             size: nprocs,
-            node: nodes[i],
-            cq: cqs[i],
+            node: nodes[rank],
+            cq: cqs[rank],
             conns: (0..nprocs).map(|_| None).collect(),
             cfg: cfg.clone(),
         })
@@ -420,11 +416,11 @@ mod tests {
     use super::*;
     use crate::config::FlowControlScheme;
 
-    /// Registered memory is fixed by the configuration; resident memory by
-    /// the traffic. Four ranks, pre-post 4, one 4-byte message to the next
-    /// rank round the ring, then the finalize barrier (two dissemination
-    /// rounds: a header-only message from the previous rank and one from
-    /// the rank before that).
+    /// Registered memory is what the established connections hold;
+    /// resident memory is what the traffic touched. Four ranks, pre-post 4,
+    /// one 4-byte message to the next rank round the ring, then the
+    /// finalize barrier (two dissemination rounds: a header-only message
+    /// from the previous rank and one from the rank before that).
     #[test]
     fn registered_and_resident_bytes_of_a_four_rank_world() {
         use crate::wire::HEADER_LEN;
@@ -432,7 +428,7 @@ mod tests {
         // Per directed connection: the 512-slot slab, the 32-byte credit
         // mailbox, and the ring — 32 slots by default, sized to the
         // pre-post depth under the RDMA channel schemes.
-        let registered = |ring_slots: usize| 12 * (512 * BUF + 32 + ring_slots * BUF);
+        let per_conn = |ring_slots: usize| 512 * BUF + 32 + ring_slots * BUF;
         // Per rank: from the previous rank a data frame in slot 0 and a
         // barrier frame in slot 1 (resident through the end of the
         // second), from the one before a barrier frame in slot 0. The
@@ -440,38 +436,46 @@ mod tests {
         let resident = 4 * ((BUF + HEADER_LEN) + HEADER_LEN);
         for scheme in FlowControlScheme::ALL {
             let ring_slots = if scheme.uses_ring() { 4 } else { 32 };
-            let out = MpiWorld::run(
-                4,
-                MpiConfig::scheme(scheme, 4),
-                FabricParams::mt23108(),
-                async |mpi| {
+            // The RDMA eager channel requires eager setup.
+            let policies: &[bool] = if scheme.uses_ring() {
+                &[false]
+            } else {
+                &[false, true]
+            };
+            for &on_demand in policies {
+                let cfg = MpiConfig {
+                    on_demand_connections: on_demand,
+                    ..MpiConfig::scheme(scheme, 4)
+                };
+                let out = MpiWorld::run(4, cfg, FabricParams::mt23108(), async |mpi| {
                     let (next, prev) = ((mpi.rank() + 1) % 4, (mpi.rank() + 3) % 4);
                     let s = mpi.isend(&[7; 4], next, 1);
                     mpi.recv(Some(prev), Some(1)).await;
                     mpi.waitall(&[s]).await;
-                },
-            )
-            .unwrap();
-            assert_eq!(
-                (out.fabric.registered_bytes(), out.fabric.resident_bytes()),
-                (registered(ring_slots), resident),
-                "{scheme:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn pair_index_is_dense_and_unique() {
-        for n in [2, 5, 16] {
-            let mut seen = std::collections::BTreeSet::new();
-            for i in 0..n {
-                for j in (0..n).filter(|&j| j != i) {
-                    assert!(seen.insert(pair_index(n, i, j)));
-                    assert_eq!(peer_of(n, i, qp_id_for(n, i, j)), j, "n={n} i={i} j={j}");
-                }
+                    mpi.proc
+                        .with(|ctx| (ctx.world.registered_bytes(), ctx.world.qp_count()))
+                })
+                .unwrap();
+                // Directed connections established when each body returns:
+                // all 12 under eager setup; on demand, the ring's 8 — the
+                // ranks two apart connect in the barrier's second round.
+                let early = if on_demand { 8 } else { 12 };
+                let case = format!("{scheme:?}, on demand: {on_demand}");
+                assert_eq!(
+                    out.results,
+                    [(early * per_conn(ring_slots), early); 4],
+                    "{case}"
+                );
+                assert_eq!(
+                    (
+                        out.fabric.registered_bytes(),
+                        out.fabric.qp_count(),
+                        out.fabric.resident_bytes()
+                    ),
+                    (12 * per_conn(ring_slots), 12, resident),
+                    "{case}"
+                );
             }
-            assert_eq!(seen.len(), n * (n - 1));
-            assert_eq!(*seen.iter().max().unwrap(), n * (n - 1) - 1);
         }
     }
 }

@@ -34,8 +34,8 @@
 //! One `#[test]` only: a second test on another thread would be counted
 //! too.
 
-use ibfabric::FabricParams;
-use mpib::{FlowControlScheme, MpiConfig, MpiWorld};
+use ibfabric::{Fabric, FabricParams, NodeId};
+use mpib::{Endpoint, FlowControlScheme, MpiConfig, MpiWorld};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -94,9 +94,9 @@ struct RunCost {
     bytes: u64,
     /// `(Fabric::mr_count, Fabric::registered_bytes)` at the end.
     regions: (usize, usize),
-    /// Bytes resident at the end in the regions registered after
-    /// bootstrap (a two-rank world boots with six: slab, mailbox and ring
-    /// each way) — the pinned send source and the landing lanes.
+    /// Bytes resident at the end in the regions that are no connection's
+    /// endpoint (its slab, mailbox and ring each way) — the pinned send
+    /// source and the landing lanes.
     landed: usize,
 }
 
@@ -150,9 +150,11 @@ fn run_cost(
         allocs: ALLOC_COUNT.load(Ordering::Relaxed) - before.0,
         bytes: ALLOC_BYTES.load(Ordering::Relaxed) - before.1,
         regions: (out.fabric.mr_count(), out.fabric.registered_bytes()),
-        landed: (6..out.fabric.mr_count() as u32)
-            .map(|mr| out.fabric.mr_bytes(ibfabric::MrId::from_raw(mr)).len())
-            .sum(),
+        landed: out.fabric.resident_bytes()
+            - Endpoint::all(&out.fabric)
+                .flat_map(|e| [e.slab, e.mailbox, e.ring])
+                .map(|mr| out.fabric.mr_bytes(mr).len())
+                .sum::<usize>(),
     }
 }
 
@@ -192,9 +194,14 @@ fn slab_extent_after(n: usize, prepost: u32) -> usize {
         },
     )
     .expect("clean run");
-    // Bootstrap registers the slabs first, in (rank, peer) order: region 0
-    // is rank 0's slab for rank 1, region 1 is rank 1's slab for rank 0.
-    out.fabric.mr_bytes(ibfabric::MrId::from_raw(1)).len()
+    out.fabric.mr_bytes(endpoint_on(&out.fabric, 1).slab).len()
+}
+
+/// The endpoint of a two-rank world's one connection on rank `rank`'s node.
+fn endpoint_on(fabric: &Fabric, rank: usize) -> Endpoint {
+    Endpoint::all(fabric)
+        .find(|e| fabric.qp(e.qp).node() == NodeId::from_index(rank))
+        .expect("the pair is established")
 }
 
 /// Bytes allocated by a whole four-rank run of `reps` `alltoallv_bytes`
@@ -377,8 +384,8 @@ fn fast_paths_stay_within_their_allocation_budget() {
     // and each window's credit-less start leaves the sender a credit
     // richer — and is flat from there. And a lane is resident only between
     // its WRITE and its fin: once every receive has been waited, no region
-    // registered after bootstrap holds a byte (before landing lanes the
-    // staging region kept a 256 KB payload for ever).
+    // outside the connection's endpoints holds a byte (before landing
+    // lanes the staging region kept a 256 KB payload for ever).
     //
     // Regions of a two-rank world: slab, mailbox and ring each way (6),
     // the sender's pinned source (1), the lanes (16).

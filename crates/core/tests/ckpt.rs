@@ -196,25 +196,16 @@ async fn halo(mpi: &mut MpiRank, start: CkptStart) -> u64 {
     acc * 256 + u64::from(d[0])
 }
 
-/// The bytes of a container's rank blobs: the body of its last section
-/// (a rank count, then a length-prefixed blob per rank) less that framing.
-fn rank_blob_bytes(container: &[u8], nprocs: usize) -> usize {
-    let frame_len = |at: usize| u64::from_le_bytes(container[at + 4..at + 12].try_into().unwrap());
-    // Magic and version, then the meta, fabric and ranks sections.
-    let mut at = 8;
-    for _ in 0..2 {
-        at += 12 + frame_len(at) as usize;
-    }
-    assert_eq!(at + 12 + frame_len(at) as usize, container.len());
-    frame_len(at) as usize - 8 - 8 * nprocs
-}
-
 /// A wide on-demand world checkpoints and restores byte-identically, and
 /// its image records only the connections that exist. Round a ring of 256
 /// ranks each rank reaches its two neighbours and, through the
 /// checkpoint's dissemination barrier, the ranks a power of two away: 15
-/// of its 255 peers. An unreached peer costs its rank blob one byte, so
-/// the blobs stay far below a connection record (≈290 B) per peer.
+/// of its 255 peers, 3 840 directed connections. Each costs the image its
+/// queue pair and three regions in the fabric image and its record in a
+/// rank blob; a rank costs its node, queue and fixed sections, and an
+/// unreached peer one presence byte. A queue pair or a region for an
+/// unreached peer — 65 280 queue pairs — would take the image past the
+/// bound (11 094 869 B when every pair had its queue pairs).
 #[test]
 fn wide_on_demand_world_restores_and_its_image_skips_unreached_peers() {
     const N: usize = 256;
@@ -235,10 +226,12 @@ fn wide_on_demand_world_restores_and_its_image_skips_unreached_peers() {
     };
     let g = run(None).into_completed();
     let bytes = run(Some(1)).into_snapshot().to_bytes();
-    let blobs = rank_blob_bytes(&bytes, N);
+    let conns = g.fabric.qp_count();
+    assert_eq!(conns, 15 * N, "one queue pair per directed connection");
     assert!(
-        blobs < 32 * N * (N - 1),
-        "{blobs} bytes of rank blobs for {N} ranks"
+        bytes.len() < 768 * conns + 1024 * N,
+        "{} bytes of snapshot for {N} ranks and {conns} connections",
+        bytes.len()
     );
     let snap = Snapshot::from_bytes(&bytes).expect("snapshot round trip");
     let out = MpiWorld::restore(

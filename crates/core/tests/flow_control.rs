@@ -532,13 +532,15 @@ fn on_demand_setup_with_a_free_handshake_is_eager_setup() {
                     format!("{:?}", b.fabric.stats),
                     "{case}: fabric statistics"
                 );
-                // Rank 0's QP toward rank 1, then rank 1's toward rank 0.
-                for qp in [0, 1].map(ibfabric::QpId::from_index_for_tests) {
-                    for (setup, out) in [("eager", &a), ("on-demand", &b)] {
+                // Both QPs of the one connection, as each run created them.
+                for (setup, out) in [("eager", &a), ("on-demand", &b)] {
+                    assert_eq!(out.fabric.qp_count(), 2, "{case}: {setup} setup");
+                    for qp in out.fabric.qps() {
                         assert_eq!(
-                            out.fabric.qp(qp).stats.zero_credit_probes.get(),
+                            qp.stats.zero_credit_probes.get(),
                             0,
-                            "{case}: {setup} setup probed {qp:?} with zero credits"
+                            "{case}: {setup} setup probed {:?} with zero credits",
+                            qp.id()
                         );
                     }
                 }

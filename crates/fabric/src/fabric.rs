@@ -41,6 +41,10 @@ pub(crate) struct Node {
     pub rdma_watchers: Vec<Waker>,
     /// Cumulative RDMA WRITE payloads applied to this node's memory.
     pub rdma_delivered: u64,
+    /// `(peer node, QP)` for each node this node's QPs are connected to:
+    /// the lowest-numbered QP that [`connect`] joined to a QP of that node
+    /// (see [`Fabric::qp_toward`]).
+    pub links: Vec<(NodeId, QpId)>,
 }
 
 /// Errors returned synchronously by verbs calls.
@@ -164,6 +168,7 @@ impl Fabric {
             rx_busy_until: SimTime::ZERO,
             rdma_watchers: Vec::new(),
             rdma_delivered: 0,
+            links: Vec::new(),
         });
         self.net.add_node();
         id
@@ -179,6 +184,13 @@ impl Fabric {
         let id = CqId(self.cqs.len() as u32);
         self.cqs.push(Cq::new(node));
         id
+    }
+
+    /// The first completion queue created on `node`, if any: the one a
+    /// process keeping one queue per node polls.
+    pub fn node_cq(&self, node: NodeId) -> Option<CqId> {
+        let i = self.cqs.iter().position(|cq| cq.node == node)?;
+        Some(CqId(i as u32))
     }
 
     /// Creates an RC queue pair on `node`, with send completions reported
@@ -204,6 +216,37 @@ impl Fabric {
         let id = QpId(self.qps.len() as u32);
         self.qps.push(Qp::new(id, node, send_cq, recv_cq, attrs));
         id
+    }
+
+    /// Attaches `regions` to `qp` — verbs' `qp_context`, typed as the
+    /// region handles a connection handshake carries: the fabric stores
+    /// them, checkpoints and restores them, and never reads them. Whoever
+    /// did not create the QP finds them again through
+    /// [`Fabric::qp_toward`] and [`Fabric::qp`]`(…).context()`.
+    pub fn set_qp_context(&mut self, qp: QpId, regions: &[MrId]) {
+        self.qps[qp.index()].context = regions.into();
+    }
+
+    /// The QP of `node` that [`connect`] joined to a QP of `peer` (the
+    /// lowest-numbered one, should there be several), as a connection
+    /// manager tells the passive side which QP a request reached.
+    pub fn qp_toward(&self, node: NodeId, peer: NodeId) -> Option<QpId> {
+        let links = &self.nodes[node.index()].links;
+        links.iter().find(|&&(p, _)| p == peer).map(|&(_, qp)| qp)
+    }
+
+    /// Records `qp`, connected, under its node and its peer's node.
+    pub(crate) fn link(&mut self, qp: QpId) {
+        let q = &self.qps[qp.index()];
+        let Some(peer) = q.peer else {
+            return;
+        };
+        let peer = self.qps[peer.index()].node;
+        let links = &mut self.nodes[q.node.index()].links;
+        match links.iter_mut().find(|(p, _)| *p == peer) {
+            Some((_, known)) => *known = (*known).min(qp),
+            None => links.push((peer, qp)),
+        }
     }
 
     /// Registers (pins) a fresh region of `len` zero bytes on `node`.
@@ -312,6 +355,16 @@ impl Fabric {
         &self.qps[qp.index()]
     }
 
+    /// Every QP, in creation order.
+    pub fn qps(&self) -> impl ExactSizeIterator<Item = &Qp> {
+        self.qps.iter()
+    }
+
+    /// Number of QPs created.
+    pub fn qp_count(&self) -> usize {
+        self.qps.len()
+    }
+
     /// Immutable access to a CQ (diagnostics and tests).
     pub fn cq(&self, cq: CqId) -> &Cq {
         &self.cqs[cq.index()]
@@ -406,7 +459,8 @@ impl Fabric {
 /// Connects two QPs as a reliable connection and exchanges initial
 /// end-to-end credits (each side learns how many receives the peer has
 /// already posted, as the real connection handshake's `initial credit`
-/// field does).
+/// field does). Each QP is recorded under its node and its peer's, for
+/// [`Fabric::qp_toward`].
 pub fn connect(ctx: &mut Ctx<'_, Fabric>, a: QpId, b: QpId) {
     assert_ne!(a, b, "cannot connect a QP to itself");
     {
@@ -423,6 +477,8 @@ pub fn connect(ctx: &mut Ctx<'_, Fabric>, a: QpId, b: QpId) {
         qb.peer = Some(a);
         qb.state = QpState::ReadyToSend;
         qb.adv_credits = ra;
+        f.link(a);
+        f.link(b);
     }
     transport::pump(ctx, a);
     transport::pump(ctx, b);

@@ -6,6 +6,7 @@
 
 use crate::cq::CqId;
 use crate::fabric::NodeId;
+use crate::mem::MrId;
 use crate::stats::QpStats;
 use crate::wr::{RecvWr, SendOp};
 use ibsim::SimTime;
@@ -97,6 +98,8 @@ pub struct Qp {
     pub(crate) recv_cq: CqId,
     pub(crate) state: QpState,
     pub(crate) attrs: QpAttrs,
+    /// Regions its creator attached ([`crate::Fabric::set_qp_context`]).
+    pub(crate) context: Box<[MrId]>,
 
     // ---- requester (sender) side ----
     /// Posted but not yet launched send work.
@@ -153,6 +156,7 @@ impl Qp {
             recv_cq,
             state: QpState::Reset,
             attrs,
+            context: Box::default(),
             sq: VecDeque::new(),
             inflight: VecDeque::new(),
             next_msn: 0,
@@ -189,6 +193,12 @@ impl Qp {
     /// Lifecycle state.
     pub fn state(&self) -> QpState {
         self.state
+    }
+
+    /// The regions its creator attached with
+    /// [`crate::Fabric::set_qp_context`] (none until then).
+    pub fn context(&self) -> &[MrId] {
+        &self.context
     }
 
     /// Number of receive WQEs currently posted (the quantity advertised to

@@ -6,18 +6,18 @@
 //! message is in flight, no retransmit timer or backoff pump event is
 //! armed. Those invariants are asserted here.
 //!
-//! The image holds what a rebuild cannot recreate. The verbs objects
-//! themselves — nodes, completion queues, queue pairs with their node,
-//! queues and attributes, and the regions the bootstrap registers — are
-//! built again by whoever restores, the way the run first built them, and
+//! The image holds everything but the nodes and completion queues, which
+//! whoever restores builds again, the way the run first built them;
 //! [`restore_fabric`] checks that the image's counts equal that shape.
-//! What the image carries is the state on top, written through the
-//! checked [`ibsim::codec`]: busy horizons, queued completions, each
-//! queue pair's peer, state, sequence and credit words, posted receive
-//! WQEs and statistics, the registrations made after the bootstrap (as
-//! `(node, access, len)`, replayed in order so every [`MrId`] matches),
-//! the bytes of the regions the caller names live, egress horizons, the
-//! fault-RNG position and the fabric statistics.
+//! Everything made after them is replayed from the image in id order, so
+//! every [`MrId`] and [`QpId`] matches the run's: each region as
+//! `(node, access, len)`, each queue pair as its node, completion queues,
+//! attributes and context. On top of the objects the image carries their
+//! state, written through the checked [`ibsim::codec`]: busy horizons,
+//! queued completions, each queue pair's peer, state, sequence and credit
+//! words, posted receive WQEs and statistics, the bytes of the regions
+//! the caller names live, egress horizons, the fault-RNG position and the
+//! fabric statistics.
 //!
 //! A live region is written the way [`crate::mem::Mr`] holds it: the
 //! materialised prefix, cut at its last non-zero byte, and nothing at all
@@ -34,9 +34,10 @@
 //! *different* plan (e.g. a kill-and-replace scenario) starts that plan's
 //! own stream untouched.
 
+use crate::cq::CqId;
 use crate::fabric::{Fabric, NodeId, VerbsError};
 use crate::mem::{Access, MrId};
-use crate::qp::{QpId, QpState};
+use crate::qp::{QpAttrs, QpId, QpState};
 use crate::wr::{Cqe, CqeOpcode, CqeStatus, RecvWr};
 use ibsim::codec::{CodecError, Reader, Writer};
 use ibsim::SimTime;
@@ -53,16 +54,19 @@ const TAG_FAULT: u32 = 0xFAB6;
 const TAG_STATS: u32 = 0xFAB7;
 
 /// Encoded size of one queued completion, one posted receive WQE, one
-/// replayed registration and one live region's head: what a record count
-/// in the image is held against.
+/// registration, one live region's head and one region of a queue pair's
+/// context: what a record count in the image is held against.
 const CQE_BYTES: usize = 8 + 4 + 1 + 4 + 8;
 const RWQE_BYTES: usize = 8 + 4 + 8 + 8;
 const REG_BYTES: usize = 4 + 1 + 8;
 const LIVE_BYTES: usize = 4 + 8;
+const CONTEXT_BYTES: usize = 4;
 
-/// Encoded size of a queue pair record with no peer, backoff or posted
-/// receive: the least an image holds per queue pair.
-pub const QP_RECORD_BYTES: usize = 1 + 1 + 8 + 4 + 4 + 1 + 8 + 4 + 8 + 8 + 8 + 8 + 8 * 10;
+/// Encoded size of a queue pair record with no retry budget, context,
+/// peer, backoff or posted receive: the least an image holds per queue
+/// pair.
+const QP_RECORD_BYTES: usize =
+    4 + 4 + 4 + 1 + 1 + 8 + 1 + 1 + 8 + 4 + 4 + 1 + 8 + 4 + 8 + 8 + 8 + 8 + 8 * 10;
 
 /// Checkpoint coordination state shared by the MPI ranks and the engine's
 /// fence callback. Lives on the [`Fabric`] because that is the world type
@@ -144,27 +148,15 @@ fn status_from_code(c: u32, context: &'static str) -> Result<CqeStatus, CodecErr
     }
 }
 
-/// Serializes a quiesced fabric into `w` as one tagged section. The
-/// first `bootstrap_mrs` regions are the ones a restore's rebuild
-/// registers again, so only the registrations past them are recorded;
-/// `live` names the regions whose bytes the resumed run can read.
+/// Serializes a quiesced fabric into `w` as one tagged section; `live`
+/// names the regions whose bytes the resumed run can read.
 ///
 /// # Panics
 /// Asserts the quiesce invariants: no queued or in-flight send work, no
 /// armed retry timer or scheduled backoff pump, no registered wakers.
 /// Violations mean the caller snapshotted a world that was not at a fence
 /// — a protocol bug, not a data error.
-pub fn encode_fabric(
-    f: &Fabric,
-    bootstrap_mrs: usize,
-    live: impl Fn(MrId) -> bool,
-    w: &mut Writer,
-) {
-    assert!(
-        bootstrap_mrs <= f.mrs.len(),
-        "{bootstrap_mrs} bootstrap regions, but the fabric holds {}",
-        f.mrs.len()
-    );
+pub fn encode_fabric(f: &Fabric, live: impl Fn(MrId) -> bool, w: &mut Writer) {
     w.section(TAG_FABRIC, |w| {
         w.section(TAG_NODES, |w| {
             w.usize(f.nodes.len());
@@ -192,6 +184,31 @@ pub fn encode_fabric(
                 }
             }
         });
+        w.section(TAG_MRS, |w| {
+            w.usize(f.mrs.len());
+            for mr in &f.mrs {
+                w.u32(mr.node.0);
+                w.u8(mr.access.bits());
+                w.usize(mr.len());
+            }
+            // Canonical form: the prefix ends at the last non-zero byte,
+            // so a zero that was stored and a byte that was never touched
+            // are the same image, and an all-zero region is no record.
+            let carried: Vec<(MrId, &[u8])> = (0..f.mrs.len())
+                .map(|i| MrId(i as u32))
+                .filter(|&id| live(id))
+                .filter_map(|id| {
+                    let resident = f.mrs[id.index()].resident();
+                    let used = resident.iter().rposition(|&b| b != 0)? + 1;
+                    Some((id, &resident[..used]))
+                })
+                .collect();
+            w.usize(carried.len());
+            for (id, bytes) in carried {
+                w.u32(id.0);
+                w.bytes(bytes);
+            }
+        });
         w.section(TAG_QPS, |w| {
             w.usize(f.qps.len());
             for q in &f.qps {
@@ -205,6 +222,15 @@ pub fn encode_fabric(
                     "qp {}: timer event alive across a quiesce fence",
                     q.id.index()
                 );
+                w.u32(q.node.0);
+                w.u32(q.send_cq.0);
+                w.u32(q.recv_cq.0);
+                w.opt_u64(q.attrs.rnr_retry.map(u64::from));
+                w.opt_u64(q.attrs.retry_cnt.map(u64::from));
+                w.usize(q.context.len());
+                for mr in &q.context {
+                    w.u32(mr.0);
+                }
                 w.opt_u64(q.peer.map(|p| u64::from(p.0)));
                 w.u8(state_tag(q.state));
                 w.u64(q.next_msn);
@@ -233,33 +259,6 @@ pub fn encode_fabric(
                 w.u64(q.stats.zero_credit_probes.get());
                 w.u64(q.stats.ack_timeouts.get());
                 w.u64(q.stats.peak_inflight.get());
-            }
-        });
-        w.section(TAG_MRS, |w| {
-            w.usize(bootstrap_mrs);
-            let replayed = &f.mrs[bootstrap_mrs..];
-            w.usize(replayed.len());
-            for mr in replayed {
-                w.u32(mr.node.0);
-                w.u8(mr.access.bits());
-                w.usize(mr.len());
-            }
-            // Canonical form: the prefix ends at the last non-zero byte,
-            // so a zero that was stored and a byte that was never touched
-            // are the same image, and an all-zero region is no record.
-            let carried: Vec<(MrId, &[u8])> = (0..f.mrs.len())
-                .map(|i| MrId(i as u32))
-                .filter(|&id| live(id))
-                .filter_map(|id| {
-                    let resident = f.mrs[id.index()].resident();
-                    let used = resident.iter().rposition(|&b| b != 0)? + 1;
-                    Some((id, &resident[..used]))
-                })
-                .collect();
-            w.usize(carried.len());
-            for (id, bytes) in carried {
-                w.u32(id.0);
-                w.bytes(bytes);
             }
         });
         w.section(TAG_NET, |w| {
@@ -296,24 +295,33 @@ pub fn encode_fabric(
     });
 }
 
-/// Patches the state of an image produced by [`encode_fabric`] onto `f`.
+/// Rebuilds onto `f` the objects of an image produced by
+/// [`encode_fabric`] and patches their state.
 ///
-/// `f` must be freshly rebuilt the way the snapshotted fabric was first
-/// built — the same [`crate::FabricParams`], the same nodes, completion
-/// queues and queue pairs, the same bootstrap regions, nothing posted and
-/// nothing connected. The image's object counts must equal that shape, or
-/// the image is refused. If a [`crate::FaultPlan`] should govern the
-/// resumed run, install it first — when its seed matches the snapshotted
-/// plan's, its RNG position is restored so the fault draw stream
-/// continues seamlessly, and otherwise the installed plan's fresh stream
-/// is left untouched.
+/// `f` must hold what the snapshotted fabric was first built with and
+/// nothing more — the same [`crate::FabricParams`], nodes and completion
+/// queues, no queue pair and no region — and the image's node and queue
+/// counts must equal that shape, or the image is refused. Queue pairs and
+/// regions are replayed from the image in id order. If a
+/// [`crate::FaultPlan`] should govern the resumed run, install it first —
+/// when its seed matches the snapshotted plan's, its RNG position is
+/// restored so the fault draw stream continues seamlessly, and otherwise
+/// the installed plan's fresh stream is left untouched.
 ///
 /// Every count and length of the image is held against the input that
 /// remains before anything is sized by it, and every reference from one
-/// section into another is checked, so arbitrary bytes decode to `Ok` or
-/// to a typed [`CodecError`]; after an `Err`, `f` is partly patched and
-/// must be discarded.
+/// object to another is checked, so arbitrary bytes decode to `Ok` or to
+/// a typed [`CodecError`]; after an `Err`, `f` is partly patched and must
+/// be discarded.
+///
+/// # Panics
+/// When `f` already holds a queue pair or a region: the replay would
+/// give the image's objects other ids.
 pub fn restore_fabric(f: &mut Fabric, r: &mut Reader<'_>) -> Result<(), CodecError> {
+    assert!(
+        f.qps.is_empty() && f.mrs.is_empty(),
+        "a fabric is restored onto its nodes and completion queues alone"
+    );
     let mut s = r.section(TAG_FABRIC, "fabric")?;
 
     let mut ns = s.section(TAG_NODES, "fabric.nodes")?;
@@ -330,7 +338,7 @@ pub fn restore_fabric(f: &mut Fabric, r: &mut Reader<'_>) -> Result<(), CodecErr
     ns.done("fabric.nodes")?;
 
     let mut cs = s.section(TAG_CQS, "fabric.cqs")?;
-    same_shape(
+    let n_cqs = same_shape(
         cs.usize("fabric.cqs.count")?,
         f.cqs.len(),
         "fabric shape: completion queue count",
@@ -352,78 +360,10 @@ pub fn restore_fabric(f: &mut Fabric, r: &mut Reader<'_>) -> Result<(), CodecErr
     }
     cs.done("fabric.cqs")?;
 
-    let mut qs = s.section(TAG_QPS, "fabric.qps")?;
-    let n_qps = same_shape(
-        qs.usize("fabric.qps.count")?,
-        f.qps.len(),
-        "fabric shape: queue pair count",
-    )?;
-    let mut rq = Vec::new();
-    for q in &mut f.qps {
-        q.peer = match qs.opt_u64("qp.peer")? {
-            None => None,
-            Some(p) if (p as usize) < n_qps => Some(QpId(p as u32)),
-            Some(p) => {
-                return Err(CodecError::Overflow {
-                    context: "qp.peer",
-                    value: p,
-                    max: (n_qps as u64).saturating_sub(1),
-                })
-            }
-        };
-        q.state = state_from_tag(qs.u8("qp.state")?, "qp.state")?;
-        q.next_msn = qs.u64("qp.next_msn")?;
-        q.adv_credits = qs.u32("qp.adv_credits")?;
-        q.unacked_sends = qs.u32("qp.unacked_sends")?;
-        q.backoff_until = qs.opt_u64("qp.backoff_until")?.map(SimTime::from_nanos);
-        q.retry_deadline = SimTime::from_nanos(qs.u64("qp.retry_deadline")?);
-        q.timeout_streak = qs.u32("qp.timeout_streak")?;
-        q.expected_msn = qs.u64("qp.expected_msn")?;
-        // Receive WQEs name memory regions, some of which the image
-        // replays further on: they are held here and posted once those
-        // exist.
-        for _ in 0..qs.count("qp.rq.count", RWQE_BYTES)? {
-            rq.push((
-                q.id,
-                RecvWr {
-                    wr_id: qs.u64("rwqe.wr_id")?,
-                    mr: MrId(qs.u32("rwqe.mr")?),
-                    offset: qs.usize("rwqe.offset")?,
-                    len: qs.usize("rwqe.len")?,
-                },
-            ));
-        }
-        q.peak_sq_depth = qs.usize("qp.peak_sq_depth")?;
-        q.peak_rq_depth = qs.usize("qp.peak_rq_depth")?;
-        q.stats.sends_launched = qs.u64("qp.stats.sends_launched")?.into();
-        q.stats.rdma_writes = qs.u64("qp.stats.rdma_writes")?.into();
-        q.stats.bytes_launched = qs.u64("qp.stats.bytes_launched")?.into();
-        q.stats.retransmissions = qs.u64("qp.stats.retransmissions")?.into();
-        q.stats.rnr_naks_sent = qs.u64("qp.stats.rnr_naks_sent")?.into();
-        q.stats.rnr_naks_received = qs.u64("qp.stats.rnr_naks_received")?.into();
-        q.stats.acks_received = qs.u64("qp.stats.acks_received")?.into();
-        q.stats.zero_credit_probes = qs.u64("qp.stats.zero_credit_probes")?.into();
-        q.stats.ack_timeouts = qs.u64("qp.stats.ack_timeouts")?.into();
-        q.stats.peak_inflight = qs.u64("qp.stats.peak_inflight")?.into();
-    }
-    qs.done("fabric.qps")?;
-
     let mut ms = s.section(TAG_MRS, "fabric.mrs")?;
-    same_shape(
-        ms.usize("fabric.mrs.bootstrap")?,
-        f.mrs.len(),
-        "fabric shape: bootstrap region count",
-    )?;
-    let mut registered = f.registered_bytes();
-    for _ in 0..ms.count("fabric.mrs.replayed", REG_BYTES)? {
-        let node = ms.u32("mr.node")?;
-        if node as usize >= n_nodes {
-            return Err(CodecError::Overflow {
-                context: "mr.node",
-                value: u64::from(node),
-                max: (n_nodes as u64).saturating_sub(1),
-            });
-        }
+    let mut registered = 0usize;
+    for _ in 0..ms.count("fabric.mrs.count", REG_BYTES)? {
+        let node = below(ms.u32("mr.node")?, n_nodes, "mr.node")?;
         let bits = ms.u8("mr.access")?;
         if bits > Access::FULL.bits() {
             return Err(CodecError::Overflow {
@@ -445,14 +385,7 @@ pub fn restore_fabric(f: &mut Fabric, r: &mut Reader<'_>) -> Result<(), CodecErr
     let n_mrs = f.mrs.len();
     let mut next = 0;
     for _ in 0..ms.count("fabric.mrs.live", LIVE_BYTES)? {
-        let raw = ms.u32("mr.id")?;
-        if raw as usize >= n_mrs {
-            return Err(CodecError::Overflow {
-                context: "mr.id",
-                value: u64::from(raw),
-                max: (n_mrs as u64).saturating_sub(1),
-            });
-        }
+        let raw = below(ms.u32("mr.id")?, n_mrs, "mr.id")?;
         if raw < next {
             return Err(CodecError::BadTag {
                 context: "mr.id (not ascending)",
@@ -476,23 +409,87 @@ pub fn restore_fabric(f: &mut Fabric, r: &mut Reader<'_>) -> Result<(), CodecErr
     }
     ms.done("fabric.mrs")?;
 
-    // References between sections, now that both ends exist. Posting
-    // through the verbs call applies its checks (region exists, is this
-    // node's, is locally writable, covers the range) to the image; an
-    // honest image's `peak_rq_depth`, set above, is at least its queue's
-    // length, so posting leaves it where the image put it.
-    for (qp, wr) in rq {
-        f.post_recv(qp, wr)
-            .map_err(|e| rwqe_refused(e, &wr, n_mrs))?;
+    let mut qs = s.section(TAG_QPS, "fabric.qps")?;
+    let n_qps = qs.count("fabric.qps.count", QP_RECORD_BYTES)?;
+    for _ in 0..n_qps {
+        let node = NodeId(below(qs.u32("qp.node")?, n_nodes, "qp.node")?);
+        let mut cq = |context: &'static str, refusal: &'static str| {
+            let cq = CqId(below(qs.u32(context)?, n_cqs, context)?);
+            match f.cqs[cq.index()].node {
+                owner if owner == node => Ok(cq),
+                owner => Err(CodecError::BadTag {
+                    context: refusal,
+                    want: u64::from(node.0),
+                    got: u64::from(owner.0),
+                }),
+            }
+        };
+        let send_cq = cq("qp.send_cq", "qp.send_cq (another node's queue)")?;
+        let recv_cq = cq("qp.recv_cq", "qp.recv_cq (another node's queue)")?;
+        let attrs = QpAttrs {
+            rnr_retry: budget(qs.opt_u64("qp.rnr_retry")?, "qp.rnr_retry")?,
+            retry_cnt: budget(qs.opt_u64("qp.retry_cnt")?, "qp.retry_cnt")?,
+        };
+        let id = f.create_qp(node, send_cq, recv_cq, attrs);
+        let mut context = Vec::new();
+        for _ in 0..qs.count("qp.context.count", CONTEXT_BYTES)? {
+            context.push(MrId(below(qs.u32("qp.context")?, n_mrs, "qp.context")?));
+        }
+        let q = &mut f.qps[id.index()];
+        q.context = context.into();
+        q.peer = match qs.opt_u64("qp.peer")? {
+            None => None,
+            Some(p) if (p as usize) < n_qps => Some(QpId(p as u32)),
+            Some(p) => {
+                return Err(CodecError::Overflow {
+                    context: "qp.peer",
+                    value: p,
+                    max: (n_qps as u64).saturating_sub(1),
+                })
+            }
+        };
+        q.state = state_from_tag(qs.u8("qp.state")?, "qp.state")?;
+        q.next_msn = qs.u64("qp.next_msn")?;
+        q.adv_credits = qs.u32("qp.adv_credits")?;
+        q.unacked_sends = qs.u32("qp.unacked_sends")?;
+        q.backoff_until = qs.opt_u64("qp.backoff_until")?.map(SimTime::from_nanos);
+        q.retry_deadline = SimTime::from_nanos(qs.u64("qp.retry_deadline")?);
+        q.timeout_streak = qs.u32("qp.timeout_streak")?;
+        q.expected_msn = qs.u64("qp.expected_msn")?;
+        // Posting through the verbs call applies its checks (region
+        // exists, is this node's, is locally writable, covers the range)
+        // to the image.
+        for _ in 0..qs.count("qp.rq.count", RWQE_BYTES)? {
+            let wr = RecvWr {
+                wr_id: qs.u64("rwqe.wr_id")?,
+                mr: MrId(qs.u32("rwqe.mr")?),
+                offset: qs.usize("rwqe.offset")?,
+                len: qs.usize("rwqe.len")?,
+            };
+            f.post_recv(id, wr)
+                .map_err(|e| rwqe_refused(e, &wr, n_mrs))?;
+        }
+        let q = &mut f.qps[id.index()];
+        q.peak_sq_depth = qs.usize("qp.peak_sq_depth")?;
+        q.peak_rq_depth = qs.usize("qp.peak_rq_depth")?;
+        q.stats.sends_launched = qs.u64("qp.stats.sends_launched")?.into();
+        q.stats.rdma_writes = qs.u64("qp.stats.rdma_writes")?.into();
+        q.stats.bytes_launched = qs.u64("qp.stats.bytes_launched")?.into();
+        q.stats.retransmissions = qs.u64("qp.stats.retransmissions")?.into();
+        q.stats.rnr_naks_sent = qs.u64("qp.stats.rnr_naks_sent")?.into();
+        q.stats.rnr_naks_received = qs.u64("qp.stats.rnr_naks_received")?.into();
+        q.stats.acks_received = qs.u64("qp.stats.acks_received")?.into();
+        q.stats.zero_credit_probes = qs.u64("qp.stats.zero_credit_probes")?.into();
+        q.stats.ack_timeouts = qs.u64("qp.stats.ack_timeouts")?.into();
+        q.stats.peak_inflight = qs.u64("qp.stats.peak_inflight")?.into();
+    }
+    qs.done("fabric.qps")?;
+    // What `connect` recorded, now that every peer exists.
+    for i in 0..n_qps {
+        f.link(QpId(i as u32));
     }
     for e in f.queued_completions() {
-        if e.qp.index() >= n_qps {
-            return Err(CodecError::Overflow {
-                context: "cqe.qp",
-                value: u64::from(e.qp.0),
-                max: (n_qps as u64).saturating_sub(1),
-            });
-        }
+        below(e.qp.0, n_qps, "cqe.qp")?;
     }
 
     let mut es = s.section(TAG_NET, "fabric.net")?;
@@ -555,6 +552,31 @@ pub fn restore_fabric(f: &mut Fabric, r: &mut Reader<'_>) -> Result<(), CodecErr
     Ok(())
 }
 
+/// An index of the image, held to the `len` objects it names.
+fn below(raw: u32, len: usize, context: &'static str) -> Result<u32, CodecError> {
+    if (raw as usize) < len {
+        Ok(raw)
+    } else {
+        Err(CodecError::Overflow {
+            context,
+            value: u64::from(raw),
+            max: (len as u64).saturating_sub(1),
+        })
+    }
+}
+
+/// A queue pair's retry budget of the image: `None` retries forever.
+fn budget(raw: Option<u64>, context: &'static str) -> Result<Option<u32>, CodecError> {
+    raw.map(|v| {
+        u32::try_from(v).map_err(|_| CodecError::Overflow {
+            context,
+            value: v,
+            max: u64::from(u32::MAX),
+        })
+    })
+    .transpose()
+}
+
 /// An object count of the image, held to the rebuilt fabric's: an image
 /// of another world, or of another configuration of this one, is refused.
 fn same_shape(image: usize, rebuilt: usize, context: &'static str) -> Result<usize, CodecError> {
@@ -596,11 +618,8 @@ mod tests {
     use crate::FaultPlan;
     use ibsim::{Sim, SimConfig};
 
-    /// Regions the test rig's bootstrap registers: region 0, on node b.
-    const BOOTSTRAP_MRS: usize = 1;
-
-    /// The rig's bootstrap: two nodes with a completion queue and a queue
-    /// pair each, and region 0 on node b — what a restore rebuilds.
+    /// The rig's bootstrap: two nodes with a completion queue each — what
+    /// a restore rebuilds.
     fn bootstrapped(plan: Option<FaultPlan>) -> Fabric {
         let mut fabric = Fabric::new(FabricParams::mt23108());
         if let Some(p) = plan {
@@ -608,21 +627,24 @@ mod tests {
         }
         let a = fabric.add_node();
         let b = fabric.add_node();
-        let cq_a = fabric.create_cq(a);
-        let cq_b = fabric.create_cq(b);
-        fabric.create_qp(a, cq_a, cq_a, QpAttrs::default());
-        fabric.create_qp(b, cq_b, cq_b, QpAttrs::default());
-        fabric.register(b, 4096, Access::FULL);
+        fabric.create_cq(a);
+        fabric.create_cq(b);
         fabric
     }
 
-    /// The rig after its bootstrap registers region 1 on node a, connects
-    /// its queue pairs and runs a little traffic to completion: the
-    /// (quiescent) world with un-polled CQEs left queued.
+    /// The rig after its bootstrap creates a queue pair per node (queue
+    /// pair 1 naming region 0 in its context), registers region 0 on node
+    /// b and region 1 on node a, connects the queue pairs and runs a
+    /// little traffic to completion: the (quiescent) world with un-polled
+    /// CQEs left queued.
     fn exercised_fabric(plan: Option<FaultPlan>) -> Fabric {
         let mut fabric = bootstrapped(plan);
-        let (qp_a, qp_b, mr_b) = (QpId(0), QpId(1), MrId(0));
-        let mr_a = fabric.register(NodeId(0), 4096, Access::FULL);
+        let (a, b) = (NodeId(0), NodeId(1));
+        let qp_a = fabric.create_qp(a, CqId(0), CqId(0), QpAttrs::default());
+        let qp_b = fabric.create_qp(b, CqId(1), CqId(1), QpAttrs::default());
+        let mr_b = fabric.register(b, 4096, Access::FULL);
+        let mr_a = fabric.register(a, 4096, Access::FULL);
+        fabric.set_qp_context(qp_b, &[mr_b]);
         let mut sim = Sim::new(fabric, SimConfig::default());
         sim.with_world(|ctx| {
             for i in 0..4 {
@@ -655,7 +677,7 @@ mod tests {
     /// The image with every region live.
     fn image(f: &Fabric) -> Vec<u8> {
         let mut w = Writer::new();
-        encode_fabric(f, BOOTSTRAP_MRS, |_| true, &mut w);
+        encode_fabric(f, |_| true, &mut w);
         w.finish()
     }
 
@@ -673,8 +695,11 @@ mod tests {
         assert_eq!(image(&restored), bytes);
         // Spot-check restored contents against the source.
         assert_eq!(restored.node_count(), 2);
-        assert_eq!(restored.mr_count(), 2, "the registration is replayed");
+        assert_eq!(restored.mr_count(), 2, "the registrations are replayed");
         assert_eq!(restored.mr_node(MrId(1)), NodeId(0));
+        assert_eq!(restored.qp_count(), 2, "the queue pairs are replayed");
+        assert_eq!(restored.qp(QpId(1)).context(), [MrId(0)]);
+        assert_eq!(restored.qp_toward(NodeId(1), NodeId(0)), Some(QpId(1)));
         for mr in [MrId(0), MrId(1)] {
             assert_eq!(restored.mr_bytes(mr), f.mr_bytes(mr));
         }
@@ -688,11 +713,19 @@ mod tests {
         assert_eq!(restored.qp(QpId(1)).posted_recvs(), 3);
     }
 
-    /// The rig's queue pairs are bare (never connected, nothing posted):
-    /// each is the least record [`QP_RECORD_BYTES`] promises.
+    /// Bare queue pairs (no retry budget or context, never connected,
+    /// nothing posted): each is the least record [`QP_RECORD_BYTES`]
+    /// promises.
     #[test]
     fn a_bare_queue_pair_record_is_qp_record_bytes() {
-        let body = section_body(&image(&bootstrapped(None)), TAG_QPS);
+        let mut f = bootstrapped(None);
+        let attrs = QpAttrs {
+            rnr_retry: None,
+            retry_cnt: None,
+        };
+        f.create_qp(NodeId(0), CqId(0), CqId(0), attrs);
+        f.create_qp(NodeId(1), CqId(1), CqId(1), attrs);
+        let body = section_body(&image(&f), TAG_QPS);
         assert_eq!(body.len(), 8 + 2 * QP_RECORD_BYTES);
     }
 
@@ -729,7 +762,7 @@ mod tests {
     fn dead_regions_are_restored_empty() {
         let f = exercised_fabric(None);
         let (all, mut w) = (image(&f), Writer::new());
-        encode_fabric(&f, BOOTSTRAP_MRS, |mr| mr != MrId(0), &mut w);
+        encode_fabric(&f, |mr| mr != MrId(0), &mut w);
         let some = w.finish();
         assert_eq!(all.len() - some.len(), 4 + 8 + 1280);
         let restored = restored(&some).unwrap();
@@ -740,25 +773,18 @@ mod tests {
     }
 
     /// An image is patched only onto the world it was taken of: a
-    /// rebuilt fabric with one object more or less of any kind refuses it
-    /// by name, whichever way the counts differ.
+    /// rebuilt fabric with a node or a completion queue more or less
+    /// refuses it by name, whichever way the counts differ.
     #[test]
     fn image_of_another_shape_is_a_typed_error() {
         let bytes = image(&exercised_fabric(None));
         type Reshape = fn(&mut Fabric);
-        let cases: [(&str, Reshape); 4] = [
+        let cases: [(&str, Reshape); 2] = [
             ("fabric shape: node count", |f| {
                 f.add_node();
             }),
             ("fabric shape: completion queue count", |f| {
                 f.create_cq(NodeId(0));
-            }),
-            ("fabric shape: queue pair count", |f| {
-                let cq = CqId(0);
-                f.create_qp(NodeId(0), cq, cq, QpAttrs::default());
-            }),
-            ("fabric shape: bootstrap region count", |f| {
-                f.register(NodeId(0), 64, Access::FULL);
             }),
         ];
         for (context, reshape) in cases {
@@ -804,11 +830,11 @@ mod tests {
         u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())
     }
 
-    /// Offsets within the `TAG_MRS` body of the rig's image: its one
-    /// replayed registration (`node u32 | access u8 | len u64`, after the
-    /// bootstrap and registration counts), and the live region records
-    /// (`id u32 | prefix len u64 | prefix`, after their count).
-    const REG: usize = 16;
+    /// Offsets within the `TAG_MRS` body of the rig's image: the
+    /// registration of region 1 (`node u32 | access u8 | len u64`, after
+    /// the registration count and region 0's), and the live region
+    /// records (`id u32 | prefix len u64 | prefix`, after their count).
+    const REG: usize = 8 + REG_BYTES;
     fn live_record(body: &[u8], k: usize) -> usize {
         let mut pos = REG + REG_BYTES + 8;
         for _ in 0..k {
@@ -821,10 +847,10 @@ mod tests {
     /// image.
     #[derive(Clone, Debug)]
     enum Lie {
-        /// The replayed region's length raised to 16 TiB, or to
-        /// `u64::MAX`, over its honest prefix.
+        /// Region 1's length raised to 16 TiB, or to `u64::MAX`, over its
+        /// honest prefix.
         Registered { max: bool },
-        /// The replayed region's length one byte short of its prefix.
+        /// Region 1's length one byte short of its prefix.
         PrefixPastLen,
         /// A prefix length raised to more than the section holds — by one
         /// byte, or to a size no allocator would grant.
@@ -832,7 +858,7 @@ mod tests {
         /// The section ends part-way through a region's prefix (frame
         /// lengths patched to match, so only the region is short).
         CutPrefix { cut: usize },
-        /// The replayed registration names a node the fabric lacks.
+        /// Region 1's registration names a node the fabric lacks.
         Node { node: u32 },
         /// Access bits above `Access::FULL`.
         AccessBits { bits: u8 },
@@ -893,7 +919,7 @@ mod tests {
             let mut bad = good.clone();
             let rec = at(live_record(&good[body.clone()], c.record));
             let prefix_len = u64_at(&good, rec + 4);
-            // Region 1, the replayed one, is the second live record.
+            // Region 1 is the second live record.
             let replayed_prefix = u64_at(&good, at(live_record(&good[body.clone()], 1)) + 4);
             let reg = at(REG);
             let want = match c.lie {
@@ -901,7 +927,7 @@ mod tests {
                     let claim = if max { u64::MAX } else { 1 << 44 };
                     bad[reg + 5..reg + 13].copy_from_slice(&claim.to_le_bytes());
                     // 16 TiB is a region like any other; `u64::MAX` plus
-                    // the bootstrap region's 4096 is not a total.
+                    // region 0's 4096 is not a total.
                     if max {
                         Want::Overflow
                     } else {
@@ -984,11 +1010,12 @@ mod tests {
                 assert!(fresh.resident_bytes() <= bad.len());
             }
         }
-        // The four counts that size a queue or a table, by name.
+        // The counts that size a queue, a table or the replay, by name.
         let cqs = section_body(&good, TAG_CQS);
         let first_cq_entries = cqs.start + 8 + 8;
         assert_eq!(u64_at(&good, first_cq_entries), 2, "cq.entries.count");
         let qps = section_body(&good, TAG_QPS);
+        assert_eq!(u64_at(&good, qps.start), 2, "fabric.qps.count");
         let rq_count = (qps.start..qps.end - 8)
             .rfind(|&at| {
                 // The last queue pair holds the three receives traffic left
@@ -997,9 +1024,9 @@ mod tests {
             })
             .expect("qp.rq.count of the receiving queue pair");
         let mrs = section_body(&good, TAG_MRS);
-        let (replayed, live) = (mrs.start + 8, mrs.start + REG + REG_BYTES);
-        assert_eq!((u64_at(&good, replayed), u64_at(&good, live)), (1, 2));
-        for at in [first_cq_entries, rq_count, replayed, live] {
+        let (replayed, live) = (mrs.start, mrs.start + REG + REG_BYTES);
+        assert_eq!((u64_at(&good, replayed), u64_at(&good, live)), (2, 2));
+        for at in [first_cq_entries, qps.start, rq_count, replayed, live] {
             let mut bad = good.clone();
             bad[at..at + 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
             let err = restored(&bad).expect_err("refused");
@@ -1021,7 +1048,11 @@ mod tests {
         }
         // Region 0 is node 1's, region 1 node 0's; queue pair 1 is node 1's.
         type Corrupt = fn(&mut Fabric);
-        let cases: [(&str, Corrupt); 6] = [
+        let cases: [(&str, Corrupt); 10] = [
+            ("qp.node", |f| f.qps[0].node = NodeId(2)),
+            ("qp.recv_cq", |f| f.qps[0].recv_cq = CqId(2)),
+            ("qp.context", |f| f.qps[1].context = [MrId(2)].into()),
+            ("qp.peer", |f| f.qps[0].peer = Some(QpId(2))),
             ("rwqe.mr (no such region)", |f| {
                 f.qps[1].rq.push_back(wqe(77, 0))
             }),
@@ -1059,6 +1090,20 @@ mod tests {
                 "{context}: {err}"
             );
         }
+        // A queue pair reporting to another node's completion queue.
+        let mut f = exercised_fabric(None);
+        f.qps[0].send_cq = CqId(1);
+        let err = restored(&image(&f)).expect_err("refused");
+        assert!(
+            matches!(
+                err,
+                CodecError::BadTag {
+                    context: "qp.send_cq (another node's queue)",
+                    ..
+                }
+            ),
+            "{err}"
+        );
     }
 
     #[test]

@@ -194,23 +194,26 @@ fn model_range(model: &[u8], offset: usize, n: usize) -> Option<std::ops::Range<
     (end <= model.len()).then_some(offset..end)
 }
 
-/// The image with the rig's region, its one bootstrap region, live.
+/// The image with the rig's region live.
 fn image(f: &Fabric) -> Vec<u8> {
     let mut w = Writer::new();
-    encode_fabric(f, 1, |_| true, &mut w);
+    encode_fabric(f, |_| true, &mut w);
     w.finish()
 }
 
-/// The image's region section — tag `0xFAB4`, body length, then one
-/// bootstrap region, no replayed registration and the live records: the
-/// region's, the model cut at its last non-zero byte as a length-prefixed
-/// string, or none when that is empty — must appear exactly as the dense
-/// model dictates: the image is a function of the logical contents alone.
+/// The image's region section — tag `0xFAB4`, body length, then the one
+/// registration (node 0, full access, the model's length) and the live
+/// records: the region's, the model cut at its last non-zero byte as a
+/// length-prefixed string, or none when that is empty — must appear
+/// exactly as the dense model dictates: the image is a function of the
+/// logical contents alone.
 fn assert_image_is_canonical(img: &[u8], model: &[u8]) {
     let used = model.iter().rposition(|&b| b != 0).map_or(0, |i| i + 1);
     let mut body = Vec::new();
     body.extend_from_slice(&1u64.to_le_bytes());
-    body.extend_from_slice(&0u64.to_le_bytes());
+    body.extend_from_slice(&0u32.to_le_bytes());
+    body.push(Access::FULL.bits());
+    body.extend_from_slice(&(model.len() as u64).to_le_bytes());
     body.extend_from_slice(&u64::from(used > 0).to_le_bytes());
     if used > 0 {
         body.extend_from_slice(&0u32.to_le_bytes());
@@ -258,13 +261,20 @@ struct Rig {
     cq: CqId,
 }
 
-fn build(len: usize) -> (Fabric, Rig) {
+/// The rig's nodes and completion queues — what a restore rebuilds — with
+/// node 0 and its queue, then node 1 and its queue.
+fn nodes_and_cqs() -> (Fabric, [(NodeId, CqId); 2]) {
     let mut f = Fabric::new(FabricParams::mt23108());
     let node = f.add_node();
-    let mr = f.register(node, len, Access::FULL);
     let peer = f.add_node();
     let cq = f.create_cq(peer);
     let cq_node = f.create_cq(node);
+    (f, [(node, cq_node), (peer, cq)])
+}
+
+fn build(len: usize) -> (Fabric, Rig) {
+    let (mut f, [(node, cq_node), (peer, cq)]) = nodes_and_cqs();
+    let mr = f.register(node, len, Access::FULL);
     let qp = f.create_qp(peer, cq, cq, QpAttrs::default());
     let qp_node = f.create_qp(node, cq_node, cq_node, QpAttrs::default());
     let sim = Sim::new(f, SimConfig::default());
@@ -425,7 +435,7 @@ fn run_case(c: &MrCase, seen: &Coverage) {
             }
             Step::RoundTrip => {
                 let img = image(&f);
-                let (mut restored, _) = build(c.len);
+                let (mut restored, _) = nodes_and_cqs();
                 restore_fabric(&mut restored, &mut Reader::new(&img)).unwrap();
                 assert_eq!(image(&restored), img, "re-snapshot differs");
                 assert!(restored.resident_bytes() <= f.resident_bytes());

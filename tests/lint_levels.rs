@@ -1,8 +1,9 @@
 //! The lint levels DESIGN.md §8 relies on are set where it says they are,
 //! and the source-layout rules held as text (credit privacy, one
-//! connection-establishment path, one creation path for verbs objects, one
-//! post site per verb, one host-timing harness, one scheme list, scheme
-//! variants named only in config) still hold.
+//! connection-establishment path, one creation path for verbs objects,
+//! test-only ids built only in tests, one post site per verb, one
+//! host-timing harness, one scheme list, scheme variants named only in
+//! config) still hold.
 //!
 //! An `#[expect(lint)]` is fulfilled whenever `lint` *would* fire at that
 //! site, whatever level surrounds it. So the audited `#[expect]`s and the
@@ -112,17 +113,21 @@ fn sites_where(
 }
 
 /// DESIGN.md §3, "Connection establishment": one path establishes a
-/// connection. Its fabric half, `world::establish`, posts the pool before
-/// it runs the handshake (so the handshake advertises the pool as
-/// credits); its `Conn` half, `Conn::establish`, is the one constructor
-/// of a connection, and builds it established. A second
-/// `ibfabric::connect` call, or a `Conn { … }` literal in library code
-/// outside `Conn::establish` — a bare connection, established later — is
-/// how the fork this replaced would come back. (A checkpoint restore,
-/// elastic replacement included, connects nothing: it rebuilds the QPs
-/// through the bootstrap every run uses and patches each one's connected
-/// state on from the fabric image, and builds each connection its image
-/// records through `Conn::establish`.)
+/// connection. Its fabric half, `world::establish`, creates both sides'
+/// queue pairs and regions and posts the pool before it runs the
+/// handshake (so the handshake advertises the pool as credits); its
+/// `Conn` half, `Conn::establish`, is the one constructor of a
+/// connection, and builds it established, from the two `Endpoint`s the
+/// fabric half made — which `world::establish` alone writes and
+/// `Endpoint::of` alone reads back from a queue pair's context. A second
+/// `ibfabric::connect` call, a `Conn { … }` literal in library code
+/// outside `Conn::establish` — a bare connection, established later — or
+/// an `Endpoint { … }` literal elsewhere — handles worked out rather than
+/// read back — is how the forks this replaced would come back. (A
+/// checkpoint restore connects nothing: the fabric image replays each
+/// queue pair with its connected state, and the restore builds each
+/// connection its image records through `Conn::establish` onto the
+/// endpoints it reads back.)
 #[test]
 fn connections_are_established_on_one_path() {
     let site = |file: &str, func: &str| (file.to_string(), func.to_string());
@@ -131,46 +136,93 @@ fn connections_are_established_on_one_path() {
         [site("world.rs", "establish")].into(),
         "`ibfabric::connect(` outside `world::establish`"
     );
+    let core = rust_files("crates/core/src");
     assert_eq!(
-        sites_where(&rust_files("crates/core/src"), true, builds_a_conn),
+        sites_where(&core, true, |code| builds(code, "Conn")),
         [site("conn.rs", "establish")].into(),
         "a `Conn {{ … }}` literal outside `Conn::establish`"
     );
+    assert_eq!(
+        sites_where(&core, true, |code| builds(code, "Endpoint")),
+        [site("world.rs", "establish"), site("world.rs", "of")].into(),
+        "an `Endpoint {{ … }}` literal outside `world::establish` and `Endpoint::of`"
+    );
 }
 
-/// Whether the code line `code` holds a `Conn { … }` struct literal:
-/// `Conn {` as a whole type name that does not close a declaration
-/// (`struct Conn {`, `impl Conn {`, `impl … for Conn {`) or a signature
-/// (`-> Conn {`, `-> &mut Conn {`).
-fn builds_a_conn(code: &str) -> bool {
-    code.match_indices("Conn {").any(|(at, _)| {
+/// Whether the code line `code` holds a `ty { … }` struct literal: `ty {`
+/// as a whole type name that does not close a declaration (`struct ty {`,
+/// `impl ty {`, `impl … for ty {`) or a signature (`-> ty {`,
+/// `-> &mut ty {`, `-> Option<ty> {`).
+fn builds(code: &str, ty: &str) -> bool {
+    let literal = format!("{ty} {{");
+    code.match_indices(&literal).any(|(at, _)| {
         let before = &code[..at];
         let head = before.trim_end();
         !before.ends_with(|c: char| c.is_alphanumeric() || c == '_')
-            && !["struct", "impl", "for", "->", "&", "mut"]
+            && !["struct", "impl", "for", "->", "&", "mut", "<"]
                 .iter()
                 .any(|t| head.ends_with(t))
     })
 }
 
 /// A restore builds the world the way a run does, so the verbs objects
-/// are created on one path: `world::bootstrap_fabric`, which a fresh run
-/// and `MpiWorld::restore` both call. A second site creating nodes,
-/// completion queues or queue pairs — a decoder rebuilding them from an
-/// image, say — is a second constructor that must agree with the first
-/// on every id. Test code builds what rigs it likes.
+/// are created on one path each: nodes and completion queues by
+/// `world::bootstrap_fabric`, which a fresh run and `MpiWorld::restore`
+/// both call, and a connection's queue pairs by `world::establish`, which
+/// the fabric image replays in id order (`snap.rs::restore_fabric`). A
+/// third site creating them — a decoder rebuilding a connection its own
+/// way, say — is another constructor that must agree with these on every
+/// id. Test code builds what rigs it likes.
 #[test]
 fn verbs_objects_are_created_on_one_path() {
     let mut files = rust_files("crates/core/src");
     files.push("crates/fabric/src/snap.rs".to_string());
     let site = |file: &str, func: &str| (file.to_string(), func.to_string());
-    for needle in [".add_node()", ".create_cq(", ".create_qp("] {
+    for needle in [".add_node()", ".create_cq("] {
         assert_eq!(
             sites(&files, needle, true),
             [site("world.rs", "bootstrap_fabric")].into(),
             "`{needle}` outside `world::bootstrap_fabric`"
         );
     }
+    assert_eq!(
+        sites(&files, ".create_qp(", true),
+        [
+            site("world.rs", "establish"),
+            site("snap.rs", "restore_fabric")
+        ]
+        .into(),
+        "`.create_qp(` outside `world::establish` and its replay"
+    );
+}
+
+/// `QpId::from_index_for_tests` and `MrId::from_index_for_tests` name an
+/// id no fabric handed out. Library or binary code calling one would be
+/// computing a verbs handle — the id arithmetic that endpoints read back
+/// from the fabric replaced — so no crate of the repository calls either
+/// outside its tests.
+#[test]
+fn test_ids_are_built_only_in_tests() {
+    let mut files: Vec<String> = ["src", "examples", "benchmark/src"]
+        .into_iter()
+        .flat_map(rust_files)
+        .collect();
+    let crates = format!("{}/crates", env!("CARGO_MANIFEST_DIR"));
+    for entry in std::fs::read_dir(&crates).unwrap_or_else(|e| panic!("{crates}: {e}")) {
+        let name = entry
+            .expect("entry")
+            .file_name()
+            .to_string_lossy()
+            .into_owned();
+        files.extend(rust_files(&format!("crates/{name}/src")));
+    }
+    let callers = sites_where(&files, true, |code| {
+        code.contains("from_index_for_tests(") && !code.contains("fn from_index_for_tests(")
+    });
+    assert!(
+        callers.is_empty(),
+        "`from_index_for_tests` called outside tests: {callers:?}"
+    );
 }
 
 /// Paper §4.1–4.3's schemes differ only in when a frame may be posted and

@@ -132,8 +132,10 @@ pub struct MpiConfig {
     /// ([`MpiConfig::pool_cap`]).
     pub max_prepost: u32,
     /// Establish each connection at its first use instead of every pair
-    /// at t = 0 (the paper's related-work \[23\] extension). Both take
-    /// the same path; the ring schemes require eager setup.
+    /// at t = 0 (the paper's related-work \[23\] extension), under every
+    /// scheme. Both take the same path; the passive rank adopts a
+    /// connection from the fabric's record of it at its next progress
+    /// sweep.
     pub on_demand_connections: bool,
     /// Ring slots per connection at startup (the ring schemes' credit
     /// window; unused by the send/receive schemes).
@@ -265,9 +267,6 @@ impl MpiConfig {
             if self.rdma_ring_slots < 2 {
                 return Err("the RDMA eager channel needs at least 2 ring slots".into());
             }
-            if self.on_demand_connections {
-                return Err("the RDMA eager channel requires eager connection setup".into());
-            }
         }
         if self.scheme == FlowControlScheme::RdmaChannelDyn {
             if self.rdma_ring_max_slots < self.rdma_ring_slots {
@@ -378,14 +377,18 @@ mod tests {
         assert!(bad_mode.validate().is_err());
         let bad_slots = MpiConfig {
             rdma_ring_slots: 1,
-            ..good.clone()
-        };
-        assert!(bad_slots.validate().is_err());
-        let on_demand = MpiConfig {
-            on_demand_connections: true,
             ..good
         };
-        assert!(on_demand.validate().is_err());
+        assert!(bad_slots.validate().is_err());
+        // Either connection setup, ring or not: the passive side adopts a
+        // connection from the fabric, not from its first completion.
+        for scheme in FlowControlScheme::ALL {
+            let on_demand = MpiConfig {
+                on_demand_connections: true,
+                ..MpiConfig::scheme(scheme, 10)
+            };
+            assert_eq!(on_demand.validate(), Ok(()), "{scheme:?} on demand");
+        }
     }
 
     #[test]

@@ -29,9 +29,12 @@
 //! RDMA-based eager channel ([`FlowControlScheme::RdmaChannel`], ref
 //! \[13\]), which RDMA-writes small frames into persistent per-connection
 //! rings the receiver polls — dropping small-message latency from ~7.5 µs
-//! to ~6.6 µs here (the companion paper reports 6.8). The channel needs eager setup: the
-//! passive side of an on-demand connection learns of it from its first
-//! completion, and ring frames raise none.
+//! to ~6.6 µs here (the companion paper reports 6.8). The two combine:
+//! the passive side of an on-demand connection learns of it the way a
+//! connection manager tells a host, from the fabric's record of the
+//! connections made toward its node, which each progress sweep reads
+//! before it polls a completion or a ring — so a peer whose first frame
+//! is a ring write, which raises no completion, is adopted too.
 //!
 //! # The three flow control schemes (paper §4)
 //!

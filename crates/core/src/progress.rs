@@ -32,17 +32,25 @@ fn read_frame(world: &ibfabric::Fabric, mr: ibfabric::MrId, offset: usize) -> (M
 }
 
 impl MpiRank {
-    /// One progress sweep: drain the CQ, apply flow control bookkeeping,
-    /// drain backlogs, and emit credit updates. Returns true if anything
-    /// happened.
+    /// One progress sweep: adopt the connections made toward this rank,
+    /// drain the CQ, apply flow control bookkeeping, drain backlogs, and
+    /// emit credit updates. Returns true if anything happened.
     pub fn progress(&mut self) -> bool {
         let mut any = false;
-        let cq = self.cq;
+        let (cq, node) = (self.cq, self.node);
         let mut batch = std::mem::take(&mut self.cq_batch);
         loop {
-            let polled = self
-                .proc
-                .with(|ctx| ctx.world.poll_cq_into(cq, 64, &mut batch));
+            // The poll reads the node's link count as well, so a new link
+            // costs the sweep one compare to notice, and its connection is
+            // adopted before any completion it raised is dispatched or its
+            // ring is scanned.
+            let (polled, links) = self.proc.with(|ctx| {
+                let polled = ctx.world.poll_cq_into(cq, 64, &mut batch);
+                (polled, ctx.world.links(node).len())
+            });
+            if links != self.links_adopted {
+                self.adopt_connections();
+            }
             if polled == 0 {
                 break;
             }
@@ -98,12 +106,6 @@ impl MpiRank {
 
     fn dispatch_cqe(&mut self, cqe: ibfabric::Cqe) {
         let (kind, value) = decode_wrid(cqe.wr_id);
-        if kind == WrKind::RecvSlot {
-            // Under on-demand setup a peer's first completion here —
-            // delivered or flushed — is where this side learns that the
-            // peer connected to it.
-            self.ensure_established(recv_slot_of(value).0);
-        }
         if cqe.status != CqeStatus::Success {
             self.handle_failed_cqe(cqe, kind, value);
             return;

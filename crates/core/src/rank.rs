@@ -99,6 +99,11 @@ pub struct MpiRank {
     /// connection establish/teardown so a progress pass never scans the
     /// whole world.
     pub(crate) rdma_watch: Vec<Rank>,
+    /// How many of the links the fabric records for this rank's node
+    /// ([`ibfabric::Fabric::links`]) [`MpiRank::adopt_connections`] has
+    /// seen. Zero at boot and at restore alike: a link whose peer already
+    /// has a connection is passed over.
+    pub(crate) links_adopted: usize,
     /// Fabric RDMA-delivery count for this node at the last ring/mailbox
     /// scan; an unchanged count makes an empty poll pass O(1).
     pub(crate) rdma_seen: u64,
@@ -136,6 +141,7 @@ impl MpiRank {
             next_ctx: 1,
             coll_seq: BTreeMap::new(),
             rdma_watch,
+            links_adopted: 0,
             rdma_seen: 0,
             ring_residual: false,
             cq_batch: Vec::new(),
@@ -183,7 +189,7 @@ impl MpiRank {
 
     #[expect(
         clippy::expect_used,
-        reason = "a send establishes its connection first (`issue_send`), and every completion or frame from a peer comes after `ensure_established`; no code path messages itself, and an out-of-range peer is caller error"
+        reason = "a send establishes its connection first (`issue_send`), and a progress sweep adopts every connection the fabric records for this rank before it dispatches a completion or scans a ring; no code path messages itself, and an out-of-range peer is caller error"
     )]
     pub(crate) fn conn(&self, peer: Rank) -> &Conn {
         self.conns[peer].as_ref().expect("connection established")
@@ -204,39 +210,71 @@ impl MpiRank {
             .is_some_and(|c| c.failed)
     }
 
-    /// Establishes the connection to `peer` on first use; a no-op once it
-    /// is. Eager setup establishes every pair at t = 0 (`world::boot`), so
-    /// this only does work under on-demand setup (related work \[23\]):
-    /// the initiator — which finds no queue pair toward `peer` on the
-    /// fabric — pays the handshake (`connect_cost`) and establishes both
-    /// sides on the fabric; the passive side — from its first completion
-    /// from `peer`, delivered or flushed by a failed connection, or from a
-    /// send of its own that comes first — reads both endpoints back from
-    /// the fabric, as a connection manager's reply carries them, and adopts
-    /// the pool posted on its behalf. Either way [`Conn::establish`] builds
-    /// this side's connection and `peer` joins the RDMA watchlist.
+    /// Establishes the connection to `peer` at its first use; a no-op once
+    /// this rank holds one. Eager setup establishes every pair at t = 0
+    /// (`world::boot`), so this only does work under on-demand setup
+    /// (related work \[23\]): when the fabric holds no connection between
+    /// the two, this rank initiates — it runs `world::establish` and pays
+    /// the handshake (`connect_cost`). Either way it then adopts what the
+    /// fabric holds ([`MpiRank::adopt_connections`]), which covers a
+    /// connection `peer` made toward it that no progress sweep has adopted
+    /// yet.
     pub(crate) fn ensure_established(&mut self, peer: Rank) {
         if self.conns[peer].is_some() {
             return;
         }
         let (cfg, pair) = (&self.cfg, [self.rank, peer]);
-        let (ends, connect_cost) = self
-            .proc
-            .with(|ctx| match world::connection(ctx.world, pair) {
-                Some(ends) => (ends, None),
-                None => (
-                    world::establish(ctx, cfg, pair),
-                    Some(ctx.world.params().connect_cost),
-                ),
-            });
+        let connect_cost = self.proc.with(|ctx| {
+            world::connection(ctx.world, pair).is_none().then(|| {
+                world::establish(ctx, cfg, pair);
+                ctx.world.params().connect_cost
+            })
+        });
         if let Some(cost) = connect_cost {
             self.charge(cost);
         }
-        let [mine, theirs] = ends;
-        self.conns[peer] = Some(Box::new(Conn::establish(&self.cfg, peer, &mine, &theirs)));
-        // A peer is watched exactly while it has a live connection, so a
-        // new one cannot be on the list yet.
-        self.rdma_watch.push(peer);
+        self.adopt_connections();
+    }
+
+    /// Adopts the connections the fabric has recorded for this rank's node
+    /// since the last call, whichever side made them — the one place a
+    /// running rank gets a [`Conn`], and how the passive side of an
+    /// on-demand connection learns of it, as a connection manager would
+    /// tell it. For each new link whose peer has no connection it reads
+    /// both endpoints back, builds this side through [`Conn::establish`]
+    /// (adopting the pool `world::establish` posted on its behalf) and
+    /// starts watching the peer's ring and mailbox.
+    pub(crate) fn adopt_connections(&mut self) {
+        let (rank, node) = (self.rank, self.node);
+        let MpiRank {
+            proc,
+            cfg,
+            conns,
+            rdma_watch,
+            links_adopted,
+            ..
+        } = self;
+        proc.with(|ctx| {
+            let fabric = &*ctx.world;
+            let links = fabric.links(node);
+            for &(peer_node, _) in &links[*links_adopted..] {
+                let peer = world::rank_of(peer_node);
+                if conns[peer].is_some() {
+                    continue;
+                }
+                #[expect(
+                    clippy::expect_used,
+                    reason = "`ibfabric::connect` records a link only between connected queue pairs, which only `world::establish` connects, each with its endpoint"
+                )]
+                let [mine, theirs] =
+                    world::connection(fabric, [rank, peer]).expect("a link is a connection");
+                conns[peer] = Some(Box::new(Conn::establish(cfg, peer, &mine, &theirs)));
+                // A peer is watched exactly while it has a live connection,
+                // so a new one cannot be on the list yet.
+                rdma_watch.push(peer);
+            }
+            *links_adopted = links.len();
+        });
     }
 
     /// Reposts a consumed slot (same slot index).

@@ -118,6 +118,11 @@ pub(crate) fn node_of(rank: Rank) -> NodeId {
     NodeId::from_index(rank)
 }
 
+/// The rank of node `node`, the inverse of [`node_of`].
+pub(crate) fn rank_of(node: NodeId) -> Rank {
+    node.index()
+}
+
 /// The connection between ranks `pair` as the fabric holds it: the first
 /// rank's endpoint, then the second's. `None` until it is established.
 pub(crate) fn connection(fabric: &Fabric, pair: [Rank; 2]) -> Option<[Endpoint; 2]> {
@@ -194,8 +199,9 @@ pub(crate) fn establish(
 /// completion queues ([`bootstrap_fabric`]), and — under eager connection
 /// setup — every pair `i < j` established at t = 0, on the fabric and as
 /// both endpoints' [`Conn`]s. On-demand setup leaves every connection to its
-/// first use (`MpiRank::ensure_established`). Shared by the plain run
-/// path and the checkpoint driver.
+/// first use (`MpiRank::ensure_established`, then
+/// `MpiRank::adopt_connections` on the passive side). Shared by the plain
+/// run path and the checkpoint driver.
 ///
 /// The simulation is created first, around an empty fabric, so every
 /// allocation the bootstrap makes — the objects and the receive queues
@@ -220,8 +226,10 @@ pub(crate) fn boot(
             for i in 0..nprocs {
                 for j in (i + 1)..nprocs {
                     let [a, b] = establish(ctx, cfg, [i, j]);
-                    setups[i].conns[j] = Some(Box::new(Conn::establish(cfg, j, &a, &b)));
-                    setups[j].conns[i] = Some(Box::new(Conn::establish(cfg, i, &b, &a)));
+                    for (me, peer, mine, theirs) in [(i, j, &a, &b), (j, i, &b, &a)] {
+                        setups[me].conns[peer] =
+                            Some(Box::new(Conn::establish(cfg, peer, mine, theirs)));
+                    }
                 }
             }
         }
@@ -436,13 +444,7 @@ mod tests {
         let resident = 4 * ((BUF + HEADER_LEN) + HEADER_LEN);
         for scheme in FlowControlScheme::ALL {
             let ring_slots = if scheme.uses_ring() { 4 } else { 32 };
-            // The RDMA eager channel requires eager setup.
-            let policies: &[bool] = if scheme.uses_ring() {
-                &[false]
-            } else {
-                &[false, true]
-            };
-            for &on_demand in policies {
+            for on_demand in [false, true] {
                 let cfg = MpiConfig {
                     on_demand_connections: on_demand,
                     ..MpiConfig::scheme(scheme, 4)

@@ -120,20 +120,16 @@ fn assert_matches_golden<R: PartialEq + std::fmt::Debug>(
 }
 
 /// Snapshot at every epoch, restore, resume: byte-identical to the
-/// uninterrupted golden for all five schemes, and for the three send/recv
-/// schemes under on-demand connection setup too — where the rebuilt world
-/// differs most from the fence, since its bootstrap leaves every QP in
-/// Reset. (The ring schemes reject on-demand setup.) The snapshot also
+/// uninterrupted golden for all five schemes, under eager and on-demand
+/// connection setup — on demand, the rebuilt world differs most from the
+/// fence, since its bootstrap leaves every QP in Reset. The snapshot also
 /// survives a serialization round trip before the restore.
 #[test]
 fn restore_and_resume_is_byte_identical_across_schemes() {
-    let on_demand = FlowControlScheme::ALL
-        .into_iter()
-        .filter(|s| !s.uses_ring())
-        .map(|scheme| MpiConfig {
-            on_demand_connections: true,
-            ..cfg_for(scheme)
-        });
+    let on_demand = FlowControlScheme::ALL.into_iter().map(|scheme| MpiConfig {
+        on_demand_connections: true,
+        ..cfg_for(scheme)
+    });
     for cfg in FlowControlScheme::ALL
         .map(cfg_for)
         .into_iter()
@@ -197,25 +193,33 @@ async fn halo(mpi: &mut MpiRank, start: CkptStart) -> u64 {
 }
 
 /// A wide on-demand world checkpoints and restores byte-identically, and
-/// its image records only the connections that exist. Round a ring of 256
-/// ranks each rank reaches its two neighbours and, through the
-/// checkpoint's dissemination barrier, the ranks a power of two away: 15
-/// of its 255 peers, 3 840 directed connections. Each costs the image its
-/// queue pair and three regions in the fabric image and its record in a
-/// rank blob; a rank costs its node, queue and fixed sections, and an
-/// unreached peer one presence byte. A queue pair or a region for an
-/// unreached peer — 65 280 queue pairs — would take the image past the
-/// bound (11 094 869 B when every pair had its queue pairs).
+/// it and its image hold only the connections that exist. Round a ring of
+/// N ranks each rank reaches its two neighbours and, through the
+/// checkpoint's dissemination barrier, the ranks a power of two away:
+/// 2·log2 N − 1 peers — 15 of 255 at N = 256, 3 840 directed connections,
+/// and 11 of 63 at N = 64, 704. Each registers its slab, mailbox and
+/// ring, so a ring scheme holds a ring only toward the peers it reached.
+/// Each costs the image its queue pair and three regions in the fabric
+/// image and its record in a rank blob; a rank costs its node, queue and
+/// fixed sections, and an unreached peer one presence byte. A queue pair
+/// or a region for an unreached peer — 65 280 queue pairs at N = 256 —
+/// would take the image past the bound (11 094 869 B when every pair had
+/// its queue pairs).
 #[test]
 fn wide_on_demand_world_restores_and_its_image_skips_unreached_peers() {
-    const N: usize = 256;
+    wide_on_demand_world(FlowControlScheme::UserDynamic, 256);
+    wide_on_demand_world(FlowControlScheme::RdmaChannelDyn, 64);
+}
+
+fn wide_on_demand_world(scheme: FlowControlScheme, n: usize) {
+    assert!(n.is_power_of_two());
     let cfg = MpiConfig {
         on_demand_connections: true,
-        ..cfg_for(FlowControlScheme::UserDynamic)
+        ..cfg_for(scheme)
     };
     let run = |snapshot_epoch| {
         MpiWorld::run_with_checkpoints(
-            N,
+            n,
             cfg.clone(),
             FabricParams::mt23108(),
             Default::default(),
@@ -226,11 +230,24 @@ fn wide_on_demand_world_restores_and_its_image_skips_unreached_peers() {
     };
     let g = run(None).into_completed();
     let bytes = run(Some(1)).into_snapshot().to_bytes();
+    let tag = format!("{} at {n} ranks", scheme.label());
     let conns = g.fabric.qp_count();
-    assert_eq!(conns, 15 * N, "one queue pair per directed connection");
+    let peers = 2 * n.trailing_zeros() as usize - 1;
+    assert_eq!(
+        conns,
+        peers * n,
+        "{tag}: one queue pair per directed connection"
+    );
+    let per_conn =
+        cfg.max_prepost as usize * cfg.buf_size + 32 + cfg.rdma_ring_slots as usize * cfg.buf_size;
+    assert_eq!(
+        g.fabric.registered_bytes(),
+        conns * per_conn,
+        "{tag}: a slab, a mailbox and a ring per directed connection"
+    );
     assert!(
-        bytes.len() < 768 * conns + 1024 * N,
-        "{} bytes of snapshot for {N} ranks and {conns} connections",
+        bytes.len() < 768 * conns + 1024 * n,
+        "{tag}: {} bytes of snapshot for {conns} connections",
         bytes.len()
     );
     let snap = Snapshot::from_bytes(&bytes).expect("snapshot round trip");
@@ -244,7 +261,7 @@ fn wide_on_demand_world_restores_and_its_image_skips_unreached_peers() {
     )
     .expect("restore")
     .into_completed();
-    assert_matches_golden(FlowControlScheme::UserDynamic, &g, &out);
+    assert_matches_golden(scheme, &g, &out);
 }
 
 /// Two rendezvous of one size class in flight from one source at once:

@@ -9,19 +9,26 @@ use testutil::prop::{check, shrink, Case, Gen};
 
 /// Every packet dropped and a finite retry budget: the transport gives
 /// up, the progress engine tears the connection down, and both ranks
-/// finish with typed faults instead of panicking or hanging — under eager
-/// and on-demand setup alike. On demand, the passive side's first
-/// completions from its peer are the flushed receives, so that side's
-/// connection is built from a flush.
+/// finish with typed faults instead of panicking or hanging — over
+/// send/receive and over the RDMA eager channel, under eager and
+/// on-demand setup alike. On demand, the passive side's only completions
+/// from its peer are the flushed receives, and under the ring schemes the
+/// lost send was a ring write, so that side's connection must have been
+/// adopted from the fabric before the flush is dispatched.
 #[test]
 fn retry_exhaustion_surfaces_typed_faults_without_panicking() {
-    for on_demand_connections in [false, true] {
-        retry_exhaustion(MpiConfig {
-            retry_cnt: Some(1),
-            fault_plan: Some(FaultPlan::new(42).with_drop(1.0)),
-            on_demand_connections,
-            ..MpiConfig::scheme(FlowControlScheme::UserStatic, 4)
-        });
+    for scheme in FlowControlScheme::ALL
+        .into_iter()
+        .filter(|s| s.uses_ring() || *s == FlowControlScheme::UserStatic)
+    {
+        for on_demand_connections in [false, true] {
+            retry_exhaustion(MpiConfig {
+                retry_cnt: Some(1),
+                fault_plan: Some(FaultPlan::new(42).with_drop(1.0)),
+                on_demand_connections,
+                ..MpiConfig::scheme(scheme, 4)
+            });
+        }
     }
 }
 

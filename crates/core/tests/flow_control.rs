@@ -496,16 +496,19 @@ fn setup_shape_run(cfg: MpiConfig, shape: SetupShape) -> mpib::MpiRunOutput<()> 
 /// a free handshake the two are indistinguishable, down to the event
 /// count and every counter. Both paths post the pool before connecting,
 /// so the handshake advertises it and no first send goes out as a
-/// zero-credit probe; and the passive side watches the initiator's
-/// mailbox from its first completion on, so RDMA credit returns reach it.
+/// zero-credit probe; and the passive side adopts the connection at its
+/// next progress sweep, before it looks at a completion or a ring, so it
+/// watches the initiator's ring and mailbox from the start and ring
+/// frames and RDMA credit returns reach it.
 #[test]
 fn on_demand_setup_with_a_free_handshake_is_eager_setup() {
-    // `validate` rejects on-demand setup under the ring schemes.
-    for scheme in FlowControlScheme::ALL
-        .into_iter()
-        .filter(|s| !s.uses_ring())
-    {
+    for scheme in FlowControlScheme::ALL {
         for credit_msg_mode in [CreditMsgMode::Optimistic, CreditMsgMode::Rdma] {
+            // The ring schemes return ring slots only through the credit
+            // mailbox (`validate`).
+            if scheme.uses_ring() && credit_msg_mode == CreditMsgMode::Optimistic {
+                continue;
+            }
             for shape in [SetupShape::InitiatorBurst, SetupShape::PassiveStream] {
                 let eager = MpiConfig {
                     credit_msg_mode,

@@ -4,7 +4,8 @@
 //! ones and MSN tracking suppresses the duplicates), ring WRITEs racing
 //! the generation switch, and growth triggered mid-flap must all
 //! preserve exactly-once in-order delivery, keep the ring and buffer
-//! ledgers conserved, and never grow past `rdma_ring_max_slots`.
+//! ledgers conserved, and never grow past `rdma_ring_max_slots` — with
+//! the connection established at t = 0 or at the sender's first use.
 //!
 //! Reproduce a failure with `IBFLOW_PROP_SEED=<seed>`; failing cases
 //! shrink toward a benign fabric and a minimal workload first.
@@ -33,6 +34,9 @@ struct GrowthChaosCase {
     initial_slots: u32,
     max_slots: u32,
     threshold: u32,
+    /// Connect on demand: the receiver adopts the connection the sender's
+    /// first ring write travels on.
+    on_demand: bool,
 }
 
 impl Case for GrowthChaosCase {
@@ -54,6 +58,7 @@ impl Case for GrowthChaosCase {
             initial_slots,
             max_slots,
             threshold: g.u32_in(1..5),
+            on_demand: g.bool(),
         }
     }
 
@@ -95,6 +100,12 @@ impl Case for GrowthChaosCase {
                 ..self.clone()
             });
         }
+        for v in shrink::bool_toward_false(self.on_demand) {
+            out.push(GrowthChaosCase {
+                on_demand: v,
+                ..self.clone()
+            });
+        }
         out
     }
 }
@@ -121,6 +132,7 @@ impl GrowthChaosCase {
             rdma_ring_max_slots: self.max_slots,
             rdma_ring_growth_threshold: self.threshold,
             fault_plan: Some(self.plan()),
+            on_demand_connections: self.on_demand,
             ..MpiConfig::scheme(FlowControlScheme::RdmaChannelDyn, 4)
         }
     }

@@ -235,6 +235,16 @@ impl Fabric {
         links.iter().find(|&&(p, _)| p == peer).map(|&(_, qp)| qp)
     }
 
+    /// The `(peer node, QP)` pairs [`connect`] recorded for `node`, one per
+    /// peer in the order each was first connected, whichever side asked:
+    /// what a connection manager tells a host about the connections made
+    /// toward it. An entry is never removed and its peer never changes, so
+    /// a reader that remembers how many it has seen finds the new ones
+    /// past that count.
+    pub fn links(&self, node: NodeId) -> &[(NodeId, QpId)] {
+        &self.nodes[node.index()].links
+    }
+
     /// Records `qp`, connected, under its node and its peer's node.
     pub(crate) fn link(&mut self, qp: QpId) {
         let q = &self.qps[qp.index()];

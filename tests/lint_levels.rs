@@ -123,11 +123,17 @@ fn sites_where(
 /// `ibfabric::connect` call, a `Conn { … }` literal in library code
 /// outside `Conn::establish` — a bare connection, established later — or
 /// an `Endpoint { … }` literal elsewhere — handles worked out rather than
-/// read back — is how the forks this replaced would come back. (A
-/// checkpoint restore connects nothing: the fabric image replays each
-/// queue pair with its connected state, and the restore builds each
-/// connection its image records through `Conn::establish` onto the
-/// endpoints it reads back.)
+/// read back — is how the forks this replaced would come back. A running
+/// rank gets a `Conn` in one place, `MpiRank::adopt_connections`, from
+/// the links the fabric records for its node; `world::boot` builds eager
+/// setup's and `ckpt::decode_rank_blob` a restore's, and no other code
+/// calls `Conn::establish`. Only a send initiates on demand
+/// (`pt2pt.rs::issue_send` is the one caller of `ensure_established`):
+/// a completion handler that established a connection is the
+/// first-completion hook adoption replaced. (A checkpoint restore
+/// connects nothing: the fabric image replays each queue pair with its
+/// connected state, and the restore builds each connection its image
+/// records through `Conn::establish` onto the endpoints it reads back.)
 #[test]
 fn connections_are_established_on_one_path() {
     let site = |file: &str, func: &str| (file.to_string(), func.to_string());
@@ -137,6 +143,24 @@ fn connections_are_established_on_one_path() {
         "`ibfabric::connect(` outside `world::establish`"
     );
     let core = rust_files("crates/core/src");
+    assert_eq!(
+        sites_where(&core, true, |code| {
+            code.contains("ensure_established(") && !code.contains("fn ensure_established(")
+        }),
+        [site("pt2pt.rs", "issue_send")].into(),
+        "`ensure_established(` called outside `pt2pt.rs::issue_send`"
+    );
+    assert_eq!(
+        sites(&core, "Conn::establish(", true),
+        [
+            site("world.rs", "boot"),
+            site("ckpt.rs", "decode_rank_blob"),
+            site("rank.rs", "adopt_connections"),
+        ]
+        .into(),
+        "`Conn::establish(` called outside `world::boot`, `ckpt::decode_rank_blob` \
+         and `MpiRank::adopt_connections`"
+    );
     assert_eq!(
         sites_where(&core, true, |code| builds(code, "Conn")),
         [site("conn.rs", "establish")].into(),
